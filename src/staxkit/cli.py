@@ -130,8 +130,16 @@ def _active_taxonomy() -> Taxonomy:
     override = os.environ.get("STAX_TAXONOMY")
     if not override:
         return default_taxonomy()
-    with open(override, "r", encoding="utf-8") as f:
-        return load_taxonomy(f.read())
+    return load_taxonomy(_read_text(override))
+
+
+def _read_text(path: str) -> str:
+    """A UTF-8 document (manifest or taxonomy); bad encoding is a SchemaError."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not valid UTF-8: {exc}") from None
 
 
 def _read_source(path: str, framing: Framing):
@@ -310,8 +318,7 @@ def _cmd_taxonomy(args: argparse.Namespace) -> int:
 
 def _cmd_annotate(args: argparse.Namespace) -> int:
     taxonomy = _active_taxonomy()
-    with open(args.manifest, "r", encoding="utf-8") as f:
-        manifest = load_manifest(f.read(), taxonomy)
+    manifest = load_manifest(_read_text(args.manifest), taxonomy)
     turtle = emit_turtle(manifest, taxonomy)
     if args.out is None:
         sys.stdout.write(turtle)
@@ -324,8 +331,7 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     taxonomy = _active_taxonomy()
     inferred = infer_closure(taxonomy)
-    with open(args.manifest, "r", encoding="utf-8") as f:
-        manifest = load_manifest(f.read(), taxonomy)
+    manifest = load_manifest(_read_text(args.manifest), taxonomy)
     report = validate_usages(manifest, inferred, args.policy)
     if args.data is not None:
         if args.framing is None:
@@ -393,9 +399,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UnknownType as exc:
         print(f"stax-kit: {exc}", file=sys.stderr)
         return 2
-    except UnicodeDecodeError as exc:
-        print(f"stax-kit: input is not valid UTF-8: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         print(f"stax-kit: {exc}", file=sys.stderr)
         return 3

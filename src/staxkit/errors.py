@@ -19,13 +19,16 @@ class ParseError(StaxError):
     """A line of N-Triples/N-Quads input could not be parsed.
 
     Line and column are 1-based; column points at the offending character.
+    member names the file of a directory framing the line belongs to.
     """
 
-    def __init__(self, line: int, column: int, reason: str):
-        super().__init__(f"line {line}, column {column}: {reason}")
+    def __init__(self, line: int, column: int, reason: str, member: str | None = None):
+        prefix = f"{member}: " if member else ""
+        super().__init__(f"{prefix}line {line}, column {column}: {reason}")
         self.line = line
         self.column = column
         self.reason = reason
+        self.member = member
 
 
 class MixedPayload(StaxError):

@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import enum
 import os
+import re
 from dataclasses import dataclass
 from io import BytesIO
 from typing import IO, Iterable, Iterator, Union
 
-from .errors import MixedPayload, ParseError
+from .errors import MalformedIri, MixedPayload, ParseError
 from .model import (
     XSD_STRING,
     BlankNode,
@@ -102,6 +103,26 @@ class ParsedLine:
 # ---------------------------------------------------------------------------
 # Line-level parsing
 # ---------------------------------------------------------------------------
+# One precompiled pattern parses a statement line.  The scanner rescans only
+# lines the pattern declines or whose terms fail validation: it accepts rare
+# forms such as non-ASCII language tags and locates every ParseError.
+
+_IRI_TOKEN = r'<[^\s<>"\\]*(?:\\(?:u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})[^\s<>"\\]*)*>'
+# The lookahead ends a blank label where the scanner does: trailing dots
+# belong to the terminator, and no other label character may follow them.
+_NODE_TOKEN = rf"({_IRI_TOKEN}|_:[A-Za-z0-9](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?(?!\.*[A-Za-z0-9_-]))"
+_STATEMENT = re.compile(
+    rf"[ \t]*{_NODE_TOKEN}[ \t]*({_IRI_TOKEN})[ \t]*(?:{_NODE_TOKEN}"
+    r'|"([^"\\]*(?:\\(?:[tbnrf"\'\\]|u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})[^"\\]*)*)"'
+    rf"(?:@([A-Za-z][A-Za-z0-9-]*)|\^\^({_IRI_TOKEN}))?)"
+    rf"[ \t]*(?:{_NODE_TOKEN}[ \t]*)?\.[ \t]*(?:#|\Z)"
+)
+_ESCAPE = re.compile(r"\\(u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|.)", re.S)
+
+# IRIs and blank nodes interned by token: a repeated one is built and checked
+# once.  Terms are immutable, so sharing is safe; at the cap the table empties.
+_INTERN_LIMIT = 4096
+_interned: dict[str, Iri | BlankNode] = {}
 
 _HEX = set("0123456789abcdefABCDEF")
 _ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
@@ -245,6 +266,58 @@ class _Scanner:
         raise AssertionError
 
 
+def _unescape_match(m: re.Match) -> str:
+    e = m.group(1)
+    if len(e) == 1:
+        return _ECHAR[e]
+    code = int(e[1:], 16)
+    if 0xD800 <= code <= 0xDFFF:
+        raise ValueError(f"escape U+{code:X} is not a valid scalar value")
+    return chr(code)  # ValueError past U+10FFFF
+
+
+def _unescape(text: str) -> str:
+    return _ESCAPE.sub(_unescape_match, text) if "\\" in text else text
+
+
+def _node(token: str) -> Iri | BlankNode:
+    """The IRI or blank node a pattern token denotes, taken from the intern table."""
+    term = _interned.get(token)
+    if term is None:
+        if len(_interned) >= _INTERN_LIMIT:
+            _interned.clear()
+        term = Iri(_unescape(token[1:-1])) if token[0] == "<" else BlankNode(token[2:])
+        _interned[token] = term
+    return term
+
+
+def _parse_line(line: str, quads: bool, line_no: int) -> Statement | LineKind:
+    """The statement on one line, or the kind of a line that holds none."""
+    m = _STATEMENT.match(line)
+    # A matched line starts with a term: never a delimiter, blank or comment.
+    if m is not None and (quads or m[7] is None):
+        s, p, o, lexical, language, datatype, g = m.groups()
+        try:
+            if o is not None:
+                obj: Term = _node(o)
+            else:
+                dt = _node(datatype).value if datatype else XSD_STRING
+                obj = Literal(_unescape(lexical), dt, language)
+            if quads:
+                return Quad(_node(s), _node(p), obj, None if g is None else _node(g))
+            return Triple(_node(s), _node(p), obj)
+        except (MalformedIri, ValueError):
+            pass  # the scanner raises the located error
+    if line == FRAME_DELIMITER:
+        return LineKind.FRAME_DELIMITER
+    stripped = line.strip()
+    if not stripped:
+        return LineKind.BLANK
+    if stripped.startswith("#"):
+        return LineKind.COMMENT
+    return _scan_statement(line, quads, line_no)
+
+
 def parse_statement_line(line: str, mode: str, line_no: int = 1) -> ParsedLine:
     """Classify and parse one input line.
 
@@ -255,14 +328,14 @@ def parse_statement_line(line: str, mode: str, line_no: int = 1) -> ParsedLine:
     """
     if mode not in ("triples", "quads"):
         raise ValueError(f"mode must be 'triples' or 'quads', got {mode!r}")
-    if line == FRAME_DELIMITER:
-        return ParsedLine(LineKind.FRAME_DELIMITER, line_no)
-    stripped = line.strip()
-    if not stripped:
-        return ParsedLine(LineKind.BLANK, line_no)
-    if stripped.startswith("#"):
-        return ParsedLine(LineKind.COMMENT, line_no)
+    parsed = _parse_line(line, mode == "quads", line_no)
+    if isinstance(parsed, LineKind):
+        return ParsedLine(parsed, line_no)
+    return ParsedLine(LineKind.STATEMENT, line_no, parsed)
 
+
+def _scan_statement(line: str, quads: bool, line_no: int) -> Statement:
+    """Parse a statement line with the scanner; errors carry line and column."""
     sc = _Scanner(line, line_no)
     sc.skip_ws()
     subj_col = sc.pos
@@ -281,7 +354,7 @@ def parse_statement_line(line: str, mode: str, line_no: int = 1) -> ParsedLine:
     graph_label: Iri | BlankNode | None = None
     if sc.peek() and sc.peek() != ".":
         label_col = sc.pos
-        if mode == "triples":
+        if not quads:
             sc.fail("statement has a fourth term but framing expects triples", column=label_col)
         term = sc.parse_term()
         if isinstance(term, Literal):
@@ -295,12 +368,7 @@ def parse_statement_line(line: str, mode: str, line_no: int = 1) -> ParsedLine:
     if sc.peek() and sc.peek() != "#":
         sc.fail("unexpected content after '.'")
 
-    stmt: Statement
-    if mode == "triples":
-        stmt = Triple(subject, predicate, obj)
-    else:
-        stmt = Quad(subject, predicate, obj, graph_label)
-    return ParsedLine(LineKind.STATEMENT, line_no, stmt)
+    return Quad(subject, predicate, obj, graph_label) if quads else Triple(subject, predicate, obj)
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +388,15 @@ def _iter_lines(source: Source) -> Iterator[tuple[int, str]]:
         handle = source
         close = False
     try:
+        offset = 0
         for no, raw in enumerate(handle, start=1):
-            text = raw.decode("utf-8")
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                column = len(raw[: exc.start].decode("utf-8")) + 1
+                reason = f"invalid UTF-8 byte 0x{raw[exc.start]:02X} at byte offset {offset + exc.start}"
+                raise ParseError(no, column, reason) from None
+            offset += len(raw)
             if text.endswith("\n"):
                 text = text[:-1]
             if text.endswith("\r"):
@@ -340,12 +415,11 @@ def read_flat_stream(source: Source, framing: Framing) -> Iterator[Statement]:
     """
     if not framing.is_flat:
         raise ValueError(f"read_flat_stream needs a flat framing, got {framing.value}")
-    mode = "quads" if framing.quads_payload else "triples"
+    quads = framing.quads_payload
     for no, line in _iter_lines(source):
-        parsed = parse_statement_line(line, mode, no)
-        if parsed.kind is LineKind.STATEMENT:
-            assert parsed.statement is not None
-            yield parsed.statement
+        parsed = _parse_line(line, quads, no)
+        if not isinstance(parsed, LineKind):
+            yield parsed
 
 
 def _statements_to_element(statements: list[Statement], framing: Framing):
@@ -354,16 +428,11 @@ def _statements_to_element(statements: list[Statement], framing: Framing):
     return Graph(statements)  # type: ignore[arg-type]
 
 
-def _parse_grouped_line(line: str, no: int, framing: Framing) -> ParsedLine:
+def _parse_grouped_line(line: str, no: int, quads_payload: bool) -> Statement | LineKind:
     # Graph payloads are parsed in quads mode so that a named graph label is
     # reported as a payload mismatch rather than a grammar error.
-    parsed = parse_statement_line(line, "quads", no)
-    if (
-        parsed.kind is LineKind.STATEMENT
-        and not framing.quads_payload
-        and isinstance(parsed.statement, Quad)
-        and parsed.statement.graph_label is not None
-    ):
+    parsed = _parse_line(line, True, no)
+    if not quads_payload and isinstance(parsed, Quad) and parsed.graph_label is not None:
         raise MixedPayload(f"line {no}: named graph label inside a graph framing")
     return parsed
 
@@ -386,13 +455,12 @@ def read_grouped_stream(source: Source, framing: Framing) -> Iterator[Graph | Da
     saw_line = False
     for no, line in _iter_lines(source):
         saw_line = True
-        parsed = _parse_grouped_line(line, no, framing)
-        if parsed.kind is LineKind.FRAME_DELIMITER:
+        parsed = _parse_grouped_line(line, no, quads_payload)
+        if parsed is LineKind.FRAME_DELIMITER:
             yield _statements_to_element(_strip_labels(current, quads_payload), framing)
             current = []
-        elif parsed.kind is LineKind.STATEMENT:
-            assert parsed.statement is not None
-            current.append(parsed.statement)
+        elif not isinstance(parsed, LineKind):
+            current.append(parsed)
     if saw_line:
         yield _statements_to_element(_strip_labels(current, quads_payload), framing)
 
@@ -413,14 +481,13 @@ def _read_dir_stream(source: Source, framing: Framing) -> Iterator[Graph | Datas
     )
     for name in names:
         path = os.path.join(os.fspath(source), name)
-        statements: list[Statement] = []
-        for no, line in _iter_lines(path):
-            parsed = _parse_grouped_line(line, no, framing)
-            if parsed.kind is LineKind.STATEMENT:
-                assert parsed.statement is not None
-                statements.append(parsed.statement)
-            # '#---' inside a member file is a delimiter line type, but a
-            # directory element is the whole file; treat it as a comment.
+        try:
+            parsed = [_parse_grouped_line(line, no, framing.quads_payload) for no, line in _iter_lines(path)]
+        except ParseError as exc:
+            raise ParseError(exc.line, exc.column, exc.reason, member=name) from None
+        # '#---' inside a member file is a delimiter line type, but a
+        # directory element is the whole file; treat it as a comment.
+        statements = [s for s in parsed if not isinstance(s, LineKind)]
         yield _statements_to_element(_strip_labels(statements, framing.quads_payload), framing)
 
 
@@ -428,18 +495,18 @@ def _read_dir_stream(source: Source, framing: Framing) -> Iterator[Graph | Datas
 # Serialization
 # ---------------------------------------------------------------------------
 
-_LITERAL_ESC = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-_IRI_ESC = {"\\", "{", "}", "|", "^", "`"} | {chr(i) for i in range(0x21)}
+_LITERAL_SPECIAL = re.compile(r'[\\"\n\r\t]')
+_LITERAL_ESC = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"})
+_IRI_SPECIAL = re.compile(r"[\x00-\x20\\{}|^`]")
+_IRI_ESC = {c: f"\\u{c:04X}" for c in (*range(0x21), *b"\\{}|^`")}
 
 
 def _escape_iri(value: str) -> str:
-    if not any(c in _IRI_ESC for c in value):
-        return value
-    return "".join(f"\\u{ord(c):04X}" if c in _IRI_ESC else c for c in value)
+    return value.translate(_IRI_ESC) if _IRI_SPECIAL.search(value) else value
 
 
 def escape_literal(value: str) -> str:
-    return "".join(_LITERAL_ESC.get(c, c) for c in value)
+    return value.translate(_LITERAL_ESC) if _LITERAL_SPECIAL.search(value) else value
 
 
 def serialize_term(term: Term) -> str:

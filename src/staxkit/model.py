@@ -21,6 +21,9 @@ XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
 # terminator on serialization).
 _BLANK_LABEL = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*$")
 _IRI_FORBIDDEN = set('<>"')
+# One regex validates an IRI; the checks in Iri only pick the error message.
+# '\s' matches exactly the characters str.isspace() accepts.
+_IRI_VALID = re.compile(r'[^\s<>"]*:[^\s<>"]*')
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,6 +39,8 @@ class Iri:
 
     def __post_init__(self):
         v = self.value
+        if _IRI_VALID.fullmatch(v):
+            return
         if not v:
             raise MalformedIri("empty IRI")
         if ":" not in v:

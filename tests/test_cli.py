@@ -245,6 +245,15 @@ class TestClassify:
         assert code == 3
         assert "line 1" in capsys.readouterr().err
 
+    def test_invalid_utf8_is_located_data_error(self, tmp_path, capsys):
+        f = tmp_path / "bad.nt"
+        f.write_bytes(flat_triples(1) + b"<http://ex.org/\xff> <http://ex.org/p> <http://ex.org/o> .\n")
+        code = main(["classify", "--input", str(f), "--framing", "flat-triples"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("stax-kit: ParseError: line 2, column 16: invalid UTF-8 byte 0xFF")
+        assert "Traceback" not in err
+
     def test_bad_timestamp_predicate(self, tmp_path, capsys):
         f = tmp_path / "data.bin"
         f.write_bytes(timestamped_datasets("2024-01-01T00:00:00Z"))
@@ -657,6 +666,13 @@ class TestAnnotate:
         m.write_text(json.dumps({"usages": []}))
         code = main(["annotate", "--manifest", str(m)])
         assert code == 3
+
+    def test_manifest_not_utf8_is_data_error(self, tmp_path, capsys):
+        m = tmp_path / "manifest.json"
+        m.write_bytes(b'{"usages": [{"streamType": "datasetStream", "comment": "\xff"}]}')
+        code = main(["annotate", "--manifest", str(m)])
+        assert code == 3
+        assert "not valid UTF-8" in capsys.readouterr().err
 
     def test_missing_manifest_file(self, tmp_path, capsys):
         code = main(["annotate", "--manifest", str(tmp_path / "absent.json")])

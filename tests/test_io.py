@@ -16,6 +16,8 @@ from staxkit.io import (
     FRAME_DELIMITER,
     Framing,
     LineKind,
+    ParsedLine,
+    _scan_statement,
     parse_statement_line,
     read_flat_stream,
     read_grouped_stream,
@@ -102,6 +104,11 @@ class TestParseStatementLine:
         p = parse_statement_line("  <http://s:1>\t<http://p:1>   <http://o:1>  .  ", "triples")
         assert p.kind is LineKind.STATEMENT
 
+    def test_non_ascii_language_tag(self):
+        # the scanner accepts any alphanumeric tag character, not only ASCII
+        p = parse_statement_line('<http://s:1> <http://p:1> "x"@enß .', "triples")
+        assert p.statement.object == Literal("x", language="enß")
+
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             parse_statement_line("<http://s:1> <http://p:1> <http://o:1> .", "trips")
@@ -133,6 +140,13 @@ MALFORMED = [
     ('<http://a:1> <http://p:1> "x"@en^^<http://d:1> .', "quads", 1, None),
     ("<http://a:1> <http://p:1> 42 .", "triples", 1, 27),          # bare number object
     (r"<http://a:1> <\n> <http://o:1> .", "triples", 1, None),    # bad IRI escape
+    ("<http://a:1> <http://p:1> _:a_:b .", "triples", 1, 31),     # label stops at ':'
+    ("<http://a:1> <http://p:1> _:a_:b .", "quads", 1, 31),
+    ('<http://a:1> <http://p:1> "x"@en_US .', "quads", 1, 33),    # '_' ends the tag
+    (r"<http://a:1> <http://p:1> <a:\u003E> .", "triples", 1, 27),  # escaped '>'
+    ('<http://a:1> <http://p:1> "x"^^<http://www.w3.org/1999/02/22-rdf-syntax-ns#langString> .',
+     "triples", 1, 27),                                            # langString without tag
+    ("<http://a:1> <http://p:1> _:o..", "triples", 1, 31),        # second dot after terminator
 ]
 
 
@@ -157,6 +171,14 @@ class TestMalformedLines:
         with pytest.raises(ParseError) as info:
             list(read_grouped_stream(data, Framing.FRAMED_GRAPHS))
         assert info.value.line == 3
+
+    def test_invalid_utf8_is_located(self):
+        data = b"<http://a:1> <http://p:1> <http://o:1> .\n<http://a:1> <http://p:1> \"\xc3\xa9\xff\" .\n"
+        with pytest.raises(ParseError) as info:
+            list(read_flat_stream(data, Framing.FLAT_TRIPLES))
+        # 'é' takes two bytes but one column; line 1 is 41 bytes long
+        assert (info.value.line, info.value.column) == (2, 29)
+        assert info.value.reason == "invalid UTF-8 byte 0xFF at byte offset 70"
 
     def test_message_carries_position(self):
         with pytest.raises(ParseError) as info:
@@ -293,6 +315,14 @@ class TestDirStreams:
         elements = list(read_grouped_stream(tmp_path, Framing.DIR_GRAPHS))
         assert len(elements) == 1 and len(elements[0]) == 2
 
+    def test_parse_error_names_the_member(self, tmp_path):
+        (tmp_path / "00000.nt").write_bytes(b"<http://a:1> <http://p:1> <http://o:1> .\n")
+        (tmp_path / "00001.nt").write_bytes(b"<http://a:1> <http://p:1> <http://o:1> .\nbad .\n")
+        with pytest.raises(ParseError) as info:
+            list(read_grouped_stream(tmp_path, Framing.DIR_GRAPHS))
+        assert (info.value.member, info.value.line, info.value.column) == ("00001.nt", 2, 1)
+        assert str(info.value).startswith("00001.nt: line 2, column 1: ")
+
     def test_bytes_input_rejected(self):
         with pytest.raises(ValueError):
             list(read_grouped_stream(b"", Framing.DIR_GRAPHS))
@@ -417,3 +447,57 @@ def test_property_quad_roundtrip(statements):
 def test_property_framed_graph_roundtrip(elements):
     payload = write_grouped_stream(elements, Framing.FRAMED_GRAPHS)
     assert list(read_grouped_stream(payload, Framing.FRAMED_GRAPHS)) == elements
+
+
+# hypothesis: the line pattern and the scanner agree on every line, accepted or not
+
+MUTATION_CHARS = list('<>"_:.@^\\#') + ["\t", " ", "\u00a0", "ß", "u"]
+
+
+@st.composite
+def mutated_lines(draw):
+    r = random.Random(draw(st.integers(0, 2**32 - 1)))
+    line = serialize_statement(gen_quad(r) if draw(st.booleans()) else gen_triple(r))
+    for _ in range(draw(st.integers(0, 3))):
+        # half of the edits land next to a token boundary, where the pattern
+        # and the scanner are most likely to part
+        edges = [i + d for i, c in enumerate(line) if c in '<>"_:.@^ ' for d in (0, 1)]
+        at = draw(st.one_of(st.integers(0, len(line)), st.sampled_from(edges)))
+        c = draw(st.sampled_from(MUTATION_CHARS))
+        line = draw(st.sampled_from([
+            line[:at] + c + line[at:],
+            line[:at] + line[at + 1:],
+            line[:at] + c + line[at + 1:],
+        ]))
+    return line
+
+
+def _outcome(parse):
+    try:
+        return parse()
+    except ParseError as exc:
+        return (exc.line, exc.column, exc.reason)
+
+
+def assert_pattern_agrees_with_scanner(line, mode):
+    parsed = _outcome(lambda: parse_statement_line(line, mode, 5))
+    if isinstance(parsed, ParsedLine):
+        if parsed.kind is not LineKind.STATEMENT:
+            return  # comments and blank lines never reach the scanner
+        parsed = parsed.statement
+    assert parsed == _outcome(lambda: _scan_statement(line, mode == "quads", 5))
+
+
+@settings(max_examples=1000)
+@given(mutated_lines(), st.sampled_from(["triples", "quads"]))
+def test_property_pattern_agrees_with_scanner(line, mode):
+    assert_pattern_agrees_with_scanner(line, mode)
+
+
+# Random edits rarely build these; the table pins them, reason included.
+@pytest.mark.parametrize("mode", ["triples", "quads"])
+@pytest.mark.parametrize(
+    "line", dict.fromkeys([row[0] for row in MALFORMED] + ['<http://s:1> <http://p:1> "x"@enß .'])
+)
+def test_table_lines_agree_with_scanner(line, mode):
+    assert_pattern_agrees_with_scanner(line, mode)

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -39,6 +41,20 @@ class TestIri:
     def test_rejects_forbidden_chars(self, bad):
         with pytest.raises(MalformedIri):
             Iri(bad)
+
+    def test_regex_refuses_exactly_the_forbidden_characters(self):
+        # every code point: refused iff str.isspace() or one of '<>"', with the
+        # message the character checks give
+        for code in range(sys.maxunicode + 1):
+            value = "urn:" + chr(code)
+            forbidden = value[-1].isspace() or value[-1] in '<>"'
+            try:
+                Iri(value)
+            except MalformedIri as exc:
+                assert forbidden, value
+                assert str(exc) == f"IRI contains forbidden character {value[-1]!r}: {value!r}"
+            else:
+                assert not forbidden, value
 
     def test_equality_is_by_value(self):
         assert Iri("urn:x") == Iri("urn:x")
