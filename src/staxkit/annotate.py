@@ -277,7 +277,7 @@ def cross_check(
 # ---------------------------------------------------------------------------
 
 
-def _turtle_ref(iri: str, taxonomy: Taxonomy | None) -> str:
+def _turtle_ref(iri: str) -> str:
     if iri.startswith(STAX_NS):
         return "stax:" + iri[len(STAX_NS):]
     if iri == DCAT_DATASET:
@@ -299,7 +299,7 @@ def emit_turtle(manifest: AnnotationManifest, taxonomy: Taxonomy | None = None) 
         "",
     ]
     subject = f"<{manifest.subject_iri.value}>" if manifest.subject_iri else "_:dataset"
-    cls = _turtle_ref(manifest.subject_class_iri.value, taxonomy)
+    cls = _turtle_ref(manifest.subject_class_iri.value)
     lines.append(f"{subject} a {cls} ;")
 
     blocks: list[list[str]] = []
@@ -308,7 +308,7 @@ def emit_turtle(manifest: AnnotationManifest, taxonomy: Taxonomy | None = None) 
         if taxonomy is not None and taxonomy.has_type(usage.stream_type):
             type_iri = taxonomy.type(usage.stream_type).iri
         body = ["    a stax:RdfStreamTypeUsage ;"]
-        type_line = f"    stax:hasStreamType {_turtle_ref(type_iri, taxonomy)}"
+        type_line = f"    stax:hasStreamType {_turtle_ref(type_iri)}"
         if usage.comment is not None:
             body.append(type_line + " ;")
             body.append(

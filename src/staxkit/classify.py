@@ -25,8 +25,8 @@ from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 from typing import Iterable, Iterator, Union
 
-from .io import Framing, Source, read_flat_stream, read_grouped_stream
-from .model import Dataset, Graph, Iri, Literal, Quad, Statement, Term
+from .io import Framing, Payload, Source, read_flat_stream, read_grouped_stream
+from .model import Dataset, Graph, Iri, Literal, Quad, Statement, Term, Triple
 from .taxonomy import InferredTaxonomy, default_taxonomy, infer_closure, most_specific
 
 PROV_GENERATED_AT_TIME = Iri("http://www.w3.org/ns/prov#generatedAtTime")
@@ -204,21 +204,14 @@ def check_timestamped_named_graph(
     shape = check_named_graph_shape(dataset)
     if shape is None:
         return None
-    name, _ = shape
-    predicates = {p.value for p in cfg.timestamp_predicates}
-    for t in dataset.default_graph:
-        if t.subject == name and t.predicate.value in predicates:
-            return name, t.predicate, t.object
-    return None
+    stamps = _timestamp_triples(dataset, shape[0], cfg)
+    return (shape[0], stamps[0].predicate, stamps[0].object) if stamps else None
 
 
-def _count_timestamp_triples(dataset: Dataset, name: Term, cfg: ClassifierConfig) -> int:
+def _timestamp_triples(dataset: Dataset, name: Term, cfg: ClassifierConfig) -> list[Triple]:
+    """Default-graph triples about name with a timestamp predicate, in document order."""
     predicates = {p.value for p in cfg.timestamp_predicates}
-    return sum(
-        1
-        for t in dataset.default_graph
-        if t.subject == name and t.predicate.value in predicates
-    )
+    return [t for t in dataset.default_graph if t.subject == name and t.predicate.value in predicates]
 
 
 def comparable_timestamp(term: Term) -> tuple[str, object] | None:
@@ -346,8 +339,8 @@ def _classify_dataset(
         return ElementVerdict(idx, per_type, tuple(notes))
 
     per_type["namedGraphStream"] = _PASS
-    found = check_timestamped_named_graph(dataset, cfg)
-    if found is None:
+    stamps = _timestamp_triples(dataset, shape[0], cfg)
+    if not stamps:
         per_type["timestampedNamedGraphStream"] = TypeVerdict(
             False,
             "no timestamp triple",
@@ -355,8 +348,8 @@ def _classify_dataset(
         )
         return ElementVerdict(idx, per_type, tuple(notes))
 
-    name, predicate, value = found
-    if _count_timestamp_triples(dataset, name, cfg) > 1:
+    predicate, value = stamps[0].predicate, stamps[0].object
+    if len(stamps) > 1:
         notes.append(f"element {idx}: multiple timestamp triples; first in document order wins")
 
     verdict = _PASS
@@ -447,7 +440,7 @@ def _classify_flat(
 def _classify_grouped(
     source, framing: Framing, cfg: ClassifierConfig, inferred: InferredTaxonomy
 ) -> ClassificationReport:
-    applicable = GRAPH_TYPES if framing.element_kind == "graph" else DATASET_TYPES
+    applicable = GRAPH_TYPES if framing.payload is Payload.GRAPHS else DATASET_TYPES
     state = ClassifierState()
     first_violation: dict[str, FirstViolation] = {}
     evidence: list[ElementVerdict] = []

@@ -36,6 +36,7 @@ from .errors import (
 )
 from .io import (
     Framing,
+    Payload,
     read_flat_stream,
     read_grouped_stream,
     write_dir_stream,
@@ -55,16 +56,6 @@ from .taxonomy import (
 )
 
 _FRAMING_NAMES = [f.value for f in Framing]
-
-# payload kind of a stream type -> default on-disk framings (file, directory)
-_KIND_FRAMINGS = {
-    "triples": (Framing.FLAT_TRIPLES, None),
-    "quads": (Framing.FLAT_QUADS, None),
-    "graphs": (Framing.FRAMED_GRAPHS, Framing.DIR_GRAPHS),
-    "datasets": (Framing.FRAMED_DATASETS, Framing.DIR_DATASETS),
-}
-
-_KIND_BY_ELEMENT = {"triple": "triples", "quad": "quads", "graph": "graphs", "dataset": "datasets"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,11 +134,11 @@ def _read_text(path: str) -> str:
 
 
 def _read_source(path: str, framing: Framing):
-    """Path or stdin bytes, ready for the io readers."""
+    """Path or the binary stdin stream, ready for the io readers."""
     if path == "-":
         if framing.is_dir:
             raise MixedPayload("directory framings cannot read standard input")
-        return sys.stdin.buffer.read()
+        return sys.stdin.buffer
     return path
 
 
@@ -211,27 +202,28 @@ def _print_report(report: ClassificationReport) -> None:
             w(f"  - {note}\n")
 
 
-def _framing_for(kind: str, path: str, override: str | None, flag: str) -> Framing:
+def _framing_for(payload: Payload, path: str, override: str | None, flag: str) -> Framing:
     if override is not None:
         framing = Framing(override)
-        if _KIND_BY_ELEMENT[framing.element_kind] != kind:
+        if framing.payload is not payload:
             raise MixedPayload(
-                f"{flag} {framing.value} cannot carry a stream of {kind}"
+                f"{flag} {framing.value} cannot carry a stream of {payload.value}"
             )
         return framing
-    file_framing, dir_framing = _KIND_FRAMINGS[kind]
-    if dir_framing is not None and path != "-" and os.path.isdir(path):
-        return dir_framing
-    return file_framing
+    if payload.is_flat:
+        layout = "flat"
+    else:
+        layout = "dir" if path != "-" and os.path.isdir(path) else "framed"
+    return Framing(f"{layout}-{payload.value}")
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
     taxonomy = _active_taxonomy()
     inferred = infer_closure(taxonomy)
-    from_kind = payload_kind(inferred, args.from_type)
-    to_kind = payload_kind(inferred, args.to_type)
-    in_framing = _framing_for(from_kind, args.input, args.input_framing, "--input-framing")
-    out_framing = _framing_for(to_kind, args.output, args.output_framing, "--output-framing")
+    from_payload = payload_kind(inferred, args.from_type)
+    to_payload = payload_kind(inferred, args.to_type)
+    in_framing = _framing_for(from_payload, args.input, args.input_framing, "--input-framing")
+    out_framing = _framing_for(to_payload, args.output, args.output_framing, "--output-framing")
 
     source = _read_source(args.input, in_framing)
     if in_framing.is_flat:

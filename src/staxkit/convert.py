@@ -12,9 +12,10 @@ under the transitive policy.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import InvalidBatchSize, MixedPayload, NamedGraphPresent, NoConversionPath
+from .io import Payload
 from .model import Dataset, Graph, Quad, Statement, Triple
 from .taxonomy import InferredTaxonomy, conversion_path
 
@@ -52,11 +53,11 @@ def group_statements(
     """
     if batch_size < 1:
         raise InvalidBatchSize(f"batch size must be >= 1, got {batch_size}")
-    if kind not in (None, "graphs", "datasets"):
+    if kind not in (None, Payload.GRAPHS, Payload.DATASETS):
         raise ValueError(f"kind must be 'graphs' or 'datasets', got {kind!r}")
 
     def emit(batch: list[Statement], want: str) -> Element:
-        if want == "graphs":
+        if want == Payload.GRAPHS:
             triples = []
             for st in batch:
                 if isinstance(st, Quad):
@@ -75,7 +76,7 @@ def group_statements(
         batch: list[Statement] = []
         for st in statements:
             if want is None:
-                want = "datasets" if isinstance(st, Quad) else "graphs"
+                want = Payload.DATASETS if isinstance(st, Quad) else Payload.GRAPHS
             batch.append(st)
             if len(batch) == batch_size:
                 yield emit(batch, want)
@@ -89,12 +90,12 @@ def group_statements(
 
 def extend(items: Iterable, source_kind: str) -> Iterator:
     """Embed triples as default-graph quads or graphs as datasets."""
-    if source_kind == "triples":
+    if source_kind == Payload.TRIPLES:
         for st in items:
             if not isinstance(st, Triple):
                 raise MixedPayload(f"extend expected Triple, got {type(st).__name__}")
             yield Quad(st.subject, st.predicate, st.object)
-    elif source_kind == "graphs":
+    elif source_kind == Payload.GRAPHS:
         for g in items:
             if not isinstance(g, Graph):
                 raise MixedPayload(f"extend expected Graph, got {type(g).__name__}")
@@ -105,14 +106,14 @@ def extend(items: Iterable, source_kind: str) -> Iterator:
 
 def project(items: Iterable, source_kind: str) -> Iterator:
     """Inverse of extend; fails on the first element with named-graph content."""
-    if source_kind == "quads":
+    if source_kind == Payload.QUADS:
         for i, st in enumerate(items):
             if not isinstance(st, Quad):
                 raise MixedPayload(f"project expected Quad, got {type(st).__name__}")
             if st.graph_label is not None:
                 raise NamedGraphPresent(i, f"quad {i} has graph label {st.graph_label}")
             yield st.triple()
-    elif source_kind == "datasets":
+    elif source_kind == Payload.DATASETS:
         for i, d in enumerate(items):
             if not isinstance(d, Dataset):
                 raise MixedPayload(f"project expected Dataset, got {type(d).__name__}")
@@ -127,20 +128,27 @@ def project(items: Iterable, source_kind: str) -> Iterator:
 # Composition along taxonomy paths
 # ---------------------------------------------------------------------------
 
-_KIND_ANCHORS = (
-    ("flatTripleStream", "triples"),
-    ("flatQuadStream", "quads"),
-    ("graphStream", "graphs"),
-    ("datasetStream", "datasets"),
-)
+_ANCHOR_PAYLOADS = {
+    "flatTripleStream": Payload.TRIPLES,
+    "flatQuadStream": Payload.QUADS,
+    "graphStream": Payload.GRAPHS,
+    "datasetStream": Payload.DATASETS,
+}
+
+# relation -> {source payload: target payload}
+_STEPS = {
+    "flatten": {Payload.GRAPHS: Payload.TRIPLES, Payload.DATASETS: Payload.QUADS},
+    "group": {Payload.TRIPLES: Payload.GRAPHS, Payload.QUADS: Payload.DATASETS},
+    "extend": {Payload.TRIPLES: Payload.QUADS, Payload.GRAPHS: Payload.DATASETS},
+}
 
 
-def payload_kind(inferred: InferredTaxonomy, type_id: str) -> str:
-    """Payload kind of a concrete type: which built-in anchor it descends from."""
+def payload_kind(inferred: InferredTaxonomy, type_id: str) -> Payload:
+    """Payload of a concrete type: which built-in anchor it descends from."""
     inferred.taxonomy.type(type_id)
     matches = [
-        kind
-        for anchor, kind in _KIND_ANCHORS
+        payload
+        for anchor, payload in _ANCHOR_PAYLOADS.items()
         if type_id == anchor or (type_id, anchor) in inferred.broader_closure
     ]
     if len(matches) != 1:
@@ -175,40 +183,19 @@ def convert(
     kind = payload_kind(inferred, from_type)
     out: Iterable = items
     for step in steps:
+        target = _STEPS[step.relation].get(kind)
+        if target is None:
+            raise MixedPayload(f"cannot {step.relation} a {kind.value} stream")
         if step.relation == "flatten":
-            if kind == "graphs":
-                out, kind = flatten_graphs(out), "triples"
-            elif kind == "datasets":
-                out, kind = flatten_datasets(out), "quads"
-            else:
-                raise MixedPayload(f"cannot flatten a {kind} stream")
+            out = flatten_graphs(out) if kind is Payload.GRAPHS else flatten_datasets(out)
         elif step.relation == "group":
-            if kind == "triples":
-                out, kind = group_statements(out, batch_size or 1, kind="graphs"), "graphs"
-            elif kind == "quads":
-                out, kind = group_statements(out, batch_size or 1, kind="datasets"), "datasets"
-            else:
-                raise MixedPayload(f"cannot group a {kind} stream")
-        elif step.relation == "extend":
-            if kind == "triples":
-                out, kind = extend(out, "triples"), "quads"
-            elif kind == "graphs":
-                out, kind = extend(out, "graphs"), "datasets"
-            else:
-                raise MixedPayload(f"cannot extend a {kind} stream")
-        else:  # pragma: no cover - conversion_path emits only these three
-            raise AssertionError(step.relation)
+            out = group_statements(out, batch_size or 1, kind=target)
+        else:
+            out = extend(out, kind)
+        kind = target
     expect = payload_kind(inferred, to_type)
-    if kind != expect:
+    if kind is not expect:
         raise MixedPayload(
-            f"conversion plan ends at a {kind} stream but {to_type} holds {expect}"
+            f"conversion plan ends at a {kind.value} stream but {to_type} holds {expect.value}"
         )
     return iter(out)
-
-
-def element_sizes(elements: Sequence[Element]) -> list[int]:
-    """Statement count per element; handy for size-preserving regroup checks."""
-    out = []
-    for e in elements:
-        out.append(len(e) if isinstance(e, Graph) else e.statement_count())
-    return out

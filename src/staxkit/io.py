@@ -47,8 +47,26 @@ FRAME_DELIMITER = "#---"
 Source = Union[bytes, "os.PathLike[str]", str, IO[bytes]]
 
 
+class Payload(str, enum.Enum):
+    """What a stream carries; members equal their values, so "graphs" works too."""
+
+    TRIPLES = "triples"
+    QUADS = "quads"
+    GRAPHS = "graphs"
+    DATASETS = "datasets"
+
+    @property
+    def is_flat(self) -> bool:
+        return self in (Payload.TRIPLES, Payload.QUADS)
+
+    @property
+    def quads(self) -> bool:
+        """True when the payload's statements are N-Quads."""
+        return self in (Payload.QUADS, Payload.DATASETS)
+
+
 class Framing(enum.Enum):
-    """On-disk convention determining a stream's element boundaries."""
+    """On-disk convention fixing element boundaries; values are '<layout>-<payload>'."""
 
     FLAT_TRIPLES = "flat-triples"
     FLAT_QUADS = "flat-quads"
@@ -58,12 +76,12 @@ class Framing(enum.Enum):
     DIR_DATASETS = "dir-datasets"
 
     @property
-    def is_flat(self) -> bool:
-        return self in (Framing.FLAT_TRIPLES, Framing.FLAT_QUADS)
+    def payload(self) -> Payload:
+        return Payload(self.value.partition("-")[2])
 
     @property
-    def is_grouped(self) -> bool:
-        return not self.is_flat
+    def is_flat(self) -> bool:
+        return self.payload.is_flat
 
     @property
     def is_dir(self) -> bool:
@@ -72,18 +90,7 @@ class Framing(enum.Enum):
     @property
     def quads_payload(self) -> bool:
         """True when the framing's payload lines are N-Quads."""
-        return self in (Framing.FLAT_QUADS, Framing.FRAMED_DATASETS, Framing.DIR_DATASETS)
-
-    @property
-    def element_kind(self) -> str:
-        return {
-            Framing.FLAT_TRIPLES: "triple",
-            Framing.FLAT_QUADS: "quad",
-            Framing.FRAMED_GRAPHS: "graph",
-            Framing.DIR_GRAPHS: "graph",
-            Framing.FRAMED_DATASETS: "dataset",
-            Framing.DIR_DATASETS: "dataset",
-        }[self]
+        return self.payload.quads
 
 
 class LineKind(enum.Enum):
@@ -326,9 +333,9 @@ def parse_statement_line(line: str, mode: str, line_no: int = 1) -> ParsedLine:
     lines are blank.  In triples mode a fourth term is an error; in quads
     mode a three-term statement becomes a default-graph quad.
     """
-    if mode not in ("triples", "quads"):
+    if mode not in (Payload.TRIPLES, Payload.QUADS):
         raise ValueError(f"mode must be 'triples' or 'quads', got {mode!r}")
-    parsed = _parse_line(line, mode == "quads", line_no)
+    parsed = _parse_line(line, mode == Payload.QUADS, line_no)
     if isinstance(parsed, LineKind):
         return ParsedLine(parsed, line_no)
     return ParsedLine(LineKind.STATEMENT, line_no, parsed)
@@ -429,12 +436,16 @@ def _statements_to_element(statements: list[Statement], framing: Framing):
 
 
 def _parse_grouped_line(line: str, no: int, quads_payload: bool) -> Statement | LineKind:
-    # Graph payloads are parsed in quads mode so that a named graph label is
-    # reported as a payload mismatch rather than a grammar error.
-    parsed = _parse_line(line, True, no)
-    if not quads_payload and isinstance(parsed, Quad) and parsed.graph_label is not None:
-        raise MixedPayload(f"line {no}: named graph label inside a graph framing")
-    return parsed
+    if quads_payload:
+        return _parse_line(line, True, no)
+    try:
+        return _parse_line(line, False, no)
+    except ParseError:
+        # The modes differ only in the fourth term, so a line that fails as a
+        # triple but parses as a quad carries a graph label: a payload
+        # mismatch.  Any other error is reported as in quads mode.
+        _parse_line(line, True, no)
+        raise MixedPayload(f"line {no}: named graph label inside a graph framing") from None
 
 
 def read_grouped_stream(source: Source, framing: Framing) -> Iterator[Graph | Dataset]:
@@ -444,7 +455,7 @@ def read_grouped_stream(source: Source, framing: Framing) -> Iterator[Graph | Da
     elements (elements may be empty), except that zero-byte input is an
     empty stream.  Directory sources yield one element per member file.
     """
-    if not framing.is_grouped:
+    if framing.is_flat:
         raise ValueError(f"read_grouped_stream needs a grouped framing, got {framing.value}")
     if framing.is_dir:
         yield from _read_dir_stream(source, framing)
@@ -457,18 +468,12 @@ def read_grouped_stream(source: Source, framing: Framing) -> Iterator[Graph | Da
         saw_line = True
         parsed = _parse_grouped_line(line, no, quads_payload)
         if parsed is LineKind.FRAME_DELIMITER:
-            yield _statements_to_element(_strip_labels(current, quads_payload), framing)
+            yield _statements_to_element(current, framing)
             current = []
         elif not isinstance(parsed, LineKind):
             current.append(parsed)
     if saw_line:
-        yield _statements_to_element(_strip_labels(current, quads_payload), framing)
-
-
-def _strip_labels(statements: list[Statement], quads_payload: bool) -> list[Statement]:
-    if quads_payload:
-        return statements
-    return [s.triple() for s in statements if isinstance(s, Quad)]
+        yield _statements_to_element(current, framing)
 
 
 def _read_dir_stream(source: Source, framing: Framing) -> Iterator[Graph | Dataset]:
@@ -488,7 +493,7 @@ def _read_dir_stream(source: Source, framing: Framing) -> Iterator[Graph | Datas
         # '#---' inside a member file is a delimiter line type, but a
         # directory element is the whole file; treat it as a comment.
         statements = [s for s in parsed if not isinstance(s, LineKind)]
-        yield _statements_to_element(_strip_labels(statements, framing.quads_payload), framing)
+        yield _statements_to_element(statements, framing)
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +580,7 @@ def write_grouped_stream(elements: Iterable[Graph | Dataset], framing: Framing) 
     A stream of exactly one empty element serializes to zero bytes and will
     read back as an empty stream; every other boundary layout round-trips.
     """
-    if framing.is_dir or not framing.is_grouped:
+    if framing.is_dir or framing.is_flat:
         raise ValueError(f"write_grouped_stream needs a framed framing, got {framing.value}")
     chunks: list[str] = []
     for i, element in enumerate(elements):
@@ -584,6 +589,13 @@ def write_grouped_stream(elements: Iterable[Graph | Dataset], framing: Framing) 
         for line in _element_lines(element, framing):
             chunks.append(line + "\n")
     return "".join(chunks).encode("utf-8")
+
+
+def _member_stem(index: int) -> str:
+    """Index padded to five digits; each further digit adds a leading 'z',
+    which sorts after every digit, so names sort bytewise in element order."""
+    digits = f"{index:05d}"
+    return "z" * (len(digits) - 5) + digits
 
 
 def write_dir_stream(
@@ -598,7 +610,7 @@ def write_dir_stream(
     ext = ".nq" if framing.quads_payload else ".nt"
     names: list[str] = []
     for i, element in enumerate(elements):
-        name = f"{i:05d}{ext}"
+        name = _member_stem(i) + ext
         payload = "".join(line + "\n" for line in _element_lines(element, framing))
         with open(os.path.join(os.fspath(directory), name), "wb") as f:
             f.write(payload.encode("utf-8"))

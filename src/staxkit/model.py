@@ -155,7 +155,7 @@ class Graph:
             if t not in seen:
                 seen[t] = None
         self._triples: tuple[Triple, ...] = tuple(seen)
-        self._index = frozenset(self._triples)
+        self._index = seen
 
     @property
     def triples(self) -> tuple[Triple, ...]:

@@ -121,15 +121,6 @@ class Taxonomy:
     def edges(self, relation: str) -> tuple[Edge, ...]:
         return self._relations[normalize_relation(relation)]
 
-    def concrete_ids(self) -> tuple[str, ...]:
-        return tuple(i for i, t in self._types.items() if t.kind is TypeKind.CONCRETE)
-
-    def by_iri(self, iri: str) -> StreamType | None:
-        for t in self._types.values():
-            if t.iri == iri:
-                return t
-        return None
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Taxonomy):
             return NotImplemented

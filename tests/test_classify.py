@@ -290,6 +290,28 @@ class TestClassifyElement:
         with pytest.raises(TypeError):
             classify_element(42, ClassifierState(), ClassifierConfig(), 0)
 
+    @pytest.mark.parametrize(
+        "first,second,passes",
+        [("2024-01-01T00:00:00", "2024-01-03T00:00:00", False),
+         ("2024-01-03T00:00:00", "2024-01-01T00:00:00", True)],
+    )
+    def test_multiple_timestamp_triples_first_wins(self, first, second, passes):
+        # the first timestamp in document order is the one order-checked
+        state = ClassifierState()
+        cfg = ClassifierConfig()
+        classify_element(named_dataset("g1", stamp=dt("2024-01-02T00:00:00")), state, cfg, 0)
+        d = Dataset(
+            default_graph=Graph(
+                [Triple(iri("g2"), AT, dt(first)), Triple(iri("g2"), AT, dt(second))]
+            ),
+            named_graphs=[(iri("g2"), Graph([Triple(iri("s"), P, iri("o"))]))],
+        )
+        v = classify_element(d, state, cfg, 1)
+        assert v.notes == ("element 1: multiple timestamp triples; first in document order wins",)
+        assert v.per_type["timestampedNamedGraphStream"].passed is passes
+        single = classify_element(named_dataset("g3", stamp=dt("2024-01-04T00:00:00")), state, cfg, 2)
+        assert single.notes == ()
+
 
 class TestClassifyStream:
     def test_fresh_chains_conform_to_both_graph_types(self):

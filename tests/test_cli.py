@@ -5,7 +5,9 @@ import sys
 import pytest
 from jsonschema import validate as schema_validate
 
-from staxkit.cli import main
+from staxkit.cli import _framing_for, main
+from staxkit.convert import payload_kind
+from staxkit.taxonomy import TypeKind, default_taxonomy, infer_closure
 
 TRIPLE_LINE = b"<http://ex.org/s%d> <http://ex.org/p> <http://ex.org/o%d> .\n"
 QUAD_LINE = b"<http://ex.org/s%d> <http://ex.org/p> <http://ex.org/o%d> <http://ex.org/g%d> .\n"
@@ -163,6 +165,50 @@ PATH_SCHEMA = {
 def set_stdin(monkeypatch, payload: bytes):
     fake = io.TextIOWrapper(io.BytesIO(payload), encoding="utf-8")
     monkeypatch.setattr(sys, "stdin", fake)
+
+
+class LineOnlyStdin:
+    """A stdin whose binary buffer yields lines but refuses a whole read."""
+
+    def __init__(self, payload: bytes):
+        self.buffer = self
+        self._lines = payload.splitlines(keepends=True)
+
+    def read(self, *args):
+        raise AssertionError("standard input must be read incrementally")
+
+    def __iter__(self):
+        return iter(self._lines)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--framing", "framed-graphs", "--json"],
+        ["convert", "--output", "-", "--from", "graphStream", "--to", "flatTripleStream"],
+    ],
+)
+def test_stdin_is_read_incrementally(argv, tmp_path, monkeypatch, capsysbinary):
+    data = framed_graphs(2, 1, 3)
+    src = tmp_path / "in.bin"
+    src.write_bytes(data)
+    assert main(argv + ["--input", str(src)]) == 0
+    from_path = capsysbinary.readouterr().out
+    monkeypatch.setattr(sys, "stdin", LineOnlyStdin(data))
+    assert main(argv + ["--input", "-"]) == 0
+    assert capsysbinary.readouterr().out == from_path != b""
+
+
+def test_default_framing_carries_the_payload_of_every_concrete_type(tmp_path):
+    inferred = infer_closure(default_taxonomy())
+    for type_id, t in inferred.taxonomy.types.items():
+        if t.kind is not TypeKind.CONCRETE:
+            continue
+        payload = payload_kind(inferred, type_id)
+        for path in ("-", str(tmp_path / "in.bin"), str(tmp_path)):
+            framing = _framing_for(payload, path, None, "--input-framing")
+            assert framing.payload is payload
+            assert framing.is_dir == (path == str(tmp_path) and not payload.is_flat)
 
 
 class TestClassify:
@@ -524,6 +570,16 @@ class TestConvert:
             ]
         )
         assert code == 3  # flat-triples framing cannot carry graph elements
+
+    def test_framing_override_mismatch_message(self, tmp_path, capsys):
+        src = tmp_path / "in.nt"
+        src.write_bytes(flat_triples(1))
+        argv = ["convert", "--input", str(src), "--output", "-", "--from", "graphStream"]
+        code = main(argv + ["--to", "flatTripleStream", "--input-framing", "flat-triples"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "stax-kit: MixedPayload: --input-framing flat-triples cannot carry a stream of graphs\n"
+        )
 
     def test_quads_in_triples_input(self, tmp_path, capsys):
         src = tmp_path / "in.nt"

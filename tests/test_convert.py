@@ -7,7 +7,6 @@ from streamgen import EX, gen_quad, gen_triple, gen_unique_statements
 from staxkit.classify import classify_stream
 from staxkit.convert import (
     convert,
-    element_sizes,
     extend,
     flatten_datasets,
     flatten_graphs,
@@ -23,7 +22,7 @@ from staxkit.errors import (
 )
 from staxkit.io import Framing
 from staxkit.model import Dataset, Graph, Iri, Quad, Triple
-from staxkit.taxonomy import default_taxonomy, infer_closure
+from staxkit.taxonomy import Taxonomy, default_taxonomy, infer_closure
 
 C = infer_closure(default_taxonomy())
 P = Iri(EX + "p")
@@ -177,7 +176,7 @@ class TestRoundTrips:
         flat = list(flatten_graphs(elements))
         rebuilt = []
         pos = 0
-        for size in element_sizes(elements):
+        for size in [len(e) for e in elements]:
             rebuilt.append(Graph(flat[pos:pos + size]))
             pos += size
         assert rebuilt == elements
@@ -238,6 +237,26 @@ class TestConvert:
         gs = [Graph([t("a", "b")])]
         got = list(convert(gs, "graphStream", "datasetStream", C))
         assert got == [Dataset(default_graph=Graph([t("a", "b")]))]
+
+    @pytest.mark.parametrize(
+        "relation,edge,message",
+        [
+            ("extend", ("datasetStream", "graphStream"), "cannot extend a datasets stream"),
+            (
+                "flatten",
+                ("graphStream", "flatQuadStream"),
+                "conversion plan ends at a triples stream but flatQuadStream holds quads",
+            ),
+        ],
+    )
+    def test_payload_mismatch_messages(self, relation, edge, message):
+        base = default_taxonomy()
+        relations = {name: base.edges(name) for name in ("broader", "flatten", "group", "extend")}
+        relations[relation] += (edge,)
+        inferred = infer_closure(Taxonomy(base.types.values(), relations))
+        with pytest.raises(MixedPayload) as info:
+            convert([], *edge, inferred)
+        assert str(info.value) == message
 
     def test_lazy_until_iterated(self):
         seen = []

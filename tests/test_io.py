@@ -17,6 +17,7 @@ from staxkit.io import (
     Framing,
     LineKind,
     ParsedLine,
+    _member_stem,
     _scan_statement,
     parse_statement_line,
     read_flat_stream,
@@ -29,6 +30,16 @@ from staxkit.io import (
 from staxkit.model import BlankNode, Dataset, Graph, Iri, Literal, Quad, Triple
 
 EX = "http://example.org/"
+
+
+@pytest.mark.parametrize("framing", list(Framing))
+def test_framing_value_is_layout_and_payload(framing):
+    layout = framing.value.partition("-")[0]
+    assert layout in ("flat", "framed", "dir")
+    assert Framing(f"{layout}-{framing.payload.value}") is framing
+    assert framing.is_flat == (layout == "flat") == framing.payload.is_flat
+    assert framing.is_dir == (layout == "dir")
+    assert framing.quads_payload == framing.payload.quads
 
 
 class TestParseStatementLine:
@@ -256,6 +267,44 @@ class TestFramedStreams:
         with pytest.raises(MixedPayload):
             list(read_grouped_stream(data, Framing.FRAMED_GRAPHS))
 
+    @pytest.mark.parametrize("label", ["<http://g:1>", "_:g"])
+    def test_graph_label_in_graph_framing_framed_and_dir(self, label, tmp_path):
+        data = f"<http://a:1> <http://p:1> <http://o:1> .\n<http://a:1> <http://p:1> <http://o:1> {label} .\n"
+        with pytest.raises(MixedPayload) as info:
+            list(read_grouped_stream(data.encode(), Framing.FRAMED_GRAPHS))
+        assert str(info.value) == "line 2: named graph label inside a graph framing"
+        (tmp_path / "00000.nt").write_text(data)
+        with pytest.raises(MixedPayload) as info:
+            list(read_grouped_stream(tmp_path, Framing.DIR_GRAPHS))
+        assert str(info.value) == "line 2: named graph label inside a graph framing"
+
+    def test_literal_graph_label_in_graph_framing_is_located(self, tmp_path):
+        data = b'<http://a:1> <http://p:1> <http://o:1> "g" .\n'
+        (tmp_path / "00000.nt").write_bytes(data)
+        for source, framing in ((data, Framing.FRAMED_GRAPHS), (tmp_path, Framing.DIR_GRAPHS)):
+            with pytest.raises(ParseError) as info:
+                list(read_grouped_stream(source, framing))
+            assert (info.value.line, info.value.column, info.value.reason) == (
+                1, 40, "graph label must be an IRI or blank node"
+            )
+
+    @pytest.mark.parametrize("line", dict.fromkeys(row[0] for row in MALFORMED))
+    def test_graph_framing_errors_are_quads_mode_errors(self, line):
+        # graph framings report every line as quads mode does, except that a
+        # well-formed graph label is a payload mismatch
+        try:
+            expected = parse_statement_line(line, "quads", 1).statement
+        except ParseError as exc:
+            with pytest.raises(ParseError) as info:
+                list(read_grouped_stream(line.encode(), Framing.FRAMED_GRAPHS))
+            assert (info.value.line, info.value.column, info.value.reason) == (
+                exc.line, exc.column, exc.reason
+            )
+            return
+        assert expected.graph_label is not None
+        with pytest.raises(MixedPayload):
+            list(read_grouped_stream(line.encode(), Framing.FRAMED_GRAPHS))
+
     def test_writer_rejects_wrong_element_kind(self):
         with pytest.raises(MixedPayload):
             write_grouped_stream([Dataset()], Framing.FRAMED_GRAPHS)
@@ -326,6 +375,15 @@ class TestDirStreams:
     def test_bytes_input_rejected(self):
         with pytest.raises(ValueError):
             list(read_grouped_stream(b"", Framing.DIR_GRAPHS))
+
+    def test_member_names_sort_in_element_order_past_99999(self):
+        indices = [0, 9_999, 10_000, 10_001, 99_999, 100_000, 999_999, 1_000_000, 10**7]
+        stems = [_member_stem(i) for i in indices]
+        assert stems[0] == "00000" and stems[4] == "99999"
+        assert stems[5:] == ["z100000", "z999999", "zz1000000", "zzz10000000"]
+        names = [stem + ".nt" for stem in stems]
+        assert sorted(names, key=lambda n: n.encode("utf-8")) == names
+
 
 
 CANONICAL_FIXTURES = [
