@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable
 
 from .classify import ClassificationReport
 from .errors import EmptyUsages, SchemaError, UnknownStreamType

@@ -12,6 +12,15 @@ Checks every concrete stream type applicable to the input's framing:
   default graph, with non-decreasing timestamps (timestamped named graph
   stream).
 
+Candidate subjects are found in time linear in the size of the graph, with
+three walks over forward and backward adjacency maps built in one scan of
+the triples.  First, a depth-first search starts from every subject not yet
+visited; if any node reaches every node, the last start does (Tarjan 1972).
+Second, a forward walk from that last start checks that it reaches every
+node; if not, there are no candidates.  Third, a backward walk from it
+collects the nodes that reach it, which are exactly the nodes that reach
+every node; the IRIs among them are the candidates.
+
 The engine reads each element once.  Memory is bounded except for the
 subject registry (one entry per element of a conforming subject graph
 stream) and the capped evidence buffer.
@@ -20,7 +29,7 @@ stream) and the capped evidence buffer.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 from typing import Iterable, Iterator, Union
@@ -158,27 +167,34 @@ def candidate_subject_nodes(graph: Graph) -> frozenset[Iri]:
     Reachability follows subject-to-object edges only.  Predicates are not
     nodes.  An empty graph has no candidates.
     """
-    nodes = graph.nodes()
-    if not nodes:
-        return frozenset()
-    adjacency: dict[Term, list[Term]] = {}
+    forward: dict[Term, list[Term]] = {}
+    backward: dict[Term, list[Term]] = {}
     for t in graph:
-        adjacency.setdefault(t.subject, []).append(t.object)
-    out: set[Iri] = set()
-    for start in nodes:
-        if not isinstance(start, Iri):
-            continue
-        seen: set[Term] = {start}
-        stack: list[Term] = [start]
-        while stack:
-            n = stack.pop()
-            for m in adjacency.get(n, ()):
-                if m not in seen:
-                    seen.add(m)
-                    stack.append(m)
-        if len(seen) == len(nodes):
-            out.add(start)
-    return frozenset(out)
+        forward.setdefault(t.subject, []).append(t.object)
+        backward.setdefault(t.object, []).append(t.subject)
+    # Every object is reached from its subject, so after this loop `seen`
+    # holds every node, and `root` reaches every node if any node does.
+    seen: set[Term] = set()
+    root: Term | None = None
+    for s in forward:
+        if s not in seen:
+            root = s
+            _reach(s, forward, seen)
+    if root is None or len(_reach(root, forward, set())) < len(seen):
+        return frozenset()
+    return frozenset(n for n in _reach(root, backward, set()) if isinstance(n, Iri))
+
+
+def _reach(start: Term, edges: dict[Term, list[Term]], seen: set[Term]) -> set[Term]:
+    """Add start and every node reachable from it along edges to seen."""
+    seen.add(start)
+    stack = [start]
+    while stack:
+        for m in edges.get(stack.pop(), ()):
+            if m not in seen:
+                seen.add(m)
+                stack.append(m)
+    return seen
 
 
 def check_named_graph_shape(dataset: Dataset) -> tuple[Term, Graph] | None:
@@ -294,9 +310,8 @@ def _classify_graph(graph: Graph, state: ClassifierState, idx: int) -> ElementVe
     else:
         ordered = sorted(candidates, key=lambda c: c.value)
         if len(ordered) > 1:
-            unused = [c for c in ordered if c not in state.subjects]
-            if unused:
-                chosen = unused[0]
+            chosen = next((c for c in ordered if c not in state.subjects), None)
+            if chosen is not None:
                 state.subjects.register(chosen, idx)
                 notes.append(
                     f"element {idx}: {len(ordered)} candidate subjects; chose {chosen.value}"

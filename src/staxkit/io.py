@@ -21,6 +21,7 @@ s exactly; write(read(f)) is byte-identical for files already canonical.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import os
 import re
@@ -603,16 +604,33 @@ def write_dir_stream(
     framing: Framing,
     directory: "os.PathLike[str] | str",
 ) -> list[str]:
-    """Write one member file per element; returns the filenames created."""
+    """Write one member file per element; returns the filenames created.
+
+    When any element fails, the members written so far are removed, and so
+    is the directory if this call created it, before the error propagates.
+    """
     if not framing.is_dir:
         raise ValueError(f"write_dir_stream needs a dir framing, got {framing.value}")
+    directory = os.fspath(directory)
+    created = not os.path.isdir(directory)
     os.makedirs(directory, exist_ok=True)
     ext = ".nq" if framing.quads_payload else ".nt"
     names: list[str] = []
-    for i, element in enumerate(elements):
-        name = _member_stem(i) + ext
-        payload = "".join(line + "\n" for line in _element_lines(element, framing))
-        with open(os.path.join(os.fspath(directory), name), "wb") as f:
-            f.write(payload.encode("utf-8"))
-        names.append(name)
+    try:
+        for i, element in enumerate(elements):
+            name = _member_stem(i) + ext
+            payload = "".join(line + "\n" for line in _element_lines(element, framing))
+            with open(os.path.join(directory, name), "wb") as f:
+                # Recorded only once open() succeeds, so cleanup never removes
+                # a file this call could not open.
+                names.append(name)
+                f.write(payload.encode("utf-8"))
+    except BaseException:
+        for name in names:
+            with contextlib.suppress(OSError):
+                os.remove(os.path.join(directory, name))
+        if created:
+            with contextlib.suppress(OSError):
+                os.rmdir(directory)
+        raise
     return names

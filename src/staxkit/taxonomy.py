@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import CycleError, DanglingReference, SchemaError, UnknownType
 from .model import Iri

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import oracle_candidate_subjects, oracle_classify
 from streamgen import (
@@ -92,6 +93,73 @@ class TestCandidateSubjectNodes:
             stream = gen_graph_stream(r, max_elements=3)
             for g in stream:
                 assert set(candidate_subject_nodes(g)) == oracle_candidate_subjects(g)
+
+    def test_long_chain_has_one_candidate(self):
+        # a per-node search is quadratic here: tens of seconds at 8,000 triples
+        nodes = [iri(f"n{i}") for i in range(8001)]
+        g = Graph(Triple(a, P, b) for a, b in zip(nodes, nodes[1:]))
+        assert candidate_subject_nodes(g) == frozenset({nodes[0]})
+
+    def test_two_way_linked_tree_makes_every_iri_a_candidate(self):
+        # the shape of the benchmark's linked graphs: parts linked both ways, labelled
+        r = random.Random(5)
+        parts = [iri(f"part{i}") for i in range(150)]
+        triples = []
+        for i, part in enumerate(parts[1:], start=1):
+            parent = parts[r.randrange(i)]
+            triples.append(Triple(parent, iri("hasPart"), part))
+            triples.append(Triple(part, iri("isPartOf"), parent))
+            triples.append(Triple(part, iri("label"), Literal(f"part {i}", language="en")))
+        assert candidate_subject_nodes(Graph(triples)) == frozenset(parts)
+
+
+_IRIS = [iri(c) for c in "abcde"]
+_SUBJECTS = _IRIS + [BlankNode("x"), BlankNode("y")]
+_NODES = _SUBJECTS + [Literal("leaf"), Literal("leaf", language="en")]
+_EDGES = st.tuples(st.sampled_from(_SUBJECTS), st.sampled_from(_NODES))
+
+
+def edge_graph(*edges):
+    return Graph(Triple(s, P, o) for s, o in edges)
+
+
+@st.composite
+def rooted_graphs(draw):
+    """A random tree hung from one subject, plus random extra edges, in random order."""
+    root = draw(st.sampled_from(_SUBJECTS))
+    others = draw(st.lists(st.sampled_from([n for n in _NODES if n != root]), unique=True))
+    reached, edges = [root], []
+    for node in others:
+        parent = draw(st.sampled_from([n for n in reached if not isinstance(n, Literal)]))
+        edges.append((parent, node))
+        reached.append(node)
+    edges += draw(st.lists(_EDGES, max_size=5))
+    return edge_graph(*draw(st.permutations(edges)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(_EDGES, max_size=12).map(lambda e: edge_graph(*e)), rooted_graphs()))
+# a blank node reaches every node: the IRIs reaching it are candidates, it is not
+@example(edge_graph((BlankNode("x"), iri("a")), (BlankNode("x"), iri("b")), (iri("a"), BlankNode("x"))))
+# the first search starts at a, which is not a candidate
+@example(edge_graph((iri("a"), iri("b")), (iri("c"), iri("a"))))
+# self-loops
+@example(edge_graph((iri("a"), iri("a"))))
+@example(edge_graph((iri("a"), iri("a")), (iri("b"), iri("a"))))
+@example(edge_graph((BlankNode("x"), BlankNode("x"))))
+# several strongly connected components, one of which reaches the others
+@example(edge_graph((iri("c"), iri("d")), (iri("d"), iri("c")), (iri("a"), iri("b")),
+                    (iri("b"), iri("a")), (iri("b"), iri("c"))))
+@example(edge_graph((iri("a"), iri("b")), (iri("b"), iri("a")), (iri("c"), iri("d")),
+                    (iri("d"), iri("c"))))
+# literal-only leaves
+@example(edge_graph((iri("a"), Literal("leaf")), (iri("a"), Literal("leaf", language="en"))))
+@example(edge_graph((iri("a"), Literal("leaf")), (iri("b"), Literal("leaf"))))
+# one triple
+@example(edge_graph((iri("a"), iri("b"))))
+@example(edge_graph((BlankNode("x"), iri("a"))))
+def test_candidate_subjects_agree_with_matrix_oracle(graph):
+    assert set(candidate_subject_nodes(graph)) == oracle_candidate_subjects(graph)
 
 
 class TestNamedGraphShape:

@@ -531,6 +531,29 @@ class TestConvert:
         assert code == 0
         assert sorted(p.name for p in out_dir.iterdir()) == ["00000.nt", "00001.nt"]
 
+    def test_failed_directory_output_leaves_no_members(self, tmp_path, capsys):
+        src = tmp_path / "in.bin"
+        out_dir = tmp_path / "elements"
+        src.write_bytes(framed_graphs(1, 1).replace(b"#---\n", b"#---\nbad\n"))
+        code = main(
+            [
+                "convert",
+                "--input",
+                str(src),
+                "--output",
+                str(out_dir),
+                "--from",
+                "graphStream",
+                "--to",
+                "graphStream",
+                "--output-framing",
+                "dir-graphs",
+            ]
+        )
+        assert code == 3
+        assert "line 3" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_directory_input_inferred(self, tmp_path, capsys):
         src_dir = tmp_path / "graphs"
         src_dir.mkdir()

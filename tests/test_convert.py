@@ -338,3 +338,35 @@ def test_property_project_extend_identity(seed):
     r = random.Random(seed)
     triples = [gen_triple(r) for _ in range(r.randint(0, 20))]
     assert list(project(extend(iter(triples), "triples"), "quads")) == triples
+
+
+def _batch_in_set_order(batch):
+    """One batch as a dataset holds it: first occurrences only, default graph
+    first, then each named graph in order of its label's first appearance."""
+    unique = list(dict.fromkeys(batch))
+    labels = list(dict.fromkeys(q.graph_label for q in unique))
+    labels.sort(key=lambda label: label is not None)
+    return [q for label in labels for q in unique if q.graph_label == label]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.builds(
+            Quad,
+            st.sampled_from([iri(c) for c in "abc"]),
+            st.just(P),
+            st.sampled_from([iri(c) for c in "uvw"]),
+            st.sampled_from([None, iri("g1"), iri("g2")]),
+        ),
+        max_size=30,
+    ),
+    st.integers(min_value=1, max_value=8),
+)
+def test_property_group_then_flatten_applies_set_semantics_per_batch(quads, k):
+    batches = [quads[i:i + k] for i in range(0, len(quads), k)]
+    expected = [q for batch in batches for q in _batch_in_set_order(batch)]
+    assert list(flatten_datasets(group_statements(iter(quads), k))) == expected
+    triples = [q.triple() for q in quads]
+    expected_triples = [t for i in range(0, len(triples), k) for t in dict.fromkeys(triples[i:i + k])]
+    assert list(flatten_graphs(group_statements(iter(triples), k))) == expected_triples

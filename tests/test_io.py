@@ -372,6 +372,18 @@ class TestDirStreams:
         assert (info.value.member, info.value.line, info.value.column) == ("00001.nt", 2, 1)
         assert str(info.value).startswith("00001.nt: line 2, column 1: ")
 
+    def test_failed_write_leaves_no_members(self, tmp_path):
+        elements = [Graph([Triple(Iri("http://a:1"), Iri("http://p:1"), Iri("http://o:1"))]), Dataset()]
+        keep = tmp_path / "kept"
+        keep.mkdir()
+        (keep / "notes.txt").write_bytes(b"not ours")
+        for target in (tmp_path / "fresh", keep):
+            with pytest.raises(MixedPayload):
+                write_dir_stream(elements, Framing.DIR_GRAPHS, target)
+        # the directory this call created is gone; the one it found keeps only what it held
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept"]
+        assert sorted(p.name for p in keep.iterdir()) == ["notes.txt"]
+
     def test_bytes_input_rejected(self):
         with pytest.raises(ValueError):
             list(read_grouped_stream(b"", Framing.DIR_GRAPHS))
