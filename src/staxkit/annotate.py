@@ -25,8 +25,6 @@ from .errors import EmptyUsages, SchemaError, UnknownStreamType
 from .io import escape_literal
 from .model import Iri
 from .taxonomy import (
-    FLAT_SIDE,
-    GROUPED_SIDE,
     STAX_NS,
     InferredTaxonomy,
     Taxonomy,
@@ -172,15 +170,6 @@ class ValidationReport:
         return out
 
 
-def _side(inferred: InferredTaxonomy, type_id: str) -> str | None:
-    for anchor, side in ((GROUPED_SIDE, "grouped"), (FLAT_SIDE, "flat")):
-        if not inferred.taxonomy.has_type(anchor):
-            continue
-        if type_id == anchor or (type_id, anchor) in inferred.broader_closure:
-            return side
-    return None
-
-
 def validate_usages(
     manifest: AnnotationManifest,
     inferred: InferredTaxonomy,
@@ -193,7 +182,7 @@ def validate_usages(
     violations: list[Violation] = []
     for i, a in enumerate(ids):
         for b in ids[i + 1 :]:
-            side_a, side_b = _side(inferred, a), _side(inferred, b)
+            side_a, side_b = inferred.taxonomy.side(a), inferred.taxonomy.side(b)
             if side_a is None or side_b is None:
                 continue
             if side_a == side_b:

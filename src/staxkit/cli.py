@@ -29,6 +29,7 @@ from .errors import (
     MixedPayload,
     NamedGraphPresent,
     NoConversionPath,
+    OutputExists,
     ParseError,
     SchemaError,
     UnknownStreamType,
@@ -363,6 +364,7 @@ _DATA_ERRORS = (
     DanglingReference,
     MalformedIri,
     NamedGraphPresent,
+    OutputExists,
 )
 
 _COMMANDS = {

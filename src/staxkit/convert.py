@@ -145,12 +145,8 @@ _STEPS = {
 
 def payload_kind(inferred: InferredTaxonomy, type_id: str) -> Payload:
     """Payload of a concrete type: which built-in anchor it descends from."""
-    inferred.taxonomy.type(type_id)
-    matches = [
-        payload
-        for anchor, payload in _ANCHOR_PAYLOADS.items()
-        if type_id == anchor or (type_id, anchor) in inferred.broader_closure
-    ]
+    reach = {type_id, *inferred.taxonomy.ancestors(type_id)}
+    matches = [payload for anchor, payload in _ANCHOR_PAYLOADS.items() if anchor in reach]
     if len(matches) != 1:
         raise ValueError(f"cannot determine the payload kind of {type_id}")
     return matches[0]

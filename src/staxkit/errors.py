@@ -35,6 +35,10 @@ class MixedPayload(StaxError):
     """Statement or element kind does not match the framing's payload."""
 
 
+class OutputExists(StaxError):
+    """An output directory already holds members of the framing being written."""
+
+
 class SchemaError(StaxError):
     """A manifest document does not match its schema."""
 

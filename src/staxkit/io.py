@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from io import BytesIO
 from typing import IO, Iterable, Iterator, Union
 
-from .errors import MalformedIri, MixedPayload, ParseError
+from .errors import MalformedIri, MixedPayload, OutputExists, ParseError
 from .model import (
     XSD_STRING,
     BlankNode,
@@ -606,15 +606,21 @@ def write_dir_stream(
 ) -> list[str]:
     """Write one member file per element; returns the filenames created.
 
-    When any element fails, the members written so far are removed, and so
-    is the directory if this call created it, before the error propagates.
+    A directory that already holds members with the framing's extension is
+    refused with OutputExists before anything is written.  When any element
+    fails, the members written so far are removed, and so is the directory
+    if this call created it, before the error propagates.
     """
     if not framing.is_dir:
         raise ValueError(f"write_dir_stream needs a dir framing, got {framing.value}")
     directory = os.fspath(directory)
-    created = not os.path.isdir(directory)
-    os.makedirs(directory, exist_ok=True)
     ext = ".nq" if framing.quads_payload else ".nt"
+    created = not os.path.isdir(directory)
+    if not created:
+        held = min((n for n in os.listdir(directory) if n.endswith(ext)), default=None)
+        if held is not None:
+            raise OutputExists(f"output directory {directory} already holds member {held}")
+    os.makedirs(directory, exist_ok=True)
     names: list[str] = []
     try:
         for i, element in enumerate(elements):

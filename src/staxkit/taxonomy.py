@@ -77,7 +77,7 @@ Edge = tuple[str, str]
 class Taxonomy:
     """Validated set of stream types plus base relation edges."""
 
-    __slots__ = ("_types", "_relations")
+    __slots__ = ("_types", "_relations", "_ancestors")
 
     def __init__(
         self,
@@ -144,78 +144,69 @@ class Taxonomy:
                         raise DanglingReference(
                             f"{name} edge ({a}, {b}) references unknown type {endpoint}"
                         )
-        self._check_broader_acyclic()
-        ancestors = {i: self._ancestors(i) for i in self._types}
+        self._ancestors = self._broader_ancestors()
         for t in self._types.values():
-            if t.kind is TypeKind.CONCRETE:
-                if not any(
-                    self._types[a].kind is TypeKind.ABSTRACT for a in ancestors[t.id]
-                ):
-                    raise SchemaError(
-                        f"concrete type {t.id} has no abstract ancestor"
-                    )
+            if t.kind is TypeKind.CONCRETE and not any(
+                self._types[a].kind is TypeKind.ABSTRACT for a in self._ancestors[t.id]
+            ):
+                raise SchemaError(f"concrete type {t.id} has no abstract ancestor")
         if GROUPED_SIDE in self._types and FLAT_SIDE in self._types:
-            self._check_sides(ancestors)
+            self._check_sides()
 
-    def _check_broader_acyclic(self) -> None:
+    def _broader_ancestors(self) -> dict[str, frozenset[str]]:
+        """Strict broader ancestors of every type, built in post-order by one
+        iterative DFS that raises CycleError on the first cycle it meets."""
         succ: dict[str, list[str]] = {i: [] for i in self._types}
         for a, b in self._relations[BROADER]:
             succ[a].append(b)
-        state: dict[str, int] = {}  # 0 visiting, 1 done
-
-        def visit(node: str, trail: list[str]) -> None:
-            mark = state.get(node)
-            if mark == 1:
-                return
-            if mark == 0:
-                cycle = trail[trail.index(node):] + [node]
-                raise CycleError("broader cycle: " + " -> ".join(cycle))
-            state[node] = 0
-            trail.append(node)
-            for nxt in succ[node]:
-                visit(nxt, trail)
-            trail.pop()
-            state[node] = 1
-
+        done: dict[str, frozenset[str]] = {}
         for start in self._types:
-            visit(start, [])
+            if start in done:
+                continue
+            # The current DFS path in order, each node with its unvisited edges.
+            trail = {start: iter(succ[start])}
+            while trail:
+                node, rest = next(reversed(trail.items()))
+                nxt = next(rest, None)
+                if nxt is None:
+                    del trail[node]
+                    done[node] = frozenset(succ[node]).union(*(done[b] for b in succ[node]))
+                elif nxt in trail:
+                    path = list(trail)
+                    cycle = path[path.index(nxt):] + [nxt]
+                    raise CycleError("broader cycle: " + " -> ".join(cycle))
+                elif nxt not in done:
+                    trail[nxt] = iter(succ[nxt])
+        return done
 
-    def _ancestors(self, type_id: str) -> frozenset[str]:
-        """Strict broader ancestors of type_id."""
-        succ: dict[str, list[str]] = {i: [] for i in self._types}
-        for a, b in self._relations[BROADER]:
-            succ[a].append(b)
-        out: set[str] = set()
-        stack = list(succ[type_id])
-        while stack:
-            n = stack.pop()
-            if n not in out:
-                out.add(n)
-                stack.extend(succ[n])
-        return frozenset(out)
+    def ancestors(self, type_id: str) -> frozenset[str]:
+        """Strict broader ancestors of type_id (transitive, never itself)."""
+        return self._ancestors[self.type(type_id).id]
 
-    def _check_sides(self, ancestors: Mapping[str, frozenset[str]]) -> None:
-        def side(type_id: str) -> str | None:
-            reach = ancestors[type_id] | {type_id}
-            if GROUPED_SIDE in reach:
-                return "grouped"
-            if FLAT_SIDE in reach:
-                return "flat"
+    def side(self, type_id: str) -> str | None:
+        """'grouped' or 'flat' by the side anchor type_id is or narrows, else None."""
+        reach = self._ancestors.get(type_id)
+        if reach is None:
             return None
+        for anchor, name in ((GROUPED_SIDE, "grouped"), (FLAT_SIDE, "flat")):
+            if type_id == anchor or anchor in reach:
+                return name
+        return None
 
+    def _check_sides(self) -> None:
         expectations = {
             FLATTEN: ("grouped", "flat"),
             GROUP: ("flat", "grouped"),
         }
         for rel, (want_from, want_to) in expectations.items():
             for a, b in self._relations[rel]:
-                if side(a) != want_from or side(b) != want_to:
+                if self.side(a) != want_from or self.side(b) != want_to:
                     raise SchemaError(
                         f"{rel} edge ({a}, {b}) must go from the {want_from} side "
                         f"to the {want_to} side"
                     )
         for a, b in self._relations[EXTEND]:
-            if side(a) is None or side(a) != side(b):
+            if self.side(a) is None or self.side(a) != self.side(b):
                 raise SchemaError(
                     f"{EXTEND} edge ({a}, {b}) must stay on one side of the hierarchy"
                 )
@@ -375,41 +366,26 @@ def infer_closure(taxonomy: Taxonomy) -> InferredTaxonomy:
     (irreflexive; the hierarchy is acyclic so no reflexive pairs appear).
     Conversion closures: least fixpoint of
         rel ∪ {(x, z) | (x, y) in broaderClosure and (y, z) in rel}
+    The ancestor map is transitive, so one pass reaches it: (x, z) whenever
+    (y, z) is asserted and y is x or an ancestor of x; linear in the closures.
     """
-    broader = _transitive_closure(taxonomy.edges(BROADER))
+    lineage = {x: (x, *taxonomy.ancestors(x)) for x in taxonomy.type_ids()}
 
-    def propagate(base: tuple[Edge, ...]) -> frozenset[Edge]:
-        closure = set(base)
-        changed = True
-        while changed:
-            changed = False
-            for x, y in broader:
-                for (src, z) in tuple(closure):
-                    if src == y and (x, z) not in closure:
-                        closure.add((x, z))
-                        changed = True
-        return frozenset(closure)
+    def propagate(relation: str) -> frozenset[Edge]:
+        targets: dict[str, list[str]] = {}
+        for y, z in taxonomy.edges(relation):
+            targets.setdefault(y, []).append(z)
+        return frozenset(
+            (x, z) for x, up in lineage.items() for y in up for z in targets.get(y, ())
+        )
 
     return InferredTaxonomy(
         taxonomy=taxonomy,
-        broader_closure=broader,
-        flatten_closure=propagate(taxonomy.edges(FLATTEN)),
-        group_closure=propagate(taxonomy.edges(GROUP)),
-        extend_closure=propagate(taxonomy.edges(EXTEND)),
+        broader_closure=frozenset((x, y) for x, up in lineage.items() for y in up[1:]),
+        flatten_closure=propagate(FLATTEN),
+        group_closure=propagate(GROUP),
+        extend_closure=propagate(EXTEND),
     )
-
-
-def _transitive_closure(edges: Iterable[Edge]) -> frozenset[Edge]:
-    closure = set(edges)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in tuple(closure):
-            for c, d in tuple(closure):
-                if b == c and (a, d) not in closure:
-                    closure.add((a, d))
-                    changed = True
-    return frozenset(closure)
 
 
 def relates(inferred: InferredTaxonomy, relation: str, from_id: str, to_id: str) -> bool:
@@ -445,7 +421,6 @@ class ConversionStep:
 
 
 _STEP_RELATIONS = (("flatten", FLATTEN), ("group", GROUP), ("extend", EXTEND))
-_STEP_RANK = {"flatten": 0, "group": 1, "extend": 2}
 
 
 def conversion_path(
@@ -462,7 +437,8 @@ def conversion_path(
 
     * strict: at most one step, taken directly from an inferred closure.
     * transitive: shortest chain of closure steps; ties are broken by
-      preferring flatten over group over extend at the end of the chain.
+      preferring flatten over group over extend, then the lesser target id,
+      comparing steps from the end of the chain backwards.
     """
     if policy not in ("strict", "transitive"):
         raise ValueError(f"policy must be 'strict' or 'transitive', got {policy!r}")
@@ -478,29 +454,32 @@ def conversion_path(
                 return [ConversionStep(short, from_id, to_id)]
         return None
 
-    def reaches(node: str) -> bool:
-        return node == to_id or (node, to_id) in inferred.broader_closure
-
-    # Breadth-first over closure steps; collect every shortest path and pick
-    # a deterministic winner.
-    paths: list[tuple[ConversionStep, ...]] = [()]
-    for _ in range(len(taxonomy.type_ids())):
-        hits = [p for p in paths if p and reaches(p[-1].target)]
-        if hits:
-            return list(min(hits, key=_path_key))
-        nxt: list[tuple[ConversionStep, ...]] = []
-        for p in paths:
-            here = p[-1].target if p else from_id
-            visited = {from_id} | {s.target for s in p}
-            for short, rel in _STEP_RELATIONS:
-                for a, b in inferred.closure(rel):
-                    if a == here and b not in visited:
-                        nxt.append(p + (ConversionStep(short, a, b),))
-        if not nxt:
+    # Breadth-first layers over the closure steps: every shortest plan steps
+    # from one layer into the next and ends at a node that reaches to_id.
+    steps = [
+        (rank, short, a, b)
+        for rank, (short, rel) in enumerate(_STEP_RELATIONS)
+        for a, b in inferred.closure(rel)
+    ]
+    layers = [{from_id}]
+    seen = {from_id}
+    kept: set[str] = set()
+    while not kept:
+        layer = {b for _, _, a, b in steps if a in layers[-1] and b not in seen}
+        if not layer:
             return None
-        paths = nxt
-    return None
-
-
-def _path_key(path: tuple[ConversionStep, ...]) -> tuple:
-    return tuple((_STEP_RANK[s.relation], s.target) for s in reversed(path))
+        seen |= layer
+        layers.append(layer)
+        kept = {n for n in layer if n == to_id or (n, to_id) in inferred.broader_closure}
+    # Plans compare by (rank, target) from the last step backwards, so take
+    # the least step into the kept nodes, one layer at a time from the end.
+    chosen: list[tuple[str, str]] = []
+    for layer in reversed(layers[:-1]):
+        rank, target, short = min(
+            (rank, b, short) for rank, short, a, b in steps if a in layer and b in kept
+        )
+        chosen.append((short, target))
+        kept = {a for r, _, a, b in steps if r == rank and b == target and a in layer}
+    chosen.reverse()
+    sources = [from_id] + [target for _, target in chosen]
+    return [ConversionStep(short, a, b) for a, (short, b) in zip(sources, chosen)]

@@ -3,8 +3,8 @@
 Everything here is implemented on purpose with different machinery than
 the package: all-pairs matrix reachability instead of per-node BFS,
 exhaustive backtracking instead of greedy subject choice, literal path
-enumeration instead of fixpoint loops, and regex/recursive-descent
-reference parsers for the serialized formats.
+enumeration instead of an ancestor map and layered search, and
+regex/recursive-descent reference parsers for the serialized formats.
 """
 
 from __future__ import annotations
@@ -55,6 +55,49 @@ def oracle_relation_closure(type_ids, broader_edges, rel_edges):
             if y in ancestors:
                 pairs.add((x, z))
     return pairs
+
+
+STEP_NAMES = ("flatten", "group", "extend")  # in tie-break rank order
+
+
+def oracle_conversion_path(type_ids, edges, from_id, to_id, policy):
+    """Plan as (relation, source, target) tuples, or None, from every simple path.
+
+    edges maps "broader" and each step name to its asserted edges.  All
+    simple paths of closure steps that end at or below to_id are enumerated
+    recursively; the shortest ones win, and ties go to the least path compared
+    by (rank, target) from the last step backwards.
+    """
+    broader = oracle_broader_closure(type_ids, edges["broader"])
+    if from_id == to_id or (from_id, to_id) in broader:
+        return []
+    steps = [
+        (rank, name, a, b)
+        for rank, name in enumerate(STEP_NAMES)
+        for a, b in oracle_relation_closure(type_ids, edges["broader"], edges[name])
+    ]
+    if policy == "strict":
+        direct = sorted(s for s in steps if s[2:] == (from_id, to_id))
+        return [direct[0][1:]] if direct else None
+    found = []
+
+    def walk(node, path, seen):
+        if path and (node == to_id or (node, to_id) in broader):
+            found.append(path)
+            return
+        for step in steps:
+            if step[2] == node and step[3] not in seen:
+                walk(step[3], path + [step], seen | {step[3]})
+
+    walk(from_id, [], {from_id})
+    if not found:
+        return None
+    shortest = min(len(p) for p in found)
+    best = min(
+        (p for p in found if len(p) == shortest),
+        key=lambda p: [(rank, b) for rank, _, _, b in reversed(p)],
+    )
+    return [step[1:] for step in best]
 
 
 # ---------------------------------------------------------------------------

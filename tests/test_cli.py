@@ -554,6 +554,33 @@ class TestConvert:
         assert "line 3" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_directory_output_refuses_a_directory_holding_members(self, tmp_path, capsys):
+        src = tmp_path / "in.nt"
+        out_dir = tmp_path / "elements"
+        src.write_bytes(flat_triples(4))
+        argv = [
+            "convert",
+            "--input",
+            str(src),
+            "--output",
+            str(out_dir),
+            "--from",
+            "flatTripleStream",
+            "--to",
+            "graphStream",
+            "--batch-size",
+            "2",
+            "--output-framing",
+            "dir-graphs",
+        ]
+        assert main(argv) == 0
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        capsys.readouterr()
+        assert main(argv[:-4] + ["--batch-size", "4", "--output-framing", "dir-graphs"]) == 3
+        err = capsys.readouterr().err
+        assert "OutputExists" in err and str(out_dir) in err and "00000.nt" in err
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
     def test_directory_input_inferred(self, tmp_path, capsys):
         src_dir = tmp_path / "graphs"
         src_dir.mkdir()

@@ -1,11 +1,19 @@
-"""Source hygiene: every module of the package uses every name it imports."""
+"""Source hygiene: every module of the package uses every name it imports,
+and the README's JSON and Turtle examples still match the code."""
 
 import ast
+import json
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "staxkit"
+from staxkit.annotate import emit_turtle, load_manifest
+from staxkit.taxonomy import default_taxonomy, load_taxonomy
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "staxkit"
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -66,3 +74,29 @@ def test_unused_import_is_reported():
         "    os.path.join(x, 'Sequence')\n"
     )
     assert {n for n in imported_names(tree) if n not in used_names(tree)} == {"Sequence"}
+
+
+def readme_blocks(language: str) -> list[str]:
+    return re.findall(rf"^```{language}\n(.*?)^```", README, re.S | re.M)
+
+
+def readme_json_example(key: str) -> str:
+    """The one JSON block of README.md whose top level has the given key."""
+    found = [b for b in readme_blocks("json") if key in json.loads(b)]
+    assert len(found) == 1, f"README.md has {len(found)} JSON examples with {key!r}"
+    return found[0]
+
+
+@pytest.mark.parametrize("index", range(len(readme_blocks("json"))))
+def test_readme_json_block_parses(index):
+    json.loads(readme_blocks("json")[index])
+
+
+def test_readme_taxonomy_example_loads():
+    taxonomy = load_taxonomy(readme_json_example("types"))
+    assert taxonomy.ancestors("leafStream") == {"rootStream"}
+
+
+def test_readme_manifest_example_loads_and_matches_its_turtle():
+    manifest = load_manifest(readme_json_example("usages"), default_taxonomy())
+    assert readme_blocks("turtle")[0] == emit_turtle(manifest)

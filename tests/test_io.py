@@ -11,7 +11,7 @@ from streamgen import (
     gen_triple,
     gen_unique_statements,
 )
-from staxkit.errors import MixedPayload, ParseError
+from staxkit.errors import MixedPayload, OutputExists, ParseError
 from staxkit.io import (
     FRAME_DELIMITER,
     Framing,
@@ -383,6 +383,19 @@ class TestDirStreams:
         # the directory this call created is gone; the one it found keeps only what it held
         assert sorted(p.name for p in tmp_path.iterdir()) == ["kept"]
         assert sorted(p.name for p in keep.iterdir()) == ["notes.txt"]
+
+    def test_directory_holding_members_is_refused(self, tmp_path):
+        graphs = [Graph([Triple(Iri(EX + f"s{i}"), Iri(EX + "p"), Iri(EX + "o"))]) for i in range(3)]
+        write_dir_stream(graphs, Framing.DIR_GRAPHS, tmp_path)
+        with pytest.raises(OutputExists, match=r"already holds member 00000\.nt$") as info:
+            write_dir_stream(graphs[:1], Framing.DIR_GRAPHS, tmp_path)
+        assert str(tmp_path) in str(info.value)
+        # nothing was written: the three old members still read back as they were
+        assert list(read_grouped_stream(tmp_path, Framing.DIR_GRAPHS)) == graphs
+        # members of another extension do not count
+        datasets = [Dataset(default_graph=graphs[0])]
+        assert write_dir_stream(datasets, Framing.DIR_DATASETS, tmp_path) == ["00000.nq"]
+        assert list(read_grouped_stream(tmp_path, Framing.DIR_DATASETS)) == datasets
 
     def test_bytes_input_rejected(self):
         with pytest.raises(ValueError):

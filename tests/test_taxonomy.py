@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import oracle_broader_closure, oracle_relation_closure
+from oracles import oracle_broader_closure, oracle_conversion_path, oracle_relation_closure
 from staxkit.errors import (
     CycleError,
     DanglingReference,
@@ -80,6 +80,39 @@ class TestDefaultTaxonomy:
             ("graphStream", "datasetStream"),
             ("flatTripleStream", "flatQuadStream"),
         }
+
+    def test_ancestors(self):
+        assert T.ancestors("timestampedNamedGraphStream") == {
+            "namedGraphStream",
+            "datasetStream",
+            "groupedStream",
+            "rdfStream",
+        }
+        assert T.ancestors("flatQuadStream") == {"flatStream", "rdfStream"}
+        assert T.ancestors("rdfStream") == frozenset()
+        with pytest.raises(UnknownType):
+            T.ancestors("nope")
+
+    def test_side(self):
+        flat = {"flatStream", "flatTripleStream", "flatQuadStream"}
+        for t in CONCRETE + ABSTRACT:
+            want = None if t == "rdfStream" else "flat" if t in flat else "grouped"
+            assert T.side(t) == want, t
+        assert T.side("nope") is None
+
+    def test_side_prefers_grouped_under_both_anchors(self):
+        tax = load_taxonomy(
+            json.dumps(
+                {
+                    "types": [
+                        {"id": i, "iri": f"http://x:1/{i}", "kind": "abstract"}
+                        for i in ("groupedStream", "flatStream", "both")
+                    ],
+                    "relations": [["both", "broader", "flatStream"], ["both", "broader", "groupedStream"]],
+                }
+            )
+        )
+        assert tax.side("both") == "grouped"
 
     def test_unknown_type_lookup(self):
         with pytest.raises(UnknownType):
@@ -367,7 +400,7 @@ class TestLoadTaxonomy:
             ],
             "relations": [["a", "broader", "b"], ["b", "broader", "a"]],
         }
-        with pytest.raises(CycleError):
+        with pytest.raises(CycleError, match=r"^broader cycle: a -> b -> a$"):
             load_taxonomy(json.dumps(doc))
 
     def test_self_loop_is_a_cycle(self):
@@ -375,7 +408,7 @@ class TestLoadTaxonomy:
             "types": [{"id": "a", "iri": "http://x:1/a", "kind": "abstract"}],
             "relations": [["a", "broader", "a"]],
         }
-        with pytest.raises(CycleError):
+        with pytest.raises(CycleError, match=r"^broader cycle: a -> a$"):
             load_taxonomy(json.dumps(doc))
 
     def test_concrete_type_needs_an_abstract_ancestor(self):
@@ -440,6 +473,44 @@ def test_property_closure_contains_asserted_edges(seed):
     assert set(tax.edges("broader")) <= closed.broader_closure
     for name in ("flatten", "group", "extend"):
         assert set(tax.edges(name)) <= closed.closure(name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_property_conversion_path_matches_oracle(seed):
+    tax = _random_taxonomy(seed)
+    closed = infer_closure(tax)
+    ids = tax.type_ids()
+    edges = {name: tax.edges(name) for name in ("broader", "flatten", "group", "extend")}
+    for a in ids:
+        for b in ids:
+            for policy in ("strict", "transitive"):
+                plan = conversion_path(closed, a, b, policy)
+                got = None if plan is None else [(s.relation, s.source, s.target) for s in plan]
+                assert got == oracle_conversion_path(ids, edges, a, b, policy), (seed, a, b, policy)
+
+
+def _abstract_types(ids):
+    return [{"id": t, "iri": f"http://x:1/{t}", "kind": "abstract"} for t in ids]
+
+
+def test_deep_chain_listed_leaf_first_loads():
+    # t999 -> t998 -> ... -> t0, narrowest type first in the document
+    ids = [f"t{i}" for i in range(1000)]
+    relations = [[ids[i], "broader", ids[i - 1]] for i in range(1, 1000)]
+    tax = load_taxonomy(json.dumps({"types": _abstract_types(ids[::-1]), "relations": relations}))
+    closed = infer_closure(tax)
+    assert len(closed.broader_closure) == 1000 * 999 // 2 == 499_500
+    assert tax.ancestors("t999") == frozenset(ids[:-1])
+
+
+def test_ladder_of_parallel_steps_plans_one_step_per_rung():
+    # every rung can be taken by group or by extend: 2**59 shortest plans
+    ids = [f"t{i}" for i in range(60)]
+    relations = [[a, rel, b] for a, b in zip(ids, ids[1:]) for rel in ("group", "extend")]
+    closed = infer_closure(load_taxonomy(json.dumps({"types": _abstract_types(ids), "relations": relations})))
+    plan = conversion_path(closed, "t0", "t59", policy="transitive")
+    assert plan == [ConversionStep("group", a, b) for a, b in zip(ids, ids[1:])]
 
 
 def test_no_conversion_path_error_carries_context():
