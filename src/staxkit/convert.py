@@ -12,14 +12,12 @@ under the transitive policy.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
 from .errors import InvalidBatchSize, MixedPayload, NamedGraphPresent, NoConversionPath
 from .io import Payload
-from .model import Dataset, Graph, Quad, Statement, Triple
+from .model import Dataset, Element, Graph, Quad, Statement, Triple
 from .taxonomy import InferredTaxonomy, conversion_path
-
-Element = Union[Graph, Dataset]
 
 
 def flatten_graphs(elements: Iterable[Graph]) -> Iterator[Triple]:

@@ -111,177 +111,62 @@ class ParsedLine:
 # ---------------------------------------------------------------------------
 # Line-level parsing
 # ---------------------------------------------------------------------------
-# One precompiled pattern parses a statement line.  The scanner rescans only
-# lines the pattern declines or whose terms fail validation: it accepts rare
-# forms such as non-ASCII language tags and locates every ParseError.
+# Each lexical production is written once below, as a regex fragment.  One
+# precompiled statement pattern built from them parses every valid line.  A
+# line it declines, or whose terms fail validation, is read again token by
+# token with the same fragments (_locate) to raise the first error.
 
-_IRI_TOKEN = r'<[^\s<>"\\]*(?:\\(?:u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})[^\s<>"\\]*)*>'
-# The lookahead ends a blank label where the scanner does: trailing dots
-# belong to the terminator, and no other label character may follow them.
-_NODE_TOKEN = rf"({_IRI_TOKEN}|_:[A-Za-z0-9](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?(?!\.*[A-Za-z0-9_-]))"
+_WS = r"[ \t]*"
+_UCHAR = r"\\(?:u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})"
+_ECHAR_VALUE = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
+_ECHAR = rf"\\[{re.escape(''.join(_ECHAR_VALUE))}]"
+_LABEL = r"[A-Za-z0-9_.-]"
+_LANGTAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
+
+_IRI_TOKEN = rf'<[^\s<>"\\]*(?:{_UCHAR}[^\s<>"\\]*)*>'
+# A blank label is the longest run of label characters less its trailing
+# dots, which belong to the terminator: no label character may follow them.
+_NODE_TOKEN = rf"({_IRI_TOKEN}|_:[A-Za-z0-9]{_LABEL}*(?<!\.)(?=\.*(?!{_LABEL})))"
 _STATEMENT = re.compile(
-    rf"[ \t]*{_NODE_TOKEN}[ \t]*({_IRI_TOKEN})[ \t]*(?:{_NODE_TOKEN}"
-    r'|"([^"\\]*(?:\\(?:[tbnrf"\'\\]|u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})[^"\\]*)*)"'
-    rf"(?:@([A-Za-z][A-Za-z0-9-]*)|\^\^({_IRI_TOKEN}))?)"
-    rf"[ \t]*(?:{_NODE_TOKEN}[ \t]*)?\.[ \t]*(?:#|\Z)"
+    rf"{_WS}{_NODE_TOKEN}{_WS}({_IRI_TOKEN}){_WS}(?:{_NODE_TOKEN}"
+    rf'|"([^"\\]*(?:(?:{_ECHAR}|{_UCHAR})[^"\\]*)*)"'
+    rf"(?:@({_LANGTAG})|\^\^({_IRI_TOKEN}))?)"
+    rf"{_WS}(?:{_NODE_TOKEN}{_WS})?\.{_WS}(?:#|\Z)"
 )
-_ESCAPE = re.compile(r"\\(u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|.)", re.S)
+_ESCAPE = re.compile(rf"{_UCHAR}|{_ECHAR}")
+
+# The locator's reads: each takes the prefix of a term up to where it must
+# stop, the closing '>' or '"', or the first character that breaks the term.
+_SKIP_WS = re.compile(_WS)
+_IRI_READ = re.compile(rf"<(?:[^>\\]|{_UCHAR})*")
+_LITERAL_READ = re.compile(rf'"(?:[^"\\]|{_ECHAR}|{_UCHAR})*')
+_BLANK_READ = re.compile(rf"_:{_LABEL}*")
+_TAG_READ = re.compile(r"@(?:[^\W_]|-)*")  # alphanumerics and '-'
+_LANGTAG_RE = re.compile(_LANGTAG)
+
+# The terms a statement holds, in order: the types each may be, and the
+# error for any other.  The fourth, the graph label, is optional.
+_ROLES = (
+    ((Iri, BlankNode), "subject must be an IRI or blank node"),
+    (Iri, "predicate must be an IRI"),
+    ((Iri, BlankNode, Literal), ""),
+    ((Iri, BlankNode), "graph label must be an IRI or blank node"),
+)
 
 # IRIs and blank nodes interned by token: a repeated one is built and checked
 # once.  Terms are immutable, so sharing is safe; at the cap the table empties.
 _INTERN_LIMIT = 4096
 _interned: dict[str, Iri | BlankNode] = {}
 
-_HEX = set("0123456789abcdefABCDEF")
-_ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
-_LABEL_CHARS = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-")
-
-
-class _Scanner:
-    """Single-line cursor over one N-Triples/N-Quads statement."""
-
-    __slots__ = ("text", "pos", "line_no")
-
-    def __init__(self, text: str, line_no: int):
-        self.text = text
-        self.pos = 0
-        self.line_no = line_no
-
-    def fail(self, reason: str, column: int | None = None) -> "ParseError":
-        raise ParseError(self.line_no, (self.pos if column is None else column) + 1, reason)
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def _unicode_escape(self) -> str:
-        # Cursor sits on 'u' or 'U'.
-        width = 4 if self.text[self.pos] == "u" else 8
-        start = self.pos
-        self.pos += 1
-        digits = self.text[self.pos : self.pos + width]
-        if len(digits) < width or any(d not in _HEX for d in digits):
-            self.fail(f"bad \\{self.text[start]} escape", column=start - 1)
-        self.pos += width
-        code = int(digits, 16)
-        if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
-            self.fail(f"escape U+{code:X} is not a valid scalar value", column=start - 1)
-        return chr(code)
-
-    def parse_iri(self) -> Iri:
-        start = self.pos
-        self.pos += 1  # consume '<'
-        out: list[str] = []
-        while True:
-            if self.pos >= len(self.text):
-                self.fail("unterminated IRI", column=start)
-            c = self.text[self.pos]
-            if c == ">":
-                self.pos += 1
-                break
-            if c == "\\":
-                self.pos += 1
-                if self.peek() not in ("u", "U"):
-                    self.fail("only \\u/\\U escapes are allowed in IRIs", column=self.pos - 1)
-                out.append(self._unicode_escape())
-            else:
-                out.append(c)
-                self.pos += 1
-        try:
-            return Iri("".join(out))
-        except Exception as exc:
-            self.fail(str(exc), column=start)
-            raise AssertionError  # unreachable
-
-    def parse_blank(self) -> BlankNode:
-        start = self.pos
-        if not self.text.startswith("_:", self.pos):
-            self.fail("expected '_:'")
-        self.pos += 2
-        end = self.pos
-        while end < len(self.text) and self.text[end] in _LABEL_CHARS:
-            end += 1
-        # Trailing dots belong to the statement terminator, not the label.
-        while end > self.pos and self.text[end - 1] == ".":
-            end -= 1
-        label = self.text[self.pos : end]
-        self.pos = end
-        try:
-            return BlankNode(label)
-        except Exception as exc:
-            self.fail(str(exc), column=start)
-            raise AssertionError
-
-    def parse_literal(self) -> Literal:
-        start = self.pos
-        self.pos += 1  # consume '"'
-        out: list[str] = []
-        while True:
-            if self.pos >= len(self.text):
-                self.fail("unterminated literal", column=start)
-            c = self.text[self.pos]
-            if c == '"':
-                self.pos += 1
-                break
-            if c == "\\":
-                self.pos += 1
-                e = self.peek()
-                if e in _ECHAR:
-                    out.append(_ECHAR[e])
-                    self.pos += 1
-                elif e in ("u", "U"):
-                    out.append(self._unicode_escape())
-                else:
-                    self.fail(f"bad escape '\\{e}'", column=self.pos - 1)
-            else:
-                out.append(c)
-                self.pos += 1
-        lexical = "".join(out)
-        if self.peek() == "@":
-            tag_start = self.pos
-            self.pos += 1
-            end = self.pos
-            while end < len(self.text) and (self.text[end].isalnum() or self.text[end] == "-"):
-                end += 1
-            tag = self.text[self.pos : end]
-            if not tag or not tag[0].isalpha():
-                self.fail("bad language tag", column=tag_start)
-            self.pos = end
-            return Literal(lexical, language=tag)
-        if self.text.startswith("^^", self.pos):
-            self.pos += 2
-            if self.peek() != "<":
-                self.fail("expected '<' after '^^'")
-            dt = self.parse_iri()
-            try:
-                return Literal(lexical, datatype=dt.value)
-            except Exception as exc:
-                self.fail(str(exc), column=start)
-        return Literal(lexical)
-
-    def parse_term(self) -> Term:
-        c = self.peek()
-        if c == "<":
-            return self.parse_iri()
-        if c == "_":
-            return self.parse_blank()
-        if c == '"':
-            return self.parse_literal()
-        self.fail("expected IRI, blank node, or literal")
-        raise AssertionError
-
 
 def _unescape_match(m: re.Match) -> str:
-    e = m.group(1)
-    if len(e) == 1:
-        return _ECHAR[e]
-    code = int(e[1:], 16)
-    if 0xD800 <= code <= 0xDFFF:
+    e = m[0]
+    if len(e) == 2:
+        return _ECHAR_VALUE[e[1]]
+    code = int(e[2:], 16)
+    if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
         raise ValueError(f"escape U+{code:X} is not a valid scalar value")
-    return chr(code)  # ValueError past U+10FFFF
+    return chr(code)
 
 
 def _unescape(text: str) -> str:
@@ -315,24 +200,25 @@ def _parse_line(line: str, quads: bool, line_no: int) -> Statement | LineKind:
                 return Quad(_node(s), _node(p), obj, None if g is None else _node(g))
             return Triple(_node(s), _node(p), obj)
         except (MalformedIri, ValueError):
-            pass  # the scanner raises the located error
+            pass  # the locator raises the located error
     if line == FRAME_DELIMITER:
         return LineKind.FRAME_DELIMITER
-    stripped = line.strip()
-    if not stripped:
+    start = _SKIP_WS.match(line).end()
+    if start == len(line):
         return LineKind.BLANK
-    if stripped.startswith("#"):
+    if line[start] == "#":
         return LineKind.COMMENT
-    return _scan_statement(line, quads, line_no)
+    return _locate(line, quads, line_no)
 
 
 def parse_statement_line(line: str, mode: str, line_no: int = 1) -> ParsedLine:
     """Classify and parse one input line.
 
     mode is 'triples' or 'quads'.  A line whose entire content is '#---' is
-    a frame delimiter; other '#'-first lines are comments; whitespace-only
-    lines are blank.  In triples mode a fourth term is an error; in quads
-    mode a three-term statement becomes a default-graph quad.
+    a frame delimiter; other lines whose first character past spaces and
+    tabs is '#' are comments; lines of spaces and tabs only are blank.  In
+    triples mode a fourth term is an error; in quads mode a three-term
+    statement becomes a default-graph quad.
     """
     if mode not in (Payload.TRIPLES, Payload.QUADS):
         raise ValueError(f"mode must be 'triples' or 'quads', got {mode!r}")
@@ -342,41 +228,83 @@ def parse_statement_line(line: str, mode: str, line_no: int = 1) -> ParsedLine:
     return ParsedLine(LineKind.STATEMENT, line_no, parsed)
 
 
-def _scan_statement(line: str, quads: bool, line_no: int) -> Statement:
-    """Parse a statement line with the scanner; errors carry line and column."""
-    sc = _Scanner(line, line_no)
-    sc.skip_ws()
-    subj_col = sc.pos
-    subject = sc.parse_term()
-    if isinstance(subject, Literal):
-        sc.fail("subject must be an IRI or blank node", column=subj_col)
-    sc.skip_ws()
-    pred_col = sc.pos
-    predicate = sc.parse_term()
-    if not isinstance(predicate, Iri):
-        sc.fail("predicate must be an IRI", column=pred_col)
-    sc.skip_ws()
-    obj = sc.parse_term()
-    sc.skip_ws()
+def _locate(line: str, quads: bool, line_no: int) -> Statement:
+    """Read a statement line term by term; raise its first error, in reading order.
 
-    graph_label: Iri | BlankNode | None = None
-    if sc.peek() and sc.peek() != ".":
-        label_col = sc.pos
-        if not quads:
-            sc.fail("statement has a fourth term but framing expects triples", column=label_col)
-        term = sc.parse_term()
-        if isinstance(term, Literal):
-            sc.fail("graph label must be an IRI or blank node", column=label_col)
-        graph_label = term
-        sc.skip_ws()
-    if sc.peek() != ".":
-        sc.fail("expected '.' at end of statement")
-    sc.pos += 1
-    sc.skip_ws()
-    if sc.peek() and sc.peek() != "#":
-        sc.fail("unexpected content after '.'")
+    A line without an error gives its statement, the one the pattern gives.
+    """
+    terms: list[Term] = []
+    pos = _SKIP_WS.match(line).end()
+    for kinds, reason in _ROLES:
+        if len(terms) == 3:
+            if line[pos : pos + 1] in ("", "."):
+                break
+            if not quads:
+                raise ParseError(line_no, pos + 1, "statement has a fourth term but framing expects triples")
+        term, end = _read_term(line, pos, line_no)
+        if not isinstance(term, kinds):
+            raise ParseError(line_no, pos + 1, reason)
+        terms.append(term)
+        pos = _SKIP_WS.match(line, end).end()
+    if line[pos : pos + 1] != ".":
+        raise ParseError(line_no, pos + 1, "expected '.' at end of statement")
+    pos = _SKIP_WS.match(line, pos + 1).end()
+    if line[pos : pos + 1] not in ("", "#"):
+        raise ParseError(line_no, pos + 1, "unexpected content after '.'")
+    return Quad(*terms) if quads else Triple(*terms)
 
-    return Quad(subject, predicate, obj, graph_label) if quads else Triple(subject, predicate, obj)
+
+def _read_term(line: str, pos: int, line_no: int) -> tuple[Term, int]:
+    """The term that starts at pos, and the position after it."""
+    first = line[pos : pos + 1]
+    try:
+        if first == "_":
+            m = _BLANK_READ.match(line, pos)
+            if m is None:
+                raise ParseError(line_no, pos + 1, "expected '_:'")
+            label = m[0][2:].rstrip(".")
+            return BlankNode(label), pos + 2 + len(label)
+        if first not in ("<", '"'):
+            raise ParseError(line_no, pos + 1, "expected IRI, blank node, or literal")
+        text, end = _read_quoted(line, pos, line_no)
+        if first == "<":
+            return Iri(text), end
+        if line.startswith("@", end):
+            tag = _TAG_READ.match(line, end)[0][1:]
+            if not _LANGTAG_RE.fullmatch(tag):
+                raise ParseError(line_no, end + 1, "bad language tag")
+            return Literal(text, language=tag), end + 1 + len(tag)
+        if not line.startswith("^^", end):
+            return Literal(text), end
+        if not line.startswith("<", end + 2):
+            raise ParseError(line_no, end + 3, "expected '<' after '^^'")
+        datatype, end = _read_term(line, end + 2, line_no)
+        return Literal(text, datatype.value), end
+    except (MalformedIri, ValueError) as exc:
+        raise ParseError(line_no, pos + 1, str(exc)) from None
+
+
+def _read_quoted(line: str, pos: int, line_no: int) -> tuple[str, int]:
+    """The decoded text of the IRI or literal body at pos, and the position
+    past its closing '>' or '"'."""
+    iri = line[pos] == "<"
+    end = (_IRI_READ if iri else _LITERAL_READ).match(line, pos).end()
+    for escape in _ESCAPE.finditer(line, pos, end):
+        try:
+            _unescape_match(escape)
+        except ValueError as exc:
+            raise ParseError(line_no, escape.start() + 1, str(exc)) from None
+    stop = line[end : end + 1]
+    if not stop:
+        raise ParseError(line_no, pos + 1, "unterminated IRI" if iri else "unterminated literal")
+    if stop == "\\":
+        after = line[end + 1 : end + 2]
+        if after in ("u", "U"):
+            reason = f"bad \\{after} escape"
+        else:
+            reason = "only \\u/\\U escapes are allowed in IRIs" if iri else f"bad escape '\\{after}'"
+        raise ParseError(line_no, end + 1, reason)
+    return _unescape(line[pos + 1 : end]), end + 1
 
 
 # ---------------------------------------------------------------------------

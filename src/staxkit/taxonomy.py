@@ -46,7 +46,6 @@ _RELATION_ALIASES = {
 
 # Anchor type ids used for side checks and payload-kind derivation when the
 # taxonomy defines them.
-ROOT_TYPE = "rdfStream"
 GROUPED_SIDE = "groupedStream"
 FLAT_SIDE = "flatStream"
 

@@ -3,7 +3,8 @@
 Everything here is implemented on purpose with different machinery than
 the package: all-pairs matrix reachability instead of per-node BFS,
 exhaustive backtracking instead of greedy subject choice, literal path
-enumeration instead of an ancestor map and layered search, and
+enumeration instead of an ancestor map and layered search, a character
+scanner instead of the statement pattern and its token locator, and
 regex/recursive-descent reference parsers for the serialized formats.
 """
 
@@ -13,7 +14,8 @@ import re
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 
-from staxkit.model import BlankNode, Dataset, Graph, Iri, Literal
+from staxkit.errors import ParseError
+from staxkit.model import BlankNode, Dataset, Graph, Iri, Literal, Quad, Statement, Term, Triple
 
 PROV_AT = "http://www.w3.org/ns/prov#generatedAtTime"
 XSD = "http://www.w3.org/2001/XMLSchema#"
@@ -248,6 +250,193 @@ def oracle_classify(elements, kind: str, predicates: set[str] | None = None,
         for d in elements
     )
     return verdicts, ambiguous
+
+
+# ---------------------------------------------------------------------------
+# N-Triples / N-Quads error oracle (character scanner)
+# ---------------------------------------------------------------------------
+# The package reads a statement line with regexes; this reads it one
+# character at a time and raises the first error with its line and column.
+
+_HEX = set("0123456789abcdefABCDEF")
+_ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
+_LABEL_CHARS = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-")
+
+
+class _Scanner:
+    """Single-line cursor over one N-Triples/N-Quads statement."""
+
+    __slots__ = ("text", "pos", "line_no")
+
+    def __init__(self, text: str, line_no: int):
+        self.text = text
+        self.pos = 0
+        self.line_no = line_no
+
+    def fail(self, reason: str, column: int | None = None) -> "ParseError":
+        raise ParseError(self.line_no, (self.pos if column is None else column) + 1, reason)
+
+    def peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos] in " \t":
+            self.pos += 1
+
+    def _unicode_escape(self) -> str:
+        # Cursor sits on 'u' or 'U'.
+        width = 4 if self.text[self.pos] == "u" else 8
+        start = self.pos
+        self.pos += 1
+        digits = self.text[self.pos : self.pos + width]
+        if len(digits) < width or any(d not in _HEX for d in digits):
+            self.fail(f"bad \\{self.text[start]} escape", column=start - 1)
+        self.pos += width
+        code = int(digits, 16)
+        if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+            self.fail(f"escape U+{code:X} is not a valid scalar value", column=start - 1)
+        return chr(code)
+
+    def parse_iri(self) -> Iri:
+        start = self.pos
+        self.pos += 1  # consume '<'
+        out: list[str] = []
+        while True:
+            if self.pos >= len(self.text):
+                self.fail("unterminated IRI", column=start)
+            c = self.text[self.pos]
+            if c == ">":
+                self.pos += 1
+                break
+            if c == "\\":
+                self.pos += 1
+                if self.peek() not in ("u", "U"):
+                    self.fail("only \\u/\\U escapes are allowed in IRIs", column=self.pos - 1)
+                out.append(self._unicode_escape())
+            else:
+                out.append(c)
+                self.pos += 1
+        try:
+            return Iri("".join(out))
+        except Exception as exc:
+            self.fail(str(exc), column=start)
+            raise AssertionError  # unreachable
+
+    def parse_blank(self) -> BlankNode:
+        start = self.pos
+        if not self.text.startswith("_:", self.pos):
+            self.fail("expected '_:'")
+        self.pos += 2
+        end = self.pos
+        while end < len(self.text) and self.text[end] in _LABEL_CHARS:
+            end += 1
+        # Trailing dots belong to the statement terminator, not the label.
+        while end > self.pos and self.text[end - 1] == ".":
+            end -= 1
+        label = self.text[self.pos : end]
+        self.pos = end
+        try:
+            return BlankNode(label)
+        except Exception as exc:
+            self.fail(str(exc), column=start)
+            raise AssertionError
+
+    def parse_literal(self) -> Literal:
+        start = self.pos
+        self.pos += 1  # consume '"'
+        out: list[str] = []
+        while True:
+            if self.pos >= len(self.text):
+                self.fail("unterminated literal", column=start)
+            c = self.text[self.pos]
+            if c == '"':
+                self.pos += 1
+                break
+            if c == "\\":
+                self.pos += 1
+                e = self.peek()
+                if e in _ECHAR:
+                    out.append(_ECHAR[e])
+                    self.pos += 1
+                elif e in ("u", "U"):
+                    out.append(self._unicode_escape())
+                else:
+                    self.fail(f"bad escape '\\{e}'", column=self.pos - 1)
+            else:
+                out.append(c)
+                self.pos += 1
+        lexical = "".join(out)
+        if self.peek() == "@":
+            tag_start = self.pos
+            self.pos += 1
+            end = self.pos
+            while end < len(self.text) and (self.text[end].isalnum() or self.text[end] == "-"):
+                end += 1
+            tag = self.text[self.pos : end]
+            # RDF 1.1 LANGTAG: [a-zA-Z]+ ('-' [a-zA-Z0-9]+)*
+            subtags = tag.split("-")
+            if not all(subtags) or not tag.isascii() or not subtags[0].isalpha():
+                self.fail("bad language tag", column=tag_start)
+            self.pos = end
+            return Literal(lexical, language=tag)
+        if self.text.startswith("^^", self.pos):
+            self.pos += 2
+            if self.peek() != "<":
+                self.fail("expected '<' after '^^'")
+            dt = self.parse_iri()
+            try:
+                return Literal(lexical, datatype=dt.value)
+            except Exception as exc:
+                self.fail(str(exc), column=start)
+        return Literal(lexical)
+
+    def parse_term(self) -> Term:
+        c = self.peek()
+        if c == "<":
+            return self.parse_iri()
+        if c == "_":
+            return self.parse_blank()
+        if c == '"':
+            return self.parse_literal()
+        self.fail("expected IRI, blank node, or literal")
+        raise AssertionError
+
+
+def oracle_scan_statement(line: str, quads: bool, line_no: int) -> Statement:
+    """Parse a statement line with the scanner; errors carry line and column."""
+    sc = _Scanner(line, line_no)
+    sc.skip_ws()
+    subj_col = sc.pos
+    subject = sc.parse_term()
+    if isinstance(subject, Literal):
+        sc.fail("subject must be an IRI or blank node", column=subj_col)
+    sc.skip_ws()
+    pred_col = sc.pos
+    predicate = sc.parse_term()
+    if not isinstance(predicate, Iri):
+        sc.fail("predicate must be an IRI", column=pred_col)
+    sc.skip_ws()
+    obj = sc.parse_term()
+    sc.skip_ws()
+
+    graph_label: Iri | BlankNode | None = None
+    if sc.peek() and sc.peek() != ".":
+        label_col = sc.pos
+        if not quads:
+            sc.fail("statement has a fourth term but framing expects triples", column=label_col)
+        term = sc.parse_term()
+        if isinstance(term, Literal):
+            sc.fail("graph label must be an IRI or blank node", column=label_col)
+        graph_label = term
+        sc.skip_ws()
+    if sc.peek() != ".":
+        sc.fail("expected '.' at end of statement")
+    sc.pos += 1
+    sc.skip_ws()
+    if sc.peek() and sc.peek() != "#":
+        sc.fail("unexpected content after '.'")
+
+    return Quad(subject, predicate, obj, graph_label) if quads else Triple(subject, predicate, obj)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Source hygiene: every module of the package uses every name it imports,
-and the README's JSON and Turtle examples still match the code."""
+every name it defines at module level is referenced somewhere, and the
+README's JSON and Turtle examples still match the code."""
 
 import ast
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "staxkit"
 README = (ROOT / "README.md").read_text(encoding="utf-8")
 MODULES = sorted(SRC.glob("*.py"))
+# Where a module-level name of the package may be referenced.
+SEARCHED = MODULES + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -30,29 +34,39 @@ def imported_names(tree: ast.Module) -> dict[str, int]:
     return names
 
 
-def used_names(tree: ast.Module) -> set[str]:
-    """Names loaded anywhere, including inside string annotations, plus __all__."""
-    used: set[str] = set()
+def annotation_names(tree: ast.Module) -> set[str]:
+    """Names inside string annotations."""
     annotations: list[ast.expr] = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            used.add(node.id)
-        elif isinstance(node, ast.arg) and node.annotation is not None:
+        if isinstance(node, ast.arg) and node.annotation is not None:
             annotations.append(node.annotation)
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
             annotations.append(node.returns)
         elif isinstance(node, ast.AnnAssign):
             annotations.append(node.annotation)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(ast.literal_eval(node.value))
+    names: set[str] = set()
     for annotation in annotations:
         for node in ast.walk(annotation):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 expr = ast.parse(node.value, mode="eval")
-                used.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
-    return used
+                names.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+    return names
+
+
+def exported_names(tree: ast.Module) -> set[str]:
+    """Names listed in the module's __all__."""
+    return {
+        name
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for name in ast.literal_eval(node.value)
+    }
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """Names loaded anywhere, including inside string annotations, plus __all__."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return names | annotation_names(tree) | exported_names(tree)
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
@@ -74,6 +88,89 @@ def test_unused_import_is_reported():
         "    os.path.join(x, 'Sequence')\n"
     )
     assert {n for n in imported_names(tree) if n not in used_names(tree)} == {"Sequence"}
+
+
+def module_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Names bound at module level, mapped to the statement that binds them."""
+    definitions: dict[str, ast.stmt] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            definitions[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        definitions[name.id] = node
+    return definitions
+
+
+def loads(node: ast.AST) -> Counter:
+    """How often each bare name is loaded under node."""
+    return Counter(n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+
+
+def dead_names(modules: dict[str, ast.Module], searched: list[ast.Module]) -> list[str]:
+    """Module-level names of modules (keyed by file name) that nothing references.
+
+    A name counts as referenced when its own module loads it outside its
+    definition or names it in a string annotation, or when any searched
+    tree reads it as an attribute or imports it from that module.  A bare
+    name of the same spelling elsewhere does not count.  Dunders and names
+    listed in an __all__ are exempt.
+    """
+    attributes: set[str] = set()
+    imported: set[tuple[str, str]] = set()  # (module's last dotted part, name)
+    exempt: set[str] = set()
+    for tree in searched:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute):
+                attributes.add(n.attr)
+            elif isinstance(n, ast.ImportFrom) and n.module:
+                imported.update((n.module.rpartition(".")[2], alias.name) for alias in n.names)
+        exempt |= exported_names(tree)
+    dead = []
+    for module, tree in modules.items():
+        local = loads(tree) + Counter(annotation_names(tree))
+        for name, node in module_definitions(tree).items():
+            if (
+                not (name.startswith("__") and name.endswith("__"))
+                and name not in exempt | attributes
+                and (Path(module).stem, name) not in imported
+                and local[name] == loads(node)[name]
+            ):
+                dead.append(f"{module}: {name}")
+    return sorted(dead)
+
+
+def test_every_module_level_name_is_referenced():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in SEARCHED}
+    dead = dead_names({p.name: trees[p] for p in MODULES}, list(trees.values()))
+    assert not dead, f"module-level names referenced nowhere: {', '.join(dead)}"
+
+
+def test_dead_name_is_reported():
+    module = ast.parse(
+        "__all__ = ['exported']\n"
+        "ROOT = 'x'\n"
+        "_HEX = set('0123456789abcdef')\n"
+        "def exported(): return _helper()\n"
+        "def _helper(): return _helper\n"
+        "def _recursive(n): return _recursive(n - 1)\n"
+        "def _annotated() -> 'Kind': ...\n"
+        "class Kind: ...\n"
+        "def _by_attribute(): ...\n"
+        "def _by_import(): ...\n"
+    )
+    # a same-named global of another module is not a reference
+    user = ast.parse(
+        "import pkg.m\n"
+        "from pkg.m import _by_import\n"
+        "_HEX = set('0123456789')\n"
+        "pkg.m._by_attribute(_HEX)\n"
+    )
+    assert dead_names({"m.py": module}, [module, user]) == [
+        "m.py: ROOT", "m.py: _HEX", "m.py: _annotated", "m.py: _recursive",
+    ]
 
 
 def readme_blocks(language: str) -> list[str]:

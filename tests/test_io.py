@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import reference_parse_nquads, term_tuple
+from oracles import oracle_scan_statement, reference_parse_nquads, term_tuple
 from streamgen import (
     gen_dataset_elements,
     gen_graph_elements,
@@ -11,14 +11,15 @@ from streamgen import (
     gen_triple,
     gen_unique_statements,
 )
+from staxkit.convert import flatten_graphs
 from staxkit.errors import MixedPayload, OutputExists, ParseError
 from staxkit.io import (
     FRAME_DELIMITER,
     Framing,
     LineKind,
     ParsedLine,
+    _locate,
     _member_stem,
-    _scan_statement,
     parse_statement_line,
     read_flat_stream,
     read_grouped_stream,
@@ -116,9 +117,10 @@ class TestParseStatementLine:
         assert p.kind is LineKind.STATEMENT
 
     def test_non_ascii_language_tag(self):
-        # the scanner accepts any alphanumeric tag character, not only ASCII
-        p = parse_statement_line('<http://s:1> <http://p:1> "x"@enß .', "triples")
-        assert p.statement.object == Literal("x", language="enß")
+        # RDF 1.1 LANGTAG allows ASCII letters and digits only
+        with pytest.raises(ParseError) as info:
+            parse_statement_line('<http://s:1> <http://p:1> "x"@enß .', "triples")
+        assert (info.value.column, info.value.reason) == (30, "bad language tag")
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -158,6 +160,22 @@ MALFORMED = [
     ('<http://a:1> <http://p:1> "x"^^<http://www.w3.org/1999/02/22-rdf-syntax-ns#langString> .',
      "triples", 1, 27),                                            # langString without tag
     ("<http://a:1> <http://p:1> _:o..", "triples", 1, 31),        # second dot after terminator
+    # language tags outside RDF 1.1 LANGTAG, located at the '@'
+    ('<http://a:1> <http://p:1> "x"@en- .', "triples", 1, 30),
+    ('<http://a:1> <http://p:1> "x"@en--a .', "triples", 1, 30),
+    ('<http://a:1> <http://p:1> "x"@e1 .', "triples", 1, 30),
+    ('<http://a:1> <http://p:1> "x"@enß .', "triples", 1, 30),
+    ('<http://a:1> <http://p:1> "x"@en-\u0661 .', "quads", 1, 30),  # Arabic-Indic digit one
+    # only spaces and tabs make a line blank or lead into a comment
+    ("\xa0", "triples", 1, 1),
+    ("\x0c", "quads", 1, 1),
+    ("\u2028", "triples", 1, 1),
+    ("\x1c", "triples", 1, 1),
+    ("\u3000# c", "quads", 1, 1),
+    # the first error in reading order wins
+    (r'<http://a:1> <http://p:1> "\uD800\q" .', "triples", 1, 28),  # bad scalar before bad escape
+    (r"<a:\uD800 b", "triples", 1, 4),                           # bad scalar before unterminated IRI
+    ('<http://a:1> <http://p:1> "x\\', "triples", 1, 29),         # lone '\' ends the line
 ]
 
 
@@ -409,6 +427,17 @@ class TestDirStreams:
         names = [stem + ".nt" for stem in stems]
         assert sorted(names, key=lambda n: n.encode("utf-8")) == names
 
+    def test_blank_label_names_one_node_across_members(self, tmp_path):
+        # as in a framed file, _:b in two members is one node of the stream
+        (tmp_path / "00000.nt").write_bytes(b"_:b <http://p:1> <http://o:1> .\n")
+        (tmp_path / "00001.nt").write_bytes(b"_:b <http://p:2> <http://o:2> .\n")
+        elements = list(read_grouped_stream(tmp_path, Framing.DIR_GRAPHS))
+        framed = write_grouped_stream(elements, Framing.FRAMED_GRAPHS)
+        assert list(read_grouped_stream(framed, Framing.FRAMED_GRAPHS)) == elements
+        flat = list(flatten_graphs(elements))
+        assert len(flat) == 2
+        assert [t.subject for t in flat] == [BlankNode("b"), BlankNode("b")]
+
 
 
 CANONICAL_FIXTURES = [
@@ -532,9 +561,10 @@ def test_property_framed_graph_roundtrip(elements):
     assert list(read_grouped_stream(payload, Framing.FRAMED_GRAPHS)) == elements
 
 
-# hypothesis: the line pattern and the scanner agree on every line, accepted or not
+# hypothesis: the line pattern, the locator and the scanner oracle agree on
+# every line, accepted or not
 
-MUTATION_CHARS = list('<>"_:.@^\\#') + ["\t", " ", "\u00a0", "ß", "u"]
+MUTATION_CHARS = list('<>"_:.@^\\#-1') + ["\t", " ", "\u00a0", "ß", "u", "\u0661"]
 
 
 @st.composite
@@ -563,12 +593,17 @@ def _outcome(parse):
 
 
 def assert_pattern_agrees_with_scanner(line, mode):
+    expected = _outcome(lambda: oracle_scan_statement(line, mode == "quads", 5))
+    assert _outcome(lambda: _locate(line, mode == "quads", 5)) == expected
     parsed = _outcome(lambda: parse_statement_line(line, mode, 5))
     if isinstance(parsed, ParsedLine):
         if parsed.kind is not LineKind.STATEMENT:
-            return  # comments and blank lines never reach the scanner
+            # only spaces and tabs may precede a comment or fill a blank line
+            kind = {"": LineKind.BLANK, "#": LineKind.COMMENT}.get(line.lstrip(" \t")[:1])
+            assert parsed.kind is (LineKind.FRAME_DELIMITER if line == FRAME_DELIMITER else kind)
+            return
         parsed = parsed.statement
-    assert parsed == _outcome(lambda: _scan_statement(line, mode == "quads", 5))
+    assert parsed == expected
 
 
 @settings(max_examples=1000)
@@ -579,8 +614,6 @@ def test_property_pattern_agrees_with_scanner(line, mode):
 
 # Random edits rarely build these; the table pins them, reason included.
 @pytest.mark.parametrize("mode", ["triples", "quads"])
-@pytest.mark.parametrize(
-    "line", dict.fromkeys([row[0] for row in MALFORMED] + ['<http://s:1> <http://p:1> "x"@enß .'])
-)
+@pytest.mark.parametrize("line", dict.fromkeys(row[0] for row in MALFORMED))
 def test_table_lines_agree_with_scanner(line, mode):
     assert_pattern_agrees_with_scanner(line, mode)
