@@ -18,12 +18,13 @@ declared type.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 from .classify import ClassificationReport
 from .errors import EmptyUsages, SchemaError, UnknownStreamType
-from .io import escape_literal
-from .model import Iri
+from .io import serialize_term
+from .model import Iri, Literal
 from .taxonomy import (
     STAX_NS,
     InferredTaxonomy,
@@ -43,7 +44,6 @@ DCAT_DATASET = DCAT_NS + "Dataset"
 class StreamTypeUsage:
     stream_type: str
     comment: str | None = None
-    language: str = "en"
 
 
 @dataclass(frozen=True)
@@ -265,12 +265,17 @@ def cross_check(
 # ---------------------------------------------------------------------------
 
 
+# Local names written as stax:<local>: a subset of Turtle's PN_LOCAL that
+# needs no escapes.  Any other IRI is written in full.
+_SAFE_LOCAL = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")
+
+
 def _turtle_ref(iri: str) -> str:
-    if iri.startswith(STAX_NS):
+    if iri.startswith(STAX_NS) and _SAFE_LOCAL.fullmatch(iri[len(STAX_NS):]):
         return "stax:" + iri[len(STAX_NS):]
     if iri == DCAT_DATASET:
         return "dcat:Dataset"
-    return f"<{iri}>"
+    return serialize_term(Iri(iri))
 
 
 def emit_turtle(manifest: AnnotationManifest, taxonomy: Taxonomy | None = None) -> str:
@@ -278,15 +283,13 @@ def emit_turtle(manifest: AnnotationManifest, taxonomy: Taxonomy | None = None) 
 
     One bracketed RdfStreamTypeUsage node per usage, in manifest order;
     the stream type is written as stax:<id> unless the taxonomy maps the
-    id to an IRI outside the stax namespace.
+    id to an IRI outside the stax namespace or the id is not a plain local
+    name.  Every other IRI is written in full with N-Triples escapes, and
+    every comment carries the language tag en.
     """
-    lines = [
-        f"@prefix dcat: <{DCAT_NS}> .",
-        f"@prefix rdfs: <{RDFS_NS}> .",
-        f"@prefix stax: <{STAX_NS}> .",
-        "",
-    ]
-    subject = f"<{manifest.subject_iri.value}>" if manifest.subject_iri else "_:dataset"
+    prefixes = (("dcat", DCAT_NS), ("rdfs", RDFS_NS), ("stax", STAX_NS))
+    lines = [f"@prefix {name}: {serialize_term(Iri(ns))} ." for name, ns in prefixes] + [""]
+    subject = serialize_term(manifest.subject_iri) if manifest.subject_iri else "_:dataset"
     cls = _turtle_ref(manifest.subject_class_iri.value)
     lines.append(f"{subject} a {cls} ;")
 
@@ -299,9 +302,7 @@ def emit_turtle(manifest: AnnotationManifest, taxonomy: Taxonomy | None = None) 
         type_line = f"    stax:hasStreamType {_turtle_ref(type_iri)}"
         if usage.comment is not None:
             body.append(type_line + " ;")
-            body.append(
-                f'    rdfs:comment "{escape_literal(usage.comment)}"@{usage.language}'
-            )
+            body.append(f"    rdfs:comment {serialize_term(Literal(usage.comment, language='en'))}")
         else:
             body.append(type_line)
         blocks.append(body)

@@ -22,8 +22,9 @@ collects the nodes that reach it, which are exactly the nodes that reach
 every node; the IRIs among them are the candidates.
 
 The engine reads each element once.  Memory is bounded except for the
-subject registry (one entry per element of a conforming subject graph
-stream) and the capped evidence buffer.
+chosen subjects (one entry per element that found an unused candidate), the
+report notes (one per element with several candidate subjects or several
+timestamp triples) and the capped evidence buffer.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from decimal import Decimal, InvalidOperation
 from typing import Iterable, Iterator, Union
 
 from .io import Framing, Payload, Source, read_flat_stream, read_grouped_stream
-from .model import Dataset, Graph, Iri, Literal, Quad, Statement, Term, Triple
+from .model import Dataset, Graph, Iri, Literal, Quad, Term, Triple
 from .taxonomy import InferredTaxonomy, default_taxonomy, infer_closure, most_specific
 
 PROV_GENERATED_AT_TIME = Iri("http://www.w3.org/ns/prov#generatedAtTime")
@@ -59,29 +60,6 @@ class ClassifierConfig:
             raise ValueError("max_evidence must be non-negative")
 
 
-class SubjectRegistry:
-    """Chosen subject IRIs, each mapped to the element index that first used it."""
-
-    __slots__ = ("_used",)
-
-    def __init__(self) -> None:
-        self._used: dict[str, int] = {}
-
-    def __contains__(self, iri: Iri) -> bool:
-        return iri.value in self._used
-
-    def first_use(self, iri: Iri) -> int:
-        return self._used[iri.value]
-
-    def register(self, iri: Iri, element_index: int) -> None:
-        if iri.value in self._used:
-            raise ValueError(f"subject {iri} already registered")
-        self._used[iri.value] = element_index
-
-    def __len__(self) -> int:
-        return len(self._used)
-
-
 @dataclass(frozen=True, slots=True)
 class TypeVerdict:
     passed: bool
@@ -94,9 +72,6 @@ class ElementVerdict:
     element_index: int
     per_type: dict[str, TypeVerdict]
     notes: tuple[str, ...] = ()
-
-    def failed_types(self) -> tuple[str, ...]:
-        return tuple(t for t, v in self.per_type.items() if not v.passed)
 
 
 @dataclass(frozen=True, slots=True)
@@ -271,10 +246,13 @@ _PASS = TypeVerdict(True)
 class ClassifierState:
     """Mutable cross-element state of one classification run."""
 
-    __slots__ = ("subjects", "order_max")
+    __slots__ = ("subjects", "ambiguous", "order_max")
 
     def __init__(self) -> None:
-        self.subjects = SubjectRegistry()
+        # chosen subject -> index of the element that took it
+        self.subjects: dict[Iri, int] = {}
+        # whether some element had more than one candidate subject
+        self.ambiguous = False
         # (predicate value, comparability domain) -> (max value, its element index)
         self.order_max: dict[tuple[str, str], tuple[object, int]] = {}
 
@@ -285,7 +263,7 @@ def classify_element(
     cfg: ClassifierConfig,
     element_index: int = 0,
 ) -> ElementVerdict:
-    """Verdicts for one element; updates the registry and order state."""
+    """Verdicts for one element; updates the chosen subjects and order state."""
     if isinstance(element, Graph):
         return _classify_graph(element, state, element_index)
     if isinstance(element, Dataset):
@@ -294,48 +272,28 @@ def classify_element(
 
 
 def _classify_graph(graph: Graph, state: ClassifierState, idx: int) -> ElementVerdict:
-    per_type: dict[str, TypeVerdict] = {"graphStream": _PASS}
-    notes: list[str] = []
-    candidates = candidate_subject_nodes(graph)
-    if len(graph) == 0:
-        per_type["subjectGraphStream"] = TypeVerdict(
-            False, "no candidate subject node", "element is an empty graph"
-        )
+    candidates = sorted(candidate_subject_nodes(graph), key=lambda c: c.value)
+    chosen = next((c for c in candidates if c not in state.subjects), None)
+    notes: tuple[str, ...] = ()
+    if len(candidates) > 1:
+        state.ambiguous = True
+        outcome = "all already used" if chosen is None else f"chose {chosen.value}"
+        notes = (f"element {idx}: {len(candidates)} candidate subjects; {outcome}",)
+    if chosen is not None:
+        state.subjects[chosen] = idx
+        verdict = _PASS
+    elif not graph:
+        verdict = TypeVerdict(False, "no candidate subject node", "element is an empty graph")
     elif not candidates:
-        per_type["subjectGraphStream"] = TypeVerdict(
-            False,
-            "no candidate subject node",
-            "no IRI node reaches every node of the graph",
-        )
+        detail = "no IRI node reaches every node of the graph"
+        verdict = TypeVerdict(False, "no candidate subject node", detail)
+    elif len(candidates) > 1:
+        verdict = TypeVerdict(False, "subject not unique in stream", "every candidate already used")
     else:
-        ordered = sorted(candidates, key=lambda c: c.value)
-        if len(ordered) > 1:
-            chosen = next((c for c in ordered if c not in state.subjects), None)
-            if chosen is not None:
-                state.subjects.register(chosen, idx)
-                notes.append(
-                    f"element {idx}: {len(ordered)} candidate subjects; chose {chosen.value}"
-                )
-                per_type["subjectGraphStream"] = _PASS
-            else:
-                notes.append(
-                    f"element {idx}: {len(ordered)} candidate subjects; all already used"
-                )
-                per_type["subjectGraphStream"] = TypeVerdict(
-                    False, "subject not unique in stream", "every candidate already used"
-                )
-        else:
-            chosen = ordered[0]
-            if chosen in state.subjects:
-                per_type["subjectGraphStream"] = TypeVerdict(
-                    False,
-                    "subject not unique in stream",
-                    f"{chosen.value} first used by element {state.subjects.first_use(chosen)}",
-                )
-            else:
-                state.subjects.register(chosen, idx)
-                per_type["subjectGraphStream"] = _PASS
-    return ElementVerdict(idx, per_type, tuple(notes))
+        used = candidates[0]
+        detail = f"{used.value} first used by element {state.subjects[used]}"
+        verdict = TypeVerdict(False, "subject not unique in stream", detail)
+    return ElementVerdict(idx, {"graphStream": _PASS, "subjectGraphStream": verdict}, notes)
 
 
 def _classify_dataset(
@@ -386,12 +344,6 @@ def _classify_dataset(
     return ElementVerdict(idx, per_type, tuple(notes))
 
 
-def _element_statements(element: Union[Graph, Dataset]) -> int:
-    if isinstance(element, Graph):
-        return len(element)
-    return element.statement_count()
-
-
 def classify_stream(
     source: Union[Source, Iterable],
     framing: Framing,
@@ -411,15 +363,10 @@ def classify_stream(
     return _classify_grouped(source, framing, cfg, inferred)
 
 
-def _as_statement_iter(source, framing: Framing) -> Iterator[Statement]:
+def _iterate(source, framing: Framing, reader) -> Iterator:
+    """Iterate source, running reader on it unless it is already materialized."""
     if isinstance(source, (bytes, str, os.PathLike)) or hasattr(source, "read"):
-        return read_flat_stream(source, framing)
-    return iter(source)
-
-
-def _as_element_iter(source, framing: Framing) -> Iterator[Union[Graph, Dataset]]:
-    if isinstance(source, (bytes, str, os.PathLike)) or hasattr(source, "read"):
-        return read_grouped_stream(source, framing)
+        return reader(source, framing)
     return iter(source)
 
 
@@ -429,7 +376,7 @@ def _classify_flat(
     applicable = ("flatTripleStream",) if framing is Framing.FLAT_TRIPLES else ("flatQuadStream",)
     count = 0
     all_default_graph = True
-    for st in _as_statement_iter(source, framing):
+    for st in _iterate(source, framing, read_flat_stream):
         count += 1
         if isinstance(st, Quad) and st.graph_label is not None:
             all_default_graph = False
@@ -462,22 +409,18 @@ def _classify_grouped(
     notes: list[str] = []
     element_count = 0
     statement_count = 0
-    for idx, element in enumerate(_as_element_iter(source, framing)):
+    for idx, element in enumerate(_iterate(source, framing, read_grouped_stream)):
         element_count += 1
-        statement_count += _element_statements(element)
+        statement_count += len(element) if isinstance(element, Graph) else element.statement_count()
         verdict = classify_element(element, state, cfg, idx)
-        for note in verdict.notes:
-            notes.append(note)
-        failed = verdict.failed_types()
-        if failed:
-            for t in failed:
-                if t not in first_violation:
-                    v = verdict.per_type[t]
-                    first_violation[t] = FirstViolation(idx, v.reason or "failed")
-            if len(evidence) < cfg.max_evidence:
-                evidence.append(verdict)
+        notes.extend(verdict.notes)
+        failed = [(t, v) for t, v in verdict.per_type.items() if not v.passed]
+        for t, v in failed:
+            if t not in first_violation:
+                first_violation[t] = FirstViolation(idx, v.reason or "failed")
+        if failed and len(evidence) < cfg.max_evidence:
+            evidence.append(verdict)
     conforming = tuple(t for t in applicable if t not in first_violation)
-    ambiguous = any("candidate subjects" in n for n in notes)
     return ClassificationReport(
         framing=framing,
         element_count=element_count,
@@ -487,7 +430,7 @@ def _classify_grouped(
         most_specific=most_specific(inferred, conforming),
         first_violation=first_violation,
         vacuous=element_count == 0,
-        ambiguous=ambiguous,
-        notes=tuple(dict.fromkeys(notes)),
+        ambiguous=state.ambiguous,
+        notes=tuple(notes),
         evidence=tuple(evidence),
     )

@@ -21,17 +21,13 @@ from .annotate import cross_check, emit_turtle, load_manifest, validate_usages, 
 from .classify import ClassificationReport, ClassifierConfig, classify_stream
 from .convert import convert, payload_kind
 from .errors import (
-    CycleError,
-    DanglingReference,
-    EmptyUsages,
+    AbstractType,
     InvalidBatchSize,
     MalformedIri,
     MixedPayload,
-    NamedGraphPresent,
     NoConversionPath,
-    OutputExists,
-    ParseError,
     SchemaError,
+    StaxError,
     UnknownStreamType,
     UnknownType,
 )
@@ -354,18 +350,15 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
-_DATA_ERRORS = (
-    ParseError,
-    MixedPayload,
-    SchemaError,
-    UnknownStreamType,
-    EmptyUsages,
-    CycleError,
-    DanglingReference,
-    MalformedIri,
-    NamedGraphPresent,
-    OutputExists,
-)
+# Exit code of each StaxError class, looked up along the class's MRO; any
+# other StaxError is a data error (3).
+_EXIT_CODES = {
+    NoConversionPath: 1,
+    InvalidBatchSize: 2,
+    UnknownType: 2,
+    AbstractType: 2,
+    UnknownStreamType: 3,
+}
 
 _COMMANDS = {
     "classify": _cmd_classify,
@@ -381,18 +374,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except NoConversionPath as exc:
-        print(f"stax-kit: {exc}", file=sys.stderr)
-        return 1
-    except InvalidBatchSize as exc:
-        print(f"stax-kit: {exc}", file=sys.stderr)
-        return 2
-    except _DATA_ERRORS as exc:
-        print(f"stax-kit: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except UnknownType as exc:
-        print(f"stax-kit: {exc}", file=sys.stderr)
-        return 2
+    except StaxError as exc:
+        code = next((_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES), 3)
+        name = f"{type(exc).__name__}: " if code == 3 else ""
+        print(f"stax-kit: {name}{exc}", file=sys.stderr)
+        return code
     except OSError as exc:
         print(f"stax-kit: {exc}", file=sys.stderr)
         return 3

@@ -14,7 +14,14 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .errors import InvalidBatchSize, MixedPayload, NamedGraphPresent, NoConversionPath
+from .errors import (
+    AbstractType,
+    InvalidBatchSize,
+    MixedPayload,
+    NamedGraphPresent,
+    NoConversionPath,
+    SchemaError,
+)
 from .io import Payload
 from .model import Dataset, Element, Graph, Quad, Statement, Triple
 from .taxonomy import InferredTaxonomy, conversion_path
@@ -143,10 +150,16 @@ _STEPS = {
 
 def payload_kind(inferred: InferredTaxonomy, type_id: str) -> Payload:
     """Payload of a concrete type: which built-in anchor it descends from."""
-    reach = {type_id, *inferred.taxonomy.ancestors(type_id)}
+    taxonomy = inferred.taxonomy
+    if taxonomy.type(type_id).kind.value != "concrete":
+        raise AbstractType(f"{type_id} is abstract; only concrete types have a payload")
+    reach = {type_id, *taxonomy.ancestors(type_id)}
     matches = [payload for anchor, payload in _ANCHOR_PAYLOADS.items() if anchor in reach]
     if len(matches) != 1:
-        raise ValueError(f"cannot determine the payload kind of {type_id}")
+        raise SchemaError(
+            f"concrete type {type_id} must be or narrow exactly one of "
+            f"{', '.join(_ANCHOR_PAYLOADS)}, found {len(matches)}"
+        )
     return matches[0]
 
 
@@ -164,17 +177,14 @@ def convert(
     steps use batch_size (default 1).  Raises NoConversionPath when the
     policy admits no plan.
     """
-    for type_id in (from_type, to_type):
-        t = inferred.taxonomy.type(type_id)
-        if t.kind.value != "concrete":
-            raise ValueError(f"conversion endpoints must be concrete types, got {type_id}")
+    kind = payload_kind(inferred, from_type)
+    expect = payload_kind(inferred, to_type)
     if batch_size is not None and batch_size < 1:
         raise InvalidBatchSize(f"batch size must be >= 1, got {batch_size}")
     steps = conversion_path(inferred, from_type, to_type, policy)
     if steps is None:
         raise NoConversionPath(from_type, to_type, policy)
 
-    kind = payload_kind(inferred, from_type)
     out: Iterable = items
     for step in steps:
         target = _STEPS[step.relation].get(kind)
@@ -187,7 +197,6 @@ def convert(
         else:
             out = extend(out, kind)
         kind = target
-    expect = payload_kind(inferred, to_type)
     if kind is not expect:
         raise MixedPayload(
             f"conversion plan ends at a {kind.value} stream but {to_type} holds {expect.value}"

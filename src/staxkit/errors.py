@@ -55,6 +55,10 @@ class UnknownType(StaxError):
     """A stream type id is not present in the taxonomy."""
 
 
+class AbstractType(StaxError, ValueError):
+    """An abstract stream type was given where a concrete one is needed."""
+
+
 class UnknownStreamType(UnknownType):
     """An annotation manifest names a stream type the taxonomy does not define."""
 

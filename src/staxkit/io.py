@@ -31,6 +31,7 @@ from typing import IO, Iterable, Iterator, Union
 
 from .errors import MalformedIri, MixedPayload, OutputExists, ParseError
 from .model import (
+    LANGTAG,
     XSD_STRING,
     BlankNode,
     Dataset,
@@ -111,7 +112,8 @@ class ParsedLine:
 # ---------------------------------------------------------------------------
 # Line-level parsing
 # ---------------------------------------------------------------------------
-# Each lexical production is written once below, as a regex fragment.  One
+# Each lexical production is written once, as a regex fragment: below, or
+# in model for LANGTAG, which Literal checks as well.  One
 # precompiled statement pattern built from them parses every valid line.  A
 # line it declines, or whose terms fail validation, is read again token by
 # token with the same fragments (_locate) to raise the first error.
@@ -121,7 +123,6 @@ _UCHAR = r"\\(?:u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})"
 _ECHAR_VALUE = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
 _ECHAR = rf"\\[{re.escape(''.join(_ECHAR_VALUE))}]"
 _LABEL = r"[A-Za-z0-9_.-]"
-_LANGTAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
 
 _IRI_TOKEN = rf'<[^\s<>"\\]*(?:{_UCHAR}[^\s<>"\\]*)*>'
 # A blank label is the longest run of label characters less its trailing
@@ -130,7 +131,7 @@ _NODE_TOKEN = rf"({_IRI_TOKEN}|_:[A-Za-z0-9]{_LABEL}*(?<!\.)(?=\.*(?!{_LABEL})))
 _STATEMENT = re.compile(
     rf"{_WS}{_NODE_TOKEN}{_WS}({_IRI_TOKEN}){_WS}(?:{_NODE_TOKEN}"
     rf'|"([^"\\]*(?:(?:{_ECHAR}|{_UCHAR})[^"\\]*)*)"'
-    rf"(?:@({_LANGTAG})|\^\^({_IRI_TOKEN}))?)"
+    rf"(?:@({LANGTAG})|\^\^({_IRI_TOKEN}))?)"
     rf"{_WS}(?:{_NODE_TOKEN}{_WS})?\.{_WS}(?:#|\Z)"
 )
 _ESCAPE = re.compile(rf"{_UCHAR}|{_ECHAR}")
@@ -142,7 +143,6 @@ _IRI_READ = re.compile(rf"<(?:[^>\\]|{_UCHAR})*")
 _LITERAL_READ = re.compile(rf'"(?:[^"\\]|{_ECHAR}|{_UCHAR})*')
 _BLANK_READ = re.compile(rf"_:{_LABEL}*")
 _TAG_READ = re.compile(r"@(?:[^\W_]|-)*")  # alphanumerics and '-'
-_LANGTAG_RE = re.compile(_LANGTAG)
 
 # The terms a statement holds, in order: the types each may be, and the
 # error for any other.  The fourth, the graph label, is optional.
@@ -271,9 +271,10 @@ def _read_term(line: str, pos: int, line_no: int) -> tuple[Term, int]:
             return Iri(text), end
         if line.startswith("@", end):
             tag = _TAG_READ.match(line, end)[0][1:]
-            if not _LANGTAG_RE.fullmatch(tag):
-                raise ParseError(line_no, end + 1, "bad language tag")
-            return Literal(text, language=tag), end + 1 + len(tag)
+            try:
+                return Literal(text, language=tag), end + 1 + len(tag)
+            except ValueError:
+                raise ParseError(line_no, end + 1, "bad language tag") from None
         if not line.startswith("^^", end):
             return Literal(text), end
         if not line.startswith("<", end + 2):

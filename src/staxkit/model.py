@@ -24,6 +24,12 @@ _IRI_FORBIDDEN = set('<>"')
 # One regex validates an IRI; the checks in Iri only pick the error message.
 # '\s' matches exactly the characters str.isspace() accepts.
 _IRI_VALID = re.compile(r'[^\s<>"]*:[^\s<>"]*')
+# The RDF 1.1 N-Triples LANGTAG production, without its leading '@'.
+LANGTAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
+_LANGTAG_RE = re.compile(LANGTAG)
+# Datatype IRIs Literal has already checked: few distinct ones occur, and
+# checking an IRI costs more than building the rest of a literal.
+_checked_datatypes = {XSD_STRING}
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,7 +78,9 @@ class Literal:
     """An RDF literal: lexical form, datatype IRI, optional language tag.
 
     A language-tagged literal always has datatype rdf:langString; a literal
-    without an explicit datatype defaults to xsd:string. Equality is
+    without an explicit datatype defaults to xsd:string. A tag must match
+    the N-Triples LANGTAG production and a datatype must be a valid Iri
+    value, so every literal survives a write and read. Equality is
     structural (lexical form, datatype, language) with no value-space
     comparison.
     """
@@ -83,8 +91,8 @@ class Literal:
 
     def __post_init__(self):
         if self.language is not None:
-            if not self.language:
-                raise ValueError("empty language tag")
+            if not _LANGTAG_RE.fullmatch(self.language):
+                raise ValueError(f"invalid language tag: {self.language!r}")
             if self.datatype not in (XSD_STRING, RDF_LANGSTRING):
                 raise ValueError(
                     "language-tagged literal must have datatype rdf:langString"
@@ -92,6 +100,10 @@ class Literal:
             object.__setattr__(self, "datatype", RDF_LANGSTRING)
         elif self.datatype == RDF_LANGSTRING:
             raise ValueError("rdf:langString literal requires a language tag")
+        elif self.datatype not in _checked_datatypes:
+            Iri(self.datatype)  # raises MalformedIri naming the fault
+            if len(_checked_datatypes) < 1024:
+                _checked_datatypes.add(self.datatype)
 
 
 Term = Union[Iri, BlankNode, Literal]

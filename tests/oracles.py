@@ -576,7 +576,7 @@ class ReferenceTurtleParser:
 
     def _resolve(self, kind: str, tok: str) -> tuple:
         if kind == "iri":
-            return ("iri", tok[1:-1])
+            return ("iri", _unescape(tok[1:-1]))
         if kind == "a":
             return ("iri", "http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
         if kind == "pname":

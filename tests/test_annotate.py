@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -343,6 +344,36 @@ class TestEmitTurtle:
         triples = reference_parse_turtle(text)
         assert 'say "hi"\nthen stop' in {
             t[2][1] for t in triples if t[1] == ("iri", RDFS_COMMENT)
+        }
+
+    def test_every_iri_is_a_turtle_iriref(self):
+        from staxkit.taxonomy import load_taxonomy
+
+        # IRIREF of the Turtle and N-Triples grammars, written out here
+        iriref = re.compile(r'<(?:[^\x00-\x20<>"{}|^`\\]|\\u[0-9A-Fa-f]{4}|\\U[0-9A-Fa-f]{8})*>')
+        odd = {"plain": STAX_NS + "plainStream", "dotted": STAX_NS + "a.b/c",
+               "spaced": STAX_NS + "x{y}", "outside": "http://x:1/m`n^\\o|"}
+        doc = {
+            "types": [{"id": "root", "iri": "http://x:1/root", "kind": "abstract"}]
+            + [{"id": i, "iri": v, "kind": "concrete"} for i, v in odd.items()],
+            "relations": [[i, "broader", "root"] for i in odd],
+        }
+        tax = load_taxonomy(json.dumps(doc))
+        m = AnnotationManifest(
+            tuple(StreamTypeUsage(i, "<not an IRI>") for i in odd),
+            subject_iri=Iri("http://ex.org/d{1}|x^"),
+            subject_class_iri=Iri(STAX_NS + "odd{class}"),
+        )
+        text = emit_turtle(m, tax)
+        outside_literals = re.sub(r'"(?:[^"\\]|\\.)*"', '""', text)
+        written = re.findall(r"<[^>]*>", outside_literals)
+        assert len(written) == 3 + 1 + 1 + 3  # prefixes, subject, class, unsafe types
+        assert all(iriref.fullmatch(w) for w in written), written
+        assert "stax:plainStream" in text
+        triples = reference_parse_turtle(text)
+        assert ("iri", "http://ex.org/d{1}|x^") in {t[0] for t in triples}
+        assert {t[2] for t in triples if t[1] == ("iri", STAX_NS + "hasStreamType")} == {
+            ("iri", v) for v in odd.values()
         }
 
     def test_custom_taxonomy_iri_outside_stax_namespace(self):

@@ -18,7 +18,6 @@ from staxkit.classify import (
     XSD_INTEGER,
     ClassifierConfig,
     ClassifierState,
-    SubjectRegistry,
     candidate_subject_nodes,
     check_named_graph_shape,
     check_timestamped_named_graph,
@@ -281,11 +280,14 @@ class TestClassifyElement:
 
     def test_ambiguous_choice_prefers_smallest_unused(self):
         state = ClassifierState()
+        classify_element(chain("x", "y"), state, ClassifierConfig(), 0)
+        assert not state.ambiguous
         g = Graph([Triple(iri("a"), P, iri("b")), Triple(iri("b"), P, iri("a"))])
-        v = classify_element(g, state, ClassifierConfig(), 0)
+        v = classify_element(g, state, ClassifierConfig(), 1)
         assert v.per_type["subjectGraphStream"].passed
-        assert any("2 candidate subjects" in n for n in v.notes)
-        assert iri("a") in state.subjects and iri("b") not in state.subjects
+        assert v.notes == (f"element 1: 2 candidate subjects; chose {EX}a",)
+        assert state.ambiguous
+        assert state.subjects == {iri("x"): 0, iri("a"): 1}
 
     def test_ambiguous_skips_used_candidates(self):
         state = ClassifierState()
@@ -564,12 +566,3 @@ class TestConfig:
     def test_negative_evidence_rejected(self):
         with pytest.raises(ValueError):
             ClassifierConfig(max_evidence=-1)
-
-    def test_registry_tracks_first_use(self):
-        reg = SubjectRegistry()
-        reg.register(iri("s"), 3)
-        assert iri("s") in reg
-        assert reg.first_use(iri("s")) == 3
-        assert len(reg) == 1
-        with pytest.raises(ValueError):
-            reg.register(iri("s"), 4)

@@ -5,7 +5,16 @@ import sys
 import pytest
 from jsonschema import validate as schema_validate
 
-from staxkit.cli import _framing_for, main
+from staxkit.cli import _COMMANDS, _framing_for, main
+from staxkit.errors import (
+    AbstractType,
+    InvalidBatchSize,
+    NamedGraphPresent,
+    NoConversionPath,
+    ParseError,
+    StaxError,
+    UnknownType,
+)
 from staxkit.convert import payload_kind
 from staxkit.taxonomy import TypeKind, default_taxonomy, infer_closure
 
@@ -649,23 +658,69 @@ class TestConvert:
         )
         assert code == 3
 
-    def test_abstract_endpoint_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("from_type", ["flatStream", "rdfStream"])
+    def test_abstract_endpoint_is_usage_error(self, from_type, tmp_path, capsys):
         src = tmp_path / "in.nt"
         src.write_bytes(flat_triples(1))
-        with pytest.raises(ValueError):
-            main(
-                [
-                    "convert",
-                    "--input",
-                    str(src),
-                    "--output",
-                    "-",
-                    "--from",
-                    "flatStream",
-                    "--to",
-                    "flatTripleStream",
-                ]
-            )
+        argv = ["convert", "--input", str(src), "--output", "-", "--from", from_type]
+        assert main(argv + ["--to", "flatTripleStream"]) == 2
+        assert capsys.readouterr().err == (
+            f"stax-kit: {from_type} is abstract; only concrete types have a payload\n"
+        )
+
+    def test_anchorless_endpoint_is_schema_error(self, tmp_path, capsys, monkeypatch):
+        # README's custom taxonomy: leafStream narrows no payload anchor
+        tax_file = tmp_path / "taxonomy.json"
+        tax_file.write_text(json.dumps({
+            "types": [
+                {"id": "rootStream", "iri": "http://example.org/root", "kind": "abstract"},
+                {"id": "leafStream", "iri": "http://example.org/leaf", "kind": "concrete"},
+            ],
+            "relations": [["leafStream", "broader", "rootStream"]],
+        }))
+        monkeypatch.setenv("STAX_TAXONOMY", str(tax_file))
+        src = tmp_path / "in.nt"
+        src.write_bytes(flat_triples(1))
+        argv = ["convert", "--input", str(src), "--output", "-"]
+        assert main(argv + ["--from", "leafStream", "--to", "leafStream"]) == 3
+        assert capsys.readouterr().err == (
+            "stax-kit: SchemaError: concrete type leafStream must be or narrow exactly one of "
+            "flatTripleStream, flatQuadStream, graphStream, datasetStream, found 0\n"
+        )
+
+
+def _stax_error_classes(cls=StaxError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _stax_error_classes(sub)
+
+
+def _instance(cls):
+    if cls is ParseError:
+        return cls(4, 2, "broken")
+    if cls is NamedGraphPresent:
+        return cls(7)
+    if cls is NoConversionPath:
+        return cls("graphStream", "flatQuadStream", "strict")
+    return cls("broken")
+
+
+EXIT_CODES = {NoConversionPath: 1, InvalidBatchSize: 2, UnknownType: 2, AbstractType: 2}
+
+
+@pytest.mark.parametrize("cls", list(_stax_error_classes()), ids=lambda c: c.__name__)
+def test_every_stax_error_gives_its_exit_code_and_one_line(cls, capsys, monkeypatch):
+    exc = _instance(cls)
+
+    def command(args):
+        raise exc
+
+    monkeypatch.setitem(_COMMANDS, "taxonomy", command)
+    code = main(["taxonomy", "closure"])
+    # UnknownStreamType is a manifest's data error although it is an UnknownType
+    assert code == EXIT_CODES.get(cls, 3)
+    name = f"{cls.__name__}: " if code == 3 else ""
+    assert capsys.readouterr().err == f"stax-kit: {name}{exc}\n"
 
 
 class TestTaxonomy:

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -15,14 +16,16 @@ from staxkit.convert import (
     project,
 )
 from staxkit.errors import (
+    AbstractType,
     InvalidBatchSize,
     MixedPayload,
     NamedGraphPresent,
     NoConversionPath,
+    SchemaError,
 )
 from staxkit.io import Framing
 from staxkit.model import Dataset, Graph, Iri, Quad, Triple
-from staxkit.taxonomy import Taxonomy, default_taxonomy, infer_closure
+from staxkit.taxonomy import Taxonomy, default_taxonomy, infer_closure, load_taxonomy
 
 C = infer_closure(default_taxonomy())
 P = Iri(EX + "p")
@@ -287,6 +290,23 @@ class TestPayloadKind:
     def test_abstract_types_have_no_kind(self):
         with pytest.raises(ValueError):
             payload_kind(C, "rdfStream")
+
+    def test_abstract_type_error_is_a_stax_error(self):
+        with pytest.raises(AbstractType, match="rdfStream is abstract"):
+            payload_kind(C, "rdfStream")
+        with pytest.raises(AbstractType, match="flatStream is abstract"):
+            convert(iter([]), "flatStream", "flatTripleStream", C)
+
+    def test_concrete_type_needs_exactly_one_anchor(self):
+        anchorless = infer_closure(load_taxonomy(json.dumps({
+            "types": [
+                {"id": "rootStream", "iri": "http://x:1/root", "kind": "abstract"},
+                {"id": "leafStream", "iri": "http://x:1/leaf", "kind": "concrete"},
+            ],
+            "relations": [["leafStream", "broader", "rootStream"]],
+        })))
+        with pytest.raises(SchemaError, match="leafStream must be or narrow exactly one"):
+            payload_kind(anchorless, "leafStream")
 
 
 class TestClassificationCoherence:

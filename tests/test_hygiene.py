@@ -1,16 +1,18 @@
 """Source hygiene: every module of the package uses every name it imports,
 every name it defines at module level is referenced somewhere, and the
-README's JSON and Turtle examples still match the code."""
+README's JSON and Turtle examples and CLI commands still match the code."""
 
 import ast
 import json
 import re
+import shlex
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from staxkit.annotate import emit_turtle, load_manifest
+from staxkit.cli import build_parser
 from staxkit.taxonomy import default_taxonomy, load_taxonomy
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -187,6 +189,24 @@ def readme_json_example(key: str) -> str:
 @pytest.mark.parametrize("index", range(len(readme_blocks("json"))))
 def test_readme_json_block_parses(index):
     json.loads(readme_blocks("json")[index])
+
+
+def readme_cli_commands() -> list[str]:
+    """Each stax-kit command of README's sh blocks, continuation lines joined."""
+    text = re.sub(r"\s*\\\n\s*", " ", "\n".join(readme_blocks("sh")))
+    return [line for line in text.splitlines() if line.startswith("stax-kit ")]
+
+
+def test_readme_shows_cli_commands():
+    assert len(readme_cli_commands()) >= 10
+
+
+@pytest.mark.parametrize("command", readme_cli_commands())
+def test_readme_cli_command_parses(command):
+    try:
+        build_parser().parse_args(shlex.split(command, comments=True)[1:])
+    except SystemExit:
+        pytest.fail(f"the CLI rejects README's command: {command}")
 
 
 def test_readme_taxonomy_example_loads():

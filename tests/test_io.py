@@ -12,7 +12,7 @@ from streamgen import (
     gen_unique_statements,
 )
 from staxkit.convert import flatten_graphs
-from staxkit.errors import MixedPayload, OutputExists, ParseError
+from staxkit.errors import MalformedIri, MixedPayload, OutputExists, ParseError
 from staxkit.io import (
     FRAME_DELIMITER,
     Framing,
@@ -28,7 +28,7 @@ from staxkit.io import (
     write_flat_stream,
     write_grouped_stream,
 )
-from staxkit.model import BlankNode, Dataset, Graph, Iri, Literal, Quad, Triple
+from staxkit.model import XSD_STRING, BlankNode, Dataset, Graph, Iri, Literal, Quad, Triple
 
 EX = "http://example.org/"
 
@@ -559,6 +559,35 @@ def test_property_quad_roundtrip(statements):
 def test_property_framed_graph_roundtrip(elements):
     payload = write_grouped_stream(elements, Framing.FRAMED_GRAPHS)
     assert list(read_grouped_stream(payload, Framing.FRAMED_GRAPHS)) == elements
+
+
+def _accepted_literal(lexical, language, datatype):
+    try:
+        return Literal(lexical, datatype, language)
+    except (MalformedIri, ValueError):
+        return None
+
+
+# Any text for every field: the model decides which literals exist.  Lone
+# surrogates are left out, as st.text leaves them out by default.
+any_literals = st.builds(
+    _accepted_literal,
+    st.text(max_size=8),
+    st.one_of(
+        st.none(),
+        st.text(max_size=8),
+        st.text(alphabet="enGB1-\u00df\u0661", max_size=6),
+    ),
+    st.one_of(st.just(XSD_STRING), st.text(max_size=8), iri_values),
+).filter(lambda lit: lit is not None)
+
+
+@settings(max_examples=300)
+@given(any_literals)
+def test_property_every_literal_roundtrips(literal):
+    statement = Triple(Iri("http://s:1"), Iri("http://p:1"), literal)
+    payload = write_flat_stream([statement], Framing.FLAT_TRIPLES)
+    assert list(read_flat_stream(payload, Framing.FLAT_TRIPLES)) == [statement]
 
 
 # hypothesis: the line pattern, the locator and the scanner oracle agree on

@@ -97,6 +97,20 @@ class TestLiteral:
         with pytest.raises(ValueError):
             Literal("x", language="")
 
+    @pytest.mark.parametrize("tag", ["e1", "en-", "en--a", "enß", "en-\u0661"])
+    def test_tag_outside_langtag_rejected(self, tag):
+        with pytest.raises(ValueError, match="invalid language tag"):
+            Literal("x", language=tag)
+
+    @pytest.mark.parametrize("tag", ["en", "en-GB", "zh-Hant-TW", "x-1a2b"])
+    def test_langtag_accepted(self, tag):
+        assert Literal("x", language=tag).language == tag
+
+    @pytest.mark.parametrize("datatype", ["nocolon", "http://a b", "http://a<b", ""])
+    def test_datatype_must_be_an_iri(self, datatype):
+        with pytest.raises(MalformedIri):
+            Literal("x", datatype=datatype)
+
     def test_typed(self):
         lit = Literal("4", datatype="http://www.w3.org/2001/XMLSchema#integer")
         assert lit.language is None
