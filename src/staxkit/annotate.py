@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
-from .classify import ClassificationReport
 from .errors import EmptyUsages, SchemaError, UnknownStreamType
 from .io import serialize_term
-from .model import Iri, Literal
+from .model import Frozen, Iri, Literal
 from .taxonomy import (
     STAX_NS,
     InferredTaxonomy,
@@ -35,31 +34,38 @@ from .taxonomy import (
     relates,
 )
 
+if TYPE_CHECKING:
+    from .classify import ClassificationReport
+
 DCAT_NS = "http://www.w3.org/ns/dcat#"
 RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
 DCAT_DATASET = DCAT_NS + "Dataset"
 
 
-@dataclass(frozen=True, slots=True)
-class StreamTypeUsage:
+class StreamTypeUsage(NamedTuple):
     stream_type: str
     comment: str | None = None
 
 
-@dataclass(frozen=True)
-class AnnotationManifest:
-    usages: tuple[StreamTypeUsage, ...]
-    subject_iri: Iri | None = None
-    subject_class_iri: Iri = Iri(DCAT_DATASET)
+class AnnotationManifest(Frozen):
+    __slots__ = ("usages", "subject_iri", "subject_class_iri")
 
-    def __post_init__(self) -> None:
-        if not self.usages:
+    def __init__(
+        self,
+        usages: tuple[StreamTypeUsage, ...],
+        subject_iri: Iri | None = None,
+        subject_class_iri: Iri = Iri(DCAT_DATASET),
+    ):
+        if not usages:
             raise EmptyUsages("manifest declares no stream type usages")
         seen: set[str] = set()
-        for u in self.usages:
+        for u in usages:
             if u.stream_type in seen:
                 raise SchemaError(f"duplicate stream type usage: {u.stream_type}")
             seen.add(u.stream_type)
+        object.__setattr__(self, "usages", usages)
+        object.__setattr__(self, "subject_iri", subject_iri)
+        object.__setattr__(self, "subject_class_iri", subject_class_iri)
 
 
 def load_manifest(text: str, taxonomy: Taxonomy | None = None) -> AnnotationManifest:
@@ -127,22 +133,19 @@ def load_manifest(text: str, taxonomy: Taxonomy | None = None) -> AnnotationMani
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Violation:
+class Violation(NamedTuple):
     rule: str  # 'pair-relation' | 'same-side'
     usages: tuple[str, ...]
     message: str
 
 
-@dataclass(frozen=True, slots=True)
-class CrossCheckEntry:
+class CrossCheckEntry(NamedTuple):
     stream_type: str
     passed: bool
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...]
     cross_check: tuple[CrossCheckEntry, ...] | None = None
 

@@ -30,13 +30,12 @@ timestamp triples) and the capped evidence buffer.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from datetime import datetime, timezone
-from decimal import Decimal, InvalidOperation
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
-from .io import Framing, Payload, Source, read_flat_stream, read_grouped_stream
-from .model import Dataset, Graph, Iri, Literal, Quad, Term, Triple
+from .framing import Framing, Payload
+from .io import Source, read_flat_stream, read_grouped_stream
+from .model import Dataset, Frozen, Graph, Iri, Literal, Quad, Term, Triple
 from .taxonomy import InferredTaxonomy, default_taxonomy, infer_closure, most_specific
 
 PROV_GENERATED_AT_TIME = Iri("http://www.w3.org/ns/prov#generatedAtTime")
@@ -47,41 +46,42 @@ XSD_INTEGER = "http://www.w3.org/2001/XMLSchema#integer"
 XSD_DECIMAL = "http://www.w3.org/2001/XMLSchema#decimal"
 
 
-@dataclass(frozen=True, slots=True)
-class ClassifierConfig:
-    timestamp_predicates: frozenset[Iri] = frozenset({PROV_GENERATED_AT_TIME})
-    check_timestamp_order: bool = True
-    max_evidence: int = 10
+class ClassifierConfig(Frozen):
+    __slots__ = ("timestamp_predicates", "check_timestamp_order", "max_evidence")
 
-    def __post_init__(self) -> None:
-        if not self.timestamp_predicates:
+    def __init__(
+        self,
+        timestamp_predicates: frozenset[Iri] = frozenset({PROV_GENERATED_AT_TIME}),
+        check_timestamp_order: bool = True,
+        max_evidence: int = 10,
+    ):
+        if not timestamp_predicates:
             raise ValueError("timestamp_predicates must not be empty")
-        if self.max_evidence < 0:
+        if max_evidence < 0:
             raise ValueError("max_evidence must be non-negative")
+        object.__setattr__(self, "timestamp_predicates", timestamp_predicates)
+        object.__setattr__(self, "check_timestamp_order", check_timestamp_order)
+        object.__setattr__(self, "max_evidence", max_evidence)
 
 
-@dataclass(frozen=True, slots=True)
-class TypeVerdict:
+class TypeVerdict(NamedTuple):
     passed: bool
     reason: str | None = None
     detail: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class ElementVerdict:
+class ElementVerdict(NamedTuple):
     element_index: int
     per_type: dict[str, TypeVerdict]
     notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class FirstViolation:
+class FirstViolation(NamedTuple):
     element_index: int
     reason: str
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     framing: Framing
     element_count: int
     statement_count: int
@@ -226,10 +226,15 @@ def comparable_timestamp(term: Term) -> tuple[str, object] | None:
             if dt.tzinfo is not None:
                 dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
             return "chrono-naive", datetime(dt.year, dt.month, dt.day)
-        if term.datatype in (XSD_INTEGER, XSD_DECIMAL):
-            return "numeric", Decimal(lex)
-    except (ValueError, InvalidOperation):
+    except ValueError:
         return None
+    if term.datatype in (XSD_INTEGER, XSD_DECIMAL):
+        import decimal  # imported here: only numeric timestamps need it
+
+        try:
+            return "numeric", decimal.Decimal(lex)
+        except (ValueError, decimal.InvalidOperation):
+            return None
     return None
 
 

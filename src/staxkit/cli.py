@@ -7,19 +7,18 @@ check, no conversion path); 2 usage errors; 3 parse/data errors.
 
 The STAX_TAXONOMY environment variable may point to a taxonomy manifest
 that replaces the built-in taxonomy for every subcommand.
+
+Each subcommand imports the modules only it uses, so a call loads no more
+of the package than it needs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .annotate import cross_check, emit_turtle, load_manifest, validate_usages, ValidationReport
-from .classify import ClassificationReport, ClassifierConfig, classify_stream
-from .convert import convert, payload_kind
 from .errors import (
     AbstractType,
     InvalidBatchSize,
@@ -31,16 +30,7 @@ from .errors import (
     UnknownStreamType,
     UnknownType,
 )
-from .io import (
-    Framing,
-    Payload,
-    read_flat_stream,
-    read_grouped_stream,
-    write_dir_stream,
-    write_flat_stream,
-    write_grouped_stream,
-)
-from .model import Iri
+from .framing import Framing, Payload
 from .taxonomy import (
     RELATION_NAMES,
     Taxonomy,
@@ -51,6 +41,9 @@ from .taxonomy import (
     normalize_relation,
     relates,
 )
+
+if TYPE_CHECKING:
+    from .classify import ClassificationReport
 
 _FRAMING_NAMES = [f.value for f in Framing]
 
@@ -140,6 +133,8 @@ def _read_source(path: str, framing: Framing):
 
 
 def _print_json(doc: dict) -> None:
+    import json
+
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
@@ -149,6 +144,9 @@ def _print_json(doc: dict) -> None:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    from .classify import ClassifierConfig, classify_stream
+    from .model import Iri
+
     taxonomy = _active_taxonomy()
     inferred = infer_closure(taxonomy)
     framing = Framing(args.framing)
@@ -215,6 +213,10 @@ def _framing_for(payload: Payload, path: str, override: str | None, flag: str) -
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
+    from .convert import convert, payload_kind
+    from .io import read_flat_stream, read_grouped_stream
+    from .io import write_dir_stream, write_flat_stream, write_grouped_stream
+
     taxonomy = _active_taxonomy()
     inferred = infer_closure(taxonomy)
     from_payload = payload_kind(inferred, args.from_type)
@@ -306,6 +308,8 @@ def _cmd_taxonomy(args: argparse.Namespace) -> int:
 
 
 def _cmd_annotate(args: argparse.Namespace) -> int:
+    from .annotate import emit_turtle, load_manifest
+
     taxonomy = _active_taxonomy()
     manifest = load_manifest(_read_text(args.manifest), taxonomy)
     turtle = emit_turtle(manifest, taxonomy)
@@ -318,6 +322,9 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .annotate import ValidationReport, cross_check, load_manifest, validate_usages
+    from .classify import ClassifierConfig, classify_stream
+
     taxonomy = _active_taxonomy()
     inferred = infer_closure(taxonomy)
     manifest = load_manifest(_read_text(args.manifest), taxonomy)

@@ -22,7 +22,7 @@ from .errors import (
     NoConversionPath,
     SchemaError,
 )
-from .io import Payload
+from .framing import Payload
 from .model import Dataset, Element, Graph, Quad, Statement, Triple
 from .taxonomy import InferredTaxonomy, conversion_path
 

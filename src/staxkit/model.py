@@ -1,15 +1,15 @@
 """Immutable RDF 1.1 value types: terms, statements, graphs, and datasets.
 
-Terms and statements are frozen dataclasses validated on construction.
-Graphs and datasets keep set semantics but preserve first-occurrence order,
-so serialization and stream conversions stay deterministic.
+Terms and statements are immutable slotted classes validated on
+construction; they compare and hash by class and fields.  Graphs and
+datasets keep set semantics but preserve first-occurrence order, so
+serialization and stream conversions stay deterministic.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping
 
 from .errors import MalformedIri
 
@@ -20,10 +20,13 @@ XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
 # but must not end with one (a trailing '.' would merge with the statement
 # terminator on serialization).
 _BLANK_LABEL = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*$")
-_IRI_FORBIDDEN = set('<>"')
-# One regex validates an IRI; the checks in Iri only pick the error message.
-# '\s' matches exactly the characters str.isspace() accepts.
-_IRI_VALID = re.compile(r'[^\s<>"]*:[^\s<>"]*')
+# Characters an IRI must not hold: '\s' matches exactly the characters
+# str.isspace() accepts; surrogates have no UTF-8 encoding.  One regex
+# validates an IRI; the other only finds the character to name in the error.
+_IRI_BAD = r'\s<>"\ud800-\udfff'
+_IRI_VALID = re.compile(rf"[^{_IRI_BAD}]*:[^{_IRI_BAD}]*")
+_IRI_BAD_CHAR = re.compile(rf"[{_IRI_BAD}]")
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
 # The RDF 1.1 N-Triples LANGTAG production, without its leading '@'.
 LANGTAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
 _LANGTAG_RE = re.compile(LANGTAG)
@@ -31,123 +34,197 @@ _LANGTAG_RE = re.compile(LANGTAG)
 # checking an IRI costs more than building the rest of a literal.
 _checked_datatypes = {XSD_STRING}
 
+# Sets a field of an immutable instance; constructors run on every parsed
+# term, so they call it directly (a parameter named object shadows the
+# builtin in Triple and Quad).
+_set = object.__setattr__
 
-@dataclass(frozen=True, slots=True)
-class Iri:
+
+class Frozen:
+    """Base of the immutable value classes: a subclass lists its fields as
+    __slots__ and sets each once in __init__ with object.__setattr__.
+    Values of the same class with equal fields are equal and hash equal."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+# Every parsed statement is built and hashed through the classes below, and
+# terms are compared as dictionary keys, so those methods are written out.
+
+
+class Iri(Frozen):
     """An absolute IRI reference.
 
     Validation is a conservative syntactic subset, not full RFC 3987: the
     value must be non-empty, contain a ':' (scheme separator), and contain
-    no whitespace or any of '<', '>', '\"'.
+    no whitespace, no surrogate code point and none of '<', '>', '\"'.
     """
 
-    value: str
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        v = self.value
-        if _IRI_VALID.fullmatch(v):
-            return
-        if not v:
-            raise MalformedIri("empty IRI")
-        if ":" not in v:
-            raise MalformedIri(f"IRI has no scheme separator ':': {v!r}")
-        for c in v:
-            if c.isspace() or c in _IRI_FORBIDDEN:
-                raise MalformedIri(f"IRI contains forbidden character {c!r}: {v!r}")
+    def __init__(self, value: str):
+        if not _IRI_VALID.fullmatch(value):
+            if not value:
+                raise MalformedIri("empty IRI")
+            if ":" not in value:
+                raise MalformedIri(f"IRI has no scheme separator ':': {value!r}")
+            bad = _IRI_BAD_CHAR.search(value)[0]
+            raise MalformedIri(f"IRI contains forbidden character {bad!r}: {value!r}")
+        _set(self, "value", value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.value)
 
     def __str__(self) -> str:
         return self.value
 
 
-@dataclass(frozen=True, slots=True)
-class BlankNode:
+class BlankNode(Frozen):
     """A blank node with a document-scoped label."""
 
-    label: str
+    __slots__ = ("label",)
 
-    def __post_init__(self):
-        if not _BLANK_LABEL.fullmatch(self.label) or self.label.endswith("."):
-            raise ValueError(f"invalid blank node label: {self.label!r}")
+    def __init__(self, label: str):
+        if not _BLANK_LABEL.fullmatch(label) or label.endswith("."):
+            raise ValueError(f"invalid blank node label: {label!r}")
+        _set(self, "label", label)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.label == other.label
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.label)
 
     def __str__(self) -> str:
         return f"_:{self.label}"
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
+class Literal(Frozen):
     """An RDF literal: lexical form, datatype IRI, optional language tag.
 
     A language-tagged literal always has datatype rdf:langString; a literal
     without an explicit datatype defaults to xsd:string. A tag must match
-    the N-Triples LANGTAG production and a datatype must be a valid Iri
-    value, so every literal survives a write and read. Equality is
-    structural (lexical form, datatype, language) with no value-space
-    comparison.
+    the N-Triples LANGTAG production, a datatype must be a valid Iri value
+    and the lexical form must hold no surrogate code point, so every literal
+    survives a write and read. Equality is structural (lexical form,
+    datatype, language) with no value-space comparison.
     """
 
-    lexical: str
-    datatype: str = XSD_STRING
-    language: str | None = None
+    __slots__ = ("lexical", "datatype", "language")
 
-    def __post_init__(self):
-        if self.language is not None:
-            if not _LANGTAG_RE.fullmatch(self.language):
-                raise ValueError(f"invalid language tag: {self.language!r}")
-            if self.datatype not in (XSD_STRING, RDF_LANGSTRING):
-                raise ValueError(
-                    "language-tagged literal must have datatype rdf:langString"
-                )
-            object.__setattr__(self, "datatype", RDF_LANGSTRING)
-        elif self.datatype == RDF_LANGSTRING:
+    def __init__(self, lexical: str, datatype: str = XSD_STRING, language: str | None = None):
+        if not lexical.isascii() and (bad := _SURROGATE.search(lexical)):
+            raise ValueError(f"literal contains surrogate code point U+{ord(bad[0]):04X}")
+        if language is not None:
+            if not _LANGTAG_RE.fullmatch(language):
+                raise ValueError(f"invalid language tag: {language!r}")
+            if datatype not in (XSD_STRING, RDF_LANGSTRING):
+                raise ValueError("language-tagged literal must have datatype rdf:langString")
+            datatype = RDF_LANGSTRING
+        elif datatype == RDF_LANGSTRING:
             raise ValueError("rdf:langString literal requires a language tag")
-        elif self.datatype not in _checked_datatypes:
-            Iri(self.datatype)  # raises MalformedIri naming the fault
+        elif datatype not in _checked_datatypes:
+            Iri(datatype)  # raises MalformedIri naming the fault
             if len(_checked_datatypes) < 1024:
-                _checked_datatypes.add(self.datatype)
+                _checked_datatypes.add(datatype)
+        _set(self, "lexical", lexical)
+        _set(self, "datatype", datatype)
+        _set(self, "language", language)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.lexical, self.datatype, self.language) == (other.lexical, other.datatype, other.language)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.lexical, self.datatype, self.language))
 
 
-Term = Union[Iri, BlankNode, Literal]
-SubjectTerm = Union[Iri, BlankNode]
-GraphName = Union[Iri, BlankNode]
+Term = Iri | BlankNode | Literal
+SubjectTerm = Iri | BlankNode
+GraphName = Iri | BlankNode
 
 
-@dataclass(frozen=True, slots=True)
-class Triple:
+class Triple(Frozen):
     """An RDF triple; subject must not be a literal, predicate must be an IRI."""
 
-    subject: SubjectTerm
-    predicate: Iri
-    object: Term
+    __slots__ = ("subject", "predicate", "object")
 
-    def __post_init__(self):
-        if isinstance(self.subject, Literal):
+    def __init__(self, subject: SubjectTerm, predicate: Iri, object: Term):
+        if isinstance(subject, Literal):
             raise ValueError("triple subject must not be a literal")
-        if not isinstance(self.predicate, Iri):
+        if not isinstance(predicate, Iri):
             raise ValueError("triple predicate must be an IRI")
+        _set(self, "subject", subject)
+        _set(self, "predicate", predicate)
+        _set(self, "object", object)
+
+    def __hash__(self) -> int:
+        return hash((self.subject, self.predicate, self.object))
 
 
-@dataclass(frozen=True, slots=True)
-class Quad:
+class Quad(Frozen):
     """An RDF quad; an absent graph label marks the default graph."""
 
-    subject: SubjectTerm
-    predicate: Iri
-    object: Term
-    graph_label: GraphName | None = None
+    __slots__ = ("subject", "predicate", "object", "graph_label")
 
-    def __post_init__(self):
-        if isinstance(self.subject, Literal):
+    def __init__(
+        self,
+        subject: SubjectTerm,
+        predicate: Iri,
+        object: Term,
+        graph_label: GraphName | None = None,
+    ):
+        if isinstance(subject, Literal):
             raise ValueError("quad subject must not be a literal")
-        if not isinstance(self.predicate, Iri):
+        if not isinstance(predicate, Iri):
             raise ValueError("quad predicate must be an IRI")
-        if self.graph_label is not None and isinstance(self.graph_label, Literal):
+        if isinstance(graph_label, Literal):
             raise ValueError("graph label must be an IRI or blank node")
+        _set(self, "subject", subject)
+        _set(self, "predicate", predicate)
+        _set(self, "object", object)
+        _set(self, "graph_label", graph_label)
+
+    def __hash__(self) -> int:
+        return hash((self.subject, self.predicate, self.object, self.graph_label))
 
     def triple(self) -> Triple:
         return Triple(self.subject, self.predicate, self.object)
 
 
-Statement = Union[Triple, Quad]
+Statement = Triple | Quad
 
 
 class Graph:
@@ -272,4 +349,4 @@ class Dataset:
         return f"Dataset(default={len(self._default)} triples, named={len(self._named)})"
 
 
-Element = Union[Graph, Dataset]
+Element = Graph | Dataset

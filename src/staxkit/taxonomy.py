@@ -17,12 +17,9 @@ convert into, its narrower types can convert into as well.
 from __future__ import annotations
 
 import enum
-import json
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import CycleError, DanglingReference, SchemaError, UnknownType
-from .model import Iri
 
 STAX_NS = "https://w3id.org/stax/ontology#"
 
@@ -62,8 +59,7 @@ class TypeKind(enum.Enum):
     CONCRETE = "concrete"
 
 
-@dataclass(frozen=True, slots=True)
-class StreamType:
+class StreamType(NamedTuple):
     id: str
     iri: str
     kind: TypeKind
@@ -232,6 +228,10 @@ def load_taxonomy(text: str) -> Taxonomy:
     Shape: {"types": [{"id", "iri", "kind", "label"?}, ...],
             "relations": [[fromId, relationName, toId], ...]}
     """
+    import json  # imported here, like Iri: only a taxonomy document needs them
+
+    from .model import Iri
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -338,8 +338,7 @@ def default_taxonomy() -> Taxonomy:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InferredTaxonomy:
+class InferredTaxonomy(NamedTuple):
     """A taxonomy plus its inferred relation closures."""
 
     taxonomy: Taxonomy
@@ -412,8 +411,7 @@ def most_specific(inferred: InferredTaxonomy, type_ids: Iterable[str]) -> tuple[
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class ConversionStep:
+class ConversionStep(NamedTuple):
     relation: str  # 'flatten' | 'group' | 'extend'
     source: str
     target: str

@@ -127,6 +127,15 @@ class TestLoadManifest:
         with pytest.raises(SchemaError):
             AnnotationManifest((StreamTypeUsage("a"), StreamTypeUsage("a")))
 
+    def test_manifest_is_an_immutable_value(self):
+        m = manifest("graphStream")
+        with pytest.raises(AttributeError):
+            m.usages = ()
+        with pytest.raises(AttributeError):
+            del m.subject_iri
+        assert m == manifest("graphStream") != manifest("datasetStream")
+        assert m.subject_class_iri == Iri(DCAT_DATASET)
+
 
 class TestValidateUsages:
     def test_flattenable_pair_is_consistent(self):

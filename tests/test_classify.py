@@ -566,3 +566,13 @@ class TestConfig:
     def test_negative_evidence_rejected(self):
         with pytest.raises(ValueError):
             ClassifierConfig(max_evidence=-1)
+
+    def test_is_an_immutable_value(self):
+        cfg = ClassifierConfig(max_evidence=3)
+        with pytest.raises(AttributeError):
+            cfg.max_evidence = 4
+        with pytest.raises(AttributeError):
+            del cfg.check_timestamp_order
+        assert cfg == ClassifierConfig(max_evidence=3) != ClassifierConfig()
+        assert hash(cfg) == hash(ClassifierConfig(max_evidence=3))
+        assert repr(ClassifierConfig()).startswith("ClassifierConfig(timestamp_predicates=frozenset(")

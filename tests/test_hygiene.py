@@ -1,16 +1,23 @@
 """Source hygiene: every module of the package uses every name it imports,
-every name it defines at module level is referenced somewhere, and the
-README's JSON and Turtle examples and CLI commands still match the code."""
+every name it defines at module level is referenced somewhere, the package
+resolves its public names lazily and a CLI call loads only the modules it
+needs, and the README's JSON and Turtle examples and CLI commands still
+match the code."""
 
 import ast
+import importlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import staxkit
 from staxkit.annotate import emit_turtle, load_manifest
 from staxkit.cli import build_parser
 from staxkit.taxonomy import default_taxonomy, load_taxonomy
@@ -173,6 +180,55 @@ def test_dead_name_is_reported():
     assert dead_names({"m.py": module}, [module, user]) == [
         "m.py: ROOT", "m.py: _HEX", "m.py: _annotated", "m.py: _recursive",
     ]
+
+
+def test_every_public_name_is_the_object_its_module_defines():
+    defined_in: dict[str, list[str]] = {}
+    for path in MODULES:
+        for name in module_definitions(ast.parse(path.read_text(encoding="utf-8"))):
+            defined_in.setdefault(name, []).append(path.stem)
+    for name in staxkit.__all__:
+        (module,) = defined_in[name]
+        assert getattr(staxkit, name) is getattr(importlib.import_module(f"staxkit.{module}"), name), name
+
+
+def test_a_submodule_does_not_hide_the_function_of_its_name():
+    module = importlib.import_module("staxkit.convert")
+    assert staxkit.convert is module.convert
+
+
+def test_dir_lists_every_public_name_and_unknown_names_raise():
+    assert set(staxkit.__all__) <= set(dir(staxkit))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        staxkit.no_such_name
+
+
+def modules_loaded_by(code: str) -> set[str]:
+    """Modules a fresh interpreter holds after running code (no site, src on the path)."""
+    script = f"{code}\nimport sys\nprint(*sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.splitlines()[-1].split())
+
+
+SUBCOMMAND_MODULES = {"staxkit.classify", "staxkit.annotate", "staxkit.convert"}
+
+
+def test_importing_the_cli_loads_no_subcommand_module():
+    loaded = modules_loaded_by("import staxkit.cli")
+    assert "staxkit.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "decimal", *SUBCOMMAND_MODULES}
+
+
+def test_taxonomy_path_loads_no_stream_module():
+    loaded = modules_loaded_by(
+        "from staxkit.cli import main\nmain(['taxonomy', 'path', 'graphStream', 'flatQuadStream'])"
+    )
+    assert "staxkit.taxonomy" in loaded
+    assert not loaded & {"staxkit.io", "staxkit.model", *SUBCOMMAND_MODULES}
 
 
 def readme_blocks(language: str) -> list[str]:

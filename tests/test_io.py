@@ -568,11 +568,15 @@ def _accepted_literal(lexical, language, datatype):
         return None
 
 
-# Any text for every field: the model decides which literals exist.  Lone
-# surrogates are left out, as st.text leaves them out by default.
+# Any text for every field: the model decides which literals exist, and
+# every literal it accepts must be writable.  st.text leaves lone surrogates
+# out by default, so lexical forms also draw them on purpose.
+with_surrogates = st.text(
+    st.characters(exclude_categories=()) | st.sampled_from("\ud800\udbff\udc00\udfff"), max_size=8
+)
 any_literals = st.builds(
     _accepted_literal,
-    st.text(max_size=8),
+    st.text(max_size=8) | with_surrogates,
     st.one_of(
         st.none(),
         st.text(max_size=8),

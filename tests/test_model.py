@@ -1,3 +1,5 @@
+import copy
+import pickle
 import sys
 
 import pytest
@@ -43,11 +45,11 @@ class TestIri:
             Iri(bad)
 
     def test_regex_refuses_exactly_the_forbidden_characters(self):
-        # every code point: refused iff str.isspace() or one of '<>"', with the
-        # message the character checks give
+        # every code point: refused iff str.isspace(), one of '<>"' or a
+        # surrogate, with the message the character checks give
         for code in range(sys.maxunicode + 1):
             value = "urn:" + chr(code)
-            forbidden = value[-1].isspace() or value[-1] in '<>"'
+            forbidden = value[-1].isspace() or value[-1] in '<>"' or 0xD800 <= code <= 0xDFFF
             try:
                 Iri(value)
             except MalformedIri as exc:
@@ -133,6 +135,105 @@ class TestStatements:
     def test_quad_rejects_literal_label(self):
         with pytest.raises(ValueError):
             Quad(Iri(EX + "s"), Iri(EX + "p"), Iri(EX + "o"), Literal("g"))
+
+
+S, P, O = Iri(EX + "s"), Iri(EX + "p"), Literal("o", language="en")
+
+# One of each term and statement class, built twice to get distinct objects.
+MAKERS = {
+    "Iri": lambda: Iri(EX + "a"),
+    "BlankNode": lambda: BlankNode("b1"),
+    "Literal": lambda: Literal("x", language="en"),
+    "Triple": lambda: Triple(S, P, O),
+    "Quad": lambda: Quad(S, P, O, BlankNode("g")),
+}
+FIELDS = {
+    "Iri": ("value",),
+    "BlankNode": ("label",),
+    "Literal": ("lexical", "datatype", "language"),
+    "Triple": ("subject", "predicate", "object"),
+    "Quad": ("subject", "predicate", "object", "graph_label"),
+}
+
+
+class TestValueSemantics:
+    def test_terms_of_other_classes_and_tuples_are_unequal(self):
+        values = [Literal("x:y"), Iri("x:y"), ("x:y",), "x:y"]
+        for i, a in enumerate(values):
+            for b in values[i + 1 :]:
+                assert a != b and b != a, (a, b)
+                assert not (a == b or b == a), (a, b)
+
+    def test_statement_kinds_and_tuples_are_unequal(self):
+        assert Triple(S, P, O) != Quad(S, P, O)
+        assert Quad(S, P, O) != Triple(S, P, O)
+        assert Triple(S, P, O) != (S, P, O)
+        assert Quad(S, P, O) != (S, P, O, None)
+
+    @pytest.mark.parametrize("kind", MAKERS)
+    def test_equal_values_hash_equal(self, kind):
+        a, b = MAKERS[kind](), MAKERS[kind]()
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    @pytest.mark.parametrize("kind", MAKERS)
+    def test_fields_cannot_be_assigned_or_deleted(self, kind):
+        value = MAKERS[kind]()
+        for name in (*FIELDS[kind], "other"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, "x")
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert value == MAKERS[kind]()
+
+    def test_repr_is_pinned(self):
+        lang = "http://www.w3.org/1999/02/22-rdf-syntax-ns#langString"
+        iri_s, iri_p = "Iri(value='http://example.org/s')", "Iri(value='http://example.org/p')"
+        lit = f"Literal(lexical='o', datatype='{lang}', language='en')"
+        assert repr(Iri(EX + "a")) == "Iri(value='http://example.org/a')"
+        assert repr(BlankNode("b1")) == "BlankNode(label='b1')"
+        assert repr(O) == lit
+        assert repr(Literal("4", EX + "int")) == (
+            "Literal(lexical='4', datatype='http://example.org/int', language=None)"
+        )
+        assert repr(Triple(S, P, O)) == f"Triple(subject={iri_s}, predicate={iri_p}, object={lit})"
+        assert repr(Quad(S, P, O, BlankNode("g"))) == (
+            f"Quad(subject={iri_s}, predicate={iri_p}, object={lit}, "
+            "graph_label=BlankNode(label='g'))"
+        )
+        assert repr(Quad(S, P, O)).endswith(", graph_label=None)")
+
+    def test_keyword_construction(self):
+        assert Iri(value=EX + "a") == Iri(EX + "a")
+        assert BlankNode(label="b") == BlankNode("b")
+        assert Literal(lexical="x", datatype=XSD_STRING, language=None) == Literal("x")
+        assert Triple(subject=S, predicate=P, object=O) == Triple(S, P, O)
+        quad = Quad(subject=S, predicate=P, object=O, graph_label=None)
+        assert quad == Quad(S, P, O) and quad.graph_label is None
+        # the positional forms the benchmark's term rebuild uses
+        assert Literal(O.lexical, O.datatype, O.language) == O
+        assert Quad(S, P, O, None) == quad
+
+    def test_language_tag_normalizes_datatype(self):
+        assert Literal("x", language="en").datatype == RDF_LANGSTRING
+        assert Literal("x", XSD_STRING, "en") == Literal("x", RDF_LANGSTRING, "en")
+
+    @pytest.mark.parametrize("kind", MAKERS)
+    def test_copy_and_pickle_keep_the_value(self, kind):
+        value = MAKERS[kind]()
+        assert copy.copy(value) == value
+        assert pickle.loads(pickle.dumps(value)) == value
+
+    @pytest.mark.parametrize("code", [0xD800, 0xDBFF, 0xDC00, 0xDFFF], ids="U+{:04X}".format)
+    def test_surrogates_are_refused(self, code):
+        with pytest.raises(ValueError, match=f"surrogate code point U\\+{code:04X}"):
+            Literal("a" + chr(code))
+        with pytest.raises(MalformedIri, match="forbidden character"):
+            Iri("http://s:" + chr(code))
+        with pytest.raises(MalformedIri):
+            Literal("x", "http://d:" + chr(code))
 
 
 class TestGraph:
