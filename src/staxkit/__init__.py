@@ -140,4 +140,4 @@ class _Package(types.ModuleType):
             super().__setattr__(name, value)
 
 
-setattr(sys.modules[__name__], "__class__", _Package)
+sys.modules[__name__].__class__ = _Package

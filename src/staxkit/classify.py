@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import os
 from datetime import datetime, timezone
+from decimal import Decimal, InvalidOperation
 from typing import Iterable, Iterator, NamedTuple, Union
 
 from .framing import Framing, Payload
@@ -226,15 +227,10 @@ def comparable_timestamp(term: Term) -> tuple[str, object] | None:
             if dt.tzinfo is not None:
                 dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
             return "chrono-naive", datetime(dt.year, dt.month, dt.day)
-    except ValueError:
+        if term.datatype in (XSD_INTEGER, XSD_DECIMAL):
+            return "numeric", Decimal(lex)
+    except (ValueError, InvalidOperation):
         return None
-    if term.datatype in (XSD_INTEGER, XSD_DECIMAL):
-        import decimal  # imported here: only numeric timestamps need it
-
-        try:
-            return "numeric", decimal.Decimal(lex)
-        except (ValueError, decimal.InvalidOperation):
-            return None
     return None
 
 

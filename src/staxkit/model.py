@@ -144,7 +144,11 @@ class Literal(Frozen):
     __slots__ = ("lexical", "datatype", "language")
 
     def __init__(self, lexical: str, datatype: str = XSD_STRING, language: str | None = None):
-        if not lexical.isascii() and (bad := _SURROGATE.search(lexical)):
+        try:
+            ascii_only = str.isascii(lexical)
+        except TypeError:
+            raise TypeError(f"literal lexical form must be a str: {lexical!r}") from None
+        if not ascii_only and (bad := _SURROGATE.search(lexical)):
             raise ValueError(f"literal contains surrogate code point U+{ord(bad[0]):04X}")
         if language is not None:
             if not _LANGTAG_RE.fullmatch(language):

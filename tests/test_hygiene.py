@@ -108,7 +108,7 @@ def module_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
                 for name in ast.walk(target):
-                    if isinstance(name, ast.Name):
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
                         definitions[name.id] = node
     return definitions
 

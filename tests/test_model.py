@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 import sys
 
 import pytest
@@ -234,6 +235,11 @@ class TestValueSemantics:
             Iri("http://s:" + chr(code))
         with pytest.raises(MalformedIri):
             Literal("x", "http://d:" + chr(code))
+
+    @pytest.mark.parametrize("lexical", [5, b"x", None], ids=repr)
+    def test_non_str_lexical_form_raises_type_error_naming_it(self, lexical):
+        with pytest.raises(TypeError, match=f"lexical form must be a str: {re.escape(repr(lexical))}"):
+            Literal(lexical)
 
 
 class TestGraph:
