@@ -202,8 +202,7 @@ def check_timestamped_named_graph(
 
 def _timestamp_triples(dataset: Dataset, name: Term, cfg: ClassifierConfig) -> list[Triple]:
     """Default-graph triples about name with a timestamp predicate, in document order."""
-    predicates = {p.value for p in cfg.timestamp_predicates}
-    return [t for t in dataset.default_graph if t.subject == name and t.predicate.value in predicates]
+    return [t for t in dataset.default_graph if t.subject == name and t.predicate in cfg.timestamp_predicates]
 
 
 def comparable_timestamp(term: Term) -> tuple[str, object] | None:
@@ -211,8 +210,8 @@ def comparable_timestamp(term: Term) -> tuple[str, object] | None:
 
     Chronological values split into offset-aware and naive domains because
     the two cannot be compared; dates are promoted to naive midnights.
-    Numeric timestamps share one decimal domain.  Everything else is
-    incomparable and never participates in order checking.
+    Finite numeric timestamps share one decimal domain.  Everything else,
+    dates out of range included, is incomparable and never ordered.
     """
     if not isinstance(term, Literal):
         return None
@@ -228,8 +227,9 @@ def comparable_timestamp(term: Term) -> tuple[str, object] | None:
                 dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
             return "chrono-naive", datetime(dt.year, dt.month, dt.day)
         if term.datatype in (XSD_INTEGER, XSD_DECIMAL):
-            return "numeric", Decimal(lex)
-    except (ValueError, InvalidOperation):
+            value = Decimal(lex)
+            return ("numeric", value) if value.is_finite() else None
+    except (ValueError, InvalidOperation, OverflowError):
         return None
     return None
 
@@ -300,49 +300,31 @@ def _classify_graph(graph: Graph, state: ClassifierState, idx: int) -> ElementVe
 def _classify_dataset(
     dataset: Dataset, state: ClassifierState, cfg: ClassifierConfig, idx: int
 ) -> ElementVerdict:
-    per_type: dict[str, TypeVerdict] = {"datasetStream": _PASS}
-    notes: list[str] = []
+    per_type = dict.fromkeys(DATASET_TYPES, _PASS)
     shape = check_named_graph_shape(dataset)
     if shape is None:
-        n = len(dataset.named_items())
-        reason = f"expected exactly one named graph, found {n}"
-        per_type["namedGraphStream"] = TypeVerdict(False, "not a single named graph", reason)
-        per_type["timestampedNamedGraphStream"] = TypeVerdict(
-            False, "not a single named graph", reason
-        )
-        return ElementVerdict(idx, per_type, tuple(notes))
-
-    per_type["namedGraphStream"] = _PASS
+        reason = f"expected exactly one named graph, found {len(dataset.named_items())}"
+        failed = TypeVerdict(False, "not a single named graph", reason)
+        per_type["namedGraphStream"] = per_type["timestampedNamedGraphStream"] = failed
+        return ElementVerdict(idx, per_type)
     stamps = _timestamp_triples(dataset, shape[0], cfg)
     if not stamps:
-        per_type["timestampedNamedGraphStream"] = TypeVerdict(
-            False,
-            "no timestamp triple",
-            "default graph has no timestamp triple about the graph name",
-        )
-        return ElementVerdict(idx, per_type, tuple(notes))
-
-    predicate, value = stamps[0].predicate, stamps[0].object
+        detail = "default graph has no timestamp triple about the graph name"
+        per_type["timestampedNamedGraphStream"] = TypeVerdict(False, "no timestamp triple", detail)
+        return ElementVerdict(idx, per_type)
+    notes: tuple[str, ...] = ()
     if len(stamps) > 1:
-        notes.append(f"element {idx}: multiple timestamp triples; first in document order wins")
-
-    verdict = _PASS
-    if cfg.check_timestamp_order:
-        comparable = comparable_timestamp(value)
-        if comparable is not None:
-            domain, v = comparable
-            key = (predicate.value, domain)
-            prev = state.order_max.get(key)
-            if prev is not None and v < prev[0]:  # type: ignore[operator]
-                verdict = TypeVerdict(
-                    False,
-                    "timestamp order violation",
-                    f"timestamp precedes the one from element {prev[1]}",
-                )
-            else:
-                state.order_max[key] = (v, idx)
-    per_type["timestampedNamedGraphStream"] = verdict
-    return ElementVerdict(idx, per_type, tuple(notes))
+        notes = (f"element {idx}: multiple timestamp triples; first in document order wins",)
+    comparable = comparable_timestamp(stamps[0].object) if cfg.check_timestamp_order else None
+    if comparable is not None:
+        key = (stamps[0].predicate.value, comparable[0])
+        prev = state.order_max.get(key)
+        if prev is not None and comparable[1] < prev[0]:  # type: ignore[operator]
+            detail = f"timestamp precedes the one from element {prev[1]}"
+            per_type["timestampedNamedGraphStream"] = TypeVerdict(False, "timestamp order violation", detail)
+        else:
+            state.order_max[key] = (comparable[1], idx)
+    return ElementVerdict(idx, per_type, notes)
 
 
 def classify_stream(

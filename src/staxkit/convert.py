@@ -34,14 +34,9 @@ def flatten_graphs(elements: Iterable[Graph]) -> Iterator[Triple]:
 
 
 def flatten_datasets(elements: Iterable[Dataset]) -> Iterator[Quad]:
-    """Concatenate dataset contents: default graph first, then named graphs
-    in first-occurrence order."""
+    """Concatenate the quads of each dataset, in Dataset.quads() order."""
     for d in elements:
-        for t in d.default_graph:
-            yield Quad(t.subject, t.predicate, t.object)
-        for name, graph in d.named_items():
-            for t in graph:
-                yield Quad(t.subject, t.predicate, t.object, name)
+        yield from d.quads()
 
 
 def group_statements(

@@ -422,39 +422,35 @@ def serialize_statement(statement: Statement) -> str:
     return f"{s} {p} {o} ."
 
 
-def _element_lines(element: Graph | Dataset, framing: Framing) -> list[str]:
-    if framing.quads_payload:
-        if not isinstance(element, Dataset):
-            raise MixedPayload(
-                f"dataset framing {framing.value} cannot serialize {type(element).__name__}"
-            )
-        lines = [serialize_statement(Quad(t.subject, t.predicate, t.object)) for t in element.default_graph]
-        for name, graph in element.named_items():
-            lines.extend(
-                serialize_statement(Quad(t.subject, t.predicate, t.object, name)) for t in graph
-            )
-        return lines
-    if not isinstance(element, Graph):
-        raise MixedPayload(
-            f"graph framing {framing.value} cannot serialize {type(element).__name__}"
-        )
-    return [serialize_statement(t) for t in element]
+_ITEM_CLASS = {Payload.TRIPLES: Triple, Payload.QUADS: Quad, Payload.GRAPHS: Graph, Payload.DATASETS: Dataset}
+
+
+def _lines(items: Iterable, framing: Framing) -> Iterator[str]:
+    """The canonical text of a stream's items, line by line, each line and its
+    newline yielded apart: one line per statement, and a grouped framing's
+    '#---' between elements.  An item of the wrong class raises MixedPayload."""
+    kind = _ITEM_CLASS[framing.payload]
+    flat = framing.is_flat
+    for i, item in enumerate(items):
+        if not isinstance(item, kind):
+            where = f"{framing.value} framing" if flat else f"{kind.__name__.lower()} framing {framing.value}"
+            raise MixedPayload(f"{where} cannot serialize {'a ' if flat else ''}{type(item).__name__}")
+        if flat:
+            yield serialize_statement(item)
+            yield "\n"
+            continue
+        if i:
+            yield FRAME_DELIMITER + "\n"
+        for statement in item.quads() if framing.quads_payload else item:
+            yield serialize_statement(statement)
+            yield "\n"
 
 
 def write_flat_stream(statements: Iterable[Statement], framing: Framing) -> bytes:
     """Serialize a flat stream canonically; statement kinds must match framing."""
     if not framing.is_flat:
         raise ValueError(f"write_flat_stream needs a flat framing, got {framing.value}")
-    want_quads = framing.quads_payload
-    out: list[str] = []
-    for st in statements:
-        if want_quads and not isinstance(st, Quad):
-            raise MixedPayload("flat-quads framing cannot serialize a Triple")
-        if not want_quads and not isinstance(st, Triple):
-            raise MixedPayload("flat-triples framing cannot serialize a Quad")
-        out.append(serialize_statement(st))
-        out.append("\n")
-    return "".join(out).encode("utf-8")
+    return "".join(_lines(statements, framing)).encode("utf-8")
 
 
 def write_grouped_stream(elements: Iterable[Graph | Dataset], framing: Framing) -> bytes:
@@ -465,13 +461,7 @@ def write_grouped_stream(elements: Iterable[Graph | Dataset], framing: Framing) 
     """
     if framing.is_dir or framing.is_flat:
         raise ValueError(f"write_grouped_stream needs a framed framing, got {framing.value}")
-    chunks: list[str] = []
-    for i, element in enumerate(elements):
-        if i:
-            chunks.append(FRAME_DELIMITER + "\n")
-        for line in _element_lines(element, framing):
-            chunks.append(line + "\n")
-    return "".join(chunks).encode("utf-8")
+    return "".join(_lines(elements, framing)).encode("utf-8")
 
 
 def _member_stem(index: int) -> str:
@@ -507,7 +497,7 @@ def write_dir_stream(
     try:
         for i, element in enumerate(elements):
             name = _member_stem(i) + ext
-            payload = "".join(line + "\n" for line in _element_lines(element, framing))
+            payload = "".join(_lines((element,), framing))
             with open(os.path.join(directory, name), "wb") as f:
                 # Recorded only once open() succeeds, so cleanup never removes
                 # a file this call could not open.

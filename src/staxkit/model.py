@@ -335,6 +335,16 @@ class Dataset:
     def named_items(self) -> tuple[tuple[GraphName, Graph], ...]:
         return tuple(self._named.items())
 
+    def quads(self) -> Iterator[Quad]:
+        """The quads of the dataset: the default graph's first, then each named
+        graph's, graphs in order of first appearance, each in its own order.
+        Flattening and the writers use this order."""
+        for t in self._default:
+            yield Quad(t.subject, t.predicate, t.object)
+        for name, graph in self._named.items():
+            for t in graph:
+                yield Quad(t.subject, t.predicate, t.object, name)
+
     def statement_count(self) -> int:
         return len(self._default) + sum(len(g) for g in self._named.values())
 

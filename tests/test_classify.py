@@ -254,6 +254,23 @@ class TestComparableTimestamp:
     def test_plain_string_timestamp_is_incomparable(self):
         assert comparable_timestamp(Literal("2024-01-01T00:00:00")) is None
 
+    @pytest.mark.parametrize("lex", ["NaN", "sNaN", "Infinity", "-Inf"])
+    @pytest.mark.parametrize("datatype", [XSD_DECIMAL, XSD_INTEGER])
+    def test_non_finite_number_is_incomparable(self, lex, datatype):
+        assert comparable_timestamp(Literal(lex, datatype=datatype)) is None
+
+    def test_out_of_range_date_is_incomparable(self):
+        assert comparable_timestamp(Literal("0001-01-01T00:00:00+01:00", datatype=XSD_DATE)) is None
+
+    @pytest.mark.parametrize(
+        "first",
+        [Literal("NaN", datatype=XSD_DECIMAL), Literal("0001-01-01T00:00:00+01:00", datatype=XSD_DATE)],
+    )
+    def test_incomparable_first_stamp_does_not_break_the_order_check(self, first):
+        stream = [named_dataset("a", stamp=first), named_dataset("b", stamp=Literal("1", datatype=XSD_INTEGER))]
+        report = classify_stream(stream, Framing.FRAMED_DATASETS)
+        assert "timestampedNamedGraphStream" in report.conforming
+
 
 class TestClassifyElement:
     def test_fresh_subject_passes(self):

@@ -37,12 +37,15 @@ def framed_graphs(*sizes):
     return b"#---\n".join(element(i, s) for i, s in enumerate(sizes))
 
 
-def timestamped_datasets(*stamps):
+def timestamped_datasets(*stamps, datatypes=None):
+    """Framed datasets; element i is named graph g<i>, stamped stamps[i] of
+    type datatypes[i] (an XSD local name, dateTime by default)."""
     parts = []
     for i, stamp in enumerate(stamps):
+        datatype = datatypes[i] if datatypes else "dateTime"
         block = (
-            b'<http://ex.org/g%d> <http://www.w3.org/ns/prov#generatedAtTime> "%s"^^<http://www.w3.org/2001/XMLSchema#dateTime> .\n'
-            % (i, stamp.encode())
+            b'<http://ex.org/g%d> <http://www.w3.org/ns/prov#generatedAtTime> "%s"^^<http://www.w3.org/2001/XMLSchema#%s> .\n'
+            % (i, stamp.encode(), datatype.encode())
         )
         block += b"<http://ex.org/s%d> <http://ex.org/p> <http://ex.org/o%d> <http://ex.org/g%d> .\n" % (i, i, i)
         parts.append(block)
@@ -369,6 +372,21 @@ class TestClassify:
         )
         doc = json.loads(capsys.readouterr().out)
         assert code == 0
+        assert "timestampedNamedGraphStream" in doc["conforming"]
+
+    @pytest.mark.parametrize(
+        "stamps, datatypes",
+        [
+            (("NaN", "1"), ("decimal", "integer")),
+            (("0001-01-01T00:00:00+01:00",), ("date",)),
+        ],
+    )
+    def test_incomparable_timestamps_classify(self, stamps, datatypes, tmp_path, capsys):
+        f = tmp_path / "data.bin"
+        f.write_bytes(timestamped_datasets(*stamps, datatypes=datatypes))
+        code = main(["classify", "--input", str(f), "--framing", "framed-datasets", "--json"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
         assert "timestampedNamedGraphStream" in doc["conforming"]
 
     def test_unknown_framing_is_argparse_error(self, tmp_path, capsys):

@@ -1,8 +1,8 @@
 """Source hygiene: every module of the package uses every name it imports,
 every name it defines at module level is referenced somewhere, the package
 resolves its public names lazily and a CLI call loads only the modules it
-needs, and the README's JSON and Turtle examples and CLI commands still
-match the code."""
+needs, and the README's JSON, Turtle and Python examples and CLI commands
+still match the code."""
 
 import ast
 import importlib
@@ -263,6 +263,17 @@ def test_readme_cli_command_parses(command):
         build_parser().parse_args(shlex.split(command, comments=True)[1:])
     except SystemExit:
         pytest.fail(f"the CLI rejects README's command: {command}")
+
+
+def test_readme_python_example_runs(tmp_path, monkeypatch, capsys):
+    (block,) = readme_blocks("python")
+    lines = [f"<http://ex.org/s{i}> <http://ex.org/p> <http://ex.org/o{i}> .\n" for i in range(2)]
+    (tmp_path / "stream.nt").write_text("#---\n".join(lines), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    scope: dict = {}
+    exec(block, scope)
+    assert scope["payload"] == "".join(lines).encode("utf-8")
+    assert capsys.readouterr().out == "('subjectGraphStream',)\n"
 
 
 def test_readme_taxonomy_example_loads():

@@ -1,12 +1,17 @@
 import copy
 import pickle
+import random
 import re
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from streamgen import gen_dataset_elements, gen_dataset_stream, gen_quad
+from staxkit.convert import flatten_datasets
 from staxkit.errors import MalformedIri
+from staxkit.framing import Framing
+from staxkit.io import serialize_statement, write_grouped_stream
 from staxkit.model import (
     RDF_LANGSTRING,
     XSD_STRING,
@@ -305,6 +310,34 @@ class TestDataset:
         d2 = Dataset(default_graph=Graph([t("a", "p", "b")]))
         assert d1 == d2
         assert d1 != Dataset()
+
+
+def streamgen_datasets(seed: int) -> list[Dataset]:
+    """A dataset of shuffled labelled and unlabelled quads, then streamgen's
+    round-trip and classification datasets."""
+    r = random.Random(seed)
+    mixed = Dataset.from_quads(gen_quad(r) for _ in range(r.randrange(12)))
+    return [mixed, *gen_dataset_elements(r), *gen_dataset_stream(r, max_elements=4)]
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_dataset_quads_order_and_round_trips(seed, with_empty_graph):
+    for d in streamgen_datasets(seed):
+        if with_empty_graph:
+            d = Dataset(d.default_graph, [*d.named_items(), (Iri(EX + "empty"), Graph())])
+        quads = list(d.quads())
+        named = d.named_items()
+        # Default graph first, then each named graph in turn, each in its own order.
+        labels = [None] * len(d.default_graph) + [name for name, graph in named for _ in graph]
+        assert [q.graph_label for q in quads] == labels
+        for label, graph in [(None, d.default_graph), *named]:
+            assert [q.triple() for q in quads if q.graph_label == label] == list(graph)
+        if all(graph for _, graph in named):
+            assert Dataset.from_quads(quads) == d
+        assert list(flatten_datasets([d])) == quads
+        lines = "".join(serialize_statement(q) + "\n" for q in quads)
+        assert write_grouped_stream([d], Framing.FRAMED_DATASETS) == lines.encode("utf-8")
 
 
 # term values survive arbitrary content as long as invariants hold
