@@ -90,6 +90,7 @@ __all__ = [
     "write_dir_stream",
     "write_flat_stream",
     "write_grouped_stream",
+    "write_stream",
 ]
 
 # The submodule that defines each name of __all__.
@@ -109,7 +110,7 @@ _SOURCES = {
         "framing": "Framing Payload",
         "io": "LineKind ParsedLine parse_statement_line read_flat_stream read_grouped_stream "
         "serialize_statement serialize_term write_dir_stream write_flat_stream "
-        "write_grouped_stream",
+        "write_grouped_stream write_stream",
         "model": "RDF_LANGSTRING XSD_STRING BlankNode Dataset Graph Iri Literal Quad Triple",
         "taxonomy": "ConversionStep InferredTaxonomy STAX_NS StreamType Taxonomy TypeKind "
         "conversion_path default_taxonomy infer_closure load_taxonomy most_specific relates",

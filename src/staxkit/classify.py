@@ -30,8 +30,9 @@ timestamp triples) and the capped evidence buffer.
 from __future__ import annotations
 
 import os
+import re
 from datetime import datetime, timezone
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from typing import Iterable, Iterator, NamedTuple, Union
 
 from .framing import Framing, Payload
@@ -205,6 +206,15 @@ def _timestamp_triples(dataset: Dataset, name: Term, cfg: ClassifierConfig) -> l
     return [t for t in dataset.default_graph if t.subject == name and t.predicate in cfg.timestamp_predicates]
 
 
+# The XSD lexical spaces of the numeric timestamp types, in ASCII digits.
+# Decimal() alone would also take exponents, underscores, other scripts'
+# digits, NaN and Infinity.
+_NUMERIC_LEXICAL = {
+    XSD_INTEGER: re.compile(r"[+-]?[0-9]+"),
+    XSD_DECIMAL: re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"),
+}
+
+
 def comparable_timestamp(term: Term) -> tuple[str, object] | None:
     """(comparability domain, value) for an orderable timestamp, else None.
 
@@ -226,12 +236,10 @@ def comparable_timestamp(term: Term) -> tuple[str, object] | None:
             if dt.tzinfo is not None:
                 dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
             return "chrono-naive", datetime(dt.year, dt.month, dt.day)
-        if term.datatype in (XSD_INTEGER, XSD_DECIMAL):
-            value = Decimal(lex)
-            return ("numeric", value) if value.is_finite() else None
-    except (ValueError, InvalidOperation, OverflowError):
+    except (ValueError, OverflowError):
         return None
-    return None
+    numeric = _NUMERIC_LEXICAL.get(term.datatype)
+    return ("numeric", Decimal(lex)) if numeric is not None and numeric.fullmatch(lex) else None
 
 
 # ---------------------------------------------------------------------------

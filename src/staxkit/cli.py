@@ -3,7 +3,8 @@
 Subcommands: classify, convert, taxonomy (relate/closure/path), annotate,
 validate.  Exit codes: 0 success (or an answered query); 1 semantic
 nonconformance (failed --expect, inconsistent manifest, failed cross
-check, no conversion path); 2 usage errors; 3 parse/data errors.
+check, no conversion path); 2 usage errors; 3 parse/data errors; 141
+stdout closed by its reader.
 
 The STAX_TAXONOMY environment variable may point to a taxonomy manifest
 that replaces the built-in taxonomy for every subcommand.
@@ -17,7 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (
     AbstractType,
@@ -214,8 +215,7 @@ def _framing_for(payload: Payload, path: str, override: str | None, flag: str) -
 
 def _cmd_convert(args: argparse.Namespace) -> int:
     from .convert import convert, payload_kind
-    from .io import read_flat_stream, read_grouped_stream
-    from .io import write_dir_stream, write_flat_stream, write_grouped_stream
+    from .io import read_flat_stream, read_grouped_stream, write_dir_stream, write_stream
 
     taxonomy = _active_taxonomy()
     inferred = infer_closure(taxonomy)
@@ -235,17 +235,53 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         names = write_dir_stream(out, out_framing, args.output)
         print(f"stax-kit: wrote {len(names)} element file(s) to {args.output}", file=sys.stderr)
         return 0
-    if out_framing.is_flat:
-        payload = write_flat_stream(out, out_framing)
-    else:
-        payload = write_grouped_stream(out, out_framing)
     if args.output == "-":
-        sys.stdout.buffer.write(payload)
-    else:
-        with open(args.output, "wb") as f:
-            f.write(payload)
-        print(f"stax-kit: wrote {len(payload)} byte(s) to {args.output}", file=sys.stderr)
+        write_stream(out, out_framing, sys.stdout.buffer)
+        return 0
+    size = _write_file(out, out_framing, args.output)
+    print(f"stax-kit: wrote {size} byte(s) to {args.output}", file=sys.stderr)
     return 0
+
+
+def _write_file(items: Iterable, framing: Framing, path: str) -> int:
+    """Write a stream to path, which appears only once it is whole; the byte count.
+
+    The stream goes to a temp file beside path.  On success os.replace moves
+    it over path; any failure removes it, so path is left as it was.  The
+    new file takes the mode of the file it replaces, or the mode open()
+    gives a new file.  A symlink's target is replaced, not the link; a
+    device or pipe, which cannot be replaced, is written in place.
+    """
+    import contextlib
+    import stat
+    import tempfile
+
+    from .io import write_stream
+
+    if not os.path.exists(path):
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    elif os.path.isfile(path):
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    else:
+        with open(path, "wb") as f:
+            return write_stream(items, framing, f)
+    target = os.path.realpath(path)
+    try:
+        fd, temp = tempfile.mkstemp(prefix=f".{os.path.basename(target)}.", dir=os.path.dirname(target))
+    except OSError as exc:  # name the target, not the temp file
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "wb") as f:
+            os.chmod(temp, mode)
+            size = write_stream(items, framing, f)
+        os.replace(temp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(temp)
+        raise
+    return size
 
 
 def _cmd_taxonomy(args: argparse.Namespace) -> int:
@@ -386,6 +422,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         name = f"{type(exc).__name__}: " if code == 3 else ""
         print(f"stax-kit: {name}{exc}", file=sys.stderr)
         return code
+    except BrokenPipeError:
+        # The reader closed stdout, as `| head` does: stop quietly with the
+        # shell's code for SIGPIPE.  Pointing stdout at devnull keeps the
+        # flush at exit from failing again and printing a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except OSError as exc:
         print(f"stax-kit: {exc}", file=sys.stderr)
         return 3

@@ -26,6 +26,7 @@ import enum
 import os
 import re
 from io import BytesIO
+from itertools import islice
 from typing import IO, Iterable, Iterator, NamedTuple, Union
 
 from .errors import MalformedIri, MixedPayload, OutputExists, ParseError
@@ -424,11 +425,17 @@ def serialize_statement(statement: Statement) -> str:
 
 _ITEM_CLASS = {Payload.TRIPLES: Triple, Payload.QUADS: Quad, Payload.GRAPHS: Graph, Payload.DATASETS: Dataset}
 
+# Items of _lines joined into one sink write: 256 lines.  A few hundred
+# lines per write put the first bytes out early and keep one small chunk in
+# memory; larger chunks delay the first output.
+_CHUNK_ITEMS = 512
+
 
 def _lines(items: Iterable, framing: Framing) -> Iterator[str]:
     """The canonical text of a stream's items, line by line, each line and its
-    newline yielded apart: one line per statement, and a grouped framing's
-    '#---' between elements.  An item of the wrong class raises MixedPayload."""
+    newline yielded apart, so every line is two items: one line per
+    statement, and a grouped framing's '#---' between elements.  An item of
+    the wrong class raises MixedPayload."""
     kind = _ITEM_CLASS[framing.payload]
     flat = framing.is_flat
     for i, item in enumerate(items):
@@ -440,17 +447,44 @@ def _lines(items: Iterable, framing: Framing) -> Iterator[str]:
             yield "\n"
             continue
         if i:
-            yield FRAME_DELIMITER + "\n"
+            yield FRAME_DELIMITER
+            yield "\n"
         for statement in item.quads() if framing.quads_payload else item:
             yield serialize_statement(statement)
             yield "\n"
+
+
+def _write_lines(lines: Iterator[str], sink: IO[bytes]) -> int:
+    """Encode lines to sink, one write per chunk of whole lines; the byte count."""
+    written = 0
+    while True:
+        chunk = "".join(islice(lines, _CHUNK_ITEMS)).encode("utf-8")
+        if not chunk:
+            return written
+        sink.write(chunk)
+        written += len(chunk)
+
+
+def write_stream(items: Iterable, framing: Framing, sink: IO[bytes]) -> int:
+    """Serialize a flat or framed stream canonically to a binary sink as it
+    is read from items; returns the number of bytes written.
+
+    Each sink.write call carries a chunk of whole lines, so memory holds one
+    chunk, not the stream.  When an item fails, the chunks before it have
+    been written already.  Item classes must match the framing's payload.
+    """
+    if framing.is_dir:
+        raise ValueError(f"write_stream needs a flat or framed framing, got {framing.value}")
+    return _write_lines(_lines(items, framing), sink)
 
 
 def write_flat_stream(statements: Iterable[Statement], framing: Framing) -> bytes:
     """Serialize a flat stream canonically; statement kinds must match framing."""
     if not framing.is_flat:
         raise ValueError(f"write_flat_stream needs a flat framing, got {framing.value}")
-    return "".join(_lines(statements, framing)).encode("utf-8")
+    sink = BytesIO()
+    write_stream(statements, framing, sink)
+    return sink.getvalue()
 
 
 def write_grouped_stream(elements: Iterable[Graph | Dataset], framing: Framing) -> bytes:
@@ -461,7 +495,9 @@ def write_grouped_stream(elements: Iterable[Graph | Dataset], framing: Framing) 
     """
     if framing.is_dir or framing.is_flat:
         raise ValueError(f"write_grouped_stream needs a framed framing, got {framing.value}")
-    return "".join(_lines(elements, framing)).encode("utf-8")
+    sink = BytesIO()
+    write_stream(elements, framing, sink)
+    return sink.getvalue()
 
 
 def _member_stem(index: int) -> str:
@@ -497,12 +533,11 @@ def write_dir_stream(
     try:
         for i, element in enumerate(elements):
             name = _member_stem(i) + ext
-            payload = "".join(_lines((element,), framing))
             with open(os.path.join(directory, name), "wb") as f:
                 # Recorded only once open() succeeds, so cleanup never removes
                 # a file this call could not open.
                 names.append(name)
-                f.write(payload.encode("utf-8"))
+                _write_lines(_lines((element,), framing), f)
     except BaseException:
         for name in names:
             with contextlib.suppress(OSError):

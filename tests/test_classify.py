@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -258,6 +259,27 @@ class TestComparableTimestamp:
     @pytest.mark.parametrize("datatype", [XSD_DECIMAL, XSD_INTEGER])
     def test_non_finite_number_is_incomparable(self, lex, datatype):
         assert comparable_timestamp(Literal(lex, datatype=datatype)) is None
+
+    @pytest.mark.parametrize(
+        "lex, datatype, value",
+        [
+            ("1e3", XSD_INTEGER, None),
+            ("1_000", XSD_DECIMAL, None),
+            ("1.5", XSD_INTEGER, None),
+            ("\u0661\u0662", XSD_INTEGER, None),  # Arabic-Indic digits
+            ("1e3", XSD_DECIMAL, None),
+            (".", XSD_DECIMAL, None),
+            ("+", XSD_INTEGER, None),
+            ("-007", XSD_INTEGER, "-7"),
+            (" 12 ", XSD_INTEGER, "12"),
+            ("+1.", XSD_DECIMAL, "1"),
+            (".5", XSD_DECIMAL, "0.5"),
+            ("-0.50", XSD_DECIMAL, "-0.5"),
+        ],
+    )
+    def test_numbers_follow_the_xsd_lexical_spaces(self, lex, datatype, value):
+        got = comparable_timestamp(Literal(lex, datatype=datatype))
+        assert got == (None if value is None else ("numeric", Decimal(value)))
 
     def test_out_of_range_date_is_incomparable(self):
         assert comparable_timestamp(Literal("0001-01-01T00:00:00+01:00", datatype=XSD_DATE)) is None

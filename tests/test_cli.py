@@ -1,10 +1,15 @@
 import io
 import json
+import os
+import stat
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from jsonschema import validate as schema_validate
 
+import staxkit
 from staxkit.cli import _COMMANDS, _framing_for, main
 from staxkit.errors import (
     AbstractType,
@@ -431,9 +436,9 @@ class TestConvert:
         assert code == 0
         assert dst.read_bytes().count(b" .\n") == 3
 
-    def test_stdout_output(self, tmp_path, capsys):
+    def test_stdout_output(self, tmp_path, capsysbinary):
         src = tmp_path / "in.bin"
-        src.write_bytes(framed_graphs(1))
+        src.write_bytes(framed_graphs(2, 1))
         code = main(
             [
                 "convert",
@@ -448,6 +453,87 @@ class TestConvert:
             ]
         )
         assert code == 0
+        assert capsysbinary.readouterr().out == framed_graphs(2, 1).replace(b"#---\n", b"")
+
+    # Framed graphs whose first elements hold many chunks of output, then a
+    # parse error in the last element.
+    GOOD = framed_graphs(400, 400)
+    BROKEN = GOOD + b"#---\nbad\n"
+    TO_FLAT = ["--from", "graphStream", "--to", "flatTripleStream"]
+
+    def test_failed_file_output_leaves_no_file(self, tmp_path, capsys):
+        src = tmp_path / "in.bin"
+        src.write_bytes(self.BROKEN)
+        dst = tmp_path / "out.nt"
+        argv = ["convert", "--input", str(src), "--output", str(dst), *self.TO_FLAT]
+        assert main(argv) == 3
+        assert "line 803" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.bin"]
+        # an existing target keeps its bytes
+        dst.write_bytes(b"old\n")
+        assert main(argv) == 3
+        assert dst.read_bytes() == b"old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.bin", "out.nt"]
+
+    def test_failed_stdout_output_ends_on_a_whole_line(self, tmp_path, capsysbinary):
+        src = tmp_path / "in.bin"
+        src.write_bytes(self.BROKEN)
+        assert main(["convert", "--input", str(src), "--output", "-", *self.TO_FLAT]) == 3
+        out = capsysbinary.readouterr().out
+        good = self.GOOD.replace(b"#---\n", b"")
+        assert out and out.endswith(b"\n") and good.startswith(out)
+
+    def test_missing_output_directory_names_the_target(self, tmp_path, capsys):
+        src = tmp_path / "in.bin"
+        src.write_bytes(framed_graphs(1))
+        dst = tmp_path / "missing" / "out.nt"
+        assert main(["convert", "--input", str(src), "--output", str(dst), *self.TO_FLAT]) == 3
+        assert capsys.readouterr().err == f"stax-kit: [Errno 2] No such file or directory: '{dst}'\n"
+
+    def test_output_may_be_the_input(self, tmp_path, capsys):
+        src = tmp_path / "in.bin"
+        src.write_bytes(self.GOOD)
+        assert main(["convert", "--input", str(src), "--output", str(src), *self.TO_FLAT]) == 0
+        assert src.read_bytes() == self.GOOD.replace(b"#---\n", b"")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.bin"]
+
+    def test_file_output_keeps_the_mode_open_gives(self, tmp_path, capsys):
+        src = tmp_path / "in.bin"
+        src.write_bytes(framed_graphs(1))
+        dst = tmp_path / "out.nt"
+        argv = ["convert", "--input", str(src), "--output", str(dst), *self.TO_FLAT]
+        probe = tmp_path / "probe"
+        probe.write_bytes(b"")
+        assert main(argv) == 0
+        assert dst.stat().st_mode == probe.stat().st_mode
+        dst.chmod(0o640)
+        assert main(argv) == 0
+        assert stat.S_IMODE(dst.stat().st_mode) == 0o640
+
+    def test_file_output_writes_through_a_symlink_and_to_a_device(self, tmp_path, capsys):
+        src = tmp_path / "in.bin"
+        src.write_bytes(framed_graphs(1))
+        dst, link = tmp_path / "out.nt", tmp_path / "link.nt"
+        link.symlink_to(dst)
+        for target in (link, os.devnull):
+            assert main(["convert", "--input", str(src), "--output", str(target), *self.TO_FLAT]) == 0
+        assert link.is_symlink() and dst.read_bytes() == framed_graphs(1)
+
+    def test_closed_stdout_exits_141_quietly(self, tmp_path):
+        # Far more output than a pipe buffers, so the writer meets the closed pipe.
+        src = tmp_path / "in.bin"
+        src.write_bytes(framed_graphs(*[100] * 100))
+        env = {**os.environ, "PYTHONPATH": str(Path(staxkit.__file__).parents[1])}
+        argv = [sys.executable, "-m", "staxkit.cli", "convert", "--input", str(src), "--output", "-"]
+        proc = subprocess.Popen(
+            argv + self.TO_FLAT, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        )
+        assert proc.stdout.read(100)
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert stderr == b""
 
     def test_strict_refuses_two_step(self, tmp_path, capsys):
         src = tmp_path / "in.bin"

@@ -1,9 +1,11 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import staxkit.io
 from streamgen import EX, gen_quad, gen_triple, gen_unique_statements
 from staxkit.classify import classify_stream
 from staxkit.convert import (
@@ -23,7 +25,7 @@ from staxkit.errors import (
     NoConversionPath,
     SchemaError,
 )
-from staxkit.io import Framing
+from staxkit.io import Framing, read_grouped_stream, write_stream
 from staxkit.model import Dataset, Graph, Iri, Quad, Triple
 from staxkit.taxonomy import Taxonomy, default_taxonomy, infer_closure, load_taxonomy
 
@@ -390,3 +392,49 @@ def test_property_group_then_flatten_applies_set_semantics_per_batch(quads, k):
     triples = [q.triple() for q in quads]
     expected_triples = [t for i in range(0, len(triples), k) for t in dict.fromkeys(triples[i:i + k])]
     assert list(flatten_graphs(group_statements(iter(triples), k))) == expected_triples
+
+
+class _Discard:
+    """A binary sink that keeps nothing."""
+
+    def write(self, data):
+        return len(data)
+
+
+# 25 triples per element: tuples of up to 20 items go to CPython's tuple free
+# list when freed, and a free list filling over the run would read as growth.
+TRIPLES_PER_ELEMENT = 25
+
+
+def _traced_convert_peak(path):
+    """The tracemalloc peak of the CLI's read -> convert -> write_stream chain."""
+    staxkit.io._interned.clear()  # each run fills the bounded intern table afresh
+    tracemalloc.start()
+    try:
+        items = read_grouped_stream(str(path), Framing.FRAMED_GRAPHS)
+        out = convert(items, "graphStream", "flatTripleStream", C)
+        write_stream(out, Framing.FLAT_TRIPLES, _Discard())
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_convert_memory_does_not_grow_with_the_stream(tmp_path):
+    # Every IRI is new, so the 1x stream already fills the intern table:
+    # what is left to grow is the state the chain should not keep.
+    elements = 100
+    assert 2 * TRIPLES_PER_ELEMENT * elements > staxkit.io._INTERN_LIMIT
+    peaks = []
+    for scale in (1, 10):
+        path = tmp_path / f"{scale}x.nt"
+        path.write_bytes(
+            b"#---\n".join(
+                b"".join(
+                    b"<http://ex.org/s%d-%d> <http://ex.org/p> <http://ex.org/o%d-%d> .\n" % (i, j, i, j)
+                    for j in range(TRIPLES_PER_ELEMENT)
+                )
+                for i in range(elements * scale)
+            )
+        )
+        peaks.append(_traced_convert_peak(path))
+    assert peaks[1] < 1.1 * peaks[0], peaks

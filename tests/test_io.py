@@ -27,6 +27,7 @@ from staxkit.io import (
     write_dir_stream,
     write_flat_stream,
     write_grouped_stream,
+    write_stream,
 )
 from staxkit.model import XSD_STRING, BlankNode, Dataset, Graph, Iri, Literal, Quad, Triple
 
@@ -338,6 +339,51 @@ class TestFramedStreams:
         d = Dataset(named_graphs=[(Iri(EX + "g"), Graph())])
         payload = write_grouped_stream([d], Framing.FRAMED_DATASETS)
         assert payload == b""
+
+
+class _Recorder:
+    """A binary sink that keeps each write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append(data)
+        return len(data)
+
+
+class TestWriteStream:
+    # One-statement elements put a '#---' line between every two statement
+    # lines, so chunk boundaries fall at every offset within the pattern.
+    GRAPHS = [Graph([Triple(Iri(f"{EX}s{i}"), Iri(EX + "p"), Literal(f"v{i}"))]) for i in range(1000)]
+    QUADS = [Quad(Iri(f"{EX}s{i}"), Iri(EX + "p"), Literal("v"), Iri(f"{EX}g{i % 3}")) for i in range(1000)]
+
+    @pytest.mark.parametrize(
+        "items, framing, expected",
+        [
+            (GRAPHS, Framing.FRAMED_GRAPHS, "#---\n".join(serialize_statement(g.triples[0]) + "\n" for g in GRAPHS)),
+            (QUADS, Framing.FLAT_QUADS, "".join(serialize_statement(q) + "\n" for q in QUADS)),
+        ],
+        ids=["framed-graphs", "flat-quads"],
+    )
+    def test_chunks_are_whole_lines_of_the_serialization(self, items, framing, expected):
+        sink = _Recorder()
+        assert write_stream(iter(items), framing, sink) == len(expected.encode())
+        assert len(sink.writes) > 1
+        assert all(chunk.endswith(b"\n") for chunk in sink.writes)
+        assert b"".join(sink.writes) == expected.encode()
+
+    @pytest.mark.parametrize("framing", [Framing.DIR_GRAPHS, Framing.DIR_DATASETS])
+    def test_dir_framing_is_refused(self, framing):
+        sink = _Recorder()
+        with pytest.raises(ValueError, match="flat or framed"):
+            write_stream([], framing, sink)
+        assert sink.writes == []
+
+    def test_empty_stream_writes_nothing(self):
+        sink = _Recorder()
+        assert write_stream([], Framing.FRAMED_DATASETS, sink) == 0
+        assert sink.writes == []
 
 
 class TestDirStreams:
