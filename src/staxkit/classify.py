@@ -281,7 +281,7 @@ def classify_element(
 
 
 def _classify_graph(graph: Graph, state: ClassifierState, idx: int) -> ElementVerdict:
-    candidates = sorted(candidate_subject_nodes(graph), key=lambda c: c.value)
+    candidates = sorted(candidate_subject_nodes(graph))  # IRIs sort as their str values
     chosen = next((c for c in candidates if c not in state.subjects), None)
     notes: tuple[str, ...] = ()
     if len(candidates) > 1:

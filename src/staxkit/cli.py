@@ -26,6 +26,7 @@ from .errors import (
     MalformedIri,
     MixedPayload,
     NoConversionPath,
+    ParseError,
     SchemaError,
     StaxError,
     UnknownStreamType,
@@ -418,6 +419,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except StaxError as exc:
+        if isinstance(exc, ParseError) and exc.member is None and "-" in (
+            getattr(args, "input", None),
+            getattr(args, "data", None),
+        ):
+            # The readers name a path; standard input is '-'.
+            exc = ParseError(exc.line, exc.column, exc.reason, member="-")
         code = next((_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES), 3)
         name = f"{type(exc).__name__}: " if code == 3 else ""
         print(f"stax-kit: {name}{exc}", file=sys.stderr)

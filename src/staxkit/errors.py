@@ -19,7 +19,8 @@ class ParseError(StaxError):
     """A line of N-Triples/N-Quads input could not be parsed.
 
     Line and column are 1-based; column points at the offending character.
-    member names the file of a directory framing the line belongs to.
+    member names the file the line belongs to: the path of a file source, or
+    the member file of a directory framing.  Bytes and streams leave it None.
     """
 
     def __init__(self, line: int, column: int, reason: str, member: str | None = None):

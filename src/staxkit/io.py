@@ -138,6 +138,9 @@ def _node(token: str) -> Iri | BlankNode:
     return term
 
 
+_new = tuple.__new__
+
+
 def _parse_line(line: str, quads: bool, line_no: int) -> Statement | LineKind:
     """The statement on one line, or the kind of a line that holds none."""
     m = _STATEMENT.match(line)
@@ -148,11 +151,13 @@ def _parse_line(line: str, quads: bool, line_no: int) -> Statement | LineKind:
             if o is not None:
                 obj: Term = _node(o)
             else:
-                dt = _node(datatype).value if datatype else XSD_STRING
+                dt = _node(datatype) if datatype else XSD_STRING
                 obj = Literal(_unescape(lexical), dt, language)
+            # The pattern admits only the roles Quad and Triple check: node
+            # tokens for the subject and graph label, an IRI for the predicate.
             if quads:
-                return Quad(_node(s), _node(p), obj, None if g is None else _node(g))
-            return Triple(_node(s), _node(p), obj)
+                return _new(Quad, (_node(s), _node(p), obj, None if g is None else _node(g)))
+            return _new(Triple, (_node(s), _node(p), obj))
         except (MalformedIri, ValueError):
             pass  # the locator raises the located error
     if line == FRAME_DELIMITER:
@@ -219,6 +224,9 @@ def _read_term(line: str, pos: int, line_no: int) -> tuple[Term, int]:
             label = m[0][2:].rstrip(".")
             return BlankNode(label), pos + 2 + len(label)
         if first not in ("<", '"'):
+            if first == "\ufeff":
+                # A UTF-8 byte order mark decodes to U+FEFF, which starts no term.
+                raise ParseError(line_no, pos + 1, "unexpected byte order mark (U+FEFF)")
             raise ParseError(line_no, pos + 1, "expected IRI, blank node, or literal")
         text, end = _read_quoted(line, pos, line_no)
         if first == "<":
@@ -298,6 +306,14 @@ def _iter_lines(source: Source) -> Iterator[tuple[int, str]]:
             handle.close()
 
 
+def _named(exc: ParseError, source: Source) -> ParseError:
+    """exc naming the file its line came from: a path source, or the name of
+    a directory member.  Bytes and binary streams have no name to give."""
+    if not isinstance(source, (str, os.PathLike)):
+        return exc
+    return ParseError(exc.line, exc.column, exc.reason, member=os.fspath(source))
+
+
 def read_flat_stream(source: Source, framing: Framing) -> Iterator[Statement]:
     """Yield statements of an N-Triples/N-Quads stream in file order.
 
@@ -307,10 +323,13 @@ def read_flat_stream(source: Source, framing: Framing) -> Iterator[Statement]:
     if not framing.is_flat:
         raise ValueError(f"read_flat_stream needs a flat framing, got {framing.value}")
     quads = framing.quads_payload
-    for no, line in _iter_lines(source):
-        parsed = _parse_line(line, quads, no)
-        if not isinstance(parsed, LineKind):
-            yield parsed
+    try:
+        for no, line in _iter_lines(source):
+            parsed = _parse_line(line, quads, no)
+            if not isinstance(parsed, LineKind):
+                yield parsed
+    except ParseError as exc:
+        raise _named(exc, source) from None
 
 
 def _statements_to_element(statements: list[Statement], framing: Framing):
@@ -348,14 +367,17 @@ def read_grouped_stream(source: Source, framing: Framing) -> Iterator[Graph | Da
     quads_payload = framing.quads_payload
     current: list[Statement] = []
     saw_line = False
-    for no, line in _iter_lines(source):
-        saw_line = True
-        parsed = _parse_grouped_line(line, no, quads_payload)
-        if parsed is LineKind.FRAME_DELIMITER:
-            yield _statements_to_element(current, framing)
-            current = []
-        elif not isinstance(parsed, LineKind):
-            current.append(parsed)
+    try:
+        for no, line in _iter_lines(source):
+            saw_line = True
+            parsed = _parse_grouped_line(line, no, quads_payload)
+            if parsed is LineKind.FRAME_DELIMITER:
+                yield _statements_to_element(current, framing)
+                current = []
+            elif not isinstance(parsed, LineKind):
+                current.append(parsed)
+    except ParseError as exc:
+        raise _named(exc, source) from None
     if saw_line:
         yield _statements_to_element(current, framing)
 
@@ -373,7 +395,7 @@ def _read_dir_stream(source: Source, framing: Framing) -> Iterator[Graph | Datas
         try:
             parsed = [_parse_grouped_line(line, no, framing.quads_payload) for no, line in _iter_lines(path)]
         except ParseError as exc:
-            raise ParseError(exc.line, exc.column, exc.reason, member=name) from None
+            raise _named(exc, name) from None
         # '#---' inside a member file is a delimiter line type, but a
         # directory element is the whole file; treat it as a comment.
         statements = [s for s in parsed if not isinstance(s, LineKind)]
@@ -399,27 +421,30 @@ def escape_literal(value: str) -> str:
 
 
 def serialize_term(term: Term) -> str:
+    # Terms are str and tuple values: concatenation and unpacking read them
+    # directly, where field properties would copy or call.
     if isinstance(term, Iri):
-        return f"<{_escape_iri(term.value)}>"
+        return "<" + _escape_iri(term) + ">"
     if isinstance(term, BlankNode):
-        return f"_:{term.label}"
+        return "_:" + term
     if isinstance(term, Literal):
-        body = f'"{escape_literal(term.lexical)}"'
-        if term.language is not None:
-            return f"{body}@{term.language}"
-        if term.datatype != XSD_STRING:
-            return f"{body}^^<{_escape_iri(term.datatype)}>"
+        lexical, datatype, language = term
+        body = '"' + escape_literal(lexical) + '"'
+        if language is not None:
+            return body + "@" + language
+        if datatype != XSD_STRING:
+            return body + "^^<" + _escape_iri(datatype) + ">"
         return body
     raise TypeError(f"not an RDF term: {term!r}")
 
 
 def serialize_statement(statement: Statement) -> str:
     """One canonical N-Triples/N-Quads line, without the trailing newline."""
-    s = serialize_term(statement.subject)
-    p = serialize_term(statement.predicate)
-    o = serialize_term(statement.object)
-    if isinstance(statement, Quad) and statement.graph_label is not None:
-        return f"{s} {p} {o} {serialize_term(statement.graph_label)} ."
+    s = serialize_term(statement[0])
+    p = serialize_term(statement[1])
+    o = serialize_term(statement[2])
+    if isinstance(statement, Quad) and statement[3] is not None:
+        return f"{s} {p} {o} {serialize_term(statement[3])} ."
     return f"{s} {p} {o} ."
 
 

@@ -1,14 +1,18 @@
 """Immutable RDF 1.1 value types: terms, statements, graphs, and datasets.
 
-Terms and statements are immutable slotted classes validated on
-construction; they compare and hash by class and fields.  Graphs and
-datasets keep set semantics but preserve first-occurrence order, so
-serialization and stream conversions stay deterministic.
+Terms and statements are validated on construction and built on builtin
+types, so dict and set operations hash them in C: an Iri or BlankNode is a
+str holding its value or label, and a Literal, Triple or Quad is a tuple of
+its fields.  A value still equals only a value of its own class with equal
+fields.  Graphs and datasets keep set semantics but preserve
+first-occurrence order, so serialization and stream conversions stay
+deterministic.
 """
 
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .errors import MalformedIri
@@ -30,18 +34,15 @@ _SURROGATE = re.compile(r"[\ud800-\udfff]")
 # The RDF 1.1 N-Triples LANGTAG production, without its leading '@'.
 LANGTAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
 _LANGTAG_RE = re.compile(LANGTAG)
-# Datatype IRIs Literal has already checked: few distinct ones occur, and
-# checking an IRI costs more than building the rest of a literal.
-_checked_datatypes = {XSD_STRING}
-
-# Sets a field of an immutable instance; constructors run on every parsed
-# term, so they call it directly (a parameter named object shadows the
-# builtin in Triple and Quad).
-_set = object.__setattr__
+# Datatype IRIs Literal has already checked, each mapped to its value as a
+# plain str: few distinct ones occur, and checking an IRI costs more than
+# building the rest of a literal.  A key may be an Iri; the reader's are
+# interned, so they are found by identity.
+_checked_datatypes = {XSD_STRING: XSD_STRING}
 
 
 class Frozen:
-    """Base of the immutable value classes: a subclass lists its fields as
+    """Base of immutable record classes: a subclass lists its fields as
     __slots__ and sets each once in __init__ with object.__setattr__.
     Values of the same class with equal fields are equal and hash equal."""
 
@@ -72,11 +73,54 @@ class Frozen:
         return f"{self.__class__.__qualname__}({fields})"
 
 
-# Every parsed statement is built and hashed through the classes below, and
-# terms are compared as dictionary keys, so those methods are written out.
+# Every parsed statement is built and hashed through the classes below.  They
+# keep their builtin base's __hash__, so dict and set operations run no Python
+# code.  __eq__ and __ne__ check the class and always answer with a bool: with
+# NotImplemented, the reflected str or tuple method would make Iri("x:y") ==
+# "x:y" true.  Each class declares __slots__ = () to have no __dict__, and
+# names its fields in order in __match_args__, which repr uses.
 
 
-class Iri(Frozen):
+class _StrTerm(str):
+    """A term held as the str of its value or label."""
+
+    __slots__ = ()
+    __hash__ = str.__hash__
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and str.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return other.__class__ is not self.__class__ or str.__ne__(self, other)
+
+    def __reduce__(self):
+        return self.__class__, (str.__str__(self),)
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}({self.__match_args__[0]}={str.__repr__(self)})"
+
+
+class _TupleValue(tuple):
+    """A literal or statement held as the tuple of its fields."""
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return other.__class__ is not self.__class__ or tuple.__ne__(self, other)
+
+    def __reduce__(self):
+        return self.__class__, tuple(self)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__match_args__, self))
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Iri(_StrTerm):
     """An absolute IRI reference.
 
     Validation is a conservative syntactic subset, not full RFC 3987: the
@@ -84,9 +128,11 @@ class Iri(Frozen):
     no whitespace, no surrogate code point and none of '<', '>', '\"'.
     """
 
-    __slots__ = ("value",)
+    __slots__ = ()
+    __match_args__ = ("value",)
+    value = property(str.__str__, doc="The IRI as a plain str.")
 
-    def __init__(self, value: str):
+    def __new__(cls, value: str) -> Iri:
         if not _IRI_VALID.fullmatch(value):
             if not value:
                 raise MalformedIri("empty IRI")
@@ -94,43 +140,31 @@ class Iri(Frozen):
                 raise MalformedIri(f"IRI has no scheme separator ':': {value!r}")
             bad = _IRI_BAD_CHAR.search(value)[0]
             raise MalformedIri(f"IRI contains forbidden character {bad!r}: {value!r}")
-        _set(self, "value", value)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.value == other.value
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.value)
-
-    def __str__(self) -> str:
-        return self.value
+        # str.__new__ takes str() of its argument, which a str subclass (a
+        # BlankNode, say) may override; str.__str__ gives the text checked.
+        return str.__new__(cls, str.__str__(value))
 
 
-class BlankNode(Frozen):
-    """A blank node with a document-scoped label."""
+class BlankNode(_StrTerm):
+    """A blank node with a document-scoped label; its str form is '_:label'."""
 
-    __slots__ = ("label",)
+    __slots__ = ()
+    __match_args__ = ("label",)
+    label = property(str.__str__, doc="The label as a plain str.")
 
-    def __init__(self, label: str):
+    def __new__(cls, label: str) -> BlankNode:
         if not _BLANK_LABEL.fullmatch(label) or label.endswith("."):
             raise ValueError(f"invalid blank node label: {label!r}")
-        _set(self, "label", label)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.label == other.label
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.label)
+        return str.__new__(cls, str.__str__(label))  # as in Iri
 
     def __str__(self) -> str:
-        return f"_:{self.label}"
+        return "_:" + self
+
+    def __format__(self, spec: str) -> str:
+        return format("_:" + self, spec)
 
 
-class Literal(Frozen):
+class Literal(_TupleValue):
     """An RDF literal: lexical form, datatype IRI, optional language tag.
 
     A language-tagged literal always has datatype rdf:langString; a literal
@@ -138,17 +172,22 @@ class Literal(Frozen):
     the N-Triples LANGTAG production, a datatype must be a valid Iri value
     and the lexical form must hold no surrogate code point, so every literal
     survives a write and read. Equality is structural (lexical form,
-    datatype, language) with no value-space comparison.
+    datatype, language) with no value-space comparison.  The lexical form
+    and the datatype are kept as plain str.
     """
 
-    __slots__ = ("lexical", "datatype", "language")
+    __slots__ = ()
+    __match_args__ = ("lexical", "datatype", "language")
+    lexical = property(itemgetter(0))
+    datatype = property(itemgetter(1))
+    language = property(itemgetter(2))
 
-    def __init__(self, lexical: str, datatype: str = XSD_STRING, language: str | None = None):
-        try:
-            ascii_only = str.isascii(lexical)
-        except TypeError:
-            raise TypeError(f"literal lexical form must be a str: {lexical!r}") from None
-        if not ascii_only and (bad := _SURROGATE.search(lexical)):
+    def __new__(cls, lexical: str, datatype: str = XSD_STRING, language: str | None = None) -> Literal:
+        if lexical.__class__ is not str:
+            if not isinstance(lexical, str):
+                raise TypeError(f"literal lexical form must be a str: {lexical!r}")
+            lexical = str.__str__(lexical)
+        if not lexical.isascii() and (bad := _SURROGATE.search(lexical)):
             raise ValueError(f"literal contains surrogate code point U+{ord(bad[0]):04X}")
         if language is not None:
             if not _LANGTAG_RE.fullmatch(language):
@@ -156,23 +195,16 @@ class Literal(Frozen):
             if datatype not in (XSD_STRING, RDF_LANGSTRING):
                 raise ValueError("language-tagged literal must have datatype rdf:langString")
             datatype = RDF_LANGSTRING
-        elif datatype == RDF_LANGSTRING:
-            raise ValueError("rdf:langString literal requires a language tag")
-        elif datatype not in _checked_datatypes:
-            Iri(datatype)  # raises MalformedIri naming the fault
+        elif (checked := _checked_datatypes.get(datatype)) is not None:
+            datatype = checked
+        else:
+            value = Iri(datatype).value  # raises MalformedIri naming the fault
+            if value == RDF_LANGSTRING:
+                raise ValueError("rdf:langString literal requires a language tag")
             if len(_checked_datatypes) < 1024:
-                _checked_datatypes.add(datatype)
-        _set(self, "lexical", lexical)
-        _set(self, "datatype", datatype)
-        _set(self, "language", language)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.lexical, self.datatype, self.language) == (other.lexical, other.datatype, other.language)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.lexical, self.datatype, self.language))
+                _checked_datatypes[datatype] = value
+            datatype = value
+        return tuple.__new__(cls, (lexical, datatype, language))
 
 
 Term = Iri | BlankNode | Literal
@@ -180,52 +212,51 @@ SubjectTerm = Iri | BlankNode
 GraphName = Iri | BlankNode
 
 
-class Triple(Frozen):
+class Triple(_TupleValue):
     """An RDF triple; subject must not be a literal, predicate must be an IRI."""
 
-    __slots__ = ("subject", "predicate", "object")
+    __slots__ = ()
+    __match_args__ = ("subject", "predicate", "object")
+    subject = property(itemgetter(0))
+    predicate = property(itemgetter(1))
+    object = property(itemgetter(2))
 
-    def __init__(self, subject: SubjectTerm, predicate: Iri, object: Term):
+    def __new__(cls, subject: SubjectTerm, predicate: Iri, object: Term) -> Triple:
         if isinstance(subject, Literal):
             raise ValueError("triple subject must not be a literal")
         if not isinstance(predicate, Iri):
             raise ValueError("triple predicate must be an IRI")
-        _set(self, "subject", subject)
-        _set(self, "predicate", predicate)
-        _set(self, "object", object)
-
-    def __hash__(self) -> int:
-        return hash((self.subject, self.predicate, self.object))
+        return tuple.__new__(cls, (subject, predicate, object))
 
 
-class Quad(Frozen):
+class Quad(_TupleValue):
     """An RDF quad; an absent graph label marks the default graph."""
 
-    __slots__ = ("subject", "predicate", "object", "graph_label")
+    __slots__ = ()
+    __match_args__ = ("subject", "predicate", "object", "graph_label")
+    subject = property(itemgetter(0))
+    predicate = property(itemgetter(1))
+    object = property(itemgetter(2))
+    graph_label = property(itemgetter(3))
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         subject: SubjectTerm,
         predicate: Iri,
         object: Term,
         graph_label: GraphName | None = None,
-    ):
+    ) -> Quad:
         if isinstance(subject, Literal):
             raise ValueError("quad subject must not be a literal")
         if not isinstance(predicate, Iri):
             raise ValueError("quad predicate must be an IRI")
         if isinstance(graph_label, Literal):
             raise ValueError("graph label must be an IRI or blank node")
-        _set(self, "subject", subject)
-        _set(self, "predicate", predicate)
-        _set(self, "object", object)
-        _set(self, "graph_label", graph_label)
-
-    def __hash__(self) -> int:
-        return hash((self.subject, self.predicate, self.object, self.graph_label))
+        return tuple.__new__(cls, (subject, predicate, object, graph_label))
 
     def triple(self) -> Triple:
-        return Triple(self.subject, self.predicate, self.object)
+        # the fields were checked when this quad was built
+        return tuple.__new__(Triple, self[:3])
 
 
 Statement = Triple | Quad
@@ -238,35 +269,35 @@ class Graph:
     building a graph from its own triples is the identity.
     """
 
-    __slots__ = ("_triples", "_index")
+    __slots__ = ("_index",)
 
     def __init__(self, triples: Iterable[Triple] = ()):
-        seen: dict[Triple, None] = {}
+        # The dict alone holds the triples: its keys are the set, its order
+        # the order.  Storing a key again keeps the first object and place.
+        index: dict[Triple, None] = {}
         for t in triples:
             if not isinstance(t, Triple):
                 raise TypeError(f"Graph elements must be Triple, got {type(t).__name__}")
-            if t not in seen:
-                seen[t] = None
-        self._triples: tuple[Triple, ...] = tuple(seen)
-        self._index = seen
+            index[t] = None
+        self._index = index
 
     @property
     def triples(self) -> tuple[Triple, ...]:
-        return self._triples
+        return tuple(self._index)
 
     def nodes(self) -> frozenset[Term]:
         """All subjects and objects; predicate-only IRIs do not count as nodes."""
         out: set[Term] = set()
-        for t in self._triples:
+        for t in self._index:
             out.add(t.subject)
             out.add(t.object)
         return frozenset(out)
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(self._triples)
+        return iter(self._index)
 
     def __len__(self) -> int:
-        return len(self._triples)
+        return len(self._index)
 
     def __contains__(self, t: object) -> bool:
         return t in self._index
@@ -274,13 +305,14 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._triples == other._triples
+        # Order-sensitive, which comparing the dicts' key views is not.
+        return self.triples == other.triples
 
     def __hash__(self) -> int:
-        return hash(self._triples)
+        return hash(self.triples)
 
     def __repr__(self) -> str:
-        return f"Graph({len(self._triples)} triples)"
+        return f"Graph({len(self._index)} triples)"
 
 
 class Dataset:
@@ -339,11 +371,14 @@ class Dataset:
         """The quads of the dataset: the default graph's first, then each named
         graph's, graphs in order of first appearance, each in its own order.
         Flattening and the writers use this order."""
+        # The fields were checked when the triples were built.
+        new = tuple.__new__
         for t in self._default:
-            yield Quad(t.subject, t.predicate, t.object)
+            yield new(Quad, t + (None,))
         for name, graph in self._named.items():
+            label = (name,)
             for t in graph:
-                yield Quad(t.subject, t.predicate, t.object, name)
+                yield new(Quad, t + label)
 
     def statement_count(self) -> int:
         return len(self._default) + sum(len(g) for g in self._named.values())

@@ -398,6 +398,8 @@ class _Scanner:
             return self.parse_blank()
         if c == '"':
             return self.parse_literal()
+        if c == "\ufeff":
+            self.fail("unexpected byte order mark (U+FEFF)")
         self.fail("expected IRI, blank node, or literal")
         raise AssertionError
 

@@ -20,7 +20,10 @@ from staxkit.errors import (
     StaxError,
     UnknownType,
 )
+from staxkit.classify import classify_stream
 from staxkit.convert import payload_kind
+from staxkit.framing import Framing
+from staxkit.model import BlankNode, Iri, Literal, Quad, Triple
 from staxkit.taxonomy import TypeKind, default_taxonomy, infer_closure
 
 TRIPLE_LINE = b"<http://ex.org/s%d> <http://ex.org/p> <http://ex.org/o%d> .\n"
@@ -314,7 +317,7 @@ class TestClassify:
         code = main(["classify", "--input", str(f), "--framing", "flat-triples"])
         err = capsys.readouterr().err
         assert code == 3
-        assert err.startswith("stax-kit: ParseError: line 2, column 16: invalid UTF-8 byte 0xFF")
+        assert err.startswith(f"stax-kit: ParseError: {f}: line 2, column 16: invalid UTF-8 byte 0xFF")
         assert "Traceback" not in err
 
     def test_bad_timestamp_predicate(self, tmp_path, capsys):
@@ -825,6 +828,90 @@ def test_every_stax_error_gives_its_exit_code_and_one_line(cls, capsys, monkeypa
     assert code == EXIT_CODES.get(cls, 3)
     name = f"{cls.__name__}: " if code == 3 else ""
     assert capsys.readouterr().err == f"stax-kit: {name}{exc}\n"
+
+
+# Terms are str and tuple subclasses, which json.dumps writes without
+# complaint (a BlankNode without its '_:'), so a term leaking into a report
+# would go unnoticed in the printed JSON.
+LEAKY_GRAPHS = (
+    b"<http://ex.org/a> <http://ex.org/p> <http://ex.org/b> .\n"
+    b"<http://ex.org/b> <http://ex.org/p> <http://ex.org/a> .\n"
+    b"#---\n<http://ex.org/a> <http://ex.org/p> <http://ex.org/c> .\n"
+    b'#---\n_:x <http://ex.org/p> "lit"@en .\n'
+)
+LEAKY_DATASETS = timestamped_datasets("2024-01-02T00:00:00Z", "2024-01-01T00:00:00Z") + (
+    b"#---\n<http://ex.org/s> <http://ex.org/p> <http://ex.org/o> _:g .\n"
+    b"<http://ex.org/s> <http://ex.org/p> <http://ex.org/o> _:h .\n"
+)
+
+
+def assert_plain_json(value, where="$"):
+    """Every str in value, keys included, is exactly a str; no value is a term."""
+    assert not isinstance(value, (Iri, BlankNode, Literal, Triple, Quad)), where
+    if isinstance(value, dict):
+        for key, item in value.items():
+            assert type(key) is str, where
+            assert_plain_json(item, f"{where}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            assert_plain_json(item, f"{where}[{i}]")
+    elif isinstance(value, str):
+        assert type(value) is str, where
+    else:
+        assert value is None or type(value) in (bool, int, float), where
+
+
+@pytest.mark.parametrize(
+    "data, framing",
+    [(LEAKY_GRAPHS, "framed-graphs"), (LEAKY_DATASETS, "framed-datasets")],
+    ids=["graphs", "datasets"],
+)
+def test_json_reports_hold_plain_values_only(data, framing, tmp_path, capsys, monkeypatch):
+    report = classify_stream(data, Framing(framing)).to_dict()
+    assert report["notes"] or report["evidence"]  # the strings built from terms
+    assert_plain_json(report)
+    printed = []
+    monkeypatch.setattr(staxkit.cli, "_print_json", printed.append)
+    src = tmp_path / "in.bin"
+    src.write_bytes(data)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(MANIFEST_OK))
+    main(["classify", "--input", str(src), "--framing", framing, "--json"])
+    main(["validate", "--manifest", str(manifest), "--data", str(src), "--framing", framing, "--json"])
+    assert [sorted(doc) for doc in printed] == [sorted(report), ["consistent", "crossCheck", "violations"]]
+    for doc in printed:
+        assert_plain_json(doc)
+
+
+class TestParseErrorsNameTheInput:
+    BAD = flat_triples(1) + b"<http://ex.org/s> <http://ex.org/p> junk .\n"
+
+    def test_path_input(self, tmp_path, capsys):
+        f = tmp_path / "bad.nt"
+        f.write_bytes(self.BAD)
+        assert main(["classify", "--input", str(f), "--framing", "flat-triples"]) == 3
+        err = capsys.readouterr().err
+        assert err == f"stax-kit: ParseError: {f}: line 2, column 37: expected IRI, blank node, or literal\n"
+
+    @pytest.mark.parametrize("command", ["classify", "validate"])
+    def test_stdin_is_named_dash(self, command, tmp_path, monkeypatch, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(MANIFEST_OK))
+        argv = {
+            "classify": ["classify", "--input", "-", "--framing", "flat-triples"],
+            "validate": ["validate", "--manifest", str(manifest), "--data", "-", "--framing", "flat-triples"],
+        }[command]
+        monkeypatch.setattr(sys, "stdin", LineOnlyStdin(self.BAD))
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == "stax-kit: ParseError: -: line 2, column 37: expected IRI, blank node, or literal\n"
+
+    def test_byte_order_mark_is_named(self, tmp_path, capsys):
+        f = tmp_path / "bom.nt"
+        f.write_bytes(b"\xef\xbb\xbf" + flat_triples(1))
+        assert main(["classify", "--input", str(f), "--framing", "flat-triples"]) == 3
+        err = capsys.readouterr().err
+        assert err == f"stax-kit: ParseError: {f}: line 1, column 1: unexpected byte order mark (U+FEFF)\n"
 
 
 class TestTaxonomy:

@@ -216,6 +216,48 @@ class TestMalformedLines:
         assert "line 7" in str(info.value)
 
 
+BOM_LINE = b"\xef\xbb\xbf<http://a:1> <http://p:1> <http://o:1> .\n"
+BOM_REASON = "unexpected byte order mark (U+FEFF)"
+
+
+class TestInputNames:
+    @pytest.mark.parametrize("framing", [Framing.FLAT_TRIPLES, Framing.FRAMED_GRAPHS])
+    def test_byte_order_mark_is_named(self, framing, tmp_path):
+        f = tmp_path / "bom.nt"
+        f.write_bytes(BOM_LINE + b"#---\n" + BOM_LINE[3:])
+        read = read_flat_stream if framing.is_flat else read_grouped_stream
+        for source in (f, str(f), f.read_bytes()):
+            with pytest.raises(ParseError) as info:
+                list(read(source, framing))
+            assert (info.value.line, info.value.column, info.value.reason) == (1, 1, BOM_REASON)
+
+    def test_byte_order_mark_in_a_member_is_named(self, tmp_path):
+        (tmp_path / "00000.nt").write_bytes(BOM_LINE[3:])
+        (tmp_path / "00001.nt").write_bytes(BOM_LINE)
+        with pytest.raises(ParseError) as info:
+            list(read_grouped_stream(tmp_path, Framing.DIR_GRAPHS))
+        assert str(info.value) == f"00001.nt: line 1, column 1: {BOM_REASON}"
+
+    @pytest.mark.parametrize("framing", [Framing.FLAT_QUADS, Framing.FRAMED_DATASETS])
+    def test_path_sources_name_the_path(self, framing, tmp_path):
+        f = tmp_path / "bad.nq"
+        f.write_bytes(BOM_LINE[3:] + b"bad .\n")
+        read = read_flat_stream if framing.is_flat else read_grouped_stream
+        for source, member in ((f, str(f)), (str(f), str(f)), (f.read_bytes(), None)):
+            with pytest.raises(ParseError) as info:
+                list(read(source, framing))
+            assert (info.value.member, info.value.line, info.value.column) == (member, 2, 1)
+            prefix = f"{member}: " if member else ""
+            assert str(info.value) == f"{prefix}line 2, column 1: expected IRI, blank node, or literal"
+
+    def test_invalid_utf8_in_a_path_names_the_path(self, tmp_path):
+        f = tmp_path / "bad.nt"
+        f.write_bytes(b"\xff\n")
+        with pytest.raises(ParseError) as info:
+            list(read_flat_stream(f, Framing.FLAT_TRIPLES))
+        assert str(info.value).startswith(f"{f}: line 1, column 1: invalid UTF-8 byte 0xFF")
+
+
 class TestFlatStreams:
     def test_triples_roundtrip(self):
         r = random.Random(11)
@@ -643,7 +685,7 @@ def test_property_every_literal_roundtrips(literal):
 # hypothesis: the line pattern, the locator and the scanner oracle agree on
 # every line, accepted or not
 
-MUTATION_CHARS = list('<>"_:.@^\\#-1') + ["\t", " ", "\u00a0", "ß", "u", "\u0661"]
+MUTATION_CHARS = list('<>"_:.@^\\#-1') + ["\t", " ", "\u00a0", "ß", "u", "\u0661", "\ufeff"]
 
 
 @st.composite

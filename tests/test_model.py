@@ -176,6 +176,34 @@ class TestValueSemantics:
         assert Triple(S, P, O) != (S, P, O)
         assert Quad(S, P, O) != (S, P, O, None)
 
+    @pytest.mark.parametrize(
+        "plain, value",
+        [
+            ("x:y", Iri("x:y")),
+            ("g", BlankNode("g")),
+            (("x:y", XSD_STRING, None), Literal("x:y")),
+            ((S, P, O), Triple(S, P, O)),
+            ((S, P, O, None), Quad(S, P, O)),
+        ],
+        ids=["Iri", "BlankNode", "Literal", "Triple", "Quad"],
+    )
+    def test_equality_with_the_builtin_value_fails_in_both_orders(self, plain, value):
+        assert not plain == value and not value == plain
+        assert plain != value and value != plain
+
+    def test_terms_and_equal_strings_are_distinct_set_members(self):
+        assert len({Iri("a:b"), BlankNode("b"), "a:b", "b"}) == 4
+        assert len({"a:b", "b", Iri("a:b"), BlankNode("b")}) == 4
+        assert {"a:b": 1, Iri("a:b"): 2} == {"a:b": 1, Iri("a:b"): 2}
+        assert Iri("a:b") not in {"a:b"} and "a:b" not in {Iri("a:b")}
+
+    def test_blank_node_formats_with_its_prefix(self):
+        assert f"{BlankNode('g')}" == str(BlankNode("g")) == "_:g"
+
+    def test_duplicate_blank_graph_name_is_named_with_its_prefix(self):
+        with pytest.raises(ValueError, match="^duplicate graph name: _:g$"):
+            Dataset(named_graphs=[(BlankNode("g"), Graph()), (BlankNode("g"), Graph())])
+
     @pytest.mark.parametrize("kind", MAKERS)
     def test_equal_values_hash_equal(self, kind):
         a, b = MAKERS[kind](), MAKERS[kind]()
@@ -241,10 +269,75 @@ class TestValueSemantics:
         with pytest.raises(MalformedIri):
             Literal("x", "http://d:" + chr(code))
 
+    @pytest.mark.parametrize("kind", MAKERS)
+    def test_every_pickle_protocol_keeps_the_value(self, kind):
+        value = MAKERS[kind]()
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copied = pickle.loads(pickle.dumps(value, protocol))
+            assert copied == value and type(copied) is type(value)
+        assert copy.deepcopy(value) == value
+
     @pytest.mark.parametrize("lexical", [5, b"x", None], ids=repr)
     def test_non_str_lexical_form_raises_type_error_naming_it(self, lexical):
         with pytest.raises(TypeError, match=f"lexical form must be a str: {re.escape(repr(lexical))}"):
             Literal(lexical)
+
+
+class TestBuiltinBases:
+    """Terms are str and statements tuples, so hashing runs in C; the rest
+    of the value semantics is pinned in TestValueSemantics."""
+
+    def test_hashing_is_the_builtin_one(self):
+        # A Python-level __hash__ would be called on every dict and set
+        # operation of the reader and classifier.
+        assert Iri.__hash__ is str.__hash__
+        assert BlankNode.__hash__ is str.__hash__
+        assert Literal.__hash__ is tuple.__hash__
+        assert Triple.__hash__ is tuple.__hash__
+        assert Quad.__hash__ is tuple.__hash__
+
+    @pytest.mark.parametrize("kind", MAKERS)
+    def test_no_instance_dict(self, kind):
+        assert not hasattr(MAKERS[kind](), "__dict__")
+
+    def test_terms_are_str_and_statements_tuples(self):
+        assert isinstance(Iri(EX + "a"), str) and isinstance(BlankNode("b"), str)
+        triple, quad = Triple(S, P, O), Quad(S, P, O)
+        assert len(triple) == 3 and len(quad) == 4 and len(O) == 3
+        assert triple[0] is S and quad[3] is None and tuple(O) == ("o", RDF_LANGSTRING, "en")
+        assert list(triple) == [S, P, O]
+        assert Triple(Iri(EX + "a"), P, O) < Triple(Iri(EX + "b"), P, O)
+        assert sorted([Iri("b:1"), Iri("a:1")]) == [Iri("a:1"), Iri("b:1")]
+
+    def test_fields_are_plain_str(self):
+        lit = Literal("4", EX + "int")
+        for value in (Iri(EX + "a").value, BlankNode("b").label, lit.lexical, lit.datatype):
+            assert type(value) is str
+
+    def test_blank_node_format_spec_applies_to_its_str_form(self):
+        assert f"{BlankNode('g'):>4}" == " _:g"
+        assert "%s" % BlankNode("g") == "_:g"
+
+    def test_term_arguments_are_read_as_their_values(self):
+        class Renamed(str):
+            def __str__(self):
+                return "other"
+
+        assert Iri(Iri(EX + "a")) == Iri(EX + "a")
+        assert Iri(Renamed(EX + "a")).value == EX + "a"
+        assert BlankNode(BlankNode("g")).label == "g"
+        lit = Literal(Iri(EX + "a"), Iri(EX + "int"))
+        assert lit == Literal(EX + "a", EX + "int")
+        assert type(lit.lexical) is str and type(lit.datatype) is str
+        with pytest.raises(ValueError, match="requires a language tag"):
+            Literal("x", Iri(RDF_LANGSTRING))
+
+    def test_internal_rebuilds_keep_the_class(self):
+        quad = Quad(S, P, O, BlankNode("g"))
+        assert type(quad.triple()) is Triple and quad.triple() == Triple(S, P, O)
+        d = Dataset.from_quads([quad, Quad(S, P, O)])
+        assert [type(q) for q in d.quads()] == [Quad, Quad]
+        assert list(d.quads()) == [Quad(S, P, O), quad]
 
 
 class TestGraph:
