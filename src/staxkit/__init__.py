@@ -15,85 +15,7 @@ import types
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbstractType",
-    "AnnotationManifest",
-    "BlankNode",
-    "ClassificationReport",
-    "ClassifierConfig",
-    "ClassifierState",
-    "ConversionStep",
-    "CrossCheckEntry",
-    "CycleError",
-    "DanglingReference",
-    "Dataset",
-    "ElementVerdict",
-    "EmptyUsages",
-    "Framing",
-    "Graph",
-    "InferredTaxonomy",
-    "InvalidBatchSize",
-    "Iri",
-    "LineKind",
-    "Literal",
-    "MalformedIri",
-    "MixedPayload",
-    "NamedGraphPresent",
-    "NoConversionPath",
-    "OutputExists",
-    "ParseError",
-    "ParsedLine",
-    "Payload",
-    "Quad",
-    "RDF_LANGSTRING",
-    "STAX_NS",
-    "SchemaError",
-    "StaxError",
-    "StreamType",
-    "StreamTypeUsage",
-    "Taxonomy",
-    "Triple",
-    "TypeKind",
-    "TypeVerdict",
-    "UnknownStreamType",
-    "UnknownType",
-    "ValidationReport",
-    "Violation",
-    "XSD_STRING",
-    "candidate_subject_nodes",
-    "check_named_graph_shape",
-    "check_timestamped_named_graph",
-    "classify_element",
-    "classify_stream",
-    "conversion_path",
-    "convert",
-    "cross_check",
-    "default_taxonomy",
-    "emit_turtle",
-    "extend",
-    "flatten_datasets",
-    "flatten_graphs",
-    "group_statements",
-    "infer_closure",
-    "load_manifest",
-    "load_taxonomy",
-    "most_specific",
-    "parse_statement_line",
-    "payload_kind",
-    "project",
-    "read_flat_stream",
-    "read_grouped_stream",
-    "relates",
-    "serialize_statement",
-    "serialize_term",
-    "validate_usages",
-    "write_dir_stream",
-    "write_flat_stream",
-    "write_grouped_stream",
-    "write_stream",
-]
-
-# The submodule that defines each name of __all__.
+# The submodule that defines each public name; __all__ lists them sorted.
 _SOURCES = {
     name: module
     for module, names in {
@@ -117,6 +39,8 @@ _SOURCES = {
     }.items()
     for name in names.split()
 }
+
+__all__ = sorted(_SOURCES)
 
 
 def __getattr__(name: str):

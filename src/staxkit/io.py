@@ -27,13 +27,15 @@ import os
 import re
 from io import BytesIO
 from itertools import islice
-from typing import IO, Iterable, Iterator, NamedTuple, Union
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Union
 
 from .errors import MalformedIri, MixedPayload, OutputExists, ParseError
 from .framing import Framing, Payload
 from .model import (
     LANGTAG,
+    RDF_LANGSTRING,
     XSD_STRING,
+    _checked_datatypes,
     BlankNode,
     Dataset,
     Graph,
@@ -191,25 +193,34 @@ def _locate(line: str, quads: bool, line_no: int) -> Statement:
     """Read a statement line term by term; raise its first error, in reading order.
 
     A line without an error gives its statement, the one the pattern gives.
+    An error at or after a bare CR is reported at the CR: the lines of a
+    file with CR-only line ends arrive joined as one.
     """
     terms: list[Term] = []
-    pos = _SKIP_WS.match(line).end()
-    for kinds, reason in _ROLES:
-        if len(terms) == 3:
-            if line[pos : pos + 1] in ("", "."):
-                break
-            if not quads:
-                raise ParseError(line_no, pos + 1, "statement has a fourth term but framing expects triples")
-        term, end = _read_term(line, pos, line_no)
-        if not isinstance(term, kinds):
-            raise ParseError(line_no, pos + 1, reason)
-        terms.append(term)
-        pos = _SKIP_WS.match(line, end).end()
-    if line[pos : pos + 1] != ".":
-        raise ParseError(line_no, pos + 1, "expected '.' at end of statement")
-    pos = _SKIP_WS.match(line, pos + 1).end()
-    if line[pos : pos + 1] not in ("", "#"):
-        raise ParseError(line_no, pos + 1, "unexpected content after '.'")
+    try:
+        pos = _SKIP_WS.match(line).end()
+        for kinds, reason in _ROLES:
+            if len(terms) == 3:
+                if line[pos : pos + 1] in ("", "."):
+                    break
+                if not quads:
+                    raise ParseError(line_no, pos + 1, "statement has a fourth term but framing expects triples")
+            term, end = _read_term(line, pos, line_no)
+            if not isinstance(term, kinds):
+                raise ParseError(line_no, pos + 1, reason)
+            terms.append(term)
+            pos = _SKIP_WS.match(line, end).end()
+        if line[pos : pos + 1] != ".":
+            raise ParseError(line_no, pos + 1, "expected '.' at end of statement")
+        pos = _SKIP_WS.match(line, pos + 1).end()
+        if line[pos : pos + 1] not in ("", "#"):
+            raise ParseError(line_no, pos + 1, "unexpected content after '.'")
+    except ParseError as exc:
+        cr = line.find("\r")
+        if not 0 <= cr < exc.column:
+            raise
+        reason = "carriage return (U+000D) line end; lines must end in LF or CRLF"
+        raise ParseError(line_no, cr + 1, reason) from None
     return Quad(*terms) if quads else Triple(*terms)
 
 
@@ -332,12 +343,6 @@ def read_flat_stream(source: Source, framing: Framing) -> Iterator[Statement]:
         raise _named(exc, source) from None
 
 
-def _statements_to_element(statements: list[Statement], framing: Framing):
-    if framing.quads_payload:
-        return Dataset.from_quads(statements)  # type: ignore[arg-type]
-    return Graph(statements)  # type: ignore[arg-type]
-
-
 def _parse_grouped_line(line: str, no: int, quads_payload: bool) -> Statement | LineKind:
     if quads_payload:
         return _parse_line(line, True, no)
@@ -351,35 +356,81 @@ def _parse_grouped_line(line: str, no: int, quads_payload: bool) -> Statement | 
         raise MixedPayload(f"line {no}: named graph label inside a graph framing") from None
 
 
+def _elements(lines: Iterator[tuple[int, str]], quads: bool, framed: bool) -> Iterator[Graph | Dataset]:
+    """The elements of a framed file, or the one element of a directory
+    member, where '#---' is a comment.  A line the pattern matches has its
+    terms built inline and its triple put straight into its graph's index;
+    any other line takes _parse_grouped_line, which raises the located
+    error.  At '#---' and at the end the indexes become the element, unchecked.
+    """
+    match = _STATEMENT.match
+    get = _interned.get
+    checked = _checked_datatypes.get
+    new = tuple.__new__
+    graphs: dict[Iri | BlankNode | None, dict[Triple, None]] = {}
+    no = 0
+    for no, line in lines:
+        m = match(line)
+        statement = None
+        # A matched line starts with a term: never a delimiter, blank or comment.
+        if m is not None and (quads or m[7] is None):
+            s, p, o, lexical, language, datatype, g = m.groups()
+            try:
+                if o is not None:
+                    o = get(o) or _node(o)
+                else:
+                    if "\\" in lexical:
+                        lexical = _ESCAPE.sub(_unescape_match, lexical)
+                    # Strict UTF-8 decoding and _unescape_match let no surrogate through and
+                    # the pattern checked LANGTAG: only a new datatype needs Literal's checks.
+                    if language is not None:
+                        o = new(Literal, (lexical, RDF_LANGSTRING, language))
+                    elif datatype is None:
+                        o = new(Literal, (lexical, XSD_STRING, None))
+                    else:
+                        dt = get(datatype) or _node(datatype)
+                        plain = checked(dt)
+                        o = Literal(lexical, dt) if plain is None else new(Literal, (lexical, plain, None))
+                # The pattern admits only the roles Triple and Quad check.
+                statement = new(Triple, (get(s) or _node(s), get(p) or _node(p), o))
+                label = None if g is None else get(g) or _node(g)
+            except (MalformedIri, ValueError):
+                statement = None  # the locator raises the located error
+        if statement is None:
+            parsed = _parse_grouped_line(line, no, quads)
+            if parsed.__class__ is LineKind:
+                if framed and parsed is LineKind.FRAME_DELIMITER:
+                    yield Dataset._of(graphs) if quads else Graph._of(graphs.get(None, {}))
+                    graphs = {}
+                continue
+            # A line the locator accepts where the pattern did not.
+            statement, label = (new(Triple, parsed[:3]), parsed[3]) if quads else (parsed, None)
+        index = graphs.get(label)
+        if index is None:
+            index = graphs[label] = {}
+        index[statement] = None
+    if no or not framed:
+        yield Dataset._of(graphs) if quads else Graph._of(graphs.get(None, {}))
+
+
 def read_grouped_stream(source: Source, framing: Framing) -> Iterator[Graph | Dataset]:
     """Yield the elements of a grouped stream.
 
     Framed sources split on '#---' delimiter lines: n delimiters make n+1
     elements (elements may be empty), except that zero-byte input is an
     empty stream.  Directory sources yield one element per member file.
+    One loop reads a line at a time straight into the element being built,
+    which is yielded as soon as the line that ends it is read.
     """
     if framing.is_flat:
         raise ValueError(f"read_grouped_stream needs a grouped framing, got {framing.value}")
     if framing.is_dir:
         yield from _read_dir_stream(source, framing)
         return
-
-    quads_payload = framing.quads_payload
-    current: list[Statement] = []
-    saw_line = False
     try:
-        for no, line in _iter_lines(source):
-            saw_line = True
-            parsed = _parse_grouped_line(line, no, quads_payload)
-            if parsed is LineKind.FRAME_DELIMITER:
-                yield _statements_to_element(current, framing)
-                current = []
-            elif not isinstance(parsed, LineKind):
-                current.append(parsed)
+        yield from _elements(_iter_lines(source), framing.quads_payload, framed=True)
     except ParseError as exc:
         raise _named(exc, source) from None
-    if saw_line:
-        yield _statements_to_element(current, framing)
 
 
 def _read_dir_stream(source: Source, framing: Framing) -> Iterator[Graph | Dataset]:
@@ -393,13 +444,10 @@ def _read_dir_stream(source: Source, framing: Framing) -> Iterator[Graph | Datas
     for name in names:
         path = os.path.join(os.fspath(source), name)
         try:
-            parsed = [_parse_grouped_line(line, no, framing.quads_payload) for no, line in _iter_lines(path)]
+            # A member is one element: the loop reads '#---' as a comment.
+            yield from _elements(_iter_lines(path), framing.quads_payload, framed=False)
         except ParseError as exc:
             raise _named(exc, name) from None
-        # '#---' inside a member file is a delimiter line type, but a
-        # directory element is the whole file; treat it as a comment.
-        statements = [s for s in parsed if not isinstance(s, LineKind)]
-        yield _statements_to_element(statements, framing)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +504,35 @@ _ITEM_CLASS = {Payload.TRIPLES: Triple, Payload.QUADS: Quad, Payload.GRAPHS: Gra
 _CHUNK_ITEMS = 512
 
 
-def _lines(items: Iterable, framing: Framing) -> Iterator[str]:
+def _statement_serializer() -> Callable[[Statement], str]:
+    """serialize_statement for one stream, keeping the text of each IRI and
+    blank node in a table that empties at _INTERN_LIMIT entries."""
+    texts: dict[Iri | BlankNode, str] = {}
+    get = texts.get
+
+    def text(term: Term) -> str:
+        out = serialize_term(term)
+        if term.__class__ is Iri or term.__class__ is BlankNode:
+            if len(texts) >= _INTERN_LIMIT:
+                texts.clear()
+            texts[term] = out
+        return out
+
+    def serialize(statement: Statement) -> str:
+        try:
+            s = get(statement[0]) or text(statement[0])
+            p = get(statement[1]) or text(statement[1])
+            o = get(statement[2]) or text(statement[2])
+            if isinstance(statement, Quad) and (g := statement[3]) is not None:
+                return f"{s} {p} {o} {get(g) or text(g)} ."
+            return f"{s} {p} {o} ."
+        except TypeError:
+            return serialize_statement(statement)  # raises: a field is no term, or unhashable
+
+    return serialize
+
+
+def _lines(items: Iterable, framing: Framing, serialize: Callable[[Statement], str]) -> Iterator[str]:
     """The canonical text of a stream's items, line by line, each line and its
     newline yielded apart, so every line is two items: one line per
     statement, and a grouped framing's '#---' between elements.  An item of
@@ -468,14 +544,14 @@ def _lines(items: Iterable, framing: Framing) -> Iterator[str]:
             where = f"{framing.value} framing" if flat else f"{kind.__name__.lower()} framing {framing.value}"
             raise MixedPayload(f"{where} cannot serialize {'a ' if flat else ''}{type(item).__name__}")
         if flat:
-            yield serialize_statement(item)
+            yield serialize(item)
             yield "\n"
             continue
         if i:
             yield FRAME_DELIMITER
             yield "\n"
         for statement in item.quads() if framing.quads_payload else item:
-            yield serialize_statement(statement)
+            yield serialize(statement)
             yield "\n"
 
 
@@ -495,12 +571,14 @@ def write_stream(items: Iterable, framing: Framing, sink: IO[bytes]) -> int:
     is read from items; returns the number of bytes written.
 
     Each sink.write call carries a chunk of whole lines, so memory holds one
-    chunk, not the stream.  When an item fails, the chunks before it have
-    been written already.  Item classes must match the framing's payload.
+    chunk, not the stream.  Each IRI and blank node is escaped once, its text
+    kept in a table local to the call that empties at _INTERN_LIMIT entries.
+    When an item fails, the chunks before it have been written already.
+    Item classes must match the framing's payload.
     """
     if framing.is_dir:
         raise ValueError(f"write_stream needs a flat or framed framing, got {framing.value}")
-    return _write_lines(_lines(items, framing), sink)
+    return _write_lines(_lines(items, framing, _statement_serializer()), sink)
 
 
 def write_flat_stream(statements: Iterable[Statement], framing: Framing) -> bytes:
@@ -555,6 +633,7 @@ def write_dir_stream(
             raise OutputExists(f"output directory {directory} already holds member {held}")
     os.makedirs(directory, exist_ok=True)
     names: list[str] = []
+    serialize = _statement_serializer()
     try:
         for i, element in enumerate(elements):
             name = _member_stem(i) + ext
@@ -562,7 +641,7 @@ def write_dir_stream(
                 # Recorded only once open() succeeds, so cleanup never removes
                 # a file this call could not open.
                 names.append(name)
-                _write_lines(_lines((element,), framing), f)
+                _write_lines(_lines((element,), framing, serialize), f)
     except BaseException:
         for name in names:
             with contextlib.suppress(OSError):

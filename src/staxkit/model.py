@@ -192,7 +192,10 @@ class Literal(_TupleValue):
         if language is not None:
             if not _LANGTAG_RE.fullmatch(language):
                 raise ValueError(f"invalid language tag: {language!r}")
-            if datatype not in (XSD_STRING, RDF_LANGSTRING):
+            # An Iri equals no str: compare an Iri's value as a plain str.
+            if datatype not in (XSD_STRING, RDF_LANGSTRING) and (
+                not isinstance(datatype, str) or str.__str__(datatype) not in (XSD_STRING, RDF_LANGSTRING)
+            ):
                 raise ValueError("language-tagged literal must have datatype rdf:langString")
             datatype = RDF_LANGSTRING
         elif (checked := _checked_datatypes.get(datatype)) is not None:
@@ -281,6 +284,13 @@ class Graph:
             index[t] = None
         self._index = index
 
+    @classmethod
+    def _of(cls, index: dict[Triple, None]) -> Graph:
+        """The graph of index, whose keys are checked triples, taken over as is."""
+        graph = object.__new__(cls)
+        graph._index = index
+        return graph
+
     @property
     def triples(self) -> tuple[Triple, ...]:
         return tuple(self._index)
@@ -345,16 +355,22 @@ class Dataset:
     def from_quads(cls, quads: Iterable[Quad]) -> "Dataset":
         """Partition quads into graphs: absent labels go to the default graph,
         labels keep first-occurrence order, duplicates within a graph are dropped."""
-        default: list[Triple] = []
-        named: dict[GraphName, list[Triple]] = {}
+        graphs: dict[GraphName | None, dict[Triple, None]] = {}
         for q in quads:
             if not isinstance(q, Quad):
                 raise TypeError(f"expected Quad, got {type(q).__name__}")
-            if q.graph_label is None:
-                default.append(q.triple())
-            else:
-                named.setdefault(q.graph_label, []).append(q.triple())
-        return cls(Graph(default), [(n, Graph(ts)) for n, ts in named.items()])
+            # the fields were checked when the quad was built
+            graphs.setdefault(q[3], {})[tuple.__new__(Triple, q[:3])] = None
+        return cls._of(graphs)
+
+    @classmethod
+    def _of(cls, graphs: dict[GraphName | None, dict[Triple, None]]) -> Dataset:
+        """The dataset of graphs: label (None for the default graph) -> index
+        of checked triples, labels in first-occurrence order, taken over as is."""
+        dataset = object.__new__(cls)
+        dataset._default = Graph._of(graphs.pop(None, {}))
+        dataset._named = {name: Graph._of(index) for name, index in graphs.items()}
+        return dataset
 
     @property
     def default_graph(self) -> Graph:

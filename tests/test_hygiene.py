@@ -63,12 +63,13 @@ def annotation_names(tree: ast.Module) -> set[str]:
 
 
 def exported_names(tree: ast.Module) -> set[str]:
-    """Names listed in the module's __all__."""
+    """Names listed in the module's __all__: a literal list, or a call, as in
+    the package's sorted(_SOURCES), whose names are the imported package's."""
     return {
         name
         for node in tree.body
         if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
-        for name in ast.literal_eval(node.value)
+        for name in (staxkit.__all__ if isinstance(node.value, ast.Call) else ast.literal_eval(node.value))
     }
 
 

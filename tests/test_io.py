@@ -1,4 +1,8 @@
+import os
 import random
+import re
+import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +15,7 @@ from streamgen import (
     gen_triple,
     gen_unique_statements,
 )
+import staxkit.io
 from staxkit.convert import flatten_graphs
 from staxkit.errors import MalformedIri, MixedPayload, OutputExists, ParseError
 from staxkit.io import (
@@ -738,3 +743,332 @@ def test_property_pattern_agrees_with_scanner(line, mode):
 @pytest.mark.parametrize("line", dict.fromkeys(row[0] for row in MALFORMED))
 def test_table_lines_agree_with_scanner(line, mode):
     assert_pattern_agrees_with_scanner(line, mode)
+
+
+# The grouped reader builds each element in one loop; a reference built one
+# line at a time with parse_statement_line and the public constructors must
+# give the same elements, with every value of exactly the same class, or
+# the same error.
+
+def _node_token(r):
+    k = r.randrange(8)
+    if k == 0:
+        return f"_:b{r.randrange(4)}"
+    if k == 1:
+        # the same IRI escaped and not: one term from two tokens
+        return r.choice(["<http://ex.org/\\u00E9%d>", "<http://ex.org/é%d>"]) % r.randrange(3)
+    if k < 4:
+        return f"<http://ex.org/fresh{r.randrange(10**9)}>"
+    return f"<http://ex.org/r{r.randrange(5)}>"
+
+
+def _object_token(r):
+    k = r.randrange(8)
+    if k < 3:
+        return _node_token(r)
+    lexical = r.choice(["x", "a b", "tab\\there", 'q\\"', "\\u00e9t\\u00E9", "", "é"])
+    if k < 5:
+        return f'"{lexical}"'
+    if k == 5:
+        return f'"{lexical}"@{r.choice(["en", "en-GB", "pl"])}'
+    if k == 6:
+        return f'"{lexical}"^^<http://ex.org/dt{r.randrange(10**9)}>'  # a datatype not seen before
+    return f'"{lexical}"^^<{r.choice([XSD_STRING, "http://www.w3.org/2001/XMLSchema#integer"])}>'
+
+
+BAD_LINES = [
+    '<http://ex.org/s> <http://ex.org/p> "\\uD800" .',
+    '<http://ex.org/s> <http://ex.org/p> "x"^^<http://www.w3.org/1999/02/22-rdf-syntax-ns#langString> .',
+    '<http://ex.org/s> <http://ex.org/p> "x"^^<nocolon> .',
+    '<http://ex.org/s> <http://ex.org/p> <http://ex.org/o> <http://ex.org/g> .',
+    '<http://ex.org/s> <http://ex.org/p> <http://ex.org/o> "g" .',
+    '"s" <http://ex.org/p> <http://ex.org/o> .',
+    "junk .",
+]
+
+
+@st.composite
+def grouped_inputs(draw):
+    """(quads, elements as lists of lines): statements in several graphs, with
+    comments, blank lines, '#---', repeats and at times one bad line."""
+    r = random.Random(draw(st.integers(0, 2**32 - 1)))
+    quads = r.random() < 0.5
+    seen: list[str] = []
+    elements = []
+    for _ in range(r.randrange(1, 5)):
+        lines = []
+        for _ in range(r.randrange(12)):
+            k = r.randrange(10)
+            if k == 0:
+                lines.append(r.choice(["", " \t", "# note", "  #--- not a delimiter", "#---"]))
+            elif k == 1 and seen:
+                lines.append(r.choice(seen))
+            else:
+                terms = [_node_token(r), f"<http://ex.org/p{r.randrange(3)}>", _object_token(r)]
+                if quads and r.random() < 0.6:
+                    # g0 twice: escaped and not
+                    labels = ["<http://ex.org/g0>", "<http://ex.org/\\u00670>", "<http://ex.org/g1>", "_:g"]
+                    terms.append(r.choice(labels))
+                line = r.choice([" ", "\t", "  "]).join(terms) + r.choice([" .", ".", " . # c", " .\t"])
+                seen.append(line)
+                lines.append(line)
+        elements.append(lines)
+    if r.random() < 0.2:
+        element = r.choice(elements)
+        element.insert(r.randrange(len(element) + 1), r.choice(BAD_LINES))
+    return quads, elements
+
+
+def _reference(lines, quads, framed):
+    """The elements of lines, read one line at a time; a framed input splits
+    at '#---', a member's ends only with its last line."""
+    mode = "quads" if quads else "triples"
+    elements, current = [], []
+    for no, line in enumerate(lines, 1):
+        try:
+            parsed = parse_statement_line(line, mode, no)
+        except ParseError:
+            if quads:
+                raise
+            parse_statement_line(line, "quads", no)  # raises the quads-mode error
+            raise MixedPayload(f"line {no}: named graph label inside a graph framing") from None
+        if parsed.kind is LineKind.FRAME_DELIMITER and framed:
+            elements.append(current)
+            current = []
+        elif parsed.kind is LineKind.STATEMENT:
+            current.append(parsed.statement)
+    if lines or not framed:
+        elements.append(current)
+    return [Dataset.from_quads(e) if quads else Graph(e) for e in elements]
+
+
+def _encode(lines, r):
+    """lines with LF or CRLF ends, the last at times with none."""
+    ends = [r.choice(["\n", "\r\n"]) for _ in lines]
+    if lines and lines[-1] and r.random() < 0.3:
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends)).encode("utf-8")
+
+
+def _classes(element):
+    """The class of the element and of every graph, label, statement, term
+    and literal field in it, in order."""
+    if type(element) is Graph:
+        graphs = [element]
+    else:
+        graphs = [element.default_graph, *(g for _, g in element.named_items())]
+    out = [type(element), *(type(name) for name, _ in getattr(element, "named_items", tuple)())]
+    for graph in graphs:
+        out.append(type(graph))
+        for statement in graph:
+            out += [type(statement), *map(type, statement)]
+            if type(statement[2]) is Literal:
+                out += map(type, statement[2])
+    return out
+
+
+def _outcome_of(read):
+    try:
+        return read()
+    except (ParseError, MixedPayload) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grouped_inputs(), st.integers(0, 2**32 - 1), st.sampled_from([3, 4096]))
+def test_property_one_loop_reader_equals_per_line_reference(case, seed, limit):
+    # A small intern table empties in the middle of elements.
+    quads, elements = case
+    r = random.Random(seed)
+    with mock.patch.object(staxkit.io, "_INTERN_LIMIT", limit), tempfile.TemporaryDirectory() as d:
+        lines = [line for i, e in enumerate(elements) for line in ([FRAME_DELIMITER] if i else []) + e]
+        framing = Framing.FRAMED_DATASETS if quads else Framing.FRAMED_GRAPHS
+        got = _outcome_of(lambda: list(read_grouped_stream(_encode(lines, r), framing)))
+        expected = _outcome_of(lambda: _reference(lines, quads, framed=True))
+        assert got == expected
+        if isinstance(got, list):
+            assert [_classes(e) for e in got] == [_classes(e) for e in expected]
+
+        framing = Framing.DIR_DATASETS if quads else Framing.DIR_GRAPHS
+        expected = []
+        for i, member in enumerate(elements):
+            name = _member_stem(i) + (".nq" if quads else ".nt")
+            with open(os.path.join(d, name), "wb") as f:
+                f.write(_encode(member, r))
+            if isinstance(expected, list):
+                try:
+                    expected += _reference(member, quads, framed=False)
+                except ParseError as exc:
+                    expected = ParseError, str(ParseError(exc.line, exc.column, exc.reason, member=name))
+                except MixedPayload as exc:
+                    expected = MixedPayload, str(exc)
+        got = _outcome_of(lambda: list(read_grouped_stream(d, framing)))
+        assert got == expected
+        if isinstance(got, list):
+            assert [_classes(e) for e in got] == [_classes(e) for e in expected]
+
+
+@pytest.mark.parametrize("framing", [Framing.FRAMED_GRAPHS, Framing.FRAMED_DATASETS])
+def test_statements_the_locator_accepts_are_stored_alike(framing, monkeypatch):
+    # With a pattern that matches nothing, every statement comes from the
+    # locator, and lands in the same element as the pattern's would.
+    r = random.Random(7)
+    if framing.quads_payload:
+        elements = gen_dataset_elements(r) + [Dataset.from_quads(gen_quad(r) for _ in range(6))]
+    else:
+        elements = gen_graph_elements(r)
+    data = write_grouped_stream(elements, framing)
+    assert list(read_grouped_stream(data, framing)) == elements
+    monkeypatch.setattr(staxkit.io, "_STATEMENT", re.compile("(?!)"))
+    read = list(read_grouped_stream(data, framing))
+    assert read == elements
+    assert [_classes(e) for e in read] == [_classes(e) for e in elements]
+
+
+# The reader builds a literal without Literal's surrogate check: strict UTF-8
+# decoding and the escape decoder must refuse every surrogate first.
+GOOD_LINE = b"<http://s:1> <http://p:1> <http://o:1> .\n"
+SURROGATE_ESCAPE = "escape U+{:X} is not a valid scalar value"
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        (b'<http://s:1> <http://p:1> "a\\uD800" .', SURROGATE_ESCAPE.format(0xD800)),
+        (b'<http://s:1> <http://p:1> "a\\uDFFF"@en .', SURROGATE_ESCAPE.format(0xDFFF)),
+        (b'<http://s:1> <http://p:1> "a\\U0000DC00"^^<' + XSD_STRING.encode() + b"> .",
+         SURROGATE_ESCAPE.format(0xDC00)),
+        (b'<http://s:1> <http://p:1> "a\\uD800"^^<http://ex.org/dt> .', SURROGATE_ESCAPE.format(0xD800)),
+        (b'<http://s:1> <http://p:1> "a\xed\xa0\x80" .', "invalid UTF-8 byte 0xED at byte offset {}"),
+        (b'<http://s:1> <http://p:1> "a\xed\xa0\x80"@en .', "invalid UTF-8 byte 0xED at byte offset {}"),
+    ],
+)
+@pytest.mark.parametrize("framing", [Framing.FRAMED_GRAPHS, Framing.FRAMED_DATASETS, Framing.DIR_GRAPHS])
+def test_surrogates_in_literals_raise_located_errors(line, reason, framing, tmp_path):
+    data = GOOD_LINE + b"#---\n" + line + b"\n"
+    source = data
+    if framing.is_dir:
+        (tmp_path / "00000.nt").write_bytes(data)
+        source = tmp_path
+    with pytest.raises(ParseError) as info:
+        list(read_grouped_stream(source, framing))
+    # the backslash or the first byte of the surrogate: column 29 of line 3
+    assert (info.value.line, info.value.column) == (3, 29)
+    assert info.value.reason == reason.format(len(GOOD_LINE) + 5 + 28)
+
+
+class _CountingSource:
+    """A binary stream that counts the lines it has handed out."""
+
+    def __init__(self, data: bytes):
+        self._lines = data.splitlines(keepends=True)
+        self.handed = 0
+
+    def __iter__(self):
+        for line in self._lines:
+            self.handed += 1
+            yield line
+
+
+@pytest.mark.parametrize("framing", [Framing.FRAMED_GRAPHS, Framing.FRAMED_DATASETS])
+def test_each_element_comes_out_when_its_delimiter_is_read(framing):
+    data = GOOD_LINE + b"# comment\n\n" + GOOD_LINE + b"#---\n" + GOOD_LINE + b"#---\n#---\n" + GOOD_LINE
+    source = _CountingSource(data)
+    elements = read_grouped_stream(source, framing)
+    handed = []
+    for element in elements:
+        handed.append(source.handed)
+    assert handed == [5, 7, 8, 9]
+
+
+ESCAPED_IRIS = [Iri("http://ex.org/{a}"), Iri("http://ex.org/a|b^c`\x01"), Iri("http://ex.org/\\d")]
+
+
+def _writer_statements(quads: bool) -> list:
+    """Statements with IRIs that need escapes, repeated blank nodes and more
+    distinct IRIs than the table holds once _INTERN_LIMIT is patched small."""
+    r = random.Random(5)
+    nodes = [*ESCAPED_IRIS, BlankNode("b0"), BlankNode("b1"), *(Iri(f"{EX}n{i}") for i in range(40))]
+    objects = [*nodes, Literal("x\ty"), Literal("v", language="en"), Literal("1", "http://ex.org/{dt}")]
+    out = []
+    for _ in range(120):
+        s, p, o = r.choice(nodes), r.choice([Iri(EX + "p"), ESCAPED_IRIS[0]]), r.choice(objects)
+        out.append(Quad(s, p, o, r.choice([None, BlankNode("b0"), ESCAPED_IRIS[1]])) if quads else Triple(s, p, o))
+    return out
+
+
+@pytest.mark.parametrize("limit", [3, 4096])
+def test_writers_equal_serialize_statement(limit, monkeypatch, tmp_path):
+    monkeypatch.setattr(staxkit.io, "_INTERN_LIMIT", limit)
+    for quads in (False, True):
+        statements = _writer_statements(quads)
+        lines = [serialize_statement(s) + "\n" for s in statements]
+        flat = Framing.FLAT_QUADS if quads else Framing.FLAT_TRIPLES
+        assert write_flat_stream(statements, flat) == "".join(lines).encode()
+
+        chunks = [statements[i : i + 25] for i in range(0, len(statements), 25)]
+        elements = [Dataset.from_quads(c) if quads else Graph(c) for c in chunks]
+        texts = ["".join(serialize_statement(s) + "\n" for s in (e.quads() if quads else e)) for e in elements]
+        framed = Framing.FRAMED_DATASETS if quads else Framing.FRAMED_GRAPHS
+        assert write_grouped_stream(elements, framed) == "#---\n".join(texts).encode()
+
+        directory = tmp_path / ("quads" if quads else "triples")
+        names = write_dir_stream(elements, Framing.DIR_DATASETS if quads else Framing.DIR_GRAPHS, directory)
+        assert [(directory / n).read_bytes() for n in names] == [t.encode() for t in texts]
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [Triple(Iri(EX + "s"), Iri(EX + "p"), None), Triple([1], Iri(EX + "p"), Iri(EX + "o"))],
+    ids=["not-a-term", "unhashable"],
+)
+def test_writer_raises_the_error_of_serialize_statement(statement):
+    with pytest.raises(TypeError) as expected:
+        serialize_statement(statement)
+    with pytest.raises(TypeError) as got:
+        write_flat_stream([Triple(Iri(EX + "s"), Iri(EX + "p"), Iri(EX + "o")), statement], Framing.FLAT_TRIPLES)
+    assert str(got.value) == str(expected.value)
+
+
+# A CR alone ends no line, so a file with CR-only line ends arrives as one
+# line; the error names the CR.
+CR_STATEMENT = b"<http://a:1> <http://p:1> <http://o:1> ."
+CR_REASON = "carriage return (U+000D) line end; lines must end in LF or CRLF"
+
+
+class TestCarriageReturnLineEnds:
+    @pytest.mark.parametrize("framing", [Framing.FLAT_TRIPLES, Framing.FLAT_QUADS])
+    def test_flat_file(self, framing, tmp_path):
+        f = tmp_path / "cr.nt"
+        f.write_bytes(CR_STATEMENT + b"\r" + CR_STATEMENT + b"\r")
+        with pytest.raises(ParseError) as info:
+            list(read_flat_stream(f, framing))
+        assert str(info.value) == f"{f}: line 1, column 41: {CR_REASON}"
+
+    @pytest.mark.parametrize("framing", [Framing.FRAMED_GRAPHS, Framing.FRAMED_DATASETS])
+    def test_framed_file(self, framing):
+        data = b"# a comment line\n" + CR_STATEMENT + b"\r#---\r" + CR_STATEMENT + b"\r"
+        with pytest.raises(ParseError) as info:
+            list(read_grouped_stream(data, framing))
+        assert (info.value.line, info.value.column, info.value.reason) == (2, 41, CR_REASON)
+
+    def test_dir_member(self, tmp_path):
+        (tmp_path / "00000.nt").write_bytes(CR_STATEMENT + b"\n")
+        (tmp_path / "00001.nt").write_bytes(CR_STATEMENT + b"\r" + CR_STATEMENT)
+        with pytest.raises(ParseError) as info:
+            list(read_grouped_stream(tmp_path, Framing.DIR_GRAPHS))
+        assert str(info.value) == f"00001.nt: line 1, column 41: {CR_REASON}"
+
+    @pytest.mark.parametrize(
+        "data, column, reason",
+        [
+            # an error before the CR keeps its own reason
+            (b"<http://a:1> <http://p:1> bad .\r" + CR_STATEMENT, 27, "expected IRI, blank node, or literal"),
+            (b"<http://a:1> <http://p:1>\r<http://o:1> .", 26, CR_REASON),
+            (b"<http://a:1> <http://p:1> <http://o:1>\r.", 39, CR_REASON),
+        ],
+    )
+    def test_error_at_or_after_the_cr(self, data, column, reason):
+        with pytest.raises(ParseError) as info:
+            list(read_flat_stream(data, Framing.FLAT_TRIPLES))
+        assert (info.value.line, info.value.column, info.value.reason) == (1, column, reason)

@@ -123,6 +123,24 @@ class TestLiteral:
         lit = Literal("4", datatype="http://www.w3.org/2001/XMLSchema#integer")
         assert lit.language is None
 
+    # A tag goes with xsd:string or rdf:langString, given as str or as Iri.
+    @pytest.mark.parametrize(
+        "datatype",
+        [XSD_STRING, RDF_LANGSTRING, Iri(XSD_STRING), Iri(RDF_LANGSTRING)],
+        ids=["str-string", "str-langString", "iri-string", "iri-langString"],
+    )
+    def test_language_accepts_either_datatype_as_str_or_iri(self, datatype):
+        lit = Literal("x", datatype, "en")
+        assert lit == Literal("x", language="en")
+        assert type(lit.datatype) is str and lit.datatype == RDF_LANGSTRING
+
+    @pytest.mark.parametrize(
+        "datatype", [EX + "dt", Iri(EX + "dt"), BlankNode("b"), None], ids=["str", "iri", "blank", "none"]
+    )
+    def test_language_with_any_other_datatype_keeps_its_error(self, datatype):
+        with pytest.raises(ValueError, match="^language-tagged literal must have datatype rdf:langString$"):
+            Literal("x", datatype, "en")
+
 
 class TestStatements:
     def test_triple_rejects_literal_subject(self):
@@ -388,6 +406,18 @@ class TestDataset:
         ]
         d = Dataset.from_quads(quads)
         assert [name for name, _ in d.named_items()] == [g2, g1]
+
+    def test_from_quads_graphs_hold_exactly_their_triples(self):
+        g, b = Iri(EX + "g"), BlankNode("g")
+        quads = [Quad(*t("a", "p", "b"), b), Quad(*t("a", "p", "b"), g), Quad(*t("a", "p", "b")),
+                 Quad(*t("c", "p", "d"), b), Quad(*t("a", "p", "b"), b)]
+        d = Dataset.from_quads(quads)
+        assert d == Dataset(Graph([t("a", "p", "b")]), [(b, Graph([t("a", "p", "b"), t("c", "p", "d")])),
+                                                         (g, Graph([t("a", "p", "b")]))])
+        assert {type(x) for _, graph in d.named_items() for x in graph} == {Triple}
+        assert list(d.quads()) == [quads[2], quads[0], quads[3], quads[1]]
+        with pytest.raises(TypeError, match="expected Quad, got Triple"):
+            Dataset.from_quads([t("a", "p", "b")])
 
     def test_duplicate_names_rejected(self):
         g = Iri(EX + "g")
