@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import json
 import re
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import EmptyUsages, SchemaError, UnknownStreamType
 from .io import serialize_term
-from .model import Frozen, Iri, Literal
+from .model import Iri, Literal, _TupleValue
 from .taxonomy import (
     STAX_NS,
     InferredTaxonomy,
@@ -47,15 +48,19 @@ class StreamTypeUsage(NamedTuple):
     comment: str | None = None
 
 
-class AnnotationManifest(Frozen):
-    __slots__ = ("usages", "subject_iri", "subject_class_iri")
+class AnnotationManifest(_TupleValue):
+    __slots__ = ()
+    __match_args__ = ("usages", "subject_iri", "subject_class_iri")
+    usages = property(itemgetter(0))
+    subject_iri = property(itemgetter(1))
+    subject_class_iri = property(itemgetter(2))
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         usages: tuple[StreamTypeUsage, ...],
         subject_iri: Iri | None = None,
         subject_class_iri: Iri = Iri(DCAT_DATASET),
-    ):
+    ) -> AnnotationManifest:
         if not usages:
             raise EmptyUsages("manifest declares no stream type usages")
         seen: set[str] = set()
@@ -63,9 +68,7 @@ class AnnotationManifest(Frozen):
             if u.stream_type in seen:
                 raise SchemaError(f"duplicate stream type usage: {u.stream_type}")
             seen.add(u.stream_type)
-        object.__setattr__(self, "usages", usages)
-        object.__setattr__(self, "subject_iri", subject_iri)
-        object.__setattr__(self, "subject_class_iri", subject_class_iri)
+        return tuple.__new__(cls, (usages, subject_iri, subject_class_iri))
 
 
 def load_manifest(text: str, taxonomy: Taxonomy | None = None) -> AnnotationManifest:

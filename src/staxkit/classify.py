@@ -33,11 +33,12 @@ import os
 import re
 from datetime import datetime, timezone
 from decimal import Decimal
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Union
 
 from .framing import Framing, Payload
 from .io import Source, read_flat_stream, read_grouped_stream
-from .model import Dataset, Frozen, Graph, Iri, Literal, Quad, Term, Triple
+from .model import Dataset, Graph, Iri, Literal, Quad, Term, Triple, _TupleValue
 from .taxonomy import InferredTaxonomy, default_taxonomy, infer_closure, most_specific
 
 PROV_GENERATED_AT_TIME = Iri("http://www.w3.org/ns/prov#generatedAtTime")
@@ -48,22 +49,24 @@ XSD_INTEGER = "http://www.w3.org/2001/XMLSchema#integer"
 XSD_DECIMAL = "http://www.w3.org/2001/XMLSchema#decimal"
 
 
-class ClassifierConfig(Frozen):
-    __slots__ = ("timestamp_predicates", "check_timestamp_order", "max_evidence")
+class ClassifierConfig(_TupleValue):
+    __slots__ = ()
+    __match_args__ = ("timestamp_predicates", "check_timestamp_order", "max_evidence")
+    timestamp_predicates = property(itemgetter(0))
+    check_timestamp_order = property(itemgetter(1))
+    max_evidence = property(itemgetter(2))
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         timestamp_predicates: frozenset[Iri] = frozenset({PROV_GENERATED_AT_TIME}),
         check_timestamp_order: bool = True,
         max_evidence: int = 10,
-    ):
+    ) -> ClassifierConfig:
         if not timestamp_predicates:
             raise ValueError("timestamp_predicates must not be empty")
         if max_evidence < 0:
             raise ValueError("max_evidence must be non-negative")
-        object.__setattr__(self, "timestamp_predicates", timestamp_predicates)
-        object.__setattr__(self, "check_timestamp_order", check_timestamp_order)
-        object.__setattr__(self, "max_evidence", max_evidence)
+        return tuple.__new__(cls, (timestamp_predicates, check_timestamp_order, max_evidence))
 
 
 class TypeVerdict(NamedTuple):

@@ -32,6 +32,8 @@ from typing import IO, Callable, Iterable, Iterator, NamedTuple, Union
 from .errors import MalformedIri, MixedPayload, OutputExists, ParseError
 from .framing import Framing, Payload
 from .model import (
+    _LANGTAG_RE,
+    _SURROGATE,
     LANGTAG,
     RDF_LANGSTRING,
     XSD_STRING,
@@ -88,7 +90,7 @@ _STATEMENT = re.compile(
     rf"{_WS}{_NODE_TOKEN}{_WS}({_IRI_TOKEN}){_WS}(?:{_NODE_TOKEN}"
     rf'|"([^"\\]*(?:(?:{_ECHAR}|{_UCHAR})[^"\\]*)*)"'
     rf"(?:@({LANGTAG})|\^\^({_IRI_TOKEN}))?)"
-    rf"{_WS}(?:{_NODE_TOKEN}{_WS})?\.{_WS}(?:#|\Z)"
+    rf"{_WS}(?:{_NODE_TOKEN}{_WS})?\.{_WS}(?:#[^\r]*)?\Z"
 )
 _ESCAPE = re.compile(rf"{_UCHAR}|{_ECHAR}")
 
@@ -108,6 +110,8 @@ _ROLES = (
     ((Iri, BlankNode, Literal), ""),
     ((Iri, BlankNode), "graph label must be an IRI or blank node"),
 )
+
+_CR_REASON = "carriage return (U+000D) line end; lines must end in LF or CRLF"
 
 # IRIs and blank nodes interned by token: a repeated one is built and checked
 # once.  Terms are immutable, so sharing is safe; at the cap the table empties.
@@ -140,35 +144,20 @@ def _node(token: str) -> Iri | BlankNode:
     return term
 
 
-_new = tuple.__new__
-
-
 def _parse_line(line: str, quads: bool, line_no: int) -> Statement | LineKind:
-    """The statement on one line, or the kind of a line that holds none."""
-    m = _STATEMENT.match(line)
-    # A matched line starts with a term: never a delimiter, blank or comment.
-    if m is not None and (quads or m[7] is None):
-        s, p, o, lexical, language, datatype, g = m.groups()
-        try:
-            if o is not None:
-                obj: Term = _node(o)
-            else:
-                dt = _node(datatype) if datatype else XSD_STRING
-                obj = Literal(_unescape(lexical), dt, language)
-            # The pattern admits only the roles Quad and Triple check: node
-            # tokens for the subject and graph label, an IRI for the predicate.
-            if quads:
-                return _new(Quad, (_node(s), _node(p), obj, None if g is None else _node(g)))
-            return _new(Triple, (_node(s), _node(p), obj))
-        except (MalformedIri, ValueError):
-            pass  # the locator raises the located error
+    """The kind of a line that holds no statement, or the statement the
+    locator reads from any other line: it raises the line's first error."""
     if line == FRAME_DELIMITER:
         return LineKind.FRAME_DELIMITER
     start = _SKIP_WS.match(line).end()
     if start == len(line):
         return LineKind.BLANK
     if line[start] == "#":
-        return LineKind.COMMENT
+        # comment ::= '#' [^#xD#xA]*
+        cr = line.find("\r", start)
+        if cr < 0:
+            return LineKind.COMMENT
+        raise ParseError(line_no, cr + 1, _CR_REASON)
     return _locate(line, quads, line_no)
 
 
@@ -183,7 +172,14 @@ def parse_statement_line(line: str, mode: str, line_no: int = 1) -> ParsedLine:
     """
     if mode not in (Payload.TRIPLES, Payload.QUADS):
         raise ValueError(f"mode must be 'triples' or 'quads', got {mode!r}")
-    parsed = _parse_line(line, mode == Payload.QUADS, line_no)
+    quads = mode == Payload.QUADS
+    # The reader's loop builds literals unchecked, as strict UTF-8 decoding
+    # lets no surrogate through; this str was never decoded, so a line that
+    # holds one goes to the locator, whose literals are checked.
+    if line.isascii() or _SURROGATE.search(line) is None:
+        for statement in _read([(line_no, line)], quads, "flat"):
+            return ParsedLine(LineKind.STATEMENT, line_no, statement)
+    parsed = _parse_line(line, quads, line_no)
     if isinstance(parsed, LineKind):
         return ParsedLine(parsed, line_no)
     return ParsedLine(LineKind.STATEMENT, line_no, parsed)
@@ -215,12 +211,14 @@ def _locate(line: str, quads: bool, line_no: int) -> Statement:
         pos = _SKIP_WS.match(line, pos + 1).end()
         if line[pos : pos + 1] not in ("", "#"):
             raise ParseError(line_no, pos + 1, "unexpected content after '.'")
+        cr = line.find("\r", pos)  # in the comment: comment ::= '#' [^#xD#xA]*
+        if cr >= 0:
+            raise ParseError(line_no, cr + 1, _CR_REASON)
     except ParseError as exc:
         cr = line.find("\r")
         if not 0 <= cr < exc.column:
             raise
-        reason = "carriage return (U+000D) line end; lines must end in LF or CRLF"
-        raise ParseError(line_no, cr + 1, reason) from None
+        raise ParseError(line_no, cr + 1, _CR_REASON) from None
     return Quad(*terms) if quads else Triple(*terms)
 
 
@@ -244,10 +242,9 @@ def _read_term(line: str, pos: int, line_no: int) -> tuple[Term, int]:
             return Iri(text), end
         if line.startswith("@", end):
             tag = _TAG_READ.match(line, end)[0][1:]
-            try:
-                return Literal(text, language=tag), end + 1 + len(tag)
-            except ValueError:
-                raise ParseError(line_no, end + 1, "bad language tag") from None
+            if not _LANGTAG_RE.fullmatch(tag):
+                raise ParseError(line_no, end + 1, "bad language tag")
+            return Literal(text, language=tag), end + 1 + len(tag)
         if not line.startswith("^^", end):
             return Literal(text), end
         if not line.startswith("<", end + 2):
@@ -333,36 +330,27 @@ def read_flat_stream(source: Source, framing: Framing) -> Iterator[Statement]:
     """
     if not framing.is_flat:
         raise ValueError(f"read_flat_stream needs a flat framing, got {framing.value}")
-    quads = framing.quads_payload
     try:
-        for no, line in _iter_lines(source):
-            parsed = _parse_line(line, quads, no)
-            if not isinstance(parsed, LineKind):
-                yield parsed
+        yield from _read(_iter_lines(source), framing.quads_payload, "flat")
     except ParseError as exc:
         raise _named(exc, source) from None
 
 
-def _parse_grouped_line(line: str, no: int, quads_payload: bool) -> Statement | LineKind:
-    if quads_payload:
-        return _parse_line(line, True, no)
-    try:
-        return _parse_line(line, False, no)
-    except ParseError:
-        # The modes differ only in the fourth term, so a line that fails as a
-        # triple but parses as a quad carries a graph label: a payload
-        # mismatch.  Any other error is reported as in quads mode.
-        _parse_line(line, True, no)
-        raise MixedPayload(f"line {no}: named graph label inside a graph framing") from None
+def _read(lines: Iterable[tuple[int, str]], quads: bool, layout: str) -> Iterator[Statement | Graph | Dataset]:
+    """The one loop from decoded line to statement.  layout is the first
+    part of a framing's value: 'flat', 'framed' or 'dir'.
 
-
-def _elements(lines: Iterator[tuple[int, str]], quads: bool, framed: bool) -> Iterator[Graph | Dataset]:
-    """The elements of a framed file, or the one element of a directory
-    member, where '#---' is a comment.  A line the pattern matches has its
-    terms built inline and its triple put straight into its graph's index;
-    any other line takes _parse_grouped_line, which raises the located
-    error.  At '#---' and at the end the indexes become the element, unchecked.
+    A flat layout yields each statement as soon as it is built.  A framed
+    file yields its elements, split at '#---'; a directory member, where
+    '#---' is a comment, yields its one element.  A line the pattern
+    matches has its terms built inline, and in a grouped layout its triple
+    goes straight into its graph's index; any other line takes _parse_line,
+    which gives its kind or raises the located error.  At '#---' and at the
+    end the indexes become the element, unchecked.
     """
+    flat = layout == "flat"
+    framed = layout == "framed"
+    flat_quads = flat and quads
     match = _STATEMENT.match
     get = _interned.get
     checked = _checked_datatypes.get
@@ -391,25 +379,41 @@ def _elements(lines: Iterator[tuple[int, str]], quads: bool, framed: bool) -> It
                         dt = get(datatype) or _node(datatype)
                         plain = checked(dt)
                         o = Literal(lexical, dt) if plain is None else new(Literal, (lexical, plain, None))
-                # The pattern admits only the roles Triple and Quad check.
-                statement = new(Triple, (get(s) or _node(s), get(p) or _node(p), o))
+                s = get(s) or _node(s)
+                p = get(p) or _node(p)
                 label = None if g is None else get(g) or _node(g)
+                # The pattern admits only the roles Triple and Quad check.
+                statement = new(Quad, (s, p, o, label)) if flat_quads else new(Triple, (s, p, o))
             except (MalformedIri, ValueError):
                 statement = None  # the locator raises the located error
         if statement is None:
-            parsed = _parse_grouped_line(line, no, quads)
-            if parsed.__class__ is LineKind:
-                if framed and parsed is LineKind.FRAME_DELIMITER:
+            try:
+                statement = _parse_line(line, quads, no)
+            except ParseError:
+                if quads or flat:
+                    raise
+                # The modes differ only in the fourth term, so a line that fails as a
+                # triple but parses as a quad carries a graph label: a payload
+                # mismatch.  Any other error is reported as in quads mode.
+                _parse_line(line, True, no)
+                raise MixedPayload(f"line {no}: named graph label inside a graph framing") from None
+            if statement.__class__ is LineKind:
+                if framed and statement is LineKind.FRAME_DELIMITER:
                     yield Dataset._of(graphs) if quads else Graph._of(graphs.get(None, {}))
                     graphs = {}
                 continue
             # A line the locator accepts where the pattern did not.
-            statement, label = (new(Triple, parsed[:3]), parsed[3]) if quads else (parsed, None)
+            label = None
+            if quads and not flat:
+                statement, label = new(Triple, statement[:3]), statement[3]
+        if flat:
+            yield statement
+            continue
         index = graphs.get(label)
         if index is None:
             index = graphs[label] = {}
         index[statement] = None
-    if no or not framed:
+    if layout == "dir" or framed and no:
         yield Dataset._of(graphs) if quads else Graph._of(graphs.get(None, {}))
 
 
@@ -428,7 +432,7 @@ def read_grouped_stream(source: Source, framing: Framing) -> Iterator[Graph | Da
         yield from _read_dir_stream(source, framing)
         return
     try:
-        yield from _elements(_iter_lines(source), framing.quads_payload, framed=True)
+        yield from _read(_iter_lines(source), framing.quads_payload, "framed")
     except ParseError as exc:
         raise _named(exc, source) from None
 
@@ -445,7 +449,7 @@ def _read_dir_stream(source: Source, framing: Framing) -> Iterator[Graph | Datas
         path = os.path.join(os.fspath(source), name)
         try:
             # A member is one element: the loop reads '#---' as a comment.
-            yield from _elements(_iter_lines(path), framing.quads_payload, framed=False)
+            yield from _read(_iter_lines(path), framing.quads_payload, "dir")
         except ParseError as exc:
             raise _named(exc, name) from None
 
@@ -519,15 +523,12 @@ def _statement_serializer() -> Callable[[Statement], str]:
         return out
 
     def serialize(statement: Statement) -> str:
-        try:
-            s = get(statement[0]) or text(statement[0])
-            p = get(statement[1]) or text(statement[1])
-            o = get(statement[2]) or text(statement[2])
-            if isinstance(statement, Quad) and (g := statement[3]) is not None:
-                return f"{s} {p} {o} {get(g) or text(g)} ."
-            return f"{s} {p} {o} ."
-        except TypeError:
-            return serialize_statement(statement)  # raises: a field is no term, or unhashable
+        s = get(statement[0]) or text(statement[0])
+        p = get(statement[1]) or text(statement[1])
+        o = get(statement[2]) or text(statement[2])
+        if isinstance(statement, Quad) and (g := statement[3]) is not None:
+            return f"{s} {p} {o} {get(g) or text(g)} ."
+        return f"{s} {p} {o} ."
 
     return serialize
 

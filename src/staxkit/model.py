@@ -41,38 +41,6 @@ _LANGTAG_RE = re.compile(LANGTAG)
 _checked_datatypes = {XSD_STRING: XSD_STRING}
 
 
-class Frozen:
-    """Base of immutable record classes: a subclass lists its fields as
-    __slots__ and sets each once in __init__ with object.__setattr__.
-    Values of the same class with equal fields are equal and hash equal."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __reduce__(self):
-        return self.__class__, self._fields()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{self.__class__.__qualname__}({fields})"
-
-
 # Every parsed statement is built and hashed through the classes below.  They
 # keep their builtin base's __hash__, so dict and set operations run no Python
 # code.  __eq__ and __ne__ check the class and always answer with a bool: with
@@ -101,7 +69,8 @@ class _StrTerm(str):
 
 
 class _TupleValue(tuple):
-    """A literal or statement held as the tuple of its fields."""
+    """A literal, statement or record (classify.ClassifierConfig,
+    annotate.AnnotationManifest) held as the tuple of its fields."""
 
     __slots__ = ()
     __hash__ = tuple.__hash__
@@ -215,8 +184,20 @@ SubjectTerm = Iri | BlankNode
 GraphName = Iri | BlankNode
 
 
+def _check_roles(kind: str, subject: object, predicate: object, obj: object) -> None:
+    """Raise ValueError unless the three terms may stand in their roles."""
+    if not isinstance(subject, (Iri, BlankNode)):
+        if isinstance(subject, Literal):
+            raise ValueError(f"{kind} subject must not be a literal")
+        raise ValueError(f"{kind} subject must be an IRI or blank node")
+    if not isinstance(predicate, Iri):
+        raise ValueError(f"{kind} predicate must be an IRI")
+    if not isinstance(obj, (Iri, BlankNode, Literal)):
+        raise ValueError(f"{kind} object must be an IRI, blank node or literal")
+
+
 class Triple(_TupleValue):
-    """An RDF triple; subject must not be a literal, predicate must be an IRI."""
+    """An RDF triple: an IRI or blank node subject, an IRI predicate, any term as object."""
 
     __slots__ = ()
     __match_args__ = ("subject", "predicate", "object")
@@ -225,10 +206,7 @@ class Triple(_TupleValue):
     object = property(itemgetter(2))
 
     def __new__(cls, subject: SubjectTerm, predicate: Iri, object: Term) -> Triple:
-        if isinstance(subject, Literal):
-            raise ValueError("triple subject must not be a literal")
-        if not isinstance(predicate, Iri):
-            raise ValueError("triple predicate must be an IRI")
+        _check_roles("triple", subject, predicate, object)
         return tuple.__new__(cls, (subject, predicate, object))
 
 
@@ -249,11 +227,8 @@ class Quad(_TupleValue):
         object: Term,
         graph_label: GraphName | None = None,
     ) -> Quad:
-        if isinstance(subject, Literal):
-            raise ValueError("quad subject must not be a literal")
-        if not isinstance(predicate, Iri):
-            raise ValueError("quad predicate must be an IRI")
-        if isinstance(graph_label, Literal):
+        _check_roles("quad", subject, predicate, object)
+        if graph_label is not None and not isinstance(graph_label, (Iri, BlankNode)):
             raise ValueError("graph label must be an IRI or blank node")
         return tuple.__new__(cls, (subject, predicate, object, graph_label))
 
@@ -340,12 +315,18 @@ class Dataset:
         default_graph: Graph | None = None,
         named_graphs: Iterable[tuple[GraphName, Graph]] | Mapping[GraphName, Graph] = (),
     ):
-        self._default = default_graph if default_graph is not None else Graph()
+        if default_graph is None:
+            default_graph = Graph()
+        elif not isinstance(default_graph, Graph):
+            raise ValueError(f"default graph must be a Graph, got {type(default_graph).__name__}")
+        self._default = default_graph
         items = named_graphs.items() if isinstance(named_graphs, Mapping) else named_graphs
         named: dict[GraphName, Graph] = {}
         for name, graph in items:
-            if isinstance(name, Literal):
+            if not isinstance(name, (Iri, BlankNode)):
                 raise ValueError("graph name must be an IRI or blank node")
+            if not isinstance(graph, Graph):
+                raise ValueError(f"named graph must be a Graph, got {type(graph).__name__}")
             if name in named:
                 raise ValueError(f"duplicate graph name: {name}")
             named[name] = graph

@@ -13,6 +13,7 @@ import shlex
 import subprocess
 import sys
 from collections import Counter
+from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
@@ -156,6 +157,36 @@ def test_every_module_level_name_is_referenced():
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in SEARCHED}
     dead = dead_names({p.name: trees[p] for p in MODULES}, list(trees.values()))
     assert not dead, f"module-level names referenced nowhere: {', '.join(dead)}"
+
+
+def statement_match_users(tree: ast.Module) -> list[str]:
+    """The function around each reference to _STATEMENT.match, or '' for
+    one at module level."""
+    def visit(node: ast.AST, function: str) -> Iterator[str]:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "match"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "_STATEMENT"
+        ):
+            yield function
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, function)
+
+    return list(visit(tree, ""))
+
+
+def test_one_function_matches_the_statement_pattern():
+    # Every layout and parse_statement_line build statements in one loop.
+    users = statement_match_users(ast.parse((SRC / "io.py").read_text(encoding="utf-8")))
+    assert len(set(users)) == 1 and users[0], f"_STATEMENT.match is referenced in {users}"
+    assert statement_match_users(ast.parse(
+        "m = _STATEMENT.match\n"
+        "def a(line): return _STATEMENT.match(line)\n"
+        "def b(): return lambda line: _STATEMENT.match(line)\n"
+    )) == ["", "a", "b"]
 
 
 def test_dead_name_is_reported():

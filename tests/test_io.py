@@ -16,6 +16,7 @@ from streamgen import (
     gen_unique_statements,
 )
 import staxkit.io
+from staxkit.cli import main
 from staxkit.convert import flatten_graphs
 from staxkit.errors import MalformedIri, MixedPayload, OutputExists, ParseError
 from staxkit.io import (
@@ -131,6 +132,28 @@ class TestParseStatementLine:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             parse_statement_line("<http://s:1> <http://p:1> <http://o:1> .", "trips")
+
+    # A str line was never decoded, so no strict decoding kept surrogates out
+    # of it: its literals must be checked as Literal checks them.
+    @pytest.mark.parametrize("mode", ["triples", "quads"])
+    @pytest.mark.parametrize(
+        "line",
+        ['<http://s:1> <http://p:1> "a\ud800" .', '<http://s:1> <http://p:1> "a\ud800"@en .',
+         '<http://s:1> <http://p:1> "a\ud800"^^<http://ex.org/dt> . # c'],
+    )
+    def test_surrogate_in_a_literal_is_located(self, line, mode):
+        with pytest.raises(ParseError) as info:
+            parse_statement_line(line, mode)
+        assert str(info.value) == "line 1, column 27: literal contains surrogate code point U+D800"
+
+    @pytest.mark.parametrize(
+        "line, statement",
+        [("# \ud800", None),
+         ('<http://s:1> <http://p:1> "a" . # \udfff', Triple(Iri("http://s:1"), Iri("http://p:1"), Literal("a")))],
+    )
+    def test_surrogate_in_a_comment_is_read(self, line, statement):
+        kind = LineKind.COMMENT if statement is None else LineKind.STATEMENT
+        assert parse_statement_line(line, "triples") == ParsedLine(kind, 1, statement)
 
 
 # (line, mode, expected 1-based line number, expected column or None)
@@ -724,9 +747,7 @@ def assert_pattern_agrees_with_scanner(line, mode):
     parsed = _outcome(lambda: parse_statement_line(line, mode, 5))
     if isinstance(parsed, ParsedLine):
         if parsed.kind is not LineKind.STATEMENT:
-            # only spaces and tabs may precede a comment or fill a blank line
-            kind = {"": LineKind.BLANK, "#": LineKind.COMMENT}.get(line.lstrip(" \t")[:1])
-            assert parsed.kind is (LineKind.FRAME_DELIMITER if line == FRAME_DELIMITER else kind)
+            assert parsed.kind is _line_kind(line)
             return
         parsed = parsed.statement
     assert parsed == expected
@@ -745,10 +766,10 @@ def test_table_lines_agree_with_scanner(line, mode):
     assert_pattern_agrees_with_scanner(line, mode)
 
 
-# The grouped reader builds each element in one loop; a reference built one
-# line at a time with parse_statement_line and the public constructors must
-# give the same elements, with every value of exactly the same class, or
-# the same error.
+# The reader builds each statement in one loop; a reference built one line
+# at a time with the scanner oracle and the public constructors must give
+# the same statements and elements, with every value of exactly the same
+# class, or the same error.
 
 def _node_token(r):
     k = r.randrange(8)
@@ -819,25 +840,35 @@ def grouped_inputs(draw):
     return quads, elements
 
 
-def _reference(lines, quads, framed):
-    """The elements of lines, read one line at a time; a framed input splits
-    at '#---', a member's ends only with its last line."""
-    mode = "quads" if quads else "triples"
+def _line_kind(line):
+    """The kind of a line, by the rule the README states: only spaces and
+    tabs may precede a comment or fill a blank line."""
+    if line == FRAME_DELIMITER:
+        return LineKind.FRAME_DELIMITER
+    return {"": LineKind.BLANK, "#": LineKind.COMMENT}.get(line.lstrip(" \t")[:1], LineKind.STATEMENT)
+
+
+def _reference(lines, quads, layout):
+    """The statements of lines in a flat layout, else the elements, read one
+    line at a time; a framed input splits at '#---', a member's ends only
+    with its last line."""
     elements, current = [], []
     for no, line in enumerate(lines, 1):
-        try:
-            parsed = parse_statement_line(line, mode, no)
-        except ParseError:
-            if quads:
-                raise
-            parse_statement_line(line, "quads", no)  # raises the quads-mode error
-            raise MixedPayload(f"line {no}: named graph label inside a graph framing") from None
-        if parsed.kind is LineKind.FRAME_DELIMITER and framed:
+        kind = _line_kind(line)
+        if kind is LineKind.STATEMENT:
+            try:
+                current.append(oracle_scan_statement(line, quads, no))
+            except ParseError:
+                if quads or layout == "flat":
+                    raise
+                oracle_scan_statement(line, True, no)  # raises the quads-mode error
+                raise MixedPayload(f"line {no}: named graph label inside a graph framing") from None
+        elif kind is LineKind.FRAME_DELIMITER and layout == "framed":
             elements.append(current)
             current = []
-        elif parsed.kind is LineKind.STATEMENT:
-            current.append(parsed.statement)
-    if lines or not framed:
+    if layout == "flat":
+        return current
+    if lines or layout == "dir":
         elements.append(current)
     return [Dataset.from_quads(e) if quads else Graph(e) for e in elements]
 
@@ -850,20 +881,27 @@ def _encode(lines, r):
     return "".join(line + end for line, end in zip(lines, ends)).encode("utf-8")
 
 
-def _classes(element):
-    """The class of the element and of every graph, label, statement, term
-    and literal field in it, in order."""
-    if type(element) is Graph:
-        graphs = [element]
+def _statement_classes(statement):
+    out = [type(statement), *map(type, statement)]
+    if type(statement[2]) is Literal:
+        out += map(type, statement[2])
+    return out
+
+
+def _classes(item):
+    """The class of a statement or element and of every graph, label,
+    statement, term and literal field in it, in order."""
+    if type(item) in (Triple, Quad):
+        return _statement_classes(item)
+    if type(item) is Graph:
+        graphs = [item]
     else:
-        graphs = [element.default_graph, *(g for _, g in element.named_items())]
-    out = [type(element), *(type(name) for name, _ in getattr(element, "named_items", tuple)())]
+        graphs = [item.default_graph, *(g for _, g in item.named_items())]
+    out = [type(item), *(type(name) for name, _ in getattr(item, "named_items", tuple)())]
     for graph in graphs:
         out.append(type(graph))
         for statement in graph:
-            out += [type(statement), *map(type, statement)]
-            if type(statement[2]) is Literal:
-                out += map(type, statement[2])
+            out += _statement_classes(statement)
     return out
 
 
@@ -882,9 +920,17 @@ def test_property_one_loop_reader_equals_per_line_reference(case, seed, limit):
     r = random.Random(seed)
     with mock.patch.object(staxkit.io, "_INTERN_LIMIT", limit), tempfile.TemporaryDirectory() as d:
         lines = [line for i, e in enumerate(elements) for line in ([FRAME_DELIMITER] if i else []) + e]
+        data = _encode(lines, r)
+        framing = Framing.FLAT_QUADS if quads else Framing.FLAT_TRIPLES
+        got = _outcome_of(lambda: list(read_flat_stream(data, framing)))
+        expected = _outcome_of(lambda: _reference(lines, quads, "flat"))
+        assert got == expected
+        if isinstance(got, list):
+            assert [_classes(s) for s in got] == [_classes(s) for s in expected]
+
         framing = Framing.FRAMED_DATASETS if quads else Framing.FRAMED_GRAPHS
-        got = _outcome_of(lambda: list(read_grouped_stream(_encode(lines, r), framing)))
-        expected = _outcome_of(lambda: _reference(lines, quads, framed=True))
+        got = _outcome_of(lambda: list(read_grouped_stream(data, framing)))
+        expected = _outcome_of(lambda: _reference(lines, quads, "framed"))
         assert got == expected
         if isinstance(got, list):
             assert [_classes(e) for e in got] == [_classes(e) for e in expected]
@@ -897,7 +943,7 @@ def test_property_one_loop_reader_equals_per_line_reference(case, seed, limit):
                 f.write(_encode(member, r))
             if isinstance(expected, list):
                 try:
-                    expected += _reference(member, quads, framed=False)
+                    expected += _reference(member, quads, "dir")
                 except ParseError as exc:
                     expected = ParseError, str(ParseError(exc.line, exc.column, exc.reason, member=name))
                 except MixedPayload as exc:
@@ -908,21 +954,26 @@ def test_property_one_loop_reader_equals_per_line_reference(case, seed, limit):
             assert [_classes(e) for e in got] == [_classes(e) for e in expected]
 
 
-@pytest.mark.parametrize("framing", [Framing.FRAMED_GRAPHS, Framing.FRAMED_DATASETS])
+@pytest.mark.parametrize("framing", [f for f in Framing if not f.is_dir])
 def test_statements_the_locator_accepts_are_stored_alike(framing, monkeypatch):
     # With a pattern that matches nothing, every statement comes from the
-    # locator, and lands in the same element as the pattern's would.
+    # locator, and lands in the same element, or the same place in the
+    # stream, as the pattern's would.
     r = random.Random(7)
     if framing.quads_payload:
         elements = gen_dataset_elements(r) + [Dataset.from_quads(gen_quad(r) for _ in range(6))]
     else:
         elements = gen_graph_elements(r)
-    data = write_grouped_stream(elements, framing)
-    assert list(read_grouped_stream(data, framing)) == elements
+    if framing.is_flat:
+        elements = [s for e in elements for s in (e.quads() if framing.quads_payload else e)]
+        data, read = write_flat_stream(elements, framing), read_flat_stream
+    else:
+        data, read = write_grouped_stream(elements, framing), read_grouped_stream
+    assert list(read(data, framing)) == elements
     monkeypatch.setattr(staxkit.io, "_STATEMENT", re.compile("(?!)"))
-    read = list(read_grouped_stream(data, framing))
-    assert read == elements
-    assert [_classes(e) for e in read] == [_classes(e) for e in elements]
+    got = list(read(data, framing))
+    assert got == elements
+    assert [_classes(e) for e in got] == [_classes(e) for e in elements]
 
 
 # The reader builds a literal without Literal's surrogate check: strict UTF-8
@@ -1017,17 +1068,35 @@ def test_writers_equal_serialize_statement(limit, monkeypatch, tmp_path):
         assert [(directory / n).read_bytes() for n in names] == [t.encode() for t in texts]
 
 
+# The writers serialize every field as a term: the constructors let no
+# other value into a statement or a dataset.
+S, P, O = Iri(EX + "s"), Iri(EX + "p"), Iri(EX + "o")
+NO_TERM = "{} object must be an IRI, blank node or literal"
+NOT_A_NODE = "{} subject must be an IRI or blank node"
+BAD_LABEL = "graph label must be an IRI or blank node"
+
+
 @pytest.mark.parametrize(
-    "statement",
-    [Triple(Iri(EX + "s"), Iri(EX + "p"), None), Triple([1], Iri(EX + "p"), Iri(EX + "o"))],
-    ids=["not-a-term", "unhashable"],
+    "build, reason",
+    [
+        (lambda: Triple(S, P, None), NO_TERM.format("triple")),
+        (lambda: Triple([1], P, O), NOT_A_NODE.format("triple")),
+        (lambda: Triple(Literal("s"), P, O), "triple subject must not be a literal"),
+        (lambda: Quad(S, P, "o"), NO_TERM.format("quad")),
+        (lambda: Quad(EX + "s", P, O), NOT_A_NODE.format("quad")),
+        (lambda: Quad(S, P, O, EX + "g"), BAD_LABEL),
+        (lambda: Quad(S, P, O, [1]), BAD_LABEL),
+        (lambda: Dataset(named_graphs=[(EX + "g", Graph())]), "graph name must be an IRI or blank node"),
+        (lambda: Dataset(named_graphs={Iri(EX + "g"): []}), "named graph must be a Graph, got list"),
+        (lambda: Dataset(default_graph=[]), "default graph must be a Graph, got list"),
+    ],
+    ids=["none-object", "list-subject", "literal-subject", "str-object", "str-subject", "str-label",
+         "list-label", "str-graph-name", "list-graph", "list-default-graph"],
 )
-def test_writer_raises_the_error_of_serialize_statement(statement):
-    with pytest.raises(TypeError) as expected:
-        serialize_statement(statement)
-    with pytest.raises(TypeError) as got:
-        write_flat_stream([Triple(Iri(EX + "s"), Iri(EX + "p"), Iri(EX + "o")), statement], Framing.FLAT_TRIPLES)
-    assert str(got.value) == str(expected.value)
+def test_constructors_reject_fields_that_are_no_terms(build, reason):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == reason
 
 
 # A CR alone ends no line, so a file with CR-only line ends arrives as one
@@ -1072,3 +1141,52 @@ class TestCarriageReturnLineEnds:
         with pytest.raises(ParseError) as info:
             list(read_flat_stream(data, Framing.FLAT_TRIPLES))
         assert (info.value.line, info.value.column, info.value.reason) == (1, column, reason)
+
+
+# comment ::= '#' [^#xD#xA]*: a comment ends before a CR, so a CR in a comment
+# line or a trailing comment fails at that CR, as one between terms does.
+CR_COMMENT = b"# header\r" + CR_STATEMENT + b"\r" + CR_STATEMENT + b"\r"
+CR_TRAILING = CR_STATEMENT + b" # c\r" + CR_STATEMENT
+
+
+class TestCarriageReturnInComments:
+    @pytest.mark.parametrize("framing", [Framing.FLAT_TRIPLES, Framing.FLAT_QUADS])
+    @pytest.mark.parametrize("data, column", [(CR_COMMENT, 9), (CR_TRAILING, 45)], ids=["comment-first", "trailing"])
+    def test_flat_file(self, framing, data, column):
+        with pytest.raises(ParseError) as info:
+            list(read_flat_stream(data, framing))
+        assert (info.value.line, info.value.column, info.value.reason) == (1, column, CR_REASON)
+
+    @pytest.mark.parametrize("framing", [Framing.FRAMED_GRAPHS, Framing.FRAMED_DATASETS])
+    @pytest.mark.parametrize("data, column", [(CR_COMMENT, 9), (CR_TRAILING, 45)], ids=["comment-first", "trailing"])
+    def test_framed_file(self, framing, data, column):
+        with pytest.raises(ParseError) as info:
+            list(read_grouped_stream(GOOD_LINE + b"#---\n" + data, framing))
+        assert (info.value.line, info.value.column, info.value.reason) == (3, column, CR_REASON)
+
+    def test_delimiter_before_a_cr_is_a_comment(self):
+        with pytest.raises(ParseError) as info:
+            list(read_grouped_stream(GOOD_LINE + b"#---\r" + GOOD_LINE, Framing.FRAMED_GRAPHS))
+        assert (info.value.line, info.value.column, info.value.reason) == (2, 5, CR_REASON)
+
+    @pytest.mark.parametrize("data, column", [(CR_COMMENT, 9), (CR_TRAILING, 45)], ids=["comment-first", "trailing"])
+    def test_dir_member(self, data, column, tmp_path):
+        (tmp_path / "00000.nt").write_bytes(CR_STATEMENT + b"\n")
+        (tmp_path / "00001.nt").write_bytes(data)
+        with pytest.raises(ParseError) as info:
+            list(read_grouped_stream(tmp_path, Framing.DIR_GRAPHS))
+        assert str(info.value) == f"00001.nt: line 1, column {column}: {CR_REASON}"
+
+    @pytest.mark.parametrize("line", ["# header\r", "<http://a:1> <http://p:1> <http://o:1> . # c\r"])
+    def test_statement_line(self, line):
+        with pytest.raises(ParseError) as info:
+            parse_statement_line(line, "triples", 4)
+        assert (info.value.line, info.value.column, info.value.reason) == (4, len(line), CR_REASON)
+
+    def test_classify_exits_3(self, tmp_path, capsys):
+        f = tmp_path / "cr.nt"
+        f.write_bytes(b"# header\r<http://a:1> <http://p:1> <http://o:1> .\r<http://a:2> <http://p:1> <http://o:1> .\r")
+        assert main(["classify", "--framing", "flat-triples", "--json", "--input", str(f)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"stax-kit: ParseError: {f}: line 1, column 9: {CR_REASON}\n"
