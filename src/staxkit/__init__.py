@@ -22,13 +22,11 @@ _SOURCES = {
         "annotate": "AnnotationManifest CrossCheckEntry StreamTypeUsage ValidationReport "
         "Violation cross_check emit_turtle load_manifest validate_usages",
         "classify": "ClassificationReport ClassifierConfig ClassifierState ElementVerdict "
-        "TypeVerdict candidate_subject_nodes check_named_graph_shape "
-        "check_timestamped_named_graph classify_element classify_stream",
-        "convert": "convert extend flatten_datasets flatten_graphs group_statements "
-        "payload_kind project",
+        "TypeVerdict candidate_subject_nodes classify_element classify_stream",
+        "convert": "convert extend flatten_datasets flatten_graphs group_statements payload_kind",
         "errors": "AbstractType CycleError DanglingReference EmptyUsages InvalidBatchSize "
-        "MalformedIri MixedPayload NamedGraphPresent NoConversionPath OutputExists "
-        "ParseError SchemaError StaxError UnknownStreamType UnknownType",
+        "MalformedIri MixedPayload NoConversionPath OutputExists ParseError SchemaError "
+        "StaxError UnknownStreamType UnknownType",
         "framing": "Framing Payload",
         "io": "LineKind ParsedLine parse_statement_line read_flat_stream read_grouped_stream "
         "serialize_statement serialize_term write_dir_stream write_flat_stream "

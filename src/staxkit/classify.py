@@ -34,7 +34,7 @@ import re
 from datetime import datetime, timezone
 from decimal import Decimal
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Iterable, NamedTuple, Union
 
 from .framing import Framing, Payload
 from .io import Source, read_flat_stream, read_grouped_stream
@@ -177,33 +177,6 @@ def _reach(start: Term, edges: dict[Term, list[Term]], seen: set[Term]) -> set[T
     return seen
 
 
-def check_named_graph_shape(dataset: Dataset) -> tuple[Term, Graph] | None:
-    """The (name, graph) pair when the dataset has exactly one named graph.
-
-    Default-graph content never disqualifies the shape.
-    """
-    items = dataset.named_items()
-    if len(items) != 1:
-        return None
-    return items[0]
-
-
-def check_timestamped_named_graph(
-    dataset: Dataset, cfg: ClassifierConfig
-) -> tuple[Term, Iri, Term] | None:
-    """The (name, predicate, timestamp) of the first timestamp triple.
-
-    Requires the one-named-graph shape; the timestamp triple must sit in
-    the default graph with the graph name as its subject.  When several
-    triples qualify the first one in document order wins.
-    """
-    shape = check_named_graph_shape(dataset)
-    if shape is None:
-        return None
-    stamps = _timestamp_triples(dataset, shape[0], cfg)
-    return (shape[0], stamps[0].predicate, stamps[0].object) if stamps else None
-
-
 def _timestamp_triples(dataset: Dataset, name: Term, cfg: ClassifierConfig) -> list[Triple]:
     """Default-graph triples about name with a timestamp predicate, in document order."""
     return [t for t in dataset.default_graph if t.subject == name and t.predicate in cfg.timestamp_predicates]
@@ -249,8 +222,13 @@ def comparable_timestamp(term: Term) -> tuple[str, object] | None:
 # Streaming engine
 # ---------------------------------------------------------------------------
 
-GRAPH_TYPES = ("graphStream", "subjectGraphStream")
-DATASET_TYPES = ("datasetStream", "namedGraphStream", "timestampedNamedGraphStream")
+# The concrete types a stream of each payload is checked against.
+_APPLICABLE = {
+    Payload.TRIPLES: ("flatTripleStream",),
+    Payload.QUADS: ("flatQuadStream",),
+    Payload.GRAPHS: ("graphStream", "subjectGraphStream"),
+    Payload.DATASETS: ("datasetStream", "namedGraphStream", "timestampedNamedGraphStream"),
+}
 
 _PASS = TypeVerdict(True)
 
@@ -311,14 +289,16 @@ def _classify_graph(graph: Graph, state: ClassifierState, idx: int) -> ElementVe
 def _classify_dataset(
     dataset: Dataset, state: ClassifierState, cfg: ClassifierConfig, idx: int
 ) -> ElementVerdict:
-    per_type = dict.fromkeys(DATASET_TYPES, _PASS)
-    shape = check_named_graph_shape(dataset)
-    if shape is None:
-        reason = f"expected exactly one named graph, found {len(dataset.named_items())}"
+    """The one-named-graph shape (default-graph content never disqualifies
+    it), then the timestamp triple about the graph name."""
+    per_type = dict.fromkeys(_APPLICABLE[Payload.DATASETS], _PASS)
+    named = dataset.named_items()
+    if len(named) != 1:
+        reason = f"expected exactly one named graph, found {len(named)}"
         failed = TypeVerdict(False, "not a single named graph", reason)
         per_type["namedGraphStream"] = per_type["timestampedNamedGraphStream"] = failed
         return ElementVerdict(idx, per_type)
-    stamps = _timestamp_triples(dataset, shape[0], cfg)
+    stamps = _timestamp_triples(dataset, named[0][0], cfg)
     if not stamps:
         detail = "default graph has no timestamp triple about the graph name"
         per_type["timestampedNamedGraphStream"] = TypeVerdict(False, "no timestamp triple", detail)
@@ -348,63 +328,29 @@ def classify_stream(
 
     source may be bytes, a path, a binary file object, or an already
     materialized iterable of statements (flat framings) or elements
-    (grouped framings).
+    (grouped framings).  In a flat framing each statement is an element,
+    and every flat stream conforms to its framing's one type.
     """
     cfg = cfg or ClassifierConfig()
     inferred = inferred or infer_closure(default_taxonomy())
-    if framing.is_flat:
-        return _classify_flat(source, framing, cfg, inferred)
-    return _classify_grouped(source, framing, cfg, inferred)
-
-
-def _iterate(source, framing: Framing, reader) -> Iterator:
-    """Iterate source, running reader on it unless it is already materialized."""
+    flat = framing.is_flat
     if isinstance(source, (bytes, str, os.PathLike)) or hasattr(source, "read"):
-        return reader(source, framing)
-    return iter(source)
-
-
-def _classify_flat(
-    source, framing: Framing, cfg: ClassifierConfig, inferred: InferredTaxonomy
-) -> ClassificationReport:
-    applicable = ("flatTripleStream",) if framing is Framing.FLAT_TRIPLES else ("flatQuadStream",)
-    count = 0
-    all_default_graph = True
-    for st in _iterate(source, framing, read_flat_stream):
-        count += 1
-        if isinstance(st, Quad) and st.graph_label is not None:
-            all_default_graph = False
-    notes: list[str] = []
-    if framing is Framing.FLAT_QUADS and count > 0 and all_default_graph:
-        notes.append("projectable to flat triple stream: every quad is in the default graph")
-    conforming = applicable
-    return ClassificationReport(
-        framing=framing,
-        element_count=count,
-        statement_count=count,
-        applicable=applicable,
-        conforming=conforming,
-        most_specific=most_specific(inferred, conforming),
-        first_violation={},
-        vacuous=count == 0,
-        ambiguous=False,
-        notes=tuple(notes),
-        evidence=(),
-    )
-
-
-def _classify_grouped(
-    source, framing: Framing, cfg: ClassifierConfig, inferred: InferredTaxonomy
-) -> ClassificationReport:
-    applicable = GRAPH_TYPES if framing.payload is Payload.GRAPHS else DATASET_TYPES
+        source = (read_flat_stream if flat else read_grouped_stream)(source, framing)
+    applicable = _APPLICABLE[framing.payload]
     state = ClassifierState()
     first_violation: dict[str, FirstViolation] = {}
     evidence: list[ElementVerdict] = []
     notes: list[str] = []
     element_count = 0
     statement_count = 0
-    for idx, element in enumerate(_iterate(source, framing, read_grouped_stream)):
+    labelled = False  # some flat quad has a graph label
+    for idx, element in enumerate(source):
         element_count += 1
+        if flat:
+            statement_count += 1
+            if isinstance(element, Quad) and element.graph_label is not None:
+                labelled = True
+            continue
         statement_count += len(element) if isinstance(element, Graph) else element.statement_count()
         verdict = classify_element(element, state, cfg, idx)
         notes.extend(verdict.notes)
@@ -414,6 +360,8 @@ def _classify_grouped(
                 first_violation[t] = FirstViolation(idx, v.reason or "failed")
         if failed and len(evidence) < cfg.max_evidence:
             evidence.append(verdict)
+    if framing is Framing.FLAT_QUADS and element_count and not labelled:
+        notes.append("projectable to flat triple stream: every quad is in the default graph")
     conforming = tuple(t for t in applicable if t not in first_violation)
     return ClassificationReport(
         framing=framing,

@@ -1,9 +1,8 @@
-"""Stream conversions: flatten, group, extend, project, and composition.
+"""Stream conversions: flatten, group, extend, and composition.
 
 Flattening concatenates element contents in order.  Grouping batches a
 flat stream into count-sized elements.  Extending embeds triples/graphs
-into the quad/dataset world by placing everything in the default graph;
-projection is its safe inverse and refuses named-graph content.
+into the quad/dataset world by placing everything in the default graph.
 
 convert() composes these primitives along a taxonomy conversion path, so
 e.g. a graph stream reaches a flat quad stream via extend then flatten
@@ -18,7 +17,6 @@ from .errors import (
     AbstractType,
     InvalidBatchSize,
     MixedPayload,
-    NamedGraphPresent,
     NoConversionPath,
     SchemaError,
 )
@@ -40,24 +38,20 @@ def flatten_datasets(elements: Iterable[Dataset]) -> Iterator[Quad]:
 
 
 def group_statements(
-    statements: Iterable[Statement],
-    batch_size: int = 1,
-    kind: str | None = None,
+    statements: Iterable[Statement], batch_size: int, kind: str
 ) -> Iterator[Element]:
     """Batch consecutive statements into elements of batch_size (last may
-    be smaller).
+    be smaller): graphs when kind is 'graphs', datasets when 'datasets'.
 
-    kind forces 'graphs' or 'datasets'; by default the first statement
-    decides (Triple -> graphs, Quad -> datasets).  Duplicates within one
-    batch are absorbed by set semantics.
+    Duplicates within one batch are absorbed by set semantics.
     """
     if batch_size < 1:
         raise InvalidBatchSize(f"batch size must be >= 1, got {batch_size}")
-    if kind not in (None, Payload.GRAPHS, Payload.DATASETS):
+    if kind not in (Payload.GRAPHS, Payload.DATASETS):
         raise ValueError(f"kind must be 'graphs' or 'datasets', got {kind!r}")
 
-    def emit(batch: list[Statement], want: str) -> Element:
-        if want == Payload.GRAPHS:
+    def emit(batch: list[Statement]) -> Element:
+        if kind == Payload.GRAPHS:
             triples = []
             for st in batch:
                 if isinstance(st, Quad):
@@ -72,18 +66,14 @@ def group_statements(
         )
 
     def run() -> Iterator[Element]:
-        want = kind
         batch: list[Statement] = []
         for st in statements:
-            if want is None:
-                want = Payload.DATASETS if isinstance(st, Quad) else Payload.GRAPHS
             batch.append(st)
             if len(batch) == batch_size:
-                yield emit(batch, want)
+                yield emit(batch)
                 batch = []
         if batch:
-            assert want is not None
-            yield emit(batch, want)
+            yield emit(batch)
 
     return run()
 
@@ -102,26 +92,6 @@ def extend(items: Iterable, source_kind: str) -> Iterator:
             yield Dataset(default_graph=g)
     else:
         raise ValueError(f"source_kind must be 'triples' or 'graphs', got {source_kind!r}")
-
-
-def project(items: Iterable, source_kind: str) -> Iterator:
-    """Inverse of extend; fails on the first element with named-graph content."""
-    if source_kind == Payload.QUADS:
-        for i, st in enumerate(items):
-            if not isinstance(st, Quad):
-                raise MixedPayload(f"project expected Quad, got {type(st).__name__}")
-            if st.graph_label is not None:
-                raise NamedGraphPresent(i, f"quad {i} has graph label {st.graph_label}")
-            yield st.triple()
-    elif source_kind == Payload.DATASETS:
-        for i, d in enumerate(items):
-            if not isinstance(d, Dataset):
-                raise MixedPayload(f"project expected Dataset, got {type(d).__name__}")
-            if d.named_items():
-                raise NamedGraphPresent(i, f"dataset {i} contains named graphs")
-            yield d.default_graph
-    else:
-        raise ValueError(f"source_kind must be 'quads' or 'datasets', got {source_kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +158,7 @@ def convert(
         if step.relation == "flatten":
             out = flatten_graphs(out) if kind is Payload.GRAPHS else flatten_datasets(out)
         elif step.relation == "group":
-            out = group_statements(out, batch_size or 1, kind=target)
+            out = group_statements(out, batch_size or 1, target)
         else:
             out = extend(out, kind)
         kind = target

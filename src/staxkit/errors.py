@@ -72,14 +72,6 @@ class InvalidBatchSize(StaxError):
     """Grouping was requested with a batch size below 1."""
 
 
-class NamedGraphPresent(StaxError):
-    """Projection hit an element that carries named-graph content."""
-
-    def __init__(self, element_index: int, message: str | None = None):
-        super().__init__(message or f"element {element_index} carries a named graph")
-        self.element_index = element_index
-
-
 class NoConversionPath(StaxError):
     """No conversion path exists between the requested stream types."""
 

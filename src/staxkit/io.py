@@ -88,7 +88,7 @@ _IRI_TOKEN = rf'<[^\s<>"\\]*(?:{_UCHAR}[^\s<>"\\]*)*>'
 _NODE_TOKEN = rf"({_IRI_TOKEN}|_:[A-Za-z0-9]{_LABEL}*(?<!\.)(?=\.*(?!{_LABEL})))"
 _STATEMENT = re.compile(
     rf"{_WS}{_NODE_TOKEN}{_WS}({_IRI_TOKEN}){_WS}(?:{_NODE_TOKEN}"
-    rf'|"([^"\\]*(?:(?:{_ECHAR}|{_UCHAR})[^"\\]*)*)"'
+    rf'|"([^"\\\r\n]*(?:(?:{_ECHAR}|{_UCHAR})[^"\\\r\n]*)*)"'
     rf"(?:@({LANGTAG})|\^\^({_IRI_TOKEN}))?)"
     rf"{_WS}(?:{_NODE_TOKEN}{_WS})?\.{_WS}(?:#[^\r]*)?\Z"
 )
@@ -98,7 +98,7 @@ _ESCAPE = re.compile(rf"{_UCHAR}|{_ECHAR}")
 # stop, the closing '>' or '"', or the first character that breaks the term.
 _SKIP_WS = re.compile(_WS)
 _IRI_READ = re.compile(rf"<(?:[^>\\]|{_UCHAR})*")
-_LITERAL_READ = re.compile(rf'"(?:[^"\\]|{_ECHAR}|{_UCHAR})*')
+_LITERAL_READ = re.compile(rf'"(?:[^"\\\r\n]|{_ECHAR}|{_UCHAR})*')
 _BLANK_READ = re.compile(rf"_:{_LABEL}*")
 _TAG_READ = re.compile(r"@(?:[^\W_]|-)*")  # alphanumerics and '-'
 
@@ -112,6 +112,7 @@ _ROLES = (
 )
 
 _CR_REASON = "carriage return (U+000D) line end; lines must end in LF or CRLF"
+_LF_REASON = "line feed (U+000A) inside a literal; write it as \\n"
 
 # IRIs and blank nodes interned by token: a repeated one is built and checked
 # once.  Terms are immutable, so sharing is safe; at the cap the table empties.
@@ -268,6 +269,9 @@ def _read_quoted(line: str, pos: int, line_no: int) -> tuple[str, int]:
     stop = line[end : end + 1]
     if not stop:
         raise ParseError(line_no, pos + 1, "unterminated IRI" if iri else "unterminated literal")
+    if stop in ("\r", "\n"):
+        # Only a literal stops here: STRING_LITERAL_QUOTE excludes a raw CR and LF.
+        raise ParseError(line_no, end + 1, _CR_REASON if stop == "\r" else _LF_REASON)
     if stop == "\\":
         after = line[end + 1 : end + 2]
         if after in ("u", "U"):

@@ -357,10 +357,6 @@ class Dataset:
     def default_graph(self) -> Graph:
         return self._default
 
-    @property
-    def named_graphs(self) -> Mapping[GraphName, Graph]:
-        return dict(self._named)
-
     def named_items(self) -> tuple[tuple[GraphName, Graph], ...]:
         return tuple(self._named.items())
 

@@ -123,7 +123,7 @@ class Taxonomy:
             k: frozenset(v) for k, v in self._relations.items()
         } == {k: frozenset(v) for k, v in other._relations.items()}
 
-    def __hash__(self) -> int:  # pragma: no cover - not used as dict key
+    def __hash__(self) -> int:  # keeps an InferredTaxonomy, which holds one, hashable
         return hash(frozenset(self._types))
 
     def __repr__(self) -> str:

@@ -207,6 +207,31 @@ def oracle_order_consistent(stamps: list[tuple[str, object]]) -> tuple[bool, int
 
 
 # ---------------------------------------------------------------------------
+# Projection oracle (graph-label check)
+# ---------------------------------------------------------------------------
+
+
+def oracle_project(items, kind: str):
+    """The inverse of extend, read off the quads: every graph label must be absent.
+
+    kind is 'quads' (items are quads; gives their triples) or 'datasets'
+    (items are datasets; gives each one's triples as a graph).  None when
+    some quad carries a graph label.
+    """
+
+    def triples(quads):
+        quads = list(quads)
+        if any(q.graph_label is not None for q in quads):
+            return None
+        return [Triple(q.subject, q.predicate, q.object) for q in quads]
+
+    if kind == "quads":
+        return triples(items)
+    graphs = [triples(d.quads()) for d in items]
+    return None if any(ts is None for ts in graphs) else [Graph(ts) for ts in graphs]
+
+
+# ---------------------------------------------------------------------------
 # Whole-stream brute-force classifier (Definitions 4-9)
 # ---------------------------------------------------------------------------
 
@@ -352,6 +377,11 @@ class _Scanner:
             if c == '"':
                 self.pos += 1
                 break
+            # STRING_LITERAL_QUOTE ::= '"' ([^#x22#x5C#xA#xD] | ECHAR | UCHAR)* '"'
+            if c == "\r":
+                self.fail("carriage return (U+000D) line end; lines must end in LF or CRLF")
+            if c == "\n":
+                self.fail("line feed (U+000A) inside a literal; write it as \\n")
             if c == "\\":
                 self.pos += 1
                 e = self.peek()

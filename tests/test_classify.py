@@ -1,4 +1,5 @@
 import random
+from datetime import datetime
 from decimal import Decimal
 
 import pytest
@@ -20,13 +21,11 @@ from staxkit.classify import (
     ClassifierConfig,
     ClassifierState,
     candidate_subject_nodes,
-    check_named_graph_shape,
-    check_timestamped_named_graph,
     classify_element,
     classify_stream,
     comparable_timestamp,
 )
-from staxkit.io import Framing
+from staxkit.io import Framing, read_flat_stream, read_grouped_stream
 from staxkit.model import BlankNode, Dataset, Graph, Iri, Literal, Quad, Triple
 
 P = Iri(EX + "p")
@@ -162,45 +161,63 @@ def test_candidate_subjects_agree_with_matrix_oracle(graph):
     assert set(candidate_subject_nodes(graph)) == oracle_candidate_subjects(graph)
 
 
-class TestNamedGraphShape:
-    def test_single_named_graph(self):
-        d = named_dataset("g")
-        shape = check_named_graph_shape(d)
-        assert shape is not None and shape[0] == iri("g")
-
-    def test_zero_named_graphs(self):
-        assert check_named_graph_shape(Dataset()) is None
-
-    def test_two_named_graphs(self):
-        assert check_named_graph_shape(named_dataset("g", extra_named=1)) is None
-
-    def test_default_content_does_not_disqualify(self):
-        d = named_dataset("g", stamp=Literal("anything"))
-        assert check_named_graph_shape(d) is not None
-
-    def test_blank_name_is_a_valid_shape(self):
-        d = Dataset(named_graphs=[(BlankNode("g"), Graph([Triple(iri("s"), P, iri("o"))]))])
-        shape = check_named_graph_shape(d)
-        assert shape is not None and shape[0] == BlankNode("g")
+NO_STAMP = ("no timestamp triple", "default graph has no timestamp triple about the graph name")
+CUSTOM = iri("observedAt")
 
 
-class TestTimestampedShape:
-    def test_finds_timestamp(self):
-        d = named_dataset("g", stamp=dt("2024-01-01T00:00:00"))
-        found = check_timestamped_named_graph(d, ClassifierConfig())
-        assert found == (iri("g"), AT, dt("2024-01-01T00:00:00"))
+def not_single(found):
+    return ("not a single named graph", f"expected exactly one named graph, found {found}")
 
-    def test_no_timestamp(self):
-        assert check_timestamped_named_graph(named_dataset("g"), ClassifierConfig()) is None
 
-    def test_decoy_about_other_subject_ignored(self):
-        d = Dataset(
+def blank_named_dataset():
+    name = BlankNode("g")
+    return Dataset(
+        default_graph=Graph([Triple(name, AT, dt("2024-01-01T00:00:00"))]),
+        named_graphs=[(name, Graph([Triple(iri("s"), P, iri("o"))]))],
+    )
+
+
+# The dataset shape and timestamp checks, one element at a time: the
+# element, the timestamp predicates, and the failed (reason, detail) of
+# namedGraphStream and of timestampedNamedGraphStream, None for a pass.
+DATASET_VERDICTS = [
+    pytest.param(Dataset(), None, not_single(0), not_single(0), id="zero-named-graphs"),
+    pytest.param(named_dataset("g"), None, None, NO_STAMP, id="one-named-graph"),
+    pytest.param(named_dataset("g", extra_named=1), None, not_single(2), not_single(2), id="two-named-graphs"),
+    pytest.param(named_dataset("g", stamp=Literal("anything")), None, None, None, id="default-content"),
+    pytest.param(blank_named_dataset(), None, None, None, id="blank-graph-name"),
+    pytest.param(named_dataset("g", stamp=dt("2024-01-01T00:00:00")), None, None, None, id="timestamped"),
+    pytest.param(
+        Dataset(
             default_graph=Graph([Triple(iri("other"), AT, dt("2024-01-01T00:00:00"))]),
             named_graphs=[(iri("g"), Graph([Triple(iri("s"), P, iri("o"))]))],
-        )
-        assert check_timestamped_named_graph(d, ClassifierConfig()) is None
+        ),
+        None, None, NO_STAMP, id="decoy-subject",
+    ),
+    pytest.param(
+        named_dataset("g", stamp=dt("2024-01-01T00:00:00"), predicate=CUSTOM),
+        frozenset({CUSTOM}), None, None, id="custom-predicate",
+    ),
+    pytest.param(
+        named_dataset("g", stamp=dt("2024-01-01T00:00:00"), predicate=CUSTOM),
+        None, None, NO_STAMP, id="custom-predicate-not-configured",
+    ),
+    pytest.param(
+        named_dataset("g", stamp=dt("2024-01-01T00:00:00"), extra_named=1),
+        None, not_single(2), not_single(2), id="shape-fails-before-timestamp",
+    ),
+]
 
-    def test_first_in_document_order_wins(self):
+
+class TestDatasetShape:
+    @pytest.mark.parametrize("dataset, predicates, named, timestamped", DATASET_VERDICTS)
+    def test_verdicts(self, dataset, predicates, named, timestamped):
+        cfg = ClassifierConfig(timestamp_predicates=predicates) if predicates else ClassifierConfig()
+        verdict = classify_element(dataset, ClassifierState(), cfg, 0)
+        got = {t: None if v.passed else (v.reason, v.detail) for t, v in verdict.per_type.items()}
+        assert got == {"datasetStream": None, "namedGraphStream": named, "timestampedNamedGraphStream": timestamped}
+
+    def test_first_timestamp_in_document_order_wins(self):
         d = Dataset(
             default_graph=Graph(
                 [
@@ -210,19 +227,13 @@ class TestTimestampedShape:
             ),
             named_graphs=[(iri("g"), Graph([Triple(iri("s"), P, iri("o"))]))],
         )
-        found = check_timestamped_named_graph(d, ClassifierConfig())
-        assert found is not None and found[2] == dt("2024-06-01T00:00:00")
-
-    def test_custom_predicate(self):
-        custom = iri("observedAt")
-        cfg = ClassifierConfig(timestamp_predicates=frozenset({custom}))
-        d = named_dataset("g", stamp=dt("2024-01-01T00:00:00"), predicate=custom)
-        assert check_timestamped_named_graph(d, cfg) is not None
-        assert check_timestamped_named_graph(d, ClassifierConfig()) is None
-
-    def test_shape_failure_wins_over_timestamp(self):
-        d = named_dataset("g", stamp=dt("2024-01-01T00:00:00"), extra_named=1)
-        assert check_timestamped_named_graph(d, ClassifierConfig()) is None
+        state, cfg = ClassifierState(), ClassifierConfig()
+        first = classify_element(d, state, cfg, 0)
+        assert first.notes == ("element 0: multiple timestamp triples; first in document order wins",)
+        assert state.order_max == {(AT.value, "chrono-naive"): (datetime(2024, 6, 1), 0)}
+        # March follows the June stamp, not the January one
+        later = classify_element(named_dataset("h", stamp=dt("2024-03-01T00:00:00")), state, cfg, 1)
+        assert later.per_type["timestampedNamedGraphStream"].reason == "timestamp order violation"
 
 
 class TestComparableTimestamp:
@@ -615,3 +626,173 @@ class TestConfig:
         assert cfg == ClassifierConfig(max_evidence=3) != ClassifierConfig()
         assert hash(cfg) == hash(ClassifierConfig(max_evidence=3))
         assert repr(ClassifierConfig()).startswith("ClassifierConfig(timestamp_predicates=frozenset(")
+
+
+# One fixed input per framing, and the report the classifier gave for it
+# before its flat and grouped loops became one; bytes (a directory for the
+# dir framings) and the materialized elements must both give it.
+
+def _line(*terms):
+    return " ".join(terms) + " .\n"
+
+
+def _x(name):
+    return f"<{EX}{name}>"
+
+
+def _stamp(graph, value):
+    return _line(_x(graph), f"<{AT}>", f'"{value}"^^<{XSD_DATETIME}>')
+
+
+FOLD_FLAT = {
+    # (framing, input): a repeated statement is a statement again
+    "flat-triples": (
+        Framing.FLAT_TRIPLES,
+        _line(_x("a"), _x("p"), _x("b")) + "# a comment\n" + _line(_x("a"), _x("p"), _x("b"))
+        + _line("_:b", _x("p"), '"v"'),
+    ),
+    "flat-quads-default": (Framing.FLAT_QUADS, _line(_x("a"), _x("p"), _x("b")) + _line(_x("a"), _x("p"), '"v"')),
+    "flat-quads-labelled": (
+        Framing.FLAT_QUADS, _line(_x("a"), _x("p"), _x("b")) + _line(_x("a"), _x("p"), _x("b"), _x("g")),
+    ),
+    "flat-triples-empty": (Framing.FLAT_TRIPLES, ""),
+    "flat-quads-empty": (Framing.FLAT_QUADS, "# only a comment\n"),
+}
+FOLD_ELEMENTS = {
+    "graphs": [
+        _line(_x("a"), _x("p"), _x("b")) + _line(_x("b"), _x("p"), '"leaf"@en'),
+        _line(_x("c"), _x("p"), _x("d")) + _line(_x("d"), _x("p"), _x("c")),  # c and d: c is chosen
+        _line(_x("a"), _x("p"), _x("e")),  # a is taken
+        _line("_:r", _x("p"), _x("f")),  # no IRI reaches every node
+        _line(_x("d"), _x("p"), _x("g")) + _line(_x("g"), _x("p"), _x("d")),  # d and g: d is chosen
+    ],
+    "datasets": [
+        _line(_x("s"), _x("p"), _x("o"), _x("g1")) + _stamp("g1", "2024-01-02T00:00:00"),
+        _stamp("g2", "2024-01-03T00:00:00") + _stamp("g2", "2024-01-01T00:00:00")
+        + _line(_x("s"), _x("p"), _x("o"), _x("g2")),
+        _line(_x("s"), _x("p"), _x("o"), _x("g3")) + _stamp("g3", "2024-01-01T00:00:00"),  # out of order
+        _line(_x("s"), _x("p"), _x("o"), _x("g4")),  # no stamp
+        _line(_x("s"), _x("p"), _x("o")),  # no named graph
+        _line(_x("s"), _x("p"), _x("o"), _x("g5")) + _line(_x("s"), _x("p"), _x("o"), _x("g6")),
+    ],
+}
+
+
+def _flat_report(framing, type_id, count, notes=()):
+    return {
+        "framing": framing, "elementCount": count, "statementCount": count, "applicable": [type_id],
+        "conforming": [type_id], "mostSpecific": [type_id], "vacuous": count == 0, "ambiguous": False,
+        "firstViolation": {}, "notes": list(notes), "evidence": [],
+    }
+
+
+_OK = {"pass": True}
+
+
+def _failed(reason, detail):
+    return {"pass": False, "reason": reason, "detail": detail}
+
+
+_NOT_SINGLE_0 = _failed("not a single named graph", "expected exactly one named graph, found 0")
+_NOT_SINGLE_2 = _failed("not a single named graph", "expected exactly one named graph, found 2")
+
+
+def _dataset_evidence(index, named, timestamped):
+    verdicts = {"datasetStream": _OK, "namedGraphStream": named, "timestampedNamedGraphStream": timestamped}
+    return {"elementIndex": index, "verdicts": verdicts, "notes": []}
+
+
+FOLD_REPORTS = {
+    "flat-triples": _flat_report("flat-triples", "flatTripleStream", 3),
+    "flat-quads-default": _flat_report(
+        "flat-quads", "flatQuadStream", 2, ["projectable to flat triple stream: every quad is in the default graph"]
+    ),
+    "flat-quads-labelled": _flat_report("flat-quads", "flatQuadStream", 2),
+    "flat-triples-empty": _flat_report("flat-triples", "flatTripleStream", 0),
+    "flat-quads-empty": _flat_report("flat-quads", "flatQuadStream", 0),
+    "graphs": {
+        "elementCount": 5,
+        "statementCount": 8,
+        "applicable": ["graphStream", "subjectGraphStream"],
+        "conforming": ["graphStream"],
+        "mostSpecific": ["graphStream"],
+        "vacuous": False,
+        "ambiguous": True,
+        "firstViolation": {"subjectGraphStream": {"elementIndex": 2, "reason": "subject not unique in stream"}},
+        "notes": [
+            f"element 1: 2 candidate subjects; chose {EX}c",
+            f"element 4: 2 candidate subjects; chose {EX}d",
+        ],
+        "evidence": [
+            {
+                "elementIndex": 2,
+                "verdicts": {
+                    "graphStream": _OK,
+                    "subjectGraphStream": _failed("subject not unique in stream", f"{EX}a first used by element 0"),
+                },
+                "notes": [],
+            },
+            {
+                "elementIndex": 3,
+                "verdicts": {
+                    "graphStream": _OK,
+                    "subjectGraphStream": _failed(
+                        "no candidate subject node", "no IRI node reaches every node of the graph"
+                    ),
+                },
+                "notes": [],
+            },
+        ],
+    },
+    "datasets": {
+        "elementCount": 6,
+        "statementCount": 11,
+        "applicable": ["datasetStream", "namedGraphStream", "timestampedNamedGraphStream"],
+        "conforming": ["datasetStream"],
+        "mostSpecific": ["datasetStream"],
+        "vacuous": False,
+        "ambiguous": False,
+        "firstViolation": {
+            "namedGraphStream": {"elementIndex": 4, "reason": "not a single named graph"},
+            "timestampedNamedGraphStream": {"elementIndex": 2, "reason": "timestamp order violation"},
+        },
+        "notes": ["element 1: multiple timestamp triples; first in document order wins"],
+        "evidence": [
+            _dataset_evidence(
+                2, _OK, _failed("timestamp order violation", "timestamp precedes the one from element 1")
+            ),
+            _dataset_evidence(
+                3, _OK, _failed("no timestamp triple", "default graph has no timestamp triple about the graph name")
+            ),
+            _dataset_evidence(4, _NOT_SINGLE_0, _NOT_SINGLE_0),
+            _dataset_evidence(5, _NOT_SINGLE_2, _NOT_SINGLE_2),
+        ],
+    },
+}
+
+
+class TestOneLoopForEveryFraming:
+    @pytest.mark.parametrize("key", FOLD_FLAT)
+    def test_flat(self, key):
+        framing, text = FOLD_FLAT[key]
+        data = text.encode("utf-8")
+        assert classify_stream(data, framing).to_dict() == FOLD_REPORTS[key]
+        assert classify_stream(list(read_flat_stream(data, framing)), framing).to_dict() == FOLD_REPORTS[key]
+
+    @pytest.mark.parametrize("payload", ["graphs", "datasets"])
+    def test_framed(self, payload):
+        framing = Framing(f"framed-{payload}")
+        data = "#---\n".join(FOLD_ELEMENTS[payload]).encode("utf-8")
+        expected = {"framing": framing.value, **FOLD_REPORTS[payload]}
+        assert classify_stream(data, framing).to_dict() == expected
+        assert classify_stream(list(read_grouped_stream(data, framing)), framing).to_dict() == expected
+
+    @pytest.mark.parametrize("payload", ["graphs", "datasets"])
+    def test_dir(self, payload, tmp_path):
+        framing = Framing(f"dir-{payload}")
+        ext = ".nq" if framing.quads_payload else ".nt"
+        for i, text in enumerate(FOLD_ELEMENTS[payload]):
+            (tmp_path / f"{i:05d}{ext}").write_text(text, encoding="utf-8")
+        expected = {"framing": framing.value, **FOLD_REPORTS[payload]}
+        assert classify_stream(tmp_path, framing).to_dict() == expected
+        assert classify_stream(list(read_grouped_stream(tmp_path, framing)), framing).to_dict() == expected

@@ -14,7 +14,6 @@ from staxkit.cli import _COMMANDS, _framing_for, main
 from staxkit.errors import (
     AbstractType,
     InvalidBatchSize,
-    NamedGraphPresent,
     NoConversionPath,
     ParseError,
     StaxError,
@@ -805,8 +804,6 @@ def _stax_error_classes(cls=StaxError):
 def _instance(cls):
     if cls is ParseError:
         return cls(4, 2, "broken")
-    if cls is NamedGraphPresent:
-        return cls(7)
     if cls is NoConversionPath:
         return cls("graphStream", "flatQuadStream", "strict")
     return cls("broken")

@@ -159,23 +159,28 @@ def test_every_module_level_name_is_referenced():
     assert not dead, f"module-level names referenced nowhere: {', '.join(dead)}"
 
 
-def statement_match_users(tree: ast.Module) -> list[str]:
-    """The function around each reference to _STATEMENT.match, or '' for
-    one at module level."""
+def enclosing_functions(tree: ast.Module, is_use) -> list[str]:
+    """The function around each node for which is_use holds, or '' for one
+    at module level."""
     def visit(node: ast.AST, function: str) -> Iterator[str]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        elif (
-            isinstance(node, ast.Attribute)
-            and node.attr == "match"
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "_STATEMENT"
-        ):
+        elif is_use(node):
             yield function
         for child in ast.iter_child_nodes(node):
             yield from visit(child, function)
 
     return list(visit(tree, ""))
+
+
+def statement_match_users(tree: ast.Module) -> list[str]:
+    """The function around each reference to _STATEMENT.match."""
+    return enclosing_functions(tree, lambda node: (
+        isinstance(node, ast.Attribute)
+        and node.attr == "match"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "_STATEMENT"
+    ))
 
 
 def test_one_function_matches_the_statement_pattern():
@@ -187,6 +192,23 @@ def test_one_function_matches_the_statement_pattern():
         "def a(line): return _STATEMENT.match(line)\n"
         "def b(): return lambda line: _STATEMENT.match(line)\n"
     )) == ["", "a", "b"]
+
+
+def report_builders(tree: ast.Module) -> list[str]:
+    """The function around each call of ClassificationReport."""
+    return enclosing_functions(tree, lambda node: (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "ClassificationReport"
+    ))
+
+
+def test_one_function_builds_the_classification_report():
+    # Every framing is classified by one loop, which builds the report once.
+    builders = report_builders(ast.parse((SRC / "classify.py").read_text(encoding="utf-8")))
+    assert builders == ["classify_stream"], f"ClassificationReport is built in {builders}"
+    assert report_builders(ast.parse(
+        "r = ClassificationReport(1)\n"
+        "def a(): return ClassificationReport(2), ClassificationReport._make([])\n"
+    )) == ["", "a"]
 
 
 def test_dead_name_is_reported():

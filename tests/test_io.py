@@ -205,6 +205,7 @@ MALFORMED = [
     (r'<http://a:1> <http://p:1> "\uD800\q" .', "triples", 1, 28),  # bad scalar before bad escape
     (r"<a:\uD800 b", "triples", 1, 4),                           # bad scalar before unterminated IRI
     ('<http://a:1> <http://p:1> "x\\', "triples", 1, 29),         # lone '\' ends the line
+    ('<http://a:1> <http://p:1> "a\rb" .', "triples", 1, 29),     # raw CR inside a literal
 ]
 
 
@@ -1145,20 +1146,27 @@ class TestCarriageReturnLineEnds:
 
 # comment ::= '#' [^#xD#xA]*: a comment ends before a CR, so a CR in a comment
 # line or a trailing comment fails at that CR, as one between terms does.
+# STRING_LITERAL_QUOTE excludes a CR too, so one in a literal fails there.
 CR_COMMENT = b"# header\r" + CR_STATEMENT + b"\r" + CR_STATEMENT + b"\r"
 CR_TRAILING = CR_STATEMENT + b" # c\r" + CR_STATEMENT
+LITERAL_CR = b'<http://a:1> <http://p:1> "a\rb" .'
+CR_PLACES = pytest.mark.parametrize(
+    "data, column",
+    [(CR_COMMENT, 9), (CR_TRAILING, 45), (LITERAL_CR + b"\n", 29)],
+    ids=["comment-first", "trailing", "literal"],
+)
 
 
 class TestCarriageReturnInComments:
     @pytest.mark.parametrize("framing", [Framing.FLAT_TRIPLES, Framing.FLAT_QUADS])
-    @pytest.mark.parametrize("data, column", [(CR_COMMENT, 9), (CR_TRAILING, 45)], ids=["comment-first", "trailing"])
+    @CR_PLACES
     def test_flat_file(self, framing, data, column):
         with pytest.raises(ParseError) as info:
             list(read_flat_stream(data, framing))
         assert (info.value.line, info.value.column, info.value.reason) == (1, column, CR_REASON)
 
     @pytest.mark.parametrize("framing", [Framing.FRAMED_GRAPHS, Framing.FRAMED_DATASETS])
-    @pytest.mark.parametrize("data, column", [(CR_COMMENT, 9), (CR_TRAILING, 45)], ids=["comment-first", "trailing"])
+    @CR_PLACES
     def test_framed_file(self, framing, data, column):
         with pytest.raises(ParseError) as info:
             list(read_grouped_stream(GOOD_LINE + b"#---\n" + data, framing))
@@ -1169,7 +1177,7 @@ class TestCarriageReturnInComments:
             list(read_grouped_stream(GOOD_LINE + b"#---\r" + GOOD_LINE, Framing.FRAMED_GRAPHS))
         assert (info.value.line, info.value.column, info.value.reason) == (2, 5, CR_REASON)
 
-    @pytest.mark.parametrize("data, column", [(CR_COMMENT, 9), (CR_TRAILING, 45)], ids=["comment-first", "trailing"])
+    @CR_PLACES
     def test_dir_member(self, data, column, tmp_path):
         (tmp_path / "00000.nt").write_bytes(CR_STATEMENT + b"\n")
         (tmp_path / "00001.nt").write_bytes(data)
@@ -1190,3 +1198,37 @@ class TestCarriageReturnInComments:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"stax-kit: ParseError: {f}: line 1, column 9: {CR_REASON}\n"
+
+
+# STRING_LITERAL_QUOTE ::= '"' ([^#x22#x5C#xA#xD] | ECHAR | UCHAR)* '"': a raw
+# CR or LF inside a literal is an error at that character.  A file's lines
+# hold no LF, so only parse_statement_line can meet one; MALFORMED and
+# CR_PLACES hold the plain CR case.
+LF_REASON = "line feed (U+000A) inside a literal; write it as \\n"
+
+
+class TestLineEndsInsideLiterals:
+    @pytest.mark.parametrize(
+        "line, mode, column, reason",
+        [
+            ('<http://a:1> <http://p:1> "a\nb" .', "triples", 29, LF_REASON),
+            ('<http://a:1> <http://p:1> "a\nb"@en <http://g:1> .', "quads", 29, LF_REASON),
+            ('<http://a:1> <http://p:1> "\n"^^<http://d:1> .', "quads", 28, LF_REASON),
+            ('<http://a:1> <http://p:1> "ab\\n\r" .', "triples", 32, CR_REASON),
+            ('<http://a:1> <http://p:1> "a\r', "triples", 29, CR_REASON),
+        ],
+        ids=["lf", "lf-tagged", "lf-typed", "cr-after-escape", "cr-not-unterminated"],
+    )
+    def test_statement_line(self, line, mode, column, reason):
+        with pytest.raises(ParseError) as info:
+            parse_statement_line(line, mode, 1)
+        assert (info.value.line, info.value.column, info.value.reason) == (1, column, reason)
+        assert_pattern_agrees_with_scanner(line, mode)
+
+    def test_classify_exits_3(self, tmp_path, capsys):
+        f = tmp_path / "cr.nt"
+        f.write_bytes(LITERAL_CR + b"\n")
+        assert main(["classify", "--framing", "flat-triples", "--input", str(f)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"stax-kit: ParseError: {f}: line 1, column 29: {CR_REASON}\n"

@@ -120,6 +120,11 @@ class TestDefaultTaxonomy:
 
 
 class TestClosure:
+    def test_inferred_taxonomy_is_hashable(self):
+        # an equal taxonomy infers an equal closure, which finds the same dict entry
+        again = infer_closure(default_taxonomy())
+        assert again == C and {C: "closure"}[again] == "closure"
+
     def test_broader_closure_is_transitive(self):
         assert ("subjectGraphStream", "rdfStream") in C.broader_closure
         assert ("timestampedNamedGraphStream", "datasetStream") in C.broader_closure
