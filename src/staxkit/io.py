@@ -71,10 +71,12 @@ class ParsedLine(NamedTuple):
 # Line-level parsing
 # ---------------------------------------------------------------------------
 # Each lexical production is written once, as a regex fragment: below, or
-# in model for LANGTAG, which Literal checks as well.  One
-# precompiled statement pattern built from them parses every valid line.  A
-# line it declines, or whose terms fail validation, is read again token by
-# token with the same fragments (_locate) to raise the first error.
+# in model for LANGTAG, which Literal checks as well.  One precompiled
+# statement pattern built from them parses every valid line, but scans an
+# IRI token only to its first '>' (IRIREF holds no raw '>'): _node checks
+# each new token against IRIREF once.  A line the pattern declines, or whose
+# terms fail a check, is read again token by token with the same fragments
+# (_locate) to raise the first error.
 
 _WS = r"[ \t]*"
 _UCHAR = r"\\(?:u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})"
@@ -82,15 +84,19 @@ _ECHAR_VALUE = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"',
 _ECHAR = rf"\\[{re.escape(''.join(_ECHAR_VALUE))}]"
 _LABEL = r"[A-Za-z0-9_.-]"
 
-_IRI_TOKEN = rf'<[^\s<>"\\]*(?:{_UCHAR}[^\s<>"\\]*)*>'
+# IRIREF ::= '<' ([^#x00-#x20<>"{}|^`\] | UCHAR)* '>'
+_IRI_CHAR = r'[^\x00-\x20<>"{}|^`\\]'
+_IRI_TOKEN = rf"<{_IRI_CHAR}*(?:{_UCHAR}{_IRI_CHAR}*)*>"
+_IRIREF = re.compile(_IRI_TOKEN)
+_IRI_SCAN = "<[^>]*>"
 # A blank label is the longest run of label characters less its trailing
 # dots, which belong to the terminator: no label character may follow them.
-_NODE_TOKEN = rf"({_IRI_TOKEN}|_:[A-Za-z0-9]{_LABEL}*(?<!\.)(?=\.*(?!{_LABEL})))"
+_NODE_TOKEN = rf"({_IRI_SCAN}|_:[A-Za-z0-9]{_LABEL}*(?<!\.)(?=\.*(?!{_LABEL})))"
 _STATEMENT = re.compile(
-    rf"{_WS}{_NODE_TOKEN}{_WS}({_IRI_TOKEN}){_WS}(?:{_NODE_TOKEN}"
+    rf"{_WS}{_NODE_TOKEN}{_WS}({_IRI_SCAN}){_WS}(?:{_NODE_TOKEN}"
     rf'|"([^"\\\r\n]*(?:(?:{_ECHAR}|{_UCHAR})[^"\\\r\n]*)*)"'
-    rf"(?:@({LANGTAG})|\^\^({_IRI_TOKEN}))?)"
-    rf"{_WS}(?:{_NODE_TOKEN}{_WS})?\.{_WS}(?:#[^\r]*)?\Z"
+    rf"(?:@({LANGTAG})|\^\^({_IRI_SCAN}))?)"
+    rf"{_WS}(?:{_NODE_TOKEN}{_WS})?\.{_WS}(?:#[^\r\n]*)?\r?\n?\Z"
 )
 _ESCAPE = re.compile(rf"{_UCHAR}|{_ECHAR}")
 
@@ -98,6 +104,7 @@ _ESCAPE = re.compile(rf"{_UCHAR}|{_ECHAR}")
 # stop, the closing '>' or '"', or the first character that breaks the term.
 _SKIP_WS = re.compile(_WS)
 _IRI_READ = re.compile(rf"<(?:[^>\\]|{_UCHAR})*")
+_IRIREF_READ = re.compile(rf"<(?:{_IRI_CHAR}|{_UCHAR})*")
 _LITERAL_READ = re.compile(rf'"(?:[^"\\\r\n]|{_ECHAR}|{_UCHAR})*')
 _BLANK_READ = re.compile(rf"_:{_LABEL}*")
 _TAG_READ = re.compile(r"@(?:[^\W_]|-)*")  # alphanumerics and '-'
@@ -135,12 +142,18 @@ def _unescape(text: str) -> str:
 
 
 def _node(token: str) -> Iri | BlankNode:
-    """The IRI or blank node a pattern token denotes, taken from the intern table."""
+    """The IRI or blank node a pattern token denotes, from the intern table;
+    a new IRI token that is no IRIREF raises ValueError and is not interned."""
     term = _interned.get(token)
     if term is None:
+        if token[0] == "_":
+            term = BlankNode(token[2:])
+        elif _IRIREF.fullmatch(token):
+            term = Iri(_unescape(token[1:-1]))
+        else:
+            raise ValueError(f"not an IRIREF: {token}")
         if len(_interned) >= _INTERN_LIMIT:
             _interned.clear()
-        term = Iri(_unescape(token[1:-1])) if token[0] == "<" else BlankNode(token[2:])
         _interned[token] = term
     return term
 
@@ -174,11 +187,11 @@ def parse_statement_line(line: str, mode: str, line_no: int = 1) -> ParsedLine:
     if mode not in (Payload.TRIPLES, Payload.QUADS):
         raise ValueError(f"mode must be 'triples' or 'quads', got {mode!r}")
     quads = mode == Payload.QUADS
-    # The reader's loop builds literals unchecked, as strict UTF-8 decoding
-    # lets no surrogate through; this str was never decoded, so a line that
-    # holds one goes to the locator, whose literals are checked.
-    if line.isascii() or _SURROGATE.search(line) is None:
-        for statement in _read([(line_no, line)], quads, "flat"):
+    # The reader's loop takes a line's LF or CRLF, and builds literals
+    # unchecked, as strict UTF-8 decoding lets no surrogate through; a str
+    # holding a CR, LF or surrogate goes to the locator, which checks them.
+    if "\n" not in line and "\r" not in line and (line.isascii() or _SURROGATE.search(line) is None):
+        for statement in _read((line.encode(),), quads, "flat", line_no):
             return ParsedLine(LineKind.STATEMENT, line_no, statement)
     parsed = _parse_line(line, quads, line_no)
     if isinstance(parsed, LineKind):
@@ -240,7 +253,13 @@ def _read_term(line: str, pos: int, line_no: int) -> tuple[Term, int]:
             raise ParseError(line_no, pos + 1, "expected IRI, blank node, or literal")
         text, end = _read_quoted(line, pos, line_no)
         if first == "<":
-            return Iri(text), end
+            iri = Iri(text)
+            # A character IRIREF excludes that Iri allows is valid only escaped.
+            bad = line[_IRIREF_READ.match(line, pos).end()]
+            if bad != ">":
+                code = f"{ord(bad):04X}"
+                raise ParseError(line_no, pos + 1, f"{bad!r} (U+{code}) inside an IRI; write it as \\u{code}")
+            return iri, end
         if line.startswith("@", end):
             tag = _TAG_READ.match(line, end)[0][1:]
             if not _LANGTAG_RE.fullmatch(tag):
@@ -287,43 +306,17 @@ def _read_quoted(line: str, pos: int, line_no: int) -> tuple[str, int]:
 # ---------------------------------------------------------------------------
 
 
-def _iter_lines(source: Source) -> Iterator[tuple[int, str]]:
-    """Yield (1-based line number, line without trailing newline/CR)."""
-    if isinstance(source, bytes):
-        handle: IO[bytes] = BytesIO(source)
-        close = False
-    elif isinstance(source, (str, os.PathLike)):
-        handle = open(source, "rb")
-        close = True
-    else:
-        handle = source
-        close = False
-    try:
-        offset = 0
-        for no, raw in enumerate(handle, start=1):
-            try:
-                text = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                column = len(raw[: exc.start].decode("utf-8")) + 1
-                reason = f"invalid UTF-8 byte 0x{raw[exc.start]:02X} at byte offset {offset + exc.start}"
-                raise ParseError(no, column, reason) from None
-            offset += len(raw)
-            if text.endswith("\n"):
-                text = text[:-1]
-            if text.endswith("\r"):
-                text = text[:-1]
-            yield no, text
-    finally:
-        if close:
-            handle.close()
-
-
-def _named(exc: ParseError, source: Source) -> ParseError:
-    """exc naming the file its line came from: a path source, or the name of
-    a directory member.  Bytes and binary streams have no name to give."""
+def _read_file(source: Source, quads: bool, layout: str, name: str | None = None) -> Iterator:
+    """_read over source's lines.  A ParseError names a path source, or name
+    if given; bytes and binary streams have no name to give."""
     if not isinstance(source, (str, os.PathLike)):
-        return exc
-    return ParseError(exc.line, exc.column, exc.reason, member=os.fspath(source))
+        yield from _read(BytesIO(source) if isinstance(source, bytes) else source, quads, layout)
+        return
+    try:
+        with open(source, "rb") as handle:
+            yield from _read(handle, quads, layout)
+    except ParseError as exc:
+        raise ParseError(exc.line, exc.column, exc.reason, member=name or os.fspath(source)) from None
 
 
 def read_flat_stream(source: Source, framing: Framing) -> Iterator[Statement]:
@@ -334,15 +327,15 @@ def read_flat_stream(source: Source, framing: Framing) -> Iterator[Statement]:
     """
     if not framing.is_flat:
         raise ValueError(f"read_flat_stream needs a flat framing, got {framing.value}")
-    try:
-        yield from _read(_iter_lines(source), framing.quads_payload, "flat")
-    except ParseError as exc:
-        raise _named(exc, source) from None
+    yield from _read_file(source, framing.quads_payload, "flat")
 
 
-def _read(lines: Iterable[tuple[int, str]], quads: bool, layout: str) -> Iterator[Statement | Graph | Dataset]:
-    """The one loop from decoded line to statement.  layout is the first
-    part of a framing's value: 'flat', 'framed' or 'dir'.
+def _read(lines: Iterable[bytes], quads: bool, layout: str, first: int = 1) -> Iterator[Statement | Graph | Dataset]:
+    """The one loop from encoded line to statement.  layout is the first
+    part of a framing's value: 'flat', 'framed' or 'dir'; first is the
+    first line's number.  Each line is decoded as strict UTF-8 and fails
+    at its first bad byte.  The pattern takes a line with its LF or CRLF;
+    a line it declines loses one trailing LF, then one CR.
 
     A flat layout yields each statement as soon as it is built.  A framed
     file yields its elements, split at '#---'; a directory member, where
@@ -360,8 +353,16 @@ def _read(lines: Iterable[tuple[int, str]], quads: bool, layout: str) -> Iterato
     checked = _checked_datatypes.get
     new = tuple.__new__
     graphs: dict[Iri | BlankNode | None, dict[Triple, None]] = {}
-    no = 0
-    for no, line in lines:
+    no = first - 1
+    offset = 0
+    for no, raw in enumerate(lines, first):
+        try:
+            line = raw.decode()
+        except UnicodeDecodeError as exc:
+            column = len(raw[: exc.start].decode()) + 1
+            reason = f"invalid UTF-8 byte 0x{raw[exc.start]:02X} at byte offset {offset + exc.start}"
+            raise ParseError(no, column, reason) from None
+        offset += len(raw)
         m = match(line)
         statement = None
         # A matched line starts with a term: never a delimiter, blank or comment.
@@ -391,6 +392,10 @@ def _read(lines: Iterable[tuple[int, str]], quads: bool, layout: str) -> Iterato
             except (MalformedIri, ValueError):
                 statement = None  # the locator raises the located error
         if statement is None:
+            if line.endswith("\n"):
+                line = line[:-1]
+            if line.endswith("\r"):
+                line = line[:-1]
             try:
                 statement = _parse_line(line, quads, no)
             except ParseError:
@@ -435,10 +440,7 @@ def read_grouped_stream(source: Source, framing: Framing) -> Iterator[Graph | Da
     if framing.is_dir:
         yield from _read_dir_stream(source, framing)
         return
-    try:
-        yield from _read(_iter_lines(source), framing.quads_payload, "framed")
-    except ParseError as exc:
-        raise _named(exc, source) from None
+    yield from _read_file(source, framing.quads_payload, "framed")
 
 
 def _read_dir_stream(source: Source, framing: Framing) -> Iterator[Graph | Dataset]:
@@ -450,12 +452,8 @@ def _read_dir_stream(source: Source, framing: Framing) -> Iterator[Graph | Datas
         key=lambda n: n.encode("utf-8"),
     )
     for name in names:
-        path = os.path.join(os.fspath(source), name)
-        try:
-            # A member is one element: the loop reads '#---' as a comment.
-            yield from _read(_iter_lines(path), framing.quads_payload, "dir")
-        except ParseError as exc:
-            raise _named(exc, name) from None
+        # A member is one element: the loop reads '#---' as a comment.
+        yield from _read_file(os.path.join(os.fspath(source), name), framing.quads_payload, "dir", name)
 
 
 # ---------------------------------------------------------------------------

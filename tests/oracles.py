@@ -286,6 +286,8 @@ def oracle_classify(elements, kind: str, predicates: set[str] | None = None,
 _HEX = set("0123456789abcdefABCDEF")
 _ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
 _LABEL_CHARS = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-")
+# IRIREF ::= '<' ([^#x00-#x20<>"{}|^`\] | UCHAR)* '>'
+_IRIREF_EXCLUDED = {chr(c) for c in range(0x21)} | set('<>"{}|^`\\')
 
 
 class _Scanner:
@@ -326,6 +328,7 @@ class _Scanner:
         start = self.pos
         self.pos += 1  # consume '<'
         out: list[str] = []
+        raw: list[str] = []  # the characters not written as escapes
         while True:
             if self.pos >= len(self.text):
                 self.fail("unterminated IRI", column=start)
@@ -340,12 +343,20 @@ class _Scanner:
                 out.append(self._unicode_escape())
             else:
                 out.append(c)
+                raw.append(c)
                 self.pos += 1
         try:
-            return Iri("".join(out))
+            iri = Iri("".join(out))
         except Exception as exc:
             self.fail(str(exc), column=start)
             raise AssertionError  # unreachable
+        # Iri's own checks come first; what is left is a character that
+        # IRIREF allows only escaped.
+        for c in raw:
+            if c in _IRIREF_EXCLUDED:
+                code = "%04X" % ord(c)
+                self.fail(f"{c!r} (U+{code}) inside an IRI; write it as \\u{code}", column=start)
+        return iri
 
     def parse_blank(self) -> BlankNode:
         start = self.pos

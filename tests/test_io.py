@@ -208,6 +208,23 @@ MALFORMED = [
     ('<http://a:1> <http://p:1> "a\rb" .', "triples", 1, 29),     # raw CR inside a literal
 ]
 
+# A token IRIREF forbids, in each role: an ECHAR, which only a literal may
+# hold, fails at its backslash; a raw character fails at the IRI's '<'.
+IRI_ROLES = [  # (line with the IRI left out, mode, column of the IRI's '<')
+    ("{} <http://p:1> <http://o:1> .", "triples", 1),
+    ("<http://s:1> {} <http://o:1> .", "triples", 14),
+    ("<http://s:1> <http://p:1> {} .", "triples", 27),
+    ('<http://s:1> <http://p:1> "x"^^{} .', "triples", 32),
+    ("<http://s:1> <http://p:1> <http://o:1> {} .", "quads", 40),
+]
+BAD_IRI_PARTS = {"\\'": 15, '\\"': 15, "\\t": 15, '"': 0, "<": 0, "\u00a0": 0, "\u3000": 0, "{": 0, "\x01": 0}
+BAD_IRI_LINES = [
+    (line.format(f"<http://ex.org/{part}>"), mode, 1, column + shift)
+    for line, mode, column in IRI_ROLES
+    for part, shift in BAD_IRI_PARTS.items()
+]
+MALFORMED += BAD_IRI_LINES
+
 
 class TestMalformedLines:
     @pytest.mark.parametrize("line,mode,line_no,column", MALFORMED)
@@ -714,7 +731,7 @@ def test_property_every_literal_roundtrips(literal):
 # hypothesis: the line pattern, the locator and the scanner oracle agree on
 # every line, accepted or not
 
-MUTATION_CHARS = list('<>"_:.@^\\#-1') + ["\t", " ", "\u00a0", "ß", "u", "\u0661", "\ufeff"]
+MUTATION_CHARS = list('<>"_:.@^\\#-1\'{|`') + ["\t", " ", "\u00a0", "ß", "u", "\u0661", "\ufeff", "\x01"]
 
 
 @st.composite
@@ -754,7 +771,12 @@ def assert_pattern_agrees_with_scanner(line, mode):
     assert parsed == expected
 
 
-@settings(max_examples=1000)
+# The reader differentials run 1000 examples, or as many as the loaded
+# profile asks for when that is more (`--hypothesis-profile=deep`).
+READER_EXAMPLES = max(1000, settings().max_examples)
+
+
+@settings(max_examples=READER_EXAMPLES)
 @given(mutated_lines(), st.sampled_from(["triples", "quads"]))
 def test_property_pattern_agrees_with_scanner(line, mode):
     assert_pattern_agrees_with_scanner(line, mode)
@@ -765,6 +787,64 @@ def test_property_pattern_agrees_with_scanner(line, mode):
 @pytest.mark.parametrize("line", dict.fromkeys(row[0] for row in MALFORMED))
 def test_table_lines_agree_with_scanner(line, mode):
     assert_pattern_agrees_with_scanner(line, mode)
+
+
+# The pattern only finds where an IRI token ends; _node checks each new one
+# against IRIREF, so the intern table never holds a token that failed, and a
+# repeated bad token fails each time it is read.
+IRIREF = re.compile(staxkit.io._IRI_TOKEN)
+
+
+def assert_only_iriref_tokens_interned(table):
+    assert [t for t in table if not t.startswith("_:") and not IRIREF.fullmatch(t)] == []
+
+
+@pytest.mark.parametrize("line, column", [(row[0], row[3]) for row in BAD_IRI_LINES])
+def test_a_rejected_iri_token_is_never_interned(line, column, tmp_path):
+    data = GOOD_LINE + b"#---\n" + line.encode() + b"\n"
+    (tmp_path / "00000.nq").write_bytes(data)
+    expected = _outcome(lambda: oracle_scan_statement(line, True, 3))
+    assert expected[:2] == (3, column)
+    with mock.patch.object(staxkit.io, "_interned", {}) as table:
+        for source, framing in ((data, Framing.FRAMED_DATASETS), (tmp_path, Framing.DIR_DATASETS)):
+            for _ in range(2):
+                with pytest.raises(ParseError) as info:
+                    list(read_grouped_stream(source, framing))
+                assert (info.value.line, info.value.column, info.value.reason) == expected
+        assert_only_iriref_tokens_interned(table)
+
+
+@settings(max_examples=300)
+@given(mutated_lines())
+def test_property_only_iriref_tokens_are_interned(line):
+    data = (line + "\n").encode() * 2
+    with mock.patch.object(staxkit.io, "_interned", {}) as table:
+        for mode in ("triples", "quads"):
+            _outcome(lambda: parse_statement_line(line, mode))
+        for framing in (Framing.FLAT_TRIPLES, Framing.FLAT_QUADS, Framing.FRAMED_GRAPHS, Framing.FRAMED_DATASETS):
+            read = read_flat_stream if framing.is_flat else read_grouped_stream
+            _outcome_of(lambda: list(read(data, framing)))
+        assert_only_iriref_tokens_interned(table)
+
+
+# IRIREF excludes these raw characters, which Iri allows: each is valid only
+# written as a UCHAR, which is how the writer writes it.
+IRIREF_ONLY = [*map(chr, range(0x09)), *map(chr, range(0x0E, 0x1C)), *"{}|^`"]
+
+
+@pytest.mark.parametrize("c", IRIREF_ONLY, ids=lambda c: f"U+{ord(c):04X}")
+def test_iriref_excluded_characters_are_valid_only_escaped(c):
+    code = f"{ord(c):04X}"
+    for template, mode, column in IRI_ROLES:
+        line = template.format(f"<http://ex.org/a{c}b>")
+        with pytest.raises(ParseError) as info:
+            parse_statement_line(line, mode, 1)
+        reason = f"{c!r} (U+{code}) inside an IRI; write it as \\u{code}"
+        assert (info.value.column, info.value.reason) == (column, reason)
+        assert_pattern_agrees_with_scanner(line, mode)
+        escaped = template.format(f"<http://ex.org/a\\u{code}b>")
+        assert serialize_statement(parse_statement_line(escaped, mode).statement) == escaped
+        assert_pattern_agrees_with_scanner(escaped, mode)
 
 
 # The reader builds each statement in one loop; a reference built one line
@@ -913,7 +993,7 @@ def _outcome_of(read):
         return type(exc), str(exc)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=READER_EXAMPLES, deadline=None)
 @given(grouped_inputs(), st.integers(0, 2**32 - 1), st.sampled_from([3, 4096]))
 def test_property_one_loop_reader_equals_per_line_reference(case, seed, limit):
     # A small intern table empties in the middle of elements.
@@ -1232,3 +1312,75 @@ class TestLineEndsInsideLiterals:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"stax-kit: ParseError: {f}: line 1, column 29: {CR_REASON}\n"
+
+
+# One loop decodes each line and parses it: the decoding error, the line
+# ends and the line numbers are those of a separate line splitter.
+BAD_UTF8 = b'<http://s:1> <http://p:1> "\xc3\xa9\xff" .\n'  # 0xFF: byte 29 and column 29
+T = Triple(Iri("http://s:1"), Iri("http://p:1"), Iri("http://o:1"))
+
+
+class TestOneDecodeLoop:
+    @pytest.mark.parametrize("framing", [Framing.FRAMED_GRAPHS, Framing.FRAMED_DATASETS])
+    def test_invalid_utf8_in_the_second_element(self, framing):
+        elements = read_grouped_stream(GOOD_LINE + b"#---\n" + GOOD_LINE + BAD_UTF8, framing)
+        assert next(elements) == (Dataset.from_quads([Quad(*T)]) if framing.quads_payload else Graph([T]))
+        with pytest.raises(ParseError) as info:
+            next(elements)
+        offset = 2 * len(GOOD_LINE) + len(b"#---\n") + 29
+        assert str(info.value) == f"line 4, column 29: invalid UTF-8 byte 0xFF at byte offset {offset}"
+
+    def test_invalid_utf8_in_a_dir_member(self, tmp_path):
+        (tmp_path / "00000.nt").write_bytes(GOOD_LINE)
+        (tmp_path / "00001.nt").write_bytes(GOOD_LINE + BAD_UTF8)
+        elements = read_grouped_stream(tmp_path, Framing.DIR_GRAPHS)
+        assert next(elements) == Graph([T])
+        with pytest.raises(ParseError) as info:
+            next(elements)
+        # the offset counts from the start of the member
+        assert str(info.value) == "00001.nt: line 2, column 29: invalid UTF-8 byte 0xFF at byte offset 70"
+
+    @pytest.mark.parametrize(
+        "data, elements",
+        [
+            (b"", []),
+            (b"\n", [Graph()]),
+            (b"\r\n", [Graph()]),
+            (GOOD_LINE[:-1], [Graph([T])]),
+            (b"# c\r\n" + GOOD_LINE.replace(b"\n", b"\r\n") + b"#---\r\n\r\n" + GOOD_LINE[:-1], [Graph([T])] * 2),
+            (GOOD_LINE + b"#---\n" + GOOD_LINE[:-1] + b"\r", [Graph([T])] * 2),
+            (GOOD_LINE[:-1] + b" # c\r\n#---\n" + GOOD_LINE[:-1] + b"\t# c\n", [Graph([T])] * 2),
+        ],
+        ids=["zero-bytes", "lf", "crlf", "no-final-lf", "crlf-lines", "final-cr", "trailing-comments"],
+    )
+    def test_line_ends(self, data, elements, tmp_path):
+        assert list(read_grouped_stream(data, Framing.FRAMED_GRAPHS)) == elements
+        assert list(read_flat_stream(data, Framing.FLAT_TRIPLES)) == [T] * len(elements) * bool(data.strip())
+        (tmp_path / "00000.nt").write_bytes(data)
+        assert list(read_grouped_stream(tmp_path, Framing.DIR_GRAPHS)) == [Graph([T] if data.strip() else [])]
+
+    def test_line_numbers_past_line_ends(self):
+        data = b"\r\n# c\n\n" + GOOD_LINE.replace(b"\n", b"\r\n") + b"#---\r\nbad .\n"
+        with pytest.raises(ParseError) as info:
+            list(read_grouped_stream(data, Framing.FRAMED_GRAPHS))
+        assert (info.value.line, info.value.column) == (6, 1)
+
+    # A str line was never split at its LF or CR, so it keeps both, and its
+    # errors are placed as in a line that holds them.
+    @pytest.mark.parametrize("mode", ["triples", "quads"])
+    @pytest.mark.parametrize(
+        "line, outcome",
+        [
+            (CR_STATEMENT.decode() + "\n", (4, 41, "unexpected content after '.'")),
+            (CR_STATEMENT.decode() + "\r", (4, 41, CR_REASON)),
+            (CR_STATEMENT.decode() + "\r\n", (4, 41, CR_REASON)),
+            ("<http://a:1> <http://p:1>\n<http://o:1> .", (4, 26, "expected IRI, blank node, or literal")),
+            ("\n", (4, 1, "expected IRI, blank node, or literal")),
+            ("\r", (4, 1, CR_REASON)),
+            ("# c\r", (4, 4, CR_REASON)),
+            ("# c\n", ParsedLine(LineKind.COMMENT, 4)),
+            ("#---\n", ParsedLine(LineKind.COMMENT, 4)),
+        ],
+    )
+    def test_statement_line_keeps_its_line_ends(self, line, outcome, mode):
+        assert _outcome(lambda: parse_statement_line(line, mode, 4)) == outcome
