@@ -84,8 +84,10 @@ _ECHAR_VALUE = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"',
 _ECHAR = rf"\\[{re.escape(''.join(_ECHAR_VALUE))}]"
 _LABEL = r"[A-Za-z0-9_.-]"
 
-# IRIREF ::= '<' ([^#x00-#x20<>"{}|^`\] | UCHAR)* '>'
-_IRI_CHAR = r'[^\x00-\x20<>"{}|^`\\]'
+# IRIREF ::= '<' ([^#x00-#x20<>"{}|^`\] | UCHAR)* '>'; the writer escapes
+# the same characters.
+_IRI_EXCLUDED = r'\x00-\x20<>"{}|^`\\'
+_IRI_CHAR = rf"[^{_IRI_EXCLUDED}]"
 _IRI_TOKEN = rf"<{_IRI_CHAR}*(?:{_UCHAR}{_IRI_CHAR}*)*>"
 _IRIREF = re.compile(_IRI_TOKEN)
 _IRI_SCAN = "<[^>]*>"
@@ -104,7 +106,7 @@ _ESCAPE = re.compile(rf"{_UCHAR}|{_ECHAR}")
 # stop, the closing '>' or '"', or the first character that breaks the term.
 _SKIP_WS = re.compile(_WS)
 _IRI_READ = re.compile(rf"<(?:[^>\\]|{_UCHAR})*")
-_IRIREF_READ = re.compile(rf"<(?:{_IRI_CHAR}|{_UCHAR})*")
+_IRIREF_READ = re.compile(rf"<(?:{_IRI_CHAR}|{_UCHAR})*")  # for a token IRIREF fails
 _LITERAL_READ = re.compile(rf'"(?:[^"\\\r\n]|{_ECHAR}|{_UCHAR})*')
 _BLANK_READ = re.compile(rf"_:{_LABEL}*")
 _TAG_READ = re.compile(r"@(?:[^\W_]|-)*")  # alphanumerics and '-'
@@ -149,7 +151,13 @@ def _node(token: str) -> Iri | BlankNode:
         if token[0] == "_":
             term = BlankNode(token[2:])
         elif _IRIREF.fullmatch(token):
-            term = Iri(_unescape(token[1:-1]))
+            value = token[1:-1]
+            # IRIREF excludes every ASCII character Iri does: an ASCII value
+            # without escapes needs only Iri's ':' check.
+            if ":" in value and "\\" not in value and value.isascii():
+                term = str.__new__(Iri, value)
+            else:
+                term = Iri(_unescape(value))
         else:
             raise ValueError(f"not an IRIREF: {token}")
         if len(_interned) >= _INTERN_LIMIT:
@@ -254,9 +262,9 @@ def _read_term(line: str, pos: int, line_no: int) -> tuple[Term, int]:
         text, end = _read_quoted(line, pos, line_no)
         if first == "<":
             iri = Iri(text)
-            # A character IRIREF excludes that Iri allows is valid only escaped.
-            bad = line[_IRIREF_READ.match(line, pos).end()]
-            if bad != ">":
+            if not _IRIREF.fullmatch(line, pos, end):
+                # A character IRIREF excludes that Iri allows is valid only escaped.
+                bad = line[_IRIREF_READ.match(line, pos).end()]
                 code = f"{ord(bad):04X}"
                 raise ParseError(line_no, pos + 1, f"{bad!r} (U+{code}) inside an IRI; write it as \\u{code}")
             return iri, end
@@ -462,8 +470,8 @@ def _read_dir_stream(source: Source, framing: Framing) -> Iterator[Graph | Datas
 
 _LITERAL_SPECIAL = re.compile(r'[\\"\n\r\t]')
 _LITERAL_ESC = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"})
-_IRI_SPECIAL = re.compile(r"[\x00-\x20\\{}|^`]")
-_IRI_ESC = {c: f"\\u{c:04X}" for c in (*range(0x21), *b"\\{}|^`")}
+_IRI_SPECIAL = re.compile(f"[{_IRI_EXCLUDED}]")
+_IRI_ESC = {c: f"\\u{c:04X}" for c in range(0x80) if _IRI_SPECIAL.match(chr(c))}
 
 
 def _escape_iri(value: str) -> str:
