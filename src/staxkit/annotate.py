@@ -272,12 +272,13 @@ def cross_check(
 
 
 # Local names written as stax:<local>: a subset of Turtle's PN_LOCAL that
-# needs no escapes.  Any other IRI is written in full.
-_SAFE_LOCAL = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")
+# needs no escapes.  Any other IRI is written in full.  Only Turtle output
+# needs it, so it is compiled on first use through re's cache.
+_SAFE_LOCAL = r"[A-Za-z_][A-Za-z0-9_-]*"
 
 
 def _turtle_ref(iri: str) -> str:
-    if iri.startswith(STAX_NS) and _SAFE_LOCAL.fullmatch(iri[len(STAX_NS):]):
+    if iri.startswith(STAX_NS) and re.fullmatch(_SAFE_LOCAL, iri[len(STAX_NS):]):
         return "stax:" + iri[len(STAX_NS):]
     if iri == DCAT_DATASET:
         return "dcat:Dataset"

@@ -31,11 +31,10 @@ from __future__ import annotations
 
 import os
 import re
-from datetime import datetime, timezone
-from decimal import Decimal
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Union
 
+from .errors import SchemaError
 from .framing import Framing, Payload
 from .io import Source, read_flat_stream, read_grouped_stream
 from .model import Dataset, Graph, Iri, Literal, Quad, Term, Triple, _TupleValue
@@ -182,12 +181,22 @@ def _timestamp_triples(dataset: Dataset, name: Term, cfg: ClassifierConfig) -> l
     return [t for t in dataset.default_graph if t.subject == name and t.predicate in cfg.timestamp_predicates]
 
 
-# The XSD lexical spaces of the numeric timestamp types, in ASCII digits.
-# Decimal() alone would also take exponents, underscores, other scripts'
-# digits, NaN and Infinity.
-_NUMERIC_LEXICAL = {
-    XSD_INTEGER: re.compile(r"[+-]?[0-9]+"),
-    XSD_DECIMAL: re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"),
+# The XSD 1.1 lexical spaces of the timestamp types, in ASCII digits
+# (https://www.w3.org/TR/xmlschema11-2/#dateTime and the sections after it).
+# datetime.fromisoformat alone would also take a space separator, the basic
+# format and a missing seconds field; Decimal() would take exponents,
+# underscores, other scripts' digits, NaN and Infinity.  The end of day
+# 24:00:00 is left out: datetime has no hour 24, so it stays incomparable
+# until it is read as the next day's midnight.  A date keeps its fields in
+# group 1.  Each pattern is compiled at the first timestamp of its type,
+# through re's cache.
+_XSD_YMD = r"-?(?:[1-9][0-9]{3,}|0[0-9]{3})-(?:0[1-9]|1[0-2])-(?:0[1-9]|[12][0-9]|3[01])"
+_XSD_TIMEZONE = r"(?:Z|[+-](?:(?:0[0-9]|1[0-3]):[0-5][0-9]|14:00))?"
+_TIMESTAMP_LEXICAL = {
+    XSD_DATETIME: rf"{_XSD_YMD}T(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9](?:\.[0-9]+)?{_XSD_TIMEZONE}",
+    XSD_DATE: rf"({_XSD_YMD}){_XSD_TIMEZONE}",
+    XSD_INTEGER: r"[+-]?[0-9]+",
+    XSD_DECIMAL: r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)",
 }
 
 
@@ -195,27 +204,34 @@ def comparable_timestamp(term: Term) -> tuple[str, object] | None:
     """(comparability domain, value) for an orderable timestamp, else None.
 
     Chronological values split into offset-aware and naive domains because
-    the two cannot be compared; dates are promoted to naive midnights.
-    Finite numeric timestamps share one decimal domain.  Everything else,
-    dates out of range included, is incomparable and never ordered.
+    the two cannot be compared; a date is its naive midnight, whatever its
+    timezone.  Finite numeric timestamps share one decimal domain.
+    Everything else is incomparable and never ordered: values outside their
+    type's lexical space, the end of day 24:00:00, and years datetime cannot
+    hold (before 1 or after 9999).  datetime and decimal are imported only
+    for the timestamps that need them.
     """
     if not isinstance(term, Literal):
         return None
+    pattern = _TIMESTAMP_LEXICAL.get(term.datatype)
     lex = term.lexical.strip()
-    try:
-        if term.datatype == XSD_DATETIME:
-            dt = datetime.fromisoformat(lex.replace("Z", "+00:00"))
-            domain = "chrono-aware" if dt.tzinfo is not None else "chrono-naive"
-            return domain, dt
-        if term.datatype == XSD_DATE:
-            dt = datetime.fromisoformat(lex.replace("Z", "+00:00"))
-            if dt.tzinfo is not None:
-                dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
-            return "chrono-naive", datetime(dt.year, dt.month, dt.day)
-    except (ValueError, OverflowError):
+    if pattern is None or (match := re.fullmatch(pattern, lex)) is None:
         return None
-    numeric = _NUMERIC_LEXICAL.get(term.datatype)
-    return ("numeric", Decimal(lex)) if numeric is not None and numeric.fullmatch(lex) else None
+    # A repeated `import m` only finds m in sys.modules; `from m import n`
+    # also looks for m.__path__, and the AttributeError costs about 1 µs.
+    if term.datatype in (XSD_DATETIME, XSD_DATE):
+        import datetime
+
+        try:
+            if term.datatype == XSD_DATE:
+                return "chrono-naive", datetime.datetime.fromisoformat(match[1])
+            dt = datetime.datetime.fromisoformat(lex.replace("Z", "+00:00"))
+        except ValueError:
+            return None
+        return ("chrono-aware" if dt.tzinfo is not None else "chrono-naive"), dt
+    import decimal
+
+    return "numeric", decimal.Decimal(lex)
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +349,15 @@ def classify_stream(
     """
     cfg = cfg or ClassifierConfig()
     inferred = inferred or infer_closure(default_taxonomy())
+    applicable = _APPLICABLE[framing.payload]
+    missing = [t for t in applicable if not inferred.taxonomy.has_type(t)]
+    if missing:
+        raise SchemaError(
+            f"the taxonomy lacks {', '.join(missing)}, which {framing.value} streams are classified against"
+        )
     flat = framing.is_flat
     if isinstance(source, (bytes, str, os.PathLike)) or hasattr(source, "read"):
         source = (read_flat_stream if flat else read_grouped_stream)(source, framing)
-    applicable = _APPLICABLE[framing.payload]
     state = ClassifierState()
     first_violation: dict[str, FirstViolation] = {}
     evidence: list[ElementVerdict] = []

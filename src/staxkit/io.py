@@ -104,12 +104,14 @@ _ESCAPE = re.compile(rf"{_UCHAR}|{_ECHAR}")
 
 # The locator's reads: each takes the prefix of a term up to where it must
 # stop, the closing '>' or '"', or the first character that breaks the term.
+# Only the lines the statement pattern declines need them, so all but
+# _SKIP_WS are compiled on first use through re's cache.
 _SKIP_WS = re.compile(_WS)
-_IRI_READ = re.compile(rf"<(?:[^>\\]|{_UCHAR})*")
-_IRIREF_READ = re.compile(rf"<(?:{_IRI_CHAR}|{_UCHAR})*")  # for a token IRIREF fails
-_LITERAL_READ = re.compile(rf'"(?:[^"\\\r\n]|{_ECHAR}|{_UCHAR})*')
-_BLANK_READ = re.compile(rf"_:{_LABEL}*")
-_TAG_READ = re.compile(r"@(?:[^\W_]|-)*")  # alphanumerics and '-'
+_IRI_READ = rf"<(?:[^>\\]|{_UCHAR})*"
+_IRIREF_READ = rf"<(?:{_IRI_CHAR}|{_UCHAR})*"  # for a token IRIREF fails
+_LITERAL_READ = rf'"(?:[^"\\\r\n]|{_ECHAR}|{_UCHAR})*'
+_BLANK_READ = rf"_:{_LABEL}*"
+_TAG_READ = r"@(?:[^\W_]|-)*"  # alphanumerics and '-'
 
 # The terms a statement holds, in order: the types each may be, and the
 # error for any other.  The fourth, the graph label, is optional.
@@ -249,7 +251,7 @@ def _read_term(line: str, pos: int, line_no: int) -> tuple[Term, int]:
     first = line[pos : pos + 1]
     try:
         if first == "_":
-            m = _BLANK_READ.match(line, pos)
+            m = re.compile(_BLANK_READ).match(line, pos)
             if m is None:
                 raise ParseError(line_no, pos + 1, "expected '_:'")
             label = m[0][2:].rstrip(".")
@@ -264,12 +266,12 @@ def _read_term(line: str, pos: int, line_no: int) -> tuple[Term, int]:
             iri = Iri(text)
             if not _IRIREF.fullmatch(line, pos, end):
                 # A character IRIREF excludes that Iri allows is valid only escaped.
-                bad = line[_IRIREF_READ.match(line, pos).end()]
+                bad = line[re.compile(_IRIREF_READ).match(line, pos).end()]
                 code = f"{ord(bad):04X}"
                 raise ParseError(line_no, pos + 1, f"{bad!r} (U+{code}) inside an IRI; write it as \\u{code}")
             return iri, end
         if line.startswith("@", end):
-            tag = _TAG_READ.match(line, end)[0][1:]
+            tag = re.compile(_TAG_READ).match(line, end)[0][1:]
             if not _LANGTAG_RE.fullmatch(tag):
                 raise ParseError(line_no, end + 1, "bad language tag")
             return Literal(text, language=tag), end + 1 + len(tag)
@@ -287,7 +289,7 @@ def _read_quoted(line: str, pos: int, line_no: int) -> tuple[str, int]:
     """The decoded text of the IRI or literal body at pos, and the position
     past its closing '>' or '"'."""
     iri = line[pos] == "<"
-    end = (_IRI_READ if iri else _LITERAL_READ).match(line, pos).end()
+    end = re.compile(_IRI_READ if iri else _LITERAL_READ).match(line, pos).end()
     for escape in _ESCAPE.finditer(line, pos, end):
         try:
             _unescape_match(escape)

@@ -26,10 +26,12 @@ XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
 _BLANK_LABEL = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*$")
 # Characters an IRI must not hold: '\s' matches exactly the characters
 # str.isspace() accepts; surrogates have no UTF-8 encoding.  One regex
-# validates an IRI; the other only finds the character to name in the error.
+# validates an IRI, anchored on its first ':' so that it never backtracks;
+# the other only finds the character to name in the error, and is compiled
+# on first use through re's cache.
 _IRI_BAD = r'\s<>"\ud800-\udfff'
-_IRI_VALID = re.compile(rf"[^{_IRI_BAD}]*:[^{_IRI_BAD}]*")
-_IRI_BAD_CHAR = re.compile(rf"[{_IRI_BAD}]")
+_IRI_VALID = re.compile(rf"[^{_IRI_BAD}:]*:[^{_IRI_BAD}]*")
+_IRI_BAD_CHAR = rf"[{_IRI_BAD}]"
 _SURROGATE = re.compile(r"[\ud800-\udfff]")
 # The RDF 1.1 N-Triples LANGTAG production, without its leading '@'.
 LANGTAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
@@ -107,7 +109,7 @@ class Iri(_StrTerm):
                 raise MalformedIri("empty IRI")
             if ":" not in value:
                 raise MalformedIri(f"IRI has no scheme separator ':': {value!r}")
-            bad = _IRI_BAD_CHAR.search(value)[0]
+            bad = re.search(_IRI_BAD_CHAR, value)[0]
             raise MalformedIri(f"IRI contains forbidden character {bad!r}: {value!r}")
         # str.__new__ takes str() of its argument, which a str subclass (a
         # BlankNode, say) may override; str.__str__ gives the text checked.

@@ -4,15 +4,16 @@ Everything here is implemented on purpose with different machinery than
 the package: all-pairs matrix reachability instead of per-node BFS,
 exhaustive backtracking instead of greedy subject choice, literal path
 enumeration instead of an ancestor map and layered search, a character
-scanner instead of the statement pattern and its token locator, and
+scanner instead of the statement pattern and its token locator, field
+slicing and digit counts instead of the XSD timestamp patterns, and
 regex/recursive-descent reference parsers for the serialized formats.
 """
 
 from __future__ import annotations
 
 import re
-from datetime import datetime, timezone
-from decimal import Decimal, InvalidOperation
+from datetime import datetime, timedelta, timezone
+from decimal import Decimal
 
 from staxkit.errors import ParseError
 from staxkit.model import BlankNode, Dataset, Graph, Iri, Literal, Quad, Statement, Term, Triple
@@ -151,22 +152,84 @@ def oracle_subject_assignment(candidate_sets: list[set[Iri]]) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _ascii_digits(text: str) -> bool:
+    """text is a non-empty run of ASCII digits."""
+    return bool(text) and all("0" <= c <= "9" for c in text)
+
+
+def _split_timezone(text: str):
+    """(text before its XSD timezone, tzinfo or None), or None for a bad timezone.
+
+    The timezone is 'Z' or a sign, two digits, ':' and two digits, from
+    -14:00 to +14:00.  Text whose last six characters are not shaped like
+    one has no timezone, and the field checks see all of it.
+    """
+    if text.endswith("Z"):
+        return text[:-1], timezone.utc
+    tail = text[-6:]
+    if len(tail) < 6 or tail[0] not in "+-" or tail[3] != ":":
+        return text, None
+    hours, minutes = tail[1:3], tail[4:]
+    if not (_ascii_digits(hours) and _ascii_digits(minutes)):
+        return None
+    total = int(hours) * 60 + int(minutes)
+    if int(minutes) > 59 or total > 14 * 60:
+        return None
+    return text[:-6], timezone(timedelta(minutes=-total if tail[0] == "-" else total))
+
+
+def _date_fields(text: str):
+    """(year, month, day) of a 'YYYY-MM-DD' date, else None.
+
+    Longer and negative years are in the XSD lexical space, but datetime
+    cannot hold them, so they are incomparable like every value it refuses.
+    """
+    if len(text) != 10 or text[4] != "-" or text[7] != "-":
+        return None
+    fields = (text[:4], text[5:7], text[8:])
+    return tuple(map(int, fields)) if all(_ascii_digits(f) for f in fields) else None
+
+
+def _time_fields(text: str):
+    """(hour, minute, second, microsecond) of 'hh:mm:ss' with an optional
+    fraction of any length (its first six digits count), else None."""
+    clock, point, fraction = text.partition(".")
+    if len(clock) != 8 or clock[2] != ":" or clock[5] != ":":
+        return None
+    fields = (clock[:2], clock[3:5], clock[6:])
+    if not all(_ascii_digits(f) for f in fields) or (point and not _ascii_digits(fraction)):
+        return None
+    return (*map(int, fields), int(fraction[:6].ljust(6, "0")))
+
+
 def oracle_timestamp_value(term):
+    """(domain, value) of an orderable timestamp, checked field by field
+    where comparable_timestamp matches a regex per XSD 1.1 production."""
     if not isinstance(term, Literal):
         return None
     lex = term.lexical.strip()
     try:
-        if term.datatype == XSD + "dateTime":
-            v = datetime.fromisoformat(lex.replace("Z", "+00:00"))
-            return ("chrono-aware" if v.tzinfo else "chrono-naive", v)
-        if term.datatype == XSD + "date":
-            v = datetime.fromisoformat(lex.replace("Z", "+00:00"))
-            if v.tzinfo is not None:
-                v = v.astimezone(timezone.utc).replace(tzinfo=None)
-            return ("chrono-naive", datetime(v.year, v.month, v.day))
+        if term.datatype in (XSD + "dateTime", XSD + "date"):
+            split = _split_timezone(lex)
+            if split is None:
+                return None
+            rest, tz = split
+            if term.datatype == XSD + "date":
+                ymd = _date_fields(rest)
+                # a date's timezone does not move it
+                return None if ymd is None else ("chrono-naive", datetime(*ymd))
+            ymd, time = _date_fields(rest[:10]), _time_fields(rest[11:])
+            if ymd is None or rest[10:11] != "T" or time is None:
+                return None
+            return ("chrono-aware" if tz else "chrono-naive", datetime(*ymd, *time, tzinfo=tz))
         if term.datatype in (XSD + "integer", XSD + "decimal"):
+            whole, point, fraction = lex[lex[:1] in ("+", "-"):].partition(".")
+            if point and term.datatype == XSD + "integer":
+                return None
+            if not (whole or fraction) or not all(_ascii_digits(f) for f in (whole, fraction) if f):
+                return None
             return ("numeric", Decimal(lex))
-    except (ValueError, InvalidOperation):
+    except ValueError:
         return None
     return None
 

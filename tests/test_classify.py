@@ -1,11 +1,11 @@
 import random
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import oracle_candidate_subjects, oracle_classify
+from oracles import oracle_candidate_subjects, oracle_classify, oracle_timestamp_value
 from streamgen import (
     EX,
     gen_classification_case,
@@ -294,6 +294,85 @@ class TestComparableTimestamp:
 
     def test_out_of_range_date_is_incomparable(self):
         assert comparable_timestamp(Literal("0001-01-01T00:00:00+01:00", datatype=XSD_DATE)) is None
+
+    @pytest.mark.parametrize(
+        "lex, datatype",
+        [
+            ("2024-01-01 10:00", XSD_DATETIME),  # space separator
+            ("20240101T1000", XSD_DATETIME),  # basic format
+            ("2024-01-01T10:00", XSD_DATETIME),  # no seconds
+            ("2024-01-01t10:00:00", XSD_DATETIME),
+            ("2024-01-01T10:00:00+14:30", XSD_DATETIME),  # offset beyond 14:00
+            ("2024-01-01T10:00:00+0500", XSD_DATETIME),
+            ("2024-01-01T10:00:60", XSD_DATETIME),
+            ("\uff12\uff10\uff12\uff14-01-01T10:00:00", XSD_DATETIME),  # fullwidth digits
+            ("20240305", XSD_DATE),
+            ("2024-03-05T10:00:00", XSD_DATE),
+            ("2024-3-05", XSD_DATE),
+            ("2024-02-30", XSD_DATE),
+        ],
+    )
+    def test_values_outside_the_xsd_lexical_space_are_incomparable(self, lex, datatype):
+        term = Literal(lex, datatype=datatype)
+        assert comparable_timestamp(term) is None
+        assert oracle_timestamp_value(term) is None
+
+    @pytest.mark.parametrize(
+        "lex, datatype, value",
+        [
+            ("2024-01-01T10:00:00", XSD_DATETIME, datetime(2024, 1, 1, 10)),
+            ("2024-01-01T10:00:00.250Z", XSD_DATETIME, datetime(2024, 1, 1, 10, 0, 0, 250000, timezone.utc)),
+            (
+                "2024-01-01T10:00:00.000001-05:30",
+                XSD_DATETIME,
+                datetime(2024, 1, 1, 10, 0, 0, 1, timezone(-timedelta(hours=5, minutes=30))),
+            ),
+            ("2024-01-01T23:59:59+14:00", XSD_DATETIME, datetime(2024, 1, 1, 9, 59, 59, tzinfo=timezone.utc)),
+            (" 2024-03-05 ", XSD_DATE, datetime(2024, 3, 5)),
+            ("2024-03-05Z", XSD_DATE, datetime(2024, 3, 5)),
+            ("2024-03-05-12:00", XSD_DATE, datetime(2024, 3, 5)),
+        ],
+    )
+    def test_values_in_the_xsd_lexical_space_are_ordered(self, lex, datatype, value):
+        term = Literal(lex, datatype=datatype)
+        domain = "chrono-aware" if value.tzinfo else "chrono-naive"
+        assert comparable_timestamp(term) == oracle_timestamp_value(term) == (domain, value)
+
+    @pytest.mark.parametrize(
+        "lex",
+        ["2024-01-01T24:00:00", "12024-01-01T00:00:00", "-2024-01-01T00:00:00", "0000-01-01T00:00:00"],
+    )
+    def test_values_datetime_cannot_hold_are_incomparable(self, lex):
+        # the end of day, and years datetime cannot hold, stay incomparable
+        assert comparable_timestamp(dt(lex)) is None
+        assert oracle_timestamp_value(dt(lex)) is None
+
+    @given(
+        st.tuples(
+            st.sampled_from(["2024", "0001", "0000", "9999", "12024", "-2024", "202", "\uff12\uff10\uff12\uff14"]),
+            st.sampled_from(["-", "", "/"]),
+            st.sampled_from(["01", "02", "12", "13", "00", "1"]),
+            st.sampled_from(["-", ""]),
+            st.sampled_from(["01", "28", "29", "30", "31", "32", "5"]),
+            st.sampled_from(["", "T", " ", "t"]),
+            st.sampled_from(["", "10:00:00", "23:59:59", "24:00:00", "10:00", "1000", "10:00:60", "25:00:00"]),
+            # three or six digits: Python 3.10 reads no other fraction
+            st.sampled_from(["", ".123", ".123456", "."]),
+            st.sampled_from(["", "Z", "+00:00", "-05:30", "+14:00", "+14:01", "+13:59", "+1:00", "+0500", "z"]),
+        ).map("".join),
+        st.sampled_from([XSD_DATETIME, XSD_DATE]),
+    )
+    def test_chronological_values_agree_with_the_field_oracle(self, lex, datatype):
+        term = Literal(lex, datatype=datatype)
+        assert comparable_timestamp(term) == oracle_timestamp_value(term)
+
+    @pytest.mark.parametrize(
+        "later", [dt("2024-01-01 10:00"), dt("20240101T1000"), Literal("20240305", datatype=XSD_DATE)]
+    )
+    def test_a_value_outside_the_lexical_space_never_violates_the_order(self, later):
+        stream = [named_dataset("a", stamp=dt("2025-01-01T00:00:00")), named_dataset("b", stamp=later)]
+        report = classify_stream(stream, Framing.FRAMED_DATASETS)
+        assert "timestampedNamedGraphStream" in report.conforming
 
     @pytest.mark.parametrize(
         "first",

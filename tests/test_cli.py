@@ -24,6 +24,7 @@ from staxkit.convert import payload_kind
 from staxkit.framing import Framing
 from staxkit.model import BlankNode, Iri, Literal, Quad, Triple
 from staxkit.taxonomy import TypeKind, default_taxonomy, infer_closure
+from test_hygiene import readme_json_example
 
 TRIPLE_LINE = b"<http://ex.org/s%d> <http://ex.org/p> <http://ex.org/o%d> .\n"
 QUAD_LINE = b"<http://ex.org/s%d> <http://ex.org/p> <http://ex.org/o%d> <http://ex.org/g%d> .\n"
@@ -1161,6 +1162,34 @@ class TestTaxonomyOverride:
     def test_missing_override_file(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("STAX_TAXONOMY", str(tmp_path / "absent.json"))
         assert main(["taxonomy", "closure"]) == 3
+
+    @pytest.mark.parametrize(
+        "command, framing, missing",
+        [
+            ("classify", "framed-graphs", "graphStream, subjectGraphStream"),
+            ("classify", "flat-triples", "flatTripleStream"),
+            ("validate", "framed-datasets", "datasetStream, namedGraphStream, timestampedNamedGraphStream"),
+        ],
+    )
+    def test_readme_taxonomy_cannot_classify_and_says_why(
+        self, command, framing, missing, tmp_path, capsys, monkeypatch
+    ):
+        # README's "Custom taxonomies" example holds none of the built-in types
+        tax_file = tmp_path / "taxonomy.json"
+        tax_file.write_text(readme_json_example("types"))
+        monkeypatch.setenv("STAX_TAXONOMY", str(tax_file))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"usages": [{"streamType": "leafStream"}]}))
+        data = str(tmp_path / "absent.bin")  # the check comes before any input is read
+        if command == "classify":
+            argv = ["classify", "--input", data]
+        else:
+            argv = ["validate", "--manifest", str(manifest), "--data", data]
+        assert main(argv + ["--framing", framing]) == 3
+        assert capsys.readouterr() == (
+            "",
+            f"stax-kit: SchemaError: the taxonomy lacks {missing}, which {framing} streams are classified against\n",
+        )
 
     def test_unset_env_uses_builtin(self, capsys, monkeypatch):
         monkeypatch.delenv("STAX_TAXONOMY", raising=False)

@@ -285,6 +285,72 @@ def test_taxonomy_path_loads_no_stream_module():
     assert not loaded & {"staxkit.io", "staxkit.model", *SUBCOMMAND_MODULES}
 
 
+TWO_GRAPHS = (
+    b"<http://ex.org/s> <http://ex.org/p> <http://ex.org/o> .\n#---\n"
+    b"<http://ex.org/t> <http://ex.org/p> <http://ex.org/o> .\n"
+)
+TIMESTAMP_MODULES = {"decimal", "_decimal", "numbers", "datetime", "_datetime"}
+
+
+def stamped_datasets(path: Path, datatype: str, *stamps: str) -> Path:
+    """Framed datasets, one per stamp: a named graph and its timestamp triple."""
+    path.write_text("#---\n".join(
+        f'<http://ex.org/g{i}> <http://www.w3.org/ns/prov#generatedAtTime> '
+        f'"{stamp}"^^<http://www.w3.org/2001/XMLSchema#{datatype}> .\n'
+        f"<http://ex.org/s> <http://ex.org/p> <http://ex.org/o> <http://ex.org/g{i}> .\n"
+        for i, stamp in enumerate(stamps)
+    ))
+    return path
+
+
+def cli_call(*argv: str) -> str:
+    """Code that runs the CLI with argv and checks that it exits with 0."""
+    return f"from staxkit.cli import main\nassert main({list(argv)!r}) == 0"
+
+
+def test_classifying_graphs_loads_no_timestamp_module(tmp_path):
+    data = tmp_path / "graphs.nt"
+    data.write_bytes(TWO_GRAPHS)
+    loaded = modules_loaded_by(cli_call("classify", "--input", str(data), "--framing", "framed-graphs", "--json"))
+    assert "staxkit.classify" in loaded
+    assert not loaded & TIMESTAMP_MODULES
+
+
+def test_datetime_stamps_load_datetime_but_not_decimal(tmp_path):
+    data = stamped_datasets(tmp_path / "data.nq", "dateTime", "2024-01-01T00:00:00Z", "2024-01-02T00:00:00Z")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"usages": [{"streamType": "timestampedNamedGraphStream"}]}))
+    loaded = modules_loaded_by(cli_call(
+        "validate", "--manifest", str(manifest), "--data", str(data), "--framing", "framed-datasets", "--json"
+    ))
+    assert {"staxkit.annotate", "datetime"} <= loaded
+    assert not loaded & {"decimal", "_decimal", "numbers"}
+
+
+def test_numeric_stamps_load_decimal_and_are_ordered(tmp_path):
+    data = stamped_datasets(tmp_path / "data.nq", "integer", "2", "1")
+    loaded = modules_loaded_by(
+        "from staxkit.classify import classify_stream\n"
+        "from staxkit.framing import Framing\n"
+        f"report = classify_stream({str(data)!r}, Framing.FRAMED_DATASETS)\n"
+        "violation = report.first_violation['timestampedNamedGraphStream']\n"
+        "assert violation == (1, 'timestamp order violation'), violation"
+    )
+    assert "decimal" in loaded
+    assert "datetime" not in loaded
+
+
+def test_converting_graphs_to_quads_loads_no_classify_or_annotate_module(tmp_path):
+    data = tmp_path / "graphs.nt"
+    data.write_bytes(TWO_GRAPHS)
+    loaded = modules_loaded_by(cli_call(
+        "convert", "--input", str(data), "--from", "graphStream", "--to", "flatQuadStream",
+        "--policy", "transitive", "--output", str(tmp_path / "out.nq"),
+    ))
+    assert "staxkit.convert" in loaded
+    assert not loaded & {"json", "datetime", "decimal", "staxkit.classify", "staxkit.annotate"}
+
+
 def readme_blocks(language: str) -> list[str]:
     return re.findall(rf"^```{language}\n(.*?)^```", README, re.S | re.M)
 

@@ -64,6 +64,27 @@ class TestIri:
             else:
                 assert not forbidden, value
 
+    @given(
+        st.text(
+            st.one_of(
+                st.sampled_from(':/<>"#\u00a0\u2028\u3000\ud800\udfff \t\n'),
+                st.characters(),
+            ),
+            max_size=40,
+        )
+    )
+    def test_accepts_exactly_the_strings_the_character_oracle_accepts(self, value):
+        # Iri's one regex against a character-by-character reading of its rule
+        valid = ":" in value and not any(
+            c.isspace() or c in '<>"' or 0xD800 <= ord(c) <= 0xDFFF for c in value
+        )
+        try:
+            Iri(value)
+        except MalformedIri:
+            assert not valid, value
+        else:
+            assert valid, value
+
     def test_equality_is_by_value(self):
         assert Iri("urn:x") == Iri("urn:x")
         assert hash(Iri("urn:x")) == hash(Iri("urn:x"))
