@@ -21,16 +21,15 @@ _SOURCES = {
     for module, names in {
         "annotate": "AnnotationManifest CrossCheckEntry StreamTypeUsage ValidationReport "
         "Violation cross_check emit_turtle load_manifest validate_usages",
-        "classify": "ClassificationReport ClassifierConfig ClassifierState ElementVerdict "
-        "TypeVerdict candidate_subject_nodes classify_element classify_stream",
+        "classify": "ClassificationReport Classifier ClassifierConfig ElementVerdict TypeVerdict "
+        "candidate_subject_nodes classify_stream",
         "convert": "convert extend flatten_datasets flatten_graphs group_statements payload_kind",
         "errors": "AbstractType CycleError DanglingReference EmptyUsages InvalidBatchSize "
         "MalformedIri MixedPayload NoConversionPath OutputExists ParseError SchemaError "
         "StaxError UnknownStreamType UnknownType",
         "framing": "Framing Payload",
         "io": "LineKind ParsedLine parse_statement_line read_flat_stream read_grouped_stream "
-        "serialize_statement serialize_term write_dir_stream write_flat_stream "
-        "write_grouped_stream write_stream",
+        "serialize_statement serialize_term write_dir_stream write_flat_stream write_stream",
         "model": "RDF_LANGSTRING XSD_STRING BlankNode Dataset Graph Iri Literal Quad Triple",
         "taxonomy": "ConversionStep InferredTaxonomy STAX_NS StreamType Taxonomy TypeKind "
         "conversion_path default_taxonomy infer_closure load_taxonomy most_specific relates",

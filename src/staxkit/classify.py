@@ -21,10 +21,13 @@ node; if not, there are no candidates.  Third, a backward walk from it
 collects the nodes that reach it, which are exactly the nodes that reach
 every node; the IRIs among them are the candidates.
 
-The engine reads each element once.  Memory is bounded except for the
-chosen subjects (one entry per element that found an unused candidate), the
-report notes (one per element with several candidate subjects or several
-timestamp triples) and the capped evidence buffer.
+A Classifier holds one run: feed(item) checks the next statement or element
+once, and report() gives the report so far; classify_stream feeds it a whole
+stream.  Its memory is bounded except for the chosen subjects (one entry per
+element that found an unused candidate) and the notes (one per element with
+several candidate subjects or several timestamp triples).  The rest is fixed
+in size: the counts, the first violation per type, the evidence capped at
+max_evidence, and the greatest timestamp per predicate and domain.
 """
 
 from __future__ import annotations
@@ -34,10 +37,10 @@ import re
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Union
 
-from .errors import SchemaError
+from .errors import MixedPayload, SchemaError
 from .framing import Framing, Payload
-from .io import Source, read_flat_stream, read_grouped_stream
-from .model import Dataset, Graph, Iri, Literal, Quad, Term, Triple, _TupleValue
+from .io import _ITEM_CLASS, Source, read_flat_stream, read_grouped_stream
+from .model import Dataset, Graph, Iri, Literal, Quad, Statement, Term, Triple, _TupleValue
 from .taxonomy import InferredTaxonomy, default_taxonomy, infer_closure, most_specific
 
 PROV_GENERATED_AT_TIME = Iri("http://www.w3.org/ns/prov#generatedAtTime")
@@ -188,8 +191,8 @@ def _timestamp_triples(dataset: Dataset, name: Term, cfg: ClassifierConfig) -> l
 # underscores, other scripts' digits, NaN and Infinity.  The end of day
 # 24:00:00 is left out: datetime has no hour 24, so it stays incomparable
 # until it is read as the next day's midnight.  A date keeps its fields in
-# group 1.  Each pattern is compiled at the first timestamp of its type,
-# through re's cache.
+# group 1.  Each pattern is compiled once, at the first timestamp of its
+# type, into _timestamp_patterns.
 _XSD_YMD = r"-?(?:[1-9][0-9]{3,}|0[0-9]{3})-(?:0[1-9]|1[0-2])-(?:0[1-9]|[12][0-9]|3[01])"
 _XSD_TIMEZONE = r"(?:Z|[+-](?:(?:0[0-9]|1[0-3]):[0-5][0-9]|14:00))?"
 _TIMESTAMP_LEXICAL = {
@@ -198,6 +201,7 @@ _TIMESTAMP_LEXICAL = {
     XSD_INTEGER: r"[+-]?[0-9]+",
     XSD_DECIMAL: r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)",
 }
+_timestamp_patterns: dict[str, re.Pattern] = {}
 
 
 def comparable_timestamp(term: Term) -> tuple[str, object] | None:
@@ -213,9 +217,11 @@ def comparable_timestamp(term: Term) -> tuple[str, object] | None:
     """
     if not isinstance(term, Literal):
         return None
-    pattern = _TIMESTAMP_LEXICAL.get(term.datatype)
+    pattern = _timestamp_patterns.get(term.datatype)
+    if pattern is None and term.datatype in _TIMESTAMP_LEXICAL:
+        pattern = _timestamp_patterns[term.datatype] = re.compile(_TIMESTAMP_LEXICAL[term.datatype])
     lex = term.lexical.strip()
-    if pattern is None or (match := re.fullmatch(pattern, lex)) is None:
+    if pattern is None or (match := pattern.fullmatch(lex)) is None:
         return None
     # A repeated `import m` only finds m in sys.modules; `from m import n`
     # also looks for m.__path__, and the AttributeError costs about 1 µs.
@@ -249,89 +255,136 @@ _APPLICABLE = {
 _PASS = TypeVerdict(True)
 
 
-class ClassifierState:
-    """Mutable cross-element state of one classification run."""
+class Classifier:
+    """One classification run: feed it a stream's items in order, then ask for
+    the report.  A taxonomy that lacks a type the framing is checked against
+    raises SchemaError here, before any item is read."""
 
-    __slots__ = ("subjects", "ambiguous", "order_max")
-
-    def __init__(self) -> None:
-        # chosen subject -> index of the element that took it
-        self.subjects: dict[Iri, int] = {}
-        # whether some element had more than one candidate subject
-        self.ambiguous = False
+    def __init__(
+        self, framing: Framing, cfg: ClassifierConfig | None = None, inferred: InferredTaxonomy | None = None
+    ) -> None:
+        self.framing = framing
+        self._cfg = cfg or ClassifierConfig()
+        self._inferred = inferred or infer_closure(default_taxonomy())
+        missing = [t for t in _APPLICABLE[framing.payload] if not self._inferred.taxonomy.has_type(t)]
+        if missing:
+            raise SchemaError(
+                f"the taxonomy lacks {', '.join(missing)}, which {framing.value} streams are classified against"
+            )
+        self.subjects: dict[Iri, int] = {}  # chosen subject -> index of the element that took it
+        self.ambiguous = False  # some element had several candidate subjects
         # (predicate value, comparability domain) -> (max value, its element index)
         self.order_max: dict[tuple[str, str], tuple[object, int]] = {}
+        self._elements = 0
+        self._statements = 0
+        self._kind = _ITEM_CLASS[framing.payload]
+        checks = {Payload.GRAPHS: self._classify_graph, Payload.DATASETS: self._classify_dataset}
+        self._check = checks.get(framing.payload, self._count_statement)
+        self._first_violation: dict[str, FirstViolation] = {}
+        self._evidence: list[ElementVerdict] = []
+        self._notes: list[str] = []
+        self._labelled = False  # some flat quad has a graph label
 
+    def feed(self, item: Statement | Graph | Dataset) -> ElementVerdict | None:
+        """The verdict on the stream's next element, or None for a flat framing's
+        statement, as every flat stream conforms to its framing's one type.
+        An item of another class than the framing's payload raises MixedPayload."""
+        idx = self._elements
+        if not isinstance(item, self._kind):
+            name = type(item).__name__
+            raise MixedPayload(f"element {idx}: {self.framing.value} framing cannot classify a {name}")
+        self._elements = idx + 1
+        verdict = self._check(item, idx)
+        if verdict is not None:
+            self._notes.extend(verdict.notes)
+            failed = [(t, v) for t, v in verdict.per_type.items() if not v.passed]
+            for t, v in failed:
+                if t not in self._first_violation:
+                    self._first_violation[t] = FirstViolation(idx, v.reason or "failed")
+            if failed and len(self._evidence) < self._cfg.max_evidence:
+                self._evidence.append(verdict)
+        return verdict
 
-def classify_element(
-    element: Union[Graph, Dataset],
-    state: ClassifierState,
-    cfg: ClassifierConfig,
-    element_index: int = 0,
-) -> ElementVerdict:
-    """Verdicts for one element; updates the chosen subjects and order state."""
-    if isinstance(element, Graph):
-        return _classify_graph(element, state, element_index)
-    if isinstance(element, Dataset):
-        return _classify_dataset(element, state, cfg, element_index)
-    raise TypeError(f"cannot classify {type(element).__name__}")
+    def report(self) -> ClassificationReport:
+        """The report on the items fed so far."""
+        applicable = _APPLICABLE[self.framing.payload]
+        notes = tuple(self._notes)
+        if self.framing is Framing.FLAT_QUADS and self._elements and not self._labelled:
+            notes += ("projectable to flat triple stream: every quad is in the default graph",)
+        conforming = tuple(t for t in applicable if t not in self._first_violation)
+        return ClassificationReport(
+            framing=self.framing,
+            element_count=self._elements,
+            statement_count=self._statements,
+            applicable=applicable,
+            conforming=conforming,
+            most_specific=most_specific(self._inferred, conforming),
+            first_violation=dict(self._first_violation),
+            vacuous=self._elements == 0,
+            ambiguous=self.ambiguous,
+            notes=notes,
+            evidence=tuple(self._evidence),
+        )
 
+    def _count_statement(self, statement: Statement, idx: int) -> None:
+        self._statements += 1
+        if statement.__class__ is Quad and statement[3] is not None:
+            self._labelled = True
 
-def _classify_graph(graph: Graph, state: ClassifierState, idx: int) -> ElementVerdict:
-    candidates = sorted(candidate_subject_nodes(graph))  # IRIs sort as their str values
-    chosen = next((c for c in candidates if c not in state.subjects), None)
-    notes: tuple[str, ...] = ()
-    if len(candidates) > 1:
-        state.ambiguous = True
-        outcome = "all already used" if chosen is None else f"chose {chosen.value}"
-        notes = (f"element {idx}: {len(candidates)} candidate subjects; {outcome}",)
-    if chosen is not None:
-        state.subjects[chosen] = idx
-        verdict = _PASS
-    elif not graph:
-        verdict = TypeVerdict(False, "no candidate subject node", "element is an empty graph")
-    elif not candidates:
-        detail = "no IRI node reaches every node of the graph"
-        verdict = TypeVerdict(False, "no candidate subject node", detail)
-    elif len(candidates) > 1:
-        verdict = TypeVerdict(False, "subject not unique in stream", "every candidate already used")
-    else:
-        used = candidates[0]
-        detail = f"{used.value} first used by element {state.subjects[used]}"
-        verdict = TypeVerdict(False, "subject not unique in stream", detail)
-    return ElementVerdict(idx, {"graphStream": _PASS, "subjectGraphStream": verdict}, notes)
-
-
-def _classify_dataset(
-    dataset: Dataset, state: ClassifierState, cfg: ClassifierConfig, idx: int
-) -> ElementVerdict:
-    """The one-named-graph shape (default-graph content never disqualifies
-    it), then the timestamp triple about the graph name."""
-    per_type = dict.fromkeys(_APPLICABLE[Payload.DATASETS], _PASS)
-    named = dataset.named_items()
-    if len(named) != 1:
-        reason = f"expected exactly one named graph, found {len(named)}"
-        failed = TypeVerdict(False, "not a single named graph", reason)
-        per_type["namedGraphStream"] = per_type["timestampedNamedGraphStream"] = failed
-        return ElementVerdict(idx, per_type)
-    stamps = _timestamp_triples(dataset, named[0][0], cfg)
-    if not stamps:
-        detail = "default graph has no timestamp triple about the graph name"
-        per_type["timestampedNamedGraphStream"] = TypeVerdict(False, "no timestamp triple", detail)
-        return ElementVerdict(idx, per_type)
-    notes: tuple[str, ...] = ()
-    if len(stamps) > 1:
-        notes = (f"element {idx}: multiple timestamp triples; first in document order wins",)
-    comparable = comparable_timestamp(stamps[0].object) if cfg.check_timestamp_order else None
-    if comparable is not None:
-        key = (stamps[0].predicate.value, comparable[0])
-        prev = state.order_max.get(key)
-        if prev is not None and comparable[1] < prev[0]:  # type: ignore[operator]
-            detail = f"timestamp precedes the one from element {prev[1]}"
-            per_type["timestampedNamedGraphStream"] = TypeVerdict(False, "timestamp order violation", detail)
+    def _classify_graph(self, graph: Graph, idx: int) -> ElementVerdict:
+        self._statements += len(graph)
+        candidates = sorted(candidate_subject_nodes(graph))  # IRIs sort as their str values
+        chosen = next((c for c in candidates if c not in self.subjects), None)
+        notes: tuple[str, ...] = ()
+        if len(candidates) > 1:
+            self.ambiguous = True
+            outcome = "all already used" if chosen is None else f"chose {chosen.value}"
+            notes = (f"element {idx}: {len(candidates)} candidate subjects; {outcome}",)
+        if chosen is not None:
+            self.subjects[chosen] = idx
+            verdict = _PASS
+        elif not graph:
+            verdict = TypeVerdict(False, "no candidate subject node", "element is an empty graph")
+        elif not candidates:
+            detail = "no IRI node reaches every node of the graph"
+            verdict = TypeVerdict(False, "no candidate subject node", detail)
+        elif len(candidates) > 1:
+            verdict = TypeVerdict(False, "subject not unique in stream", "every candidate already used")
         else:
-            state.order_max[key] = (comparable[1], idx)
-    return ElementVerdict(idx, per_type, notes)
+            used = candidates[0]
+            detail = f"{used.value} first used by element {self.subjects[used]}"
+            verdict = TypeVerdict(False, "subject not unique in stream", detail)
+        return ElementVerdict(idx, {"graphStream": _PASS, "subjectGraphStream": verdict}, notes)
+
+    def _classify_dataset(self, dataset: Dataset, idx: int) -> ElementVerdict:
+        """The one-named-graph shape (default-graph content never disqualifies
+        it), then the timestamp triple about the graph name."""
+        self._statements += dataset.statement_count()
+        per_type = dict.fromkeys(_APPLICABLE[Payload.DATASETS], _PASS)
+        named = dataset.named_items()
+        if len(named) != 1:
+            reason = f"expected exactly one named graph, found {len(named)}"
+            failed = TypeVerdict(False, "not a single named graph", reason)
+            per_type["namedGraphStream"] = per_type["timestampedNamedGraphStream"] = failed
+            return ElementVerdict(idx, per_type)
+        stamps = _timestamp_triples(dataset, named[0][0], self._cfg)
+        if not stamps:
+            detail = "default graph has no timestamp triple about the graph name"
+            per_type["timestampedNamedGraphStream"] = TypeVerdict(False, "no timestamp triple", detail)
+            return ElementVerdict(idx, per_type)
+        notes: tuple[str, ...] = ()
+        if len(stamps) > 1:
+            notes = (f"element {idx}: multiple timestamp triples; first in document order wins",)
+        comparable = comparable_timestamp(stamps[0].object) if self._cfg.check_timestamp_order else None
+        if comparable is not None:
+            key = (stamps[0].predicate.value, comparable[0])
+            prev = self.order_max.get(key)
+            if prev is not None and comparable[1] < prev[0]:  # type: ignore[operator]
+                detail = f"timestamp precedes the one from element {prev[1]}"
+                per_type["timestampedNamedGraphStream"] = TypeVerdict(False, "timestamp order violation", detail)
+            else:
+                self.order_max[key] = (comparable[1], idx)
+        return ElementVerdict(idx, per_type, notes)
 
 
 def classify_stream(
@@ -347,53 +400,9 @@ def classify_stream(
     (grouped framings).  In a flat framing each statement is an element,
     and every flat stream conforms to its framing's one type.
     """
-    cfg = cfg or ClassifierConfig()
-    inferred = inferred or infer_closure(default_taxonomy())
-    applicable = _APPLICABLE[framing.payload]
-    missing = [t for t in applicable if not inferred.taxonomy.has_type(t)]
-    if missing:
-        raise SchemaError(
-            f"the taxonomy lacks {', '.join(missing)}, which {framing.value} streams are classified against"
-        )
-    flat = framing.is_flat
+    classifier = Classifier(framing, cfg, inferred)
     if isinstance(source, (bytes, str, os.PathLike)) or hasattr(source, "read"):
-        source = (read_flat_stream if flat else read_grouped_stream)(source, framing)
-    state = ClassifierState()
-    first_violation: dict[str, FirstViolation] = {}
-    evidence: list[ElementVerdict] = []
-    notes: list[str] = []
-    element_count = 0
-    statement_count = 0
-    labelled = False  # some flat quad has a graph label
-    for idx, element in enumerate(source):
-        element_count += 1
-        if flat:
-            statement_count += 1
-            if isinstance(element, Quad) and element.graph_label is not None:
-                labelled = True
-            continue
-        statement_count += len(element) if isinstance(element, Graph) else element.statement_count()
-        verdict = classify_element(element, state, cfg, idx)
-        notes.extend(verdict.notes)
-        failed = [(t, v) for t, v in verdict.per_type.items() if not v.passed]
-        for t, v in failed:
-            if t not in first_violation:
-                first_violation[t] = FirstViolation(idx, v.reason or "failed")
-        if failed and len(evidence) < cfg.max_evidence:
-            evidence.append(verdict)
-    if framing is Framing.FLAT_QUADS and element_count and not labelled:
-        notes.append("projectable to flat triple stream: every quad is in the default graph")
-    conforming = tuple(t for t in applicable if t not in first_violation)
-    return ClassificationReport(
-        framing=framing,
-        element_count=element_count,
-        statement_count=statement_count,
-        applicable=applicable,
-        conforming=conforming,
-        most_specific=most_specific(inferred, conforming),
-        first_violation=first_violation,
-        vacuous=element_count == 0,
-        ambiguous=state.ambiguous,
-        notes=tuple(notes),
-        evidence=tuple(evidence),
-    )
+        source = (read_flat_stream if framing.is_flat else read_grouped_stream)(source, framing)
+    for item in source:
+        classifier.feed(item)
+    return classifier.report()

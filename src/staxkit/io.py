@@ -587,7 +587,10 @@ def write_stream(items: Iterable, framing: Framing, sink: IO[bytes]) -> int:
     chunk, not the stream.  Each IRI and blank node is escaped once, its text
     kept in a table local to the call that empties at _INTERN_LIMIT entries.
     When an item fails, the chunks before it have been written already.
-    Item classes must match the framing's payload.
+    Item classes must match the framing's payload.  A framed stream has
+    '#---' between elements and none at its edges, so a stream of exactly
+    one empty element writes zero bytes and reads back as an empty stream;
+    every other boundary layout round-trips.
     """
     if framing.is_dir:
         raise ValueError(f"write_stream needs a flat or framed framing, got {framing.value}")
@@ -600,19 +603,6 @@ def write_flat_stream(statements: Iterable[Statement], framing: Framing) -> byte
         raise ValueError(f"write_flat_stream needs a flat framing, got {framing.value}")
     sink = BytesIO()
     write_stream(statements, framing, sink)
-    return sink.getvalue()
-
-
-def write_grouped_stream(elements: Iterable[Graph | Dataset], framing: Framing) -> bytes:
-    """Serialize a framed grouped stream: '#---' between elements, none at edges.
-
-    A stream of exactly one empty element serializes to zero bytes and will
-    read back as an empty stream; every other boundary layout round-trips.
-    """
-    if framing.is_dir or framing.is_flat:
-        raise ValueError(f"write_grouped_stream needs a framed framing, got {framing.value}")
-    sink = BytesIO()
-    write_stream(elements, framing, sink)
     return sink.getvalue()
 
 

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import random
 from datetime import datetime, timedelta, timezone
+from io import BytesIO
 
+from staxkit.framing import Framing
+from staxkit.io import write_stream
 from staxkit.model import BlankNode, Dataset, Graph, Iri, Literal, Quad, Triple
 
 EX = "http://example.org/"
@@ -19,6 +22,13 @@ XSD = "http://www.w3.org/2001/XMLSchema#"
 
 _WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta",
           "iota", "kappa", "lambda", "mu", "nu", "xi", "omicron", "pi"]
+
+
+def framed_bytes(elements, framing: Framing) -> bytes:
+    """What write_stream writes for a framed stream, as one bytes object."""
+    sink = BytesIO()
+    write_stream(elements, framing, sink)
+    return sink.getvalue()
 
 
 def gen_iri(r: random.Random, pool: int = 40) -> Iri:

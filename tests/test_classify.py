@@ -1,6 +1,7 @@
 import random
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
+from io import BytesIO
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,20 +13,21 @@ from streamgen import (
     gen_dataset_stream,
     gen_graph_stream,
 )
+import staxkit.classify
 from staxkit.classify import (
     PROV_GENERATED_AT_TIME,
     XSD_DATE,
     XSD_DATETIME,
     XSD_DECIMAL,
     XSD_INTEGER,
+    Classifier,
     ClassifierConfig,
-    ClassifierState,
     candidate_subject_nodes,
-    classify_element,
     classify_stream,
     comparable_timestamp,
 )
-from staxkit.io import Framing, read_flat_stream, read_grouped_stream
+from staxkit.errors import MixedPayload
+from staxkit.io import Framing, read_flat_stream, read_grouped_stream, write_stream
 from staxkit.model import BlankNode, Dataset, Graph, Iri, Literal, Quad, Triple
 
 P = Iri(EX + "p")
@@ -213,7 +215,7 @@ class TestDatasetShape:
     @pytest.mark.parametrize("dataset, predicates, named, timestamped", DATASET_VERDICTS)
     def test_verdicts(self, dataset, predicates, named, timestamped):
         cfg = ClassifierConfig(timestamp_predicates=predicates) if predicates else ClassifierConfig()
-        verdict = classify_element(dataset, ClassifierState(), cfg, 0)
+        verdict = Classifier(Framing.FRAMED_DATASETS, cfg).feed(dataset)
         got = {t: None if v.passed else (v.reason, v.detail) for t, v in verdict.per_type.items()}
         assert got == {"datasetStream": None, "namedGraphStream": named, "timestampedNamedGraphStream": timestamped}
 
@@ -227,12 +229,12 @@ class TestDatasetShape:
             ),
             named_graphs=[(iri("g"), Graph([Triple(iri("s"), P, iri("o"))]))],
         )
-        state, cfg = ClassifierState(), ClassifierConfig()
-        first = classify_element(d, state, cfg, 0)
+        classifier = Classifier(Framing.FRAMED_DATASETS)
+        first = classifier.feed(d)
         assert first.notes == ("element 0: multiple timestamp triples; first in document order wins",)
-        assert state.order_max == {(AT.value, "chrono-naive"): (datetime(2024, 6, 1), 0)}
+        assert classifier.order_max == {(AT.value, "chrono-naive"): (datetime(2024, 6, 1), 0)}
         # March follows the June stamp, not the January one
-        later = classify_element(named_dataset("h", stamp=dt("2024-03-01T00:00:00")), state, cfg, 1)
+        later = classifier.feed(named_dataset("h", stamp=dt("2024-03-01T00:00:00")))
         assert later.per_type["timestampedNamedGraphStream"].reason == "timestamp order violation"
 
 
@@ -384,18 +386,16 @@ class TestComparableTimestamp:
         assert "timestampedNamedGraphStream" in report.conforming
 
 
-class TestClassifyElement:
+class TestClassifierFeed:
     def test_fresh_subject_passes(self):
-        state = ClassifierState()
-        v = classify_element(chain("s", "a"), state, ClassifierConfig(), 0)
+        v = Classifier(Framing.FRAMED_GRAPHS).feed(chain("s", "a"))
         assert v.per_type["graphStream"].passed
         assert v.per_type["subjectGraphStream"].passed
 
     def test_reused_subject_fails_second_element(self):
-        state = ClassifierState()
-        cfg = ClassifierConfig()
-        classify_element(chain("s", "a"), state, cfg, 0)
-        v = classify_element(chain("s", "b"), state, cfg, 1)
+        classifier = Classifier(Framing.FRAMED_GRAPHS)
+        classifier.feed(chain("s", "a"))
+        v = classifier.feed(chain("s", "b"))
         assert v.per_type["graphStream"].passed
         failed = v.per_type["subjectGraphStream"]
         assert not failed.passed
@@ -403,91 +403,80 @@ class TestClassifyElement:
         assert "element 0" in failed.detail
 
     def test_empty_graph_fails_subject_type(self):
-        v = classify_element(Graph(), ClassifierState(), ClassifierConfig(), 0)
+        v = Classifier(Framing.FRAMED_GRAPHS).feed(Graph())
         assert v.per_type["graphStream"].passed
         assert not v.per_type["subjectGraphStream"].passed
 
     def test_ambiguous_choice_prefers_smallest_unused(self):
-        state = ClassifierState()
-        classify_element(chain("x", "y"), state, ClassifierConfig(), 0)
-        assert not state.ambiguous
+        classifier = Classifier(Framing.FRAMED_GRAPHS)
+        classifier.feed(chain("x", "y"))
+        assert not classifier.ambiguous
         g = Graph([Triple(iri("a"), P, iri("b")), Triple(iri("b"), P, iri("a"))])
-        v = classify_element(g, state, ClassifierConfig(), 1)
+        v = classifier.feed(g)
         assert v.per_type["subjectGraphStream"].passed
         assert v.notes == (f"element 1: 2 candidate subjects; chose {EX}a",)
-        assert state.ambiguous
-        assert state.subjects == {iri("x"): 0, iri("a"): 1}
+        assert classifier.ambiguous
+        assert classifier.subjects == {iri("x"): 0, iri("a"): 1}
 
     def test_ambiguous_skips_used_candidates(self):
-        state = ClassifierState()
-        cfg = ClassifierConfig()
-        classify_element(chain("a", "x"), state, cfg, 0)
+        classifier = Classifier(Framing.FRAMED_GRAPHS)
+        classifier.feed(chain("a", "x"))
         g = Graph([Triple(iri("a"), P, iri("b")), Triple(iri("b"), P, iri("a"))])
-        v = classify_element(g, state, cfg, 1)
+        v = classifier.feed(g)
         assert v.per_type["subjectGraphStream"].passed
-        assert iri("b") in state.subjects
+        assert iri("b") in classifier.subjects
 
     def test_all_candidates_used_fails(self):
-        state = ClassifierState()
-        cfg = ClassifierConfig()
-        classify_element(chain("a", "x"), state, cfg, 0)
-        classify_element(chain("b", "y"), state, cfg, 1)
+        classifier = Classifier(Framing.FRAMED_GRAPHS)
+        classifier.feed(chain("a", "x"))
+        classifier.feed(chain("b", "y"))
         g = Graph([Triple(iri("a"), P, iri("b")), Triple(iri("b"), P, iri("a"))])
-        v = classify_element(g, state, cfg, 2)
+        v = classifier.feed(g)
         assert not v.per_type["subjectGraphStream"].passed
         assert v.per_type["subjectGraphStream"].detail == "every candidate already used"
 
     def test_dataset_without_shape_fails_both_named_types(self):
-        v = classify_element(Dataset(), ClassifierState(), ClassifierConfig(), 0)
+        v = Classifier(Framing.FRAMED_DATASETS).feed(Dataset())
         assert v.per_type["datasetStream"].passed
         assert not v.per_type["namedGraphStream"].passed
         assert not v.per_type["timestampedNamedGraphStream"].passed
 
     def test_order_violation_points_at_earlier_element(self):
-        state = ClassifierState()
-        cfg = ClassifierConfig()
-        classify_element(named_dataset("g1", stamp=dt("2024-01-02T00:00:00")), state, cfg, 0)
-        v = classify_element(named_dataset("g2", stamp=dt("2024-01-01T00:00:00")), state, cfg, 1)
+        classifier = Classifier(Framing.FRAMED_DATASETS)
+        classifier.feed(named_dataset("g1", stamp=dt("2024-01-02T00:00:00")))
+        v = classifier.feed(named_dataset("g2", stamp=dt("2024-01-01T00:00:00")))
         bad = v.per_type["timestampedNamedGraphStream"]
         assert not bad.passed
         assert bad.reason == "timestamp order violation"
         assert "element 0" in bad.detail
 
     def test_equal_timestamps_are_fine(self):
-        state = ClassifierState()
-        cfg = ClassifierConfig()
-        classify_element(named_dataset("g1", stamp=dt("2024-01-01T00:00:00")), state, cfg, 0)
-        v = classify_element(named_dataset("g2", stamp=dt("2024-01-01T00:00:00")), state, cfg, 1)
+        classifier = Classifier(Framing.FRAMED_DATASETS)
+        classifier.feed(named_dataset("g1", stamp=dt("2024-01-01T00:00:00")))
+        v = classifier.feed(named_dataset("g2", stamp=dt("2024-01-01T00:00:00")))
         assert v.per_type["timestampedNamedGraphStream"].passed
 
     def test_incomparable_timestamps_never_violate_order(self):
-        state = ClassifierState()
-        cfg = ClassifierConfig()
-        classify_element(named_dataset("g1", stamp=dt("2024-01-02T00:00:00")), state, cfg, 0)
-        v = classify_element(
-            named_dataset("g2", stamp=Literal("sometime later")), state, cfg, 1
-        )
+        classifier = Classifier(Framing.FRAMED_DATASETS)
+        classifier.feed(named_dataset("g1", stamp=dt("2024-01-02T00:00:00")))
+        v = classifier.feed(named_dataset("g2", stamp=Literal("sometime later")))
         assert v.per_type["timestampedNamedGraphStream"].passed
 
     def test_aware_and_naive_do_not_cross_compare(self):
-        state = ClassifierState()
-        cfg = ClassifierConfig()
-        classify_element(named_dataset("g1", stamp=dt("2024-01-02T00:00:00Z")), state, cfg, 0)
-        v = classify_element(
-            named_dataset("g2", stamp=dt("2024-01-01T00:00:00")), state, cfg, 1
-        )
+        classifier = Classifier(Framing.FRAMED_DATASETS)
+        classifier.feed(named_dataset("g1", stamp=dt("2024-01-02T00:00:00Z")))
+        v = classifier.feed(named_dataset("g2", stamp=dt("2024-01-01T00:00:00")))
         assert v.per_type["timestampedNamedGraphStream"].passed
 
     def test_order_check_can_be_disabled(self):
-        state = ClassifierState()
-        cfg = ClassifierConfig(check_timestamp_order=False)
-        classify_element(named_dataset("g1", stamp=dt("2024-01-02T00:00:00")), state, cfg, 0)
-        v = classify_element(named_dataset("g2", stamp=dt("2024-01-01T00:00:00")), state, cfg, 1)
+        classifier = Classifier(Framing.FRAMED_DATASETS, ClassifierConfig(check_timestamp_order=False))
+        classifier.feed(named_dataset("g1", stamp=dt("2024-01-02T00:00:00")))
+        v = classifier.feed(named_dataset("g2", stamp=dt("2024-01-01T00:00:00")))
         assert v.per_type["timestampedNamedGraphStream"].passed
 
     def test_wrong_element_type_raises(self):
-        with pytest.raises(TypeError):
-            classify_element(42, ClassifierState(), ClassifierConfig(), 0)
+        with pytest.raises(MixedPayload):
+            Classifier(Framing.FRAMED_GRAPHS).feed(42)
 
     @pytest.mark.parametrize(
         "first,second,passes",
@@ -496,19 +485,18 @@ class TestClassifyElement:
     )
     def test_multiple_timestamp_triples_first_wins(self, first, second, passes):
         # the first timestamp in document order is the one order-checked
-        state = ClassifierState()
-        cfg = ClassifierConfig()
-        classify_element(named_dataset("g1", stamp=dt("2024-01-02T00:00:00")), state, cfg, 0)
+        classifier = Classifier(Framing.FRAMED_DATASETS)
+        classifier.feed(named_dataset("g1", stamp=dt("2024-01-02T00:00:00")))
         d = Dataset(
             default_graph=Graph(
                 [Triple(iri("g2"), AT, dt(first)), Triple(iri("g2"), AT, dt(second))]
             ),
             named_graphs=[(iri("g2"), Graph([Triple(iri("s"), P, iri("o"))]))],
         )
-        v = classify_element(d, state, cfg, 1)
+        v = classifier.feed(d)
         assert v.notes == ("element 1: multiple timestamp triples; first in document order wins",)
         assert v.per_type["timestampedNamedGraphStream"].passed is passes
-        single = classify_element(named_dataset("g3", stamp=dt("2024-01-04T00:00:00")), state, cfg, 2)
+        single = classifier.feed(named_dataset("g3", stamp=dt("2024-01-04T00:00:00")))
         assert single.notes == ()
 
 
@@ -630,6 +618,53 @@ class TestClassifyStream:
             a = classify_stream(elements, framing).to_dict()
             b = classify_stream(elements, framing).to_dict()
             assert a == b
+
+    @pytest.mark.parametrize(
+        "items, framing",
+        [
+            ([Dataset()], Framing.FRAMED_GRAPHS),
+            ([chain("s", "a"), chain("t", "b")], Framing.FRAMED_DATASETS),
+            ([chain("s", "a")], Framing.FLAT_TRIPLES),
+            ([Quad(iri("a"), P, iri("b"), iri("g"))], Framing.FLAT_TRIPLES),
+        ],
+        ids=["dataset-as-graph", "graphs-as-datasets", "graph-as-triple", "labelled-quad-as-triple"],
+    )
+    def test_an_item_of_another_payload_is_mixed_payload(self, items, framing):
+        # the writer refuses the same items
+        with pytest.raises(MixedPayload):
+            write_stream(items, framing, BytesIO())
+        with pytest.raises(MixedPayload, match=f"^element 0: {framing.value} framing cannot classify a "):
+            classify_stream(items, framing)
+
+
+class TestClassifier:
+    def test_each_prefix_reports_as_the_stream_of_that_prefix(self):
+        r = random.Random(2718)
+        for _ in range(20):
+            kind, elements = gen_classification_case(r)
+            framing = Framing.FRAMED_GRAPHS if kind == "graphs" else Framing.FRAMED_DATASETS
+            classifier = Classifier(framing)
+            for k, element in enumerate(elements):
+                assert classifier.report() == classify_stream(elements[:k], framing)
+                assert classifier.feed(element).element_index == k
+            assert classifier.report() == classify_stream(elements, framing)
+
+    @pytest.mark.parametrize("framing", [Framing.FLAT_TRIPLES, Framing.FLAT_QUADS])
+    def test_a_flat_statement_has_no_verdict(self, framing):
+        statement = Quad(iri("a"), P, iri("b")) if framing.quads_payload else Triple(iri("a"), P, iri("b"))
+        classifier = Classifier(framing)
+        assert classifier.feed(statement) is None
+        assert classifier.report() == classify_stream([statement], framing)
+
+    def test_timestamp_patterns_are_compiled_once_at_their_first_stamp(self, monkeypatch):
+        monkeypatch.setattr(staxkit.classify, "_timestamp_patterns", {})
+        classify_stream([chain("s", "a"), chain("t", "b")], Framing.FRAMED_GRAPHS)
+        assert staxkit.classify._timestamp_patterns == {}
+        classifier = Classifier(Framing.FRAMED_DATASETS)
+        classifier.feed(named_dataset("g1", stamp=dt("2024-01-01T00:00:00")))
+        compiled = staxkit.classify._timestamp_patterns[XSD_DATETIME]
+        classifier.feed(named_dataset("g2", stamp=dt("2024-01-02T00:00:00")))
+        assert staxkit.classify._timestamp_patterns == {XSD_DATETIME: compiled}
 
 
 class TestGreedyBlindSpot:

@@ -202,9 +202,9 @@ def report_builders(tree: ast.Module) -> list[str]:
 
 
 def test_one_function_builds_the_classification_report():
-    # Every framing is classified by one loop, which builds the report once.
+    # Every framing is classified by one Classifier, whose report method builds the report.
     builders = report_builders(ast.parse((SRC / "classify.py").read_text(encoding="utf-8")))
-    assert builders == ["classify_stream"], f"ClassificationReport is built in {builders}"
+    assert builders == ["report"], f"ClassificationReport is built in {builders}"
     assert report_builders(ast.parse(
         "r = ClassificationReport(1)\n"
         "def a(): return ClassificationReport(2), ClassificationReport._make([])\n"

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import oracle_scan_statement, reference_parse_nquads, term_tuple
 from streamgen import (
+    framed_bytes,
     gen_dataset_elements,
     gen_graph_elements,
     gen_quad,
@@ -32,7 +33,6 @@ from staxkit.io import (
     serialize_statement,
     write_dir_stream,
     write_flat_stream,
-    write_grouped_stream,
     write_stream,
 )
 from staxkit.model import XSD_STRING, BlankNode, Dataset, Graph, Iri, Literal, Quad, Triple
@@ -359,14 +359,14 @@ class TestFramedStreams:
         r = random.Random(21)
         for _ in range(25):
             elements = gen_graph_elements(r)
-            payload = write_grouped_stream(elements, Framing.FRAMED_GRAPHS)
+            payload = framed_bytes(elements, Framing.FRAMED_GRAPHS)
             assert list(read_grouped_stream(payload, Framing.FRAMED_GRAPHS)) == elements
 
     def test_datasets_roundtrip(self):
         r = random.Random(22)
         for _ in range(25):
             elements = gen_dataset_elements(r)
-            payload = write_grouped_stream(elements, Framing.FRAMED_DATASETS)
+            payload = framed_bytes(elements, Framing.FRAMED_DATASETS)
             assert list(read_grouped_stream(payload, Framing.FRAMED_DATASETS)) == elements
 
     def test_named_graph_label_in_graph_framing_is_mixed_payload(self):
@@ -414,18 +414,18 @@ class TestFramedStreams:
 
     def test_writer_rejects_wrong_element_kind(self):
         with pytest.raises(MixedPayload):
-            write_grouped_stream([Dataset()], Framing.FRAMED_GRAPHS)
+            framed_bytes([Dataset()], Framing.FRAMED_GRAPHS)
         with pytest.raises(MixedPayload):
-            write_grouped_stream([Graph()], Framing.FRAMED_DATASETS)
+            framed_bytes([Graph()], Framing.FRAMED_DATASETS)
 
     def test_lone_empty_element_serializes_to_zero_bytes(self):
         # documented boundary: this one layout cannot be told apart from
         # the empty stream on disk
-        assert write_grouped_stream([Graph()], Framing.FRAMED_GRAPHS) == b""
+        assert framed_bytes([Graph()], Framing.FRAMED_GRAPHS) == b""
 
     def test_empty_named_graphs_are_dropped_on_write(self):
         d = Dataset(named_graphs=[(Iri(EX + "g"), Graph())])
-        payload = write_grouped_stream([d], Framing.FRAMED_DATASETS)
+        payload = framed_bytes([d], Framing.FRAMED_DATASETS)
         assert payload == b""
 
 
@@ -566,7 +566,7 @@ class TestDirStreams:
         (tmp_path / "00000.nt").write_bytes(b"_:b <http://p:1> <http://o:1> .\n")
         (tmp_path / "00001.nt").write_bytes(b"_:b <http://p:2> <http://o:2> .\n")
         elements = list(read_grouped_stream(tmp_path, Framing.DIR_GRAPHS))
-        framed = write_grouped_stream(elements, Framing.FRAMED_GRAPHS)
+        framed = framed_bytes(elements, Framing.FRAMED_GRAPHS)
         assert list(read_grouped_stream(framed, Framing.FRAMED_GRAPHS)) == elements
         flat = list(flatten_graphs(elements))
         assert len(flat) == 2
@@ -611,7 +611,7 @@ class TestCanonicalByteIdentity:
     def test_framed_graphs(self):
         elements = list(read_grouped_stream(FRAMED_FIXTURE, Framing.FRAMED_GRAPHS))
         assert len(elements) == 3
-        assert write_grouped_stream(elements, Framing.FRAMED_GRAPHS) == FRAMED_FIXTURE
+        assert framed_bytes(elements, Framing.FRAMED_GRAPHS) == FRAMED_FIXTURE
 
     def test_flat_quads(self):
         statements = list(read_flat_stream(QUAD_FIXTURE, Framing.FLAT_QUADS))
@@ -619,7 +619,7 @@ class TestCanonicalByteIdentity:
 
     def test_two_empty_elements(self):
         elements = list(read_grouped_stream(b"#---\n", Framing.FRAMED_GRAPHS))
-        assert write_grouped_stream(elements, Framing.FRAMED_GRAPHS) == b"#---\n"
+        assert framed_bytes(elements, Framing.FRAMED_GRAPHS) == b"#---\n"
 
 
 class TestAgainstReferenceParser:
@@ -691,7 +691,7 @@ def test_property_quad_roundtrip(statements):
 @settings(max_examples=100)
 @given(st.lists(st.builds(Graph, st.lists(triples, max_size=4)), min_size=2, max_size=4))
 def test_property_framed_graph_roundtrip(elements):
-    payload = write_grouped_stream(elements, Framing.FRAMED_GRAPHS)
+    payload = framed_bytes(elements, Framing.FRAMED_GRAPHS)
     assert list(read_grouped_stream(payload, Framing.FRAMED_GRAPHS)) == elements
 
 
@@ -1049,7 +1049,7 @@ def test_statements_the_locator_accepts_are_stored_alike(framing, monkeypatch):
         elements = [s for e in elements for s in (e.quads() if framing.quads_payload else e)]
         data, read = write_flat_stream(elements, framing), read_flat_stream
     else:
-        data, read = write_grouped_stream(elements, framing), read_grouped_stream
+        data, read = framed_bytes(elements, framing), read_grouped_stream
     assert list(read(data, framing)) == elements
     monkeypatch.setattr(staxkit.io, "_STATEMENT", re.compile("(?!)"))
     got = list(read(data, framing))
@@ -1142,7 +1142,7 @@ def test_writers_equal_serialize_statement(limit, monkeypatch, tmp_path):
         elements = [Dataset.from_quads(c) if quads else Graph(c) for c in chunks]
         texts = ["".join(serialize_statement(s) + "\n" for s in (e.quads() if quads else e)) for e in elements]
         framed = Framing.FRAMED_DATASETS if quads else Framing.FRAMED_GRAPHS
-        assert write_grouped_stream(elements, framed) == "#---\n".join(texts).encode()
+        assert framed_bytes(elements, framed) == "#---\n".join(texts).encode()
 
         directory = tmp_path / ("quads" if quads else "triples")
         names = write_dir_stream(elements, Framing.DIR_DATASETS if quads else Framing.DIR_GRAPHS, directory)

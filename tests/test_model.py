@@ -7,11 +7,11 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamgen import gen_dataset_elements, gen_dataset_stream, gen_quad
+from streamgen import framed_bytes, gen_dataset_elements, gen_dataset_stream, gen_quad
 from staxkit.convert import flatten_datasets
 from staxkit.errors import MalformedIri
 from staxkit.framing import Framing
-from staxkit.io import serialize_statement, write_grouped_stream
+from staxkit.io import serialize_statement
 from staxkit.model import (
     RDF_LANGSTRING,
     XSD_STRING,
@@ -481,7 +481,7 @@ def test_dataset_quads_order_and_round_trips(seed, with_empty_graph):
             assert Dataset.from_quads(quads) == d
         assert list(flatten_datasets([d])) == quads
         lines = "".join(serialize_statement(q) + "\n" for q in quads)
-        assert write_grouped_stream([d], Framing.FRAMED_DATASETS) == lines.encode("utf-8")
+        assert framed_bytes([d], Framing.FRAMED_DATASETS) == lines.encode("utf-8")
 
 
 # term values survive arbitrary content as long as invariants hold
