@@ -191,13 +191,13 @@ def _timestamp_triples(dataset: Dataset, name: Term, cfg: ClassifierConfig) -> l
 # underscores, other scripts' digits, NaN and Infinity.  The end of day
 # 24:00:00 is left out: datetime has no hour 24, so it stays incomparable
 # until it is read as the next day's midnight.  A date keeps its fields in
-# group 1.  Each pattern is compiled once, at the first timestamp of its
-# type, into _timestamp_patterns.
+# group 1 and its timezone, if any, in group 2.  Each pattern is compiled
+# once, at the first timestamp of its type, into _timestamp_patterns.
 _XSD_YMD = r"-?(?:[1-9][0-9]{3,}|0[0-9]{3})-(?:0[1-9]|1[0-2])-(?:0[1-9]|[12][0-9]|3[01])"
 _XSD_TIMEZONE = r"(?:Z|[+-](?:(?:0[0-9]|1[0-3]):[0-5][0-9]|14:00))?"
 _TIMESTAMP_LEXICAL = {
     XSD_DATETIME: rf"{_XSD_YMD}T(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9](?:\.[0-9]+)?{_XSD_TIMEZONE}",
-    XSD_DATE: rf"({_XSD_YMD}){_XSD_TIMEZONE}",
+    XSD_DATE: rf"({_XSD_YMD})({_XSD_TIMEZONE})",
     XSD_INTEGER: r"[+-]?[0-9]+",
     XSD_DECIMAL: r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)",
 }
@@ -208,12 +208,13 @@ def comparable_timestamp(term: Term) -> tuple[str, object] | None:
     """(comparability domain, value) for an orderable timestamp, else None.
 
     Chronological values split into offset-aware and naive domains because
-    the two cannot be compared; a date is its naive midnight, whatever its
-    timezone.  Finite numeric timestamps share one decimal domain.
-    Everything else is incomparable and never ordered: values outside their
-    type's lexical space, the end of day 24:00:00, and years datetime cannot
-    hold (before 1 or after 9999).  datetime and decimal are imported only
-    for the timestamps that need them.
+    the two cannot be compared.  A date is its first instant, as in XSD 1.1:
+    the midnight at its timezone's offset, or a naive midnight without one.
+    Finite numeric timestamps share one decimal domain.  Everything else is
+    incomparable and never ordered: values outside their type's lexical
+    space, the end of day 24:00:00, and years datetime cannot hold (before 1
+    or after 9999).  datetime and decimal are imported only for the
+    timestamps that need them.
     """
     if not isinstance(term, Literal):
         return None
@@ -228,9 +229,9 @@ def comparable_timestamp(term: Term) -> tuple[str, object] | None:
     if term.datatype in (XSD_DATETIME, XSD_DATE):
         import datetime
 
+        if term.datatype == XSD_DATE:
+            lex = f"{match[1]}T00:00:00{match[2]}"
         try:
-            if term.datatype == XSD_DATE:
-                return "chrono-naive", datetime.datetime.fromisoformat(match[1])
             dt = datetime.datetime.fromisoformat(lex.replace("Z", "+00:00"))
         except ValueError:
             return None

@@ -10,12 +10,15 @@ The STAX_TAXONOMY environment variable may point to a taxonomy manifest
 that replaces the built-in taxonomy for every subcommand.
 
 Each subcommand imports the modules only it uses, so a call loads no more
-of the package than it needs.
+of the package than it needs.  run() is the process entry point; it
+freezes the start-up heap for the garbage collector and exits with the
+code of main(), which tests and library callers call in-process.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -417,7 +420,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        # Flushed here, a closed stdout meets the handler below and not the
+        # flush at exit, which would print its error and exit 120.
+        sys.stdout.flush()
+        return code
     except StaxError as exc:
         if isinstance(exc, ParseError) and exc.member is None and "-" in (
             getattr(args, "input", None),
@@ -442,5 +449,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The process entry point of `stax-kit` and `python -m staxkit.cli`.
+
+    It freezes every object start-up has made (the interpreter's, argparse's
+    and the package's modules) before main runs, so the full collections at
+    exit skip them; objects made later, the subcommand's imports and the
+    stream's data, are collected as before.  main itself leaves the garbage
+    collector as it finds it, for tests and library callers.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

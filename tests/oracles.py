@@ -215,9 +215,8 @@ def oracle_timestamp_value(term):
                 return None
             rest, tz = split
             if term.datatype == XSD + "date":
-                ymd = _date_fields(rest)
-                # a date's timezone does not move it
-                return None if ymd is None else ("chrono-naive", datetime(*ymd))
+                # a date is its first instant: midnight at its timezone's offset
+                rest += "T00:00:00"
             ymd, time = _date_fields(rest[:10]), _time_fields(rest[11:])
             if ymd is None or rest[10:11] != "T" or time is None:
                 return None

@@ -331,8 +331,10 @@ class TestComparableTimestamp:
             ),
             ("2024-01-01T23:59:59+14:00", XSD_DATETIME, datetime(2024, 1, 1, 9, 59, 59, tzinfo=timezone.utc)),
             (" 2024-03-05 ", XSD_DATE, datetime(2024, 3, 5)),
-            ("2024-03-05Z", XSD_DATE, datetime(2024, 3, 5)),
-            ("2024-03-05-12:00", XSD_DATE, datetime(2024, 3, 5)),
+            ("2024-03-05Z", XSD_DATE, datetime(2024, 3, 5, tzinfo=timezone.utc)),
+            # a zoned date is its first instant: these two are 26 hours apart
+            ("2024-03-05-12:00", XSD_DATE, datetime(2024, 3, 5, 12, tzinfo=timezone.utc)),
+            ("2024-03-05+14:00", XSD_DATE, datetime(2024, 3, 4, 10, tzinfo=timezone.utc)),
         ],
     )
     def test_values_in_the_xsd_lexical_space_are_ordered(self, lex, datatype, value):
@@ -367,6 +369,20 @@ class TestComparableTimestamp:
     def test_chronological_values_agree_with_the_field_oracle(self, lex, datatype):
         term = Literal(lex, datatype=datatype)
         assert comparable_timestamp(term) == oracle_timestamp_value(term)
+
+    @pytest.mark.parametrize(
+        "first, later, ordered",
+        [
+            ("2024-03-05+14:00", Literal("2024-03-05-12:00", datatype=XSD_DATE), True),
+            ("2024-03-05-12:00", Literal("2024-03-05+14:00", datatype=XSD_DATE), False),
+            ("2024-03-05-12:00", dt("2024-03-05T06:00:00Z"), False),  # dates and date-times share a domain
+            ("2024-03-05Z", Literal("2024-03-05", datatype=XSD_DATE), True),  # zoned and unzoned never compare
+        ],
+    )
+    def test_zoned_dates_are_ordered_by_their_first_instant(self, first, later, ordered):
+        stream = [named_dataset("a", stamp=Literal(first, datatype=XSD_DATE)), named_dataset("b", stamp=later)]
+        report = classify_stream(stream, Framing.FRAMED_DATASETS)
+        assert ("timestampedNamedGraphStream" in report.conforming) is ordered
 
     @pytest.mark.parametrize(
         "later", [dt("2024-01-01 10:00"), dt("20240101T1000"), Literal("20240305", datatype=XSD_DATE)]

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -794,6 +795,63 @@ class TestConvert:
             "stax-kit: SchemaError: concrete type leafStream must be or narrow exactly one of "
             "flatTripleStream, flatQuadStream, graphStream, datasetStream, found 0\n"
         )
+
+
+def cli_env():
+    """The environment of a CLI child process: the package on its path and
+    stdout block-buffered, as a shell gives it, whatever this process has."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": str(Path(staxkit.__file__).parents[1])}
+
+
+@pytest.mark.parametrize("command", ["classify", "validate", "taxonomy"])
+def test_closed_stdout_exits_141_quietly_when_the_output_is_buffered(command, tmp_path):
+    # The output fits stdout's buffer, so it meets the closed pipe only when
+    # it is flushed; the pipe has no reader from the start.
+    src = tmp_path / "in.bin"
+    src.write_bytes(framed_graphs(1, 1))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"usages": [{"streamType": "graphStream"}]}))
+    argv = {
+        "classify": ["classify", "--input", str(src), "--framing", "framed-graphs", "--json"],
+        "validate": ["validate", "--manifest", str(manifest), "--data", str(src), "--framing", "framed-graphs", "--json"],
+        "taxonomy": ["taxonomy", "closure"],
+    }[command]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "staxkit.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=cli_env(), timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")
+
+
+def test_the_module_entry_point_freezes_the_start_up_heap():
+    # runpy runs the module as `python -m staxkit.cli` does; the exit hook
+    # reports the freeze count that run() left.
+    code = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))\n"
+        "sys.argv[1:] = ['taxonomy', 'relate', 'flatten', 'subjectGraphStream', 'flatTripleStream']\n"
+        "runpy.run_module('staxkit.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=cli_env(), timeout=60
+    )
+    assert (done.returncode, done.stdout) == (0, "true\n")
+    assert int(done.stderr) > 0
+
+
+def test_main_leaves_the_garbage_collector_as_it_finds_it(tmp_path, capsys):
+    src = tmp_path / "in.bin"
+    src.write_bytes(framed_graphs(2, 3))
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert main(["classify", "--input", str(src), "--framing", "framed-graphs", "--json"]) == 0
+    assert main(["taxonomy", "relate", "flatten", "subjectGraphStream", "flatTripleStream"]) == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
 def _stax_error_classes(cls=StaxError):

@@ -285,6 +285,14 @@ def test_taxonomy_path_loads_no_stream_module():
     assert not loaded & {"staxkit.io", "staxkit.model", *SUBCOMMAND_MODULES}
 
 
+def test_both_process_entry_points_call_run():
+    # [project.scripts] read line by line: Python 3.10 has no tomllib.
+    scripts = (ROOT / "pyproject.toml").read_text(encoding="utf-8").split("[project.scripts]\n")[1]
+    assert scripts.splitlines()[0] == 'stax-kit = "staxkit.cli:run"'
+    cli = (SRC / "cli.py").read_text(encoding="utf-8")
+    assert cli.endswith('\nif __name__ == "__main__":\n    run()\n')
+
+
 TWO_GRAPHS = (
     b"<http://ex.org/s> <http://ex.org/p> <http://ex.org/o> .\n#---\n"
     b"<http://ex.org/t> <http://ex.org/p> <http://ex.org/o> .\n"
