@@ -28,11 +28,11 @@ _SOURCES = {
         "MalformedIri MixedPayload NoConversionPath OutputExists ParseError SchemaError "
         "StaxError UnknownStreamType UnknownType",
         "framing": "Framing Payload",
-        "io": "LineKind ParsedLine parse_statement_line read_flat_stream read_grouped_stream "
-        "serialize_statement serialize_term write_dir_stream write_flat_stream write_stream",
+        "io": "LineKind ParsedLine parse_statement_line read_flat_stream read_grouped_stream write_flat_stream",
         "model": "RDF_LANGSTRING XSD_STRING BlankNode Dataset Graph Iri Literal Quad Triple",
         "taxonomy": "ConversionStep InferredTaxonomy STAX_NS StreamType Taxonomy TypeKind "
         "conversion_path default_taxonomy infer_closure load_taxonomy most_specific relates",
+        "writer": "serialize_statement serialize_term write_dir_stream write_stream",
     }.items()
     for name in names.split()
 }

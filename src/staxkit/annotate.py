@@ -23,7 +23,6 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import EmptyUsages, SchemaError, UnknownStreamType
-from .io import serialize_term
 from .model import Iri, Literal, _TupleValue
 from .taxonomy import (
     STAX_NS,
@@ -278,6 +277,8 @@ _SAFE_LOCAL = r"[A-Za-z_][A-Za-z0-9_-]*"
 
 
 def _turtle_ref(iri: str) -> str:
+    from .writer import serialize_term
+
     if iri.startswith(STAX_NS) and re.fullmatch(_SAFE_LOCAL, iri[len(STAX_NS):]):
         return "stax:" + iri[len(STAX_NS):]
     if iri == DCAT_DATASET:
@@ -294,6 +295,8 @@ def emit_turtle(manifest: AnnotationManifest, taxonomy: Taxonomy | None = None) 
     name.  Every other IRI is written in full with N-Triples escapes, and
     every comment carries the language tag en.
     """
+    from .writer import serialize_term
+
     prefixes = (("dcat", DCAT_NS), ("rdfs", RDFS_NS), ("stax", STAX_NS))
     lines = [f"@prefix {name}: {serialize_term(Iri(ns))} ." for name, ns in prefixes] + [""]
     subject = serialize_term(manifest.subject_iri) if manifest.subject_iri else "_:dataset"

@@ -9,8 +9,11 @@ stdout closed by its reader.
 The STAX_TAXONOMY environment variable may point to a taxonomy manifest
 that replaces the built-in taxonomy for every subcommand.
 
-Each subcommand imports the modules only it uses, so a call loads no more
-of the package than it needs.  run() is the process entry point; it
+This module holds the parser, main, run, the exit codes and the taxonomy
+subcommand.  classify, convert, annotate and validate are in commands,
+which main imports only when it dispatches one of them; each subcommand
+imports the modules only it uses, so a call loads and compiles no more of
+the package than it runs.  run() is the process entry point; it
 freezes the start-up heap for the garbage collector and exits with the
 code of main(), which tests and library callers call in-process.
 """
@@ -21,24 +24,22 @@ import argparse
 import gc
 import os
 import sys
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     AbstractType,
     InvalidBatchSize,
-    MalformedIri,
-    MixedPayload,
     NoConversionPath,
     ParseError,
-    SchemaError,
     StaxError,
     UnknownStreamType,
     UnknownType,
 )
-from .framing import Framing, Payload
+from .framing import Framing
 from .taxonomy import (
     RELATION_NAMES,
     Taxonomy,
+    _read_text,
     conversion_path,
     default_taxonomy,
     infer_closure,
@@ -46,9 +47,6 @@ from .taxonomy import (
     normalize_relation,
     relates,
 )
-
-if TYPE_CHECKING:
-    from .classify import ClassificationReport
 
 _FRAMING_NAMES = [f.value for f in Framing]
 
@@ -119,24 +117,6 @@ def _active_taxonomy() -> Taxonomy:
     return load_taxonomy(_read_text(override))
 
 
-def _read_text(path: str) -> str:
-    """A UTF-8 document (manifest or taxonomy); bad encoding is a SchemaError."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            return f.read()
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path} is not valid UTF-8: {exc}") from None
-
-
-def _read_source(path: str, framing: Framing):
-    """Path or the binary stdin stream, ready for the io readers."""
-    if path == "-":
-        if framing.is_dir:
-            raise MixedPayload("directory framings cannot read standard input")
-        return sys.stdin.buffer
-    return path
-
-
 def _print_json(doc: dict) -> None:
     import json
 
@@ -148,148 +128,7 @@ def _print_json(doc: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
-    from .classify import ClassifierConfig, classify_stream
-    from .model import Iri
-
-    taxonomy = _active_taxonomy()
-    inferred = infer_closure(taxonomy)
-    framing = Framing(args.framing)
-    predicates = []
-    for value in args.timestamp_predicate:
-        try:
-            predicates.append(Iri(value))
-        except MalformedIri as exc:
-            print(f"stax-kit: bad --timestamp-predicate: {exc}", file=sys.stderr)
-            return 2
-    if args.max_evidence < 0:
-        print("stax-kit: --max-evidence must be non-negative", file=sys.stderr)
-        return 2
-    kwargs = {"check_timestamp_order": not args.no_order_check, "max_evidence": args.max_evidence}
-    if predicates:
-        kwargs["timestamp_predicates"] = frozenset(predicates)
-    cfg = ClassifierConfig(**kwargs)
-    if args.expect is not None:
-        taxonomy.type(args.expect)  # unknown names are usage errors
-    report = classify_stream(_read_source(args.input, framing), framing, cfg, inferred)
-    if args.json:
-        _print_json(report.to_dict())
-    else:
-        _print_report(report)
-    if args.expect is not None and args.expect not in report.conforming:
-        print(f"stax-kit: stream does not conform to {args.expect}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _print_report(report: ClassificationReport) -> None:
-    w = sys.stdout.write
-    w(f"framing: {report.framing.value}\n")
-    w(f"elements: {report.element_count}\n")
-    w(f"statements: {report.statement_count}\n")
-    w(f"conforming: {', '.join(report.conforming) or '(none)'}\n")
-    w(f"most specific: {', '.join(report.most_specific) or '(none)'}\n")
-    w(f"vacuous: {'true' if report.vacuous else 'false'}\n")
-    w(f"ambiguous: {'true' if report.ambiguous else 'false'}\n")
-    if report.first_violation:
-        w("first violations:\n")
-        for type_id in sorted(report.first_violation):
-            v = report.first_violation[type_id]
-            w(f"  {type_id} @ element {v.element_index}: {v.reason}\n")
-    if report.notes:
-        w("notes:\n")
-        for note in report.notes:
-            w(f"  - {note}\n")
-
-
-def _framing_for(payload: Payload, path: str, override: str | None, flag: str) -> Framing:
-    if override is not None:
-        framing = Framing(override)
-        if framing.payload is not payload:
-            raise MixedPayload(
-                f"{flag} {framing.value} cannot carry a stream of {payload.value}"
-            )
-        return framing
-    if payload.is_flat:
-        layout = "flat"
-    else:
-        layout = "dir" if path != "-" and os.path.isdir(path) else "framed"
-    return Framing(f"{layout}-{payload.value}")
-
-
-def _cmd_convert(args: argparse.Namespace) -> int:
-    from .convert import convert, payload_kind
-    from .io import read_flat_stream, read_grouped_stream, write_dir_stream, write_stream
-
-    taxonomy = _active_taxonomy()
-    inferred = infer_closure(taxonomy)
-    from_payload = payload_kind(inferred, args.from_type)
-    to_payload = payload_kind(inferred, args.to_type)
-    in_framing = _framing_for(from_payload, args.input, args.input_framing, "--input-framing")
-    out_framing = _framing_for(to_payload, args.output, args.output_framing, "--output-framing")
-
-    source = _read_source(args.input, in_framing)
-    if in_framing.is_flat:
-        items = read_flat_stream(source, in_framing)
-    else:
-        items = read_grouped_stream(source, in_framing)
-    out = convert(items, args.from_type, args.to_type, inferred, args.policy, args.batch_size)
-
-    if out_framing.is_dir:
-        names = write_dir_stream(out, out_framing, args.output)
-        print(f"stax-kit: wrote {len(names)} element file(s) to {args.output}", file=sys.stderr)
-        return 0
-    if args.output == "-":
-        write_stream(out, out_framing, sys.stdout.buffer)
-        return 0
-    size = _write_file(out, out_framing, args.output)
-    print(f"stax-kit: wrote {size} byte(s) to {args.output}", file=sys.stderr)
-    return 0
-
-
-def _write_file(items: Iterable, framing: Framing, path: str) -> int:
-    """Write a stream to path, which appears only once it is whole; the byte count.
-
-    The stream goes to a temp file beside path.  On success os.replace moves
-    it over path; any failure removes it, so path is left as it was.  The
-    new file takes the mode of the file it replaces, or the mode open()
-    gives a new file.  A symlink's target is replaced, not the link; a
-    device or pipe, which cannot be replaced, is written in place.
-    """
-    import contextlib
-    import stat
-    import tempfile
-
-    from .io import write_stream
-
-    if not os.path.exists(path):
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = 0o666 & ~umask
-    elif os.path.isfile(path):
-        mode = stat.S_IMODE(os.stat(path).st_mode)
-    else:
-        with open(path, "wb") as f:
-            return write_stream(items, framing, f)
-    target = os.path.realpath(path)
-    try:
-        fd, temp = tempfile.mkstemp(prefix=f".{os.path.basename(target)}.", dir=os.path.dirname(target))
-    except OSError as exc:  # name the target, not the temp file
-        raise OSError(exc.errno, exc.strerror, path) from None
-    try:
-        with open(fd, "wb") as f:
-            os.chmod(temp, mode)
-            size = write_stream(items, framing, f)
-        os.replace(temp, target)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(temp)
-        raise
-    return size
-
-
-def _cmd_taxonomy(args: argparse.Namespace) -> int:
-    taxonomy = _active_taxonomy()
+def _cmd_taxonomy(args: argparse.Namespace, taxonomy: Taxonomy) -> int:
     inferred = infer_closure(taxonomy)
     if args.taxonomy_command == "relate":
         try:
@@ -347,50 +186,12 @@ def _cmd_taxonomy(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_annotate(args: argparse.Namespace) -> int:
-    from .annotate import emit_turtle, load_manifest
+def _cmd_data(args: argparse.Namespace, taxonomy: Taxonomy) -> int:
+    """classify, convert, annotate or validate, from the module that holds
+    them, imported only now."""
+    from .commands import COMMANDS
 
-    taxonomy = _active_taxonomy()
-    manifest = load_manifest(_read_text(args.manifest), taxonomy)
-    turtle = emit_turtle(manifest, taxonomy)
-    if args.out is None:
-        sys.stdout.write(turtle)
-    else:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(turtle)
-    return 0
-
-
-def _cmd_validate(args: argparse.Namespace) -> int:
-    from .annotate import ValidationReport, cross_check, load_manifest, validate_usages
-    from .classify import ClassifierConfig, classify_stream
-
-    taxonomy = _active_taxonomy()
-    inferred = infer_closure(taxonomy)
-    manifest = load_manifest(_read_text(args.manifest), taxonomy)
-    report = validate_usages(manifest, inferred, args.policy)
-    if args.data is not None:
-        if args.framing is None:
-            print("stax-kit: --data requires --framing", file=sys.stderr)
-            return 2
-        framing = Framing(args.framing)
-        classification = classify_stream(
-            _read_source(args.data, framing), framing, ClassifierConfig(), inferred
-        )
-        checked = cross_check(manifest, classification, inferred)
-        report = ValidationReport(report.violations, checked.cross_check)
-    if args.json:
-        _print_json(report.to_dict())
-    else:
-        print(f"consistent: {'true' if report.consistent else 'false'}")
-        for v in report.violations:
-            print(f"  [{v.rule}] {', '.join(v.usages)}: {v.message}")
-        if report.cross_check is not None:
-            print("cross check:")
-            for e in report.cross_check:
-                status = "pass" if e.passed else "fail"
-                print(f"  {e.stream_type}: {status} ({e.message})")
-    return 0 if report.consistent and report.cross_check_passed else 1
+    return COMMANDS[args.command](args, taxonomy)
 
 
 # ---------------------------------------------------------------------------
@@ -407,12 +208,15 @@ _EXIT_CODES = {
     UnknownStreamType: 3,
 }
 
+
+# The handler of each subcommand: it takes the parsed arguments and the
+# active taxonomy, and returns the exit code.
 _COMMANDS = {
-    "classify": _cmd_classify,
-    "convert": _cmd_convert,
+    "classify": _cmd_data,
+    "convert": _cmd_data,
     "taxonomy": _cmd_taxonomy,
-    "annotate": _cmd_annotate,
-    "validate": _cmd_validate,
+    "annotate": _cmd_data,
+    "validate": _cmd_data,
 }
 
 
@@ -420,7 +224,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args, _active_taxonomy())
         # Flushed here, a closed stdout meets the handler below and not the
         # flush at exit, which would print its error and exit 120.
         sys.stdout.flush()

@@ -13,26 +13,23 @@ Grouped streams come in two on-disk conventions:
 * directories: every *.nt (graphs) or *.nq (datasets) member file, in
   byte-wise lexicographic filename order, is one element.
 
-Serialization is canonical: single spaces between terms, ' .' line endings,
-minimal literal escapes (\\" \\\\ \\n \\r \\t), datatype suffix omitted for
-xsd:string, UTF-8 throughout, '\\n' line endings.  read(write(s)) reproduces
-s exactly; write(read(f)) is byte-identical for files already canonical.
+This module holds the reader only.  The writers are in writer, and the
+error locator, which reads a line the statement pattern declines term by
+term, is in locator; a call imports each only when it runs it, so a valid
+classify or validate compiles neither.
 """
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import os
 import re
 from io import BytesIO
-from itertools import islice
-from typing import IO, Callable, Iterable, Iterator, NamedTuple, Union
+from typing import IO, Iterable, Iterator, NamedTuple, Union
 
-from .errors import MalformedIri, MixedPayload, OutputExists, ParseError
+from .errors import MalformedIri, MixedPayload, ParseError
 from .framing import Framing, Payload
 from .model import (
-    _LANGTAG_RE,
     _SURROGATE,
     LANGTAG,
     RDF_LANGSTRING,
@@ -45,7 +42,6 @@ from .model import (
     Literal,
     Quad,
     Statement,
-    Term,
     Triple,
 )
 
@@ -76,7 +72,7 @@ class ParsedLine(NamedTuple):
 # IRI token only to its first '>' (IRIREF holds no raw '>'): _node checks
 # each new token against IRIREF once.  A line the pattern declines, or whose
 # terms fail a check, is read again token by token with the same fragments
-# (_locate) to raise the first error.
+# (locator._locate) to raise the first error.
 
 _WS = r"[ \t]*"
 _UCHAR = r"\\(?:u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})"
@@ -101,29 +97,9 @@ _STATEMENT = re.compile(
     rf"{_WS}(?:{_NODE_TOKEN}{_WS})?\.{_WS}(?:#[^\r\n]*)?\r?\n?\Z"
 )
 _ESCAPE = re.compile(rf"{_UCHAR}|{_ECHAR}")
-
-# The locator's reads: each takes the prefix of a term up to where it must
-# stop, the closing '>' or '"', or the first character that breaks the term.
-# Only the lines the statement pattern declines need them, so all but
-# _SKIP_WS are compiled on first use through re's cache.
 _SKIP_WS = re.compile(_WS)
-_IRI_READ = rf"<(?:[^>\\]|{_UCHAR})*"
-_IRIREF_READ = rf"<(?:{_IRI_CHAR}|{_UCHAR})*"  # for a token IRIREF fails
-_LITERAL_READ = rf'"(?:[^"\\\r\n]|{_ECHAR}|{_UCHAR})*'
-_BLANK_READ = rf"_:{_LABEL}*"
-_TAG_READ = r"@(?:[^\W_]|-)*"  # alphanumerics and '-'
-
-# The terms a statement holds, in order: the types each may be, and the
-# error for any other.  The fourth, the graph label, is optional.
-_ROLES = (
-    ((Iri, BlankNode), "subject must be an IRI or blank node"),
-    (Iri, "predicate must be an IRI"),
-    ((Iri, BlankNode, Literal), ""),
-    ((Iri, BlankNode), "graph label must be an IRI or blank node"),
-)
 
 _CR_REASON = "carriage return (U+000D) line end; lines must end in LF or CRLF"
-_LF_REASON = "line feed (U+000A) inside a literal; write it as \\n"
 
 # IRIs and blank nodes interned by token: a repeated one is built and checked
 # once.  Terms are immutable, so sharing is safe; at the cap the table empties.
@@ -182,6 +158,8 @@ def _parse_line(line: str, quads: bool, line_no: int) -> Statement | LineKind:
         if cr < 0:
             return LineKind.COMMENT
         raise ParseError(line_no, cr + 1, _CR_REASON)
+    from .locator import _locate
+
     return _locate(line, quads, line_no)
 
 
@@ -207,108 +185,6 @@ def parse_statement_line(line: str, mode: str, line_no: int = 1) -> ParsedLine:
     if isinstance(parsed, LineKind):
         return ParsedLine(parsed, line_no)
     return ParsedLine(LineKind.STATEMENT, line_no, parsed)
-
-
-def _locate(line: str, quads: bool, line_no: int) -> Statement:
-    """Read a statement line term by term; raise its first error, in reading order.
-
-    A line without an error gives its statement, the one the pattern gives.
-    An error at or after a bare CR is reported at the CR: the lines of a
-    file with CR-only line ends arrive joined as one.
-    """
-    terms: list[Term] = []
-    try:
-        pos = _SKIP_WS.match(line).end()
-        for kinds, reason in _ROLES:
-            if len(terms) == 3:
-                if line[pos : pos + 1] in ("", "."):
-                    break
-                if not quads:
-                    raise ParseError(line_no, pos + 1, "statement has a fourth term but framing expects triples")
-            term, end = _read_term(line, pos, line_no)
-            if not isinstance(term, kinds):
-                raise ParseError(line_no, pos + 1, reason)
-            terms.append(term)
-            pos = _SKIP_WS.match(line, end).end()
-        if line[pos : pos + 1] != ".":
-            raise ParseError(line_no, pos + 1, "expected '.' at end of statement")
-        pos = _SKIP_WS.match(line, pos + 1).end()
-        if line[pos : pos + 1] not in ("", "#"):
-            raise ParseError(line_no, pos + 1, "unexpected content after '.'")
-        cr = line.find("\r", pos)  # in the comment: comment ::= '#' [^#xD#xA]*
-        if cr >= 0:
-            raise ParseError(line_no, cr + 1, _CR_REASON)
-    except ParseError as exc:
-        cr = line.find("\r")
-        if not 0 <= cr < exc.column:
-            raise
-        raise ParseError(line_no, cr + 1, _CR_REASON) from None
-    return Quad(*terms) if quads else Triple(*terms)
-
-
-def _read_term(line: str, pos: int, line_no: int) -> tuple[Term, int]:
-    """The term that starts at pos, and the position after it."""
-    first = line[pos : pos + 1]
-    try:
-        if first == "_":
-            m = re.compile(_BLANK_READ).match(line, pos)
-            if m is None:
-                raise ParseError(line_no, pos + 1, "expected '_:'")
-            label = m[0][2:].rstrip(".")
-            return BlankNode(label), pos + 2 + len(label)
-        if first not in ("<", '"'):
-            if first == "\ufeff":
-                # A UTF-8 byte order mark decodes to U+FEFF, which starts no term.
-                raise ParseError(line_no, pos + 1, "unexpected byte order mark (U+FEFF)")
-            raise ParseError(line_no, pos + 1, "expected IRI, blank node, or literal")
-        text, end = _read_quoted(line, pos, line_no)
-        if first == "<":
-            iri = Iri(text)
-            if not _IRIREF.fullmatch(line, pos, end):
-                # A character IRIREF excludes that Iri allows is valid only escaped.
-                bad = line[re.compile(_IRIREF_READ).match(line, pos).end()]
-                code = f"{ord(bad):04X}"
-                raise ParseError(line_no, pos + 1, f"{bad!r} (U+{code}) inside an IRI; write it as \\u{code}")
-            return iri, end
-        if line.startswith("@", end):
-            tag = re.compile(_TAG_READ).match(line, end)[0][1:]
-            if not _LANGTAG_RE.fullmatch(tag):
-                raise ParseError(line_no, end + 1, "bad language tag")
-            return Literal(text, language=tag), end + 1 + len(tag)
-        if not line.startswith("^^", end):
-            return Literal(text), end
-        if not line.startswith("<", end + 2):
-            raise ParseError(line_no, end + 3, "expected '<' after '^^'")
-        datatype, end = _read_term(line, end + 2, line_no)
-        return Literal(text, datatype.value), end
-    except (MalformedIri, ValueError) as exc:
-        raise ParseError(line_no, pos + 1, str(exc)) from None
-
-
-def _read_quoted(line: str, pos: int, line_no: int) -> tuple[str, int]:
-    """The decoded text of the IRI or literal body at pos, and the position
-    past its closing '>' or '"'."""
-    iri = line[pos] == "<"
-    end = re.compile(_IRI_READ if iri else _LITERAL_READ).match(line, pos).end()
-    for escape in _ESCAPE.finditer(line, pos, end):
-        try:
-            _unescape_match(escape)
-        except ValueError as exc:
-            raise ParseError(line_no, escape.start() + 1, str(exc)) from None
-    stop = line[end : end + 1]
-    if not stop:
-        raise ParseError(line_no, pos + 1, "unterminated IRI" if iri else "unterminated literal")
-    if stop in ("\r", "\n"):
-        # Only a literal stops here: STRING_LITERAL_QUOTE excludes a raw CR and LF.
-        raise ParseError(line_no, end + 1, _CR_REASON if stop == "\r" else _LF_REASON)
-    if stop == "\\":
-        after = line[end + 1 : end + 2]
-        if after in ("u", "U"):
-            reason = f"bad \\{after} escape"
-        else:
-            reason = "only \\u/\\U escapes are allowed in IRIs" if iri else f"bad escape '\\{after}'"
-        raise ParseError(line_no, end + 1, reason)
-    return _unescape(line[pos + 1 : end]), end + 1
 
 
 # ---------------------------------------------------------------------------
@@ -466,191 +342,18 @@ def _read_dir_stream(source: Source, framing: Framing) -> Iterator[Graph | Datas
         yield from _read_file(os.path.join(os.fspath(source), name), framing.quads_payload, "dir", name)
 
 
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-_LITERAL_SPECIAL = re.compile(r'[\\"\n\r\t]')
-_LITERAL_ESC = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"})
-_IRI_SPECIAL = re.compile(f"[{_IRI_EXCLUDED}]")
-_IRI_ESC = {c: f"\\u{c:04X}" for c in range(0x80) if _IRI_SPECIAL.match(chr(c))}
-
-
-def _escape_iri(value: str) -> str:
-    return value.translate(_IRI_ESC) if _IRI_SPECIAL.search(value) else value
-
-
-def escape_literal(value: str) -> str:
-    return value.translate(_LITERAL_ESC) if _LITERAL_SPECIAL.search(value) else value
-
-
-def serialize_term(term: Term) -> str:
-    # Terms are str and tuple values: concatenation and unpacking read them
-    # directly, where field properties would copy or call.
-    if isinstance(term, Iri):
-        return "<" + _escape_iri(term) + ">"
-    if isinstance(term, BlankNode):
-        return "_:" + term
-    if isinstance(term, Literal):
-        lexical, datatype, language = term
-        body = '"' + escape_literal(lexical) + '"'
-        if language is not None:
-            return body + "@" + language
-        if datatype != XSD_STRING:
-            return body + "^^<" + _escape_iri(datatype) + ">"
-        return body
-    raise TypeError(f"not an RDF term: {term!r}")
-
-
-def serialize_statement(statement: Statement) -> str:
-    """One canonical N-Triples/N-Quads line, without the trailing newline."""
-    s = serialize_term(statement[0])
-    p = serialize_term(statement[1])
-    o = serialize_term(statement[2])
-    if isinstance(statement, Quad) and statement[3] is not None:
-        return f"{s} {p} {o} {serialize_term(statement[3])} ."
-    return f"{s} {p} {o} ."
-
-
+# The class of a stream's items, by payload: what the classifier and the
+# writer accept.
 _ITEM_CLASS = {Payload.TRIPLES: Triple, Payload.QUADS: Quad, Payload.GRAPHS: Graph, Payload.DATASETS: Dataset}
-
-# Items of _lines joined into one sink write: 256 lines.  A few hundred
-# lines per write put the first bytes out early and keep one small chunk in
-# memory; larger chunks delay the first output.
-_CHUNK_ITEMS = 512
-
-
-def _statement_serializer() -> Callable[[Statement], str]:
-    """serialize_statement for one stream, keeping the text of each IRI and
-    blank node in a table that empties at _INTERN_LIMIT entries."""
-    texts: dict[Iri | BlankNode, str] = {}
-    get = texts.get
-
-    def text(term: Term) -> str:
-        out = serialize_term(term)
-        if term.__class__ is Iri or term.__class__ is BlankNode:
-            if len(texts) >= _INTERN_LIMIT:
-                texts.clear()
-            texts[term] = out
-        return out
-
-    def serialize(statement: Statement) -> str:
-        s = get(statement[0]) or text(statement[0])
-        p = get(statement[1]) or text(statement[1])
-        o = get(statement[2]) or text(statement[2])
-        if isinstance(statement, Quad) and (g := statement[3]) is not None:
-            return f"{s} {p} {o} {get(g) or text(g)} ."
-        return f"{s} {p} {o} ."
-
-    return serialize
-
-
-def _lines(items: Iterable, framing: Framing, serialize: Callable[[Statement], str]) -> Iterator[str]:
-    """The canonical text of a stream's items, line by line, each line and its
-    newline yielded apart, so every line is two items: one line per
-    statement, and a grouped framing's '#---' between elements.  An item of
-    the wrong class raises MixedPayload."""
-    kind = _ITEM_CLASS[framing.payload]
-    flat = framing.is_flat
-    for i, item in enumerate(items):
-        if not isinstance(item, kind):
-            where = f"{framing.value} framing" if flat else f"{kind.__name__.lower()} framing {framing.value}"
-            raise MixedPayload(f"{where} cannot serialize {'a ' if flat else ''}{type(item).__name__}")
-        if flat:
-            yield serialize(item)
-            yield "\n"
-            continue
-        if i:
-            yield FRAME_DELIMITER
-            yield "\n"
-        for statement in item.quads() if framing.quads_payload else item:
-            yield serialize(statement)
-            yield "\n"
-
-
-def _write_lines(lines: Iterator[str], sink: IO[bytes]) -> int:
-    """Encode lines to sink, one write per chunk of whole lines; the byte count."""
-    written = 0
-    while True:
-        chunk = "".join(islice(lines, _CHUNK_ITEMS)).encode("utf-8")
-        if not chunk:
-            return written
-        sink.write(chunk)
-        written += len(chunk)
-
-
-def write_stream(items: Iterable, framing: Framing, sink: IO[bytes]) -> int:
-    """Serialize a flat or framed stream canonically to a binary sink as it
-    is read from items; returns the number of bytes written.
-
-    Each sink.write call carries a chunk of whole lines, so memory holds one
-    chunk, not the stream.  Each IRI and blank node is escaped once, its text
-    kept in a table local to the call that empties at _INTERN_LIMIT entries.
-    When an item fails, the chunks before it have been written already.
-    Item classes must match the framing's payload.  A framed stream has
-    '#---' between elements and none at its edges, so a stream of exactly
-    one empty element writes zero bytes and reads back as an empty stream;
-    every other boundary layout round-trips.
-    """
-    if framing.is_dir:
-        raise ValueError(f"write_stream needs a flat or framed framing, got {framing.value}")
-    return _write_lines(_lines(items, framing, _statement_serializer()), sink)
 
 
 def write_flat_stream(statements: Iterable[Statement], framing: Framing) -> bytes:
-    """Serialize a flat stream canonically; statement kinds must match framing."""
+    """Serialize a flat stream canonically; statement kinds must match framing.
+    It imports writer.write_stream when called."""
+    from .writer import write_stream
+
     if not framing.is_flat:
         raise ValueError(f"write_flat_stream needs a flat framing, got {framing.value}")
     sink = BytesIO()
     write_stream(statements, framing, sink)
     return sink.getvalue()
-
-
-def _member_stem(index: int) -> str:
-    """Index padded to five digits; each further digit adds a leading 'z',
-    which sorts after every digit, so names sort bytewise in element order."""
-    digits = f"{index:05d}"
-    return "z" * (len(digits) - 5) + digits
-
-
-def write_dir_stream(
-    elements: Iterable[Graph | Dataset],
-    framing: Framing,
-    directory: "os.PathLike[str] | str",
-) -> list[str]:
-    """Write one member file per element; returns the filenames created.
-
-    A directory that already holds members with the framing's extension is
-    refused with OutputExists before anything is written.  When any element
-    fails, the members written so far are removed, and so is the directory
-    if this call created it, before the error propagates.
-    """
-    if not framing.is_dir:
-        raise ValueError(f"write_dir_stream needs a dir framing, got {framing.value}")
-    directory = os.fspath(directory)
-    ext = ".nq" if framing.quads_payload else ".nt"
-    created = not os.path.isdir(directory)
-    if not created:
-        held = min((n for n in os.listdir(directory) if n.endswith(ext)), default=None)
-        if held is not None:
-            raise OutputExists(f"output directory {directory} already holds member {held}")
-    os.makedirs(directory, exist_ok=True)
-    names: list[str] = []
-    serialize = _statement_serializer()
-    try:
-        for i, element in enumerate(elements):
-            name = _member_stem(i) + ext
-            with open(os.path.join(directory, name), "wb") as f:
-                # Recorded only once open() succeeds, so cleanup never removes
-                # a file this call could not open.
-                names.append(name)
-                _write_lines(_lines((element,), framing, serialize), f)
-    except BaseException:
-        for name in names:
-            with contextlib.suppress(OSError):
-                os.remove(os.path.join(directory, name))
-        if created:
-            with contextlib.suppress(OSError):
-                os.rmdir(directory)
-        raise
-    return names

@@ -222,6 +222,16 @@ class Taxonomy:
         }
 
 
+def _read_text(path: str) -> str:
+    """A UTF-8 document, a taxonomy or an annotation manifest; bad encoding
+    is a SchemaError.  The CLI reads both through it."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not valid UTF-8: {exc}") from None
+
+
 def load_taxonomy(text: str) -> Taxonomy:
     """Parse a JSON taxonomy document.
 

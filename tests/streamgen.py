@@ -13,8 +13,8 @@ from datetime import datetime, timedelta, timezone
 from io import BytesIO
 
 from staxkit.framing import Framing
-from staxkit.io import write_stream
 from staxkit.model import BlankNode, Dataset, Graph, Iri, Literal, Quad, Triple
+from staxkit.writer import write_stream
 
 EX = "http://example.org/"
 PROV_AT = "http://www.w3.org/ns/prov#generatedAtTime"

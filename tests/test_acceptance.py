@@ -47,15 +47,10 @@ from staxkit.classify import (
 from staxkit.cli import main as cli_main
 from staxkit.convert import extend, flatten_graphs, group_statements
 from staxkit.errors import ParseError
-from staxkit.io import (
-    Framing,
-    read_flat_stream,
-    read_grouped_stream,
-    write_dir_stream,
-    write_flat_stream,
-)
+from staxkit.io import Framing, read_flat_stream, read_grouped_stream, write_flat_stream
 from staxkit.model import Dataset, Graph, Iri, Literal, Triple
 from staxkit.taxonomy import default_taxonomy, infer_closure
+from staxkit.writer import write_dir_stream
 
 
 def report(criterion, label, ok, detail=""):

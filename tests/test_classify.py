@@ -27,8 +27,9 @@ from staxkit.classify import (
     comparable_timestamp,
 )
 from staxkit.errors import MixedPayload
-from staxkit.io import Framing, read_flat_stream, read_grouped_stream, write_stream
+from staxkit.io import Framing, read_flat_stream, read_grouped_stream
 from staxkit.model import BlankNode, Dataset, Graph, Iri, Literal, Quad, Triple
+from staxkit.writer import write_stream
 
 P = Iri(EX + "p")
 AT = PROV_GENERATED_AT_TIME

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 from jsonschema import validate as schema_validate
 
-import staxkit
-from staxkit.cli import _COMMANDS, _framing_for, main
+import staxkit.commands
+from staxkit.cli import _COMMANDS, main
+from staxkit.commands import _framing_for
 from staxkit.errors import (
     AbstractType,
     InvalidBatchSize,
@@ -875,7 +876,7 @@ EXIT_CODES = {NoConversionPath: 1, InvalidBatchSize: 2, UnknownType: 2, Abstract
 def test_every_stax_error_gives_its_exit_code_and_one_line(cls, capsys, monkeypatch):
     exc = _instance(cls)
 
-    def command(args):
+    def command(args, taxonomy):
         raise exc
 
     monkeypatch.setitem(_COMMANDS, "taxonomy", command)
@@ -927,7 +928,7 @@ def test_json_reports_hold_plain_values_only(data, framing, tmp_path, capsys, mo
     assert report["notes"] or report["evidence"]  # the strings built from terms
     assert_plain_json(report)
     printed = []
-    monkeypatch.setattr(staxkit.cli, "_print_json", printed.append)
+    monkeypatch.setattr(staxkit.commands, "_print_json", printed.append)
     src = tmp_path / "in.bin"
     src.write_bytes(data)
     manifest = tmp_path / "manifest.json"
@@ -961,6 +962,30 @@ class TestParseErrorsNameTheInput:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err == "stax-kit: ParseError: -: line 2, column 37: expected IRI, blank node, or literal\n"
+
+    @pytest.mark.parametrize(
+        "data, framing, message",
+        [
+            (BAD, "flat-triples", "ParseError: {}: line 2, column 37: expected IRI, blank node, or literal"),
+            (
+                b'<http://ex.org/s> <http://ex.org/p> "a\\q" .\n',
+                "flat-triples",
+                "ParseError: {}: line 1, column 39: bad escape '\\q'",
+            ),
+            (QUAD_LINE % (0, 0, 0), "framed-graphs", "MixedPayload: line 1: named graph label inside a graph framing"),
+        ],
+        ids=["bad-term", "bad-escape", "graph-label"],
+    )
+    def test_a_fresh_process_locates_the_error(self, data, framing, message, tmp_path):
+        # The error locator is imported only when a line needs it: here by
+        # the process's first malformed line.
+        f = tmp_path / "bad.nt"
+        f.write_bytes(data)
+        done = subprocess.run(
+            [sys.executable, "-m", "staxkit.cli", "classify", "--input", str(f), "--framing", framing],
+            capture_output=True, env=cli_env(), timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (3, f"stax-kit: {message.format(f)}\n".encode())
 
     def test_byte_order_mark_is_named(self, tmp_path, capsys):
         f = tmp_path / "bom.nt"
@@ -1162,6 +1187,16 @@ class TestValidate:
         data.write_bytes(flat_triples(1))
         code = main(["validate", "--manifest", str(m), "--data", str(data)])
         assert code == 2
+
+    @pytest.mark.parametrize("manifest", ['{"usages": []}', None], ids=["empty-usages", "absent"])
+    def test_data_without_framing_is_reported_before_the_manifest_is_read(self, manifest, tmp_path, capsys):
+        m = tmp_path / "manifest.json"
+        if manifest is not None:
+            m.write_text(manifest)
+        data = tmp_path / "data.nt"
+        data.write_bytes(flat_triples(1))
+        assert main(["validate", "--manifest", str(m), "--data", str(data)]) == 2
+        assert capsys.readouterr().err == "stax-kit: --data requires --framing\n"
 
     def test_human_output_mentions_cross_check(self, tmp_path, capsys):
         m = tmp_path / "manifest.json"

@@ -24,9 +24,10 @@ from staxkit.errors import (
     NoConversionPath,
     SchemaError,
 )
-from staxkit.io import Framing, read_grouped_stream, write_stream
+from staxkit.io import Framing, read_grouped_stream
 from staxkit.model import Dataset, Graph, Iri, Quad, Triple
 from staxkit.taxonomy import Taxonomy, default_taxonomy, infer_closure, load_taxonomy
+from staxkit.writer import write_stream
 
 C = infer_closure(default_taxonomy())
 P = Iri(EX + "p")

@@ -5,22 +5,27 @@ needs, and the README's JSON, Turtle and Python examples and CLI commands
 still match the code."""
 
 import ast
+import contextlib
 import importlib
+import io
 import json
 import os
 import re
 import shlex
 import subprocess
 import sys
+import types
 from collections import Counter
 from collections.abc import Iterator
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import staxkit
 from staxkit.annotate import emit_turtle, load_manifest
-from staxkit.cli import build_parser
+from staxkit.cli import build_parser, main
+from staxkit.errors import StaxError
 from staxkit.taxonomy import default_taxonomy, load_taxonomy
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -268,7 +273,51 @@ def modules_loaded_by(code: str) -> set[str]:
     return set(done.stdout.splitlines()[-1].split())
 
 
-SUBCOMMAND_MODULES = {"staxkit.classify", "staxkit.annotate", "staxkit.convert"}
+SUBCOMMAND_MODULES = {"staxkit.classify", "staxkit.annotate", "staxkit.convert", "staxkit.commands"}
+
+
+def raising_module(call) -> str:
+    """The module whose code raises the StaxError that call raises."""
+    try:
+        call()
+    except StaxError as exc:
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        return tb.tb_frame.f_globals["__name__"]
+    raise AssertionError("no StaxError raised")
+
+
+def calling_module(module: types.ModuleType, name: str, call) -> str:
+    """The module whose code calls module.name while call runs."""
+    original = getattr(module, name)
+    callers = []
+
+    def record(*args, **kwargs):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return original(*args, **kwargs)
+
+    with mock.patch.object(module, name, record), contextlib.redirect_stdout(io.StringIO()):
+        call()
+    return callers[0]
+
+
+@pytest.fixture(scope="module")
+def homes(tmp_path_factory) -> dict[str, str]:
+    """The module that holds each part of the code a call may leave out,
+    found from the code that runs, not from module names: the writer, the
+    error locator and the data subcommands."""
+    data = tmp_path_factory.mktemp("homes") / "graphs.nt"
+    data.write_bytes(TWO_GRAPHS)
+    bad_line = "<http://ex.org/s> <http://ex.org/p> x ."
+    return {
+        "writer": staxkit.write_stream.__module__,
+        "locator": raising_module(lambda: staxkit.parse_statement_line(bad_line, "triples")),
+        "commands": calling_module(
+            importlib.import_module("staxkit.classify"), "classify_stream",
+            lambda: main(["classify", "--input", str(data), "--framing", "framed-graphs"]),
+        ),
+    }
 
 
 def test_importing_the_cli_loads_no_subcommand_module():
@@ -277,12 +326,12 @@ def test_importing_the_cli_loads_no_subcommand_module():
     assert not loaded & {"dataclasses", "inspect", "decimal", *SUBCOMMAND_MODULES}
 
 
-def test_taxonomy_path_loads_no_stream_module():
+def test_taxonomy_path_loads_no_stream_module(homes):
     loaded = modules_loaded_by(
         "from staxkit.cli import main\nmain(['taxonomy', 'path', 'graphStream', 'flatQuadStream'])"
     )
     assert "staxkit.taxonomy" in loaded
-    assert not loaded & {"staxkit.io", "staxkit.model", *SUBCOMMAND_MODULES}
+    assert not loaded & {"staxkit.io", "staxkit.model", homes["commands"], *SUBCOMMAND_MODULES}
 
 
 def test_both_process_entry_points_call_run():
@@ -357,6 +406,48 @@ def test_converting_graphs_to_quads_loads_no_classify_or_annotate_module(tmp_pat
     ))
     assert "staxkit.convert" in loaded
     assert not loaded & {"json", "datetime", "decimal", "staxkit.classify", "staxkit.annotate"}
+
+
+def test_valid_classify_and_validate_load_neither_the_writer_nor_the_locator(homes, tmp_path):
+    data = tmp_path / "graphs.nt"
+    data.write_bytes(TWO_GRAPHS)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"usages": [{"streamType": "graphStream"}]}))
+    for argv in (
+        ("classify", "--input", str(data), "--framing", "framed-graphs", "--json"),
+        ("validate", "--manifest", str(manifest), "--data", str(data), "--framing", "framed-graphs", "--json"),
+    ):
+        loaded = modules_loaded_by(cli_call(*argv))
+        assert "staxkit.io" in loaded, argv
+        assert not loaded & {homes["writer"], homes["locator"]}, argv
+
+
+def test_convert_loads_the_writer_but_not_the_locator(homes, tmp_path):
+    data = tmp_path / "graphs.nt"
+    data.write_bytes(TWO_GRAPHS)
+    loaded = modules_loaded_by(cli_call(
+        "convert", "--input", str(data), "--from", "graphStream", "--to", "flatQuadStream",
+        "--policy", "transitive", "--output", "-",
+    ))
+    assert homes["writer"] in loaded
+    assert homes["locator"] not in loaded
+
+
+def test_the_module_entry_point_is_not_imported_a_second_time(homes, tmp_path):
+    # Under `python -m` the CLI module runs as __main__; a package module
+    # that imported staxkit.cli would compile and run it once more.
+    data = tmp_path / "graphs.nt"
+    data.write_bytes(TWO_GRAPHS)
+    loaded = modules_loaded_by(
+        "import runpy, sys\n"
+        f"sys.argv[1:] = ['classify', '--input', {str(data)!r}, '--framing', 'framed-graphs']\n"
+        "try:\n"
+        "    runpy.run_module('staxkit.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code"
+    )
+    assert homes["commands"] in loaded
+    assert "staxkit.cli" not in loaded
 
 
 def readme_blocks(language: str) -> list[str]:

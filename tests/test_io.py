@@ -17,6 +17,7 @@ from streamgen import (
     gen_unique_statements,
 )
 import staxkit.io
+import staxkit.writer
 from staxkit.cli import main
 from staxkit.convert import flatten_graphs
 from staxkit.errors import MalformedIri, MixedPayload, OutputExists, ParseError
@@ -25,17 +26,14 @@ from staxkit.io import (
     Framing,
     LineKind,
     ParsedLine,
-    _locate,
-    _member_stem,
     parse_statement_line,
     read_flat_stream,
     read_grouped_stream,
-    serialize_statement,
-    write_dir_stream,
     write_flat_stream,
-    write_stream,
 )
+from staxkit.locator import _locate
 from staxkit.model import XSD_STRING, BlankNode, Dataset, Graph, Iri, Literal, Quad, Triple
+from staxkit.writer import _member_stem, serialize_statement, serialize_term, write_dir_stream, write_stream
 
 EX = "http://example.org/"
 
@@ -1131,12 +1129,20 @@ def _writer_statements(quads: bool) -> list:
 
 @pytest.mark.parametrize("limit", [3, 4096])
 def test_writers_equal_serialize_statement(limit, monkeypatch, tmp_path):
-    monkeypatch.setattr(staxkit.io, "_INTERN_LIMIT", limit)
+    monkeypatch.setattr(staxkit.writer, "_INTERN_LIMIT", limit)
     for quads in (False, True):
         statements = _writer_statements(quads)
         lines = [serialize_statement(s) + "\n" for s in statements]
         flat = Framing.FLAT_QUADS if quads else Framing.FLAT_TRIPLES
-        assert write_flat_stream(statements, flat) == "".join(lines).encode()
+        escaped = []
+        with monkeypatch.context() as m:
+            m.setattr(staxkit.writer, "serialize_term", lambda term: escaped.append(term) or serialize_term(term))
+            assert write_flat_stream(statements, flat) == "".join(lines).encode()
+        # Each IRI and blank node is escaped once while the table holds its
+        # text; a table smaller than the stream's nodes empties, and some
+        # are escaped again.
+        nodes = [term for term in escaped if isinstance(term, (Iri, BlankNode))]
+        assert (len(nodes) == len(set(nodes))) == (limit > len(set(nodes)))
 
         chunks = [statements[i : i + 25] for i in range(0, len(statements), 25)]
         elements = [Dataset.from_quads(c) if quads else Graph(c) for c in chunks]

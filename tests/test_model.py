@@ -11,7 +11,6 @@ from streamgen import framed_bytes, gen_dataset_elements, gen_dataset_stream, ge
 from staxkit.convert import flatten_datasets
 from staxkit.errors import MalformedIri
 from staxkit.framing import Framing
-from staxkit.io import serialize_statement
 from staxkit.model import (
     RDF_LANGSTRING,
     XSD_STRING,
@@ -23,6 +22,7 @@ from staxkit.model import (
     Quad,
     Triple,
 )
+from staxkit.writer import serialize_statement
 
 EX = "http://example.org/"
 
