@@ -39,8 +39,8 @@ from typing import Iterable, NamedTuple, Union
 
 from .errors import MixedPayload, SchemaError
 from .framing import Framing, Payload
-from .io import _ITEM_CLASS, Source, read_flat_stream, read_grouped_stream
-from .model import Dataset, Graph, Iri, Literal, Quad, Statement, Term, Triple, _TupleValue
+from .io import Source, read_flat_stream, read_grouped_stream
+from .model import _ITEM_CLASS, Dataset, Graph, Iri, Literal, Quad, Statement, Term, Triple, _TupleValue
 from .taxonomy import InferredTaxonomy, default_taxonomy, infer_closure, most_specific
 
 PROV_GENERATED_AT_TIME = Iri("http://www.w3.org/ns/prov#generatedAtTime")

@@ -6,6 +6,8 @@ taxonomy query compiles none of it.  Each handler takes the parsed
 arguments and the active taxonomy and returns the exit code; each imports
 the modules only it uses.  This module never imports cli, which runs as
 __main__ under `python -m staxkit.cli`: importing it would run it again.
+convert writes a plan of extend and flatten steps, which change only the
+framing, from the items as read; a group step goes through convert().
 """
 
 from __future__ import annotations
@@ -107,9 +109,9 @@ def _framing_for(payload: Payload, path: str, override: str | None, flag: str) -
 
 
 def _cmd_convert(args: argparse.Namespace, taxonomy: Taxonomy) -> int:
-    from .convert import convert, payload_kind
+    from .convert import convert, payload_kind, plan
     from .io import read_flat_stream, read_grouped_stream
-    from .writer import write_dir_stream, write_stream
+    from .writer import _texts, _write_members, _write_texts
 
     inferred = infer_closure(taxonomy)
     from_payload = payload_kind(inferred, args.from_type)
@@ -122,22 +124,26 @@ def _cmd_convert(args: argparse.Namespace, taxonomy: Taxonomy) -> int:
         items = read_flat_stream(source, in_framing)
     else:
         items = read_grouped_stream(source, in_framing)
-    out = convert(items, args.from_type, args.to_type, inferred, args.policy, args.batch_size)
+    payload = from_payload
+    if "group" in plan(args.from_type, args.to_type, inferred, args.policy, args.batch_size):
+        items = convert(items, args.from_type, args.to_type, inferred, args.policy, args.batch_size)
+        payload = to_payload
+    texts = _texts(items, payload, out_framing)
 
     if out_framing.is_dir:
-        names = write_dir_stream(out, out_framing, args.output)
+        names = _write_members(texts, out_framing, args.output)
         print(f"stax-kit: wrote {len(names)} element file(s) to {args.output}", file=sys.stderr)
         return 0
     if args.output == "-":
-        write_stream(out, out_framing, sys.stdout.buffer)
+        _write_texts(texts, sys.stdout.buffer)
         return 0
-    size = _write_file(out, out_framing, args.output)
+    size = _write_file(texts, args.output)
     print(f"stax-kit: wrote {size} byte(s) to {args.output}", file=sys.stderr)
     return 0
 
 
-def _write_file(items: Iterable, framing: Framing, path: str) -> int:
-    """Write a stream to path, which appears only once it is whole; the byte count.
+def _write_file(texts: Iterable[str], path: str) -> int:
+    """Write a stream's texts to path, which appears only once it is whole; the byte count.
 
     The stream goes to a temp file beside path.  On success os.replace moves
     it over path; any failure removes it, so path is left as it was.  The
@@ -149,7 +155,7 @@ def _write_file(items: Iterable, framing: Framing, path: str) -> int:
     import stat
     import tempfile
 
-    from .writer import write_stream
+    from .writer import _write_texts
 
     if not os.path.exists(path):
         umask = os.umask(0)
@@ -159,7 +165,7 @@ def _write_file(items: Iterable, framing: Framing, path: str) -> int:
         mode = stat.S_IMODE(os.stat(path).st_mode)
     else:
         with open(path, "wb") as f:
-            return write_stream(items, framing, f)
+            return _write_texts(texts, f)
     target = os.path.realpath(path)
     try:
         fd, temp = tempfile.mkstemp(prefix=f".{os.path.basename(target)}.", dir=os.path.dirname(target))
@@ -168,7 +174,7 @@ def _write_file(items: Iterable, framing: Framing, path: str) -> int:
     try:
         with open(fd, "wb") as f:
             os.chmod(temp, mode)
-            size = write_stream(items, framing, f)
+            size = _write_texts(texts, f)
         os.replace(temp, target)
     except BaseException:
         with contextlib.suppress(OSError):

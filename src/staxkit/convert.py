@@ -4,9 +4,11 @@ Flattening concatenates element contents in order.  Grouping batches a
 flat stream into count-sized elements.  Extending embeds triples/graphs
 into the quad/dataset world by placing everything in the default graph.
 
-convert() composes these primitives along a taxonomy conversion path, so
-e.g. a graph stream reaches a flat quad stream via extend then flatten
-under the transitive policy.
+convert() composes these primitives along a taxonomy conversion path that
+plan() checks, so e.g. a graph stream reaches a flat quad stream via extend
+then flatten under the transitive policy.  Flattening and extending change
+no statement, only the framing: the CLI writes their plans from the
+elements as read (see writer).
 """
 
 from __future__ import annotations
@@ -128,6 +130,36 @@ def payload_kind(inferred: InferredTaxonomy, type_id: str) -> Payload:
     return matches[0]
 
 
+def plan(
+    from_type: str,
+    to_type: str,
+    inferred: InferredTaxonomy,
+    policy: str = "strict",
+    batch_size: int | None = None,
+) -> list[str]:
+    """The relations convert applies between two concrete stream types, in
+    order.  Raises AbstractType, InvalidBatchSize, NoConversionPath when the
+    policy admits no plan, or MixedPayload when a step or the plan's end
+    does not fit the payload."""
+    kind = payload_kind(inferred, from_type)
+    expect = payload_kind(inferred, to_type)
+    if batch_size is not None and batch_size < 1:
+        raise InvalidBatchSize(f"batch size must be >= 1, got {batch_size}")
+    steps = conversion_path(inferred, from_type, to_type, policy)
+    if steps is None:
+        raise NoConversionPath(from_type, to_type, policy)
+    for step in steps:
+        target = _STEPS[step.relation].get(kind)
+        if target is None:
+            raise MixedPayload(f"cannot {step.relation} a {kind.value} stream")
+        kind = target
+    if kind is not expect:
+        raise MixedPayload(
+            f"conversion plan ends at a {kind.value} stream but {to_type} holds {expect.value}"
+        )
+    return [step.relation for step in steps]
+
+
 def convert(
     items: Iterable,
     from_type: str,
@@ -136,34 +168,17 @@ def convert(
     policy: str = "strict",
     batch_size: int | None = None,
 ) -> Iterator:
-    """Convert a stream between two concrete stream types.
-
-    Applies the primitives dictated by conversionPath(policy); grouping
-    steps use batch_size (default 1).  Raises NoConversionPath when the
-    policy admits no plan.
-    """
+    """Convert a stream between two concrete stream types: the primitives
+    of plan(), which raises before any item is read; grouping steps use
+    batch_size (default 1)."""
     kind = payload_kind(inferred, from_type)
-    expect = payload_kind(inferred, to_type)
-    if batch_size is not None and batch_size < 1:
-        raise InvalidBatchSize(f"batch size must be >= 1, got {batch_size}")
-    steps = conversion_path(inferred, from_type, to_type, policy)
-    if steps is None:
-        raise NoConversionPath(from_type, to_type, policy)
-
     out: Iterable = items
-    for step in steps:
-        target = _STEPS[step.relation].get(kind)
-        if target is None:
-            raise MixedPayload(f"cannot {step.relation} a {kind.value} stream")
-        if step.relation == "flatten":
+    for relation in plan(from_type, to_type, inferred, policy, batch_size):
+        if relation == "flatten":
             out = flatten_graphs(out) if kind is Payload.GRAPHS else flatten_datasets(out)
-        elif step.relation == "group":
-            out = group_statements(out, batch_size or 1, target)
+        elif relation == "group":
+            out = group_statements(out, batch_size or 1, _STEPS[relation][kind])
         else:
             out = extend(out, kind)
-        kind = target
-    if kind is not expect:
-        raise MixedPayload(
-            f"conversion plan ends at a {kind.value} stream but {to_type} holds {expect.value}"
-        )
+        kind = _STEPS[relation][kind]
     return iter(out)

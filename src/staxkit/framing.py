@@ -2,6 +2,12 @@
 
 import enum
 
+# Shared by the reader and the writer, so annotate's Turtle output loads no
+# reader: the line between framed elements, and the size at which each one's
+# term table empties (each module reads its own copy of the name).
+FRAME_DELIMITER = "#---"
+_INTERN_LIMIT = 4096
+
 
 class Payload(str, enum.Enum):
     """What a stream carries; members equal their values, so "graphs" works too."""

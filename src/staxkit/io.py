@@ -28,8 +28,9 @@ from io import BytesIO
 from typing import IO, Iterable, Iterator, NamedTuple, Union
 
 from .errors import MalformedIri, MixedPayload, ParseError
-from .framing import Framing, Payload
+from .framing import _INTERN_LIMIT, FRAME_DELIMITER, Framing, Payload
 from .model import (
+    _IRI_EXCLUDED,
     _SURROGATE,
     LANGTAG,
     RDF_LANGSTRING,
@@ -44,8 +45,6 @@ from .model import (
     Statement,
     Triple,
 )
-
-FRAME_DELIMITER = "#---"
 
 Source = Union[bytes, "os.PathLike[str]", str, IO[bytes]]
 
@@ -67,7 +66,8 @@ class ParsedLine(NamedTuple):
 # Line-level parsing
 # ---------------------------------------------------------------------------
 # Each lexical production is written once, as a regex fragment: below, or
-# in model for LANGTAG, which Literal checks as well.  One precompiled
+# in model for LANGTAG, which Literal checks as well, and for the characters
+# IRIREF excludes, which the writer escapes.  One precompiled
 # statement pattern built from them parses every valid line, but scans an
 # IRI token only to its first '>' (IRIREF holds no raw '>'): _node checks
 # each new token against IRIREF once.  A line the pattern declines, or whose
@@ -80,9 +80,6 @@ _ECHAR_VALUE = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"',
 _ECHAR = rf"\\[{re.escape(''.join(_ECHAR_VALUE))}]"
 _LABEL = r"[A-Za-z0-9_.-]"
 
-# IRIREF ::= '<' ([^#x00-#x20<>"{}|^`\] | UCHAR)* '>'; the writer escapes
-# the same characters.
-_IRI_EXCLUDED = r'\x00-\x20<>"{}|^`\\'
 _IRI_CHAR = rf"[^{_IRI_EXCLUDED}]"
 _IRI_TOKEN = rf"<{_IRI_CHAR}*(?:{_UCHAR}{_IRI_CHAR}*)*>"
 _IRIREF = re.compile(_IRI_TOKEN)
@@ -102,8 +99,8 @@ _SKIP_WS = re.compile(_WS)
 _CR_REASON = "carriage return (U+000D) line end; lines must end in LF or CRLF"
 
 # IRIs and blank nodes interned by token: a repeated one is built and checked
-# once.  Terms are immutable, so sharing is safe; at the cap the table empties.
-_INTERN_LIMIT = 4096
+# once.  Terms are immutable, so sharing is safe; at _INTERN_LIMIT entries
+# the table empties.
 _interned: dict[str, Iri | BlankNode] = {}
 
 
@@ -340,11 +337,6 @@ def _read_dir_stream(source: Source, framing: Framing) -> Iterator[Graph | Datas
     for name in names:
         # A member is one element: the loop reads '#---' as a comment.
         yield from _read_file(os.path.join(os.fspath(source), name), framing.quads_payload, "dir", name)
-
-
-# The class of a stream's items, by payload: what the classifier and the
-# writer accept.
-_ITEM_CLASS = {Payload.TRIPLES: Triple, Payload.QUADS: Quad, Payload.GRAPHS: Graph, Payload.DATASETS: Dataset}
 
 
 def write_flat_stream(statements: Iterable[Statement], framing: Framing) -> bytes:

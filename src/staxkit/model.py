@@ -16,6 +16,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .errors import MalformedIri
+from .framing import Payload
 
 RDF_LANGSTRING = "http://www.w3.org/1999/02/22-rdf-syntax-ns#langString"
 XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
@@ -35,6 +36,9 @@ _IRI_BAD_CHAR = rf"[{_IRI_BAD}]"
 _SURROGATE = re.compile(r"[\ud800-\udfff]")
 # The RDF 1.1 N-Triples LANGTAG production, without its leading '@'.
 LANGTAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
+# The characters IRIREF ::= '<' ([^#x00-#x20<>"{}|^`\] | UCHAR)* '>' holds
+# only as escapes, which the writer writes.
+_IRI_EXCLUDED = r'\x00-\x20<>"{}|^`\\'
 _LANGTAG_RE = re.compile(LANGTAG)
 # Datatype IRIs Literal has already checked, each mapped to its value as a
 # plain str: few distinct ones occur, and checking an IRI costs more than
@@ -394,3 +398,7 @@ class Dataset:
 
 
 Element = Graph | Dataset
+
+
+# The class of a stream's items, by payload: what the classifier and the writer accept.
+_ITEM_CLASS = {Payload.TRIPLES: Triple, Payload.QUADS: Quad, Payload.GRAPHS: Graph, Payload.DATASETS: Dataset}

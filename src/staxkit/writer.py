@@ -5,6 +5,13 @@ minimal literal escapes (\\" \\\\ \\n \\r \\t), datatype suffix omitted for
 xsd:string, UTF-8 throughout, '\\n' line endings.  read(write(s)) reproduces
 s exactly; write(read(f)) is byte-identical for files already canonical.
 
+The unit of work is the element: one loop (_texts) turns each graph or
+dataset into one string and builds no Quad, and turns a flat stream into
+batches of whole lines.  write_stream, write_dir_stream and the CLI's
+convert all write through it.  The same loop writes a stream re-framed by
+the extend and flatten relations, which change no statement: the graphs or
+datasets as read, with the output framing's delimiters.
+
 Only a call that writes imports this module: convert, and annotate's
 Turtle output for serialize_term.
 """
@@ -15,12 +22,11 @@ import contextlib
 import os
 import re
 from itertools import islice
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Iterable, Iterator
 
 from .errors import MixedPayload, OutputExists
-from .framing import Framing
-from .io import _INTERN_LIMIT, _IRI_EXCLUDED, _ITEM_CLASS, FRAME_DELIMITER
-from .model import XSD_STRING, BlankNode, Dataset, Graph, Iri, Literal, Quad, Statement, Term
+from .framing import _INTERN_LIMIT, FRAME_DELIMITER, Framing, Payload
+from .model import _IRI_EXCLUDED, _ITEM_CLASS, XSD_STRING, BlankNode, Element, Iri, Literal, Quad, Statement, Term
 
 _LITERAL_SPECIAL = re.compile(r'[\\"\n\r\t]')
 _LITERAL_ESC = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"})
@@ -32,25 +38,23 @@ def _escape_iri(value: str) -> str:
     return value.translate(_IRI_ESC) if _IRI_SPECIAL.search(value) else value
 
 
-def escape_literal(value: str) -> str:
-    return value.translate(_LITERAL_ESC) if _LITERAL_SPECIAL.search(value) else value
-
-
 def serialize_term(term: Term) -> str:
     # Terms are str and tuple values: concatenation and unpacking read them
-    # directly, where field properties would copy or call.
+    # directly, where field properties would copy or call.  Literals come
+    # first: a stream writer's text table holds every other term.
+    if isinstance(term, Literal):
+        lexical, datatype, language = term
+        if _LITERAL_SPECIAL.search(lexical):
+            lexical = lexical.translate(_LITERAL_ESC)
+        if language is not None:
+            return '"' + lexical + '"@' + language
+        if datatype != XSD_STRING:
+            return '"' + lexical + '"^^<' + _escape_iri(datatype) + ">"
+        return '"' + lexical + '"'
     if isinstance(term, Iri):
         return "<" + _escape_iri(term) + ">"
     if isinstance(term, BlankNode):
         return "_:" + term
-    if isinstance(term, Literal):
-        lexical, datatype, language = term
-        body = '"' + escape_literal(lexical) + '"'
-        if language is not None:
-            return body + "@" + language
-        if datatype != XSD_STRING:
-            return body + "^^<" + _escape_iri(datatype) + ">"
-        return body
     raise TypeError(f"not an RDF term: {term!r}")
 
 
@@ -64,20 +68,23 @@ def serialize_statement(statement: Statement) -> str:
     return f"{s} {p} {o} ."
 
 
-# Items of _lines joined into one sink write: 256 lines.  A few hundred
-# lines per write put the first bytes out early and keep one small chunk in
-# memory; larger chunks delay the first output.
-_CHUNK_ITEMS = 512
+# Statements per sink write of a flat stream: a few hundred lines put the
+# first bytes out early and keep one small chunk in memory.
+_CHUNK_LINES = 256
 
 
-def _statement_serializer() -> Callable[[Statement], str]:
-    """serialize_statement for one stream, keeping the text of each IRI and
-    blank node in a table that empties at _INTERN_LIMIT entries: io's
-    value, copied into this module's own name on import."""
+def _texts(items: Iterable, payload: Payload, framing: Framing) -> Iterator[str]:
+    """The text of payload items under framing: one str per element, in
+    Dataset.quads() order and, in a framed framing, led by '#---' after the
+    first; one per _CHUNK_LINES statements of a flat stream.
+    payload is framing's, or one that extend and flatten take to it.  Each
+    IRI and blank node is escaped once, its text kept in a table local to
+    the stream that empties at _INTERN_LIMIT entries.  An item not of
+    payload's class raises MixedPayload."""
     texts: dict[Iri | BlankNode, str] = {}
     get = texts.get
 
-    def text(term: Term) -> str:
+    def new(term: Term) -> str:
         out = serialize_term(term)
         if term.__class__ is Iri or term.__class__ is BlankNode:
             if len(texts) >= _INTERN_LIMIT:
@@ -85,67 +92,67 @@ def _statement_serializer() -> Callable[[Statement], str]:
             texts[term] = out
         return out
 
-    def serialize(statement: Statement) -> str:
-        s = get(statement[0]) or text(statement[0])
-        p = get(statement[1]) or text(statement[1])
-        o = get(statement[2]) or text(statement[2])
-        if isinstance(statement, Quad) and (g := statement[3]) is not None:
-            return f"{s} {p} {o} {get(g) or text(g)} ."
-        return f"{s} {p} {o} ."
+    def lines(triples: Iterable, tail: str) -> str:
+        body = tail.join([f"{get(s) or new(s)} {get(p) or new(p)} {get(o) or new(o)}" for s, p, o in triples])
+        return body + tail if body else ""
 
-    return serialize
+    kind = _ITEM_CLASS[payload]
+
+    def refuse(item) -> None:
+        raise MixedPayload(f"{framing.value} framing cannot serialize a {type(item).__name__}")
+
+    if payload.is_flat:
+        items = iter(items)
+        while batch := list(islice(items, _CHUNK_LINES)):
+            for statement in batch:
+                if not isinstance(statement, kind):
+                    refuse(statement)
+            if payload is Payload.TRIPLES:
+                yield lines(batch, " .\n")
+            else:
+                yield "".join([lines((q[:3],), " .\n" if q[3] is None else f" {get(q[3]) or new(q[3])} .\n")
+                               for q in batch])
+        return
+    delimiter = "" if framing.is_flat or framing.is_dir else FRAME_DELIMITER + "\n"
+    for i, element in enumerate(items):
+        if not isinstance(element, kind):
+            refuse(element)
+        if payload is Payload.GRAPHS:
+            text = lines(element, " .\n")
+        else:
+            text = lines(element.default_graph, " .\n")
+            for label, graph in element.named_items():
+                text += lines(graph, f" {get(label) or new(label)} .\n")
+        yield delimiter + text if i else text
 
 
-def _lines(items: Iterable, framing: Framing, serialize: Callable[[Statement], str]) -> Iterator[str]:
-    """The canonical text of a stream's items, line by line, each line and its
-    newline yielded apart, so every line is two items: one line per
-    statement, and a grouped framing's '#---' between elements.  An item of
-    the wrong class raises MixedPayload."""
-    kind = _ITEM_CLASS[framing.payload]
-    flat = framing.is_flat
-    for i, item in enumerate(items):
-        if not isinstance(item, kind):
-            where = f"{framing.value} framing" if flat else f"{kind.__name__.lower()} framing {framing.value}"
-            raise MixedPayload(f"{where} cannot serialize {'a ' if flat else ''}{type(item).__name__}")
-        if flat:
-            yield serialize(item)
-            yield "\n"
-            continue
-        if i:
-            yield FRAME_DELIMITER
-            yield "\n"
-        for statement in item.quads() if framing.quads_payload else item:
-            yield serialize(statement)
-            yield "\n"
-
-
-def _write_lines(lines: Iterator[str], sink: IO[bytes]) -> int:
-    """Encode lines to sink, one write per chunk of whole lines; the byte count."""
+def _write_texts(texts: Iterable[str], sink: IO[bytes]) -> int:
+    """Encode each text to sink in one write, skipping empty ones; the byte count."""
     written = 0
-    while True:
-        chunk = "".join(islice(lines, _CHUNK_ITEMS)).encode("utf-8")
-        if not chunk:
-            return written
-        sink.write(chunk)
-        written += len(chunk)
+    for text in texts:
+        if text:
+            data = text.encode("utf-8")
+            sink.write(data)
+            written += len(data)
+    return written
 
 
 def write_stream(items: Iterable, framing: Framing, sink: IO[bytes]) -> int:
     """Serialize a flat or framed stream canonically to a binary sink as it
     is read from items; returns the number of bytes written.
 
-    Each sink.write call carries a chunk of whole lines, so memory holds one
-    chunk, not the stream.  Each IRI and blank node is escaped once, its text
-    kept in a table local to the call that empties at _INTERN_LIMIT entries.
-    When an item fails, the chunks before it have been written already.
-    Item classes must match the framing's payload.  A framed stream has
-    '#---' between elements and none at its edges, so a stream of exactly
-    one empty element writes zero bytes and reads back as an empty stream;
-    every other boundary layout round-trips.
+    Each element is one sink write, made once it is read, and a flat stream
+    is written a few hundred whole lines at a time, so memory holds one
+    element or batch, not the stream.  When an item fails, what came before
+    it has been written already.  Item classes must match the framing's
+    payload.  A framed stream has '#---' between elements and
+    none at its edges, so a stream of exactly one empty element writes zero
+    bytes and reads back as an empty stream; every other boundary layout
+    round-trips.
     """
     if framing.is_dir:
         raise ValueError(f"write_stream needs a flat or framed framing, got {framing.value}")
-    return _write_lines(_lines(items, framing, _statement_serializer()), sink)
+    return _write_texts(_texts(items, framing.payload, framing), sink)
 
 
 def _member_stem(index: int) -> str:
@@ -156,7 +163,7 @@ def _member_stem(index: int) -> str:
 
 
 def write_dir_stream(
-    elements: Iterable[Graph | Dataset],
+    elements: Iterable[Element],
     framing: Framing,
     directory: "os.PathLike[str] | str",
 ) -> list[str]:
@@ -169,6 +176,11 @@ def write_dir_stream(
     """
     if not framing.is_dir:
         raise ValueError(f"write_dir_stream needs a dir framing, got {framing.value}")
+    return _write_members(_texts(elements, framing.payload, framing), framing, directory)
+
+
+def _write_members(texts: Iterable[str], framing: Framing, directory: "os.PathLike[str] | str") -> list[str]:
+    """write_dir_stream's work: one member file per element text."""
     directory = os.fspath(directory)
     ext = ".nq" if framing.quads_payload else ".nt"
     created = not os.path.isdir(directory)
@@ -178,15 +190,14 @@ def write_dir_stream(
             raise OutputExists(f"output directory {directory} already holds member {held}")
     os.makedirs(directory, exist_ok=True)
     names: list[str] = []
-    serialize = _statement_serializer()
     try:
-        for i, element in enumerate(elements):
+        for i, text in enumerate(texts):
             name = _member_stem(i) + ext
             with open(os.path.join(directory, name), "wb") as f:
                 # Recorded only once open() succeeds, so cleanup never removes
                 # a file this call could not open.
                 names.append(name)
-                _write_lines(_lines((element,), framing, serialize), f)
+                f.write(text.encode("utf-8"))
     except BaseException:
         for name in names:
             with contextlib.suppress(OSError):

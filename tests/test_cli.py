@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import io
 import json
@@ -5,9 +6,11 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from jsonschema import validate as schema_validate
 
 import staxkit.commands
@@ -22,10 +25,12 @@ from staxkit.errors import (
     UnknownType,
 )
 from staxkit.classify import classify_stream
-from staxkit.convert import payload_kind
+from staxkit.convert import convert, payload_kind
 from staxkit.framing import Framing
+from staxkit.io import read_flat_stream, read_grouped_stream
 from staxkit.model import BlankNode, Iri, Literal, Quad, Triple
 from staxkit.taxonomy import TypeKind, default_taxonomy, infer_closure
+from staxkit.writer import serialize_statement, write_dir_stream, write_stream
 from test_hygiene import readme_json_example
 
 TRIPLE_LINE = b"<http://ex.org/s%d> <http://ex.org/p> <http://ex.org/o%d> .\n"
@@ -219,6 +224,56 @@ def test_stdin_is_read_incrementally(argv, tmp_path, monkeypatch, capsysbinary):
     monkeypatch.setattr(sys, "stdin", LineOnlyStdin(data))
     assert main(argv + ["--input", "-"]) == 0
     assert capsysbinary.readouterr().out == from_path != b""
+
+
+class _CountingStdin:
+    """A stdin whose binary buffer yields lines and counts those handed out."""
+
+    def __init__(self, payload: bytes):
+        self.buffer = self
+        self.handed = 0
+        self._lines = payload.splitlines(keepends=True)
+
+    def __iter__(self):
+        for line in self._lines:
+            self.handed += 1
+            yield line
+
+
+class _RecordingStdout:
+    """A stdout whose binary buffer records each write with the number of
+    input lines read by then."""
+
+    def __init__(self, stdin: _CountingStdin):
+        self.buffer = self
+        self.writes = []
+        self._stdin = stdin
+
+    def write(self, data):
+        self.writes.append((self._stdin.handed, data))
+        return len(data)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize(
+    "to_type, delimiter",
+    [("flatQuadStream", b""), ("datasetStream", b"#---\n")],
+)
+def test_each_element_is_written_before_the_next_is_read(to_type, delimiter, monkeypatch):
+    # Lines 1-2, 4 and 7 hold elements 0, 1 and 3; lines 3, 5 and 6 end
+    # elements 0, 1 and 2 (empty); element 3 ends at the end of input.
+    data = framed_graphs(2, 1, 0, 1)
+    stdin = _CountingStdin(data)
+    stdout = _RecordingStdout(stdin)
+    monkeypatch.setattr(sys, "stdin", stdin)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    argv = ["convert", "--input", "-", "--output", "-", "--from", "graphStream", "--policy", "transitive"]
+    assert main(argv + ["--to", to_type]) == 0
+    elements = data.split(b"#---\n")
+    expected = [(3, elements[0]), (5, delimiter + elements[1]), (6, delimiter), (7, delimiter + elements[3])]
+    assert stdout.writes == [(n, text) for n, text in expected if text]
 
 
 def test_default_framing_carries_the_payload_of_every_concrete_type(tmp_path):
@@ -796,6 +851,100 @@ class TestConvert:
             "stax-kit: SchemaError: concrete type leafStream must be or narrow exactly one of "
             "flatTripleStream, flatQuadStream, graphStream, datasetStream, found 0\n"
         )
+
+
+# CLI convert against the library: main(['convert', ...]) must write what
+# write_stream / write_dir_stream write for convert(read(...)) of the same
+# input, for every concrete (from, to) pair under both policies.  A small
+# term pool makes repeated statements, shared blank nodes and several named
+# graphs per element common; one literal needs every escape.
+CONCRETE = [t for t, v in default_taxonomy().types.items() if v.kind is TypeKind.CONCRETE]
+_SUBJECTS = [Iri("http://ex.org/a"), Iri("http://ex.org/{b}"), BlankNode("b0")]
+_OBJECTS = _SUBJECTS + [BlankNode("b1"), Literal('say "hi"\n\t\\'), Literal("v", language="en"),
+                        Literal("1", "http://www.w3.org/2001/XMLSchema#integer")]
+_LABELS = [None, Iri("http://ex.org/g1"), Iri("http://ex.org/g|2"), BlankNode("b0")]
+
+
+def _statement_lines(quads: bool):
+    label = st.sampled_from(_LABELS) if quads else st.none()
+    return st.builds(
+        lambda s, p, o, g: serialize_statement(Quad(s, p, o, g) if quads else Triple(s, p, o)) + "\n",
+        st.sampled_from(_SUBJECTS), st.sampled_from(_SUBJECTS[:2]), st.sampled_from(_OBJECTS), label,
+    )
+
+
+class _BinaryStdout:
+    """A stdout whose binary buffer keeps what the writer puts there."""
+
+    def __init__(self):
+        self.buffer = io.BytesIO()
+
+    def write(self, text):
+        self.buffer.write(text.encode())
+
+    def flush(self):
+        pass
+
+
+def _members(directory: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())} if directory.exists() else {}
+
+
+@pytest.mark.parametrize("policy", ["strict", "transitive"])
+@pytest.mark.parametrize("to_type", CONCRETE)
+@pytest.mark.parametrize("from_type", CONCRETE)
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_cli_convert_writes_what_the_library_writes(from_type, to_type, policy, data):
+    inferred = infer_closure(default_taxonomy())
+    source, target = payload_kind(inferred, from_type), payload_kind(inferred, to_type)
+    lines = _statement_lines(source.quads)
+    if source.is_flat:
+        elements = [data.draw(st.lists(lines, max_size=12), label="statements")]
+        in_layout = "flat"
+    else:
+        elements = data.draw(st.lists(st.lists(lines, max_size=5), max_size=4), label="elements")
+        in_layout = data.draw(st.sampled_from(["framed", "dir"]), label="input layout")
+    out_layout, output = data.draw(st.sampled_from(
+        [("flat", "-"), ("flat", "out")] if target.is_flat else [("framed", "-"), ("framed", "out"), ("dir", "out")]
+    ), label="output")
+    batch_size = data.draw(st.sampled_from([None, 1, 3]), label="batch size")
+    in_framing, out_framing = Framing(f"{in_layout}-{source.value}"), Framing(f"{out_layout}-{target.value}")
+    try:
+        convert([], from_type, to_type, inferred, policy, batch_size)
+        refused = None
+    except NoConversionPath as exc:
+        refused = exc
+    with tempfile.TemporaryDirectory() as scratch:
+        path, out = Path(scratch) / "in", Path(scratch) / "out"
+        if in_framing.is_dir:
+            path.mkdir()
+            for i, element in enumerate(elements):
+                (path / f"{i:05d}{'.nq' if source.quads else '.nt'}").write_text("".join(element), encoding="utf-8")
+        else:
+            path.write_text("#---\n".join("".join(e) for e in elements), encoding="utf-8")
+        argv = ["convert", "--input", str(path), "--input-framing", in_framing.value, "--output-framing",
+                out_framing.value, "--output", output if output == "-" else str(out),
+                "--from", from_type, "--to", to_type, "--policy", policy]
+        argv += [] if batch_size is None else ["--batch-size", str(batch_size)]
+        stdout, stderr = _BinaryStdout(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        if refused is not None:
+            assert (code, stderr.getvalue()) == (1, f"stax-kit: {refused}\n")
+            assert stdout.buffer.getvalue() == b"" and not out.exists()
+            return
+        assert code == 0, stderr.getvalue()
+        read = read_flat_stream if in_framing.is_flat else read_grouped_stream
+        items = convert(read(path, in_framing), from_type, to_type, inferred, policy, batch_size)
+        if out_framing.is_dir:
+            expected = Path(scratch) / "expected"
+            write_dir_stream(items, out_framing, expected)
+            assert _members(out) == _members(expected)
+            return
+        sink = io.BytesIO()
+        write_stream(items, out_framing, sink)
+        assert (stdout.buffer.getvalue() if output == "-" else out.read_bytes()) == sink.getvalue()
 
 
 def cli_env():

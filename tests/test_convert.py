@@ -1,6 +1,8 @@
+import contextlib
 import json
 import random
 import tracemalloc
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ import staxkit.io
 from oracles import oracle_project
 from streamgen import EX, gen_quad, gen_triple, gen_unique_statements
 from staxkit.classify import classify_stream
+from staxkit.cli import main
 from staxkit.convert import (
     convert,
     extend,
@@ -396,7 +399,7 @@ TRIPLES_PER_ELEMENT = 25
 
 
 def _traced_convert_peak(path):
-    """The tracemalloc peak of the CLI's read -> convert -> write_stream chain."""
+    """The tracemalloc peak of the library's read -> convert -> write_stream chain."""
     staxkit.io._interned.clear()  # each run fills the bounded intern table afresh
     tracemalloc.start()
     try:
@@ -408,7 +411,24 @@ def _traced_convert_peak(path):
         tracemalloc.stop()
 
 
-def test_convert_memory_does_not_grow_with_the_stream(tmp_path):
+def _traced_cli_convert_peak(path):
+    """The tracemalloc peak of the CLI's convert of framed graphs to flat
+    quads on stdout: extend and flatten, written as a re-framing."""
+    staxkit.io._interned.clear()
+    stdout = types.SimpleNamespace(buffer=_Discard(), flush=lambda: None)
+    argv = ["convert", "--input", str(path), "--output", "-", "--from", "graphStream",
+            "--to", "flatQuadStream", "--policy", "transitive"]
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(stdout):
+            assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _peaks_at_1x_and_10x(traced_peak, tmp_path):
+    """traced_peak of framed graph streams of 100 and 1,000 elements."""
     # Every IRI is new, so the 1x stream already fills the intern table:
     # what is left to grow is the state the chain should not keep.
     elements = 100
@@ -425,5 +445,15 @@ def test_convert_memory_does_not_grow_with_the_stream(tmp_path):
                 for i in range(elements * scale)
             )
         )
-        peaks.append(_traced_convert_peak(path))
+        peaks.append(traced_peak(path))
+    return peaks
+
+
+def test_convert_memory_does_not_grow_with_the_stream(tmp_path):
+    peaks = _peaks_at_1x_and_10x(_traced_convert_peak, tmp_path)
+    assert peaks[1] < 1.1 * peaks[0], peaks
+
+
+def test_cli_convert_memory_does_not_grow_with_the_stream(tmp_path):
+    peaks = _peaks_at_1x_and_10x(_traced_cli_convert_peak, tmp_path)
     assert peaks[1] < 1.1 * peaks[0], peaks

@@ -433,6 +433,16 @@ def test_convert_loads_the_writer_but_not_the_locator(homes, tmp_path):
     assert homes["locator"] not in loaded
 
 
+def test_annotate_loads_the_writer_but_not_the_reader(homes, tmp_path):
+    # The Turtle output serializes terms; the framing constants the reader
+    # and the writer share must not bring the reader along.
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"usages": [{"streamType": "graphStream"}]}))
+    loaded = modules_loaded_by(cli_call("annotate", "--manifest", str(manifest)))
+    assert homes["writer"] in loaded
+    assert "staxkit.io" not in loaded
+
+
 def test_the_module_entry_point_is_not_imported_a_second_time(homes, tmp_path):
     # Under `python -m` the CLI module runs as __main__; a package module
     # that imported staxkit.cli would compile and run it once more.

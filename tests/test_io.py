@@ -2,6 +2,8 @@ import os
 import random
 import re
 import tempfile
+from io import BytesIO
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -21,6 +23,7 @@ import staxkit.writer
 from staxkit.cli import main
 from staxkit.convert import flatten_graphs
 from staxkit.errors import MalformedIri, MixedPayload, OutputExists, ParseError
+from staxkit.framing import Payload
 from staxkit.io import (
     FRAME_DELIMITER,
     Framing,
@@ -1153,6 +1156,35 @@ def test_writers_equal_serialize_statement(limit, monkeypatch, tmp_path):
         directory = tmp_path / ("quads" if quads else "triples")
         names = write_dir_stream(elements, Framing.DIR_DATASETS if quads else Framing.DIR_GRAPHS, directory)
         assert [(directory / n).read_bytes() for n in names] == [t.encode() for t in texts]
+
+
+_ORDER_NODES = [Iri(EX + "a"), Iri(EX + "{b}"), BlankNode("b0")]
+_ORDER_GRAPHS = st.lists(
+    st.builds(Triple, st.sampled_from(_ORDER_NODES), st.just(Iri(EX + "p")),
+              st.sampled_from([*_ORDER_NODES, Literal("x\ny")])),
+    max_size=4,
+).map(Graph)
+_DATASETS = st.builds(
+    lambda default, named: Dataset(default, named),
+    _ORDER_GRAPHS,
+    st.dictionaries(st.sampled_from([Iri(EX + "g1"), Iri(EX + "g|2"), BlankNode("b0"), Iri(EX + "a")]),
+                    _ORDER_GRAPHS, max_size=3),
+)
+
+
+@given(st.lists(_DATASETS, max_size=4))
+def test_property_dataset_writers_follow_the_quads_order(datasets):
+    # README: the order of Dataset.quads(), which flattening and every
+    # dataset writer use.  The writers serialize whole graphs, not quads,
+    # and drop empty named graphs.
+    texts = ["".join(serialize_statement(q) + "\n" for q in d.quads()) for d in datasets]
+    assert framed_bytes(datasets, Framing.FRAMED_DATASETS) == "#---\n".join(texts).encode()
+    flat = BytesIO()
+    staxkit.writer._write_texts(staxkit.writer._texts(datasets, Payload.DATASETS, Framing.FLAT_QUADS), flat)
+    assert flat.getvalue() == "".join(texts).encode()
+    with tempfile.TemporaryDirectory() as directory:
+        names = write_dir_stream(datasets, Framing.DIR_DATASETS, directory)
+        assert [Path(directory, n).read_bytes() for n in names] == [t.encode() for t in texts]
 
 
 # The writers serialize every field as a term: the constructors let no
