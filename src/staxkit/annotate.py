@@ -4,15 +4,15 @@ A manifest declares which stream types a dataset is published as.  The
 consistency check enforces two rules over the declared set:
 
 1. every grouped-side/flat-side pair of usages must be convertible into
-   one another (flatten one way or group the other; under the transitive
-   policy any conversion path will do);
+   one another, one way or the other;
 2. usages on the same side must be redundant, i.e. related by the broader
    hierarchy.
 
 The cross check compares declarations against a classification report of
-the actual data.  Turtle emission reproduces the usage pattern: a subject
-typed dcat:Dataset carrying one bracketed RdfStreamTypeUsage node per
-declared type.
+the actual data.  Both checks ask taxonomy.conversion_path, the planner
+convert runs, whether one type is usable as another under the policy.
+Turtle emission reproduces the usage pattern: a subject typed dcat:Dataset
+carrying one bracketed RdfStreamTypeUsage node per declared type.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .taxonomy import (
     TypeKind,
     conversion_path,
     default_taxonomy,
-    relates,
 )
 
 if TYPE_CHECKING:
@@ -203,16 +202,10 @@ def validate_usages(
                     )
                 continue
             grouped, flat = (a, b) if side_a == "grouped" else (b, a)
-            if policy == "strict":
-                ok = relates(inferred, "flatten", grouped, flat) or relates(
-                    inferred, "group", flat, grouped
-                )
-            else:
-                ok = (
-                    conversion_path(inferred, grouped, flat, "transitive") is not None
-                    or conversion_path(inferred, flat, grouped, "transitive") is not None
-                )
-            if not ok:
+            if (
+                conversion_path(inferred, grouped, flat, policy) is None
+                and conversion_path(inferred, flat, grouped, policy) is None
+            ):
                 violations.append(
                     Violation(
                         "pair-relation",
@@ -228,40 +221,33 @@ def cross_check(
     manifest: AnnotationManifest,
     report: ClassificationReport,
     inferred: InferredTaxonomy,
+    policy: str = "strict",
 ) -> ValidationReport:
     """Compare declared usages against a classification of the actual data.
 
-    A usage passes when its type conforms directly, or when some conforming
-    type converts into it along an inferred flatten/group/extend edge.
+    A usage passes when its type conforms directly, or when conversion_path
+    plans a conversion into it under the policy from a conforming type; the
+    first such type in report order is named with the plan's steps.
     """
     entries: list[CrossCheckEntry] = []
-    conforming = set(report.conforming)
     for usage in manifest.usages:
         declared = usage.stream_type
-        if declared in conforming:
+        if declared in report.conforming:
             entries.append(CrossCheckEntry(declared, True, "declared type conforms directly"))
             continue
-        via = None
-        for rel in ("flatten", "group", "extend"):
-            for c in report.conforming:
-                if relates(inferred, rel, c, declared):
-                    via = (c, rel)
-                    break
-            if via:
+        for c in report.conforming:
+            steps = conversion_path(inferred, c, declared, policy)
+            if steps is not None:
+                via = ", ".join(s.relation for s in steps) or "broader"
+                entries.append(CrossCheckEntry(declared, True, f"conforming {c} reaches it via {via}"))
                 break
-        if via:
-            entries.append(
-                CrossCheckEntry(
-                    declared, True, f"conforming {via[0]} reaches it via {via[1]}"
-                )
-            )
-            continue
-        fv = report.first_violation.get(declared)
-        if fv is not None:
-            msg = f"data violates {declared} at element {fv.element_index}: {fv.reason}"
         else:
-            msg = "no conforming type converts into it"
-        entries.append(CrossCheckEntry(declared, False, msg))
+            fv = report.first_violation.get(declared)
+            if fv is not None:
+                msg = f"data violates {declared} at element {fv.element_index}: {fv.reason}"
+            else:
+                msg = "no conforming type converts into it"
+            entries.append(CrossCheckEntry(declared, False, msg))
     return ValidationReport((), tuple(entries))
 
 

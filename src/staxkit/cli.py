@@ -30,7 +30,6 @@ from .errors import (
     AbstractType,
     InvalidBatchSize,
     NoConversionPath,
-    ParseError,
     StaxError,
     UnknownStreamType,
     UnknownType,
@@ -186,14 +185,6 @@ def _cmd_taxonomy(args: argparse.Namespace, taxonomy: Taxonomy) -> int:
     return 0
 
 
-def _cmd_data(args: argparse.Namespace, taxonomy: Taxonomy) -> int:
-    """classify, convert, annotate or validate, from the module that holds
-    them, imported only now."""
-    from .commands import COMMANDS
-
-    return COMMANDS[args.command](args, taxonomy)
-
-
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
@@ -209,33 +200,24 @@ _EXIT_CODES = {
 }
 
 
-# The handler of each subcommand: it takes the parsed arguments and the
-# active taxonomy, and returns the exit code.
-_COMMANDS = {
-    "classify": _cmd_data,
-    "convert": _cmd_data,
-    "taxonomy": _cmd_taxonomy,
-    "annotate": _cmd_data,
-    "validate": _cmd_data,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = _COMMANDS[args.command](args, _active_taxonomy())
+        # Each handler takes the parsed arguments and the active taxonomy and
+        # returns the exit code; commands is imported only to dispatch its own.
+        if args.command == "taxonomy":
+            command = _cmd_taxonomy
+        else:
+            from .commands import COMMANDS
+
+            command = COMMANDS[args.command]
+        code = command(args, _active_taxonomy())
         # Flushed here, a closed stdout meets the handler below and not the
         # flush at exit, which would print its error and exit 120.
         sys.stdout.flush()
         return code
     except StaxError as exc:
-        if isinstance(exc, ParseError) and exc.member is None and "-" in (
-            getattr(args, "input", None),
-            getattr(args, "data", None),
-        ):
-            # The readers name a path; standard input is '-'.
-            exc = ParseError(exc.line, exc.column, exc.reason, member="-")
         code = next((_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES), 3)
         name = f"{type(exc).__name__}: " if code == 3 else ""
         print(f"stax-kit: {name}{exc}", file=sys.stderr)

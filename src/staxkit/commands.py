@@ -15,9 +15,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .errors import MalformedIri, MixedPayload
+from .errors import MalformedIri, MixedPayload, ParseError
 from .framing import Framing, Payload
 from .taxonomy import Taxonomy, _read_text, infer_closure
 
@@ -25,13 +25,28 @@ if TYPE_CHECKING:
     from .classify import ClassificationReport
 
 
-def _read_source(path: str, framing: Framing):
-    """Path or the binary stdin stream, ready for the io readers."""
-    if path == "-":
-        if framing.is_dir:
-            raise MixedPayload("directory framings cannot read standard input")
-        return sys.stdin.buffer
-    return path
+def _items(path: str, framing: Framing) -> Iterator:
+    """The statements or elements of path, or of standard input for '-', read lazily.
+
+    A directory framing on standard input is refused at once, before any
+    later check of the caller; a ParseError read from standard input names
+    it '-', as the reader names a path.
+    """
+    from .io import read_flat_stream, read_grouped_stream
+
+    read = read_flat_stream if framing.is_flat else read_grouped_stream
+    if path != "-":
+        return read(path, framing)
+    if framing.is_dir:
+        raise MixedPayload("directory framings cannot read standard input")
+    return _named_dash(read(sys.stdin.buffer, framing))
+
+
+def _named_dash(items: Iterator) -> Iterator:
+    try:
+        yield from items
+    except ParseError as exc:
+        raise ParseError(exc.line, exc.column, exc.reason, member="-") from None
 
 
 def _print_json(doc: dict) -> None:
@@ -62,15 +77,18 @@ def _cmd_classify(args: argparse.Namespace, taxonomy: Taxonomy) -> int:
     cfg = ClassifierConfig(**kwargs)
     if args.expect is not None:
         taxonomy.type(args.expect)  # unknown names are usage errors
-    report = classify_stream(_read_source(args.input, framing), framing, cfg, inferred)
+    report = classify_stream(_items(args.input, framing), framing, cfg, inferred)
     if args.json:
         _print_json(report.to_dict())
     else:
         _print_report(report)
-    if args.expect is not None and args.expect not in report.conforming:
+    if args.expect is None or args.expect in report.conforming:
+        return 0
+    if args.expect not in report.applicable:
+        print(f"stax-kit: {args.expect} does not apply to {framing.value} streams", file=sys.stderr)
+    else:
         print(f"stax-kit: stream does not conform to {args.expect}", file=sys.stderr)
-        return 1
-    return 0
+    return 1
 
 
 def _print_report(report: ClassificationReport) -> None:
@@ -110,7 +128,6 @@ def _framing_for(payload: Payload, path: str, override: str | None, flag: str) -
 
 def _cmd_convert(args: argparse.Namespace, taxonomy: Taxonomy) -> int:
     from .convert import convert, payload_kind, plan
-    from .io import read_flat_stream, read_grouped_stream
     from .writer import _texts, _write_members, _write_texts
 
     inferred = infer_closure(taxonomy)
@@ -118,12 +135,7 @@ def _cmd_convert(args: argparse.Namespace, taxonomy: Taxonomy) -> int:
     to_payload = payload_kind(inferred, args.to_type)
     in_framing = _framing_for(from_payload, args.input, args.input_framing, "--input-framing")
     out_framing = _framing_for(to_payload, args.output, args.output_framing, "--output-framing")
-
-    source = _read_source(args.input, in_framing)
-    if in_framing.is_flat:
-        items = read_flat_stream(source, in_framing)
-    else:
-        items = read_grouped_stream(source, in_framing)
+    items = _items(args.input, in_framing)
     payload = from_payload
     if "group" in plan(args.from_type, args.to_type, inferred, args.policy, args.batch_size):
         items = convert(items, args.from_type, args.to_type, inferred, args.policy, args.batch_size)
@@ -209,10 +221,8 @@ def _cmd_validate(args: argparse.Namespace, taxonomy: Taxonomy) -> int:
     report = validate_usages(manifest, inferred, args.policy)
     if args.data is not None:
         framing = Framing(args.framing)
-        classification = classify_stream(
-            _read_source(args.data, framing), framing, ClassifierConfig(), inferred
-        )
-        checked = cross_check(manifest, classification, inferred)
+        classification = classify_stream(_items(args.data, framing), framing, ClassifierConfig(), inferred)
+        checked = cross_check(manifest, classification, inferred, args.policy)
         report = ValidationReport(report.violations, checked.cross_check)
     if args.json:
         _print_json(report.to_dict())

@@ -19,12 +19,13 @@ from staxkit.annotate import (
 from staxkit.classify import classify_stream
 from staxkit.errors import EmptyUsages, SchemaError, UnknownStreamType
 from staxkit.io import Framing
-from staxkit.model import Dataset, Graph, Iri, Literal, Triple
-from staxkit.taxonomy import STAX_NS, default_taxonomy, infer_closure
+from staxkit.model import Dataset, Graph, Iri, Literal, Quad, Triple
+from staxkit.taxonomy import STAX_NS, TypeKind, default_taxonomy, infer_closure
 
 C = infer_closure(default_taxonomy())
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
+XSD_DATETIME = "http://www.w3.org/2001/XMLSchema#dateTime"
 CONCRETE = [
     "graphStream",
     "subjectGraphStream",
@@ -276,6 +277,120 @@ class TestCrossCheck:
                 "message": "declared type conforms directly",
             }
         ]
+
+
+def usable_as(sources, target, policy):
+    """A test-side search of whether data of the source types can be used as
+    target.  strict: one flatten/group/extend closure step or a broader
+    upcast.  transitive: a breadth-first search over those closure steps
+    that ends at target or at a type narrower than it."""
+    steps = C.flatten_closure | C.group_closure | C.extend_closure
+
+    def done(t):
+        return t == target or (t, target) in C.broader_closure
+
+    if policy == "strict":
+        return any(done(t) or (t, target) in steps for t in sources)
+    queue, seen = list(sources), set(sources)
+    for t in queue:
+        if done(t):
+            return True
+        for a, b in steps:
+            if a == t and b not in seen:
+                seen.add(b)
+                queue.append(b)
+    return False
+
+
+def _t(s, o):
+    return Triple(Iri(f"http://ex.org/{s}"), Iri("http://ex.org/p"), Iri(f"http://ex.org/{o}"))
+
+
+def _named(*names, stamp=None):
+    """A dataset of one small named graph per name, the first stamped if stamp is given."""
+    default = []
+    if stamp is not None:
+        prov = Iri("http://www.w3.org/ns/prov#generatedAtTime")
+        default.append(Triple(Iri(f"http://ex.org/{names[0]}"), prov, Literal(stamp, datatype=XSD_DATETIME)))
+    named = [(Iri(f"http://ex.org/{n}"), Graph([_t("s", "o")])) for n in names]
+    return Dataset(default_graph=Graph(default), named_graphs=named)
+
+
+# One stream for every conforming set the built-in framings produce.
+STREAMS = [
+    ([Graph([_t("s", "o")])], Framing.FRAMED_GRAPHS),
+    ([Graph([_t("s", "a")]), Graph([_t("s", "b")])], Framing.FRAMED_GRAPHS),
+    ([_named("g1", stamp="2024-01-01T00:00:00Z")], Framing.FRAMED_DATASETS),
+    ([_named("g1")], Framing.FRAMED_DATASETS),
+    ([_named("g1", "g2")], Framing.FRAMED_DATASETS),
+    ([_t("s", "o")], Framing.FLAT_TRIPLES),
+    ([Quad(*_t("s", "o"), Iri("http://ex.org/g"))], Framing.FLAT_QUADS),
+]
+REPORTS = [classify_stream(items, framing) for items, framing in STREAMS]
+GROUPED_FLAT = [
+    (g, f) for g in CONCRETE for f in CONCRETE
+    if C.taxonomy.side(g) == "grouped" and C.taxonomy.side(f) == "flat"
+]
+
+
+class TestUsableAs:
+    def test_the_streams_produce_every_conforming_set(self):
+        # every non-empty subset of a framing's types that holds each broader one
+        def closed(types):
+            return all((t, u) not in C.broader_closure or u in types for t in types for u in CONCRETE)
+
+        expected = set()
+        for applicable in {r.applicable for r in REPORTS}:
+            for n in range(1, 2 ** len(applicable)):
+                subset = tuple(t for i, t in enumerate(applicable) if n >> i & 1)
+                if closed(subset):
+                    expected.add(subset)
+        assert sorted(r.conforming for r in REPORTS) == sorted(expected)
+        assert len(expected) == 7
+
+    @pytest.mark.parametrize("policy", ["strict", "transitive"])
+    @pytest.mark.parametrize("declared", CONCRETE)
+    def test_cross_check_passes_exactly_when_the_search_finds_a_path(self, declared, policy):
+        for report in REPORTS:
+            entry = cross_check(manifest(declared), report, C, policy).cross_check[0]
+            assert entry.passed == usable_as(report.conforming, declared, policy), report.conforming
+            if entry.passed and declared not in report.conforming:
+                assert re.fullmatch(r"conforming \w+ reaches it via \w+(, \w+)*", entry.message)
+
+    def test_the_transitive_policy_passes_three_more_rows(self):
+        gained = [
+            (r.conforming, declared)
+            for r in REPORTS
+            for declared in CONCRETE
+            if cross_check(manifest(declared), r, C, "transitive").cross_check_passed
+            and not cross_check(manifest(declared), r, C).cross_check_passed
+        ]
+        assert gained == [
+            (("graphStream", "subjectGraphStream"), "flatQuadStream"),
+            (("graphStream",), "flatQuadStream"),
+            (("flatTripleStream",), "datasetStream"),
+        ]
+        entry = cross_check(manifest("flatQuadStream"), REPORTS[1], C, "transitive").cross_check[0]
+        assert entry.message == "conforming graphStream reaches it via extend, flatten"
+
+    @pytest.mark.parametrize("policy", ["strict", "transitive"])
+    @pytest.mark.parametrize("grouped, flat", GROUPED_FLAT)
+    def test_a_pair_is_consistent_exactly_when_the_search_finds_a_path(self, grouped, flat, policy):
+        ok = usable_as([grouped], flat, policy) or usable_as([flat], grouped, policy)
+        for pair in ((grouped, flat), (flat, grouped)):
+            report = validate_usages(manifest(*pair), C, policy)
+            assert report.violations == (() if ok else (
+                Violation(
+                    "pair-relation",
+                    (grouped, flat),
+                    f"{grouped} does not flatten into {flat} and {flat} does not group into {grouped}",
+                ),
+            ))
+
+    def test_every_concrete_type_is_covered(self):
+        concrete = [t for t in C.taxonomy.type_ids() if C.taxonomy.type(t).kind is TypeKind.CONCRETE]
+        assert sorted(concrete) == sorted(CONCRETE)
+        assert len(GROUPED_FLAT) == 10
 
 
 class TestEmitTurtle:

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from jsonschema import validate as schema_validate
 
+import staxkit.cli
 import staxkit.commands
-from staxkit.cli import _COMMANDS, main
+from staxkit.cli import main
 from staxkit.commands import _framing_for
 from staxkit.errors import (
     AbstractType,
@@ -352,6 +353,21 @@ class TestClassify:
         )
         assert code == 1
         assert "does not conform" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "data, framing, expect",
+        [
+            (framed_graphs(1, 1), "framed-graphs", "flatTripleStream"),
+            (flat_triples(1), "flat-triples", "graphStream"),
+            (timestamped_datasets("2024-01-01T00:00:00Z"), "framed-datasets", "subjectGraphStream"),
+        ],
+        ids=["graphs", "triples", "datasets"],
+    )
+    def test_expect_of_a_type_the_framing_does_not_apply_to(self, data, framing, expect, tmp_path, capsys):
+        f = tmp_path / "data.bin"
+        f.write_bytes(data)
+        assert main(["classify", "--input", str(f), "--framing", framing, "--expect", expect]) == 1
+        assert capsys.readouterr().err == f"stax-kit: {expect} does not apply to {framing} streams\n"
 
     def test_expect_unknown_type_is_usage_error(self, tmp_path, capsys):
         f = tmp_path / "data.nt"
@@ -1028,7 +1044,7 @@ def test_every_stax_error_gives_its_exit_code_and_one_line(cls, capsys, monkeypa
     def command(args, taxonomy):
         raise exc
 
-    monkeypatch.setitem(_COMMANDS, "taxonomy", command)
+    monkeypatch.setattr(staxkit.cli, "_cmd_taxonomy", command)
     code = main(["taxonomy", "closure"])
     # UnknownStreamType is a manifest's data error although it is an UnknownType
     assert code == EXIT_CODES.get(cls, 3)
@@ -1099,18 +1115,39 @@ class TestParseErrorsNameTheInput:
         err = capsys.readouterr().err
         assert err == f"stax-kit: ParseError: {f}: line 2, column 37: expected IRI, blank node, or literal\n"
 
-    @pytest.mark.parametrize("command", ["classify", "validate"])
+    @pytest.mark.parametrize("command", ["classify", "validate", "convert"])
     def test_stdin_is_named_dash(self, command, tmp_path, monkeypatch, capsys):
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps(MANIFEST_OK))
         argv = {
             "classify": ["classify", "--input", "-", "--framing", "flat-triples"],
             "validate": ["validate", "--manifest", str(manifest), "--data", "-", "--framing", "flat-triples"],
+            "convert": ["convert", "--input", "-", "--output", "-", "--from", "flatTripleStream", "--to", "flatQuadStream"],
         }[command]
         monkeypatch.setattr(sys, "stdin", LineOnlyStdin(self.BAD))
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err == "stax-kit: ParseError: -: line 2, column 37: expected IRI, blank node, or literal\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--input", "-", "--framing", "dir-graphs"],
+            ["validate", "--manifest", "{manifest}", "--data", "-", "--framing", "dir-datasets"],
+            ["convert", "--input", "-", "--input-framing", "dir-graphs", "--output", "-",
+             "--from", "graphStream", "--to", "flatTripleStream"],
+            # no strict plan either: standard input is refused first
+            ["convert", "--input", "-", "--input-framing", "dir-graphs", "--output", "-",
+             "--from", "graphStream", "--to", "flatQuadStream"],
+        ],
+        ids=["classify", "validate", "convert", "convert-without-plan"],
+    )
+    def test_directory_framings_refuse_stdin(self, argv, tmp_path, monkeypatch, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(MANIFEST_OK))
+        monkeypatch.setattr(sys, "stdin", LineOnlyStdin(flat_triples(1)))
+        assert main([a.format(manifest=manifest) for a in argv]) == 3
+        assert capsys.readouterr().err == "stax-kit: MixedPayload: directory framings cannot read standard input\n"
 
     @pytest.mark.parametrize(
         "data, framing, message",
@@ -1328,6 +1365,20 @@ class TestValidate:
         doc = json.loads(capsys.readouterr().out)
         assert doc["consistent"] is True
         assert not doc["crossCheck"][0]["pass"]
+
+    @pytest.mark.parametrize("policy, code, verdict", [
+        ("strict", 1, "fail (no conforming type converts into it)"),
+        ("transitive", 0, "pass (conforming graphStream reaches it via extend, flatten)"),
+    ])
+    def test_cross_check_follows_the_policy(self, policy, code, verdict, tmp_path, capsys):
+        # convert --policy transitive turns these graphs into a flatQuadStream
+        m = tmp_path / "manifest.json"
+        data = tmp_path / "data.bin"
+        m.write_text(json.dumps(MANIFEST_BAD_PAIR))
+        data.write_bytes(framed_graphs(1, 2))
+        argv = ["validate", "--manifest", str(m), "--data", str(data), "--framing", "framed-graphs"]
+        assert main(argv + ["--policy", policy]) == code
+        assert f"  flatQuadStream: {verdict}\n" in capsys.readouterr().out
 
     def test_data_without_framing_is_usage_error(self, tmp_path, capsys):
         m = tmp_path / "manifest.json"

@@ -216,6 +216,33 @@ def test_one_function_builds_the_classification_report():
     )) == ["", "a"]
 
 
+_INPUT_NAMES = {"read_flat_stream", "read_grouped_stream"}
+
+
+def input_openers(tree: ast.Module) -> list[str]:
+    """The function around each use of sys.stdin or of an io reader, an import included."""
+    return enclosing_functions(tree, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == "stdin"
+        and isinstance(node.value, ast.Name) and node.value.id == "sys"
+        or isinstance(node, ast.Name) and node.id in _INPUT_NAMES
+        or isinstance(node, ast.alias) and node.name in _INPUT_NAMES
+    ))
+
+
+def test_one_function_opens_the_input_of_every_data_subcommand():
+    # classify, convert and validate --data read their input through one function.
+    openers = input_openers(ast.parse((SRC / "commands.py").read_text(encoding="utf-8")))
+    assert len(set(openers)) == 1 and openers[0], f"the input is opened in {openers}"
+    assert input_openers(ast.parse(
+        "import sys\n"
+        "from .io import read_flat_stream\n"
+        "def a(): return sys.stdin.buffer\n"
+        "def b(): return read_grouped_stream\n"
+        "def c(): from .io import read_flat_stream\n"
+        "def d(): return sys.stdout\n"
+    )) == ["", "a", "b", "c"]
+
+
 def test_dead_name_is_reported():
     module = ast.parse(
         "__all__ = ['exported']\n"
