@@ -206,14 +206,11 @@ def validate_usages(
                 conversion_path(inferred, grouped, flat, policy) is None
                 and conversion_path(inferred, flat, grouped, policy) is None
             ):
-                violations.append(
-                    Violation(
-                        "pair-relation",
-                        (grouped, flat),
-                        f"{grouped} does not flatten into {flat} and {flat} does not "
-                        f"group into {grouped}",
-                    )
-                )
+                if policy == "strict":
+                    message = f"{grouped} does not flatten into {flat} and {flat} does not group into {grouped}"
+                else:
+                    message = f"no chain of conversions reaches {flat} from {grouped} or {grouped} from {flat}"
+                violations.append(Violation("pair-relation", (grouped, flat), message))
     return ValidationReport(tuple(violations))
 
 

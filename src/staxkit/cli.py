@@ -57,19 +57,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def classifier_options(p: argparse.ArgumentParser) -> None:
+        """The classifier options classify and validate share."""
+        p.add_argument(
+            "--timestamp-predicate",
+            action="append",
+            default=[],
+            metavar="IRI",
+            help="timestamp predicate IRI (repeatable; default prov:generatedAtTime)",
+        )
+        p.add_argument("--no-order-check", action="store_true", help="skip timestamp order checking")
+
     p = sub.add_parser("classify", help="classify a stream against the taxonomy")
     p.add_argument("--input", required=True, help="input path, or - for stdin")
     p.add_argument("--framing", required=True, choices=_FRAMING_NAMES)
-    p.add_argument(
-        "--timestamp-predicate",
-        action="append",
-        default=[],
-        metavar="IRI",
-        help="timestamp predicate IRI (repeatable; default prov:generatedAtTime)",
-    )
-    p.add_argument("--no-order-check", action="store_true", help="skip timestamp order checking")
+    classifier_options(p)
     p.add_argument("--max-evidence", type=int, default=10, metavar="N")
-    p.add_argument("--expect", metavar="TYPE", help="exit 1 unless TYPE conforms")
+    p.add_argument("--expect", metavar="TYPE", help="exit 1 unless TYPE or a narrower type conforms")
     p.add_argument("--json", action="store_true", help="emit a JSON report")
 
     p = sub.add_parser("convert", help="convert a stream between stream types")
@@ -104,6 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True, help="manifest path")
     p.add_argument("--data", default=None, help="stream to cross-check against")
     p.add_argument("--framing", choices=_FRAMING_NAMES, default=None)
+    classifier_options(p)
     p.add_argument("--policy", choices=["strict", "transitive"], default="strict")
     p.add_argument("--json", action="store_true")
     return parser

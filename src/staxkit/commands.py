@@ -6,8 +6,9 @@ taxonomy query compiles none of it.  Each handler takes the parsed
 arguments and the active taxonomy and returns the exit code; each imports
 the modules only it uses.  This module never imports cli, which runs as
 __main__ under `python -m staxkit.cli`: importing it would run it again.
-convert writes a plan of extend and flatten steps, which change only the
-framing, from the items as read; a group step goes through convert().
+convert reads a plan of extend and flatten steps, which change only the
+framing, in the reader's text mode and writes each statement's canonical
+line as read, building no term; a group step goes through convert().
 """
 
 from __future__ import annotations
@@ -17,29 +18,29 @@ import os
 import sys
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .errors import MalformedIri, MixedPayload, ParseError
+from .errors import InvalidBatchSize, MalformedIri, MixedPayload, ParseError, StaxError
 from .framing import Framing, Payload
 from .taxonomy import Taxonomy, _read_text, infer_closure
 
 if TYPE_CHECKING:
-    from .classify import ClassificationReport
+    from .classify import ClassificationReport, ClassifierConfig
 
 
-def _items(path: str, framing: Framing) -> Iterator:
-    """The statements or elements of path, or of standard input for '-', read lazily.
+def _items(path: str, framing: Framing, text: bool = False) -> Iterator:
+    """The statements or elements of path, or of standard input for '-', read
+    lazily; with text, their canonical N-Triples/N-Quads text (see io._read).
 
     A directory framing on standard input is refused at once, before any
     later check of the caller; a ParseError read from standard input names
     it '-', as the reader names a path.
     """
-    from .io import read_flat_stream, read_grouped_stream
+    from .io import _read_stream
 
-    read = read_flat_stream if framing.is_flat else read_grouped_stream
     if path != "-":
-        return read(path, framing)
+        return _read_stream(path, framing, text)
     if framing.is_dir:
         raise MixedPayload("directory framings cannot read standard input")
-    return _named_dash(read(sys.stdin.buffer, framing))
+    return _named_dash(_read_stream(sys.stdin.buffer, framing, text))
 
 
 def _named_dash(items: Iterator) -> Iterator:
@@ -55,26 +56,36 @@ def _print_json(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
-def _cmd_classify(args: argparse.Namespace, taxonomy: Taxonomy) -> int:
-    from .classify import ClassifierConfig, classify_stream
+def _classifier_config(args: argparse.Namespace, max_evidence: int = 10) -> ClassifierConfig | None:
+    """The ClassifierConfig of the timestamp options classify and validate
+    share, or None once a usage error is printed."""
+    from .classify import ClassifierConfig
     from .model import Iri
 
-    inferred = infer_closure(taxonomy)
-    framing = Framing(args.framing)
     predicates = []
     for value in args.timestamp_predicate:
         try:
             predicates.append(Iri(value))
         except MalformedIri as exc:
             print(f"stax-kit: bad --timestamp-predicate: {exc}", file=sys.stderr)
-            return 2
-    if args.max_evidence < 0:
+            return None
+    if max_evidence < 0:
         print("stax-kit: --max-evidence must be non-negative", file=sys.stderr)
-        return 2
-    kwargs = {"check_timestamp_order": not args.no_order_check, "max_evidence": args.max_evidence}
+        return None
+    kwargs = {"check_timestamp_order": not args.no_order_check, "max_evidence": max_evidence}
     if predicates:
         kwargs["timestamp_predicates"] = frozenset(predicates)
-    cfg = ClassifierConfig(**kwargs)
+    return ClassifierConfig(**kwargs)
+
+
+def _cmd_classify(args: argparse.Namespace, taxonomy: Taxonomy) -> int:
+    from .classify import classify_stream
+
+    inferred = infer_closure(taxonomy)
+    framing = Framing(args.framing)
+    cfg = _classifier_config(args, args.max_evidence)
+    if cfg is None:
+        return 2
     if args.expect is not None:
         taxonomy.type(args.expect)  # unknown names are usage errors
     report = classify_stream(_items(args.input, framing), framing, cfg, inferred)
@@ -82,9 +93,16 @@ def _cmd_classify(args: argparse.Namespace, taxonomy: Taxonomy) -> int:
         _print_json(report.to_dict())
     else:
         _print_report(report)
-    if args.expect is None or args.expect in report.conforming:
+    if args.expect is None:
         return 0
-    if args.expect not in report.applicable:
+
+    # A type is met by itself or by any narrower type, abstract types included.
+    def meets(type_id: str) -> bool:
+        return type_id == args.expect or (type_id, args.expect) in inferred.broader_closure
+
+    if any(map(meets, report.conforming)):
+        return 0
+    if not any(map(meets, report.applicable)):
         print(f"stax-kit: {args.expect} does not apply to {framing.value} streams", file=sys.stderr)
     else:
         print(f"stax-kit: stream does not conform to {args.expect}", file=sys.stderr)
@@ -128,19 +146,30 @@ def _framing_for(payload: Payload, path: str, override: str | None, flag: str) -
 
 def _cmd_convert(args: argparse.Namespace, taxonomy: Taxonomy) -> int:
     from .convert import convert, payload_kind, plan
-    from .writer import _texts, _write_members, _write_texts
+    from .writer import _reframed, _texts, _write_members, _write_texts
 
     inferred = infer_closure(taxonomy)
     from_payload = payload_kind(inferred, args.from_type)
     to_payload = payload_kind(inferred, args.to_type)
     in_framing = _framing_for(from_payload, args.input, args.input_framing, "--input-framing")
     out_framing = _framing_for(to_payload, args.output, args.output_framing, "--output-framing")
-    items = _items(args.input, in_framing)
-    payload = from_payload
-    if "group" in plan(args.from_type, args.to_type, inferred, args.policy, args.batch_size):
-        items = convert(items, args.from_type, args.to_type, inferred, args.policy, args.batch_size)
-        payload = to_payload
-    texts = _texts(items, payload, out_framing)
+    try:
+        relations = plan(args.from_type, args.to_type, inferred, args.policy, args.batch_size)
+    except StaxError:
+        _items(args.input, in_framing)  # standard input with a directory framing is refused first
+        raise
+    if "group" in relations:
+        items = convert(_items(args.input, in_framing), args.from_type, args.to_type, inferred, args.policy,
+                        args.batch_size)
+        texts = _texts(items, to_payload, out_framing)
+    else:
+        items = _items(args.input, in_framing, text=True)
+        if args.batch_size is not None:
+            raise InvalidBatchSize(
+                f"--batch-size needs a group step, but the {args.policy} plan from {args.from_type} "
+                f"to {args.to_type} is {', '.join(relations) or 'the identity'}"
+            )
+        texts = _reframed(items, from_payload, out_framing)
 
     if out_framing.is_dir:
         names = _write_members(texts, out_framing, args.output)
@@ -213,15 +242,18 @@ def _cmd_validate(args: argparse.Namespace, taxonomy: Taxonomy) -> int:
     if args.data is not None and args.framing is None:
         print("stax-kit: --data requires --framing", file=sys.stderr)
         return 2
+    cfg = _classifier_config(args)
+    if cfg is None:
+        return 2
     from .annotate import ValidationReport, cross_check, load_manifest, validate_usages
-    from .classify import ClassifierConfig, classify_stream
+    from .classify import classify_stream
 
     inferred = infer_closure(taxonomy)
     manifest = load_manifest(_read_text(args.manifest), taxonomy)
     report = validate_usages(manifest, inferred, args.policy)
     if args.data is not None:
         framing = Framing(args.framing)
-        classification = classify_stream(_items(args.data, framing), framing, ClassifierConfig(), inferred)
+        classification = classify_stream(_items(args.data, framing), framing, cfg, inferred)
         checked = cross_check(manifest, classification, inferred, args.policy)
         report = ValidationReport(report.violations, checked.cross_check)
     if args.json:

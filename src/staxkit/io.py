@@ -17,6 +17,10 @@ This module holds the reader only.  The writers are in writer, and the
 error locator, which reads a line the statement pattern declines term by
 term, is in locator; a call imports each only when it runs it, so a valid
 classify or validate compiles neither.
+
+The reader has a text mode for convert's re-framings, which change no
+statement: it yields each statement's canonical N-Triples/N-Quads line, or
+each element's lines, in place of terms (see _read).
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import enum
 import os
 import re
 from io import BytesIO
+from itertools import chain
 from typing import IO, Iterable, Iterator, NamedTuple, Union
 
 from .errors import MalformedIri, MixedPayload, ParseError
@@ -189,17 +194,26 @@ def parse_statement_line(line: str, mode: str, line_no: int = 1) -> ParsedLine:
 # ---------------------------------------------------------------------------
 
 
-def _read_file(source: Source, quads: bool, layout: str, name: str | None = None) -> Iterator:
+def _read_file(source: Source, quads: bool, layout: str, text: bool, name: str | None = None) -> Iterator:
     """_read over source's lines.  A ParseError names a path source, or name
     if given; bytes and binary streams have no name to give."""
     if not isinstance(source, (str, os.PathLike)):
-        yield from _read(BytesIO(source) if isinstance(source, bytes) else source, quads, layout)
+        yield from _read(BytesIO(source) if isinstance(source, bytes) else source, quads, layout, text=text)
         return
     try:
         with open(source, "rb") as handle:
-            yield from _read(handle, quads, layout)
+            yield from _read(handle, quads, layout, text=text)
     except ParseError as exc:
         raise ParseError(exc.line, exc.column, exc.reason, member=name or os.fspath(source)) from None
+
+
+def _read_stream(source: Source, framing: Framing, text: bool = False) -> Iterator:
+    """The items of source under framing, read lazily: statements, graphs or
+    datasets, or with text the canonical line of each statement of a flat
+    stream and the canonical text of each element of a grouped one."""
+    if framing.is_dir:
+        return _read_dir_stream(source, framing, text)
+    return _read_file(source, framing.quads_payload, framing.value.partition("-")[0], text)
 
 
 def read_flat_stream(source: Source, framing: Framing) -> Iterator[Statement]:
@@ -210,10 +224,12 @@ def read_flat_stream(source: Source, framing: Framing) -> Iterator[Statement]:
     """
     if not framing.is_flat:
         raise ValueError(f"read_flat_stream needs a flat framing, got {framing.value}")
-    yield from _read_file(source, framing.quads_payload, "flat")
+    yield from _read_stream(source, framing)
 
 
-def _read(lines: Iterable[bytes], quads: bool, layout: str, first: int = 1) -> Iterator[Statement | Graph | Dataset]:
+def _read(
+    lines: Iterable[bytes], quads: bool, layout: str, first: int = 1, text: bool = False
+) -> Iterator[Statement | Graph | Dataset | str]:
     """The one loop from encoded line to statement.  layout is the first
     part of a framing's value: 'flat', 'framed' or 'dir'; first is the
     first line's number.  Each line is decoded as strict UTF-8 and fails
@@ -227,7 +243,18 @@ def _read(lines: Iterable[bytes], quads: bool, layout: str, first: int = 1) -> I
     goes straight into its graph's index; any other line takes _parse_line,
     which gives its kind or raises the located error.  At '#---' and at the
     end the indexes become the element, unchecked.
+
+    With text, a statement is its canonical line, LF included, and an
+    element the str of its lines in Dataset.quads() order.  A matched line
+    without '\\' or TAB has its IRI and blank tokens checked through the
+    intern table and a new datatype through Literal, as in term mode, and is
+    rebuilt from its tokens: single spaces, ' .', no comment, no CR and no
+    xsd:string suffix.  Any other line is built with terms and serialized
+    by the writer.  The index of a graph label term keys lines, so a
+    statement repeated in any spelling is kept once, as in term mode.
     """
+    if text:
+        from .writer import serialize_statement
     flat = layout == "flat"
     framed = layout == "framed"
     flat_quads = flat and quads
@@ -252,26 +279,48 @@ def _read(lines: Iterable[bytes], quads: bool, layout: str, first: int = 1) -> I
         if m is not None and (quads or m[7] is None):
             s, p, o, lexical, language, datatype, g = m.groups()
             try:
-                if o is not None:
-                    o = get(o) or _node(o)
-                else:
-                    if "\\" in lexical:
-                        lexical = _ESCAPE.sub(_unescape_match, lexical)
-                    # Strict UTF-8 decoding and _unescape_match let no surrogate through and
-                    # the pattern checked LANGTAG: only a new datatype needs Literal's checks.
-                    if language is not None:
-                        o = new(Literal, (lexical, RDF_LANGSTRING, language))
-                    elif datatype is None:
-                        o = new(Literal, (lexical, XSD_STRING, None))
+                if text and "\\" not in line and "\t" not in line:
+                    # Tokens without escapes are their terms' canonical text.
+                    get(s) or _node(s)
+                    get(p) or _node(p)
+                    if o is not None:
+                        get(o) or _node(o)
                     else:
-                        dt = get(datatype) or _node(datatype)
-                        plain = checked(dt)
-                        o = Literal(lexical, dt) if plain is None else new(Literal, (lexical, plain, None))
-                s = get(s) or _node(s)
-                p = get(p) or _node(p)
-                label = None if g is None else get(g) or _node(g)
-                # The pattern admits only the roles Triple and Quad check.
-                statement = new(Quad, (s, p, o, label)) if flat_quads else new(Triple, (s, p, o))
+                        o = f'"{lexical}"'
+                        if language is not None:
+                            o += "@" + language
+                        elif datatype is not None:
+                            dt = get(datatype) or _node(datatype)
+                            if (checked(dt) or Literal(lexical, dt)[1]) != XSD_STRING:
+                                o += "^^" + datatype
+                    if g is None:
+                        label = None
+                        statement = f"{s} {p} {o} .\n"
+                    else:
+                        label = get(g) or _node(g)
+                        statement = f"{s} {p} {o} {g} .\n"
+                else:
+                    if o is not None:
+                        o = get(o) or _node(o)
+                    else:
+                        if "\\" in lexical:
+                            lexical = _ESCAPE.sub(_unescape_match, lexical)
+                        # Strict UTF-8 decoding and _unescape_match let no surrogate through and
+                        # the pattern checked LANGTAG: only a new datatype needs Literal's checks.
+                        if language is not None:
+                            o = new(Literal, (lexical, RDF_LANGSTRING, language))
+                        elif datatype is None:
+                            o = new(Literal, (lexical, XSD_STRING, None))
+                        else:
+                            dt = get(datatype) or _node(datatype)
+                            plain = checked(dt)
+                            o = (Literal(lexical, dt) if plain is None
+                                 else new(Literal, (lexical, plain, None)))
+                    s = get(s) or _node(s)
+                    p = get(p) or _node(p)
+                    label = None if g is None else get(g) or _node(g)
+                    # The pattern admits only the roles Triple and Quad check.
+                    statement = new(Quad, (s, p, o, label)) if flat_quads else new(Triple, (s, p, o))
             except (MalformedIri, ValueError):
                 statement = None  # the locator raises the located error
         if statement is None:
@@ -291,13 +340,17 @@ def _read(lines: Iterable[bytes], quads: bool, layout: str, first: int = 1) -> I
                 raise MixedPayload(f"line {no}: named graph label inside a graph framing") from None
             if statement.__class__ is LineKind:
                 if framed and statement is LineKind.FRAME_DELIMITER:
-                    yield Dataset._of(graphs) if quads else Graph._of(graphs.get(None, {}))
+                    yield _element(graphs, quads, text)
                     graphs = {}
                 continue
             # A line the locator accepts where the pattern did not.
             label = None
             if quads and not flat:
                 statement, label = new(Triple, statement[:3]), statement[3]
+        if text and statement.__class__ is not str:
+            if label is not None and not flat:
+                statement = new(Quad, (*statement, label))
+            statement = serialize_statement(statement) + "\n"
         if flat:
             yield statement
             continue
@@ -306,7 +359,17 @@ def _read(lines: Iterable[bytes], quads: bool, layout: str, first: int = 1) -> I
             index = graphs[label] = {}
         index[statement] = None
     if layout == "dir" or framed and no:
-        yield Dataset._of(graphs) if quads else Graph._of(graphs.get(None, {}))
+        yield _element(graphs, quads, text)
+
+
+def _element(graphs: dict, quads: bool, text: bool) -> Graph | Dataset | str:
+    """The element of _read's indexes, label (None for the default graph) ->
+    statements: a Dataset, a Graph, or with text the str of its lines, the
+    default graph's first."""
+    if text:
+        default = graphs.pop(None, {})
+        return "".join(chain(default, *graphs.values()))
+    return Dataset._of(graphs) if quads else Graph._of(graphs.get(None, {}))
 
 
 def read_grouped_stream(source: Source, framing: Framing) -> Iterator[Graph | Dataset]:
@@ -320,13 +383,10 @@ def read_grouped_stream(source: Source, framing: Framing) -> Iterator[Graph | Da
     """
     if framing.is_flat:
         raise ValueError(f"read_grouped_stream needs a grouped framing, got {framing.value}")
-    if framing.is_dir:
-        yield from _read_dir_stream(source, framing)
-        return
-    yield from _read_file(source, framing.quads_payload, "framed")
+    yield from _read_stream(source, framing)
 
 
-def _read_dir_stream(source: Source, framing: Framing) -> Iterator[Graph | Dataset]:
+def _read_dir_stream(source: Source, framing: Framing, text: bool) -> Iterator[Graph | Dataset | str]:
     if isinstance(source, bytes) or hasattr(source, "read"):
         raise ValueError("directory framing requires a directory path")
     ext = ".nq" if framing.quads_payload else ".nt"
@@ -336,7 +396,7 @@ def _read_dir_stream(source: Source, framing: Framing) -> Iterator[Graph | Datas
     )
     for name in names:
         # A member is one element: the loop reads '#---' as a comment.
-        yield from _read_file(os.path.join(os.fspath(source), name), framing.quads_payload, "dir", name)
+        yield from _read_file(os.path.join(os.fspath(source), name), framing.quads_payload, "dir", text, name)
 
 
 def write_flat_stream(statements: Iterable[Statement], framing: Framing) -> bytes:

@@ -8,9 +8,11 @@ s exactly; write(read(f)) is byte-identical for files already canonical.
 The unit of work is the element: one loop (_texts) turns each graph or
 dataset into one string and builds no Quad, and turns a flat stream into
 batches of whole lines.  write_stream, write_dir_stream and the CLI's
-convert all write through it.  The same loop writes a stream re-framed by
-the extend and flatten relations, which change no statement: the graphs or
-datasets as read, with the output framing's delimiters.
+convert of a plan with a group step write through it.  A stream re-framed
+by the extend and flatten relations, which change no statement, never
+becomes terms: the CLI reads it in the reader's text mode, as canonical
+lines or element texts, and _reframed only batches or delimits them.  One
+helper (_framed) puts the '#---' lines between elements for both.
 
 Only a call that writes imports this module: convert, and annotate's
 Turtle output for serialize_term.
@@ -73,10 +75,31 @@ def serialize_statement(statement: Statement) -> str:
 _CHUNK_LINES = 256
 
 
+def _batches(items: Iterable) -> Iterator[list]:
+    """items in lists of _CHUNK_LINES, the last one shorter."""
+    items = iter(items)
+    return iter(lambda: list(islice(items, _CHUNK_LINES)), [])
+
+
+def _framed(texts: Iterable[str], framing: Framing) -> Iterator[str]:
+    """Element texts under framing: in a framed framing each after the first
+    is led by '#---'; a flat or directory framing has no delimiter."""
+    delimiter = "" if framing.is_flat or framing.is_dir else FRAME_DELIMITER + "\n"
+    for i, text in enumerate(texts):
+        yield delimiter + text if i else text
+
+
+def _reframed(texts: Iterable[str], payload: Payload, framing: Framing) -> Iterator[str]:
+    """The output of the reader's text mode under framing: a flat stream's
+    lines joined _CHUNK_LINES at a time, or each element's text as
+    _framed gives it.  payload is the input's."""
+    return map("".join, _batches(texts)) if payload.is_flat else _framed(texts, framing)
+
+
 def _texts(items: Iterable, payload: Payload, framing: Framing) -> Iterator[str]:
     """The text of payload items under framing: one str per element, in
-    Dataset.quads() order and, in a framed framing, led by '#---' after the
-    first; one per _CHUNK_LINES statements of a flat stream.
+    Dataset.quads() order and delimited by _framed; one per _CHUNK_LINES
+    statements of a flat stream.
     payload is framing's, or one that extend and flatten take to it.  Each
     IRI and blank node is escaped once, its text kept in a table local to
     the stream that empties at _INTERN_LIMIT entries.  An item not of
@@ -102,8 +125,7 @@ def _texts(items: Iterable, payload: Payload, framing: Framing) -> Iterator[str]
         raise MixedPayload(f"{framing.value} framing cannot serialize a {type(item).__name__}")
 
     if payload.is_flat:
-        items = iter(items)
-        while batch := list(islice(items, _CHUNK_LINES)):
+        for batch in _batches(items):
             for statement in batch:
                 if not isinstance(statement, kind):
                     refuse(statement)
@@ -113,17 +135,18 @@ def _texts(items: Iterable, payload: Payload, framing: Framing) -> Iterator[str]
                 yield "".join([lines((q[:3],), " .\n" if q[3] is None else f" {get(q[3]) or new(q[3])} .\n")
                                for q in batch])
         return
-    delimiter = "" if framing.is_flat or framing.is_dir else FRAME_DELIMITER + "\n"
-    for i, element in enumerate(items):
+
+    def element_text(element) -> str:
         if not isinstance(element, kind):
             refuse(element)
         if payload is Payload.GRAPHS:
-            text = lines(element, " .\n")
-        else:
-            text = lines(element.default_graph, " .\n")
-            for label, graph in element.named_items():
-                text += lines(graph, f" {get(label) or new(label)} .\n")
-        yield delimiter + text if i else text
+            return lines(element, " .\n")
+        text = lines(element.default_graph, " .\n")
+        for label, graph in element.named_items():
+            text += lines(graph, f" {get(label) or new(label)} .\n")
+        return text
+
+    yield from _framed(map(element_text, items), framing)
 
 
 def _write_texts(texts: Iterable[str], sink: IO[bytes]) -> int:

@@ -373,19 +373,28 @@ class TestUsableAs:
         entry = cross_check(manifest("flatQuadStream"), REPORTS[1], C, "transitive").cross_check[0]
         assert entry.message == "conforming graphStream reaches it via extend, flatten"
 
+    PAIR_MESSAGES = {
+        "strict": "{grouped} does not flatten into {flat} and {flat} does not group into {grouped}",
+        "transitive": "no chain of conversions reaches {flat} from {grouped} or {grouped} from {flat}",
+    }
+
     @pytest.mark.parametrize("policy", ["strict", "transitive"])
     @pytest.mark.parametrize("grouped, flat", GROUPED_FLAT)
     def test_a_pair_is_consistent_exactly_when_the_search_finds_a_path(self, grouped, flat, policy):
         ok = usable_as([grouped], flat, policy) or usable_as([flat], grouped, policy)
+        why = self.PAIR_MESSAGES[policy].format(grouped=grouped, flat=flat)
         for pair in ((grouped, flat), (flat, grouped)):
             report = validate_usages(manifest(*pair), C, policy)
-            assert report.violations == (() if ok else (
-                Violation(
-                    "pair-relation",
-                    (grouped, flat),
-                    f"{grouped} does not flatten into {flat} and {flat} does not group into {grouped}",
-                ),
-            ))
+            assert report.violations == (() if ok else (Violation("pair-relation", (grouped, flat), why),))
+
+    @pytest.mark.parametrize("policy", ["strict", "transitive"])
+    def test_the_pair_message_says_why_under_each_policy(self, policy):
+        # Under strict no single flatten or group step relates the pair; under
+        # transitive no chain of steps reaches either type from the other.
+        report = validate_usages(manifest("namedGraphStream", "flatTripleStream"), C, policy)
+        assert [v.message for v in report.violations] == [
+            self.PAIR_MESSAGES[policy].format(grouped="namedGraphStream", flat="flatTripleStream")
+        ]
 
     def test_every_concrete_type_is_covered(self):
         concrete = [t for t in C.taxonomy.type_ids() if C.taxonomy.type(t).kind is TypeKind.CONCRETE]

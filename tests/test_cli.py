@@ -15,6 +15,7 @@ from jsonschema import validate as schema_validate
 
 import staxkit.cli
 import staxkit.commands
+import staxkit.writer
 from staxkit.cli import main
 from staxkit.commands import _framing_for
 from staxkit.errors import (
@@ -26,7 +27,7 @@ from staxkit.errors import (
     UnknownType,
 )
 from staxkit.classify import classify_stream
-from staxkit.convert import convert, payload_kind
+from staxkit.convert import convert, payload_kind, plan
 from staxkit.framing import Framing
 from staxkit.io import read_flat_stream, read_grouped_stream
 from staxkit.model import BlankNode, Iri, Literal, Quad, Triple
@@ -369,6 +370,30 @@ class TestClassify:
         assert main(["classify", "--input", str(f), "--framing", framing, "--expect", expect]) == 1
         assert capsys.readouterr().err == f"stax-kit: {expect} does not apply to {framing} streams\n"
 
+    SAME_SUBJECT = (b"<http://ex.org/s> <http://ex.org/p> <http://ex.org/a> .\n#---\n"
+                    b"<http://ex.org/s> <http://ex.org/p> <http://ex.org/b> .\n")
+
+    @pytest.mark.parametrize(
+        "framing, expect, err",
+        [
+            ("framed-graphs", "graphStream", None),
+            ("framed-graphs", "groupedStream", None),
+            ("framed-graphs", "rdfStream", None),
+            ("framed-graphs", "flatStream", "flatStream does not apply to framed-graphs streams"),
+            ("framed-graphs", "subjectGraphStream", "stream does not conform to subjectGraphStream"),
+            ("framed-graphs", "datasetStream", "datasetStream does not apply to framed-graphs streams"),
+            ("flat-triples", "flatStream", None),
+            ("flat-triples", "groupedStream", "groupedStream does not apply to flat-triples streams"),
+        ],
+    )
+    def test_expect_is_met_by_a_conforming_type_or_a_narrower_one(self, framing, expect, err, tmp_path, capsys):
+        # Two graphs with the same only subject conform to graphStream, not
+        # to subjectGraphStream; an abstract type is met through broader.
+        f = tmp_path / "data.bin"
+        f.write_bytes(self.SAME_SUBJECT.replace(b"#---\n", b"") if framing == "flat-triples" else self.SAME_SUBJECT)
+        code = main(["classify", "--input", str(f), "--framing", framing, "--expect", expect])
+        assert (code, capsys.readouterr().err) == ((0, "") if err is None else (1, f"stax-kit: {err}\n"))
+
     def test_expect_unknown_type_is_usage_error(self, tmp_path, capsys):
         f = tmp_path / "data.nt"
         f.write_bytes(flat_triples(1))
@@ -676,6 +701,23 @@ class TestConvert:
         assert code == 0
         assert dst.read_bytes().count(b"#---") == 2  # three elements
 
+    @pytest.mark.parametrize(
+        "to_type, policy, steps",
+        [("flatQuadStream", "transitive", "extend, flatten"), ("flatTripleStream", "strict", "flatten"),
+         ("graphStream", "strict", "the identity")],
+    )
+    def test_batch_size_without_a_group_step_is_usage_error(self, to_type, policy, steps, tmp_path, capsys):
+        f, out = tmp_path / "in.nt", tmp_path / "out"
+        f.write_bytes(framed_graphs(2, 1))
+        code = main(["convert", "--input", str(f), "--output", str(out), "--from", "graphStream", "--to", to_type,
+                     "--policy", policy, "--batch-size", "3"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"stax-kit: --batch-size needs a group step, but the {policy} plan from graphStream to {to_type} "
+            f"is {steps}\n"
+        )
+        assert not out.exists()
+
     def test_zero_batch_size_usage_error(self, tmp_path, capsys):
         src = tmp_path / "in.nt"
         src.write_bytes(flat_triples(2))
@@ -873,18 +915,61 @@ class TestConvert:
 # write_stream / write_dir_stream write for convert(read(...)) of the same
 # input, for every concrete (from, to) pair under both policies.  A small
 # term pool makes repeated statements, shared blank nodes and several named
-# graphs per element common; one literal needs every escape.
+# graphs per element common; one literal needs every escape.  Each line is
+# its canonical form or a spelling drawn by plain string code: TABs and
+# extra spaces, comments, CRLF, \u and \U escapes in IRIs, literals and
+# graph labels, an explicit xsd:string, so a repeat may be spelled apart.
 CONCRETE = [t for t, v in default_taxonomy().types.items() if v.kind is TypeKind.CONCRETE]
 _SUBJECTS = [Iri("http://ex.org/a"), Iri("http://ex.org/{b}"), BlankNode("b0")]
 _OBJECTS = _SUBJECTS + [BlankNode("b1"), Literal('say "hi"\n\t\\'), Literal("v", language="en"),
-                        Literal("1", "http://www.w3.org/2001/XMLSchema#integer")]
+                        Literal("1", "http://www.w3.org/2001/XMLSchema#integer"), Literal("x.y")]
 _LABELS = [None, Iri("http://ex.org/g1"), Iri("http://ex.org/g|2"), BlankNode("b0")]
+_XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
+_LITERAL_ECHARS = {'"': ['\\"'], "\\": ["\\\\"], "\n": ["\\n"], "\r": ["\\r"], "\t": ["\t", "\\t"], "'": ["'", "\\'"]}
 
 
-def _statement_lines(quads: bool):
+def _uchar(c, r):
+    return r.choice([f"\\u{ord(c):04X}", f"\\u{ord(c):04x}", f"\\U{ord(c):08X}"])
+
+
+def _spell(term, r, escapes):
+    """One N-Triples spelling of term, drawn with r; with escapes false, a
+    character is escaped only where it must be."""
+    rate = 0.1 if escapes else 0
+    if isinstance(term, BlankNode):
+        return "_:" + term.label
+    if isinstance(term, Iri):
+        forbidden = set('<>"{}|^`\\')
+        return "<" + "".join(
+            _uchar(c, r) if c in forbidden or ord(c) <= 0x20 or r.random() < rate else c for c in term.value
+        ) + ">"
+    body = '"' + "".join(
+        r.choice(_LITERAL_ECHARS[c] + [_uchar(c, r)]) if c in _LITERAL_ECHARS
+        else _uchar(c, r) if r.random() < rate else c
+        for c in term.lexical
+    ) + '"'
+    if term.language is not None:
+        return body + "@" + term.language
+    if term.datatype != _XSD_STRING or r.random() < 0.5:
+        return body + "^^" + _spell(Iri(term.datatype), r, escapes)
+    return body
+
+
+def _spelled_line(statement, r):
+    """statement's canonical line, or a non-canonical spelling of it."""
+    if r.random() < 0.3:
+        return serialize_statement(statement) + "\n"
+    escapes, spaces = r.random() < 0.5, [" ", "  "] + (["\t", " \t "] if r.random() < 0.5 else [])
+    terms = [t for t in statement if t is not None]
+    body = r.choice(["", *spaces]) + "".join(_spell(t, r, escapes) + r.choice(spaces) for t in terms)
+    tail = r.choice([".", ". ", *(f"{gap}." for gap in spaces)]) + r.choice(["", " # note", "#  a \\ comment"])
+    return body.rstrip(" \t") + tail + r.choice(["\n", "\r\n"])
+
+
+def _statement_lines(quads: bool, r):
     label = st.sampled_from(_LABELS) if quads else st.none()
     return st.builds(
-        lambda s, p, o, g: serialize_statement(Quad(s, p, o, g) if quads else Triple(s, p, o)) + "\n",
+        lambda s, p, o, g: _spelled_line(Quad(s, p, o, g) if quads else Triple(s, p, o), r),
         st.sampled_from(_SUBJECTS), st.sampled_from(_SUBJECTS[:2]), st.sampled_from(_OBJECTS), label,
     )
 
@@ -914,7 +999,7 @@ def _members(directory: Path) -> dict[str, bytes]:
 def test_cli_convert_writes_what_the_library_writes(from_type, to_type, policy, data):
     inferred = infer_closure(default_taxonomy())
     source, target = payload_kind(inferred, from_type), payload_kind(inferred, to_type)
-    lines = _statement_lines(source.quads)
+    lines = _statement_lines(source.quads, data.draw(st.randoms(use_true_random=False), label="spellings"))
     if source.is_flat:
         elements = [data.draw(st.lists(lines, max_size=12), label="statements")]
         in_layout = "flat"
@@ -927,7 +1012,7 @@ def test_cli_convert_writes_what_the_library_writes(from_type, to_type, policy, 
     batch_size = data.draw(st.sampled_from([None, 1, 3]), label="batch size")
     in_framing, out_framing = Framing(f"{in_layout}-{source.value}"), Framing(f"{out_layout}-{target.value}")
     try:
-        convert([], from_type, to_type, inferred, policy, batch_size)
+        relations = plan(from_type, to_type, inferred, policy, batch_size)
         refused = None
     except NoConversionPath as exc:
         refused = exc
@@ -936,9 +1021,9 @@ def test_cli_convert_writes_what_the_library_writes(from_type, to_type, policy, 
         if in_framing.is_dir:
             path.mkdir()
             for i, element in enumerate(elements):
-                (path / f"{i:05d}{'.nq' if source.quads else '.nt'}").write_text("".join(element), encoding="utf-8")
+                (path / f"{i:05d}{'.nq' if source.quads else '.nt'}").write_bytes("".join(element).encode())
         else:
-            path.write_text("#---\n".join("".join(e) for e in elements), encoding="utf-8")
+            path.write_bytes("#---\n".join("".join(e) for e in elements).encode())
         argv = ["convert", "--input", str(path), "--input-framing", in_framing.value, "--output-framing",
                 out_framing.value, "--output", output if output == "-" else str(out),
                 "--from", from_type, "--to", to_type, "--policy", policy]
@@ -948,6 +1033,12 @@ def test_cli_convert_writes_what_the_library_writes(from_type, to_type, policy, 
             code = main(argv)
         if refused is not None:
             assert (code, stderr.getvalue()) == (1, f"stax-kit: {refused}\n")
+            assert stdout.buffer.getvalue() == b"" and not out.exists()
+            return
+        if batch_size is not None and "group" not in relations:
+            # A batch size is a usage error on a plan that groups nothing.
+            assert code == 2
+            assert stderr.getvalue().startswith("stax-kit: --batch-size needs a group step, but the ")
             assert stdout.buffer.getvalue() == b"" and not out.exists()
             return
         assert code == 0, stderr.getvalue()
@@ -961,6 +1052,31 @@ def test_cli_convert_writes_what_the_library_writes(from_type, to_type, policy, 
         sink = io.BytesIO()
         write_stream(items, out_framing, sink)
         assert (stdout.buffer.getvalue() if output == "-" else out.read_bytes()) == sink.getvalue()
+
+
+@pytest.mark.parametrize(
+    "data, from_type, to_type",
+    [
+        (framed_graphs(2, 0, 3), "graphStream", "flatQuadStream"),
+        (framed_graphs(2, 1), "graphStream", "datasetStream"),
+        (flat_triples(3), "flatTripleStream", "flatQuadStream"),
+        (b"".join(QUAD_LINE % (i, i, i) for i in range(3)) + b"#---\n" + TRIPLE_LINE % (4, 4),
+         "datasetStream", "flatQuadStream"),
+    ],
+)
+def test_a_re_framing_of_canonical_input_serializes_no_term(data, from_type, to_type, tmp_path, monkeypatch):
+    # Canonical lines go from the reader to the writer as text.
+    def refuse(term):
+        raise AssertionError(f"serialized {term!r}")
+
+    monkeypatch.setattr(staxkit.writer, "serialize_term", refuse)
+    src, out = tmp_path / "in", tmp_path / "out"
+    src.write_bytes(data)
+    argv = ["convert", "--input", str(src), "--output", str(out), "--from", from_type, "--to", to_type,
+            "--policy", "transitive"]
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+    assert out.read_bytes() == (data if to_type == "datasetStream" else data.replace(b"#---\n", b""))
 
 
 def cli_env():
@@ -1379,6 +1495,23 @@ class TestValidate:
         argv = ["validate", "--manifest", str(m), "--data", str(data), "--framing", "framed-graphs"]
         assert main(argv + ["--policy", policy]) == code
         assert f"  flatQuadStream: {verdict}\n" in capsys.readouterr().out
+
+    def test_timestamp_options_reach_the_classifier(self, tmp_path, capsys):
+        m, data = tmp_path / "manifest.json", tmp_path / "data.nq"
+        m.write_text(json.dumps({"usages": [{"streamType": "timestampedNamedGraphStream"}]}))
+        argv = ["validate", "--manifest", str(m), "--data", str(data), "--framing", "framed-datasets"]
+        # Stamped with another predicate: fails unless that predicate is named.
+        data.write_bytes(timestamped_datasets("2024-01-01T00:00:00Z").replace(
+            b"http://www.w3.org/ns/prov#generatedAtTime", b"http://ex.org/seen"))
+        assert main(argv) == 1
+        assert main(argv + ["--timestamp-predicate", "http://ex.org/seen"]) == 0
+        # Out of order: fails unless the order check is off.
+        data.write_bytes(timestamped_datasets("2024-01-02T00:00:00Z", "2024-01-01T00:00:00Z"))
+        assert main(argv) == 1
+        assert main(argv + ["--no-order-check"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--timestamp-predicate", "not an iri"]) == 2
+        assert capsys.readouterr().err.startswith("stax-kit: bad --timestamp-predicate: ")
 
     def test_data_without_framing_is_usage_error(self, tmp_path, capsys):
         m = tmp_path / "manifest.json"

@@ -216,7 +216,8 @@ def test_one_function_builds_the_classification_report():
     )) == ["", "a"]
 
 
-_INPUT_NAMES = {"read_flat_stream", "read_grouped_stream"}
+# The public readers, and the private one that also opens the text mode.
+_INPUT_NAMES = {"read_flat_stream", "read_grouped_stream", "_read_stream"}
 
 
 def input_openers(tree: ast.Module) -> list[str]:
@@ -230,7 +231,8 @@ def input_openers(tree: ast.Module) -> list[str]:
 
 
 def test_one_function_opens_the_input_of_every_data_subcommand():
-    # classify, convert and validate --data read their input through one function.
+    # classify, convert and validate --data read their input through one
+    # function, in term mode or, for a re-framing, in text mode.
     openers = input_openers(ast.parse((SRC / "commands.py").read_text(encoding="utf-8")))
     assert len(set(openers)) == 1 and openers[0], f"the input is opened in {openers}"
     assert input_openers(ast.parse(
@@ -240,7 +242,13 @@ def test_one_function_opens_the_input_of_every_data_subcommand():
         "def b(): return read_grouped_stream\n"
         "def c(): from .io import read_flat_stream\n"
         "def d(): return sys.stdout\n"
-    )) == ["", "a", "b", "c"]
+        "def e(): return _read_stream(path, framing, True)\n"
+    )) == ["", "a", "b", "c", "e"]
+    # In io, the public readers and the text mode reach _read_file through _read_stream.
+    io_tree = ast.parse((SRC / "io.py").read_text(encoding="utf-8"))
+    assert sorted(set(input_openers(io_tree))) == ["read_flat_stream", "read_grouped_stream"]
+    assert sorted(enclosing_functions(io_tree, lambda node: isinstance(node, ast.Name) and node.id == "_read_file")) == [
+        "_read_dir_stream", "_read_stream"]
 
 
 def test_dead_name_is_reported():

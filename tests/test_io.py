@@ -1422,3 +1422,61 @@ class TestOneDecodeLoop:
     )
     def test_statement_line_keeps_its_line_ends(self, line, outcome, mode):
         assert _outcome(lambda: parse_statement_line(line, mode, 4)) == outcome
+
+
+# The reader's text mode, which convert's re-framings read: every statement
+# is its canonical line, whatever its spelling, and every error is the term
+# mode's error.
+def _text_or_error(data: bytes, framing: Framing, text: bool):
+    """The items read, each as its canonical text, or the error's class, message and place."""
+    try:
+        items = list(staxkit.io._read_stream(data, framing, text))
+    except (ParseError, MixedPayload) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+    if text:
+        return items
+    if framing.is_flat:
+        return [serialize_statement(s) + "\n" for s in items]
+    return ["".join(serialize_statement(q) + "\n" for q in (e.quads() if isinstance(e, Dataset) else e))
+            for e in items]
+
+
+# In a framed layout, MALFORMED's fourth-term row is a labelled line in a graph framing.
+@pytest.mark.parametrize("layout", ["flat", "framed"])
+@pytest.mark.parametrize("line,mode,line_no,column", MALFORMED)
+def test_the_text_mode_raises_what_the_term_mode_raises(line, mode, line_no, column, layout):
+    payload = {"flat": {"triples": "triples", "quads": "quads"}, "framed": {"triples": "graphs", "quads": "datasets"}}
+    framing = Framing(f"{layout}-{payload[layout][mode]}")
+    data = GOOD_LINE + b"#---\n" + line.encode() + b"\n"
+    outcome = _text_or_error(data, framing, True)
+    assert outcome == _text_or_error(data, framing, False)
+    # A fourth term in a graph framing is a MixedPayload, which names its line in the message.
+    assert outcome[2] == 3 if outcome[0] is ParseError else outcome[1].startswith("line 3: ")
+
+
+# One statement in several spellings, and the canonical line they all share.
+SPELLINGS = [
+    b'<http://s:1> <http://p:1> "a b"@en <http://g:1> .\n',
+    b'  <http://s:1>   <http://p:1> "a b"@en <http://g:1>. # comment\r\n',
+    b'<http://s:1>\t<http://p:1>\t"a b"@en\t<http://g:1> .\n',
+    b'<http://s:1> <http://p:1> "a\\u0020b"@en <http://g:1> .\n',
+    b'<http://s:1> <http://p:1> "a b"@en <http://\\u0067:1> .\n',
+]
+XSD_SPELLINGS = [
+    b'<http://s:1> <http://p:1> "x" <http://g:1> .\n',
+    b'<http://s:1> <http://p:1> "x"^^<http://www.w3.org/2001/XMLSchema#string> <http://g:1> .\n',
+    b'<http://s:1> <http://p:1> "x"^^<http://www.w3.org/2001/XMLSchema\\u0023string> <http://g:1>.\n',
+]
+
+
+@pytest.mark.parametrize("spellings", [SPELLINGS, XSD_SPELLINGS], ids=["language", "xsd-string"])
+def test_every_spelling_of_a_statement_is_one_canonical_line(spellings):
+    canonical = spellings[0].decode()
+    default = b"<http://s:1> <http://p:1> <http://o:1> .\n"
+    data = b"".join(spellings) + default + b"#---\n" + b"".join(reversed(spellings))
+    assert _text_or_error(data, Framing.FLAT_QUADS, True) == [canonical] * len(spellings) + [default.decode()] + [
+        canonical] * len(spellings)
+    # Within an element a repeat is kept once, and the default graph comes first.
+    assert _text_or_error(data, Framing.FRAMED_DATASETS, True) == [default.decode() + canonical, canonical]
+    for framing in (Framing.FLAT_QUADS, Framing.FRAMED_DATASETS):
+        assert _text_or_error(data, framing, True) == _text_or_error(data, framing, False)
