@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("annotate", help="emit Turtle for an annotation manifest")
     p.add_argument("--manifest", required=True, help="manifest path")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
+    p.add_argument("--out", default="-", help="output path, or - for stdout (the default)")
 
     p = sub.add_parser("validate", help="validate an annotation manifest")
     p.add_argument("--manifest", required=True, help="manifest path")

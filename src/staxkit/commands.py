@@ -7,8 +7,9 @@ arguments and the active taxonomy and returns the exit code; each imports
 the modules only it uses.  This module never imports cli, which runs as
 __main__ under `python -m staxkit.cli`: importing it would run it again.
 convert reads a plan of extend and flatten steps, which change only the
-framing, in the reader's text mode and writes each statement's canonical
-line as read, building no term; a group step goes through convert().
+framing, in the reader's text mode, building no term; a group step goes
+through convert() and the writer's _texts.  One writer step frames either,
+and one routine writes convert's and annotate's output.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .errors import InvalidBatchSize, MalformedIri, MixedPayload, ParseError, StaxError
+from .errors import InvalidBatchSize, MalformedIri, MixedPayload, ParseError
 from .framing import Framing, Payload
 from .taxonomy import Taxonomy, _read_text, infer_closure
 
@@ -130,57 +131,62 @@ def _print_report(report: ClassificationReport) -> None:
 
 
 def _framing_for(payload: Payload, path: str, override: str | None, flag: str) -> Framing:
-    if override is not None:
-        framing = Framing(override)
-        if framing.payload is not payload:
-            raise MixedPayload(
-                f"{flag} {framing.value} cannot carry a stream of {payload.value}"
-            )
-        return framing
-    if payload.is_flat:
-        layout = "flat"
-    else:
-        layout = "dir" if path != "-" and os.path.isdir(path) else "framed"
-    return Framing(f"{layout}-{payload.value}")
+    """The framing of the convert side whose option is flag; '-' takes no directory framing."""
+    if override is None:
+        if payload.is_flat:
+            layout = "flat"
+        else:
+            layout = "dir" if path != "-" and os.path.isdir(path) else "framed"
+        return Framing(f"{layout}-{payload.value}")
+    framing = Framing(override)
+    if framing.payload is not payload:
+        raise MixedPayload(f"{flag} {framing.value} cannot carry a stream of {payload.value}")
+    if path == "-" and framing.is_dir:
+        side = "read standard input" if flag == "--input-framing" else "write standard output"
+        raise MixedPayload(f"directory framings cannot {side}")
+    return framing
 
 
 def _cmd_convert(args: argparse.Namespace, taxonomy: Taxonomy) -> int:
     from .convert import convert, payload_kind, plan
-    from .writer import _reframed, _texts, _write_members, _write_texts
+    from .writer import _reframed, _texts, _write_members
 
     inferred = infer_closure(taxonomy)
     from_payload = payload_kind(inferred, args.from_type)
     to_payload = payload_kind(inferred, args.to_type)
     in_framing = _framing_for(from_payload, args.input, args.input_framing, "--input-framing")
     out_framing = _framing_for(to_payload, args.output, args.output_framing, "--output-framing")
-    try:
-        relations = plan(args.from_type, args.to_type, inferred, args.policy, args.batch_size)
-    except StaxError:
-        _items(args.input, in_framing)  # standard input with a directory framing is refused first
-        raise
+    relations = plan(args.from_type, args.to_type, inferred, args.policy, args.batch_size)
+    if args.batch_size is not None and "group" not in relations:
+        raise InvalidBatchSize(
+            f"--batch-size needs a group step, but the {args.policy} plan from {args.from_type} "
+            f"to {args.to_type} is {', '.join(relations) or 'the identity'}"
+        )
     if "group" in relations:
         items = convert(_items(args.input, in_framing), args.from_type, args.to_type, inferred, args.policy,
                         args.batch_size)
-        texts = _texts(items, to_payload, out_framing)
+        payload, texts = to_payload, _texts(items, out_framing)
     else:
-        items = _items(args.input, in_framing, text=True)
-        if args.batch_size is not None:
-            raise InvalidBatchSize(
-                f"--batch-size needs a group step, but the {args.policy} plan from {args.from_type} "
-                f"to {args.to_type} is {', '.join(relations) or 'the identity'}"
-            )
-        texts = _reframed(items, from_payload, out_framing)
-
+        payload, texts = from_payload, _items(args.input, in_framing, text=True)
+    texts = _reframed(texts, payload, out_framing)
     if out_framing.is_dir:
         names = _write_members(texts, out_framing, args.output)
         print(f"stax-kit: wrote {len(names)} element file(s) to {args.output}", file=sys.stderr)
-        return 0
-    if args.output == "-":
-        _write_texts(texts, sys.stdout.buffer)
-        return 0
-    size = _write_file(texts, args.output)
-    print(f"stax-kit: wrote {size} byte(s) to {args.output}", file=sys.stderr)
+    else:
+        _write_output(texts, args.output)
     return 0
+
+
+def _write_output(texts: Iterable[str], path: str) -> None:
+    """Write a stream's texts to standard output for '-'; else through
+    _write_file to path, and name the byte count on standard error."""
+    from .writer import _write_texts
+
+    if path == "-":
+        _write_texts(texts, sys.stdout.buffer)
+    else:
+        size = _write_file(texts, path)
+        print(f"stax-kit: wrote {size} byte(s) to {path}", file=sys.stderr)
 
 
 def _write_file(texts: Iterable[str], path: str) -> int:
@@ -228,12 +234,7 @@ def _cmd_annotate(args: argparse.Namespace, taxonomy: Taxonomy) -> int:
     from .annotate import emit_turtle, load_manifest
 
     manifest = load_manifest(_read_text(args.manifest), taxonomy)
-    turtle = emit_turtle(manifest, taxonomy)
-    if args.out is None:
-        sys.stdout.write(turtle)
-    else:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(turtle)
+    _write_output((emit_turtle(manifest, taxonomy),), args.out)
     return 0
 
 

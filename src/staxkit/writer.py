@@ -5,17 +5,17 @@ minimal literal escapes (\\" \\\\ \\n \\r \\t), datatype suffix omitted for
 xsd:string, UTF-8 throughout, '\\n' line endings.  read(write(s)) reproduces
 s exactly; write(read(f)) is byte-identical for files already canonical.
 
-The unit of work is the element: one loop (_texts) turns each graph or
-dataset into one string and builds no Quad, and turns a flat stream into
-batches of whole lines.  write_stream, write_dir_stream and the CLI's
-convert of a plan with a group step write through it.  A stream re-framed
-by the extend and flatten relations, which change no statement, never
-becomes terms: the CLI reads it in the reader's text mode, as canonical
-lines or element texts, and _reframed only batches or delimits them.  One
-helper (_framed) puts the '#---' lines between elements for both.
+Every output takes one path: item texts, one framing step, one sink.
+_texts turns each statement into its line and each graph or dataset into
+one string, building no Quad: the shape of the reader's text mode, in
+which the CLI reads a stream that the extend and flatten relations
+re-frame without changing a statement.  _reframed frames either: it joins
+a flat stream's lines a few hundred at a time and puts '#---' between
+framed elements.  write_stream, write_dir_stream and convert write
+through it.
 
-Only a call that writes imports this module: convert, and annotate's
-Turtle output for serialize_term.
+Only a call that writes imports this module: convert, and annotate for
+serialize_term and the byte sink.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import contextlib
 import os
 import re
-from itertools import islice
+from itertools import chain, islice
 from typing import IO, Iterable, Iterator
 
 from .errors import MixedPayload, OutputExists
@@ -75,35 +75,27 @@ def serialize_statement(statement: Statement) -> str:
 _CHUNK_LINES = 256
 
 
-def _batches(items: Iterable) -> Iterator[list]:
-    """items in lists of _CHUNK_LINES, the last one shorter."""
-    items = iter(items)
-    return iter(lambda: list(islice(items, _CHUNK_LINES)), [])
-
-
-def _framed(texts: Iterable[str], framing: Framing) -> Iterator[str]:
-    """Element texts under framing: in a framed framing each after the first
-    is led by '#---'; a flat or directory framing has no delimiter."""
-    delimiter = "" if framing.is_flat or framing.is_dir else FRAME_DELIMITER + "\n"
-    for i, text in enumerate(texts):
-        yield delimiter + text if i else text
-
-
 def _reframed(texts: Iterable[str], payload: Payload, framing: Framing) -> Iterator[str]:
-    """The output of the reader's text mode under framing: a flat stream's
-    lines joined _CHUNK_LINES at a time, or each element's text as
-    _framed gives it.  payload is the input's."""
-    return map("".join, _batches(texts)) if payload.is_flat else _framed(texts, framing)
+    """Item texts in the shape of io._read's text mode for payload, as
+    framing writes them: a flat stream's lines joined _CHUNK_LINES at a
+    time; one str per element, each after the first led by '#---' in a
+    framed framing and by nothing in a flat or directory one."""
+    texts = iter(texts)
+    if payload.is_flat:
+        # A line is never empty, so only the end of texts joins to "".
+        return iter(lambda: "".join(islice(texts, _CHUNK_LINES)), "")
+    if framing.is_flat or framing.is_dir:
+        return texts
+    return chain(islice(texts, 1), map(f"{FRAME_DELIMITER}\n".__add__, texts))
 
 
-def _texts(items: Iterable, payload: Payload, framing: Framing) -> Iterator[str]:
-    """The text of payload items under framing: one str per element, in
-    Dataset.quads() order and delimited by _framed; one per _CHUNK_LINES
-    statements of a flat stream.
-    payload is framing's, or one that extend and flatten take to it.  Each
-    IRI and blank node is escaped once, its text kept in a table local to
-    the stream that empties at _INTERN_LIMIT entries.  An item not of
-    payload's class raises MixedPayload."""
+def _texts(items: Iterable, framing: Framing) -> Iterator[str]:
+    """The canonical text of each item of framing's payload, in the shape of
+    io._read's text mode: a statement's line with its LF, or an element's
+    lines in Dataset.quads() order.  Each IRI and blank node is escaped
+    once, its text kept in a table local to the stream that empties at
+    _INTERN_LIMIT entries.  An item not of the payload's class raises
+    MixedPayload."""
     texts: dict[Iri | BlankNode, str] = {}
     get = texts.get
 
@@ -119,34 +111,38 @@ def _texts(items: Iterable, payload: Payload, framing: Framing) -> Iterator[str]
         body = tail.join([f"{get(s) or new(s)} {get(p) or new(p)} {get(o) or new(o)}" for s, p, o in triples])
         return body + tail if body else ""
 
+    payload = framing.payload
     kind = _ITEM_CLASS[payload]
 
     def refuse(item) -> None:
         raise MixedPayload(f"{framing.value} framing cannot serialize a {type(item).__name__}")
 
-    if payload.is_flat:
-        for batch in _batches(items):
-            for statement in batch:
-                if not isinstance(statement, kind):
-                    refuse(statement)
-            if payload is Payload.TRIPLES:
-                yield lines(batch, " .\n")
-            else:
-                yield "".join([lines((q[:3],), " .\n" if q[3] is None else f" {get(q[3]) or new(q[3])} .\n")
-                               for q in batch])
-        return
-
-    def element_text(element) -> str:
-        if not isinstance(element, kind):
-            refuse(element)
-        if payload is Payload.GRAPHS:
-            return lines(element, " .\n")
-        text = lines(element.default_graph, " .\n")
-        for label, graph in element.named_items():
-            text += lines(graph, f" {get(label) or new(label)} .\n")
-        return text
-
-    yield from _framed(map(element_text, items), framing)
+    # One loop per payload: a loop shared by triples and quads unpacks each
+    # statement into a list and tests its length on every line.
+    if payload is Payload.TRIPLES:
+        for triple in items:
+            if not isinstance(triple, kind):
+                refuse(triple)
+            s, p, o = triple
+            yield f"{get(s) or new(s)} {get(p) or new(p)} {get(o) or new(o)} .\n"
+    elif payload is Payload.QUADS:
+        for quad in items:
+            if not isinstance(quad, kind):
+                refuse(quad)
+            s, p, o, g = quad
+            text = f"{get(s) or new(s)} {get(p) or new(p)} {get(o) or new(o)}"
+            yield text + " .\n" if g is None else f"{text} {get(g) or new(g)} .\n"
+    else:
+        for element in items:
+            if not isinstance(element, kind):
+                refuse(element)
+            if payload is Payload.GRAPHS:
+                yield lines(element, " .\n")
+                continue
+            text = lines(element.default_graph, " .\n")
+            for label, graph in element.named_items():
+                text += lines(graph, f" {get(label) or new(label)} .\n")
+            yield text
 
 
 def _write_texts(texts: Iterable[str], sink: IO[bytes]) -> int:
@@ -175,7 +171,7 @@ def write_stream(items: Iterable, framing: Framing, sink: IO[bytes]) -> int:
     """
     if framing.is_dir:
         raise ValueError(f"write_stream needs a flat or framed framing, got {framing.value}")
-    return _write_texts(_texts(items, framing.payload, framing), sink)
+    return _write_texts(_reframed(_texts(items, framing), framing.payload, framing), sink)
 
 
 def _member_stem(index: int) -> str:
@@ -199,7 +195,7 @@ def write_dir_stream(
     """
     if not framing.is_dir:
         raise ValueError(f"write_dir_stream needs a dir framing, got {framing.value}")
-    return _write_members(_texts(elements, framing.payload, framing), framing, directory)
+    return _write_members(_reframed(_texts(elements, framing), framing.payload, framing), framing, directory)
 
 
 def _write_members(texts: Iterable[str], framing: Framing, directory: "os.PathLike[str] | str") -> list[str]:

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import gc
 import io
 import json
@@ -16,6 +17,7 @@ from jsonschema import validate as schema_validate
 import staxkit.cli
 import staxkit.commands
 import staxkit.writer
+from staxkit.annotate import emit_turtle, load_manifest
 from staxkit.cli import main
 from staxkit.commands import _framing_for
 from staxkit.errors import (
@@ -516,6 +518,24 @@ class TestClassify:
         assert first == second
 
 
+# convert --output and annotate --out write a file through one routine.
+FILE_WRITERS = ["convert", "annotate"]
+
+
+def file_target_call(command, tmp_path, target):
+    """The argv of a command that writes its output to target, and the bytes it writes."""
+    if command == "convert":
+        src = tmp_path / "in.bin"
+        src.write_bytes(framed_graphs(1))
+        argv = ["convert", "--input", str(src), "--output", str(target), "--from", "graphStream",
+                "--to", "flatTripleStream"]
+        return argv, framed_graphs(1)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(MANIFEST_OK))
+    turtle = emit_turtle(load_manifest(json.dumps(MANIFEST_OK), default_taxonomy()), default_taxonomy())
+    return ["annotate", "--manifest", str(manifest), "--out", str(target)], turtle.encode()
+
+
 class TestConvert:
     def test_framed_graphs_to_flat_triples(self, tmp_path, capsys):
         src = tmp_path / "in.bin"
@@ -584,11 +604,11 @@ class TestConvert:
         good = self.GOOD.replace(b"#---\n", b"")
         assert out and out.endswith(b"\n") and good.startswith(out)
 
-    def test_missing_output_directory_names_the_target(self, tmp_path, capsys):
-        src = tmp_path / "in.bin"
-        src.write_bytes(framed_graphs(1))
+    @pytest.mark.parametrize("command", FILE_WRITERS)
+    def test_missing_output_directory_names_the_target(self, command, tmp_path, capsys):
         dst = tmp_path / "missing" / "out.nt"
-        assert main(["convert", "--input", str(src), "--output", str(dst), *self.TO_FLAT]) == 3
+        argv, _ = file_target_call(command, tmp_path, dst)
+        assert main(argv) == 3
         assert capsys.readouterr().err == f"stax-kit: [Errno 2] No such file or directory: '{dst}'\n"
 
     def test_output_may_be_the_input(self, tmp_path, capsys):
@@ -598,11 +618,10 @@ class TestConvert:
         assert src.read_bytes() == self.GOOD.replace(b"#---\n", b"")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.bin"]
 
-    def test_file_output_keeps_the_mode_open_gives(self, tmp_path, capsys):
-        src = tmp_path / "in.bin"
-        src.write_bytes(framed_graphs(1))
+    @pytest.mark.parametrize("command", FILE_WRITERS)
+    def test_file_output_keeps_the_mode_open_gives(self, command, tmp_path, capsys):
         dst = tmp_path / "out.nt"
-        argv = ["convert", "--input", str(src), "--output", str(dst), *self.TO_FLAT]
+        argv, _ = file_target_call(command, tmp_path, dst)
         probe = tmp_path / "probe"
         probe.write_bytes(b"")
         assert main(argv) == 0
@@ -611,14 +630,14 @@ class TestConvert:
         assert main(argv) == 0
         assert stat.S_IMODE(dst.stat().st_mode) == 0o640
 
-    def test_file_output_writes_through_a_symlink_and_to_a_device(self, tmp_path, capsys):
-        src = tmp_path / "in.bin"
-        src.write_bytes(framed_graphs(1))
+    @pytest.mark.parametrize("command", FILE_WRITERS)
+    def test_file_output_writes_through_a_symlink_and_to_a_device(self, command, tmp_path, capsys):
         dst, link = tmp_path / "out.nt", tmp_path / "link.nt"
         link.symlink_to(dst)
         for target in (link, os.devnull):
-            assert main(["convert", "--input", str(src), "--output", str(target), *self.TO_FLAT]) == 0
-        assert link.is_symlink() and dst.read_bytes() == framed_graphs(1)
+            argv, written = file_target_call(command, tmp_path, target)
+            assert main(argv) == 0
+        assert link.is_symlink() and dst.read_bytes() == written
 
     def test_closed_stdout_exits_141_quietly(self, tmp_path):
         # Far more output than a pipe buffers, so the writer meets the closed pipe.
@@ -1266,6 +1285,23 @@ class TestParseErrorsNameTheInput:
         assert capsys.readouterr().err == "stax-kit: MixedPayload: directory framings cannot read standard input\n"
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--to", "graphStream", "--output-framing", "dir-graphs"],
+            # no strict plan either: standard output is refused first
+            ["--to", "datasetStream", "--output-framing", "dir-datasets"],
+        ],
+        ids=["convert", "convert-without-plan"],
+    )
+    def test_directory_framings_refuse_stdout(self, argv, tmp_path, monkeypatch, capsys):
+        # Refused before the input is opened: it does not exist.
+        monkeypatch.chdir(tmp_path)
+        argv = ["convert", "--input", "absent.nt", "--from", "flatTripleStream", "--output", "-", *argv]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "stax-kit: MixedPayload: directory framings cannot write standard output\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "data, framing, message",
         [
             (BAD, "flat-triples", "ParseError: {}: line 2, column 37: expected IRI, blank node, or literal"),
@@ -1389,6 +1425,29 @@ class TestAnnotate:
         code = main(["annotate", "--manifest", str(m), "--out", str(out)])
         assert code == 0
         assert out.read_text().startswith("@prefix dcat:")
+        assert capsys.readouterr().err == f"stax-kit: wrote {out.stat().st_size} byte(s) to {out}\n"
+
+    def test_out_dash_is_stdout(self, tmp_path, monkeypatch, capsysbinary):
+        monkeypatch.chdir(tmp_path)
+        argv, written = file_target_call("annotate", tmp_path, "-")
+        assert main(argv) == 0
+        assert capsysbinary.readouterr() == (written, b"")
+        assert not (tmp_path / "-").exists()
+
+    def test_failed_out_write_leaves_the_target(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "usage.ttl"
+        argv, _ = file_target_call("annotate", tmp_path, out)
+        out.write_bytes(b"old\n")
+
+        def fail_part_way(texts, sink):
+            sink.write(b"@prefix")
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(staxkit.writer, "_write_texts", fail_part_way)
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "stax-kit: [Errno 28] No space left on device\n"
+        assert out.read_bytes() == b"old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "usage.ttl"]
 
     def test_unknown_stream_type_is_data_error(self, tmp_path, capsys):
         m = tmp_path / "manifest.json"

@@ -251,6 +251,51 @@ def test_one_function_opens_the_input_of_every_data_subcommand():
         "_read_dir_stream", "_read_stream"]
 
 
+def framing_users(tree: ast.Module) -> list[str]:
+    """The function around each read of the frame delimiter or the flat chunk size."""
+    return enclosing_functions(tree, lambda node: (
+        isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in ("FRAME_DELIMITER", "_CHUNK_LINES")
+        or isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.startswith("#---")
+    ))
+
+
+def output_writers(tree: ast.Module) -> list[str]:
+    """The function around each use of sys.stdout.buffer or _write_file."""
+    return enclosing_functions(tree, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == "buffer"
+        and isinstance(node.value, ast.Attribute) and node.value.attr == "stdout"
+        or isinstance(node, ast.Name) and node.id == "_write_file"
+    ))
+
+
+def test_one_function_frames_every_output_and_one_writes_it():
+    # Items become texts, one writer step frames them: it alone joins flat
+    # lines a chunk at a time and puts '#---' between elements.
+    framers = framing_users(ast.parse((SRC / "writer.py").read_text(encoding="utf-8")))
+    assert len(set(framers)) == 1 and framers[0], f"the output is framed in {framers}"
+    assert framing_users(ast.parse(
+        "from .framing import FRAME_DELIMITER\n"
+        "_CHUNK_LINES = 256\n"
+        "def a(): return FRAME_DELIMITER + '\\n'\n"
+        "def b(): return '#---\\n'\n"
+        "def c(): return islice(lines, _CHUNK_LINES)\n"
+    )) == ["a", "b", "c"]
+    # Then one routine in commands writes standard output or a whole file,
+    # for convert and annotate alike; only _write_file opens a file.
+    commands = ast.parse((SRC / "commands.py").read_text(encoding="utf-8"))
+    writers = output_writers(commands)
+    assert len(set(writers)) == 1 and writers[0], f"the output is written in {writers}"
+    openers = enclosing_functions(commands, lambda node: (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open"))
+    assert set(openers) == {"_write_file"}, f"files are opened in {openers}"
+    assert output_writers(ast.parse(
+        "import sys\n"
+        "def a(): sys.stdout.buffer.write(b'')\n"
+        "def b(): return _write_file(texts, path)\n"
+        "def c(): sys.stdout.write('')\n"
+    )) == ["a", "b"]
+
+
 def test_dead_name_is_reported():
     module = ast.parse(
         "__all__ = ['exported']\n"
