@@ -20,7 +20,9 @@ classify or validate compiles neither.
 
 The reader has a text mode for convert's re-framings, which change no
 statement: it yields each statement's canonical N-Triples/N-Quads line, or
-each element's lines, in place of terms (see _read).
+each element's lines, in place of terms (see _read).  A line already
+canonical is kept as read, checked by one pattern; any other line is
+rebuilt from its tokens or serialized from its terms.
 """
 
 from __future__ import annotations
@@ -100,6 +102,22 @@ _STATEMENT = re.compile(
 )
 _ESCAPE = re.compile(rf"{_UCHAR}|{_ECHAR}")
 _SKIP_WS = re.compile(_WS)
+
+# A three-term line exactly as the writer writes it, and whose terms need no
+# check beyond it: ASCII IRIREFs holding a ':' (for ASCII, all Iri checks),
+# BlankNode's labels, literal bodies with only the writer's escapes, and no
+# datatype the writer omits or Literal refuses.  The text mode keeps such a
+# line as read.  It is compiled on first use through re's cache, so term
+# mode compiles nothing for it; a positive class compiles far faster than a
+# negated one reaching U+10FFFF.
+_CANONICAL_IRI = r"<[!#-9;=?-\[\]_a-z~]*:[!#-;=?-\[\]_a-z~]*>"
+_CANONICAL_NODE = rf"(?:{_CANONICAL_IRI}|_:[A-Za-z0-9][A-Za-z0-9_.-]*(?<!\.))"
+_CANONICAL = (
+    rf"{_CANONICAL_NODE} {_CANONICAL_IRI} (?:{_CANONICAL_NODE}"
+    rf'|"[^"\\\r\n\t]*(?:\\["\\nrt][^"\\\r\n\t]*)*"'
+    rf"(?:@{LANGTAG}|\^\^(?!<{re.escape(XSD_STRING)}>|<{re.escape(RDF_LANGSTRING)}>){_CANONICAL_IRI})?)"
+    r" \.\n"
+)
 
 _CR_REASON = "carriage return (U+000D) line end; lines must end in LF or CRLF"
 
@@ -245,16 +263,23 @@ def _read(
     end the indexes become the element, unchecked.
 
     With text, a statement is its canonical line, LF included, and an
-    element the str of its lines in Dataset.quads() order.  A matched line
-    without '\\' or TAB has its IRI and blank tokens checked through the
-    intern table and a new datatype through Literal, as in term mode, and is
-    rebuilt from its tokens: single spaces, ' .', no comment, no CR and no
-    xsd:string suffix.  Any other line is built with terms and serialized
-    by the writer.  The index of a graph label term keys lines, so a
-    statement repeated in any spelling is kept once, as in term mode.
+    element the str of its lines in Dataset.quads() order.  A three-term
+    line that _CANONICAL matches in full is already that line: it is kept
+    as read, with no term built, in the default graph.  A matched line with
+    no '\\' outside its literal has its IRI and blank tokens checked through
+    the intern table and a new datatype through Literal, as in term mode,
+    and is rebuilt from its tokens: single spaces, ' .', no comment, no CR,
+    no xsd:string suffix, and the literal unescaped, then escaped with the
+    writer's table.  Any other line, such as one with a \\u escape in an
+    IRI, is built with terms and serialized by the writer.  The index of a
+    graph label term keys lines, so a statement repeated in any spelling is
+    kept once, as in term mode.
     """
     if text:
+        from .writer import _LITERAL_ESC as literal_escapes
         from .writer import serialize_statement
+
+        canonical = re.compile(_CANONICAL).fullmatch
     flat = layout == "flat"
     framed = layout == "framed"
     flat_quads = flat and quads
@@ -273,25 +298,34 @@ def _read(
             reason = f"invalid UTF-8 byte 0x{raw[exc.start]:02X} at byte offset {offset + exc.start}"
             raise ParseError(no, column, reason) from None
         offset += len(raw)
-        m = match(line)
-        statement = None
+        if text and canonical(line):
+            # A canonical triple line is its own text, in the default graph.
+            statement, label, m = line, None, None
+        else:
+            m = match(line)
+            statement = None
         # A matched line starts with a term: never a delimiter, blank or comment.
         if m is not None and (quads or m[7] is None):
             s, p, o, lexical, language, datatype, g = m.groups()
             try:
-                if text and "\\" not in line and "\t" not in line:
-                    # Tokens without escapes are their terms' canonical text.
+                if text and ("\\" not in line or lexical is not None and line.count("\\") == lexical.count("\\")):
+                    # Node tokens without escapes are their terms' canonical
+                    # text; a literal is unescaped, then escaped as the writer does.
                     get(s) or _node(s)
                     get(p) or _node(p)
                     if o is not None:
                         get(o) or _node(o)
                     else:
+                        value = lexical
+                        if "\\" in lexical or "\t" in lexical:
+                            value = _unescape(lexical)
+                            lexical = value.translate(literal_escapes)
                         o = f'"{lexical}"'
                         if language is not None:
                             o += "@" + language
                         elif datatype is not None:
                             dt = get(datatype) or _node(datatype)
-                            if (checked(dt) or Literal(lexical, dt)[1]) != XSD_STRING:
+                            if (checked(dt) or Literal(value, dt)[1]) != XSD_STRING:
                                 o += "^^" + datatype
                     if g is None:
                         label = None

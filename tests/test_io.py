@@ -35,7 +35,7 @@ from staxkit.io import (
     write_flat_stream,
 )
 from staxkit.locator import _locate
-from staxkit.model import XSD_STRING, BlankNode, Dataset, Graph, Iri, Literal, Quad, Triple
+from staxkit.model import RDF_LANGSTRING, XSD_STRING, BlankNode, Dataset, Graph, Iri, Literal, Quad, Triple
 from staxkit.writer import _member_stem, serialize_statement, serialize_term, write_dir_stream, write_stream
 
 EX = "http://example.org/"
@@ -1459,9 +1459,15 @@ class TestOneDecodeLoop:
 # is its canonical line, whatever its spelling, and every error is the term
 # mode's error.
 def _text_or_error(data: bytes, framing: Framing, text: bool):
-    """The items read, each as its canonical text, or the error's class, message and place."""
+    """The items read, each as its canonical text, or the error's class, message and place.
+    A directory framing reads data as the one member of a fresh directory."""
     try:
-        items = list(staxkit.io._read_stream(data, framing, text))
+        if framing.is_dir:
+            with tempfile.TemporaryDirectory() as directory:
+                Path(directory, "00000.nq" if framing.quads_payload else "00000.nt").write_bytes(data)
+                items = list(staxkit.io._read_stream(directory, framing, text))
+        else:
+            items = list(staxkit.io._read_stream(data, framing, text))
     except (ParseError, MixedPayload) as exc:
         return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
     if text:
@@ -1511,3 +1517,164 @@ def test_every_spelling_of_a_statement_is_one_canonical_line(spellings):
     assert _text_or_error(data, Framing.FRAMED_DATASETS, True) == [default.decode() + canonical, canonical]
     for framing in (Framing.FLAT_QUADS, Framing.FRAMED_DATASETS):
         assert _text_or_error(data, framing, True) == _text_or_error(data, framing, False)
+
+
+# A line the writer would write keeps its bytes in the text mode, with no
+# term built; every other spelling is rebuilt or serialized.  Either way the
+# text is the term mode's statement serialized, or its error at its place.
+CANONICAL_LINE = re.compile(staxkit.io._CANONICAL)
+WRITER_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+ECHARS = {"\t": "\\t", "\b": "\\b", "\n": "\\n", "\r": "\\r", "\f": "\\f", '"': '\\"', "'": "\\'", "\\": "\\\\"}
+IRI_EXCLUDED = {*map(chr, range(0x21)), *'<>"{}|^`\\'}
+
+
+def _escape_char(draw, c):
+    """c spelled as a \\u or \\U escape."""
+    return draw(st.sampled_from([f"\\u{ord(c):04X}", f"\\u{ord(c):04x}", f"\\U{ord(c):08X}"]))
+
+
+def _spell_iri(draw, value, canonical):
+    chars = [f"\\u{ord(c):04X}" if c in IRI_EXCLUDED else c for c in value]
+    if not canonical:
+        chars = [_escape_char(draw, c) if draw(st.integers(0, 3)) == 0 else t for c, t in zip(value, chars)]
+    return "<" + "".join(chars) + ">"
+
+
+def _spell_literal(draw, lexical, canonical):
+    if canonical:
+        return '"' + "".join(WRITER_ESCAPES.get(c, c) for c in lexical) + '"'
+    out = []
+    for c in lexical:
+        ways = [_escape_char(draw, c), ECHARS.get(c, c)]
+        if c not in '"\\\n\r':
+            ways.append(c)
+        out.append(draw(st.sampled_from(ways)))
+    if draw(st.integers(0, 9)) == 0:
+        out.append(draw(st.sampled_from(["\\uD800", "\\U00110000"])))  # no scalar value
+    return '"' + "".join(out) + '"'
+
+
+iri_texts = st.builds(
+    str.__add__,
+    st.sampled_from(["http://ex.org/", "urn:x:", "http://ex.org/é/", "nocolon/"]),
+    st.text(alphabet="ab.:#/é\x7f{ ", max_size=4),
+)
+blank_labels = st.from_regex(r"[A-Za-z0-9](?:[A-Za-z0-9_.-]{0,4}[A-Za-z0-9_-])?", fullmatch=True)
+
+
+@st.composite
+def spelled_statements(draw, canonical=None):
+    """One statement line ending in LF or CRLF, spelled canonically (single
+    spaces, ' .', the writer's escapes) or in a random other way."""
+    if canonical is None:
+        canonical = draw(st.booleans())
+
+    def node():
+        if draw(st.integers(0, 3)) == 0:
+            return "_:" + draw(blank_labels)
+        return _spell_iri(draw, draw(iri_texts), canonical)
+
+    terms = [node(), _spell_iri(draw, draw(iri_texts), canonical)]
+    if draw(st.booleans()):
+        terms.append(node())
+    else:
+        o = _spell_literal(draw, draw(st.text(alphabet='ab"\\\n\r\t\b\f\'é\x7f\u2028', max_size=6)), canonical)
+        suffix = draw(st.sampled_from(["", "lang", "datatype"]))
+        if suffix == "lang":
+            o += "@" + draw(st.sampled_from(["en", "en-GB", "EN"]))
+        elif suffix == "datatype":
+            datatype = draw(st.sampled_from(
+                ["http://www.w3.org/2001/XMLSchema#integer", XSD_STRING, RDF_LANGSTRING, "http://ex.org/dt/é"]
+            ))
+            o += "^^" + _spell_iri(draw, datatype, canonical)
+        terms.append(o)
+    if draw(st.integers(0, 4)) == 0:
+        terms.append(node())  # a graph label
+    if canonical:
+        return " ".join(terms) + " .\n"
+    separators = [draw(st.sampled_from([" ", "\t", "  ", " \t"])) for _ in terms[1:]]
+    line = terms[0] + "".join(s + t for s, t in zip(separators, terms[1:]))
+    return line + draw(st.sampled_from([" .", ".", " . # c", "\t."])) + draw(st.sampled_from(["\n", "\r\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(spelled_statements(), st.just("#---\n")), max_size=6),
+    st.sampled_from(list(Framing)),
+    st.data(),
+)
+def test_property_text_mode_is_the_term_mode_serialized(lines, framing, data):
+    # A statement spelled twice, once each way, is kept once in an element.
+    if lines and data.draw(st.booleans()):
+        lines.append(data.draw(st.sampled_from(lines)))
+    encoded = "".join(lines).encode()
+    assert _text_or_error(encoded, framing, True) == _text_or_error(encoded, framing, False)
+
+
+@settings(max_examples=300)
+@given(st.one_of(spelled_statements(), spelled_statements(canonical=True), mutated_lines().map("{}\n".format)))
+def test_property_a_line_the_pattern_accepts_is_canonical(line):
+    if CANONICAL_LINE.fullmatch(line):
+        [statement] = read_flat_stream(line.encode(), Framing.FLAT_QUADS)
+        assert serialize_statement(statement) + "\n" == line
+
+
+NEAR_CANONICAL = [
+    '<http://a:1> <http://p:1> "x" .\r\n',
+    '<http://a:1>  <http://p:1> "x" .\n',
+    '<http://a:1>\t<http://p:1> "x" .\n',
+    ' <http://a:1> <http://p:1> "x" .\n',
+    '<http://a:1> <http://p:1> "x".\n',
+    '<http://a:1> <http://p:1> "x" . # c\n',
+    '<http://a:1> <http://p:1> "x" .',
+    '<http://a:1> <http://p:1> "\\u0041" .\n',
+    '<http://a:1> <http://p:1> "\\b\\f\\\'" .\n',
+    '<http://a:1> <http://p:1> "a\tb" .\n',
+    '<http://\\u0061:1> <http://p:1> "x" .\n',
+    '<http://a:é> <http://p:1> "x" .\n',
+    '<http://a:\x7f> <http://p:1> "x" .\n',
+    '<http://a:1> <http://p:1> "x" <http://g:1> .\n',
+    '<http://a:1> <http://p:1> "x"^^<http://www.w3.org/2001/XMLSchema#string> .\n',
+    '<http://a:1> <http://p:1> "x"^^<http://www.w3.org/1999/02/22-rdf-syntax-ns#langString> .\n',
+    '<http://a:1> <http://p:1> "x"^^<nocolon> .\n',
+    '<nocolon> <http://p:1> "x" .\n',
+    '<http://a:1> <http://p:1> _:b. .\n',
+    '_:b. <http://p:1> "x" .\n',
+    '_:-b <http://p:1> "x" .\n',
+    '<http://a:1> <http://p:1> "x"@en- .\n',
+    '<http://a:1> <http://p:1> "\\uD800" .\n',
+    '<http://a:1> <http://p:1> "x" . .\n',
+]
+
+
+@pytest.mark.parametrize("framing", [Framing.FLAT_TRIPLES, Framing.FRAMED_DATASETS, Framing.DIR_GRAPHS])
+@pytest.mark.parametrize("line", NEAR_CANONICAL)
+def test_near_canonical_lines_take_the_checked_path(line, framing):
+    assert not CANONICAL_LINE.fullmatch(line)
+    data = line.encode()
+    assert _text_or_error(data, framing, True) == _text_or_error(data, framing, False)
+
+
+def test_the_pattern_accepts_the_writer_escapes_only():
+    # The text mode re-escapes a literal with the writer's table, and keeps a
+    # literal as read when its escapes are that table's and no other.
+    assert staxkit.writer._LITERAL_ESC == str.maketrans(WRITER_ESCAPES)
+    for c, escape in ECHARS.items():
+        line = f'<http://a:1> <http://p:1> "{escape}" .\n'
+        assert bool(CANONICAL_LINE.fullmatch(line)) == (WRITER_ESCAPES.get(c) == escape)
+        assert _text_or_error(line.encode(), Framing.FLAT_TRIPLES, True) == [
+            f'<http://a:1> <http://p:1> "{WRITER_ESCAPES.get(c, c)}" .\n'
+        ]
+
+
+def test_canonical_lines_build_no_terms(monkeypatch):
+    elements = gen_graph_elements(random.Random(7))
+    data = framed_bytes(elements, Framing.FRAMED_GRAPHS)
+    calls = []
+    node = staxkit.io._node
+    monkeypatch.setattr(staxkit.io, "_node", lambda token: calls.append(token) or node(token))
+    staxkit.io._interned.clear()
+    texts = _text_or_error(data, Framing.FRAMED_GRAPHS, True)
+    assert calls == []
+    assert texts == _text_or_error(data, Framing.FRAMED_GRAPHS, False)
+    assert "".join(texts) == data.decode().replace("#---\n", "")
