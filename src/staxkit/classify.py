@@ -185,60 +185,74 @@ def _timestamp_triples(dataset: Dataset, name: Term, cfg: ClassifierConfig) -> l
 
 
 # The XSD 1.1 lexical spaces of the timestamp types, in ASCII digits
-# (https://www.w3.org/TR/xmlschema11-2/#dateTime and the sections after it).
-# datetime.fromisoformat alone would also take a space separator, the basic
-# format and a missing seconds field; Decimal() would take exponents,
-# underscores, other scripts' digits, NaN and Infinity.  The end of day
-# 24:00:00 is left out: datetime has no hour 24, so it stays incomparable
-# until it is read as the next day's midnight.  A date keeps its fields in
-# group 1 and its timezone, if any, in group 2.  Each pattern is compiled
-# once, at the first timestamp of its type, into _timestamp_patterns.
-_XSD_YMD = r"-?(?:[1-9][0-9]{3,}|0[0-9]{3})-(?:0[1-9]|1[0-2])-(?:0[1-9]|[12][0-9]|3[01])"
-_XSD_TIMEZONE = r"(?:Z|[+-](?:(?:0[0-9]|1[0-3]):[0-5][0-9]|14:00))?"
+# (https://www.w3.org/TR/xmlschema11-2/#dateTime and the sections after it);
+# Decimal() alone would take exponents, underscores, other scripts' digits,
+# NaN and Infinity.  A date captures its year, month, day and timezone.  A
+# date-time also captures its hour, minute, second and fraction less its
+# trailing zeros, in that order before the timezone; the end of day
+# 24:00:00, with an all-zero fraction if any, leaves those four groups
+# empty.  Each pattern is compiled once, at the first timestamp of its
+# type, into _timestamp_patterns.
+_XSD_YMD = r"(-?(?:[1-9][0-9]{3,}|0[0-9]{3}))-(0[1-9]|1[0-2])-(0[1-9]|[12][0-9]|3[01])"
+_XSD_TIMEZONE = r"(Z|[+-](?:(?:0[0-9]|1[0-3]):[0-5][0-9]|14:00))?"
 _TIMESTAMP_LEXICAL = {
-    XSD_DATETIME: rf"{_XSD_YMD}T(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9](?:\.[0-9]+)?{_XSD_TIMEZONE}",
-    XSD_DATE: rf"({_XSD_YMD})({_XSD_TIMEZONE})",
+    XSD_DATETIME: rf"{_XSD_YMD}T(?:([01][0-9]|2[0-3]):([0-5][0-9]):([0-5][0-9])"
+    rf"(?:\.(?:([0-9]*[1-9])0*|0+))?|24:00:00(?:\.0+)?){_XSD_TIMEZONE}",
+    XSD_DATE: rf"{_XSD_YMD}{_XSD_TIMEZONE}",
     XSD_INTEGER: r"[+-]?[0-9]+",
     XSD_DECIMAL: r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)",
 }
 _timestamp_patterns: dict[str, re.Pattern] = {}
+_MONTH_DAYS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
 
 def comparable_timestamp(term: Term) -> tuple[str, object] | None:
     """(comparability domain, value) for an orderable timestamp, else None.
 
     Chronological values split into offset-aware and naive domains because
-    the two cannot be compared.  A date is its first instant, as in XSD 1.1:
-    the midnight at its timezone's offset, or a naive midnight without one.
-    Finite numeric timestamps share one decimal domain.  Everything else is
-    incomparable and never ordered: values outside their type's lexical
-    space, the end of day 24:00:00, and years datetime cannot hold (before 1
-    or after 9999).  datetime and decimal are imported only for the
-    timestamps that need them.
+    the two cannot be compared.  Their value is exact: the whole seconds
+    since 1970-01-01T00:00:00 on the proleptic Gregorian calendar, with
+    astronomical years (0000 is a leap year, -0001 the year before it) and
+    the timezone's offset subtracted, paired with the fraction's digits
+    less their trailing zeros, so that equal instants have equal values.
+    The end of day 24:00:00 is the next day's midnight, and a date is its
+    first instant, as in XSD 1.1.  Finite numeric timestamps share one
+    decimal domain.  A value outside its type's lexical space, or a day its
+    month does not have, is incomparable and never ordered.  Only the XSD
+    whitespace (space, TAB, LF, CR) around a value is ignored.  decimal is
+    imported only for the numeric timestamps.
     """
     if not isinstance(term, Literal):
         return None
     pattern = _timestamp_patterns.get(term.datatype)
     if pattern is None and term.datatype in _TIMESTAMP_LEXICAL:
         pattern = _timestamp_patterns[term.datatype] = re.compile(_TIMESTAMP_LEXICAL[term.datatype])
-    lex = term.lexical.strip()
+    lex = term.lexical.strip(" \t\n\r")
     if pattern is None or (match := pattern.fullmatch(lex)) is None:
         return None
-    # A repeated `import m` only finds m in sys.modules; `from m import n`
-    # also looks for m.__path__, and the AttributeError costs about 1 µs.
-    if term.datatype in (XSD_DATETIME, XSD_DATE):
-        import datetime
+    if term.datatype == XSD_DATETIME:
+        year, month, day, hour, minute, second, fraction, zone = match.groups()
+        seconds = 86400 if hour is None else int(hour) * 3600 + int(minute) * 60 + int(second)
+    elif term.datatype == XSD_DATE:
+        year, month, day, zone = match.groups()
+        seconds, fraction = 0, None
+    else:
+        # A repeated `import m` only finds m in sys.modules; `from m import n`
+        # also looks for m.__path__, and the AttributeError costs about 1 µs.
+        import decimal
 
-        if term.datatype == XSD_DATE:
-            lex = f"{match[1]}T00:00:00{match[2]}"
-        try:
-            dt = datetime.datetime.fromisoformat(lex.replace("Z", "+00:00"))
-        except ValueError:
-            return None
-        return ("chrono-aware" if dt.tzinfo is not None else "chrono-naive"), dt
-    import decimal
-
-    return "numeric", decimal.Decimal(lex)
+        return "numeric", decimal.Decimal(lex)
+    y, m, d = int(year), int(month), int(day)
+    if d > 28 and d > _MONTH_DAYS[m - 1] + (m == 2 and y % 4 == 0 and (y % 100 != 0 or y % 400 == 0)):
+        return None
+    # Days since 1970-01-01 in years that begin on March 1, so that a leap
+    # day ends its year (Hinnant, "chrono-Compatible Low-Level Date
+    # Algorithms"); floor division carries it to negative years.
+    y -= m < 3
+    seconds += 86400 * (365 * y + y // 4 - y // 100 + y // 400 + (153 * ((m + 9) % 12) + 2) // 5 + d - 719469)
+    if zone and zone != "Z":
+        seconds -= int(zone[:3]) * 3600 + int(zone[0] + zone[4:]) * 60
+    return ("chrono-aware" if zone else "chrono-naive"), (seconds, fraction or "")
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,16 @@ the package: all-pairs matrix reachability instead of per-node BFS,
 exhaustive backtracking instead of greedy subject choice, literal path
 enumeration instead of an ancestor map and layered search, a character
 scanner instead of the statement pattern and its token locator, field
-slicing and digit counts instead of the XSD timestamp patterns, and
+slicing, digit counts, January-based day counts and exact fractions
+instead of the XSD timestamp patterns and their March-based day count, and
 regex/recursive-descent reference parsers for the serialized formats.
 """
 
 from __future__ import annotations
 
 import re
-from datetime import datetime, timedelta, timezone
 from decimal import Decimal
+from fractions import Fraction
 
 from staxkit.errors import ParseError
 from staxkit.model import BlankNode, Dataset, Graph, Iri, Literal, Quad, Statement, Term, Triple
@@ -151,85 +152,126 @@ def oracle_subject_assignment(candidate_sets: list[set[Iri]]) -> bool:
 # Timestamp oracle (all-pairs comparison)
 # ---------------------------------------------------------------------------
 
+# Days before each month of a common year, and the year's length.
+_DAYS_BEFORE_MONTH = (0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334, 365)
+# Days from 0001-01-01 to 1970-01-01.
+_EPOCH_DAY = 719162
+
 
 def _ascii_digits(text: str) -> bool:
     """text is a non-empty run of ASCII digits."""
     return bool(text) and all("0" <= c <= "9" for c in text)
 
 
+def _two_digits(text: str, low: int, high: int):
+    """The value of exactly two ASCII digits if it is from low to high, else None."""
+    if len(text) != 2 or not _ascii_digits(text) or not low <= int(text) <= high:
+        return None
+    return int(text)
+
+
+def _days_before_year(year: int) -> int:
+    """Days from 0001-01-01 to January 1 of year (negative before year 1)."""
+    y = year - 1
+    return 365 * y + y // 4 - y // 100 + y // 400
+
+
 def _split_timezone(text: str):
-    """(text before its XSD timezone, tzinfo or None), or None for a bad timezone.
+    """(text before its XSD timezone, offset in minutes or None), or None for a bad timezone.
 
     The timezone is 'Z' or a sign, two digits, ':' and two digits, from
     -14:00 to +14:00.  Text whose last six characters are not shaped like
     one has no timezone, and the field checks see all of it.
     """
     if text.endswith("Z"):
-        return text[:-1], timezone.utc
+        return text[:-1], 0
     tail = text[-6:]
     if len(tail) < 6 or tail[0] not in "+-" or tail[3] != ":":
         return text, None
-    hours, minutes = tail[1:3], tail[4:]
-    if not (_ascii_digits(hours) and _ascii_digits(minutes)):
+    hours, minutes = _two_digits(tail[1:3], 0, 14), _two_digits(tail[4:], 0, 59)
+    if hours is None or minutes is None or hours * 60 + minutes > 14 * 60:
         return None
-    total = int(hours) * 60 + int(minutes)
-    if int(minutes) > 59 or total > 14 * 60:
-        return None
-    return text[:-6], timezone(timedelta(minutes=-total if tail[0] == "-" else total))
+    return text[:-6], (hours * 60 + minutes) * (-1 if tail[0] == "-" else 1)
 
 
-def _date_fields(text: str):
-    """(year, month, day) of a 'YYYY-MM-DD' date, else None.
+def _day_number(text: str):
+    """Days from 1970-01-01 to the date '-?YYYY-MM-DD', else None.
 
-    Longer and negative years are in the XSD lexical space, but datetime
-    cannot hold them, so they are incomparable like every value it refuses.
+    The year has four digits or more, and no leading zero past four.  A
+    '-' makes it negative: years are astronomical, so 0000 is the year
+    before 0001.  A year is a leap year when it is 366 days long.
     """
-    if len(text) != 10 or text[4] != "-" or text[7] != "-":
+    body = text[1:] if text.startswith("-") else text
+    year, month, day = body[:-6], body[-5:-3], body[-2:]
+    if len(year) < 4 or (len(year) > 4 and year[0] == "0") or not _ascii_digits(year):
         return None
-    fields = (text[:4], text[5:7], text[8:])
-    return tuple(map(int, fields)) if all(_ascii_digits(f) for f in fields) else None
+    if body[-6:-5] != "-" or body[-3:-2] != "-":
+        return None
+    y = -int(year) if body is not text else int(year)
+    m = _two_digits(month, 1, 12)
+    if m is None:
+        return None
+    leap_day = _days_before_year(y + 1) - _days_before_year(y) - 365
+    month_days = _DAYS_BEFORE_MONTH[m] - _DAYS_BEFORE_MONTH[m - 1] + (leap_day if m == 2 else 0)
+    d = _two_digits(day, 1, month_days)
+    if d is None:
+        return None
+    before = _days_before_year(y) + _DAYS_BEFORE_MONTH[m - 1] + (leap_day if m > 2 else 0)
+    return before + d - 1 - _EPOCH_DAY
 
 
-def _time_fields(text: str):
-    """(hour, minute, second, microsecond) of 'hh:mm:ss' with an optional
-    fraction of any length (its first six digits count), else None."""
+def _clock_seconds(text: str):
+    """Exact seconds after midnight of 'hh:mm:ss' with an optional fraction
+    of any length, else None.  The end of day 24:00:00, whose fraction may
+    only hold zeros, is 86400."""
     clock, point, fraction = text.partition(".")
-    if len(clock) != 8 or clock[2] != ":" or clock[5] != ":":
+    if len(clock) != 8 or clock[2] != ":" or clock[5] != ":" or (point and not _ascii_digits(fraction)):
         return None
-    fields = (clock[:2], clock[3:5], clock[6:])
-    if not all(_ascii_digits(f) for f in fields) or (point and not _ascii_digits(fraction)):
+    fields = (_two_digits(clock[:2], 0, 24), _two_digits(clock[3:5], 0, 59), _two_digits(clock[6:], 0, 59))
+    if None in fields:
         return None
-    return (*map(int, fields), int(fraction[:6].ljust(6, "0")))
+    hour, minute, second = fields
+    subsecond = Fraction(int(fraction), 10 ** len(fraction)) if point else Fraction(0)
+    if hour == 24 and (minute or second or subsecond):
+        return None
+    return hour * 3600 + minute * 60 + second + subsecond
 
 
 def oracle_timestamp_value(term):
     """(domain, value) of an orderable timestamp, checked field by field
-    where comparable_timestamp matches a regex per XSD 1.1 production."""
+    where comparable_timestamp matches a regex per XSD 1.1 production.
+
+    A chronological value is its exact Fraction of seconds since
+    1970-01-01T00:00:00, less the timezone's offset if it has one.
+    """
     if not isinstance(term, Literal):
         return None
-    lex = term.lexical.strip()
-    try:
-        if term.datatype in (XSD + "dateTime", XSD + "date"):
-            split = _split_timezone(lex)
-            if split is None:
+    lex = term.lexical.strip(" \t\n\r")
+    if term.datatype in (XSD + "dateTime", XSD + "date"):
+        split = _split_timezone(lex)
+        if split is None:
+            return None
+        rest, offset = split
+        if term.datatype == XSD + "date":
+            # a date is its first instant: midnight at its timezone's offset
+            date, clock = rest, "00:00:00"
+        else:
+            date, separator, clock = rest.partition("T")
+            if not separator:
                 return None
-            rest, tz = split
-            if term.datatype == XSD + "date":
-                # a date is its first instant: midnight at its timezone's offset
-                rest += "T00:00:00"
-            ymd, time = _date_fields(rest[:10]), _time_fields(rest[11:])
-            if ymd is None or rest[10:11] != "T" or time is None:
-                return None
-            return ("chrono-aware" if tz else "chrono-naive", datetime(*ymd, *time, tzinfo=tz))
-        if term.datatype in (XSD + "integer", XSD + "decimal"):
-            whole, point, fraction = lex[lex[:1] in ("+", "-"):].partition(".")
-            if point and term.datatype == XSD + "integer":
-                return None
-            if not (whole or fraction) or not all(_ascii_digits(f) for f in (whole, fraction) if f):
-                return None
-            return ("numeric", Decimal(lex))
-    except ValueError:
-        return None
+        day, seconds = _day_number(date), _clock_seconds(clock)
+        if day is None or seconds is None:
+            return None
+        if offset is None:
+            return "chrono-naive", day * 86400 + seconds
+        return "chrono-aware", day * 86400 + seconds - offset * 60
+    if term.datatype in (XSD + "integer", XSD + "decimal"):
+        whole, point, fraction = lex[lex[:1] in ("+", "-"):].partition(".")
+        if point and term.datatype == XSD + "integer":
+            return None
+        if not (whole or fraction) or not all(_ascii_digits(f) for f in (whole, fraction) if f):
+            return None
+        return ("numeric", Decimal(lex))
     return None
 
 

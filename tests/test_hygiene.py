@@ -453,15 +453,15 @@ def test_classifying_graphs_loads_no_timestamp_module(tmp_path):
     assert not loaded & TIMESTAMP_MODULES
 
 
-def test_datetime_stamps_load_datetime_but_not_decimal(tmp_path):
+def test_datetime_stamps_load_no_timestamp_module(tmp_path):
     data = stamped_datasets(tmp_path / "data.nq", "dateTime", "2024-01-01T00:00:00Z", "2024-01-02T00:00:00Z")
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"usages": [{"streamType": "timestampedNamedGraphStream"}]}))
     loaded = modules_loaded_by(cli_call(
         "validate", "--manifest", str(manifest), "--data", str(data), "--framing", "framed-datasets", "--json"
     ))
-    assert {"staxkit.annotate", "datetime"} <= loaded
-    assert not loaded & {"decimal", "_decimal", "numbers"}
+    assert "staxkit.annotate" in loaded
+    assert not loaded & TIMESTAMP_MODULES
 
 
 def test_numeric_stamps_load_decimal_and_are_ordered(tmp_path):
