@@ -23,11 +23,13 @@ every node; the IRIs among them are the candidates.
 
 A Classifier holds one run: feed(item) checks the next statement or element
 once, and report() gives the report so far; classify_stream feeds it a whole
-stream.  Its memory is bounded except for the chosen subjects (one entry per
-element that found an unused candidate) and the notes (one per element with
-several candidate subjects or several timestamp triples).  The rest is fixed
-in size: the counts, the first violation per type, the evidence capped at
-max_evidence, and the greatest timestamp per predicate and domain.
+stream.  A dataset element is a Dataset or, where classify_stream or the
+CLI opens the stream, the reader's index of lines (see io._read).  Its
+memory is bounded except for the chosen subjects (one entry per element
+that found an unused candidate) and the notes (one per element with
+several candidate subjects or several timestamp triples).  The rest is
+fixed in size: the counts, the first violation per type, the evidence
+capped at max_evidence, and the greatest timestamp per predicate and domain.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from typing import Iterable, NamedTuple, Union
 
 from .errors import MixedPayload, SchemaError
 from .framing import Framing, Payload
-from .io import Source, read_flat_stream, read_grouped_stream
-from .model import _ITEM_CLASS, Dataset, Graph, Iri, Literal, Quad, Statement, Term, Triple, _TupleValue
+from .io import Source, _node, _object, _read_stream
+from .model import _ITEM_CLASS, Dataset, Graph, Iri, Literal, Quad, Statement, Term, _TupleValue
 from .taxonomy import InferredTaxonomy, default_taxonomy, infer_closure, most_specific
 
 PROV_GENERATED_AT_TIME = Iri("http://www.w3.org/ns/prov#generatedAtTime")
@@ -179,9 +181,20 @@ def _reach(start: Term, edges: dict[Term, list[Term]], seen: set[Term]) -> set[T
     return seen
 
 
-def _timestamp_triples(dataset: Dataset, name: Term, cfg: ClassifierConfig) -> list[Triple]:
-    """Default-graph triples about name with a timestamp predicate, in document order."""
-    return [t for t in dataset.default_graph if t.subject == name and t.predicate in cfg.timestamp_predicates]
+def _timestamps(element: Dataset | dict, name: Term, cfg: ClassifierConfig) -> list[tuple[Iri, Term | str]]:
+    """Predicate and object of each default-graph triple about name with a timestamp
+    predicate, in document order; of an index's line, the object's token only."""
+    predicates = cfg.timestamp_predicates
+    if element.__class__ is not dict:
+        return [(p, o) for s, p, o in element.default_graph if s == name and p in predicates]
+    stamps = []
+    for line in element.get(None, ()):
+        s, p, o = line.split(" ", 2)
+        # The intern table may have emptied since name was built: identity only
+        # spares the call of __eq__.
+        if ((s := _node(s)) is name or s == name) and (p := _node(p)) in predicates:
+            stamps.append((p, o[:-3]))  # o ends in ' .\n'
+    return stamps
 
 
 # The XSD 1.1 lexical spaces of the timestamp types, in ASCII digits
@@ -292,7 +305,7 @@ class Classifier:
         self.order_max: dict[tuple[str, str], tuple[object, int]] = {}
         self._elements = 0
         self._statements = 0
-        self._kind = _ITEM_CLASS[framing.payload]
+        self._kind = (Dataset, dict) if framing.payload is Payload.DATASETS else _ITEM_CLASS[framing.payload]
         checks = {Payload.GRAPHS: self._classify_graph, Payload.DATASETS: self._classify_dataset}
         self._check = checks.get(framing.payload, self._count_statement)
         self._first_violation: dict[str, FirstViolation] = {}
@@ -371,18 +384,22 @@ class Classifier:
             verdict = TypeVerdict(False, "subject not unique in stream", detail)
         return ElementVerdict(idx, {"graphStream": _PASS, "subjectGraphStream": verdict}, notes)
 
-    def _classify_dataset(self, dataset: Dataset, idx: int) -> ElementVerdict:
+    def _classify_dataset(self, element: Dataset | dict, idx: int) -> ElementVerdict:
         """The one-named-graph shape (default-graph content never disqualifies
-        it), then the timestamp triple about the graph name."""
-        self._statements += dataset.statement_count()
+        it), then the timestamp triple about the graph name, of a Dataset or an index."""
+        if element.__class__ is dict:
+            self._statements += sum(map(len, element.values()))
+            named = [label for label in element if label is not None]
+        else:
+            self._statements += element.statement_count()
+            named = [label for label, _ in element.named_items()]
         per_type = dict.fromkeys(_APPLICABLE[Payload.DATASETS], _PASS)
-        named = dataset.named_items()
         if len(named) != 1:
             reason = f"expected exactly one named graph, found {len(named)}"
             failed = TypeVerdict(False, "not a single named graph", reason)
             per_type["namedGraphStream"] = per_type["timestampedNamedGraphStream"] = failed
             return ElementVerdict(idx, per_type)
-        stamps = _timestamp_triples(dataset, named[0][0], self._cfg)
+        stamps = _timestamps(element, named[0], self._cfg)
         if not stamps:
             detail = "default graph has no timestamp triple about the graph name"
             per_type["timestampedNamedGraphStream"] = TypeVerdict(False, "no timestamp triple", detail)
@@ -390,9 +407,11 @@ class Classifier:
         notes: tuple[str, ...] = ()
         if len(stamps) > 1:
             notes = (f"element {idx}: multiple timestamp triples; first in document order wins",)
-        comparable = comparable_timestamp(stamps[0].object) if self._cfg.check_timestamp_order else None
+        predicate, stamp = stamps[0]
+        stamp = _object(stamp) if stamp.__class__ is str else stamp
+        comparable = comparable_timestamp(stamp) if self._cfg.check_timestamp_order else None
         if comparable is not None:
-            key = (stamps[0].predicate.value, comparable[0])
+            key = (predicate.value, comparable[0])
             prev = self.order_max.get(key)
             if prev is not None and comparable[1] < prev[0]:  # type: ignore[operator]
                 detail = f"timestamp precedes the one from element {prev[1]}"
@@ -412,12 +431,13 @@ def classify_stream(
 
     source may be bytes, a path, a binary file object, or an already
     materialized iterable of statements (flat framings) or elements
-    (grouped framings).  In a flat framing each statement is an element,
+    (grouped framings).  A dataset framing that is opened here is read in
+    the reader's text mode.  In a flat framing each statement is an element,
     and every flat stream conforms to its framing's one type.
     """
     classifier = Classifier(framing, cfg, inferred)
     if isinstance(source, (bytes, str, os.PathLike)) or hasattr(source, "read"):
-        source = (read_flat_stream if framing.is_flat else read_grouped_stream)(source, framing)
+        source = _read_stream(source, framing, "index")
     for item in source:
         classifier.feed(item)
     return classifier.report()

@@ -8,8 +8,9 @@ the modules only it uses.  This module never imports cli, which runs as
 __main__ under `python -m staxkit.cli`: importing it would run it again.
 convert reads a plan of extend and flatten steps, which change only the
 framing, in the reader's text mode, building no term; a group step goes
-through convert() and the writer's _texts.  One writer step frames either,
-and one routine writes convert's and annotate's output.
+through convert() and the writer's _texts.  classify and validate read a
+dataset framing's elements as the text mode's indexes.  One writer step
+frames either, and one routine writes convert's and annotate's output.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ if TYPE_CHECKING:
     from .classify import ClassificationReport, ClassifierConfig
 
 
-def _items(path: str, framing: Framing, text: bool = False) -> Iterator:
+def _items(path: str, framing: Framing, text: bool | str = False) -> Iterator:
     """The statements or elements of path, or of standard input for '-', read
-    lazily; with text, their canonical N-Triples/N-Quads text (see io._read).
+    lazily; with text, their canonical N-Triples/N-Quads text (see io._read_stream).
 
     A directory framing on standard input is refused at once, before any
     later check of the caller; a ParseError read from standard input names
@@ -89,7 +90,7 @@ def _cmd_classify(args: argparse.Namespace, taxonomy: Taxonomy) -> int:
         return 2
     if args.expect is not None:
         taxonomy.type(args.expect)  # unknown names are usage errors
-    report = classify_stream(_items(args.input, framing), framing, cfg, inferred)
+    report = classify_stream(_items(args.input, framing, "index"), framing, cfg, inferred)
     if args.json:
         _print_json(report.to_dict())
     else:
@@ -254,7 +255,7 @@ def _cmd_validate(args: argparse.Namespace, taxonomy: Taxonomy) -> int:
     report = validate_usages(manifest, inferred, args.policy)
     if args.data is not None:
         framing = Framing(args.framing)
-        classification = classify_stream(_items(args.data, framing), framing, cfg, inferred)
+        classification = classify_stream(_items(args.data, framing, "index"), framing, cfg, inferred)
         checked = cross_check(manifest, classification, inferred, args.policy)
         report = ValidationReport(report.violations, checked.cross_check)
     if args.json:

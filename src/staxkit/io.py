@@ -15,14 +15,14 @@ Grouped streams come in two on-disk conventions:
 
 This module holds the reader only.  The writers are in writer, and the
 error locator, which reads a line the statement pattern declines term by
-term, is in locator; a call imports each only when it runs it, so a valid
-classify or validate compiles neither.
+term, is in locator; a call imports each only when it runs it.
 
-The reader has a text mode for convert's re-framings, which change no
-statement: it yields each statement's canonical N-Triples/N-Quads line, or
-each element's lines, in place of terms (see _read).  A line already
-canonical is kept as read, checked by one pattern; any other line is
-rebuilt from its tokens or serialized from its terms.
+The reader has a text mode, for convert's re-framings and the dataset
+check: it yields each statement's canonical N-Triples/N-Quads line, or each
+element's lines, in place of terms (see _read).  A line already canonical
+is kept as read, checked by one pattern; any other line is rebuilt from
+its tokens or serialized from its terms, so only such a line makes a valid
+classify or validate compile the writer.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .errors import MalformedIri, MixedPayload, ParseError
 from .framing import _INTERN_LIMIT, FRAME_DELIMITER, Framing, Payload
 from .model import (
     _IRI_EXCLUDED,
+    _LITERAL_ESC,
     _SURROGATE,
     LANGTAG,
     RDF_LANGSTRING,
@@ -106,18 +107,19 @@ _SKIP_WS = re.compile(_WS)
 # A three-term line exactly as the writer writes it, and whose terms need no
 # check beyond it: ASCII IRIREFs holding a ':' (for ASCII, all Iri checks),
 # BlankNode's labels, literal bodies with only the writer's escapes, and no
-# datatype the writer omits or Literal refuses.  The text mode keeps such a
-# line as read.  It is compiled on first use through re's cache, so term
-# mode compiles nothing for it; a positive class compiles far faster than a
-# negated one reaching U+10FFFF.
+# datatype the writer omits or Literal refuses; in quad layouts a captured
+# graph label may follow.  The text mode keeps such a line as read.  Each
+# pattern is compiled on first use through re's cache, so term mode compiles
+# neither; a positive class compiles far faster than a negated one to U+10FFFF.
 _CANONICAL_IRI = r"<[!#-9;=?-\[\]_a-z~]*:[!#-;=?-\[\]_a-z~]*>"
 _CANONICAL_NODE = rf"(?:{_CANONICAL_IRI}|_:[A-Za-z0-9][A-Za-z0-9_.-]*(?<!\.))"
-_CANONICAL = (
+_CANONICAL_TERMS = (
     rf"{_CANONICAL_NODE} {_CANONICAL_IRI} (?:{_CANONICAL_NODE}"
     rf'|"[^"\\\r\n\t]*(?:\\["\\nrt][^"\\\r\n\t]*)*"'
     rf"(?:@{LANGTAG}|\^\^(?!<{re.escape(XSD_STRING)}>|<{re.escape(RDF_LANGSTRING)}>){_CANONICAL_IRI})?)"
-    r" \.\n"
 )
+_CANONICAL = _CANONICAL_TERMS + r" \.\n"
+_CANONICAL_QUAD = rf"{_CANONICAL_TERMS}(?: ({_CANONICAL_NODE}))? \.\n"
 
 _CR_REASON = "carriage return (U+000D) line end; lines must end in LF or CRLF"
 
@@ -162,6 +164,16 @@ def _node(token: str) -> Iri | BlankNode:
             _interned.clear()
         _interned[token] = term
     return term
+
+
+def _object(token: str) -> Iri | BlankNode | Literal:
+    """The term of the object token of a line in the text mode's canonical form."""
+    if token[0] != '"':
+        return _node(token)
+    body, _, tail = token[1:].rpartition('"')
+    if tail[:1] == "@":
+        return Literal(_unescape(body), RDF_LANGSTRING, tail[1:])
+    return Literal(_unescape(body), _node(tail[2:]) if tail else XSD_STRING)
 
 
 def _parse_line(line: str, quads: bool, line_no: int) -> Statement | LineKind:
@@ -212,7 +224,7 @@ def parse_statement_line(line: str, mode: str, line_no: int = 1) -> ParsedLine:
 # ---------------------------------------------------------------------------
 
 
-def _read_file(source: Source, quads: bool, layout: str, text: bool, name: str | None = None) -> Iterator:
+def _read_file(source: Source, quads: bool, layout: str, text: bool | str, name: str | None = None) -> Iterator:
     """_read over source's lines.  A ParseError names a path source, or name
     if given; bytes and binary streams have no name to give."""
     if not isinstance(source, (str, os.PathLike)):
@@ -225,10 +237,13 @@ def _read_file(source: Source, quads: bool, layout: str, text: bool, name: str |
         raise ParseError(exc.line, exc.column, exc.reason, member=name or os.fspath(source)) from None
 
 
-def _read_stream(source: Source, framing: Framing, text: bool = False) -> Iterator:
+def _read_stream(source: Source, framing: Framing, text: bool | str = False) -> Iterator:
     """The items of source under framing, read lazily: statements, graphs or
     datasets, or with text the canonical line of each statement of a flat
-    stream and the canonical text of each element of a grouped one."""
+    stream and the canonical text of each element of a grouped one; with text
+    'index', a dataset framing's elements as their indexes (see _read)."""
+    if text == "index" and framing.payload is not Payload.DATASETS:
+        text = False
     if framing.is_dir:
         return _read_dir_stream(source, framing, text)
     return _read_file(source, framing.quads_payload, framing.value.partition("-")[0], text)
@@ -246,8 +261,8 @@ def read_flat_stream(source: Source, framing: Framing) -> Iterator[Statement]:
 
 
 def _read(
-    lines: Iterable[bytes], quads: bool, layout: str, first: int = 1, text: bool = False
-) -> Iterator[Statement | Graph | Dataset | str]:
+    lines: Iterable[bytes], quads: bool, layout: str, first: int = 1, text: bool | str = False
+) -> Iterator[Statement | Graph | Dataset | str | dict]:
     """The one loop from encoded line to statement.  layout is the first
     part of a framing's value: 'flat', 'framed' or 'dir'; first is the
     first line's number.  Each line is decoded as strict UTF-8 and fails
@@ -263,23 +278,22 @@ def _read(
     end the indexes become the element, unchecked.
 
     With text, a statement is its canonical line, LF included, and an
-    element the str of its lines in Dataset.quads() order.  A three-term
-    line that _CANONICAL matches in full is already that line: it is kept
-    as read, with no term built, in the default graph.  A matched line with
-    no '\\' outside its literal has its IRI and blank tokens checked through
-    the intern table and a new datatype through Literal, as in term mode,
-    and is rebuilt from its tokens: single spaces, ' .', no comment, no CR,
-    no xsd:string suffix, and the literal unescaped, then escaped with the
-    writer's table.  Any other line, such as one with a \\u escape in an
-    IRI, is built with terms and serialized by the writer.  The index of a
-    graph label term keys lines, so a statement repeated in any spelling is
-    kept once, as in term mode.
+    element the str of its lines in Dataset.quads() order, or with text
+    'index' the indexes themselves.  A line that _CANONICAL, or in a quad
+    layout _CANONICAL_QUAD, matches in full is already that line: it is
+    kept as read, and no term is built but its graph label, which the
+    intern table gives.  A matched line with no '\\' outside its literal
+    has its IRI and blank tokens checked through the intern table and a
+    new datatype through Literal, as in term mode, and is rebuilt from its
+    tokens: single spaces, ' .', no comment, no CR, no xsd:string suffix,
+    and the literal unescaped, then escaped with the writer's table.  Any
+    other line, such as one with a \\u escape in an IRI, is built with
+    terms and serialized by the writer, which only such a line imports.
+    The index of a graph label term keys lines, so a statement repeated in
+    any spelling is kept once, as in term mode.
     """
     if text:
-        from .writer import _LITERAL_ESC as literal_escapes
-        from .writer import serialize_statement
-
-        canonical = re.compile(_CANONICAL).fullmatch
+        canonical = re.compile(_CANONICAL_QUAD if quads else _CANONICAL).fullmatch
     flat = layout == "flat"
     framed = layout == "framed"
     flat_quads = flat and quads
@@ -298,9 +312,10 @@ def _read(
             reason = f"invalid UTF-8 byte 0x{raw[exc.start]:02X} at byte offset {offset + exc.start}"
             raise ParseError(no, column, reason) from None
         offset += len(raw)
-        if text and canonical(line):
-            # A canonical triple line is its own text, in the default graph.
-            statement, label, m = line, None, None
+        if text and (kept := canonical(line)) is not None:
+            # A canonical line is its own text, in the graph of its label if any.
+            statement, m = line, None
+            label = kept.lastindex and (get(kept[1]) or _node(kept[1]))
         else:
             m = match(line)
             statement = None
@@ -319,7 +334,7 @@ def _read(
                         value = lexical
                         if "\\" in lexical or "\t" in lexical:
                             value = _unescape(lexical)
-                            lexical = value.translate(literal_escapes)
+                            lexical = value.translate(_LITERAL_ESC)
                         o = f'"{lexical}"'
                         if language is not None:
                             o += "@" + language
@@ -382,6 +397,8 @@ def _read(
             if quads and not flat:
                 statement, label = new(Triple, statement[:3]), statement[3]
         if text and statement.__class__ is not str:
+            from .writer import serialize_statement
+
             if label is not None and not flat:
                 statement = new(Quad, (*statement, label))
             statement = serialize_statement(statement) + "\n"
@@ -396,13 +413,12 @@ def _read(
         yield _element(graphs, quads, text)
 
 
-def _element(graphs: dict, quads: bool, text: bool) -> Graph | Dataset | str:
+def _element(graphs: dict, quads: bool, text: bool | str) -> Graph | Dataset | str | dict:
     """The element of _read's indexes, label (None for the default graph) ->
-    statements: a Dataset, a Graph, or with text the str of its lines, the
-    default graph's first."""
+    statements: a Dataset, a Graph, with text the str of its lines, the
+    default graph's first, or with text 'index' the indexes themselves."""
     if text:
-        default = graphs.pop(None, {})
-        return "".join(chain(default, *graphs.values()))
+        return graphs if text == "index" else "".join(chain(graphs.pop(None, {}), *graphs.values()))
     return Dataset._of(graphs) if quads else Graph._of(graphs.get(None, {}))
 
 
@@ -420,7 +436,7 @@ def read_grouped_stream(source: Source, framing: Framing) -> Iterator[Graph | Da
     yield from _read_stream(source, framing)
 
 
-def _read_dir_stream(source: Source, framing: Framing, text: bool) -> Iterator[Graph | Dataset | str]:
+def _read_dir_stream(source: Source, framing: Framing, text: bool | str) -> Iterator:
     if isinstance(source, bytes) or hasattr(source, "read"):
         raise ValueError("directory framing requires a directory path")
     ext = ".nq" if framing.quads_payload else ".nt"

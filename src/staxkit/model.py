@@ -39,6 +39,8 @@ LANGTAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
 # The characters IRIREF ::= '<' ([^#x00-#x20<>"{}|^`\] | UCHAR)* '>' holds
 # only as escapes, which the writer writes.
 _IRI_EXCLUDED = r'\x00-\x20<>"{}|^`\\'
+# The writer's literal escapes, which the reader's text mode also writes.
+_LITERAL_ESC = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"})
 _LANGTAG_RE = re.compile(LANGTAG)
 # Datatype IRIs Literal has already checked, each mapped to its value as a
 # plain str: few distinct ones occur, and checking an IRI costs more than

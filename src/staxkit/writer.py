@@ -28,10 +28,10 @@ from typing import IO, Iterable, Iterator
 
 from .errors import MixedPayload, OutputExists
 from .framing import _INTERN_LIMIT, FRAME_DELIMITER, Framing, Payload
-from .model import _IRI_EXCLUDED, _ITEM_CLASS, XSD_STRING, BlankNode, Element, Iri, Literal, Quad, Statement, Term
+from .model import _IRI_EXCLUDED, _ITEM_CLASS, _LITERAL_ESC, XSD_STRING, BlankNode, Element, Iri, Literal, Quad
+from .model import Statement, Term
 
 _LITERAL_SPECIAL = re.compile(r'[\\"\n\r\t]')
-_LITERAL_ESC = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"})
 _IRI_SPECIAL = re.compile(f"[{_IRI_EXCLUDED}]")
 _IRI_ESC = {c: f"\\u{c:04X}" for c in range(0x80) if _IRI_SPECIAL.match(chr(c))}
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,8 +17,9 @@ from jsonschema import validate as schema_validate
 
 import staxkit.cli
 import staxkit.commands
+import staxkit.io
 import staxkit.writer
-from staxkit.annotate import emit_turtle, load_manifest
+from staxkit.annotate import ValidationReport, cross_check, emit_turtle, load_manifest, validate_usages
 from staxkit.cli import main
 from staxkit.commands import _framing_for
 from staxkit.errors import (
@@ -28,7 +30,7 @@ from staxkit.errors import (
     StaxError,
     UnknownType,
 )
-from staxkit.classify import classify_stream
+from staxkit.classify import ClassifierConfig, classify_stream
 from staxkit.convert import convert, payload_kind, plan
 from staxkit.framing import Framing
 from staxkit.io import read_flat_stream, read_grouped_stream
@@ -1071,6 +1073,131 @@ def test_cli_convert_writes_what_the_library_writes(from_type, to_type, policy, 
         sink = io.BytesIO()
         write_stream(items, out_framing, sink)
         assert (stdout.buffer.getvalue() if output == "-" else out.read_bytes()) == sink.getvalue()
+
+
+# CLI classify and validate --data on dataset framings, which read each
+# element as its index of canonical lines, against the library's term path:
+# classify_stream over the Datasets read_grouped_stream builds.  Each element
+# holds named-graph statements, other default-graph statements and timestamp
+# triples about its labels, under two predicates, each spelled as above; the
+# IRI <http://ex.org/a> is also spelled <http://ex.org/\u0061>, and comment
+# lines come between statements.  The CLI runs with an intern table that
+# empties every two entries, so equal terms are often distinct objects.
+_PROV_AT = "http://www.w3.org/ns/prov#generatedAtTime"
+_STAMP_PREDICATES = [Iri(_PROV_AT), Iri("http://ex.org/at")]
+_STAMP_LABELS = [Iri("http://ex.org/a"), Iri("http://ex.org/g|2"), BlankNode("b0"), Iri("http://ex.org/g1")]
+_XSD = "http://www.w3.org/2001/XMLSchema#"
+_STAMPS = [Literal(f"2024-01-0{day}T00:00:00Z", _XSD + "dateTime") for day in (1, 2, 3)] + [
+    Literal("\t2024-01-02T12:00:00Z\n", _XSD + "dateTime"),
+]
+_OTHER_STAMPS = [Literal("2", _XSD + "integer"), Literal("1.5", _XSD + "decimal"), Literal("2024-01-02", _XSD + "date"),
+                 Literal("2024-01-02"), Literal("3", language="en"), Iri("http://ex.org/a")]
+DATASET_EXAMPLES = max(60, settings().max_examples // 10)
+
+
+def _dataset_elements(r):
+    """Elements mostly of one named graph and timestamp triples about it."""
+    nodes, predicates, objects = map(st.sampled_from, (_SUBJECTS, _SUBJECTS[:2], _OBJECTS))
+
+    def spelled(statement):
+        line = _spelled_line(statement, r)
+        if r.random() < 0.5:
+            line = line.replace("<http://ex.org/a>", "<http://ex.org/\\u0061>")
+        return r.choice(["", "", "# note\n", "\t# a comment\r\n"]) + line
+
+    def element(label):
+        named = st.builds(Quad, nodes, predicates, objects, st.just(label))
+        stamp = st.builds(Quad, st.just(label), st.sampled_from(_STAMP_PREDICATES),
+                          st.sampled_from(_STAMPS) | st.sampled_from(_STAMPS + _OTHER_STAMPS), st.none())
+        other = st.builds(Quad, nodes, predicates, objects, st.sampled_from([None] * 6 + _STAMP_LABELS))
+        return st.tuples(named, stamp, st.lists(st.one_of(named, stamp, other), max_size=4)).map(
+            lambda drawn: [spelled(q) for q in r.sample([*drawn[:2], *drawn[2]], 2 + len(drawn[2]))])
+
+    return st.sampled_from(_STAMP_LABELS).flatmap(element)
+
+
+@settings(max_examples=DATASET_EXAMPLES, deadline=None)
+@given(data=st.data())
+def test_cli_dataset_classify_and_validate_equal_the_term_path(data):
+    r = data.draw(st.randoms(use_true_random=False), label="spellings")
+    elements = data.draw(st.lists(_dataset_elements(r), max_size=5), label="elements")
+    layout = data.draw(st.sampled_from(["framed", "dir", "-"]), label="input")
+    predicates = data.draw(st.sampled_from([[], [_PROV_AT, "http://ex.org/at"], ["http://ex.org/at"]]),
+                           label="timestamp predicates")
+    order_check = data.draw(st.booleans(), label="order check")
+    framing = Framing("dir-datasets" if layout == "dir" else "framed-datasets")
+    options = [f"--timestamp-predicate={p}" for p in predicates] + ([] if order_check else ["--no-order-check"])
+    cfg = ClassifierConfig(frozenset(map(Iri, predicates or [_PROV_AT])), order_check)
+    inferred = infer_closure(default_taxonomy())
+    manifest_doc = {"usages": [{"streamType": t} for t in ("timestampedNamedGraphStream", "namedGraphStream")]}
+    manifest = load_manifest(json.dumps(manifest_doc))
+    with tempfile.TemporaryDirectory() as scratch:
+        path, manifest_path = Path(scratch) / "in", Path(scratch) / "manifest.json"
+        manifest_path.write_text(json.dumps(manifest_doc))
+        if layout == "dir":
+            path.mkdir()
+            for i, element in enumerate(elements):
+                (path / f"{i:05d}.nq").write_bytes("".join(element).encode())
+        else:
+            path.write_bytes("#---\n".join("".join(e) for e in elements).encode())
+        expected = classify_stream(list(read_grouped_stream(path, framing)), framing, cfg, inferred)
+        checked = cross_check(manifest, expected, inferred)
+        validation = ValidationReport(validate_usages(manifest, inferred).violations, checked.cross_check)
+        source = "-" if layout == "-" else str(path)
+        runs = {
+            "classify": (["classify", "--input", source, "--framing", framing.value, "--json", *options],
+                         0, expected.to_dict()),
+            "validate": (["validate", "--manifest", str(manifest_path), "--data", source, "--framing",
+                          framing.value, "--json", *options],
+                         0 if validation.consistent and validation.cross_check_passed else 1, validation.to_dict()),
+        }
+        for argv, code, doc in runs.values():
+            out, stdin = io.StringIO(), io.TextIOWrapper(io.BytesIO(path.read_bytes() if layout == "-" else b""))
+            with mock.patch.object(staxkit.io, "_INTERN_LIMIT", 2), mock.patch.object(sys, "stdin", stdin), \
+                    contextlib.redirect_stdout(out):
+                assert main(argv) == code, argv
+            assert json.loads(out.getvalue()) == doc, argv
+
+
+# A malformed line in a dataset framing, met after canonical lines of the
+# same element, fails classify and validate --data as it fails the term path.
+_GOOD_DATASET = (b"<http://ex.org/s> <http://ex.org/p> <http://ex.org/o> <http://ex.org/g> .\n"
+                 b'<http://ex.org/g> <http://www.w3.org/ns/prov#generatedAtTime> "1"^^<http://ex.org/n> .\n')
+_MALFORMED_DATASET_LINES = {
+    "bad UTF-8 byte": b'<http://ex.org/s> <http://ex.org/p> "caf\xe9" <http://ex.org/g> .\n',
+    "unterminated literal": b'<http://ex.org/s> <http://ex.org/p> "open <http://ex.org/g> .\n',
+    "IRI holding a space": b"<http://ex.org/s> <http://ex.org/p q> <http://ex.org/o> <http://ex.org/g> .\n",
+    "bare CR": b"<http://ex.org/s> <http://ex.org/p> <http://ex.org/o> .\r<http://ex.org/s> <http://ex.org/p> <http://ex.org/o> .\n",
+    "bad datatype IRI": b'<http://ex.org/g> <http://www.w3.org/ns/prov#generatedAtTime> "1"^^<n> .\n',
+    "bad label": b"<http://ex.org/s> <http://ex.org/p> <http://ex.org/o> _:-g .\n",
+}
+
+
+@pytest.mark.parametrize("layout", ["framed", "dir", "-"])
+@pytest.mark.parametrize("kind", _MALFORMED_DATASET_LINES)
+def test_a_malformed_dataset_line_fails_the_cli_as_it_fails_the_term_path(kind, layout, tmp_path, monkeypatch, capsys):
+    elements = [_GOOD_DATASET, _GOOD_DATASET + _MALFORMED_DATASET_LINES[kind] + _GOOD_DATASET]
+    framing = Framing("dir-datasets" if layout == "dir" else "framed-datasets")
+    path = tmp_path / "in"
+    if layout == "dir":
+        path.mkdir()
+        for i, element in enumerate(elements):
+            (path / f"{i:05d}.nq").write_bytes(element)
+    else:
+        path.write_bytes(b"#---\n".join(elements))
+    with pytest.raises(ParseError) as raised:
+        list(read_grouped_stream(path, framing))
+    error = raised.value
+    member = "-" if layout == "-" else error.member
+    expected = f"stax-kit: ParseError: {ParseError(error.line, error.column, error.reason, member)}\n"
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(MANIFEST_OK))
+    source = "-" if layout == "-" else str(path)
+    for argv in (["classify", "--input", source, "--framing", framing.value, "--json"],
+                 ["validate", "--manifest", str(manifest), "--data", source, "--framing", framing.value]):
+        set_stdin(monkeypatch, path.read_bytes() if layout == "-" else b"")
+        assert main(argv) == 3, argv
+        assert capsys.readouterr() == ("", expected), argv
 
 
 @pytest.mark.parametrize(

@@ -488,18 +488,67 @@ def test_converting_graphs_to_quads_loads_no_classify_or_annotate_module(tmp_pat
     assert not loaded & {"json", "datetime", "decimal", "staxkit.classify", "staxkit.annotate"}
 
 
+def sensor_datasets(path: Path, count: int = 3) -> Path:
+    """Canonical framed datasets in the shape of the benchmark's validate
+    corpus: a timestamp triple about the one named graph, then its readings."""
+    xsd = "http://www.w3.org/2001/XMLSchema#"
+    path.write_text("#---\n".join(
+        f'<http://ex.org/obs/{i}> <http://www.w3.org/ns/prov#generatedAtTime> '
+        f'"2024-01-01T00:00:0{i}Z"^^<{xsd}dateTime> .\n'
+        + "".join(f'<http://ex.org/sensor/{k}> <http://ex.org/p/reading> "-{k}.5"^^<{xsd}decimal> '
+                  f"<http://ex.org/obs/{i}> .\n" for k in range(3))
+        for i in range(count)
+    ))
+    return path
+
+
 def test_valid_classify_and_validate_load_neither_the_writer_nor_the_locator(homes, tmp_path):
-    data = tmp_path / "graphs.nt"
-    data.write_bytes(TWO_GRAPHS)
+    # Dataset framings are read in the reader's text mode, which imports the
+    # writer only for a line it cannot keep or rebuild.
+    graphs = tmp_path / "graphs.nt"
+    graphs.write_bytes(TWO_GRAPHS)
+    datasets = sensor_datasets(tmp_path / "datasets.nq")
+    for data, framing, usage in ((graphs, "framed-graphs", "graphStream"),
+                                 (datasets, "framed-datasets", "timestampedNamedGraphStream")):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"usages": [{"streamType": usage}]}))
+        for argv in (
+            ("classify", "--input", str(data), "--framing", framing, "--json"),
+            ("validate", "--manifest", str(manifest), "--data", str(data), "--framing", framing, "--json"),
+        ):
+            loaded = modules_loaded_by(cli_call(*argv))
+            assert "staxkit.io" in loaded, argv
+            assert not loaded & {homes["writer"], homes["locator"]}, argv
+
+
+def test_classifying_canonical_datasets_matches_no_named_graph_line(tmp_path, monkeypatch):
+    # A canonical line is kept as read: of the statements, the statement
+    # pattern reads at most the timestamp lines, and never a line in a named
+    # graph.  It still declines each '#---' line.
+    import staxkit.io
+
+    matched = []
+    pattern = staxkit.io._STATEMENT
+
+    class Counting:
+        def match(self, line):
+            matched.append(line)
+            return pattern.match(line)
+
+    monkeypatch.setattr(staxkit.io, "_STATEMENT", Counting())
+    data = sensor_datasets(tmp_path / "datasets.nq")
     manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps({"usages": [{"streamType": "graphStream"}]}))
+    manifest.write_text(json.dumps({"usages": [{"streamType": "timestampedNamedGraphStream"}]}))
+    lines = data.read_text().splitlines(keepends=True)
+    stamps = [line for line in lines if "generatedAtTime" in line]
     for argv in (
-        ("classify", "--input", str(data), "--framing", "framed-graphs", "--json"),
-        ("validate", "--manifest", str(manifest), "--data", str(data), "--framing", "framed-graphs", "--json"),
+        ["classify", "--input", str(data), "--framing", "framed-datasets", "--json"],
+        ["validate", "--manifest", str(manifest), "--data", str(data), "--framing", "framed-datasets", "--json"],
     ):
-        loaded = modules_loaded_by(cli_call(*argv))
-        assert "staxkit.io" in loaded, argv
-        assert not loaded & {homes["writer"], homes["locator"]}, argv
+        matched.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+        assert Counter(line for line in matched if line != "#---\n") <= Counter(stamps), argv
 
 
 def test_convert_loads_the_writer_but_not_the_locator(homes, tmp_path):
