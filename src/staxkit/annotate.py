@@ -8,6 +8,9 @@ consistency check enforces two rules over the declared set:
 2. usages on the same side must be redundant, i.e. related by the broader
    hierarchy.
 
+A usage's side is that of its payload (Taxonomy.payload); a usage whose
+type carries no payload is in no pair.
+
 The cross check compares declarations against a classification report of
 the actual data.  Both checks ask taxonomy.conversion_path, the planner
 convert runs, whether one type is usable as another under the policy.
@@ -186,22 +189,19 @@ def validate_usages(
     violations: list[Violation] = []
     for i, a in enumerate(ids):
         for b in ids[i + 1 :]:
-            side_a, side_b = inferred.taxonomy.side(a), inferred.taxonomy.side(b)
-            if side_a is None or side_b is None:
+            held_a, held_b = inferred.taxonomy.payload(a), inferred.taxonomy.payload(b)
+            if held_a is None or held_b is None:
                 continue
-            if side_a == side_b:
+            if held_a.is_flat == held_b.is_flat:
                 if not (
                     (a, b) in inferred.broader_closure or (b, a) in inferred.broader_closure
                 ):
+                    side = "flat" if held_a.is_flat else "grouped"
                     violations.append(
-                        Violation(
-                            "same-side",
-                            (a, b),
-                            f"{a} and {b} are both {side_a} but not related by broader",
-                        )
+                        Violation("same-side", (a, b), f"{a} and {b} are both {side} but not related by broader")
                     )
                 continue
-            grouped, flat = (a, b) if side_a == "grouped" else (b, a)
+            grouped, flat = (b, a) if held_a.is_flat else (a, b)
             if (
                 conversion_path(inferred, grouped, flat, policy) is None
                 and conversion_path(inferred, flat, grouped, policy) is None

@@ -6,11 +6,13 @@ taxonomy query compiles none of it.  Each handler takes the parsed
 arguments and the active taxonomy and returns the exit code; each imports
 the modules only it uses.  This module never imports cli, which runs as
 __main__ under `python -m staxkit.cli`: importing it would run it again.
-convert reads a plan of extend and flatten steps, which change only the
-framing, in the reader's text mode, building no term; a group step goes
-through convert() and the writer's _texts.  classify and validate read a
-dataset framing's elements as the text mode's indexes.  One writer step
-frames either, and one routine writes convert's and annotate's output.
+convert asks the taxonomy for the payloads and the plan.  It reads a plan
+of extend and flatten steps, which change only the framing, in the
+reader's text mode, building no term and importing no convert module; only
+a group step goes through convert() and the writer's _texts.  classify and
+validate read a dataset framing's elements as the text mode's indexes.
+One writer step frames either, and one routine writes convert's and
+annotate's output.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import InvalidBatchSize, MalformedIri, MixedPayload, ParseError
 from .framing import Framing, Payload
-from .taxonomy import Taxonomy, _read_text, infer_closure
+from .taxonomy import Taxonomy, _read_text, infer_closure, payload_kind, plan
 
 if TYPE_CHECKING:
     from .classify import ClassificationReport, ClassifierConfig
@@ -149,7 +151,6 @@ def _framing_for(payload: Payload, path: str, override: str | None, flag: str) -
 
 
 def _cmd_convert(args: argparse.Namespace, taxonomy: Taxonomy) -> int:
-    from .convert import convert, payload_kind, plan
     from .writer import _reframed, _texts, _write_members
 
     inferred = infer_closure(taxonomy)
@@ -164,6 +165,8 @@ def _cmd_convert(args: argparse.Namespace, taxonomy: Taxonomy) -> int:
             f"to {args.to_type} is {', '.join(relations) or 'the identity'}"
         )
     if "group" in relations:
+        from .convert import convert
+
         items = convert(_items(args.input, in_framing), args.from_type, args.to_type, inferred, args.policy,
                         args.batch_size)
         payload, texts = to_payload, _texts(items, out_framing)

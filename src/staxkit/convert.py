@@ -4,9 +4,10 @@ Flattening concatenates element contents in order.  Grouping batches a
 flat stream into count-sized elements.  Extending embeds triples/graphs
 into the quad/dataset world by placing everything in the default graph.
 
-convert() composes these primitives along a taxonomy conversion path that
-plan() checks, so e.g. a graph stream reaches a flat quad stream via extend
-then flatten under the transitive policy.  Flattening and extending change
+convert() composes these primitives along the plan that taxonomy.plan()
+makes, so e.g. a graph stream reaches a flat quad stream via extend then
+flatten under the transitive policy; the taxonomy's step table gives the
+payload after each step, and its load made sure every plan fits.  Flattening and extending change
 no statement, only the framing: the CLI writes their plans from the
 elements as read (see writer).
 """
@@ -15,16 +16,10 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .errors import (
-    AbstractType,
-    InvalidBatchSize,
-    MixedPayload,
-    NoConversionPath,
-    SchemaError,
-)
+from .errors import InvalidBatchSize, MixedPayload
 from .framing import Payload
 from .model import Dataset, Element, Graph, Quad, Statement, Triple
-from .taxonomy import InferredTaxonomy, conversion_path
+from .taxonomy import _STEPS, InferredTaxonomy, payload_kind, plan
 
 
 def flatten_graphs(elements: Iterable[Graph]) -> Iterator[Triple]:
@@ -99,65 +94,6 @@ def extend(items: Iterable, source_kind: str) -> Iterator:
 # ---------------------------------------------------------------------------
 # Composition along taxonomy paths
 # ---------------------------------------------------------------------------
-
-_ANCHOR_PAYLOADS = {
-    "flatTripleStream": Payload.TRIPLES,
-    "flatQuadStream": Payload.QUADS,
-    "graphStream": Payload.GRAPHS,
-    "datasetStream": Payload.DATASETS,
-}
-
-# relation -> {source payload: target payload}
-_STEPS = {
-    "flatten": {Payload.GRAPHS: Payload.TRIPLES, Payload.DATASETS: Payload.QUADS},
-    "group": {Payload.TRIPLES: Payload.GRAPHS, Payload.QUADS: Payload.DATASETS},
-    "extend": {Payload.TRIPLES: Payload.QUADS, Payload.GRAPHS: Payload.DATASETS},
-}
-
-
-def payload_kind(inferred: InferredTaxonomy, type_id: str) -> Payload:
-    """Payload of a concrete type: which built-in anchor it descends from."""
-    taxonomy = inferred.taxonomy
-    if taxonomy.type(type_id).kind.value != "concrete":
-        raise AbstractType(f"{type_id} is abstract; only concrete types have a payload")
-    reach = {type_id, *taxonomy.ancestors(type_id)}
-    matches = [payload for anchor, payload in _ANCHOR_PAYLOADS.items() if anchor in reach]
-    if len(matches) != 1:
-        raise SchemaError(
-            f"concrete type {type_id} must be or narrow exactly one of "
-            f"{', '.join(_ANCHOR_PAYLOADS)}, found {len(matches)}"
-        )
-    return matches[0]
-
-
-def plan(
-    from_type: str,
-    to_type: str,
-    inferred: InferredTaxonomy,
-    policy: str = "strict",
-    batch_size: int | None = None,
-) -> list[str]:
-    """The relations convert applies between two concrete stream types, in
-    order.  Raises AbstractType, InvalidBatchSize, NoConversionPath when the
-    policy admits no plan, or MixedPayload when a step or the plan's end
-    does not fit the payload."""
-    kind = payload_kind(inferred, from_type)
-    expect = payload_kind(inferred, to_type)
-    if batch_size is not None and batch_size < 1:
-        raise InvalidBatchSize(f"batch size must be >= 1, got {batch_size}")
-    steps = conversion_path(inferred, from_type, to_type, policy)
-    if steps is None:
-        raise NoConversionPath(from_type, to_type, policy)
-    for step in steps:
-        target = _STEPS[step.relation].get(kind)
-        if target is None:
-            raise MixedPayload(f"cannot {step.relation} a {kind.value} stream")
-        kind = target
-    if kind is not expect:
-        raise MixedPayload(
-            f"conversion plan ends at a {kind.value} stream but {to_type} holds {expect.value}"
-        )
-    return [step.relation for step in steps]
 
 
 def convert(

@@ -12,6 +12,12 @@ four relations:
 Inference closes broader transitively (irreflexive) and then propagates
 each conversion relation down the hierarchy: whatever a broader type can
 convert into, its narrower types can convert into as well.
+
+Four anchor types fix what a type carries (_ANCHORS): a type that is or
+narrows one carries its payload, and may narrow no second.  Each conversion
+relation is a step on payloads (_STEPS).  The load refuses a closure edge
+that touches a payload and that the step table does not map, so every plan
+between payload-carrying types is one that convert can run.
 """
 
 from __future__ import annotations
@@ -19,7 +25,16 @@ from __future__ import annotations
 import enum
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import CycleError, DanglingReference, SchemaError, UnknownType
+from .errors import (
+    AbstractType,
+    CycleError,
+    DanglingReference,
+    InvalidBatchSize,
+    NoConversionPath,
+    SchemaError,
+    UnknownType,
+)
+from .framing import Payload
 
 STAX_NS = "https://w3id.org/stax/ontology#"
 
@@ -41,10 +56,21 @@ _RELATION_ALIASES = {
     EXTEND: EXTEND,
 }
 
-# Anchor type ids used for side checks and payload-kind derivation when the
-# taxonomy defines them.
-GROUPED_SIDE = "groupedStream"
-FLAT_SIDE = "flatStream"
+# The payload of each anchor type, which every type that is or narrows it carries.
+_ANCHORS = {
+    "flatTripleStream": Payload.TRIPLES,
+    "flatQuadStream": Payload.QUADS,
+    "graphStream": Payload.GRAPHS,
+    "datasetStream": Payload.DATASETS,
+}
+
+# The step each conversion relation takes on payloads, by short name in the
+# planner's tie-break rank: short name -> {source payload: target payload}.
+_STEPS = {
+    "flatten": {Payload.GRAPHS: Payload.TRIPLES, Payload.DATASETS: Payload.QUADS},
+    "group": {Payload.TRIPLES: Payload.GRAPHS, Payload.QUADS: Payload.DATASETS},
+    "extend": {Payload.TRIPLES: Payload.QUADS, Payload.GRAPHS: Payload.DATASETS},
+}
 
 
 def normalize_relation(name: str) -> str:
@@ -72,7 +98,7 @@ Edge = tuple[str, str]
 class Taxonomy:
     """Validated set of stream types plus base relation edges."""
 
-    __slots__ = ("_types", "_relations", "_ancestors")
+    __slots__ = ("_types", "_relations", "_ancestors", "_payloads")
 
     def __init__(
         self,
@@ -145,8 +171,27 @@ class Taxonomy:
                 self._types[a].kind is TypeKind.ABSTRACT for a in self._ancestors[t.id]
             ):
                 raise SchemaError(f"concrete type {t.id} has no abstract ancestor")
-        if GROUPED_SIDE in self._types and FLAT_SIDE in self._types:
-            self._check_sides()
+        self._payloads = payloads = {}
+        for t, up in self._ancestors.items():
+            found = [a for a in _ANCHORS if a == t or a in up]
+            if len(found) > 1:
+                raise SchemaError(f"type {t} is or narrows more than one payload anchor: {', '.join(found)}")
+            if found:
+                payloads[t] = _ANCHORS[found[0]]
+        # Every closure edge (x, b) of an asserted (a, b), x being a or below
+        # it, must step x's payload to b's; edges between payload-less types
+        # are not checked.
+        for short, step in _STEPS.items():
+            rel, fits = normalize_relation(short), {(None, None), *step.items()}
+            for a, b in self._relations[rel]:
+                to = payloads.get(b)
+                for x, up in self._ancestors.items():
+                    held = payloads.get(x)
+                    if (x == a or a in up) and (held, to) not in fits:
+                        raise SchemaError(
+                            f"{rel} edge ({a}, {b}) cannot take {x} ({held.value if held else 'no payload'}) "
+                            f"to {b} ({to.value if to else 'no payload'})"
+                        )
 
     def _broader_ancestors(self) -> dict[str, frozenset[str]]:
         """Strict broader ancestors of every type, built in post-order by one
@@ -178,33 +223,9 @@ class Taxonomy:
         """Strict broader ancestors of type_id (transitive, never itself)."""
         return self._ancestors[self.type(type_id).id]
 
-    def side(self, type_id: str) -> str | None:
-        """'grouped' or 'flat' by the side anchor type_id is or narrows, else None."""
-        reach = self._ancestors.get(type_id)
-        if reach is None:
-            return None
-        for anchor, name in ((GROUPED_SIDE, "grouped"), (FLAT_SIDE, "flat")):
-            if type_id == anchor or anchor in reach:
-                return name
-        return None
-
-    def _check_sides(self) -> None:
-        expectations = {
-            FLATTEN: ("grouped", "flat"),
-            GROUP: ("flat", "grouped"),
-        }
-        for rel, (want_from, want_to) in expectations.items():
-            for a, b in self._relations[rel]:
-                if self.side(a) != want_from or self.side(b) != want_to:
-                    raise SchemaError(
-                        f"{rel} edge ({a}, {b}) must go from the {want_from} side "
-                        f"to the {want_to} side"
-                    )
-        for a, b in self._relations[EXTEND]:
-            if self.side(a) is None or self.side(a) != self.side(b):
-                raise SchemaError(
-                    f"{EXTEND} edge ({a}, {b}) must stay on one side of the hierarchy"
-                )
+    def payload(self, type_id: str) -> Payload | None:
+        """The payload of the one anchor type_id is or narrows, else None."""
+        return self._payloads.get(self.type(type_id).id)
 
     # -- serialization ------------------------------------------------------
 
@@ -427,9 +448,6 @@ class ConversionStep(NamedTuple):
     target: str
 
 
-_STEP_RELATIONS = (("flatten", FLATTEN), ("group", GROUP), ("extend", EXTEND))
-
-
 def conversion_path(
     inferred: InferredTaxonomy,
     from_id: str,
@@ -456,8 +474,8 @@ def conversion_path(
         return []
 
     if policy == "strict":
-        for short, rel in _STEP_RELATIONS:
-            if (from_id, to_id) in inferred.closure(rel):
+        for short in _STEPS:
+            if (from_id, to_id) in inferred.closure(short):
                 return [ConversionStep(short, from_id, to_id)]
         return None
 
@@ -465,8 +483,8 @@ def conversion_path(
     # from one layer into the next and ends at a node that reaches to_id.
     steps = [
         (rank, short, a, b)
-        for rank, (short, rel) in enumerate(_STEP_RELATIONS)
-        for a, b in inferred.closure(rel)
+        for rank, short in enumerate(_STEPS)
+        for a, b in inferred.closure(short)
     ]
     layers = [{from_id}]
     seen = {from_id}
@@ -490,3 +508,38 @@ def conversion_path(
     chosen.reverse()
     sources = [from_id] + [target for _, target in chosen]
     return [ConversionStep(short, a, b) for a, (short, b) in zip(sources, chosen)]
+
+
+def payload_kind(inferred: InferredTaxonomy, type_id: str) -> Payload:
+    """Payload of a concrete type: which anchor it is or narrows."""
+    taxonomy = inferred.taxonomy
+    if taxonomy.type(type_id).kind is not TypeKind.CONCRETE:
+        raise AbstractType(f"{type_id} is abstract; only concrete types have a payload")
+    payload = taxonomy.payload(type_id)
+    if payload is None:
+        raise SchemaError(
+            f"concrete type {type_id} must be or narrow exactly one of {', '.join(_ANCHORS)}, found 0"
+        )
+    return payload
+
+
+def plan(
+    from_type: str,
+    to_type: str,
+    inferred: InferredTaxonomy,
+    policy: str = "strict",
+    batch_size: int | None = None,
+) -> list[str]:
+    """The relations convert applies between two concrete stream types, in
+    order.  Raises AbstractType, SchemaError for a type with no payload,
+    InvalidBatchSize, or NoConversionPath when the policy admits no plan.
+    The load checked every closure edge against the step table, so each
+    plan steps the source's payload to the target's."""
+    payload_kind(inferred, from_type)
+    payload_kind(inferred, to_type)
+    if batch_size is not None and batch_size < 1:
+        raise InvalidBatchSize(f"batch size must be >= 1, got {batch_size}")
+    steps = conversion_path(inferred, from_type, to_type, policy)
+    if steps is None:
+        raise NoConversionPath(from_type, to_type, policy)
+    return [step.relation for step in steps]

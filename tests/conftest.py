@@ -6,9 +6,10 @@ no deadline, so a slow runner does not fail a test by its timing.  Without
 the option the default profile applies.
 
 `--hypothesis-profile=deep` is the ci profile with 20,000 examples.  The
-reader differentials in test_io.py take that count from it, and the CLI
-dataset differential in test_cli.py a tenth of it; every other test with
-its own max_examples keeps it, so run deep on those three only.
+reader differentials in test_io.py and the extended-taxonomy property in
+test_taxonomy.py take that count from it, and the CLI dataset differential
+in test_cli.py a tenth of it; every other test with its own max_examples
+keeps it, so run deep on those four only.
 """
 
 from hypothesis import settings

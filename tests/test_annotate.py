@@ -329,7 +329,7 @@ STREAMS = [
 REPORTS = [classify_stream(items, framing) for items, framing in STREAMS]
 GROUPED_FLAT = [
     (g, f) for g in CONCRETE for f in CONCRETE
-    if C.taxonomy.side(g) == "grouped" and C.taxonomy.side(f) == "flat"
+    if not C.taxonomy.payload(g).is_flat and C.taxonomy.payload(f).is_flat
 ]
 
 

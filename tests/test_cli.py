@@ -31,11 +31,11 @@ from staxkit.errors import (
     UnknownType,
 )
 from staxkit.classify import ClassifierConfig, classify_stream
-from staxkit.convert import convert, payload_kind, plan
+from staxkit.convert import convert
 from staxkit.framing import Framing
 from staxkit.io import read_flat_stream, read_grouped_stream
 from staxkit.model import BlankNode, Iri, Literal, Quad, Triple
-from staxkit.taxonomy import TypeKind, default_taxonomy, infer_closure
+from staxkit.taxonomy import TypeKind, default_taxonomy, infer_closure, payload_kind, plan
 from staxkit.writer import serialize_statement, write_dir_stream, write_stream
 from test_hygiene import readme_json_example
 
@@ -1801,6 +1801,31 @@ class TestTaxonomyOverride:
         assert capsys.readouterr() == (
             "",
             f"stax-kit: SchemaError: the taxonomy lacks {missing}, which {framing} streams are classified against\n",
+        )
+
+    @pytest.mark.parametrize("command", ["taxonomy", "validate", "convert"])
+    def test_an_edge_no_converter_runs_is_refused_at_load(self, command, tmp_path, capsys, monkeypatch):
+        # datasets do not extend into graphs: every subcommand refuses the taxonomy alike
+        doc = default_taxonomy().to_dict()
+        doc["relations"].append(["datasetStream", "extend", "graphStream"])
+        tax_file = tmp_path / "taxonomy.json"
+        tax_file.write_text(json.dumps(doc))
+        monkeypatch.setenv("STAX_TAXONOMY", str(tax_file))
+        data = tmp_path / "one-quad.nq"
+        data.write_text("<http://ex.org/s> <http://ex.org/p> <http://ex.org/o> <http://ex.org/g> .\n")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"usages": [{"streamType": "graphStream"}]}))
+        argv = {
+            "taxonomy": ["taxonomy", "path", "datasetStream", "graphStream"],
+            "validate": ["validate", "--manifest", str(manifest), "--data", str(data), "--framing", "framed-datasets"],
+            "convert": ["convert", "--input", str(data), "--from", "datasetStream", "--to", "graphStream",
+                        "--output", "-"],
+        }[command]
+        assert main(argv) == 3
+        assert capsys.readouterr() == (
+            "",
+            "stax-kit: SchemaError: canBeTriviallyExtendedInto edge (datasetStream, graphStream) "
+            "cannot take datasetStream (datasets) to graphStream (graphs)\n",
         )
 
     def test_unset_env_uses_builtin(self, capsys, monkeypatch):

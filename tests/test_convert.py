@@ -18,7 +18,6 @@ from staxkit.convert import (
     flatten_datasets,
     flatten_graphs,
     group_statements,
-    payload_kind,
 )
 from staxkit.errors import (
     AbstractType,
@@ -29,7 +28,7 @@ from staxkit.errors import (
 )
 from staxkit.io import Framing, read_grouped_stream
 from staxkit.model import Dataset, Graph, Iri, Quad, Triple
-from staxkit.taxonomy import Taxonomy, default_taxonomy, infer_closure, load_taxonomy
+from staxkit.taxonomy import default_taxonomy, infer_closure, load_taxonomy, payload_kind
 from staxkit.writer import write_stream
 
 C = infer_closure(default_taxonomy())
@@ -234,26 +233,6 @@ class TestConvert:
         gs = [Graph([t("a", "b")])]
         got = list(convert(gs, "graphStream", "datasetStream", C))
         assert got == [Dataset(default_graph=Graph([t("a", "b")]))]
-
-    @pytest.mark.parametrize(
-        "relation,edge,message",
-        [
-            ("extend", ("datasetStream", "graphStream"), "cannot extend a datasets stream"),
-            (
-                "flatten",
-                ("graphStream", "flatQuadStream"),
-                "conversion plan ends at a triples stream but flatQuadStream holds quads",
-            ),
-        ],
-    )
-    def test_payload_mismatch_messages(self, relation, edge, message):
-        base = default_taxonomy()
-        relations = {name: base.edges(name) for name in ("broader", "flatten", "group", "extend")}
-        relations[relation] += (edge,)
-        inferred = infer_closure(Taxonomy(base.types.values(), relations))
-        with pytest.raises(MixedPayload) as info:
-            convert([], *edge, inferred)
-        assert str(info.value) == message
 
     def test_lazy_until_iterated(self):
         seen = []

@@ -4,7 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import oracle_broader_closure, oracle_conversion_path, oracle_relation_closure
+from oracles import STEP_NAMES, oracle_broader_closure, oracle_conversion_path, oracle_relation_closure
+from staxkit.convert import convert
 from staxkit.errors import (
     CycleError,
     DanglingReference,
@@ -12,6 +13,7 @@ from staxkit.errors import (
     SchemaError,
     UnknownType,
 )
+from staxkit.model import Dataset, Graph, Iri, Quad, Triple
 from staxkit.taxonomy import (
     STAX_NS,
     ConversionStep,
@@ -93,26 +95,28 @@ class TestDefaultTaxonomy:
         with pytest.raises(UnknownType):
             T.ancestors("nope")
 
-    def test_side(self):
-        flat = {"flatStream", "flatTripleStream", "flatQuadStream"}
-        for t in CONCRETE + ABSTRACT:
-            want = None if t == "rdfStream" else "flat" if t in flat else "grouped"
-            assert T.side(t) == want, t
-        assert T.side("nope") is None
+    def test_payload(self):
+        want = {
+            "graphStream": "graphs",
+            "subjectGraphStream": "graphs",
+            "datasetStream": "datasets",
+            "namedGraphStream": "datasets",
+            "timestampedNamedGraphStream": "datasets",
+            "flatTripleStream": "triples",
+            "flatQuadStream": "quads",
+        }
+        assert {t: T.payload(t) for t in CONCRETE + ABSTRACT} == {**dict.fromkeys(ABSTRACT), **want}
+        with pytest.raises(UnknownType):
+            T.payload("nope")
 
-    def test_side_prefers_grouped_under_both_anchors(self):
-        tax = load_taxonomy(
-            json.dumps(
-                {
-                    "types": [
-                        {"id": i, "iri": f"http://x:1/{i}", "kind": "abstract"}
-                        for i in ("groupedStream", "flatStream", "both")
-                    ],
-                    "relations": [["both", "broader", "flatStream"], ["both", "broader", "groupedStream"]],
-                }
-            )
-        )
-        assert tax.side("both") == "grouped"
+    @pytest.mark.parametrize("kind", ["abstract", "concrete"])
+    def test_a_type_under_two_anchors_is_refused_at_load(self, kind):
+        doc = T.to_dict()
+        doc["types"].append({"id": "both", "iri": "http://x:1/both", "kind": kind})
+        doc["relations"] += [["both", "broader", "graphStream"], ["both", "broader", "flatQuadStream"]]
+        with pytest.raises(SchemaError) as info:
+            load_taxonomy(json.dumps(doc))
+        assert str(info.value) == "type both is or narrows more than one payload anchor: flatQuadStream, graphStream"
 
     def test_unknown_type_lookup(self):
         with pytest.raises(UnknownType):
@@ -281,6 +285,43 @@ class TestConversionPath:
 
 
 class TestLoadTaxonomy:
+    @pytest.mark.parametrize(
+        "relation,edge,message",
+        [
+            (
+                "extend",
+                ("datasetStream", "graphStream"),
+                "canBeTriviallyExtendedInto edge (datasetStream, graphStream) "
+                "cannot take datasetStream (datasets) to graphStream (graphs)",
+            ),
+            (
+                "flatten",
+                ("graphStream", "flatQuadStream"),
+                "canBeFlattenedInto edge (graphStream, flatQuadStream) "
+                "cannot take graphStream (graphs) to flatQuadStream (quads)",
+            ),
+            (
+                "group",
+                ("flatQuadStream", "graphStream"),
+                "canBeGroupedInto edge (flatQuadStream, graphStream) "
+                "cannot take flatQuadStream (quads) to graphStream (graphs)",
+            ),
+            # an abstract end: checked through the payloads of the types below the source
+            (
+                "flatten",
+                ("groupedStream", "flatStream"),
+                "canBeFlattenedInto edge (groupedStream, flatStream) "
+                "cannot take graphStream (graphs) to flatStream (no payload)",
+            ),
+        ],
+    )
+    def test_payload_mismatch_messages(self, relation, edge, message):
+        doc = T.to_dict()
+        doc["relations"].append([edge[0], relation, edge[1]])
+        with pytest.raises(SchemaError) as info:
+            load_taxonomy(json.dumps(doc))
+        assert str(info.value) == message
+
     def test_default_survives_serialization(self):
         text = json.dumps(T.to_dict())
         assert load_taxonomy(text) == T
@@ -524,3 +565,98 @@ def test_no_conversion_path_error_carries_context():
     assert err.to_type == "graphStream"
     assert err.policy == "strict"
     assert "flatQuadStream" in str(err)
+
+
+# The built-in taxonomy plus up to three types and up to three conversion
+# edges: it loads exactly when every closure edge that touches a payload
+# maps it through the step table below, and then every plan between
+# payload-carrying concrete types runs.  The anchors and the step table
+# are written out here, apart from the ones the taxonomy module holds.
+ORACLE_ANCHORS = {
+    "flatTripleStream": "triples",
+    "flatQuadStream": "quads",
+    "graphStream": "graphs",
+    "datasetStream": "datasets",
+}
+ORACLE_STEPS = {
+    "flatten": {"graphs": "triples", "datasets": "quads"},
+    "group": {"triples": "graphs", "quads": "datasets"},
+    "extend": {"triples": "quads", "graphs": "datasets"},
+}
+_TRIPLE = Triple(Iri("http://x:1/s"), Iri("http://x:1/p"), Iri("http://x:1/o"))
+ONE_ITEM = {
+    "triples": _TRIPLE,
+    "quads": Quad(*_TRIPLE, Iri("http://x:1/g")),
+    "graphs": Graph([_TRIPLE]),
+    "datasets": Dataset.from_quads([Quad(*_TRIPLE, Iri("http://x:1/g"))]),
+}
+
+
+def oracle_payloads(type_ids, broader_edges):
+    """Each type's anchor payloads: those of the anchors it is or narrows."""
+    broader = oracle_broader_closure(type_ids, broader_edges)
+    return {
+        t: tuple(p for a, p in ORACLE_ANCHORS.items() if a == t or (t, a) in broader)
+        for t in type_ids
+    }
+
+
+def oracle_fits(relation, source, target):
+    """Whether a closure edge between types of these anchor payloads fits."""
+    if not source or not target:
+        return not source and not target
+    return ORACLE_STEPS[relation].get(source[0]) == target[0]
+
+
+@st.composite
+def extended_taxonomies(draw):
+    doc = T.to_dict()
+    ids = list(T.type_ids())
+    for new in ("n0", "n1", "n2")[: draw(st.integers(0, 3), label="new types")]:
+        kind = draw(st.sampled_from(["abstract", "concrete"]), label=f"{new} kind")
+        doc["types"].append({"id": new, "iri": f"http://x:1/{new}", "kind": kind})
+        for up in draw(st.lists(st.sampled_from(ids), min_size=1, max_size=2, unique=True), label=f"{new} broader"):
+            doc["relations"].append([new, "broader", up])
+        ids.append(new)
+    broader_edges = [(a, b) for a, name, b in doc["relations"] if name == "broader"]
+    held, broader = oracle_payloads(ids, broader_edges), oracle_broader_closure(ids, broader_edges)
+    below = {a: [x for x in ids if x == a or (x, a) in broader] for a in ids}
+    for _ in range(draw(st.integers(0, 3), label="new edges")):
+        relation = draw(st.sampled_from(STEP_NAMES), label="relation")
+        # three edges in four fit their source and every type below it, when
+        # one can, so that many extended taxonomies load
+        fitting = [
+            (a, b) for a in ids for b in ids if all(oracle_fits(relation, held[x], held[b]) for x in below[a])
+        ]
+        if fitting and draw(st.integers(0, 3), label="fit"):
+            a, b = draw(st.sampled_from(fitting), label="fitting edge")
+        else:
+            a, b = draw(st.sampled_from(ids), label="source"), draw(st.sampled_from(ids), label="target")
+        doc["relations"].append([a, relation, b])
+    return doc
+
+
+@settings(deadline=None)
+@given(extended_taxonomies())
+def test_property_taxonomy_loads_when_its_closure_fits_and_then_every_plan_runs(doc):
+    ids = [t["id"] for t in doc["types"]]
+    edges = {name: [(a, b) for a, n, b in doc["relations"] if n == name] for name in ("broader", *STEP_NAMES)}
+    held = oracle_payloads(ids, edges["broader"])
+    loads = all(len(p) <= 1 for p in held.values()) and all(
+        oracle_fits(name, held[x], held[z])
+        for name in STEP_NAMES
+        for x, z in oracle_relation_closure(ids, edges["broader"], edges[name])
+    )
+    if not loads:
+        with pytest.raises(SchemaError):
+            load_taxonomy(json.dumps(doc))
+        return
+    closed = infer_closure(load_taxonomy(json.dumps(doc)))
+    carriers = [t["id"] for t in doc["types"] if t["kind"] == "concrete" and held[t["id"]]]
+    for a in carriers:
+        for b in carriers:
+            for policy in ("strict", "transitive"):
+                if conversion_path(closed, a, b, policy) is None:
+                    continue
+                out = list(convert([ONE_ITEM[held[a][0]]], a, b, closed, policy))
+                assert [type(item) for item in out] == [type(ONE_ITEM[held[b][0]])], (a, b, policy)
