@@ -23,7 +23,7 @@ _SOURCES = {
         "Violation cross_check emit_turtle load_manifest validate_usages",
         "classify": "ClassificationReport Classifier ClassifierConfig ElementVerdict TypeVerdict "
         "candidate_subject_nodes classify_stream",
-        "convert": "convert extend flatten_datasets flatten_graphs group_statements",
+        "convert": "convert",
         "errors": "AbstractType CycleError DanglingReference EmptyUsages InvalidBatchSize "
         "MalformedIri MixedPayload NoConversionPath OutputExists ParseError SchemaError "
         "StaxError UnknownStreamType UnknownType",

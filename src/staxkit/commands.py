@@ -133,8 +133,9 @@ def _print_report(report: ClassificationReport) -> None:
             w(f"  - {note}\n")
 
 
-def _framing_for(payload: Payload, path: str, override: str | None, flag: str) -> Framing:
-    """The framing of the convert side whose option is flag; '-' takes no directory framing."""
+def _framing_for(payload: Payload, path: str, override: str | None = None) -> Framing:
+    """The framing of a convert side: override, from --output-framing; else
+    the payload's flat one, or its dir one for a directory, or its framed one."""
     if override is None:
         if payload.is_flat:
             layout = "flat"
@@ -143,10 +144,9 @@ def _framing_for(payload: Payload, path: str, override: str | None, flag: str) -
         return Framing(f"{layout}-{payload.value}")
     framing = Framing(override)
     if framing.payload is not payload:
-        raise MixedPayload(f"{flag} {framing.value} cannot carry a stream of {payload.value}")
+        raise MixedPayload(f"--output-framing {framing.value} cannot carry a stream of {payload.value}")
     if path == "-" and framing.is_dir:
-        side = "read standard input" if flag == "--input-framing" else "write standard output"
-        raise MixedPayload(f"directory framings cannot {side}")
+        raise MixedPayload("directory framings cannot write standard output")
     return framing
 
 
@@ -156,8 +156,8 @@ def _cmd_convert(args: argparse.Namespace, taxonomy: Taxonomy) -> int:
     inferred = infer_closure(taxonomy)
     from_payload = payload_kind(inferred, args.from_type)
     to_payload = payload_kind(inferred, args.to_type)
-    in_framing = _framing_for(from_payload, args.input, args.input_framing, "--input-framing")
-    out_framing = _framing_for(to_payload, args.output, args.output_framing, "--output-framing")
+    in_framing = _framing_for(from_payload, args.input)
+    out_framing = _framing_for(to_payload, args.output, args.output_framing)
     relations = plan(args.from_type, args.to_type, inferred, args.policy, args.batch_size)
     if args.batch_size is not None and "group" not in relations:
         raise InvalidBatchSize(

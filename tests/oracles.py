@@ -6,7 +6,9 @@ exhaustive backtracking instead of greedy subject choice, literal path
 enumeration instead of an ancestor map and layered search, a character
 scanner instead of the statement pattern and its token locator, field
 slicing, digit counts, January-based day counts and exact fractions
-instead of the XSD timestamp patterns and their March-based day count, and
+instead of the XSD timestamp patterns and their March-based day count,
+(s, p, o, label) rows, list slices and a stable sort instead of the
+converter's iterator batches and Dataset.from_quads, and
 regex/recursive-descent reference parsers for the serialized formats.
 """
 
@@ -333,6 +335,78 @@ def oracle_project(items, kind: str):
         return triples(items)
     graphs = [triples(d.quads()) for d in items]
     return None if any(ts is None for ts in graphs) else [Graph(ts) for ts in graphs]
+
+
+# ---------------------------------------------------------------------------
+# Conversion oracle (rows and slices)
+# ---------------------------------------------------------------------------
+
+
+def _element_rows(element) -> list[tuple]:
+    """A graph's or dataset's statements as (s, p, o, label) rows: the default
+    graph's first, then each named graph's in the order named_items() gives."""
+    if isinstance(element, Graph):
+        return [(t.subject, t.predicate, t.object, None) for t in element.triples]
+    graphs = [(None, element.default_graph), *element.named_items()]
+    return [(t.subject, t.predicate, t.object, label) for label, graph in graphs for t in graph.triples]
+
+
+def _batch_rows(rows: list[tuple]) -> list[tuple]:
+    """One batch as an element holds it: each row once, at its first place,
+    then the default graph's rows first and each named graph's in order of
+    its label's first appearance (a stable sort on that rank)."""
+    unique = []
+    for row in rows:
+        if row not in unique:
+            unique.append(row)
+    ranks = {}
+    for row in unique:
+        if row[3] is not None:
+            ranks.setdefault(row[3], len(ranks) + 1)
+    return sorted(unique, key=lambda row: 0 if row[3] is None else ranks[row[3]])
+
+
+def oracle_convert(items, payload: str, steps, batch_size: int = 1) -> list:
+    """What converting items of payload ('triples', 'quads', 'graphs' or
+    'datasets') along steps (relation short names, in order) yields.
+
+    Each step is applied by its definition on (s, p, o, label) rows, and
+    model objects are built only at the end: flatten concatenates the
+    elements' rows, group slices the rows into batch_size runs with set
+    semantics inside each, and extend only widens the payload (every label
+    is already None).
+    """
+    grouped = payload in ("graphs", "datasets")
+    quads = payload in ("quads", "datasets")
+    if grouped:
+        stream = [_element_rows(element) for element in items]
+    else:
+        stream = [(s.subject, s.predicate, s.object, s.graph_label if quads else None) for s in items]
+    for step in steps:
+        if step == "flatten":
+            assert grouped
+            stream, grouped = [row for rows in stream for row in rows], False
+        elif step == "group":
+            assert not grouped
+            stream = [_batch_rows(stream[i:i + batch_size]) for i in range(0, len(stream), batch_size)]
+            grouped = True
+        else:
+            assert step == "extend" and not quads
+            quads = True
+
+    def element(rows):
+        if not quads:
+            return Graph([Triple(*row[:3]) for row in rows])
+        named = {row[3]: [] for row in rows if row[3] is not None}
+        for row in rows:
+            if row[3] is not None:
+                named[row[3]].append(Triple(*row[:3]))
+        default = Graph([Triple(*row[:3]) for row in rows if row[3] is None])
+        return Dataset(default, [(label, Graph(ts)) for label, ts in named.items()])
+
+    if grouped:
+        return [element(rows) for rows in stream]
+    return [Quad(*row) if quads else Triple(*row[:3]) for row in stream]
 
 
 # ---------------------------------------------------------------------------

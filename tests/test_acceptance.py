@@ -45,7 +45,7 @@ from staxkit.classify import (
     classify_stream,
 )
 from staxkit.cli import main as cli_main
-from staxkit.convert import extend, flatten_graphs, group_statements
+from staxkit.convert import convert
 from staxkit.errors import ParseError
 from staxkit.io import Framing, read_flat_stream, read_grouped_stream, write_flat_stream
 from staxkit.model import Dataset, Graph, Iri, Literal, Triple
@@ -189,19 +189,24 @@ def test_criterion_4_hierarchy_coherence():
 def test_criterion_5_conversion_round_trips():
     start = time.monotonic()
     r = random.Random(555)
+    inferred = infer_closure(default_taxonomy())
+
+    def run(items, from_type, to_type, batch_size=None):
+        return list(convert(iter(items), from_type, to_type, inferred, batch_size=batch_size))
+
     ok = True
     for case in range(100):
         statements = gen_unique_statements(r, 1000, quads=False)
         for k in (1, 2, 3, 7, len(statements)):
-            back = list(flatten_graphs(group_statements(iter(statements), k, "graphs")))
+            back = run(run(statements, "flatTripleStream", "graphStream", k), "graphStream", "flatTripleStream")
             ok = ok and back == statements
-        ok = ok and oracle_project(extend(iter(statements), "triples"), "quads") == statements
+        ok = ok and oracle_project(run(statements, "flatTripleStream", "flatQuadStream"), "quads") == statements
         if case % 20 == 0:
-            grouped = list(group_statements(iter(statements), 7, "graphs"))
-            ok = ok and oracle_project(extend(iter(grouped), "graphs"), "datasets") == grouped
+            grouped = run(statements, "flatTripleStream", "graphStream", 7)
+            extended = run(grouped, "graphStream", "datasetStream")
+            ok = ok and oracle_project(extended, "datasets") == grouped
             g_report = classify_stream(grouped, Framing.FRAMED_GRAPHS)
             ok = ok and "graphStream" in g_report.conforming
-            extended = list(extend(iter(grouped), "graphs"))
             d_report = classify_stream(extended, Framing.FRAMED_DATASETS)
             ok = ok and "datasetStream" in d_report.conforming
             flat_report = classify_stream(statements, Framing.FLAT_TRIPLES)

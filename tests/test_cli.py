@@ -289,7 +289,7 @@ def test_default_framing_carries_the_payload_of_every_concrete_type(tmp_path):
             continue
         payload = payload_kind(inferred, type_id)
         for path in ("-", str(tmp_path / "in.bin"), str(tmp_path)):
-            framing = _framing_for(payload, path, None, "--input-framing")
+            framing = _framing_for(payload, path)
             assert framing.payload is payload
             assert framing.is_dir == (path == str(tmp_path) and not payload.is_flat)
 
@@ -867,20 +867,20 @@ class TestConvert:
                 "graphStream",
                 "--to",
                 "flatTripleStream",
-                "--input-framing",
-                "flat-triples",
+                "--output-framing",
+                "flat-quads",
             ]
         )
-        assert code == 3  # flat-triples framing cannot carry graph elements
+        assert code == 3  # flat-quads framing cannot carry a stream of triples
 
     def test_framing_override_mismatch_message(self, tmp_path, capsys):
         src = tmp_path / "in.nt"
         src.write_bytes(flat_triples(1))
         argv = ["convert", "--input", str(src), "--output", "-", "--from", "graphStream"]
-        code = main(argv + ["--to", "flatTripleStream", "--input-framing", "flat-triples"])
+        code = main(argv + ["--to", "flatTripleStream", "--output-framing", "framed-graphs"])
         assert code == 3
         assert capsys.readouterr().err == (
-            "stax-kit: MixedPayload: --input-framing flat-triples cannot carry a stream of graphs\n"
+            "stax-kit: MixedPayload: --output-framing framed-graphs cannot carry a stream of triples\n"
         )
 
     def test_quads_in_triples_input(self, tmp_path, capsys):
@@ -1045,8 +1045,7 @@ def test_cli_convert_writes_what_the_library_writes(from_type, to_type, policy, 
                 (path / f"{i:05d}{'.nq' if source.quads else '.nt'}").write_bytes("".join(element).encode())
         else:
             path.write_bytes("#---\n".join("".join(e) for e in elements).encode())
-        argv = ["convert", "--input", str(path), "--input-framing", in_framing.value, "--output-framing",
-                out_framing.value, "--output", output if output == "-" else str(out),
+        argv = ["convert", "--input", str(path), "--output-framing", out_framing.value, "--output", output if output == "-" else str(out),
                 "--from", from_type, "--to", to_type, "--policy", policy]
         argv += [] if batch_size is None else ["--batch-size", str(batch_size)]
         stdout, stderr = _BinaryStdout(), io.StringIO()
@@ -1396,13 +1395,8 @@ class TestParseErrorsNameTheInput:
         [
             ["classify", "--input", "-", "--framing", "dir-graphs"],
             ["validate", "--manifest", "{manifest}", "--data", "-", "--framing", "dir-datasets"],
-            ["convert", "--input", "-", "--input-framing", "dir-graphs", "--output", "-",
-             "--from", "graphStream", "--to", "flatTripleStream"],
-            # no strict plan either: standard input is refused first
-            ["convert", "--input", "-", "--input-framing", "dir-graphs", "--output", "-",
-             "--from", "graphStream", "--to", "flatQuadStream"],
         ],
-        ids=["classify", "validate", "convert", "convert-without-plan"],
+        ids=["classify", "validate"],
     )
     def test_directory_framings_refuse_stdin(self, argv, tmp_path, monkeypatch, capsys):
         manifest = tmp_path / "manifest.json"

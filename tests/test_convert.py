@@ -8,17 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import staxkit.io
-from oracles import oracle_project
+from oracles import oracle_convert, oracle_project
 from streamgen import EX, gen_quad, gen_triple, gen_unique_statements
 from staxkit.classify import classify_stream
 from staxkit.cli import main
-from staxkit.convert import (
-    convert,
-    extend,
-    flatten_datasets,
-    flatten_graphs,
-    group_statements,
-)
+from staxkit.convert import convert
 from staxkit.errors import (
     AbstractType,
     InvalidBatchSize,
@@ -26,9 +20,10 @@ from staxkit.errors import (
     NoConversionPath,
     SchemaError,
 )
+from staxkit.framing import Payload
 from staxkit.io import Framing, read_grouped_stream
 from staxkit.model import Dataset, Graph, Iri, Quad, Triple
-from staxkit.taxonomy import default_taxonomy, infer_closure, load_taxonomy, payload_kind
+from staxkit.taxonomy import TypeKind, default_taxonomy, infer_closure, load_taxonomy, payload_kind, plan
 from staxkit.writer import write_stream
 
 C = infer_closure(default_taxonomy())
@@ -47,88 +42,127 @@ def q(s, o, g=None):
     return Quad(iri(s), P, iri(o), None if g is None else iri(g))
 
 
+def flatten(elements, from_type="graphStream"):
+    to_type = "flatQuadStream" if payload_kind(C, from_type) is Payload.DATASETS else "flatTripleStream"
+    return list(convert(elements, from_type, to_type, C))
+
+
+def group(statements, k, to_type="graphStream"):
+    from_type = "flatTripleStream" if to_type == "graphStream" else "flatQuadStream"
+    return list(convert(statements, from_type, to_type, C, batch_size=k))
+
+
+def extend(items, from_type):
+    to_type = "flatQuadStream" if from_type == "flatTripleStream" else "datasetStream"
+    return list(convert(items, from_type, to_type, C))
+
+
 class TestFlatten:
     def test_graphs_concatenate_in_order(self):
         gs = [Graph([t("a", "b"), t("b", "c")]), Graph(), Graph([t("d", "e")])]
-        assert list(flatten_graphs(gs)) == [t("a", "b"), t("b", "c"), t("d", "e")]
+        assert flatten(gs) == [t("a", "b"), t("b", "c"), t("d", "e")]
 
     def test_datasets_default_first_then_named(self):
         d = Dataset(
             default_graph=Graph([t("a", "b")]),
             named_graphs=[(iri("g1"), Graph([t("c", "d")])), (iri("g2"), Graph([t("e", "f")]))],
         )
-        assert list(flatten_datasets([d])) == [
+        assert flatten([d], "datasetStream") == [
             q("a", "b"),
             q("c", "d", "g1"),
             q("e", "f", "g2"),
         ]
 
     def test_empty_stream(self):
-        assert list(flatten_graphs([])) == []
-        assert list(flatten_datasets([])) == []
+        assert flatten([]) == []
+        assert flatten([], "datasetStream") == []
 
 
 class TestGroup:
     def test_batches_of_two(self):
         statements = [t("a", "b"), t("c", "d"), t("e", "f"), t("g", "h"), t("i", "j")]
-        got = list(group_statements(statements, 2, "graphs"))
+        got = group(statements, 2)
         assert [len(g) for g in got] == [2, 2, 1]
         assert got[0] == Graph([t("a", "b"), t("c", "d")])
 
-    def test_kind_decides_the_element_type(self):
-        # kind is required; the first statement's class does not decide
-        with pytest.raises(TypeError):
-            group_statements([t("a", "b")], 1)
-        assert list(group_statements([q("a", "b")], 1, "graphs")) == [Graph([t("a", "b")])]
-        assert list(group_statements([q("a", "b")], 1, "datasets")) == [Dataset(default_graph=Graph([t("a", "b")]))]
+    def test_the_target_decides_the_element_type(self):
+        assert group([t("a", "b")], 1) == [Graph([t("a", "b")])]
+        assert group([q("a", "b")], 1, "datasetStream") == [Dataset(default_graph=Graph([t("a", "b")]))]
 
     def test_quads_partition_by_label(self):
-        got = list(group_statements([q("a", "b"), q("c", "d", "g")], 2, "datasets"))
+        got = group([q("a", "b"), q("c", "d", "g")], 2, "datasetStream")
         d = got[0]
         assert list(d.default_graph) == [t("a", "b")]
         assert d.named_items()[0][0] == iri("g")
 
     def test_triples_into_dataset_batches(self):
-        got = list(group_statements([t("a", "b")], 1, "datasets"))
+        got = list(convert([t("a", "b")], "flatTripleStream", "datasetStream", C, "transitive", 1))
         assert isinstance(got[0], Dataset)
         assert list(got[0].default_graph) == [t("a", "b")]
 
     def test_labeled_quad_cannot_become_a_graph(self):
         with pytest.raises(MixedPayload):
-            list(group_statements([q("a", "b", "g")], 1, "graphs"))
+            group([q("a", "b", "g")], 1)
 
     def test_zero_batch_size_rejected_eagerly(self):
         with pytest.raises(InvalidBatchSize):
-            group_statements([t("a", "b")], 0, "graphs")
+            convert(_unread(), "flatTripleStream", "graphStream", C, batch_size=0)
 
     def test_duplicates_within_a_batch_are_absorbed(self):
-        got = list(group_statements([t("a", "b"), t("a", "b")], 2, "graphs"))
-        assert got == [Graph([t("a", "b")])]
+        assert group([t("a", "b"), t("a", "b")], 2) == [Graph([t("a", "b")])]
 
-    def test_bad_kind(self):
-        with pytest.raises(ValueError):
-            group_statements([t("a", "b")], 1, "frames")
+
+def _unread():
+    raise AssertionError("the stream was read")
+    yield
+
+
+class TestItemCheck:
+    """convert() checks each input item against the source payload's class,
+    whatever the plan, and names the first wrong one by its index."""
+
+    @pytest.mark.parametrize(
+        "items, from_type, to_type, batch_size, message",
+        [
+            ([Graph([t("a", "b")]), t("c", "d")], "graphStream", "flatTripleStream", None,
+             "item 1 of a graphStream stream is a Triple, not a Graph"),
+            ([Dataset(default_graph=Graph([t("a", "b")]))], "graphStream", "flatTripleStream", None,
+             "item 0 of a graphStream stream is a Dataset, not a Graph"),
+            ([t("a", "b"), q("c", "d")], "flatTripleStream", "graphStream", 1,
+             "item 1 of a flatTripleStream stream is a Quad, not a Triple"),
+            ([t("a", "b")], "graphStream", "graphStream", None,
+             "item 0 of a graphStream stream is a Triple, not a Graph"),
+        ],
+        ids=["triples-to-flatten", "dataset-to-flatten", "default-graph-quad-to-group", "triple-to-identity"],
+    )
+    def test_a_wrong_item_is_mixed_payload(self, items, from_type, to_type, batch_size, message):
+        out = convert(iter(items), from_type, to_type, C, batch_size=batch_size)
+        with pytest.raises(MixedPayload) as info:
+            list(out)
+        assert str(info.value) == message
+
+    def test_the_items_before_the_wrong_one_are_yielded(self):
+        out = convert(iter([Graph([t("a", "b")]), t("c", "d")]), "graphStream", "flatTripleStream", C)
+        assert next(out) == t("a", "b")
+        with pytest.raises(MixedPayload, match="item 1 "):
+            next(out)
 
 
 class TestExtendProject:
     def test_extend_triples(self):
-        assert list(extend([t("a", "b")], "triples")) == [q("a", "b")]
+        assert extend([t("a", "b")], "flatTripleStream") == [q("a", "b")]
 
     def test_extend_graphs(self):
         g = Graph([t("a", "b")])
-        got = list(extend([g], "graphs"))
+        got = extend([g], "graphStream")
         assert got == [Dataset(default_graph=g)]
         assert not got[0].named_items()
 
     def test_kind_mismatch_is_mixed_payload(self):
         with pytest.raises(MixedPayload):
-            list(extend([q("a", "b")], "triples"))
+            extend([q("a", "b")], "flatTripleStream")
         with pytest.raises(MixedPayload):
-            list(extend([Dataset()], "graphs"))
-
-    def test_bad_source_kind(self):
-        with pytest.raises(ValueError):
-            list(extend([], "quads"))
+            extend([Dataset()], "graphStream")
 
     def test_projection_oracle_refuses_named_graph_content(self):
         # the round trips below rely on this: an extend that added a label gives None
@@ -144,8 +178,7 @@ class TestRoundTrips:
         r = random.Random(61)
         statements = gen_unique_statements(r, 200, quads=False)
         for k in (1, 2, 3, 7, len(statements)):
-            regrouped = group_statements(iter(statements), k, "graphs")
-            assert list(flatten_graphs(regrouped)) == statements
+            assert flatten(group(iter(statements), k)) == statements
 
     def test_flatten_undoes_group_for_quads(self):
         r = random.Random(62)
@@ -154,22 +187,21 @@ class TestRoundTrips:
             for s in gen_unique_statements(r, 120, quads=False)
         ]
         for k in (1, 4, 120):
-            regrouped = group_statements(iter(statements), k, "datasets")
-            assert list(flatten_datasets(regrouped)) == statements
+            assert flatten(group(iter(statements), k, "datasetStream"), "datasetStream") == statements
 
     def test_project_undoes_extend(self):
         r = random.Random(63)
         triples = [gen_triple(r) for _ in range(80)]
-        assert oracle_project(extend(iter(triples), "triples"), "quads") == triples
-        graphs = list(group_statements(iter(triples), 5, "graphs"))
-        assert oracle_project(extend(iter(graphs), "graphs"), "datasets") == graphs
+        assert oracle_project(extend(iter(triples), "flatTripleStream"), "quads") == triples
+        graphs = group(iter(triples), 5)
+        assert oracle_project(extend(iter(graphs), "graphStream"), "datasets") == graphs
 
     def test_group_restores_elements_with_matching_sizes(self):
         r = random.Random(64)
         elements = [
             Graph(gen_unique_statements(r, n, quads=False)) for n in (3, 1, 4, 2)
         ]
-        flat = list(flatten_graphs(elements))
+        flat = flatten(elements)
         rebuilt = []
         pos = 0
         for size in [len(e) for e in elements]:
@@ -322,7 +354,7 @@ class TestClassificationCoherence:
     st.integers(min_value=1, max_value=8),
 )
 def test_property_group_then_flatten_is_identity(statements, k):
-    assert list(flatten_graphs(group_statements(iter(statements), k, "graphs"))) == statements
+    assert flatten(group(iter(statements), k)) == statements
 
 
 @settings(max_examples=100, deadline=None)
@@ -330,7 +362,7 @@ def test_property_group_then_flatten_is_identity(statements, k):
 def test_property_project_extend_identity(seed):
     r = random.Random(seed)
     triples = [gen_triple(r) for _ in range(r.randint(0, 20))]
-    assert oracle_project(extend(iter(triples), "triples"), "quads") == triples
+    assert oracle_project(extend(iter(triples), "flatTripleStream"), "quads") == triples
 
 
 def _batch_in_set_order(batch):
@@ -359,10 +391,10 @@ def _batch_in_set_order(batch):
 def test_property_group_then_flatten_applies_set_semantics_per_batch(quads, k):
     batches = [quads[i:i + k] for i in range(0, len(quads), k)]
     expected = [q for batch in batches for q in _batch_in_set_order(batch)]
-    assert list(flatten_datasets(group_statements(iter(quads), k, "datasets"))) == expected
+    assert flatten(group(iter(quads), k, "datasetStream"), "datasetStream") == expected
     triples = [q.triple() for q in quads]
     expected_triples = [t for i in range(0, len(triples), k) for t in dict.fromkeys(triples[i:i + k])]
-    assert list(flatten_graphs(group_statements(iter(triples), k, "graphs"))) == expected_triples
+    assert flatten(group(iter(triples), k)) == expected_triples
 
 
 class _Discard:
@@ -436,3 +468,75 @@ def test_convert_memory_does_not_grow_with_the_stream(tmp_path):
 def test_cli_convert_memory_does_not_grow_with_the_stream(tmp_path):
     peaks = _peaks_at_1x_and_10x(_traced_cli_convert_peak, tmp_path)
     assert peaks[1] < 1.1 * peaks[0], peaks
+
+
+# Every stream up to a small bound: convert() must yield what the oracle
+# derives from the step definitions, for every concrete pair with a plan,
+# under both policies, with batch sizes 1-3 where the plan groups.  Tier-1
+# enumerates streams of up to 2 elements of 1-2 statements each, and flat
+# streams of up to 4 statements (what such a stream flattens to); the deep
+# profile takes 3 elements and 6 statements.  convert() compares statements
+# only for equality, so one stream of each class under renaming the triples
+# is enough: the enumerated streams use distinct triples in the order below,
+# which is not sorted, over the IRIs a, b and c and the graph label g.
+SCOPE_ELEMENTS = 3 if settings().max_examples >= settings.get_profile("deep").max_examples else 2
+_SCOPE_TRIPLES = [t(s, o) for s, o in ("ca", "ab", "bc", "aa", "cb", "ba")]
+
+
+def _scope_items(payload, triples):
+    """The distinct items of payload over the first triples, each with the
+    indices of its triples in reading order (a dataset's in Dataset.quads()
+    order)."""
+    labels = [None, iri("g")] if payload.quads else [None]
+    statements = [Quad(*x, g) if payload.quads else x for x in _SCOPE_TRIPLES[:triples] for g in labels]
+    if payload.is_flat:
+        items = statements
+    else:
+        pairs = [[a] for a in statements] + [[a, b] for a in statements for b in statements if a != b]
+        build = Dataset.from_quads if payload is Payload.DATASETS else Graph
+        items = list(dict.fromkeys(map(build, pairs)))
+    return [
+        (item, [_SCOPE_TRIPLES.index(Triple(*x[:3])) for x in (
+            [item] if payload.is_flat else item.quads() if payload is Payload.DATASETS else item
+        )])
+        for item in items
+    ]
+
+
+def _scope_streams(payload):
+    """Every stream of payload within the scope whose triples first appear
+    in the order of _SCOPE_TRIPLES: one stream of each class under renaming."""
+    bound = 2 * SCOPE_ELEMENTS if payload.is_flat else SCOPE_ELEMENTS
+    items = _scope_items(payload, 2 * SCOPE_ELEMENTS)
+    streams = []
+
+    def grow(stream, used):
+        streams.append(stream)
+        if len(stream) < bound:
+            for item, seen in items:
+                new = list(dict.fromkeys(i for i in seen if i >= used))
+                if new == list(range(used, used + len(new))):
+                    grow(stream + [item], used + len(new))
+
+    grow([], 0)
+    return streams
+
+
+@pytest.mark.parametrize("from_type", [t for t, v in C.taxonomy.types.items() if v.kind is TypeKind.CONCRETE])
+def test_convert_agrees_with_the_oracle_on_every_small_stream(from_type):
+    payload = payload_kind(C, from_type)
+    streams = _scope_streams(payload)
+    runs = 0
+    for to_type in C.taxonomy.types:
+        for policy in ("strict", "transitive"):
+            try:
+                relations = plan(from_type, to_type, C, policy)
+            except (AbstractType, NoConversionPath):
+                continue
+            for batch_size in (1, 2, 3) if "group" in relations else (None,):
+                for stream in streams:
+                    got = list(convert(stream, from_type, to_type, C, policy, batch_size))
+                    assert got == oracle_convert(stream, payload.value, relations, batch_size or 1), \
+                        (to_type, policy, batch_size, stream)
+                    runs += 1
+    assert runs >= len(streams) > 1

@@ -622,6 +622,13 @@ def test_readme_cli_command_parses(command):
         pytest.fail(f"the CLI rejects README's command: {command}")
 
 
+def test_readme_names_every_public_name():
+    # in inline code or a code block: a public name README never names is
+    # either documented there or taken out of __all__
+    named = set(re.findall(r"\w+", " ".join(re.findall(r"`+([^`]+)`+", README))))
+    assert [name for name in staxkit.__all__ if name not in named] == []
+
+
 def test_readme_python_example_runs(tmp_path, monkeypatch, capsys):
     (block,) = readme_blocks("python")
     lines = [f"<http://ex.org/s{i}> <http://ex.org/p> <http://ex.org/o{i}> .\n" for i in range(2)]

@@ -21,7 +21,7 @@ from streamgen import (
 import staxkit.io
 import staxkit.writer
 from staxkit.cli import main
-from staxkit.convert import flatten_graphs
+from staxkit.convert import convert
 from staxkit.errors import MalformedIri, MixedPayload, OutputExists, ParseError
 from staxkit.framing import Payload
 from staxkit.io import (
@@ -35,6 +35,7 @@ from staxkit.io import (
     write_flat_stream,
 )
 from staxkit.locator import _locate
+from staxkit.taxonomy import default_taxonomy, infer_closure
 from staxkit.model import RDF_LANGSTRING, XSD_STRING, BlankNode, Dataset, Graph, Iri, Literal, Quad, Triple
 from staxkit.writer import _member_stem, serialize_statement, serialize_term, write_dir_stream, write_stream
 
@@ -569,7 +570,7 @@ class TestDirStreams:
         elements = list(read_grouped_stream(tmp_path, Framing.DIR_GRAPHS))
         framed = framed_bytes(elements, Framing.FRAMED_GRAPHS)
         assert list(read_grouped_stream(framed, Framing.FRAMED_GRAPHS)) == elements
-        flat = list(flatten_graphs(elements))
+        flat = list(convert(elements, "graphStream", "flatTripleStream", infer_closure(default_taxonomy())))
         assert len(flat) == 2
         assert [t.subject for t in flat] == [BlankNode("b"), BlankNode("b")]
 

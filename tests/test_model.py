@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamgen import framed_bytes, gen_dataset_elements, gen_dataset_stream, gen_quad
-from staxkit.convert import flatten_datasets
+from staxkit.convert import convert
 from staxkit.errors import MalformedIri
 from staxkit.framing import Framing
 from staxkit.model import (
@@ -22,6 +22,7 @@ from staxkit.model import (
     Quad,
     Triple,
 )
+from staxkit.taxonomy import default_taxonomy, infer_closure
 from staxkit.writer import serialize_statement
 
 EX = "http://example.org/"
@@ -479,7 +480,7 @@ def test_dataset_quads_order_and_round_trips(seed, with_empty_graph):
             assert [q.triple() for q in quads if q.graph_label == label] == list(graph)
         if all(graph for _, graph in named):
             assert Dataset.from_quads(quads) == d
-        assert list(flatten_datasets([d])) == quads
+        assert list(convert([d], "datasetStream", "flatQuadStream", infer_closure(default_taxonomy()))) == quads
         lines = "".join(serialize_statement(q) + "\n" for q in quads)
         assert framed_bytes([d], Framing.FRAMED_DATASETS) == lines.encode("utf-8")
 
