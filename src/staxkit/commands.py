@@ -6,13 +6,11 @@ taxonomy query compiles none of it.  Each handler takes the parsed
 arguments and the active taxonomy and returns the exit code; each imports
 the modules only it uses.  This module never imports cli, which runs as
 __main__ under `python -m staxkit.cli`: importing it would run it again.
-convert asks the taxonomy for the payloads and the plan.  It reads a plan
-of extend and flatten steps, which change only the framing, in the
-reader's text mode, building no term and importing no convert module; only
-a group step goes through convert() and the writer's _texts.  classify and
-validate read a dataset framing's elements as the text mode's indexes.
-One writer step frames either, and one routine writes convert's and
-annotate's output.
+convert asks the taxonomy for the payloads and the plan, and runs every
+plan from the reader's text mode, where a group step's batch size ends
+each element; it imports no convert module.  classify and validate read a
+dataset framing's elements as the text mode's indexes.  One writer step
+frames convert's text, and one routine writes its and annotate's output.
 """
 
 from __future__ import annotations
@@ -30,9 +28,9 @@ if TYPE_CHECKING:
     from .classify import ClassificationReport, ClassifierConfig
 
 
-def _items(path: str, framing: Framing, text: bool | str = False) -> Iterator:
+def _items(path: str, framing: Framing, text: bool | str = False, size: int = 0) -> Iterator:
     """The statements or elements of path, or of standard input for '-', read
-    lazily; with text, their canonical N-Triples/N-Quads text (see io._read_stream).
+    lazily, in batches of size if set; with text, as canonical text (see io._read_stream).
 
     A directory framing on standard input is refused at once, before any
     later check of the caller; a ParseError read from standard input names
@@ -41,10 +39,10 @@ def _items(path: str, framing: Framing, text: bool | str = False) -> Iterator:
     from .io import _read_stream
 
     if path != "-":
-        return _read_stream(path, framing, text)
+        return _read_stream(path, framing, text, size)
     if framing.is_dir:
         raise MixedPayload("directory framings cannot read standard input")
-    return _named_dash(_read_stream(sys.stdin.buffer, framing, text))
+    return _named_dash(_read_stream(sys.stdin.buffer, framing, text, size))
 
 
 def _named_dash(items: Iterator) -> Iterator:
@@ -135,23 +133,24 @@ def _print_report(report: ClassificationReport) -> None:
 
 def _framing_for(payload: Payload, path: str, override: str | None = None) -> Framing:
     """The framing of a convert side: override, from --output-framing; else
-    the payload's flat one, or its dir one for a directory, or its framed one."""
+    the payload's flat one, or its dir one for a directory, or its framed one.
+    A path that ends in '/' names a directory, whether or not it exists yet."""
     if override is None:
-        if payload.is_flat:
-            layout = "flat"
-        else:
-            layout = "dir" if path != "-" and os.path.isdir(path) else "framed"
-        return Framing(f"{layout}-{payload.value}")
-    framing = Framing(override)
-    if framing.payload is not payload:
-        raise MixedPayload(f"--output-framing {framing.value} cannot carry a stream of {payload.value}")
+        is_dir = path.endswith("/") or path != "-" and os.path.isdir(path)
+        framing = Framing(f"{'flat' if payload.is_flat else 'dir' if is_dir else 'framed'}-{payload.value}")
+    else:
+        framing = Framing(override)
+        if framing.payload is not payload:
+            raise MixedPayload(f"--output-framing {framing.value} cannot carry a stream of {payload.value}")
     if path == "-" and framing.is_dir:
         raise MixedPayload("directory framings cannot write standard output")
+    if path.endswith("/") and not framing.is_dir:
+        raise MixedPayload(f"{path} names a directory, but {framing.value} is not a directory framing")
     return framing
 
 
 def _cmd_convert(args: argparse.Namespace, taxonomy: Taxonomy) -> int:
-    from .writer import _reframed, _texts, _write_members
+    from .writer import _reframed, _write_members
 
     inferred = infer_closure(taxonomy)
     from_payload = payload_kind(inferred, args.from_type)
@@ -164,15 +163,9 @@ def _cmd_convert(args: argparse.Namespace, taxonomy: Taxonomy) -> int:
             f"--batch-size needs a group step, but the {args.policy} plan from {args.from_type} "
             f"to {args.to_type} is {', '.join(relations) or 'the identity'}"
         )
-    if "group" in relations:
-        from .convert import convert
-
-        items = convert(_items(args.input, in_framing), args.from_type, args.to_type, inferred, args.policy,
-                        args.batch_size)
-        payload, texts = to_payload, _texts(items, out_framing)
-    else:
-        payload, texts = from_payload, _items(args.input, in_framing, text=True)
-    texts = _reframed(texts, payload, out_framing)
+    # Extend and flatten change no line; the reader ends each group's batch.
+    size = (args.batch_size or 1) if "group" in relations else 0
+    texts = _reframed(_items(args.input, in_framing, True, size), to_payload if size else from_payload, out_framing)
     if out_framing.is_dir:
         names = _write_members(texts, out_framing, args.output)
         print(f"stax-kit: wrote {len(names)} element file(s) to {args.output}", file=sys.stderr)

@@ -5,7 +5,7 @@ Flatten concatenates the elements' statements (a dataset's in
 Dataset.quads() order); group batches consecutive statements, batch_size
 at a time, into graphs or datasets with set semantics inside a batch;
 extend embeds triples as default-graph quads and graphs as datasets.  The
-CLI writes a plan of flatten and extend steps from the text as read.
+CLI runs every plan in the reader's text mode instead (see io._read).
 """
 
 from __future__ import annotations

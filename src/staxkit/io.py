@@ -17,10 +17,10 @@ This module holds the reader only.  The writers are in writer, and the
 error locator, which reads a line the statement pattern declines term by
 term, is in locator; a call imports each only when it runs it.
 
-The reader has a text mode, for convert's re-framings and the dataset
-check: it yields each statement's canonical N-Triples/N-Quads line, or each
-element's lines, in place of terms (see _read).  A line already canonical
-is kept as read, checked by one pattern; any other line is rebuilt from
+The reader has a text mode, for convert and the dataset check: it yields
+each statement's canonical N-Triples/N-Quads line, or each element's
+lines, in place of terms (see _read).  A line already canonical is kept
+as read, checked by one pattern; any other line is rebuilt from
 its tokens or serialized from its terms, so only such a line makes a valid
 classify or validate compile the writer.
 """
@@ -224,29 +224,29 @@ def parse_statement_line(line: str, mode: str, line_no: int = 1) -> ParsedLine:
 # ---------------------------------------------------------------------------
 
 
-def _read_file(source: Source, quads: bool, layout: str, text: bool | str, name: str | None = None) -> Iterator:
+def _read_file(source: Source, quads: bool, layout: str, text: bool | str, name: str = "", size: int = 0) -> Iterator:
     """_read over source's lines.  A ParseError names a path source, or name
     if given; bytes and binary streams have no name to give."""
     if not isinstance(source, (str, os.PathLike)):
-        yield from _read(BytesIO(source) if isinstance(source, bytes) else source, quads, layout, text=text)
+        yield from _read(BytesIO(source) if isinstance(source, bytes) else source, quads, layout, 1, text, size)
         return
     try:
         with open(source, "rb") as handle:
-            yield from _read(handle, quads, layout, text=text)
+            yield from _read(handle, quads, layout, 1, text, size)
     except ParseError as exc:
         raise ParseError(exc.line, exc.column, exc.reason, member=name or os.fspath(source)) from None
 
 
-def _read_stream(source: Source, framing: Framing, text: bool | str = False) -> Iterator:
-    """The items of source under framing, read lazily: statements, graphs or
-    datasets, or with text the canonical line of each statement of a flat
-    stream and the canonical text of each element of a grouped one; with text
-    'index', a dataset framing's elements as their indexes (see _read)."""
+def _read_stream(source: Source, framing: Framing, text: bool | str = False, size: int = 0) -> Iterator:
+    """The items of source under framing, read lazily: statements or elements,
+    a flat stream's in batches of size if given, or with text the canonical
+    text of each; with text 'index', a dataset framing's elements as their
+    indexes (see _read)."""
     if text == "index" and framing.payload is not Payload.DATASETS:
         text = False
     if framing.is_dir:
         return _read_dir_stream(source, framing, text)
-    return _read_file(source, framing.quads_payload, framing.value.partition("-")[0], text)
+    return _read_file(source, framing.quads_payload, framing.value.partition("-")[0], text, size=size)
 
 
 def read_flat_stream(source: Source, framing: Framing) -> Iterator[Statement]:
@@ -261,7 +261,7 @@ def read_flat_stream(source: Source, framing: Framing) -> Iterator[Statement]:
 
 
 def _read(
-    lines: Iterable[bytes], quads: bool, layout: str, first: int = 1, text: bool | str = False
+    lines: Iterable[bytes], quads: bool, layout: str, first: int = 1, text: bool | str = False, size: int = 0
 ) -> Iterator[Statement | Graph | Dataset | str | dict]:
     """The one loop from encoded line to statement.  layout is the first
     part of a framing's value: 'flat', 'framed' or 'dir'; first is the
@@ -275,7 +275,9 @@ def _read(
     matches has its terms built inline, and in a grouped layout its triple
     goes straight into its graph's index; any other line takes _parse_line,
     which gives its kind or raises the located error.  At '#---' and at the
-    end the indexes become the element, unchecked.
+    end the indexes become the element, unchecked.  A size groups a flat
+    layout as convert does, under the flat error rules: every size
+    statements read, repeats counted, and the last few make an element.
 
     With text, a statement is its canonical line, LF included, and an
     element the str of its lines in Dataset.quads() order, or with text
@@ -294,9 +296,10 @@ def _read(
     """
     if text:
         canonical = re.compile(_CANONICAL_QUAD if quads else _CANONICAL).fullmatch
-    flat = layout == "flat"
+    flat = layout == "flat" and not size
     framed = layout == "framed"
     flat_quads = flat and quads
+    left = size
     match = _STATEMENT.match
     get = _interned.get
     checked = _checked_datatypes.get
@@ -380,7 +383,7 @@ def _read(
             try:
                 statement = _parse_line(line, quads, no)
             except ParseError:
-                if quads or flat:
+                if quads or layout == "flat":
                     raise
                 # The modes differ only in the fourth term, so a line that fails as a
                 # triple but parses as a quad carries a graph label: a payload
@@ -409,7 +412,12 @@ def _read(
         if index is None:
             index = graphs[label] = {}
         index[statement] = None
-    if layout == "dir" or framed and no:
+        if size:
+            left -= 1
+            if not left:
+                yield _element(graphs, quads, text)
+                graphs, left = {}, size
+    if layout == "dir" or framed and no or graphs:
         yield _element(graphs, quads, text)
 
 

@@ -8,11 +8,10 @@ s exactly; write(read(f)) is byte-identical for files already canonical.
 Every output takes one path: item texts, one framing step, one sink.
 _texts turns each statement into its line and each graph or dataset into
 one string, building no Quad: the shape of the reader's text mode, in
-which the CLI reads a stream that the extend and flatten relations
-re-frame without changing a statement.  _reframed frames either: it joins
-a flat stream's lines a few hundred at a time and puts '#---' between
-framed elements.  write_stream, write_dir_stream and convert write
-through it.
+which the CLI's convert reads every plan's stream.  _reframed frames
+either: it joins a flat stream's lines a few hundred at a time and puts
+'#---' between framed elements.  write_stream and write_dir_stream write
+through it from _texts, and the CLI's convert from the reader's text.
 
 Only a call that writes imports this module: convert, and annotate for
 serialize_term and the byte sink.

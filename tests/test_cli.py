@@ -219,6 +219,7 @@ class LineOnlyStdin:
     [
         ["classify", "--framing", "framed-graphs", "--json"],
         ["convert", "--output", "-", "--from", "graphStream", "--to", "flatTripleStream"],
+        ["convert", "--output", "-", "--from", "flatTripleStream", "--to", "graphStream", "--batch-size", "2"],
     ],
 )
 def test_stdin_is_read_incrementally(argv, tmp_path, monkeypatch, capsysbinary):
@@ -740,13 +741,12 @@ class TestConvert:
         assert not out.exists()
 
     def test_zero_batch_size_usage_error(self, tmp_path, capsys):
-        src = tmp_path / "in.nt"
-        src.write_bytes(flat_triples(2))
+        # The input does not exist: the usage error comes before it is opened.
         code = main(
             [
                 "convert",
                 "--input",
-                str(src),
+                str(tmp_path / "missing.nt"),
                 "--output",
                 "-",
                 "--from",
@@ -758,6 +758,7 @@ class TestConvert:
             ]
         )
         assert code == 2
+        assert capsys.readouterr().err == "stax-kit: batch size must be >= 1, got 0\n"
 
     def test_directory_output(self, tmp_path, capsys):
         src = tmp_path / "in.nt"
@@ -883,6 +884,32 @@ class TestConvert:
             "stax-kit: MixedPayload: --output-framing framed-graphs cannot carry a stream of triples\n"
         )
 
+    # A path that ends in '/' names a directory, made if it is missing: a
+    # grouped payload takes its dir- framing there, and a flat payload or a
+    # framing that is not dir- is refused before the input is opened.
+    @pytest.mark.parametrize(
+        "to_type, output_framing, ext",
+        [("datasetStream", None, ".nq"), ("graphStream", None, ".nt"), ("graphStream", "dir-graphs", ".nt"),
+         ("flatTripleStream", None, None), ("graphStream", "framed-graphs", None)],
+    )
+    def test_an_output_path_ending_in_a_slash_names_a_directory(self, to_type, output_framing, ext, tmp_path, capsys):
+        src, out = tmp_path / "in.nt", tmp_path / "out2"
+        src.write_bytes(framed_graphs(1, 2))
+        argv = ["convert", "--input", str(src if ext else tmp_path / "missing.nt"), "--output", f"{out}/",
+                "--from", "graphStream", "--to", to_type, "--policy", "transitive"]
+        argv += [] if output_framing is None else ["--output-framing", output_framing]
+        if ext is None:
+            framing = output_framing or "flat-triples"
+            assert main(argv) == 3
+            assert capsys.readouterr().err == (
+                f"stax-kit: MixedPayload: {out}/ names a directory, but {framing} is not a directory framing\n"
+            )
+            assert not out.exists()
+            return
+        assert main(argv) == 0
+        elements = framed_graphs(1, 2).split(b"#---\n")
+        assert _members(out) == {f"{i:05d}{ext}": element for i, element in enumerate(elements)}
+
     def test_quads_in_triples_input(self, tmp_path, capsys):
         src = tmp_path / "in.nt"
         src.write_bytes(QUAD_LINE % (0, 0, 0))
@@ -930,6 +957,53 @@ class TestConvert:
             "stax-kit: SchemaError: concrete type leafStream must be or narrow exactly one of "
             "flatTripleStream, flatQuadStream, graphStream, datasetStream, found 0\n"
         )
+
+
+# Every group plan, its input read from a file and from standard input, with
+# one faulty line after good ones (one of them repeated): the CLI must exit
+# and report as the library's term path does, after writing the same bytes.
+GROUP_PLANS = [("flatTripleStream", "graphStream", "strict"), ("flatTripleStream", "graphStream", "transitive"),
+               ("flatTripleStream", "datasetStream", "transitive"), ("flatQuadStream", "datasetStream", "strict"),
+               ("flatQuadStream", "datasetStream", "transitive")]
+_FAULTY_LINES = {
+    "bad term": b"<http://ex.org/s> <http://ex.org/p> junk .\n",
+    "fourth term": b"<http://ex.org/s> <http://ex.org/p> <http://ex.org/o> <http://ex.org/g> .\n",
+    "invalid UTF-8": b'<http://ex.org/s> <http://ex.org/p> "caf\xe9" .\n',
+    "CR-only line end": b"<http://ex.org/s> <http://ex.org/p> <http://ex.org/o> .\r"
+                        b"<http://ex.org/t> <http://ex.org/p> _:b .\n",
+    "bad \\u escape": b'<http://ex.org/s> <http://ex.org/p> "\\uD800" .\n',
+}
+
+
+@pytest.mark.parametrize("batch_size", [None, 2])
+@pytest.mark.parametrize("source", ["file", "-"])
+@pytest.mark.parametrize("fault", _FAULTY_LINES)
+@pytest.mark.parametrize("from_type, to_type, policy", GROUP_PLANS)
+def test_a_group_plan_fails_as_the_library_term_path_fails(
+    from_type, to_type, policy, fault, source, batch_size, tmp_path, monkeypatch, capsysbinary
+):
+    inferred = infer_closure(default_taxonomy())
+    target = payload_kind(inferred, to_type)
+    data = flat_triples(2) + TRIPLE_LINE % (0, 0) + _FAULTY_LINES[fault] + TRIPLE_LINE % (3, 3)
+    path = tmp_path / "in"
+    path.write_bytes(data)
+    in_framing = Framing("flat-quads" if from_type == "flatQuadStream" else "flat-triples")
+    sink = io.BytesIO()
+    try:
+        items = convert(read_flat_stream(path, in_framing), from_type, to_type, inferred, policy, batch_size)
+        write_stream(items, Framing(f"framed-{target.value}"), sink)
+        expected = (0, "")
+    except ParseError as exc:
+        member = "-" if source == "-" else exc.member
+        expected = (3, f"stax-kit: ParseError: {ParseError(exc.line, exc.column, exc.reason, member)}\n")
+    assert (expected[0] == 0) == (fault == "fourth term" and from_type == "flatQuadStream")
+    set_stdin(monkeypatch, data)
+    argv = ["convert", "--input", "-" if source == "-" else str(path), "--output", "-", "--from", from_type,
+            "--to", to_type, "--policy", policy] + ([] if batch_size is None else ["--batch-size", str(batch_size)])
+    code = main(argv)
+    out, err = capsysbinary.readouterr()
+    assert (code, err.decode()) == expected
+    assert out == sink.getvalue()
 
 
 # CLI convert against the library: main(['convert', ...]) must write what
@@ -1199,17 +1273,29 @@ def test_a_malformed_dataset_line_fails_the_cli_as_it_fails_the_term_path(kind, 
         assert capsys.readouterr() == ("", expected), argv
 
 
+_CANONICAL_QUADS = [QUAD_LINE % (i, i, i % 2) for i in range(3)] + [TRIPLE_LINE % (4, 4)]
+
+
 @pytest.mark.parametrize(
-    "data, from_type, to_type",
+    "data, from_type, to_type, batch_size, expected",
     [
-        (framed_graphs(2, 0, 3), "graphStream", "flatQuadStream"),
-        (framed_graphs(2, 1), "graphStream", "datasetStream"),
-        (flat_triples(3), "flatTripleStream", "flatQuadStream"),
+        (framed_graphs(2, 0, 3), "graphStream", "flatQuadStream", None, None),
+        (framed_graphs(2, 1), "graphStream", "datasetStream", None, None),
+        (flat_triples(3), "flatTripleStream", "flatQuadStream", None, None),
         (b"".join(QUAD_LINE % (i, i, i) for i in range(3)) + b"#---\n" + TRIPLE_LINE % (4, 4),
-         "datasetStream", "flatQuadStream"),
+         "datasetStream", "flatQuadStream", None, None),
+        # Group plans, which frame the reader's batches: a batch's
+        # default-graph lines come first, then each named graph's.
+        (flat_triples(3), "flatTripleStream", "graphStream", None, flat_triples(3).replace(b".\n<", b".\n#---\n<")),
+        (flat_triples(3), "flatTripleStream", "datasetStream", "2",
+         flat_triples(2) + b"#---\n" + TRIPLE_LINE % (2, 2)),
+        (b"".join(_CANONICAL_QUADS), "flatQuadStream", "datasetStream", "4",
+         b"".join([_CANONICAL_QUADS[3], _CANONICAL_QUADS[0], _CANONICAL_QUADS[2], _CANONICAL_QUADS[1]])),
     ],
 )
-def test_a_re_framing_of_canonical_input_serializes_no_term(data, from_type, to_type, tmp_path, monkeypatch):
+def test_a_re_framing_of_canonical_input_serializes_no_term(
+    data, from_type, to_type, batch_size, expected, tmp_path, monkeypatch
+):
     # Canonical lines go from the reader to the writer as text.
     def refuse(term):
         raise AssertionError(f"serialized {term!r}")
@@ -1218,10 +1304,12 @@ def test_a_re_framing_of_canonical_input_serializes_no_term(data, from_type, to_
     src, out = tmp_path / "in", tmp_path / "out"
     src.write_bytes(data)
     argv = ["convert", "--input", str(src), "--output", str(out), "--from", from_type, "--to", to_type,
-            "--policy", "transitive"]
+            "--policy", "transitive"] + ([] if batch_size is None else ["--batch-size", batch_size])
     with contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) == 0
-    assert out.read_bytes() == (data if to_type == "datasetStream" else data.replace(b"#---\n", b""))
+    if expected is None:
+        expected = data if to_type == "datasetStream" else data.replace(b"#---\n", b"")
+    assert out.read_bytes() == expected
 
 
 def cli_env():

@@ -487,6 +487,18 @@ def test_converting_graphs_to_quads_loads_no_classify_or_annotate_module(tmp_pat
     assert not loaded & {"json", "datetime", "decimal", "staxkit.convert", "staxkit.classify", "staxkit.annotate"}
 
 
+def test_a_group_convert_loads_no_convert_module(tmp_path):
+    # The reader ends each batch's element: no term reaches convert().
+    data = tmp_path / "triples.nt"
+    data.write_bytes(TWO_GRAPHS)
+    loaded = modules_loaded_by(cli_call(
+        "convert", "--input", str(data), "--from", "flatTripleStream", "--to", "datasetStream",
+        "--policy", "transitive", "--batch-size", "2", "--output", "-",
+    ))
+    assert "staxkit.commands" in loaded
+    assert "staxkit.convert" not in loaded
+
+
 def sensor_datasets(path: Path, count: int = 3) -> Path:
     """Canonical framed datasets in the shape of the benchmark's validate
     corpus: a timestamp triple about the one named graph, then its readings."""
