@@ -239,14 +239,16 @@ def _read_file(source: Source, quads: bool, layout: str, text: bool | str, name:
 
 def _read_stream(source: Source, framing: Framing, text: bool | str = False, size: int = 0) -> Iterator:
     """The items of source under framing, read lazily: statements or elements,
-    a flat stream's in batches of size if given, or with text the canonical
-    text of each; with text 'index', a dataset framing's elements as their
-    indexes (see _read)."""
+    or with text the canonical text of each; with text 'index', a dataset
+    framing's elements as their indexes (see _read).  A size batches a flat
+    stream's statements, or a grouped stream's elements' canonical lines."""
     if text == "index" and framing.payload is not Payload.DATASETS:
         text = False
-    if framing.is_dir:
-        return _read_dir_stream(source, framing, text)
-    return _read_file(source, framing.quads_payload, framing.value.partition("-")[0], text, size=size)
+    split = size and not framing.is_flat  # read its elements' canonical lines as a flat stream
+    items = (_read_dir_stream(source, framing, split or text) if framing.is_dir
+             else _read_file(source, framing.quads_payload, framing.value.partition("-")[0], split or text, size=size))
+    lines = (line for element in items for line in element.encode().splitlines(True))
+    return _read(lines, framing.quads_payload, "flat", 1, text, size) if split else items
 
 
 def read_flat_stream(source: Source, framing: Framing) -> Iterator[Statement]:
@@ -299,7 +301,7 @@ def _read(
     flat = layout == "flat" and not size
     framed = layout == "framed"
     flat_quads = flat and quads
-    left = size
+    left = size if layout == "flat" else 0  # a size batches a flat layout only
     match = _STATEMENT.match
     get = _interned.get
     checked = _checked_datatypes.get
@@ -412,7 +414,7 @@ def _read(
         if index is None:
             index = graphs[label] = {}
         index[statement] = None
-        if size:
+        if left:
             left -= 1
             if not left:
                 yield _element(graphs, quads, text)
@@ -448,10 +450,7 @@ def _read_dir_stream(source: Source, framing: Framing, text: bool | str) -> Iter
     if isinstance(source, bytes) or hasattr(source, "read"):
         raise ValueError("directory framing requires a directory path")
     ext = ".nq" if framing.quads_payload else ".nt"
-    names = sorted(
-        (n for n in os.listdir(source) if n.endswith(ext)),
-        key=lambda n: n.encode("utf-8"),
-    )
+    names = sorted((n for n in os.listdir(source) if n.endswith(ext)), key=lambda n: n.encode("utf-8"))
     for name in names:
         # A member is one element: the loop reads '#---' as a comment.
         yield from _read_file(os.path.join(os.fspath(source), name), framing.quads_payload, "dir", text, name)

@@ -35,7 +35,7 @@ from staxkit.convert import convert
 from staxkit.framing import Framing
 from staxkit.io import read_flat_stream, read_grouped_stream
 from staxkit.model import BlankNode, Iri, Literal, Quad, Triple
-from staxkit.taxonomy import TypeKind, default_taxonomy, infer_closure, payload_kind, plan
+from staxkit.taxonomy import TypeKind, default_taxonomy, infer_closure, load_taxonomy, payload_kind, plan
 from staxkit.writer import serialize_statement, write_dir_stream, write_stream
 from test_hygiene import readme_json_example
 
@@ -910,6 +910,24 @@ class TestConvert:
         elements = framed_graphs(1, 2).split(b"#---\n")
         assert _members(out) == {f"{i:05d}{ext}": element for i, element in enumerate(elements)}
 
+    # The rule holds for --input too: a grouped payload reads a path ending
+    # in '/' as a directory, and a flat one is refused before it is opened.
+    @pytest.mark.parametrize("from_type", ["graphStream", "flatTripleStream"])
+    def test_an_input_path_ending_in_a_slash_names_a_directory(self, from_type, tmp_path, capsysbinary):
+        src = tmp_path / "in"
+        if from_type == "graphStream":
+            src.mkdir()
+            (src / "00000.nt").write_bytes(flat_triples(2))
+        argv = ["convert", "--input", f"{src}/", "--output", "-", "--from", from_type, "--to", "flatTripleStream"]
+        if from_type == "graphStream":
+            assert main(argv) == 0
+            assert capsysbinary.readouterr() == (flat_triples(2), b"")
+            return
+        assert main(argv) == 3
+        assert capsysbinary.readouterr() == (b"", (
+            f"stax-kit: MixedPayload: {src}/ names a directory, but flat-triples is not a directory framing\n"
+        ).encode())
+
     def test_quads_in_triples_input(self, tmp_path, capsys):
         src = tmp_path / "in.nt"
         src.write_bytes(QUAD_LINE % (0, 0, 0))
@@ -1146,6 +1164,66 @@ def test_cli_convert_writes_what_the_library_writes(from_type, to_type, policy, 
         sink = io.BytesIO()
         write_stream(items, out_framing, sink)
         assert (stdout.buffer.getvalue() if output == "-" else out.read_bytes()) == sink.getvalue()
+
+
+# A taxonomy where a group edge ends at a type narrower than a grouped one:
+# the transitive plan from that grouped type is flatten, group (or extend,
+# flatten, group).  The CLI groups the grouped input's statements as
+# convert() does, across element boundaries, each element's kept once, from
+# a framed file and from a directory, and fails where and as the library
+# fails.
+_PAIRED = default_taxonomy().to_dict()
+_PAIRED["types"] += [{"id": "pairedGraphStream", "iri": "http://ex.org/pairedGraphs", "kind": "concrete"},
+                     {"id": "pairedDatasetStream", "iri": "http://ex.org/pairedDatasets", "kind": "concrete"}]
+_PAIRED["relations"] += [["pairedGraphStream", "broader", "graphStream"],
+                         ["flatTripleStream", "group", "pairedGraphStream"],
+                         ["pairedDatasetStream", "broader", "datasetStream"],
+                         ["flatQuadStream", "group", "pairedDatasetStream"]]
+
+
+@pytest.mark.parametrize("from_type, to_type, relations", [
+    ("graphStream", "pairedGraphStream", ["flatten", "group"]),
+    ("graphStream", "pairedDatasetStream", ["extend", "flatten", "group"]),
+    ("datasetStream", "pairedDatasetStream", ["flatten", "group"]),
+])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cli_convert_groups_a_grouped_stream_as_the_library_does(from_type, to_type, relations, data):
+    inferred = infer_closure(load_taxonomy(json.dumps(_PAIRED)))
+    assert plan(from_type, to_type, inferred, "transitive") == relations
+    source, target = payload_kind(inferred, from_type), payload_kind(inferred, to_type)
+    lines = _statement_lines(source.quads, data.draw(st.randoms(use_true_random=False), label="spellings"))
+    elements = data.draw(st.lists(st.lists(lines, max_size=5), max_size=4), label="elements")
+    # Every drawn line is ASCII; latin-1 keeps a faulty line's bytes as they are.
+    if elements and data.draw(st.booleans(), label="faulty"):
+        elements[-1].insert(0, data.draw(st.sampled_from(list(_FAULTY_LINES.values())), label="fault").decode("latin-1"))
+    in_framing = Framing(f"{data.draw(st.sampled_from(['framed', 'dir']), label='layout')}-{source.value}")
+    batch_size = data.draw(st.sampled_from([1, 2, 3, 50]), label="batch size")
+    with tempfile.TemporaryDirectory() as scratch:
+        path, tax_file = Path(scratch) / "in", Path(scratch) / "taxonomy.json"
+        tax_file.write_text(json.dumps(_PAIRED))
+        if in_framing.is_dir:
+            path.mkdir()
+            for i, element in enumerate(elements):
+                (path / f"{i:05d}{'.nq' if source.quads else '.nt'}").write_bytes("".join(element).encode("latin-1"))
+        else:
+            path.write_bytes("#---\n".join("".join(e) for e in elements).encode("latin-1"))
+        sink = io.BytesIO()
+        try:
+            items = convert(read_grouped_stream(path, in_framing), from_type, to_type, inferred, "transitive",
+                            batch_size)
+            write_stream(items, Framing(f"framed-{target.value}"), sink)
+            expected = (0, "")
+        except StaxError as exc:
+            expected = (3, f"stax-kit: {type(exc).__name__}: {exc}\n")
+        argv = ["convert", "--input", str(path), "--output", "-", "--from", from_type, "--to", to_type,
+                "--policy", "transitive", "--batch-size", str(batch_size)]
+        stdout, stderr = _BinaryStdout(), io.StringIO()
+        with mock.patch.dict(os.environ, {"STAX_TAXONOMY": str(tax_file)}), \
+                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        assert (code, stderr.getvalue()) == expected
+        assert stdout.buffer.getvalue() == sink.getvalue()
 
 
 # CLI classify and validate --data on dataset framings, which read each

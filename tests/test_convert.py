@@ -15,8 +15,10 @@ import staxkit.cli
 import staxkit.io
 from oracles import oracle_convert, oracle_project
 from streamgen import EX, gen_quad, gen_triple, gen_unique_statements
+from test_cli import set_stdin
 from staxkit.classify import classify_stream
 from staxkit.cli import main
+from staxkit.commands import _framing_for
 from staxkit.convert import convert
 from staxkit.errors import (
     AbstractType,
@@ -566,27 +568,10 @@ def test_convert_agrees_with_the_oracle_on_every_small_stream(from_type):
     assert runs >= len(streams) > 1
 
 
-class _Stdio:
-    """A standard stream whose binary buffer is a BytesIO."""
-
-    def __init__(self, data=b""):
-        self.buffer = io.BytesIO(data)
-
-    def write(self, text):
-        self.buffer.write(text.encode())
-
-    def flush(self):
-        pass
-
-
-def _file_framing(payload):
-    return Framing(f"{'flat' if payload.is_flat else 'framed'}-{payload.value}")
-
-
 def _written(items, payload):
     """The bytes write_stream writes of items in payload's flat or framed framing."""
     sink = io.BytesIO()
-    write_stream(items, _file_framing(payload), sink)
+    write_stream(items, _framing_for(payload, "-"), sink)
     return sink.getvalue()
 
 
@@ -595,13 +580,13 @@ def _written(items, payload):
 # write_stream writes of convert(), and when the input is of the source type,
 # its output must classify as the target type.
 @pytest.mark.parametrize("from_type", _CONCRETE)
-def test_cli_convert_writes_what_convert_writes_on_every_small_stream(from_type, monkeypatch):
+def test_cli_convert_writes_what_convert_writes_on_every_small_stream(from_type, monkeypatch, capsysbinary):
     # One parser for every call: parse_args leaves it as it was.
     monkeypatch.setattr(staxkit.cli, "build_parser", functools.cache(staxkit.cli.build_parser))
     source = payload_kind(C, from_type)
     streams = [
         (stream, _written(stream, source),
-         from_type in classify_stream(stream, _file_framing(source), None, C).conforming)
+         from_type in classify_stream(stream, _framing_for(source, "-"), None, C).conforming)
         for stream in _scope_streams(source)
     ]
     runs = 0
@@ -610,13 +595,11 @@ def test_cli_convert_writes_what_convert_writes_on_every_small_stream(from_type,
         argv = ["convert", "--input", "-", "--output", "-", "--from", from_type, "--to", to_type,
                 "--policy", policy] + ([] if batch_size is None else ["--batch-size", str(batch_size)])
         for stream, data, typed in streams:
-            monkeypatch.setattr(sys, "stdin", _Stdio(data))
-            stdout = _Stdio()
-            with contextlib.redirect_stdout(stdout):
-                assert main(argv) == 0, (argv, stream)
-            got = stdout.buffer.getvalue()
+            set_stdin(monkeypatch, data)
+            assert main(argv) == 0, (argv, stream)
+            got = capsysbinary.readouterr().out
             assert got == _written(convert(stream, from_type, to_type, C, policy, batch_size), target), (argv, stream)
             if typed:
-                assert to_type in classify_stream(got, _file_framing(target), None, C).conforming, (argv, stream)
+                assert to_type in classify_stream(got, _framing_for(target, "-"), None, C).conforming, (argv, stream)
             runs += 1
     assert runs >= len(streams) > 1
