@@ -83,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="to_type", required=True, metavar="TYPE")
     p.add_argument("--policy", choices=["strict", "transitive"], default="strict")
     p.add_argument("--batch-size", type=int, default=None, metavar="N")
-    p.add_argument("--output-framing", choices=_FRAMING_NAMES, default=None)
 
     p = sub.add_parser("taxonomy", help="query the stream type taxonomy")
     tsub = p.add_subparsers(dest="taxonomy_command", required=True)

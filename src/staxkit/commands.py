@@ -8,9 +8,11 @@ the modules only it uses.  This module never imports cli, which runs as
 __main__ under `python -m staxkit.cli`: importing it would run it again.
 convert asks the taxonomy for the payloads and the plan, and runs every
 plan from the reader's text mode, where a group step's batch size ends
-each element; it imports no convert module.  classify and validate read a
-dataset framing's elements as the text mode's indexes.  One writer step
-frames convert's text, and one routine writes its and annotate's output.
+each element; it imports no convert module.  The type and the path alone
+name each convert side's framing; a path ending in '/' names a directory,
+for annotate too.  classify and validate read a dataset framing's elements
+as the text mode's indexes.  One writer step frames convert's text, and
+one routine writes its and annotate's output.
 """
 
 from __future__ import annotations
@@ -131,19 +133,12 @@ def _print_report(report: ClassificationReport) -> None:
             w(f"  - {note}\n")
 
 
-def _framing_for(payload: Payload, path: str, override: str | None = None) -> Framing:
-    """The framing of a convert side: override, from --output-framing; else
-    the payload's flat one, or its dir one for a directory, or its framed one.
-    A path that ends in '/' names a directory, whether or not it exists yet."""
-    if override is None:
-        is_dir = path.endswith("/") or path != "-" and os.path.isdir(path)
-        framing = Framing(f"{'flat' if payload.is_flat else 'dir' if is_dir else 'framed'}-{payload.value}")
-    else:
-        framing = Framing(override)
-        if framing.payload is not payload:
-            raise MixedPayload(f"--output-framing {framing.value} cannot carry a stream of {payload.value}")
-    if path == "-" and framing.is_dir:
-        raise MixedPayload("directory framings cannot write standard output")
+def _framing_for(payload: Payload, path: str) -> Framing:
+    """The framing of --input or --output: the payload's flat one for a flat
+    type, else its dir one for a directory, else its framed one.  A path that
+    ends in '/' names a directory, existing or not, and refuses a flat type."""
+    is_dir = path.endswith("/") or path != "-" and os.path.isdir(path)
+    framing = Framing(f"{'flat' if payload.is_flat else 'dir' if is_dir else 'framed'}-{payload.value}")
     if path.endswith("/") and not framing.is_dir:
         raise MixedPayload(f"{path} names a directory, but {framing.value} is not a directory framing")
     return framing
@@ -156,7 +151,7 @@ def _cmd_convert(args: argparse.Namespace, taxonomy: Taxonomy) -> int:
     from_payload = payload_kind(inferred, args.from_type)
     to_payload = payload_kind(inferred, args.to_type)
     in_framing = _framing_for(from_payload, args.input)
-    out_framing = _framing_for(to_payload, args.output, args.output_framing)
+    out_framing = _framing_for(to_payload, args.output)
     relations = plan(args.from_type, args.to_type, inferred, args.policy, args.batch_size)
     if args.batch_size is not None and "group" not in relations:
         raise InvalidBatchSize(
@@ -193,14 +188,18 @@ def _write_file(texts: Iterable[str], path: str) -> int:
     it over path; any failure removes it, so path is left as it was.  The
     new file takes the mode of the file it replaces, or the mode open()
     gives a new file.  A symlink's target is replaced, not the link; a
-    device or pipe, which cannot be replaced, is written in place.
+    device or pipe, which cannot be replaced, is written in place.  A path
+    ending in '/' names a directory, as for convert, and is refused at once.
     """
     import contextlib
+    import errno
     import stat
     import tempfile
 
     from .writer import _write_texts
 
+    if path.endswith("/"):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     if not os.path.exists(path):
         umask = os.umask(0)
         os.umask(umask)

@@ -201,11 +201,15 @@ def set_stdin(monkeypatch, payload: bytes):
 
 
 class LineOnlyStdin:
-    """A stdin whose binary buffer yields lines but refuses a whole read."""
+    """A stdin whose binary buffer yields lines but refuses a whole read.
+
+    Its lines are those of iterating a binary file: each ends at LF only,
+    as a real stdin's do, so a bare CR stays inside its line.
+    """
 
     def __init__(self, payload: bytes):
         self.buffer = self
-        self._lines = payload.splitlines(keepends=True)
+        self._lines = list(io.BytesIO(payload))
 
     def read(self, *args):
         raise AssertionError("standard input must be read incrementally")
@@ -214,6 +218,14 @@ class LineOnlyStdin:
         return iter(self._lines)
 
 
+# The second input ends its second delimiter in a bare CR, which a real
+# stdin keeps inside the line that follows, as a file read does.
+@pytest.mark.parametrize(
+    "data, code",
+    [(framed_graphs(2, 1, 3), 0),
+     (framed_graphs(2, 1, 3).replace(b"#---\n<http://ex.org/root2", b"#---\r<http://ex.org/root2"), 3)],
+    ids=["lf", "bare-cr"],
+)
 @pytest.mark.parametrize(
     "argv",
     [
@@ -222,15 +234,15 @@ class LineOnlyStdin:
         ["convert", "--output", "-", "--from", "flatTripleStream", "--to", "graphStream", "--batch-size", "2"],
     ],
 )
-def test_stdin_is_read_incrementally(argv, tmp_path, monkeypatch, capsysbinary):
-    data = framed_graphs(2, 1, 3)
+def test_stdin_is_read_incrementally(argv, data, code, tmp_path, monkeypatch, capsysbinary):
     src = tmp_path / "in.bin"
     src.write_bytes(data)
-    assert main(argv + ["--input", str(src)]) == 0
-    from_path = capsysbinary.readouterr().out
+    assert main(argv + ["--input", str(src)]) == code
+    out, err = capsysbinary.readouterr()
     monkeypatch.setattr(sys, "stdin", LineOnlyStdin(data))
-    assert main(argv + ["--input", "-"]) == 0
-    assert capsysbinary.readouterr().out == from_path != b""
+    assert main(argv + ["--input", "-"]) == code
+    assert capsysbinary.readouterr() == (out, err.replace(str(src).encode(), b"-"))
+    assert out if code == 0 else err
 
 
 class _CountingStdin:
@@ -239,7 +251,7 @@ class _CountingStdin:
     def __init__(self, payload: bytes):
         self.buffer = self
         self.handed = 0
-        self._lines = payload.splitlines(keepends=True)
+        self._lines = list(io.BytesIO(payload))
 
     def __iter__(self):
         for line in self._lines:
@@ -770,15 +782,13 @@ class TestConvert:
                 "--input",
                 str(src),
                 "--output",
-                str(out_dir),
+                f"{out_dir}/",
                 "--from",
                 "flatTripleStream",
                 "--to",
                 "graphStream",
                 "--batch-size",
                 "2",
-                "--output-framing",
-                "dir-graphs",
             ]
         )
         assert code == 0
@@ -794,13 +804,11 @@ class TestConvert:
                 "--input",
                 str(src),
                 "--output",
-                str(out_dir),
+                f"{out_dir}/",
                 "--from",
                 "graphStream",
                 "--to",
                 "graphStream",
-                "--output-framing",
-                "dir-graphs",
             ]
         )
         assert code == 3
@@ -816,20 +824,18 @@ class TestConvert:
             "--input",
             str(src),
             "--output",
-            str(out_dir),
+            f"{out_dir}/",
             "--from",
             "flatTripleStream",
             "--to",
             "graphStream",
             "--batch-size",
             "2",
-            "--output-framing",
-            "dir-graphs",
         ]
         assert main(argv) == 0
         before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
         capsys.readouterr()
-        assert main(argv[:-4] + ["--batch-size", "4", "--output-framing", "dir-graphs"]) == 3
+        assert main(argv[:-1] + ["4"]) == 3
         err = capsys.readouterr().err
         assert "OutputExists" in err and str(out_dir) in err and "00000.nt" in err
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
@@ -854,61 +860,39 @@ class TestConvert:
         )
         assert code == 0
 
-    def test_framing_override_kind_mismatch(self, tmp_path, capsys):
-        src = tmp_path / "in.nt"
-        src.write_bytes(flat_triples(1))
-        code = main(
-            [
-                "convert",
-                "--input",
-                str(src),
-                "--output",
-                "-",
-                "--from",
-                "graphStream",
-                "--to",
-                "flatTripleStream",
-                "--output-framing",
-                "flat-quads",
-            ]
-        )
-        assert code == 3  # flat-quads framing cannot carry a stream of triples
-
-    def test_framing_override_mismatch_message(self, tmp_path, capsys):
-        src = tmp_path / "in.nt"
-        src.write_bytes(flat_triples(1))
-        argv = ["convert", "--input", str(src), "--output", "-", "--from", "graphStream"]
-        code = main(argv + ["--to", "flatTripleStream", "--output-framing", "framed-graphs"])
-        assert code == 3
-        assert capsys.readouterr().err == (
-            "stax-kit: MixedPayload: --output-framing framed-graphs cannot carry a stream of triples\n"
-        )
-
     # A path that ends in '/' names a directory, made if it is missing: a
-    # grouped payload takes its dir- framing there, and a flat payload or a
-    # framing that is not dir- is refused before the input is opened.
+    # grouped payload takes its dir- framing there, and a flat payload is
+    # refused before the input is opened.
     @pytest.mark.parametrize(
-        "to_type, output_framing, ext",
-        [("datasetStream", None, ".nq"), ("graphStream", None, ".nt"), ("graphStream", "dir-graphs", ".nt"),
-         ("flatTripleStream", None, None), ("graphStream", "framed-graphs", None)],
+        "to_type, ext",
+        [("datasetStream", ".nq"), ("graphStream", ".nt"), ("flatTripleStream", None)],
     )
-    def test_an_output_path_ending_in_a_slash_names_a_directory(self, to_type, output_framing, ext, tmp_path, capsys):
+    def test_an_output_path_ending_in_a_slash_names_a_directory(self, to_type, ext, tmp_path, capsys):
         src, out = tmp_path / "in.nt", tmp_path / "out2"
         src.write_bytes(framed_graphs(1, 2))
         argv = ["convert", "--input", str(src if ext else tmp_path / "missing.nt"), "--output", f"{out}/",
                 "--from", "graphStream", "--to", to_type, "--policy", "transitive"]
-        argv += [] if output_framing is None else ["--output-framing", output_framing]
         if ext is None:
-            framing = output_framing or "flat-triples"
             assert main(argv) == 3
             assert capsys.readouterr().err == (
-                f"stax-kit: MixedPayload: {out}/ names a directory, but {framing} is not a directory framing\n"
+                f"stax-kit: MixedPayload: {out}/ names a directory, but flat-triples is not a directory framing\n"
             )
             assert not out.exists()
             return
         assert main(argv) == 0
         elements = framed_graphs(1, 2).split(b"#---\n")
         assert _members(out) == {f"{i:05d}{ext}": element for i, element in enumerate(elements)}
+
+    # The type and the path alone name the output's framing: there is no
+    # option to choose it, and the call is refused before anything is read.
+    def test_output_framing_is_an_unrecognized_argument(self, tmp_path, capsys):
+        argv = ["convert", "--input", str(tmp_path / "missing.nt"), "--output", f"{tmp_path}/out/",
+                "--from", "graphStream", "--to", "graphStream", "--output-framing", "dir-graphs"]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments: --output-framing dir-graphs" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     # The rule holds for --input too: a grouped payload reads a path ending
     # in '/' as a directory, and a flat one is refused before it is opened.
@@ -1120,7 +1104,7 @@ def test_cli_convert_writes_what_the_library_writes(from_type, to_type, policy, 
         elements = data.draw(st.lists(st.lists(lines, max_size=5), max_size=4), label="elements")
         in_layout = data.draw(st.sampled_from(["framed", "dir"]), label="input layout")
     out_layout, output = data.draw(st.sampled_from(
-        [("flat", "-"), ("flat", "out")] if target.is_flat else [("framed", "-"), ("framed", "out"), ("dir", "out")]
+        [("flat", "-"), ("flat", "out")] if target.is_flat else [("framed", "-"), ("framed", "out"), ("dir", "out/")]
     ), label="output")
     batch_size = data.draw(st.sampled_from([None, 1, 3]), label="batch size")
     in_framing, out_framing = Framing(f"{in_layout}-{source.value}"), Framing(f"{out_layout}-{target.value}")
@@ -1137,7 +1121,7 @@ def test_cli_convert_writes_what_the_library_writes(from_type, to_type, policy, 
                 (path / f"{i:05d}{'.nq' if source.quads else '.nt'}").write_bytes("".join(element).encode())
         else:
             path.write_bytes("#---\n".join("".join(e) for e in elements).encode())
-        argv = ["convert", "--input", str(path), "--output-framing", out_framing.value, "--output", output if output == "-" else str(out),
+        argv = ["convert", "--input", str(path), "--output", output if output == "-" else f"{scratch}/{output}",
                 "--from", from_type, "--to", to_type, "--policy", policy]
         argv += [] if batch_size is None else ["--batch-size", str(batch_size)]
         stdout, stderr = _BinaryStdout(), io.StringIO()
@@ -1572,23 +1556,6 @@ class TestParseErrorsNameTheInput:
         assert capsys.readouterr().err == "stax-kit: MixedPayload: directory framings cannot read standard input\n"
 
     @pytest.mark.parametrize(
-        "argv",
-        [
-            ["--to", "graphStream", "--output-framing", "dir-graphs"],
-            # no strict plan either: standard output is refused first
-            ["--to", "datasetStream", "--output-framing", "dir-datasets"],
-        ],
-        ids=["convert", "convert-without-plan"],
-    )
-    def test_directory_framings_refuse_stdout(self, argv, tmp_path, monkeypatch, capsys):
-        # Refused before the input is opened: it does not exist.
-        monkeypatch.chdir(tmp_path)
-        argv = ["convert", "--input", "absent.nt", "--from", "flatTripleStream", "--output", "-", *argv]
-        assert main(argv) == 3
-        assert capsys.readouterr().err == "stax-kit: MixedPayload: directory framings cannot write standard output\n"
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize(
         "data, framing, message",
         [
             (BAD, "flat-triples", "ParseError: {}: line 2, column 37: expected IRI, blank node, or literal"),
@@ -1720,6 +1687,21 @@ class TestAnnotate:
         assert main(argv) == 0
         assert capsysbinary.readouterr() == (written, b"")
         assert not (tmp_path / "-").exists()
+
+    # A path that ends in '/' names a directory, as for convert: a missing
+    # path or an existing file there gets the error an existing directory
+    # gets, and nothing is created or changed.
+    @pytest.mark.parametrize("existing", [None, b"old\n"], ids=["missing", "existing-file"])
+    def test_out_path_ending_in_a_slash_names_a_directory(self, existing, tmp_path, capsys):
+        out = tmp_path / "usage.ttl"
+        argv, _ = file_target_call("annotate", tmp_path, f"{out}/")
+        if existing is not None:
+            out.write_bytes(existing)
+            out.chmod(0o640)
+        before = {p.name: (p.read_bytes(), p.stat().st_mode) for p in tmp_path.iterdir()}
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", f"stax-kit: [Errno 21] Is a directory: '{out}/'\n")
+        assert {p.name: (p.read_bytes(), p.stat().st_mode) for p in tmp_path.iterdir()} == before
 
     def test_failed_out_write_leaves_the_target(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "usage.ttl"
