@@ -23,8 +23,10 @@ every node; the IRIs among them are the candidates.
 
 A Classifier holds one run: feed(item) checks the next statement or element
 once, and report() gives the report so far; classify_stream feeds it a whole
-stream.  A dataset element is a Dataset or, where classify_stream or the
-CLI opens the stream, the reader's index of lines (see io._read).  Its
+stream.  A graph or dataset element is a Graph or Dataset or, where
+classify_stream or the CLI opens the stream, the reader's index of
+canonical lines (see io._read): the walks then run over the lines' tokens,
+and a candidate is built as an Iri only when the greedy choice tests it.  Its
 memory is bounded except for the chosen subjects (one entry per element
 that found an unused candidate) and the notes (one per element with
 several candidate subjects or several timestamp triples).  The rest is
@@ -151,25 +153,39 @@ def candidate_subject_nodes(graph: Graph) -> frozenset[Iri]:
     Reachability follows subject-to-object edges only.  Predicates are not
     nodes.  An empty graph has no candidates.
     """
-    forward: dict[Term, list[Term]] = {}
-    backward: dict[Term, list[Term]] = {}
-    for t in graph:
-        forward.setdefault(t.subject, []).append(t.object)
-        backward.setdefault(t.object, []).append(t.subject)
+    return frozenset(n for n in _reaching_all(graph) if isinstance(n, Iri))
+
+
+def _reaching_all(element: Graph | dict) -> set:
+    """The nodes of a Graph, or of a graph index's lines as tokens, from which
+    every node is reachable.  A line of an index is canonical: its subject
+    and predicate are tokens without a space, and ' .\\n' ends its object."""
+    forward: dict[Term | str, list] = {}
+    backward: dict[Term | str, list] = {}
+    triples = (line[:-3].split(" ", 2) for line in element.get(None, ())) if element.__class__ is dict else element
+    for s, _, o in triples:
+        forward.setdefault(s, []).append(o)
+        backward.setdefault(o, []).append(s)
     # Every object is reached from its subject, so after this loop `seen`
     # holds every node, and `root` reaches every node if any node does.
-    seen: set[Term] = set()
-    root: Term | None = None
+    seen: set = set()
+    root = None
     for s in forward:
         if s not in seen:
             root = s
             _reach(s, forward, seen)
     if root is None or len(_reach(root, forward, set())) < len(seen):
-        return frozenset()
-    return frozenset(n for n in _reach(root, backward, set()) if isinstance(n, Iri))
+        return set()
+    return _reach(root, backward, set())
 
 
-def _reach(start: Term, edges: dict[Term, list[Term]], seen: set[Term]) -> set[Term]:
+def _iri_value(token: str) -> str:
+    """The value of an IRI token of a canonical line: the text between its
+    brackets, unless the writer escaped one of {, }, |, ^, ` or \\ in it."""
+    return token[1:-1] if "\\" not in token else _node(token)
+
+
+def _reach(start: Term | str, edges: dict, seen: set) -> set:
     """Add start and every node reachable from it along edges to seen."""
     seen.add(start)
     stack = [start]
@@ -305,7 +321,8 @@ class Classifier:
         self.order_max: dict[tuple[str, str], tuple[object, int]] = {}
         self._elements = 0
         self._statements = 0
-        self._kind = (Dataset, dict) if framing.payload is Payload.DATASETS else _ITEM_CLASS[framing.payload]
+        kind = _ITEM_CLASS[framing.payload]
+        self._kind = kind if framing.is_flat else (kind, dict)
         checks = {Payload.GRAPHS: self._classify_graph, Payload.DATASETS: self._classify_dataset}
         self._check = checks.get(framing.payload, self._count_statement)
         self._first_violation: dict[str, FirstViolation] = {}
@@ -313,7 +330,7 @@ class Classifier:
         self._notes: list[str] = []
         self._labelled = False  # some flat quad has a graph label
 
-    def feed(self, item: Statement | Graph | Dataset) -> ElementVerdict | None:
+    def feed(self, item: Statement | Graph | Dataset | dict) -> ElementVerdict | None:
         """The verdict on the stream's next element, or None for a flat framing's
         statement, as every flat stream conforms to its framing's one type.
         An item of another class than the framing's payload raises MixedPayload."""
@@ -359,10 +376,18 @@ class Classifier:
         if statement.__class__ is Quad and statement[3] is not None:
             self._labelled = True
 
-    def _classify_graph(self, graph: Graph, idx: int) -> ElementVerdict:
-        self._statements += len(graph)
-        candidates = sorted(candidate_subject_nodes(graph))  # IRIs sort as their str values
-        chosen = next((c for c in candidates if c not in self.subjects), None)
+    def _classify_graph(self, element: Graph | dict, idx: int) -> ElementVerdict:
+        """The subject check of a Graph or an index, whose candidates are IRI
+        tokens: each is built as an Iri only when the greedy choice tests it."""
+        index = element.__class__ is dict
+        if index:
+            self._statements += len(element.get(None, ()))
+            candidates = sorted((n for n in _reaching_all(element) if n[0] == "<"), key=_iri_value)
+            tested = map(_node, candidates)
+        else:
+            self._statements += len(element)
+            candidates = tested = sorted(candidate_subject_nodes(element))  # IRIs sort as their str values
+        chosen = next((c for c in tested if c not in self.subjects), None)
         notes: tuple[str, ...] = ()
         if len(candidates) > 1:
             self.ambiguous = True
@@ -371,7 +396,7 @@ class Classifier:
         if chosen is not None:
             self.subjects[chosen] = idx
             verdict = _PASS
-        elif not graph:
+        elif not element:
             verdict = TypeVerdict(False, "no candidate subject node", "element is an empty graph")
         elif not candidates:
             detail = "no IRI node reaches every node of the graph"
@@ -379,7 +404,7 @@ class Classifier:
         elif len(candidates) > 1:
             verdict = TypeVerdict(False, "subject not unique in stream", "every candidate already used")
         else:
-            used = candidates[0]
+            used = _node(candidates[0]) if index else candidates[0]
             detail = f"{used.value} first used by element {self.subjects[used]}"
             verdict = TypeVerdict(False, "subject not unique in stream", detail)
         return ElementVerdict(idx, {"graphStream": _PASS, "subjectGraphStream": verdict}, notes)
@@ -431,7 +456,7 @@ def classify_stream(
 
     source may be bytes, a path, a binary file object, or an already
     materialized iterable of statements (flat framings) or elements
-    (grouped framings).  A dataset framing that is opened here is read in
+    (grouped framings).  A grouped framing that is opened here is read in
     the reader's text mode.  In a flat framing each statement is an element,
     and every flat stream conforms to its framing's one type.
     """

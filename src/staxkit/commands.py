@@ -10,7 +10,7 @@ convert asks the taxonomy for the payloads and the plan, and runs every
 plan from the reader's text mode, where a group step's batch size ends
 each element; it imports no convert module.  The type and the path alone
 name each convert side's framing; a path ending in '/' names a directory,
-for annotate too.  classify and validate read a dataset framing's elements
+for annotate too.  classify and validate read a grouped framing's elements
 as the text mode's indexes.  One writer step frames convert's text, and
 one routine writes its and annotate's output.
 """

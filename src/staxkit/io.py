@@ -17,12 +17,12 @@ This module holds the reader only.  The writers are in writer, and the
 error locator, which reads a line the statement pattern declines term by
 term, is in locator; a call imports each only when it runs it.
 
-The reader has a text mode, for convert and the dataset check: it yields
-each statement's canonical N-Triples/N-Quads line, or each element's
-lines, in place of terms (see _read).  A line already canonical is kept
-as read, checked by one pattern; any other line is rebuilt from
-its tokens or serialized from its terms, so only such a line makes a valid
-classify or validate compile the writer.
+The reader has a text mode, for convert and for classify's checks of
+grouped streams: it yields each statement's canonical N-Triples/N-Quads
+line, or each element's lines, in place of terms (see _read).  A line
+already canonical is kept as read, checked by one pattern; any other line
+is rebuilt from its tokens or serialized from its terms, so only such a
+line makes a valid classify or validate compile the writer.
 """
 
 from __future__ import annotations
@@ -120,6 +120,12 @@ _CANONICAL_TERMS = (
 )
 _CANONICAL = _CANONICAL_TERMS + r" \.\n"
 _CANONICAL_QUAD = rf"{_CANONICAL_TERMS}(?: ({_CANONICAL_NODE}))? \.\n"
+
+# The '#---' lines that end a framed element, tested before the statement
+# pattern.  Lines split at LF, so '#---\r' can only be the last line.
+_DELIMITER_LINES = (
+    FRAME_DELIMITER + "\n", FRAME_DELIMITER, FRAME_DELIMITER + "\r\n", FRAME_DELIMITER + "\r",
+)
 
 _CR_REASON = "carriage return (U+000D) line end; lines must end in LF or CRLF"
 
@@ -239,10 +245,11 @@ def _read_file(source: Source, quads: bool, layout: str, text: bool | str, name:
 
 def _read_stream(source: Source, framing: Framing, text: bool | str = False, size: int = 0) -> Iterator:
     """The items of source under framing, read lazily: statements or elements,
-    or with text the canonical text of each; with text 'index', a dataset
-    framing's elements as their indexes (see _read).  A size batches a flat
-    stream's statements, or a grouped stream's elements' canonical lines."""
-    if text == "index" and framing.payload is not Payload.DATASETS:
+    or with text the canonical text of each; with text 'index', a grouped
+    framing's elements as their indexes (see _read), and a flat framing's
+    statements as terms.  A size batches a flat stream's statements, or a
+    grouped stream's elements' canonical lines."""
+    if text == "index" and framing.is_flat:
         text = False
     split = size and not framing.is_flat  # read its elements' canonical lines as a flat stream
     items = (_read_dir_stream(source, framing, split or text) if framing.is_dir
@@ -272,7 +279,8 @@ def _read(
     a line it declines loses one trailing LF, then one CR.
 
     A flat layout yields each statement as soon as it is built.  A framed
-    file yields its elements, split at '#---'; a directory member, where
+    file yields its elements, split at '#---', a line tested for before the
+    statement pattern but after the canonical one; a directory member, where
     '#---' is a comment, yields its one element.  A line the pattern
     matches has its terms built inline, and in a grouped layout its triple
     goes straight into its graph's index; any other line takes _parse_line,
@@ -321,6 +329,10 @@ def _read(
             # A canonical line is its own text, in the graph of its label if any.
             statement, m = line, None
             label = kept.lastindex and (get(kept[1]) or _node(kept[1]))
+        elif framed and line in _DELIMITER_LINES:
+            yield _element(graphs, quads, text)
+            graphs = {}
+            continue
         else:
             m = match(line)
             statement = None
@@ -393,9 +405,6 @@ def _read(
                 _parse_line(line, True, no)
                 raise MixedPayload(f"line {no}: named graph label inside a graph framing") from None
             if statement.__class__ is LineKind:
-                if framed and statement is LineKind.FRAME_DELIMITER:
-                    yield _element(graphs, quads, text)
-                    graphs = {}
                 continue
             # A line the locator accepts where the pattern did not.
             label = None

@@ -20,6 +20,7 @@ serialize_term and the byte sink.
 from __future__ import annotations
 
 import contextlib
+import errno
 import os
 import re
 from itertools import chain, islice
@@ -187,10 +188,14 @@ def write_dir_stream(
 ) -> list[str]:
     """Write one member file per element; returns the filenames created.
 
-    A directory that already holds members with the framing's extension is
-    refused with OutputExists before anything is written.  When any element
-    fails, the members written so far are removed, and so is the directory
-    if this call created it, before the error propagates.
+    A missing directory is made, but not its parents: a missing parent
+    fails with FileNotFoundError before any element is read.  A path
+    ending in '/' that holds a file fails with IsADirectoryError, as a
+    file target ending in '/' does in the CLI.  A directory that already
+    holds members with the framing's extension is refused with
+    OutputExists before anything is written.  When any element fails, the
+    members written so far are removed, and so is the directory if this
+    call created it, before the error propagates.
     """
     if not framing.is_dir:
         raise ValueError(f"write_dir_stream needs a dir framing, got {framing.value}")
@@ -202,11 +207,17 @@ def _write_members(texts: Iterable[str], framing: Framing, directory: "os.PathLi
     directory = os.fspath(directory)
     ext = ".nq" if framing.quads_payload else ".nt"
     created = not os.path.isdir(directory)
-    if not created:
+    if created:
+        try:
+            os.mkdir(directory)
+        except FileExistsError:
+            if not directory.endswith("/"):
+                raise
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), directory) from None
+    else:
         held = min((n for n in os.listdir(directory) if n.endswith(ext)), default=None)
         if held is not None:
             raise OutputExists(f"output directory {directory} already holds member {held}")
-    os.makedirs(directory, exist_ok=True)
     names: list[str] = []
     try:
         for i, text in enumerate(texts):

@@ -7,11 +7,11 @@ the option the default profile applies.
 
 `--hypothesis-profile=deep` is the ci profile with 20,000 examples.  The
 reader differentials in test_io.py and the extended-taxonomy property in
-test_taxonomy.py take that count from it, and the CLI dataset differential
-in test_cli.py a tenth of it.  The two small-scope convert enumerations in
-test_convert.py, of convert() and of the CLI, take streams of up to 3
-elements under it, not 2.  Every other test with its own max_examples
-keeps it, so run deep on those six only.
+test_taxonomy.py take that count from it, and the CLI dataset and graph
+differentials in test_cli.py a tenth of it.  The two small-scope convert
+enumerations in test_convert.py, of convert() and of the CLI, take streams
+of up to 3 elements under it, not 2.  Every other test with its own
+max_examples keeps it, so run deep on those seven only.
 """
 
 from hypothesis import settings

@@ -1014,6 +1014,49 @@ FOLD_REPORTS = {
 }
 
 
+# classify_stream on bytes reads each graph as the reader's index of
+# canonical lines and runs the candidate search over its IRI tokens.  Tokens
+# sort otherwise than IRI values, and a token holding one of the writer's
+# \u escapes is not its value between brackets: the report must still be
+# the term path's, with every IRI printed by value.
+_TOKEN_TRAPS = {
+    # '<http://ex.org/x/>' sorts before '<http://ex.org/x>', but http://ex.org/x comes first.
+    "prefix": (
+        "<http://ex.org/x> <http://ex.org/p> <http://ex.org/x/> .\n"
+        "<http://ex.org/x/> <http://ex.org/p> <http://ex.org/x> .\n",
+        "element 0: 2 candidate subjects; chose http://ex.org/x",
+        None,
+    ),
+    # The writer spells '|' as \u007C, and '\' sorts before ']' where '|' sorts after it.
+    "escaped order": (
+        "<http://ex.org/g\\u007c2> <http://ex.org/p> <http://ex.org/g]> .\n"
+        "<http://ex.org/g]> <http://ex.org/p> <http://ex.org/g\\u007C2> .\n",
+        "element 0: 2 candidate subjects; chose http://ex.org/g]",
+        None,
+    ),
+    "escaped value": (
+        "<http://ex.org/g\\u007C2> <http://ex.org/p> <http://ex.org/h> .\n"
+        "<http://ex.org/h> <http://ex.org/p> <http://ex.org/g\\u007C2> .\n"
+        "#---\n"
+        '<http://ex.org/g\\u007C2> <http://ex.org/p> "v" .\n',
+        "element 0: 2 candidate subjects; chose http://ex.org/g|2",
+        "http://ex.org/g|2 first used by element 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _TOKEN_TRAPS)
+def test_candidate_tokens_are_ordered_and_printed_by_iri_value(case):
+    text, note, detail = _TOKEN_TRAPS[case]
+    data = text.encode()
+    report = classify_stream(data, Framing.FRAMED_GRAPHS).to_dict()
+    graphs = list(read_grouped_stream(data, Framing.FRAMED_GRAPHS))
+    assert report == classify_stream(graphs, Framing.FRAMED_GRAPHS).to_dict()
+    assert report["notes"] == [note]
+    details = [e["verdicts"]["subjectGraphStream"].get("detail") for e in report["evidence"]]
+    assert details == ([] if detail is None else [detail])
+
+
 class TestOneLoopForEveryFraming:
     @pytest.mark.parametrize("key", FOLD_FLAT)
     def test_flat(self, key):

@@ -883,6 +883,26 @@ class TestConvert:
         elements = framed_graphs(1, 2).split(b"#---\n")
         assert _members(out) == {f"{i:05d}{ext}": element for i, element in enumerate(elements)}
 
+    # Only the last directory of such a path is made.  A missing parent is
+    # refused with the error a file target under it gets, and an existing
+    # file with the error annotate --out gives it; both come before the
+    # input is read (its line 3 is bad), and nothing is created or changed.
+    @pytest.mark.parametrize(
+        "target, error",
+        [("missing/sub", "[Errno 2] No such file or directory"), ("file", "[Errno 21] Is a directory")],
+        ids=["missing-parent", "existing-file"],
+    )
+    def test_an_output_directory_that_cannot_be_made_is_refused(self, target, error, tmp_path, capsys):
+        src, out = tmp_path / "in.nt", tmp_path / target
+        src.write_bytes(framed_graphs(1, 1).replace(b"#---\n", b"#---\nbad\n"))
+        (tmp_path / "file").write_bytes(b"old\n")
+        argv = ["convert", "--input", str(src), "--output", f"{out}/", "--from", "graphStream",
+                "--to", "datasetStream", "--policy", "transitive"]
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", f"stax-kit: {error}: '{out}/'\n")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     # The type and the path alone name the output's framing: there is no
     # option to choose it, and the call is refused before anything is read.
     def test_output_framing_is_an_unrecognized_argument(self, tmp_path, capsys):
@@ -1227,18 +1247,20 @@ _STAMPS = [Literal(f"2024-01-0{day}T00:00:00Z", _XSD + "dateTime") for day in (1
 ]
 _OTHER_STAMPS = [Literal("2", _XSD + "integer"), Literal("1.5", _XSD + "decimal"), Literal("2024-01-02", _XSD + "date"),
                  Literal("2024-01-02"), Literal("3", language="en"), Iri("http://ex.org/a")]
-DATASET_EXAMPLES = max(60, settings().max_examples // 10)
+TEXT_PATH_EXAMPLES = max(60, settings().max_examples // 10)
+
+
+def _spelled(statement, r):
+    """_spelled_line, with <http://ex.org/a> often escaped and a comment line often before it."""
+    line = _spelled_line(statement, r)
+    if r.random() < 0.5:
+        line = line.replace("<http://ex.org/a>", "<http://ex.org/\\u0061>")
+    return r.choice(["", "", "# note\n", "\t# a comment\r\n"]) + line
 
 
 def _dataset_elements(r):
     """Elements mostly of one named graph and timestamp triples about it."""
     nodes, predicates, objects = map(st.sampled_from, (_SUBJECTS, _SUBJECTS[:2], _OBJECTS))
-
-    def spelled(statement):
-        line = _spelled_line(statement, r)
-        if r.random() < 0.5:
-            line = line.replace("<http://ex.org/a>", "<http://ex.org/\\u0061>")
-        return r.choice(["", "", "# note\n", "\t# a comment\r\n"]) + line
 
     def element(label):
         named = st.builds(Quad, nodes, predicates, objects, st.just(label))
@@ -1246,12 +1268,12 @@ def _dataset_elements(r):
                           st.sampled_from(_STAMPS) | st.sampled_from(_STAMPS + _OTHER_STAMPS), st.none())
         other = st.builds(Quad, nodes, predicates, objects, st.sampled_from([None] * 6 + _STAMP_LABELS))
         return st.tuples(named, stamp, st.lists(st.one_of(named, stamp, other), max_size=4)).map(
-            lambda drawn: [spelled(q) for q in r.sample([*drawn[:2], *drawn[2]], 2 + len(drawn[2]))])
+            lambda drawn: [_spelled(q, r) for q in r.sample([*drawn[:2], *drawn[2]], 2 + len(drawn[2]))])
 
     return st.sampled_from(_STAMP_LABELS).flatmap(element)
 
 
-@settings(max_examples=DATASET_EXAMPLES, deadline=None)
+@settings(max_examples=TEXT_PATH_EXAMPLES, deadline=None)
 @given(data=st.data())
 def test_cli_dataset_classify_and_validate_equal_the_term_path(data):
     r = data.draw(st.randoms(use_true_random=False), label="spellings")
@@ -1294,39 +1316,121 @@ def test_cli_dataset_classify_and_validate_equal_the_term_path(data):
             assert json.loads(out.getvalue()) == doc, argv
 
 
-# A malformed line in a dataset framing, met after canonical lines of the
-# same element, fails classify and validate --data as it fails the term path.
-_GOOD_DATASET = (b"<http://ex.org/s> <http://ex.org/p> <http://ex.org/o> <http://ex.org/g> .\n"
-                 b'<http://ex.org/g> <http://www.w3.org/ns/prov#generatedAtTime> "1"^^<http://ex.org/n> .\n')
-_MALFORMED_DATASET_LINES = {
-    "bad UTF-8 byte": b'<http://ex.org/s> <http://ex.org/p> "caf\xe9" <http://ex.org/g> .\n',
-    "unterminated literal": b'<http://ex.org/s> <http://ex.org/p> "open <http://ex.org/g> .\n',
-    "IRI holding a space": b"<http://ex.org/s> <http://ex.org/p q> <http://ex.org/o> <http://ex.org/g> .\n",
-    "bare CR": b"<http://ex.org/s> <http://ex.org/p> <http://ex.org/o> .\r<http://ex.org/s> <http://ex.org/p> <http://ex.org/o> .\n",
-    "bad datatype IRI": b'<http://ex.org/g> <http://www.w3.org/ns/prov#generatedAtTime> "1"^^<n> .\n',
-    "bad label": b"<http://ex.org/s> <http://ex.org/p> <http://ex.org/o> _:-g .\n",
+# CLI classify and validate --data on graph framings, which read each element
+# as its index of canonical lines and search its candidate subjects over the
+# lines' tokens, against the library's term path over the Graphs
+# read_grouped_stream builds.  The elements share one small pool of nodes, so
+# their candidates overlap, and often hold a cycle, on which every IRI is a
+# candidate.  The pool holds IRIs whose tokens sort otherwise than their
+# values: http://ex.org/x before http://ex.org/x/, and http://ex.org/g]
+# before http://ex.org/g|2, which the writer spells <http://ex.org/g\u007C2>.
+# Statements are spelled as in the dataset test above, with the intern table
+# emptied every two entries.
+_GRAPH_NODES = [Iri("http://ex.org/a"), Iri("http://ex.org/x"), Iri("http://ex.org/x/"), Iri("http://ex.org/g|2"),
+                Iri("http://ex.org/g]"), Iri("http://ex.org/{b}"), BlankNode("b0")]
+
+
+def _graph_elements(r):
+    """Graphs over _GRAPH_NODES: a cycle, or none, and a few other triples."""
+    nodes, predicates = st.sampled_from(_GRAPH_NODES), st.sampled_from(_SUBJECTS[:2])
+    cycle = st.lists(nodes, min_size=1, max_size=4, unique=True).flatmap(
+        lambda ring: st.tuples(*(st.builds(Triple, st.just(s), predicates, st.just(o))
+                                 for s, o in zip(ring, ring[1:] + ring[:1]))))
+    other = st.builds(Triple, nodes, predicates, nodes | st.sampled_from(_OBJECTS))
+    return st.tuples(cycle | st.just(()), st.lists(other, max_size=4)).map(
+        lambda drawn: [_spelled(t, r) for t in r.sample([*drawn[0], *drawn[1]], len(drawn[0]) + len(drawn[1]))])
+
+
+@settings(max_examples=TEXT_PATH_EXAMPLES, deadline=None)
+@given(data=st.data())
+def test_cli_graph_classify_and_validate_equal_the_term_path(data):
+    r = data.draw(st.randoms(use_true_random=False), label="spellings")
+    elements = data.draw(st.lists(_graph_elements(r), max_size=5), label="elements")
+    layout = data.draw(st.sampled_from(["framed", "dir", "-"]), label="input")
+    framing = Framing("dir-graphs" if layout == "dir" else "framed-graphs")
+    inferred = infer_closure(default_taxonomy())
+    manifest_doc = {"usages": [{"streamType": "subjectGraphStream"}]}
+    manifest = load_manifest(json.dumps(manifest_doc))
+    with tempfile.TemporaryDirectory() as scratch:
+        path, manifest_path = Path(scratch) / "in", Path(scratch) / "manifest.json"
+        manifest_path.write_text(json.dumps(manifest_doc))
+        if layout == "dir":
+            path.mkdir()
+            for i, element in enumerate(elements):
+                (path / f"{i:05d}.nt").write_bytes("".join(element).encode())
+        else:
+            path.write_bytes("#---\n".join("".join(e) for e in elements).encode())
+        expected = classify_stream(list(read_grouped_stream(path, framing)), framing, None, inferred)
+        checked = cross_check(manifest, expected, inferred)
+        validation = ValidationReport(validate_usages(manifest, inferred).violations, checked.cross_check)
+        source = "-" if layout == "-" else str(path)
+        runs = [
+            (["classify", "--input", source, "--framing", framing.value, "--json"], 0, expected.to_dict()),
+            (["validate", "--manifest", str(manifest_path), "--data", source, "--framing", framing.value, "--json"],
+             0 if validation.consistent and validation.cross_check_passed else 1, validation.to_dict()),
+        ]
+        for argv, code, doc in runs:
+            out, stdin = io.StringIO(), io.TextIOWrapper(io.BytesIO(path.read_bytes() if layout == "-" else b""))
+            with mock.patch.object(staxkit.io, "_INTERN_LIMIT", 2), mock.patch.object(sys, "stdin", stdin), \
+                    contextlib.redirect_stdout(out):
+                assert main(argv) == code, argv
+            assert json.loads(out.getvalue()) == doc, argv
+
+
+# A malformed line in a grouped framing, met after canonical lines of the
+# same element, fails classify and validate --data as it fails the term path;
+# a line with a graph label is a MixedPayload in a graph framing.
+_GOOD_ELEMENT = {
+    "datasets": b"<http://ex.org/s> <http://ex.org/p> <http://ex.org/o> <http://ex.org/g> .\n"
+                b'<http://ex.org/g> <http://www.w3.org/ns/prov#generatedAtTime> "1"^^<http://ex.org/n> .\n',
+    "graphs": b"<http://ex.org/s> <http://ex.org/p> <http://ex.org/o> .\n"
+              b'<http://ex.org/o> <http://ex.org/p> "1"^^<http://ex.org/n> .\n',
 }
+_MALFORMED_LINES = {
+    "datasets": {
+        "bad UTF-8 byte": b'<http://ex.org/s> <http://ex.org/p> "caf\xe9" <http://ex.org/g> .\n',
+        "unterminated literal": b'<http://ex.org/s> <http://ex.org/p> "open <http://ex.org/g> .\n',
+        "IRI holding a space": b"<http://ex.org/s> <http://ex.org/p q> <http://ex.org/o> <http://ex.org/g> .\n",
+        "bare CR": b"<http://ex.org/s> <http://ex.org/p> <http://ex.org/o> .\r<http://ex.org/s> <http://ex.org/p> <http://ex.org/o> .\n",
+        "bad datatype IRI": b'<http://ex.org/g> <http://www.w3.org/ns/prov#generatedAtTime> "1"^^<n> .\n',
+        "bad label": b"<http://ex.org/s> <http://ex.org/p> <http://ex.org/o> _:-g .\n",
+    },
+    "graphs": {
+        "bad UTF-8 byte": b'<http://ex.org/s> <http://ex.org/p> "caf\xe9" .\n',
+        "unterminated literal": b'<http://ex.org/s> <http://ex.org/p> "open .\n',
+        "IRI holding a space": b"<http://ex.org/s> <http://ex.org/p q> <http://ex.org/o> .\n",
+        "bare CR": b"<http://ex.org/s> <http://ex.org/p> <http://ex.org/o> .\r<http://ex.org/s> <http://ex.org/p> <http://ex.org/o> .\n",
+        "bad datatype IRI": b'<http://ex.org/o> <http://ex.org/p> "1"^^<n> .\n',
+        "bad blank label": b"_:-s <http://ex.org/p> <http://ex.org/o> .\n",
+        "graph label": b"<http://ex.org/s> <http://ex.org/p> <http://ex.org/o> <http://ex.org/g> .\n",
+    },
+}
+_ELEMENT_MANIFEST = {"datasets": MANIFEST_OK, "graphs": {"usages": [{"streamType": "subjectGraphStream"}]}}
 
 
 @pytest.mark.parametrize("layout", ["framed", "dir", "-"])
-@pytest.mark.parametrize("kind", _MALFORMED_DATASET_LINES)
-def test_a_malformed_dataset_line_fails_the_cli_as_it_fails_the_term_path(kind, layout, tmp_path, monkeypatch, capsys):
-    elements = [_GOOD_DATASET, _GOOD_DATASET + _MALFORMED_DATASET_LINES[kind] + _GOOD_DATASET]
-    framing = Framing("dir-datasets" if layout == "dir" else "framed-datasets")
+@pytest.mark.parametrize("payload, kind", [(payload, kind) for payload in _MALFORMED_LINES
+                                           for kind in _MALFORMED_LINES[payload]])
+def test_a_malformed_element_line_fails_the_cli_as_it_fails_the_term_path(
+        payload, kind, layout, tmp_path, monkeypatch, capsys):
+    good = _GOOD_ELEMENT[payload]
+    elements = [good, good + _MALFORMED_LINES[payload][kind] + good]
+    framing = Framing(f"{'dir' if layout == 'dir' else 'framed'}-{payload}")
     path = tmp_path / "in"
     if layout == "dir":
         path.mkdir()
         for i, element in enumerate(elements):
-            (path / f"{i:05d}.nq").write_bytes(element)
+            (path / f"{i:05d}.{'nq' if framing.quads_payload else 'nt'}").write_bytes(element)
     else:
         path.write_bytes(b"#---\n".join(elements))
-    with pytest.raises(ParseError) as raised:
+    with pytest.raises(StaxError) as raised:
         list(read_grouped_stream(path, framing))
     error = raised.value
-    member = "-" if layout == "-" else error.member
-    expected = f"stax-kit: ParseError: {ParseError(error.line, error.column, error.reason, member)}\n"
+    if isinstance(error, ParseError):
+        error = ParseError(error.line, error.column, error.reason, "-" if layout == "-" else error.member)
+    expected = f"stax-kit: {type(error).__name__}: {error}\n"
     manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps(MANIFEST_OK))
+    manifest.write_text(json.dumps(_ELEMENT_MANIFEST[payload]))
     source = "-" if layout == "-" else str(path)
     for argv in (["classify", "--input", source, "--framing", framing.value, "--json"],
                  ["validate", "--manifest", str(manifest), "--data", source, "--framing", framing.value]):
@@ -1689,11 +1793,15 @@ class TestAnnotate:
         assert not (tmp_path / "-").exists()
 
     # A path that ends in '/' names a directory, as for convert: a missing
-    # path or an existing file there gets the error an existing directory
-    # gets, and nothing is created or changed.
-    @pytest.mark.parametrize("existing", [None, b"old\n"], ids=["missing", "existing-file"])
-    def test_out_path_ending_in_a_slash_names_a_directory(self, existing, tmp_path, capsys):
-        out = tmp_path / "usage.ttl"
+    # path, one under a missing directory or an existing file there gets the
+    # error an existing directory gets, and nothing is created or changed.
+    @pytest.mark.parametrize(
+        "target, existing",
+        [("usage.ttl", None), ("usage.ttl", b"old\n"), ("missing/usage.ttl", None)],
+        ids=["missing", "existing-file", "missing-parent"],
+    )
+    def test_out_path_ending_in_a_slash_names_a_directory(self, target, existing, tmp_path, capsys):
+        out = tmp_path / target
         argv, _ = file_target_call("annotate", tmp_path, f"{out}/")
         if existing is not None:
             out.write_bytes(existing)

@@ -532,10 +532,12 @@ def test_valid_classify_and_validate_load_neither_the_writer_nor_the_locator(hom
             assert not loaded & {homes["writer"], homes["locator"]}, argv
 
 
-def test_classifying_canonical_datasets_matches_no_named_graph_line(tmp_path, monkeypatch):
+@pytest.mark.parametrize("framing", ["framed-datasets", "framed-graphs"])
+def test_classifying_canonical_elements_matches_no_statement_line(framing, tmp_path, monkeypatch):
     # A canonical line is kept as read: of the statements, the statement
-    # pattern reads at most the timestamp lines, and never a line in a named
-    # graph.  It still declines each '#---' line.
+    # pattern reads at most a dataset's timestamp lines, and never a line in
+    # a named graph or in a graph element.  A '#---' line ends its element
+    # before the pattern is tried.
     import staxkit.io
 
     matched = []
@@ -547,19 +549,22 @@ def test_classifying_canonical_datasets_matches_no_named_graph_line(tmp_path, mo
             return pattern.match(line)
 
     monkeypatch.setattr(staxkit.io, "_STATEMENT", Counting())
-    data = sensor_datasets(tmp_path / "datasets.nq")
+    if framing == "framed-datasets":
+        data, usage = sensor_datasets(tmp_path / "datasets.nq"), "timestampedNamedGraphStream"
+        stamps = [line for line in data.read_text().splitlines(keepends=True) if "generatedAtTime" in line]
+    else:
+        data, usage, stamps = tmp_path / "graphs.nt", "subjectGraphStream", []
+        data.write_bytes(TWO_GRAPHS)
     manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps({"usages": [{"streamType": "timestampedNamedGraphStream"}]}))
-    lines = data.read_text().splitlines(keepends=True)
-    stamps = [line for line in lines if "generatedAtTime" in line]
+    manifest.write_text(json.dumps({"usages": [{"streamType": usage}]}))
     for argv in (
-        ["classify", "--input", str(data), "--framing", "framed-datasets", "--json"],
-        ["validate", "--manifest", str(manifest), "--data", str(data), "--framing", "framed-datasets", "--json"],
+        ["classify", "--input", str(data), "--framing", framing, "--json"],
+        ["validate", "--manifest", str(manifest), "--data", str(data), "--framing", framing, "--json"],
     ):
         matched.clear()
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0, argv
-        assert Counter(line for line in matched if line != "#---\n") <= Counter(stamps), argv
+        assert Counter(matched) <= Counter(stamps), argv
 
 
 def test_convert_loads_the_writer_but_not_the_locator(homes, tmp_path):

@@ -1429,6 +1429,12 @@ class TestOneDecodeLoop:
         (tmp_path / "00000.nt").write_bytes(data)
         assert list(read_grouped_stream(tmp_path, Framing.DIR_GRAPHS)) == [Graph([T] if data.strip() else [])]
 
+    # Lines split at LF, so only the last line can be '#---' with a bare CR.
+    @pytest.mark.parametrize("text", [False, True, "index"])
+    def test_a_last_delimiter_ending_in_a_cr_ends_its_element(self, text):
+        elements = list(staxkit.io._read_stream(GOOD_LINE + b"#---\r", Framing.FRAMED_GRAPHS, text))
+        assert len(elements) == 2 and not elements[1]
+
     def test_line_numbers_past_line_ends(self):
         data = b"\r\n# c\n\n" + GOOD_LINE.replace(b"\n", b"\r\n") + b"#---\r\nbad .\n"
         with pytest.raises(ParseError) as info:
