@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .errors import EmptyUsages, SchemaError, UnknownStreamType
 from .model import Iri, Literal, _TupleValue
 from .taxonomy import (
+    _check_object,
     STAX_NS,
     InferredTaxonomy,
     Taxonomy,
@@ -84,11 +85,7 @@ def load_manifest(text: str, taxonomy: Taxonomy | None = None) -> AnnotationMani
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"manifest is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError("manifest must be a JSON object")
-    extra = set(doc) - {"subjectIri", "subjectClass", "usages"}
-    if extra:
-        raise SchemaError(f"unknown manifest keys: {', '.join(sorted(extra))}")
+    _check_object(doc, {"subjectIri", "subjectClass", "usages"}, "manifest must be a JSON object", "manifest")
     if "usages" not in doc or not isinstance(doc["usages"], list):
         raise SchemaError("manifest needs a 'usages' array")
     if not doc["usages"]:
@@ -96,11 +93,7 @@ def load_manifest(text: str, taxonomy: Taxonomy | None = None) -> AnnotationMani
 
     usages: list[StreamTypeUsage] = []
     for entry in doc["usages"]:
-        if not isinstance(entry, dict):
-            raise SchemaError("every usage must be an object")
-        extra = set(entry) - {"streamType", "comment"}
-        if extra:
-            raise SchemaError(f"unknown usage keys: {', '.join(sorted(extra))}")
+        _check_object(entry, {"streamType", "comment"}, "every usage must be an object", "usage")
         type_id = entry.get("streamType")
         if not isinstance(type_id, str):
             raise SchemaError("usage needs a string 'streamType'")

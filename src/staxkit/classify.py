@@ -13,25 +13,27 @@ Checks every concrete stream type applicable to the input's framing:
   stream).
 
 Candidate subjects are found in time linear in the size of the graph, with
-three walks over forward and backward adjacency maps built in one scan of
-the triples.  First, a depth-first search starts from every subject not yet
-visited; if any node reaches every node, the last start does (Tarjan 1972).
-Second, a forward walk from that last start checks that it reaches every
-node; if not, there are no candidates.  Third, a backward walk from it
-collects the nodes that reach it, which are exactly the nodes that reach
-every node; the IRIs among them are the candidates.
+at most three walks over forward and backward adjacency maps built in one
+scan of the triples.  First, a depth-first search starts from every subject
+not yet visited; if any node reaches every node, the last start does
+(Tarjan 1972).  Second, if that search made more than one start, a forward
+walk from the last start checks that it reaches every node; if not, there
+are no candidates.  A single start has already reached every node.  Third,
+a backward walk from it collects the nodes that reach it, which are exactly
+the nodes that reach every node; the IRIs among them are the candidates.
 
 A Classifier holds one run: feed(item) checks the next statement or element
 once, and report() gives the report so far; classify_stream feeds it a whole
-stream.  A graph or dataset element is a Graph or Dataset or, where
-classify_stream or the CLI opens the stream, the reader's index of
-canonical lines (see io._read): the walks then run over the lines' tokens,
-and a candidate is built as an Iri only when the greedy choice tests it.  Its
-memory is bounded except for the chosen subjects (one entry per element
-that found an unused candidate) and the notes (one per element with
-several candidate subjects or several timestamp triples).  The rest is
-fixed in size: the counts, the first violation per type, the evidence
-capped at max_evidence, and the greatest timestamp per predicate and domain.
+stream.  An item is a statement, Graph or Dataset or, where classify_stream
+or the CLI opens the stream, the reader's index of canonical lines by graph
+label (see io._read), one line for a flat statement: the walks then run
+over the lines' tokens, and a candidate is built as an Iri only when the
+greedy choice tests it.  Its memory is bounded except for the chosen
+subjects (one entry per element that found an unused candidate) and the
+notes (one per element with several candidate subjects or several
+timestamp triples).  The rest is fixed in size: the counts, the first
+violation per type, the evidence capped at max_evidence, and the greatest
+timestamp per predicate and domain.
 """
 
 from __future__ import annotations
@@ -167,16 +169,17 @@ def _reaching_all(element: Graph | dict) -> set:
         forward.setdefault(s, []).append(o)
         backward.setdefault(o, []).append(s)
     # Every object is reached from its subject, so after this loop `seen`
-    # holds every node, and `root` reaches every node if any node does.
+    # holds every node, and the last start reaches every node if any node
+    # does; a single start reached all of `seen` itself.
     seen: set = set()
-    root = None
+    starts = []
     for s in forward:
         if s not in seen:
-            root = s
+            starts.append(s)
             _reach(s, forward, seen)
-    if root is None or len(_reach(root, forward, set())) < len(seen):
+    if not starts or len(starts) > 1 and len(_reach(starts[-1], forward, set())) < len(seen):
         return set()
-    return _reach(root, backward, set())
+    return _reach(starts[-1], backward, set())
 
 
 def _iri_value(token: str) -> str:
@@ -321,8 +324,7 @@ class Classifier:
         self.order_max: dict[tuple[str, str], tuple[object, int]] = {}
         self._elements = 0
         self._statements = 0
-        kind = _ITEM_CLASS[framing.payload]
-        self._kind = kind if framing.is_flat else (kind, dict)
+        self._kind = (_ITEM_CLASS[framing.payload], dict)
         checks = {Payload.GRAPHS: self._classify_graph, Payload.DATASETS: self._classify_dataset}
         self._check = checks.get(framing.payload, self._count_statement)
         self._first_violation: dict[str, FirstViolation] = {}
@@ -333,7 +335,8 @@ class Classifier:
     def feed(self, item: Statement | Graph | Dataset | dict) -> ElementVerdict | None:
         """The verdict on the stream's next element, or None for a flat framing's
         statement, as every flat stream conforms to its framing's one type.
-        An item of another class than the framing's payload raises MixedPayload."""
+        An item is of the framing's payload class or an index (see io._read),
+        which in a flat framing holds one line; another item raises MixedPayload."""
         idx = self._elements
         if not isinstance(item, self._kind):
             name = type(item).__name__
@@ -371,9 +374,12 @@ class Classifier:
             evidence=tuple(self._evidence),
         )
 
-    def _count_statement(self, statement: Statement, idx: int) -> None:
+    def _count_statement(self, statement: Statement | dict, idx: int) -> None:
+        """Count a statement, or an index of its one line keyed by its graph label."""
         self._statements += 1
-        if statement.__class__ is Quad and statement[3] is not None:
+        if statement.__class__ is dict:
+            self._labelled = self._labelled or None not in statement
+        elif statement.__class__ is Quad and statement[3] is not None:
             self._labelled = True
 
     def _classify_graph(self, element: Graph | dict, idx: int) -> ElementVerdict:
@@ -456,9 +462,9 @@ def classify_stream(
 
     source may be bytes, a path, a binary file object, or an already
     materialized iterable of statements (flat framings) or elements
-    (grouped framings).  A grouped framing that is opened here is read in
-    the reader's text mode.  In a flat framing each statement is an element,
-    and every flat stream conforms to its framing's one type.
+    (grouped framings).  A stream opened here is read in the reader's text
+    mode, as indexes of canonical lines.  In a flat framing each statement
+    is an element, and every flat stream conforms to its framing's one type.
     """
     classifier = Classifier(framing, cfg, inferred)
     if isinstance(source, (bytes, str, os.PathLike)) or hasattr(source, "read"):

@@ -17,12 +17,12 @@ This module holds the reader only.  The writers are in writer, and the
 error locator, which reads a line the statement pattern declines term by
 term, is in locator; a call imports each only when it runs it.
 
-The reader has a text mode, for convert and for classify's checks of
-grouped streams: it yields each statement's canonical N-Triples/N-Quads
-line, or each element's lines, in place of terms (see _read).  A line
-already canonical is kept as read, checked by one pattern; any other line
-is rebuilt from its tokens or serialized from its terms, so only such a
-line makes a valid classify or validate compile the writer.
+The reader has a text mode, for convert and for classify's checks: it
+yields each statement's canonical N-Triples/N-Quads line, or each element's
+lines, in place of terms (see _read).  A line already canonical is kept as
+read, checked by one pattern; any other line is rebuilt from its tokens or
+serialized from its terms, so only such a line makes a valid classify or
+validate compile the writer.
 """
 
 from __future__ import annotations
@@ -245,12 +245,12 @@ def _read_file(source: Source, quads: bool, layout: str, text: bool | str, name:
 
 def _read_stream(source: Source, framing: Framing, text: bool | str = False, size: int = 0) -> Iterator:
     """The items of source under framing, read lazily: statements or elements,
-    or with text the canonical text of each; with text 'index', a grouped
-    framing's elements as their indexes (see _read), and a flat framing's
-    statements as terms.  A size batches a flat stream's statements, or a
-    grouped stream's elements' canonical lines."""
+    or with text the canonical text of each; with text 'index', the elements'
+    indexes (see _read), a flat framing's statements each as a one-statement
+    element.  A size batches a flat stream's statements, or a grouped
+    stream's elements' canonical lines."""
     if text == "index" and framing.is_flat:
-        text = False
+        size = 1
     split = size and not framing.is_flat  # read its elements' canonical lines as a flat stream
     items = (_read_dir_stream(source, framing, split or text) if framing.is_dir
              else _read_file(source, framing.quads_payload, framing.value.partition("-")[0], split or text, size=size))

@@ -243,6 +243,15 @@ class Taxonomy:
         }
 
 
+def _check_object(value: object, keys: set[str], refusal: str, name: str) -> None:
+    """Refuse a JSON value that is no object, with refusal, or that has other
+    keys than keys, naming them as name keys."""
+    if not isinstance(value, dict):
+        raise SchemaError(refusal)
+    if extra := set(value) - keys:
+        raise SchemaError(f"unknown {name} keys: {', '.join(sorted(extra))}")
+
+
 def _read_text(path: str) -> str:
     """A UTF-8 document, a taxonomy or an annotation manifest; bad encoding
     is a SchemaError.  The CLI reads both through it."""
@@ -267,11 +276,7 @@ def load_taxonomy(text: str) -> Taxonomy:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"taxonomy is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError("taxonomy document must be a JSON object")
-    extra = set(doc) - {"types", "relations"}
-    if extra:
-        raise SchemaError(f"unknown taxonomy keys: {', '.join(sorted(extra))}")
+    _check_object(doc, {"types", "relations"}, "taxonomy document must be a JSON object", "taxonomy")
     if "types" not in doc:
         raise SchemaError("taxonomy document needs a 'types' array")
     raw_types = doc["types"]
@@ -280,11 +285,7 @@ def load_taxonomy(text: str) -> Taxonomy:
 
     types: list[StreamType] = []
     for entry in raw_types:
-        if not isinstance(entry, dict):
-            raise SchemaError("every type entry must be an object")
-        extra = set(entry) - {"id", "iri", "kind", "label"}
-        if extra:
-            raise SchemaError(f"unknown type entry keys: {', '.join(sorted(extra))}")
+        _check_object(entry, {"id", "iri", "kind", "label"}, "every type entry must be an object", "type entry")
         for key in ("id", "iri", "kind"):
             if key not in entry or not isinstance(entry[key], str):
                 raise SchemaError(f"type entry needs a string '{key}'")

@@ -20,7 +20,7 @@ from staxkit.classify import classify_stream
 from staxkit.errors import EmptyUsages, SchemaError, UnknownStreamType
 from staxkit.io import Framing
 from staxkit.model import Dataset, Graph, Iri, Literal, Quad, Triple
-from staxkit.taxonomy import STAX_NS, TypeKind, default_taxonomy, infer_closure
+from staxkit.taxonomy import STAX_NS, TypeKind, default_taxonomy, infer_closure, load_taxonomy
 
 C = infer_closure(default_taxonomy())
 
@@ -106,6 +106,27 @@ class TestLoadManifest:
         with pytest.raises(SchemaError):
             load_manifest("{nope")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[]", "manifest must be a JSON object"),
+            ('{"usages": [{"streamType": "graphStream"}], "b": 1, "a": 2}', "unknown manifest keys: a, b"),
+            ('{"usages": ["graphStream"]}', "every usage must be an object"),
+            ('{"usages": [{"streamType": "graphStream", "note": "hi"}]}', "unknown usage keys: note"),
+            ('{"usages": [{"streamType": 1}]}', "usage needs a string 'streamType'"),
+            ('{"usages": [{"comment": "c"}]}', "usage needs a string 'streamType'"),
+            ('{"usages": [{"streamType": "graphStream", "comment": 2}]}', "usage graphStream: comment must be a string"),
+            ('{"usages": [{"streamType": "graphStream"}], "subjectIri": 3}', "subjectIri must be a string"),
+            ('{"usages": [{"streamType": "graphStream"}], "subjectClass": null}', "subjectClass must be a string"),
+            ('{"usages": [{"streamType": "graphStream"}], "subjectClass": "noscheme"}',
+             "bad subjectClass: IRI has no scheme separator ':': 'noscheme'"),
+        ],
+    )
+    def test_a_malformed_document_is_refused_with_its_message(self, text, message):
+        with pytest.raises(SchemaError) as info:
+            load_manifest(text)
+        assert str(info.value) == message
+
     def test_custom_taxonomy(self):
         doc = {
             "types": [
@@ -114,8 +135,6 @@ class TestLoadManifest:
             ],
             "relations": [["myStream", "broader", "root"]],
         }
-        from staxkit.taxonomy import load_taxonomy
-
         tax = load_taxonomy(json.dumps(doc))
         m = load_manifest('{"usages": [{"streamType": "myStream"}]}', tax)
         assert m.usages[0].stream_type == "myStream"
@@ -189,6 +208,19 @@ class TestValidateUsages:
         rules = sorted(v.rule for v in report.violations)
         # graph/dataset clash on the same side; dataset/flatTriple lack a relation
         assert rules == ["pair-relation", "same-side"]
+
+    def test_a_usage_without_a_payload_is_in_no_pair(self):
+        # A concrete type that narrows no anchor type holds no payload: it
+        # is paired with no other usage, and the other pairs are still checked.
+        doc = default_taxonomy().to_dict()
+        doc["types"].append({"id": "oddStream", "iri": STAX_NS + "oddStream", "kind": "concrete"})
+        doc["relations"].append(["oddStream", "broader", "rdfStream"])
+        inferred = infer_closure(load_taxonomy(json.dumps(doc)))
+        assert inferred.taxonomy.payload("oddStream") is None
+        usages = ("oddStream", "subjectGraphStream", "namedGraphStream")
+        m = load_manifest(json.dumps({"usages": [{"streamType": t} for t in usages]}), inferred.taxonomy)
+        violations = validate_usages(m, inferred).violations
+        assert [(v.rule, v.usages) for v in violations] == [("same-side", ("subjectGraphStream", "namedGraphStream"))]
 
     def test_bad_policy(self):
         with pytest.raises(ValueError):

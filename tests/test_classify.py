@@ -1057,6 +1057,25 @@ def test_candidate_tokens_are_ordered_and_printed_by_iri_value(case):
     assert details == ([] if detail is None else [detail])
 
 
+@pytest.mark.parametrize("stamp", [_x("t"), '"2024-01-01T00:00:00Z"@en'], ids=["IRI", "language-tagged literal"])
+def test_a_stamp_that_is_no_typed_literal_is_read_from_its_token_as_from_its_term(stamp, monkeypatch):
+    # A dataset index's first stamp is built from its object token; this one
+    # is never ordered, so the later element's stamp conforms too.
+    tokens, read = [], staxkit.classify._object
+
+    def recording(token):
+        tokens.append(token)
+        return read(token)
+
+    monkeypatch.setattr(staxkit.classify, "_object", recording)
+    data = "#---\n".join(_line(_x("s"), _x("p"), _x("o"), _x(g)) + _line(_x(g), f"<{AT}>", stamp)
+                         for g in ("g2", "g1")).encode()
+    report = classify_stream(data, Framing.FRAMED_DATASETS)
+    assert tokens == [stamp, stamp]
+    assert report == classify_stream(list(read_grouped_stream(data, Framing.FRAMED_DATASETS)), Framing.FRAMED_DATASETS)
+    assert report.conforming == ("datasetStream", "namedGraphStream", "timestampedNamedGraphStream")
+
+
 class TestOneLoopForEveryFraming:
     @pytest.mark.parametrize("key", FOLD_FLAT)
     def test_flat(self, key):

@@ -32,7 +32,7 @@ from staxkit.errors import (
 )
 from staxkit.classify import ClassifierConfig, classify_stream
 from staxkit.convert import convert
-from staxkit.framing import Framing
+from staxkit.framing import Framing, Payload
 from staxkit.io import read_flat_stream, read_grouped_stream
 from staxkit.model import BlankNode, Iri, Literal, Quad, Triple
 from staxkit.taxonomy import TypeKind, default_taxonomy, infer_closure, load_taxonomy, payload_kind, plan
@@ -317,6 +317,26 @@ class TestClassify:
         assert "framing: flat-triples" in out
         assert "statements: 3" in out
         assert "conforming: flatTripleStream" in out
+
+    @pytest.mark.parametrize("label, notes", [
+        (b"", ("projectable to flat triple stream: every quad is in the default graph",)),
+        (b" <http://ex.org/g>", ()),
+    ], ids=["default graph", "one label"])
+    def test_flat_quads_are_projectable_while_no_quad_has_a_label(self, label, notes, tmp_path, capsys):
+        data = flat_triples(2) + b"<http://ex.org/s> <http://ex.org/p> <http://ex.org/o>" + label + b" .\n"
+        f = tmp_path / "data.nq"
+        f.write_bytes(data)
+        assert main(["classify", "--input", str(f), "--framing", "flat-quads"]) == 0
+        section = "".join(f"notes:\n  - {note}\n" for note in notes)
+        assert capsys.readouterr().out.endswith("ambiguous: false\n" + section)
+        for items in (data, list(read_flat_stream(data, Framing.FLAT_QUADS))):
+            assert classify_stream(items, Framing.FLAT_QUADS).notes == notes
+
+    def test_negative_max_evidence_is_a_usage_error(self, tmp_path, capsys):
+        f = tmp_path / "data.nt"
+        f.write_bytes(flat_triples(1))
+        assert main(["classify", "--input", str(f), "--framing", "flat-triples", "--max-evidence", "-1"]) == 2
+        assert capsys.readouterr() == ("", "stax-kit: --max-evidence must be non-negative\n")
 
     def test_json_report_is_schema_valid(self, tmp_path, capsys):
         f = tmp_path / "data.bin"
@@ -1316,70 +1336,81 @@ def test_cli_dataset_classify_and_validate_equal_the_term_path(data):
             assert json.loads(out.getvalue()) == doc, argv
 
 
-# CLI classify and validate --data on graph framings, which read each element
-# as its index of canonical lines and search its candidate subjects over the
-# lines' tokens, against the library's term path over the Graphs
-# read_grouped_stream builds.  The elements share one small pool of nodes, so
+# CLI classify and validate --data on graph and flat framings, which read each
+# element, or each statement, as its index of canonical lines and search a
+# graph's candidate subjects over the lines' tokens, against the library's
+# term path over the Graphs read_grouped_stream builds, or the statements of
+# read_flat_stream.  The elements share one small pool of nodes, so
 # their candidates overlap, and often hold a cycle, on which every IRI is a
 # candidate.  The pool holds IRIs whose tokens sort otherwise than their
 # values: http://ex.org/x before http://ex.org/x/, and http://ex.org/g]
 # before http://ex.org/g|2, which the writer spells <http://ex.org/g\u007C2>.
 # Statements are spelled as in the dataset test above, with the intern table
-# emptied every two entries.
+# emptied every two entries; in flat quads each is in a graph drawn from a
+# few labels, often only the default graph, and a '#---' line is a comment.
 _GRAPH_NODES = [Iri("http://ex.org/a"), Iri("http://ex.org/x"), Iri("http://ex.org/x/"), Iri("http://ex.org/g|2"),
                 Iri("http://ex.org/g]"), Iri("http://ex.org/{b}"), BlankNode("b0")]
+_GRAPH_USAGE = {"flat-triples": "flatTripleStream", "flat-quads": "flatQuadStream"}
 
 
-def _graph_elements(r):
-    """Graphs over _GRAPH_NODES: a cycle, or none, and a few other triples."""
+def _graph_elements(r, labels=(None,)):
+    """Graphs over _GRAPH_NODES: a cycle, or none, and a few other triples,
+    each spelled as a quad in a graph of labels."""
     nodes, predicates = st.sampled_from(_GRAPH_NODES), st.sampled_from(_SUBJECTS[:2])
     cycle = st.lists(nodes, min_size=1, max_size=4, unique=True).flatmap(
         lambda ring: st.tuples(*(st.builds(Triple, st.just(s), predicates, st.just(o))
                                  for s, o in zip(ring, ring[1:] + ring[:1]))))
     other = st.builds(Triple, nodes, predicates, nodes | st.sampled_from(_OBJECTS))
     return st.tuples(cycle | st.just(()), st.lists(other, max_size=4)).map(
-        lambda drawn: [_spelled(t, r) for t in r.sample([*drawn[0], *drawn[1]], len(drawn[0]) + len(drawn[1]))])
+        lambda drawn: [_spelled(Quad(*t, r.choice(labels)), r)
+                       for t in r.sample([*drawn[0], *drawn[1]], len(drawn[0]) + len(drawn[1]))])
 
 
 @settings(max_examples=TEXT_PATH_EXAMPLES, deadline=None)
 @given(data=st.data())
 def test_cli_graph_classify_and_validate_equal_the_term_path(data):
     r = data.draw(st.randoms(use_true_random=False), label="spellings")
-    elements = data.draw(st.lists(_graph_elements(r), max_size=5), label="elements")
-    layout = data.draw(st.sampled_from(["framed", "dir", "-"]), label="input")
-    framing = Framing("dir-graphs" if layout == "dir" else "framed-graphs")
+    framing = Framing(data.draw(st.sampled_from(["framed-graphs", "dir-graphs", "flat-triples", "flat-quads"]),
+                                label="framing"))
+    labels = [None]
+    if framing is Framing.FLAT_QUADS:
+        labels = data.draw(st.lists(st.sampled_from([None, *_STAMP_LABELS]), min_size=1, max_size=3), label="labels")
+    elements = data.draw(st.lists(_graph_elements(r, labels), max_size=5), label="elements")
+    stdin = not framing.is_dir and data.draw(st.booleans(), label="standard input")
     inferred = infer_closure(default_taxonomy())
-    manifest_doc = {"usages": [{"streamType": "subjectGraphStream"}]}
+    manifest_doc = {"usages": [{"streamType": _GRAPH_USAGE.get(framing.value, "subjectGraphStream")}]}
     manifest = load_manifest(json.dumps(manifest_doc))
     with tempfile.TemporaryDirectory() as scratch:
         path, manifest_path = Path(scratch) / "in", Path(scratch) / "manifest.json"
         manifest_path.write_text(json.dumps(manifest_doc))
-        if layout == "dir":
+        if framing.is_dir:
             path.mkdir()
             for i, element in enumerate(elements):
                 (path / f"{i:05d}.nt").write_bytes("".join(element).encode())
         else:
             path.write_bytes("#---\n".join("".join(e) for e in elements).encode())
-        expected = classify_stream(list(read_grouped_stream(path, framing)), framing, None, inferred)
+        read = read_flat_stream if framing.is_flat else read_grouped_stream
+        expected = classify_stream(list(read(path, framing)), framing, None, inferred)
         checked = cross_check(manifest, expected, inferred)
         validation = ValidationReport(validate_usages(manifest, inferred).violations, checked.cross_check)
-        source = "-" if layout == "-" else str(path)
+        source = "-" if stdin else str(path)
         runs = [
             (["classify", "--input", source, "--framing", framing.value, "--json"], 0, expected.to_dict()),
             (["validate", "--manifest", str(manifest_path), "--data", source, "--framing", framing.value, "--json"],
              0 if validation.consistent and validation.cross_check_passed else 1, validation.to_dict()),
         ]
         for argv, code, doc in runs:
-            out, stdin = io.StringIO(), io.TextIOWrapper(io.BytesIO(path.read_bytes() if layout == "-" else b""))
-            with mock.patch.object(staxkit.io, "_INTERN_LIMIT", 2), mock.patch.object(sys, "stdin", stdin), \
+            out, stdin_file = io.StringIO(), io.TextIOWrapper(io.BytesIO(path.read_bytes() if stdin else b""))
+            with mock.patch.object(staxkit.io, "_INTERN_LIMIT", 2), mock.patch.object(sys, "stdin", stdin_file), \
                     contextlib.redirect_stdout(out):
                 assert main(argv) == code, argv
             assert json.loads(out.getvalue()) == doc, argv
 
 
-# A malformed line in a grouped framing, met after canonical lines of the
-# same element, fails classify and validate --data as it fails the term path;
-# a line with a graph label is a MixedPayload in a graph framing.
+# A malformed line, met after canonical lines of the same element in a
+# grouped framing or after canonical statements in a flat one, fails classify
+# and validate --data as it fails the term path.  A line with a graph label
+# is a MixedPayload in a graph framing and a ParseError in flat triples.
 _GOOD_ELEMENT = {
     "datasets": b"<http://ex.org/s> <http://ex.org/p> <http://ex.org/o> <http://ex.org/g> .\n"
                 b'<http://ex.org/g> <http://www.w3.org/ns/prov#generatedAtTime> "1"^^<http://ex.org/n> .\n',
@@ -1406,16 +1437,19 @@ _MALFORMED_LINES = {
     },
 }
 _ELEMENT_MANIFEST = {"datasets": MANIFEST_OK, "graphs": {"usages": [{"streamType": "subjectGraphStream"}]}}
+_FLAT_FRAMING = {"datasets": Framing.FLAT_QUADS, "graphs": Framing.FLAT_TRIPLES}
 
 
-@pytest.mark.parametrize("layout", ["framed", "dir", "-"])
+@pytest.mark.parametrize("layout", ["framed", "dir", "-", "flat", "flat -"])
 @pytest.mark.parametrize("payload, kind", [(payload, kind) for payload in _MALFORMED_LINES
                                            for kind in _MALFORMED_LINES[payload]])
 def test_a_malformed_element_line_fails_the_cli_as_it_fails_the_term_path(
         payload, kind, layout, tmp_path, monkeypatch, capsys):
     good = _GOOD_ELEMENT[payload]
     elements = [good, good + _MALFORMED_LINES[payload][kind] + good]
-    framing = Framing(f"{'dir' if layout == 'dir' else 'framed'}-{payload}")
+    stdin = layout.endswith("-")
+    framing = _FLAT_FRAMING[payload] if layout.startswith("flat") else Framing(
+        f"{'dir' if layout == 'dir' else 'framed'}-{payload}")
     path = tmp_path / "in"
     if layout == "dir":
         path.mkdir()
@@ -1424,17 +1458,18 @@ def test_a_malformed_element_line_fails_the_cli_as_it_fails_the_term_path(
     else:
         path.write_bytes(b"#---\n".join(elements))
     with pytest.raises(StaxError) as raised:
-        list(read_grouped_stream(path, framing))
+        list((read_flat_stream if framing.is_flat else read_grouped_stream)(path, framing))
     error = raised.value
+    assert isinstance(error, ParseError) or framing.payload is Payload.GRAPHS
     if isinstance(error, ParseError):
-        error = ParseError(error.line, error.column, error.reason, "-" if layout == "-" else error.member)
+        error = ParseError(error.line, error.column, error.reason, "-" if stdin else error.member)
     expected = f"stax-kit: {type(error).__name__}: {error}\n"
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps(_ELEMENT_MANIFEST[payload]))
-    source = "-" if layout == "-" else str(path)
+    source = "-" if stdin else str(path)
     for argv in (["classify", "--input", source, "--framing", framing.value, "--json"],
                  ["validate", "--manifest", str(manifest), "--data", source, "--framing", framing.value]):
-        set_stdin(monkeypatch, path.read_bytes() if layout == "-" else b"")
+        set_stdin(monkeypatch, path.read_bytes() if stdin else b"")
         assert main(argv) == 3, argv
         assert capsys.readouterr() == ("", expected), argv
 

@@ -513,16 +513,35 @@ def sensor_datasets(path: Path, count: int = 3) -> Path:
     return path
 
 
+SIX_FRAMINGS = ["flat-triples", "flat-quads", "framed-graphs", "dir-graphs", "framed-datasets", "dir-datasets"]
+# The narrowest type each payload's canonical input conforms to.
+CANONICAL_USAGE = {"triples": "flatTripleStream", "quads": "flatQuadStream",
+                   "graphs": "subjectGraphStream", "datasets": "timestampedNamedGraphStream"}
+
+
+def canonical_input(framing: str, tmp_path: Path) -> tuple[Path, Path]:
+    """Two graphs, or three sensor datasets, as canonical input in framing: a
+    framed file, a directory of one member per element, or a flat file of the
+    same statements; and a manifest of the narrowest type it conforms to."""
+    quads = framing.endswith(("quads", "datasets"))
+    text = sensor_datasets(tmp_path / "datasets.nq").read_text() if quads else TWO_GRAPHS.decode()
+    path = tmp_path / framing
+    if framing.startswith("dir"):
+        path.mkdir()
+        for i, element in enumerate(text.split("#---\n")):
+            (path / f"{i:05d}.{'nq' if quads else 'nt'}").write_text(element)
+    else:
+        path.write_text(text.replace("#---\n", "") if framing.startswith("flat") else text)
+    manifest = tmp_path / f"{framing}.json"
+    manifest.write_text(json.dumps({"usages": [{"streamType": CANONICAL_USAGE[framing.partition("-")[2]]}]}))
+    return path, manifest
+
+
 def test_valid_classify_and_validate_load_neither_the_writer_nor_the_locator(homes, tmp_path):
-    # Dataset framings are read in the reader's text mode, which imports the
+    # Every framing is read in the reader's text mode, which imports the
     # writer only for a line it cannot keep or rebuild.
-    graphs = tmp_path / "graphs.nt"
-    graphs.write_bytes(TWO_GRAPHS)
-    datasets = sensor_datasets(tmp_path / "datasets.nq")
-    for data, framing, usage in ((graphs, "framed-graphs", "graphStream"),
-                                 (datasets, "framed-datasets", "timestampedNamedGraphStream")):
-        manifest = tmp_path / "manifest.json"
-        manifest.write_text(json.dumps({"usages": [{"streamType": usage}]}))
+    for framing in SIX_FRAMINGS:
+        data, manifest = canonical_input(framing, tmp_path)
         for argv in (
             ("classify", "--input", str(data), "--framing", framing, "--json"),
             ("validate", "--manifest", str(manifest), "--data", str(data), "--framing", framing, "--json"),
@@ -532,12 +551,12 @@ def test_valid_classify_and_validate_load_neither_the_writer_nor_the_locator(hom
             assert not loaded & {homes["writer"], homes["locator"]}, argv
 
 
-@pytest.mark.parametrize("framing", ["framed-datasets", "framed-graphs"])
+@pytest.mark.parametrize("framing", SIX_FRAMINGS)
 def test_classifying_canonical_elements_matches_no_statement_line(framing, tmp_path, monkeypatch):
     # A canonical line is kept as read: of the statements, the statement
-    # pattern reads at most a dataset's timestamp lines, and never a line in
-    # a named graph or in a graph element.  A '#---' line ends its element
-    # before the pattern is tried.
+    # pattern reads at most a grouped dataset's timestamp lines, and never a
+    # line in a named graph, in a graph element or in a flat stream.  A
+    # '#---' line ends its element before the pattern is tried.
     import staxkit.io
 
     matched = []
@@ -549,14 +568,11 @@ def test_classifying_canonical_elements_matches_no_statement_line(framing, tmp_p
             return pattern.match(line)
 
     monkeypatch.setattr(staxkit.io, "_STATEMENT", Counting())
-    if framing == "framed-datasets":
-        data, usage = sensor_datasets(tmp_path / "datasets.nq"), "timestampedNamedGraphStream"
-        stamps = [line for line in data.read_text().splitlines(keepends=True) if "generatedAtTime" in line]
-    else:
-        data, usage, stamps = tmp_path / "graphs.nt", "subjectGraphStream", []
-        data.write_bytes(TWO_GRAPHS)
-    manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps({"usages": [{"streamType": usage}]}))
+    data, manifest = canonical_input(framing, tmp_path)
+    stamps = []
+    if framing.endswith("datasets"):
+        stamps = [line for line in (tmp_path / "datasets.nq").read_text().splitlines(keepends=True)
+                  if "generatedAtTime" in line]
     for argv in (
         ["classify", "--input", str(data), "--framing", framing, "--json"],
         ["validate", "--manifest", str(manifest), "--data", str(data), "--framing", framing, "--json"],

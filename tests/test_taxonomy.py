@@ -378,6 +378,31 @@ class TestLoadTaxonomy:
         with pytest.raises(SchemaError):
             load_taxonomy("{nope")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1, 2]", "taxonomy document must be a JSON object"),
+            ('{"types": [], "relations": [], "extra": 1}', "unknown taxonomy keys: extra"),
+            ('{"relations": []}', "taxonomy document needs a 'types' array"),
+            ('{"types": {}}', "'types' must be an array"),
+            ('{"types": [], "relations": {}}', "'relations' must be an array"),
+            ('{"types": ["a"]}', "every type entry must be an object"),
+            ('{"types": [{"id": "a", "iri": "http://x:1/a", "kind": "abstract", "color": "red"}]}',
+             "unknown type entry keys: color"),
+            ('{"types": [{"id": "a", "kind": "abstract"}]}', "type entry needs a string 'iri'"),
+            ('{"types": [{"id": 1, "iri": "http://x:1/a", "kind": "abstract"}]}', "type entry needs a string 'id'"),
+            ('{"types": [{"id": "a", "iri": "http://x:1/a", "kind": "abstract", "label": 7}]}',
+             "type a: label must be a string"),
+            ('{"types": [], "relations": [["a", "broader"]]}', "every relation entry must be [fromId, relation, toId]"),
+            ('{"types": [], "relations": [["a", "broader", 3]]}',
+             "every relation entry must be [fromId, relation, toId]"),
+        ],
+    )
+    def test_a_malformed_document_is_refused_with_its_message(self, text, message):
+        with pytest.raises(SchemaError) as info:
+            load_taxonomy(text)
+        assert str(info.value) == message
+
     def test_not_an_object(self):
         with pytest.raises(SchemaError):
             load_taxonomy("[1, 2]")
