@@ -106,23 +106,16 @@ def load_manifest(text: str, taxonomy: Taxonomy | None = None) -> AnnotationMani
             raise SchemaError(f"usage {type_id}: comment must be a string")
         usages.append(StreamTypeUsage(type_id, comment))
 
-    subject_iri: Iri | None = None
-    if "subjectIri" in doc:
-        if not isinstance(doc["subjectIri"], str):
-            raise SchemaError("subjectIri must be a string")
-        try:
-            subject_iri = Iri(doc["subjectIri"])
-        except Exception as exc:
-            raise SchemaError(f"bad subjectIri: {exc}") from exc
-    subject_class = Iri(DCAT_DATASET)
-    if "subjectClass" in doc:
-        if not isinstance(doc["subjectClass"], str):
-            raise SchemaError("subjectClass must be a string")
-        try:
-            subject_class = Iri(doc["subjectClass"])
-        except Exception as exc:
-            raise SchemaError(f"bad subjectClass: {exc}") from exc
-    return AnnotationManifest(tuple(usages), subject_iri, subject_class)
+    iris: dict[str, Iri | None] = {"subjectIri": None, "subjectClass": Iri(DCAT_DATASET)}
+    for key in iris:
+        if key in doc:
+            if not isinstance(doc[key], str):
+                raise SchemaError(f"{key} must be a string")
+            try:
+                iris[key] = Iri(doc[key])
+            except Exception as exc:
+                raise SchemaError(f"bad {key}: {exc}") from exc
+    return AnnotationManifest(tuple(usages), iris["subjectIri"], iris["subjectClass"])
 
 
 # ---------------------------------------------------------------------------

@@ -325,6 +325,7 @@ class Classifier:
         self._elements = 0
         self._statements = 0
         self._kind = (_ITEM_CLASS[framing.payload], dict)
+        self._flat, self._labels = framing.is_flat, framing.quads_payload  # which indexes fit (see feed)
         checks = {Payload.GRAPHS: self._classify_graph, Payload.DATASETS: self._classify_dataset}
         self._check = checks.get(framing.payload, self._count_statement)
         self._first_violation: dict[str, FirstViolation] = {}
@@ -335,11 +336,16 @@ class Classifier:
     def feed(self, item: Statement | Graph | Dataset | dict) -> ElementVerdict | None:
         """The verdict on the stream's next element, or None for a flat framing's
         statement, as every flat stream conforms to its framing's one type.
-        An item is of the framing's payload class or an index (see io._read),
-        which in a flat framing holds one line; another item raises MixedPayload."""
+        An item is of the framing's payload class or an index (see io._read)
+        that fits it: in a flat framing one line under one label, None for
+        triples, and for graphs no label but None; another item raises MixedPayload."""
         idx = self._elements
-        if not isinstance(item, self._kind):
-            name = type(item).__name__
+        index = item.__class__ is dict
+        if not isinstance(item, self._kind) or index and (
+            self._flat and [*map(len, item.values())] != [1] or not self._labels and len(item) > (None in item)
+        ):
+            name = (f"dict of {sum(map(len, item.values()))} line(s) in {len(item)} graph(s)" if index
+                    else type(item).__name__)
             raise MixedPayload(f"element {idx}: {self.framing.value} framing cannot classify a {name}")
         self._elements = idx + 1
         verdict = self._check(item, idx)

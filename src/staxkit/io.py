@@ -20,9 +20,9 @@ term, is in locator; a call imports each only when it runs it.
 The reader has a text mode, for convert and for classify's checks: it
 yields each statement's canonical N-Triples/N-Quads line, or each element's
 lines, in place of terms (see _read).  A line already canonical is kept as
-read, checked by one pattern; any other line is rebuilt from its tokens or
-serialized from its terms, so only such a line makes a valid classify or
-validate compile the writer.
+read; any other has its terms checked as in term mode, and only a line with
+an escape outside its literal, or one the statement pattern declines, makes
+a valid classify or validate load the writer.
 """
 
 from __future__ import annotations
@@ -294,13 +294,12 @@ def _read(
     'index' the indexes themselves.  A line that _CANONICAL, or in a quad
     layout _CANONICAL_QUAD, matches in full is already that line: it is
     kept as read, and no term is built but its graph label, which the
-    intern table gives.  A matched line with no '\\' outside its literal
-    has its IRI and blank tokens checked through the intern table and a
-    new datatype through Literal, as in term mode, and is rebuilt from its
-    tokens: single spaces, ' .', no comment, no CR, no xsd:string suffix,
-    and the literal unescaped, then escaped with the writer's table.  Any
-    other line, such as one with a \\u escape in an IRI, is built with
-    terms and serialized by the writer, which only such a line imports.
+    intern table gives.  Any other matched line has its tokens checked as
+    terms by the code that builds term mode's statements.  With no '\\'
+    outside its literal it is written from its tokens: single spaces, ' .',
+    no comment, no CR, no xsd:string suffix, and the literal escaped with
+    the writer's table.  Any other line, such as one with a \\u escape in
+    an IRI, is a Quad the writer serializes, which only such a line imports.
     The index of a graph label term keys lines, so a statement repeated in
     any spelling is kept once, as in term mode.
     """
@@ -340,53 +339,36 @@ def _read(
         if m is not None and (quads or m[7] is None):
             s, p, o, lexical, language, datatype, g = m.groups()
             try:
+                subject = get(s) or _node(s)
+                predicate = get(p) or _node(p)
+                label = None if g is None else get(g) or _node(g)
+                if o is not None:
+                    obj = get(o) or _node(o)
+                else:
+                    value = lexical
+                    if "\\" in lexical:
+                        value = _ESCAPE.sub(_unescape_match, lexical)
+                    # No surrogate gets through and the pattern checked LANGTAG: only a new datatype needs Literal.
+                    dt = RDF_LANGSTRING if language is not None else XSD_STRING
+                    if datatype is not None:
+                        dt = checked(iri := get(datatype) or _node(datatype)) or Literal(value, iri)[1]
                 if text and ("\\" not in line or lexical is not None and line.count("\\") == lexical.count("\\")):
-                    # Node tokens without escapes are their terms' canonical
-                    # text; a literal is unescaped, then escaped as the writer does.
-                    get(s) or _node(s)
-                    get(p) or _node(p)
-                    if o is not None:
-                        get(o) or _node(o)
-                    else:
-                        value = lexical
+                    # Escape-free node tokens are canonical; the literal is escaped as the writer does.
+                    if lexical is not None:
                         if "\\" in lexical or "\t" in lexical:
-                            value = _unescape(lexical)
                             lexical = value.translate(_LITERAL_ESC)
                         o = f'"{lexical}"'
                         if language is not None:
                             o += "@" + language
-                        elif datatype is not None:
-                            dt = get(datatype) or _node(datatype)
-                            if (checked(dt) or Literal(value, dt)[1]) != XSD_STRING:
-                                o += "^^" + datatype
-                    if g is None:
-                        label = None
-                        statement = f"{s} {p} {o} .\n"
-                    else:
-                        label = get(g) or _node(g)
-                        statement = f"{s} {p} {o} {g} .\n"
+                        elif dt != XSD_STRING:
+                            o += "^^" + datatype
+                    statement = f"{s} {p} {o} .\n" if g is None else f"{s} {p} {o} {g} .\n"
                 else:
-                    if o is not None:
-                        o = get(o) or _node(o)
-                    else:
-                        if "\\" in lexical:
-                            lexical = _ESCAPE.sub(_unescape_match, lexical)
-                        # Strict UTF-8 decoding and _unescape_match let no surrogate through and
-                        # the pattern checked LANGTAG: only a new datatype needs Literal's checks.
-                        if language is not None:
-                            o = new(Literal, (lexical, RDF_LANGSTRING, language))
-                        elif datatype is None:
-                            o = new(Literal, (lexical, XSD_STRING, None))
-                        else:
-                            dt = get(datatype) or _node(datatype)
-                            plain = checked(dt)
-                            o = (Literal(lexical, dt) if plain is None
-                                 else new(Literal, (lexical, plain, None)))
-                    s = get(s) or _node(s)
-                    p = get(p) or _node(p)
-                    label = None if g is None else get(g) or _node(g)
+                    if lexical is not None:
+                        obj = new(Literal, (value, dt, language))
                     # The pattern admits only the roles Triple and Quad check.
-                    statement = new(Quad, (s, p, o, label)) if flat_quads else new(Triple, (s, p, o))
+                    statement = (new(Quad, (subject, predicate, obj, label)) if flat_quads or text
+                                 else new(Triple, (subject, predicate, obj)))
             except (MalformedIri, ValueError):
                 statement = None  # the locator raises the located error
         if statement is None:
@@ -407,14 +389,12 @@ def _read(
             if statement.__class__ is LineKind:
                 continue
             # A line the locator accepts where the pattern did not.
-            label = None
-            if quads and not flat:
-                statement, label = new(Triple, statement[:3]), statement[3]
+            label = statement[3] if quads else None
+            if quads and not flat and not text:
+                statement = new(Triple, statement[:3])
         if text and statement.__class__ is not str:
             from .writer import serialize_statement
 
-            if label is not None and not flat:
-                statement = new(Quad, (*statement, label))
             statement = serialize_statement(statement) + "\n"
         if flat:
             yield statement

@@ -11,7 +11,7 @@ test_taxonomy.py take that count from it, and the CLI dataset and graph
 differentials in test_cli.py a tenth of it.  The two small-scope convert
 enumerations in test_convert.py, of convert() and of the CLI, take streams
 of up to 3 elements under it, not 2.  Every other test with its own
-max_examples keeps it, so run deep on those seven only.
+max_examples keeps it, so run deep on those eight only.
 """
 
 from hypothesis import settings

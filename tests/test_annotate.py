@@ -120,6 +120,11 @@ class TestLoadManifest:
             ('{"usages": [{"streamType": "graphStream"}], "subjectClass": null}', "subjectClass must be a string"),
             ('{"usages": [{"streamType": "graphStream"}], "subjectClass": "noscheme"}',
              "bad subjectClass: IRI has no scheme separator ':': 'noscheme'"),
+            ('{"usages": [{"streamType": "graphStream"}], "subjectIri": "noscheme"}',
+             "bad subjectIri: IRI has no scheme separator ':': 'noscheme'"),
+            # subjectIri is checked first, whatever the keys' order in the document.
+            ('{"usages": [{"streamType": "graphStream"}], "subjectClass": "x", "subjectIri": "y"}',
+             "bad subjectIri: IRI has no scheme separator ':': 'y'"),
         ],
     )
     def test_a_malformed_document_is_refused_with_its_message(self, text, message):

@@ -766,6 +766,14 @@ class TestClassifyStream:
             classify_stream(items, framing)
 
 
+# Lines of a text-mode index (see io._read), and a graph label.
+INDEX_LINE = "<http://ex.org/s> <http://ex.org/p> <http://ex.org/o> .\n"
+INDEX_LINE_2 = "<http://ex.org/s> <http://ex.org/p> <http://ex.org/o2> .\n"
+INDEX_QUAD = "<http://ex.org/s> <http://ex.org/p> <http://ex.org/o> <http://ex.org/g> .\n"
+INDEX_QUAD_2 = "<http://ex.org/s> <http://ex.org/p> <http://ex.org/o2> <http://ex.org/g> .\n"
+G = Iri("http://ex.org/g")
+
+
 class TestClassifier:
     def test_each_prefix_reports_as_the_stream_of_that_prefix(self):
         r = random.Random(2718)
@@ -784,6 +792,40 @@ class TestClassifier:
         classifier = Classifier(framing)
         assert classifier.feed(statement) is None
         assert classifier.report() == classify_stream([statement], framing)
+
+    @pytest.mark.parametrize(
+        "framing, index, fits",
+        [
+            (Framing.FLAT_TRIPLES, {None: {INDEX_LINE: None}}, True),
+            (Framing.FLAT_TRIPLES, {G: {INDEX_QUAD: None}}, False),
+            (Framing.FLAT_TRIPLES, {G: {INDEX_QUAD: None, INDEX_QUAD_2: None}}, False),
+            (Framing.FLAT_TRIPLES, {None: {INDEX_LINE: None, INDEX_LINE_2: None}}, False),
+            (Framing.FLAT_TRIPLES, {}, False),
+            (Framing.FLAT_QUADS, {None: {INDEX_LINE: None}}, True),
+            (Framing.FLAT_QUADS, {G: {INDEX_QUAD: None}}, True),
+            (Framing.FLAT_QUADS, {G: {INDEX_QUAD: None, INDEX_QUAD_2: None}}, False),
+            (Framing.FLAT_QUADS, {None: {INDEX_LINE: None}, G: {INDEX_QUAD: None}}, False),
+            (Framing.FLAT_QUADS, {G: {}}, False),
+            (Framing.FRAMED_GRAPHS, {}, True),
+            (Framing.FRAMED_GRAPHS, {None: {INDEX_LINE: None, INDEX_LINE_2: None}}, True),
+            (Framing.FRAMED_GRAPHS, {G: {INDEX_QUAD: None}}, False),
+            (Framing.FRAMED_GRAPHS, {None: {INDEX_LINE: None}, G: {INDEX_QUAD: None}}, False),
+            (Framing.FRAMED_DATASETS, {}, True),
+            (Framing.FRAMED_DATASETS, {None: {INDEX_LINE: None}, G: {INDEX_QUAD: None, INDEX_QUAD_2: None}}, True),
+        ],
+    )
+    def test_an_index_that_does_not_fit_the_framing_is_mixed_payload(self, framing, index, fits):
+        # A flat framing's index holds one line under one label, None for flat
+        # triples; a graph framing's holds no label but None.
+        classifier = Classifier(framing)
+        classifier.feed({None: {INDEX_LINE: None}})
+        if fits:
+            classifier.feed(index)
+            assert classifier.report().element_count == 2
+        else:
+            with pytest.raises(MixedPayload, match=f"^element 1: {framing.value} framing cannot classify a dict of "):
+                classifier.feed(index)
+            assert classifier.report().element_count == 1
 
     def test_timestamp_patterns_are_compiled_once_at_their_first_stamp(self, monkeypatch):
         monkeypatch.setattr(staxkit.classify, "_timestamp_patterns", {})

@@ -8,6 +8,7 @@ import ast
 import contextlib
 import importlib
 import io
+import itertools
 import json
 import os
 import re
@@ -519,12 +520,30 @@ CANONICAL_USAGE = {"triples": "flatTripleStream", "quads": "flatQuadStream",
                    "graphs": "subjectGraphStream", "datasets": "timestampedNamedGraphStream"}
 
 
-def canonical_input(framing: str, tmp_path: Path) -> tuple[Path, Path]:
+def respelled(text: str) -> str:
+    """Framed text's statements as valid lines that are not canonical but that
+    the reader's text mode rebuilds from their tokens: a TAB after the
+    subject, a comment and a CRLF line end, and after each element's first
+    line a statement about its subject with a \\u0041 escape in an explicit
+    xsd:string literal, which changes no type the input conforms to."""
+    elements = []
+    for element in text.split("#---\n"):
+        lines = [line.replace(" ", "\t", 1)[:-1] + " # c\r\n" for line in element.splitlines(True)]
+        note = (f'{element.split(" ", 1)[0]} <http://ex.org/note>'
+                ' "\\u0041"^^<http://www.w3.org/2001/XMLSchema#string> .\n')
+        elements.append("".join(lines[:1] + [note] + lines[1:]))
+    return "#---\n".join(elements)
+
+
+def canonical_input(framing: str, tmp_path: Path, respell: bool = False) -> tuple[Path, Path]:
     """Two graphs, or three sensor datasets, as canonical input in framing: a
     framed file, a directory of one member per element, or a flat file of the
-    same statements; and a manifest of the narrowest type it conforms to."""
+    same statements; and a manifest of the narrowest type it conforms to.
+    With respell, the statements are spelled as respelled spells them."""
     quads = framing.endswith(("quads", "datasets"))
     text = sensor_datasets(tmp_path / "datasets.nq").read_text() if quads else TWO_GRAPHS.decode()
+    if respell:
+        text = respelled(text)
     path = tmp_path / framing
     if framing.startswith("dir"):
         path.mkdir()
@@ -539,9 +558,11 @@ def canonical_input(framing: str, tmp_path: Path) -> tuple[Path, Path]:
 
 def test_valid_classify_and_validate_load_neither_the_writer_nor_the_locator(homes, tmp_path):
     # Every framing is read in the reader's text mode, which imports the
-    # writer only for a line it cannot keep or rebuild.
-    for framing in SIX_FRAMINGS:
-        data, manifest = canonical_input(framing, tmp_path)
+    # writer only for a line it cannot keep or rebuild, canonical or not.
+    for framing, respell in itertools.product(SIX_FRAMINGS, (False, True)):
+        home = tmp_path / f"{framing}-{respell}"
+        home.mkdir()
+        data, manifest = canonical_input(framing, home, respell)
         for argv in (
             ("classify", "--input", str(data), "--framing", framing, "--json"),
             ("validate", "--manifest", str(manifest), "--data", str(data), "--framing", framing, "--json"),

@@ -3,6 +3,7 @@ import random
 import re
 import tempfile
 from io import BytesIO
+from itertools import chain
 from pathlib import Path
 from unittest import mock
 
@@ -1604,7 +1605,8 @@ def spelled_statements(draw, canonical=None):
     return line + draw(st.sampled_from([" .", ".", " . # c", "\t."])) + draw(st.sampled_from(["\n", "\r\n"]))
 
 
-@settings(max_examples=300, deadline=None)
+# 300 examples, or as many as the loaded profile asks for when that is more.
+@settings(max_examples=max(300, settings().max_examples), deadline=None)
 @given(
     st.lists(st.one_of(spelled_statements(), st.just("#---\n")), max_size=6),
     st.sampled_from(list(Framing)),
@@ -1651,6 +1653,10 @@ NEAR_CANONICAL = [
     '<http://a:1> <http://p:1> "x"@en- .\n',
     '<http://a:1> <http://p:1> "\\uD800" .\n',
     '<http://a:1> <http://p:1> "x" . .\n',
+    '<http://\\u0061:1> <http://p:1> "a\\tb" .\n',
+    '<http://a:1> <http://p:1> "x" <http://\\u0067:1> .\n',
+    '<http://a:1>\t<http://p:1> "x"@en <http://g:1> .\n',
+    '<http://a:1>\t<http://p:1> "7"^^<http://www.w3.org/2001/XMLSchema#integer> .\n',
 ]
 
 
@@ -1660,6 +1666,45 @@ def test_near_canonical_lines_take_the_checked_path(line, framing):
     assert not CANONICAL_LINE.fullmatch(line)
     data = line.encode()
     assert _text_or_error(data, framing, True) == _text_or_error(data, framing, False)
+
+
+def _index_text(index: dict) -> str:
+    """The lines of an index of the reader's 'index' mode, as its text mode joins them."""
+    return "".join(chain(index.get(None, {}), *(lines for label, lines in index.items() if label is not None)))
+
+
+LOCATED_LINES = [
+    '<http://a:1>\t<http://p:1> "x"@en .\r\n',
+    "# a comment\n",
+    '<http://\\u0061:2> <http://p:1> "7"^^<http://www.w3.org/2001/XMLSchema#integer> . # c\n',
+    "#---\n",
+    "_:b1  <http://p:1> <http://a:1>.\n",
+]
+LOCATED_QUAD_LINES = [
+    '<http://a:1>\t<http://p:1> "x"@en <http://g:1> .\r\n',
+    "<http://a:1> <http://p:1> _:b1 <http://\\u0067:1> .\n",
+    '<http://a:1> <http://p:1> "y" <http://g:1> . # c\n',
+]
+
+
+@pytest.mark.parametrize("framing", [f for f in Framing if not f.is_dir])
+def test_the_locator_reads_every_line_alike_in_each_mode(framing, monkeypatch):
+    # With the statement pattern declining every line, each statement line is
+    # read by the locator, in term, text and index modes alike.
+    lines = LOCATED_LINES + (LOCATED_QUAD_LINES if framing.quads_payload else [])
+    data = "".join(lines).encode()
+    assert not any(re.fullmatch(staxkit.io._CANONICAL_QUAD, line) for line in lines)
+    expected = _text_or_error(data, framing, False)
+    assert expected.__class__ is list
+
+    class Declining:
+        def match(self, line):
+            return None
+
+    monkeypatch.setattr(staxkit.io, "_STATEMENT", Declining())
+    assert _text_or_error(data, framing, False) == expected
+    assert _text_or_error(data, framing, True) == expected
+    assert [_index_text(index) for index in staxkit.io._read_stream(data, framing, "index")] == expected
 
 
 def test_the_pattern_accepts_the_writer_escapes_only():
