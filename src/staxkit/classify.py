@@ -26,14 +26,16 @@ A Classifier holds one run: feed(item) checks the next statement or element
 once, and report() gives the report so far; classify_stream feeds it a whole
 stream.  An item is a statement, Graph or Dataset or, where classify_stream
 or the CLI opens the stream, the reader's index of canonical lines by graph
-label (see io._read), one line for a flat statement: the walks then run
-over the lines' tokens, and a candidate is built as an Iri only when the
-greedy choice tests it.  Its memory is bounded except for the chosen
-subjects (one entry per element that found an unused candidate) and the
-notes (one per element with several candidate subjects or several
-timestamp triples).  The rest is fixed in size: the counts, the first
-violation per type, the evidence capped at max_evidence, and the greatest
-timestamp per predicate and domain.
+label token (see io._read), one line for a flat statement: the walks then
+run over the lines' tokens, and a candidate is built as an Iri only when
+the greedy choice tests it.  The dataset check builds no term: it compares
+a line's subject token with the label token, and reads the first stamp's
+lexical form and datatype from its object token.  Its memory is bounded
+except for the chosen subjects (one entry per element that found an unused
+candidate) and the notes (one per element with several candidate subjects
+or several timestamp triples).  The rest is fixed in size: the counts, the
+first violation per type, the evidence capped at max_evidence, and the
+greatest timestamp per predicate and domain.
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ from typing import Iterable, NamedTuple, Union
 
 from .errors import MixedPayload, SchemaError
 from .framing import Framing, Payload
-from .io import Source, _node, _object, _read_stream
-from .model import _ITEM_CLASS, Dataset, Graph, Iri, Literal, Quad, Statement, Term, _TupleValue
+from .io import Source, _node, _read_stream, _unescape
+from .model import _IRI_ESC, _ITEM_CLASS, Dataset, Graph, Iri, Literal, Quad, Statement, Term, _TupleValue
 from .taxonomy import InferredTaxonomy, default_taxonomy, infer_closure, most_specific
 
 PROV_GENERATED_AT_TIME = Iri("http://www.w3.org/ns/prov#generatedAtTime")
@@ -200,19 +202,21 @@ def _reach(start: Term | str, edges: dict, seen: set) -> set:
     return seen
 
 
-def _timestamps(element: Dataset | dict, name: Term, cfg: ClassifierConfig) -> list[tuple[Iri, Term | str]]:
-    """Predicate and object of each default-graph triple about name with a timestamp
-    predicate, in document order; of an index's line, the object's token only."""
-    predicates = cfg.timestamp_predicates
+def _timestamps(
+    element: Dataset | dict, name: Term | str, predicates: frozenset | dict
+) -> list[tuple[str, Term | str]]:
+    """Predicate value and object of each default-graph triple about name with
+    a timestamp predicate, in document order.  Of a Dataset, predicates is the
+    set of predicate terms; of an index, name is its label's token, predicates
+    maps each predicate's canonical token to its value, and the object is its
+    token.  A term has one canonical token, so tokens compare as terms do."""
     if element.__class__ is not dict:
-        return [(p, o) for s, p, o in element.default_graph if s == name and p in predicates]
+        return [(p.value, o) for s, p, o in element.default_graph if s == name and p in predicates]
     stamps = []
     for line in element.get(None, ()):
         s, p, o = line.split(" ", 2)
-        # The intern table may have emptied since name was built: identity only
-        # spares the call of __eq__.
-        if ((s := _node(s)) is name or s == name) and (p := _node(p)) in predicates:
-            stamps.append((p, o[:-3]))  # o ends in ' .\n'
+        if s == name and p in predicates:
+            stamps.append((predicates[p], o[:-3]))  # o ends in ' .\n'
     return stamps
 
 
@@ -254,18 +258,21 @@ def comparable_timestamp(term: Term) -> tuple[str, object] | None:
     whitespace (space, TAB, LF, CR) around a value is ignored.  decimal is
     imported only for the numeric timestamps.
     """
-    if not isinstance(term, Literal):
-        return None
-    pattern = _timestamp_patterns.get(term.datatype)
-    if pattern is None and term.datatype in _TIMESTAMP_LEXICAL:
-        pattern = _timestamp_patterns[term.datatype] = re.compile(_TIMESTAMP_LEXICAL[term.datatype])
-    lex = term.lexical.strip(" \t\n\r")
+    return _comparable(term.lexical, term.datatype) if isinstance(term, Literal) else None
+
+
+def _comparable(lexical: str, datatype: str) -> tuple[str, object] | None:
+    """comparable_timestamp of the literal of lexical form and datatype."""
+    pattern = _timestamp_patterns.get(datatype)
+    if pattern is None and datatype in _TIMESTAMP_LEXICAL:
+        pattern = _timestamp_patterns[datatype] = re.compile(_TIMESTAMP_LEXICAL[datatype])
+    lex = lexical.strip(" \t\n\r")
     if pattern is None or (match := pattern.fullmatch(lex)) is None:
         return None
-    if term.datatype == XSD_DATETIME:
+    if datatype == XSD_DATETIME:
         year, month, day, hour, minute, second, fraction, zone = match.groups()
         seconds = 86400 if hour is None else int(hour) * 3600 + int(minute) * 60 + int(second)
-    elif term.datatype == XSD_DATE:
+    elif datatype == XSD_DATE:
         year, month, day, zone = match.groups()
         seconds, fraction = 0, None
     else:
@@ -287,6 +294,17 @@ def comparable_timestamp(term: Term) -> tuple[str, object] | None:
     return ("chrono-aware" if zone else "chrono-naive"), (seconds, fraction or "")
 
 
+def _comparable_token(token: str) -> tuple[str, object] | None:
+    """comparable_timestamp of the term an object token of a canonical line
+    spells.  Only a typed literal's token, "..."^^<...>, can give a value;
+    the writer escapes no character of a timestamp datatype's IRI, so the
+    text between the brackets is compared as the datatype."""
+    lexical, _, datatype = token[1:].rpartition('"')
+    if token[0] != '"' or datatype[:2] != "^^":
+        return None
+    return _comparable(_unescape(lexical), datatype[3:-1])
+
+
 # ---------------------------------------------------------------------------
 # Streaming engine
 # ---------------------------------------------------------------------------
@@ -300,6 +318,7 @@ _APPLICABLE = {
 }
 
 _PASS = TypeVerdict(True)
+_DATASET_PASS = dict.fromkeys(_APPLICABLE[Payload.DATASETS], _PASS)  # copied per element
 
 
 class Classifier:
@@ -322,6 +341,8 @@ class Classifier:
         self.ambiguous = False  # some element had several candidate subjects
         # (predicate value, comparability domain) -> (max value, its element index)
         self.order_max: dict[tuple[str, str], tuple[object, int]] = {}
+        # the canonical token of each timestamp predicate -> its value
+        self._stamp_tokens = {f"<{p.translate(_IRI_ESC)}>": p.value for p in self._cfg.timestamp_predicates}
         self._elements = 0
         self._statements = 0
         self._kind = (_ITEM_CLASS[framing.payload], dict)
@@ -338,7 +359,9 @@ class Classifier:
         statement, as every flat stream conforms to its framing's one type.
         An item is of the framing's payload class or an index (see io._read)
         that fits it: in a flat framing one line under one label, None for
-        triples, and for graphs no label but None; another item raises MixedPayload."""
+        triples, and for graphs no label but None; a dataset's named graph is
+        keyed by its label's token, not the label term.  Another item raises
+        MixedPayload."""
         idx = self._elements
         index = item.__class__ is dict
         if not isinstance(item, self._kind) or index and (
@@ -347,8 +370,8 @@ class Classifier:
             name = (f"dict of {sum(map(len, item.values()))} line(s) in {len(item)} graph(s)" if index
                     else type(item).__name__)
             raise MixedPayload(f"element {idx}: {self.framing.value} framing cannot classify a {name}")
-        self._elements = idx + 1
         verdict = self._check(item, idx)
+        self._elements = idx + 1
         if verdict is not None:
             self._notes.extend(verdict.notes)
             failed = [(t, v) for t, v in verdict.per_type.items() if not v.passed]
@@ -423,20 +446,30 @@ class Classifier:
 
     def _classify_dataset(self, element: Dataset | dict, idx: int) -> ElementVerdict:
         """The one-named-graph shape (default-graph content never disqualifies
-        it), then the timestamp triple about the graph name, of a Dataset or an index."""
+        it), then the timestamp triple about the graph name, of a Dataset or
+        an index, whose label keys, lines and stamp are read as tokens."""
         if element.__class__ is dict:
-            self._statements += sum(map(len, element.values()))
             named = [label for label in element if label is not None]
+            if len(named) == 1 and named[0].__class__ is not str:
+                # A term never equals a line's subject token: the element
+                # would silently read as having no timestamp triple.
+                raise MixedPayload(
+                    f"element {idx}: {self.framing.value} framing cannot classify a dict keyed by a label term,"
+                    " not its token"
+                )
+            self._statements += sum(map(len, element.values()))
+            predicates = self._stamp_tokens
         else:
             self._statements += element.statement_count()
             named = [label for label, _ in element.named_items()]
-        per_type = dict.fromkeys(_APPLICABLE[Payload.DATASETS], _PASS)
+            predicates = self._cfg.timestamp_predicates
+        per_type = _DATASET_PASS.copy()
         if len(named) != 1:
             reason = f"expected exactly one named graph, found {len(named)}"
             failed = TypeVerdict(False, "not a single named graph", reason)
             per_type["namedGraphStream"] = per_type["timestampedNamedGraphStream"] = failed
             return ElementVerdict(idx, per_type)
-        stamps = _timestamps(element, named[0], self._cfg)
+        stamps = _timestamps(element, named[0], predicates)
         if not stamps:
             detail = "default graph has no timestamp triple about the graph name"
             per_type["timestampedNamedGraphStream"] = TypeVerdict(False, "no timestamp triple", detail)
@@ -445,10 +478,11 @@ class Classifier:
         if len(stamps) > 1:
             notes = (f"element {idx}: multiple timestamp triples; first in document order wins",)
         predicate, stamp = stamps[0]
-        stamp = _object(stamp) if stamp.__class__ is str else stamp
-        comparable = comparable_timestamp(stamp) if self._cfg.check_timestamp_order else None
+        comparable = None
+        if self._cfg.check_timestamp_order:
+            comparable = _comparable_token(stamp) if stamp.__class__ is str else comparable_timestamp(stamp)
         if comparable is not None:
-            key = (predicate.value, comparable[0])
+            key = (predicate, comparable[0])
             prev = self.order_max.get(key)
             if prev is not None and comparable[1] < prev[0]:  # type: ignore[operator]
                 detail = f"timestamp precedes the one from element {prev[1]}"

@@ -172,16 +172,6 @@ def _node(token: str) -> Iri | BlankNode:
     return term
 
 
-def _object(token: str) -> Iri | BlankNode | Literal:
-    """The term of the object token of a line in the text mode's canonical form."""
-    if token[0] != '"':
-        return _node(token)
-    body, _, tail = token[1:].rpartition('"')
-    if tail[:1] == "@":
-        return Literal(_unescape(body), RDF_LANGSTRING, tail[1:])
-    return Literal(_unescape(body), _node(tail[2:]) if tail else XSD_STRING)
-
-
 def _parse_line(line: str, quads: bool, line_no: int) -> Statement | LineKind:
     """The kind of a line that holds no statement, or the statement the
     locator reads from any other line: it raises the line's first error."""
@@ -293,15 +283,16 @@ def _read(
     element the str of its lines in Dataset.quads() order, or with text
     'index' the indexes themselves.  A line that _CANONICAL, or in a quad
     layout _CANONICAL_QUAD, matches in full is already that line: it is
-    kept as read, and no term is built but its graph label, which the
-    intern table gives.  Any other matched line has its tokens checked as
-    terms by the code that builds term mode's statements.  With no '\\'
-    outside its literal it is written from its tokens: single spaces, ' .',
-    no comment, no CR, no xsd:string suffix, and the literal escaped with
-    the writer's table.  Any other line, such as one with a \\u escape in
-    an IRI, is a Quad the writer serializes, which only such a line imports.
-    The index of a graph label term keys lines, so a statement repeated in
-    any spelling is kept once, as in term mode.
+    kept as read, and no term is built.  Any other matched line has its
+    tokens checked as terms by the code that builds term mode's statements.
+    With no '\\' outside its literal it is written from its tokens: single
+    spaces, ' .', no comment, no CR, no xsd:string suffix, and the literal
+    escaped with the writer's table.  Any other line, such as one with a
+    \\u escape in an IRI, is a Quad the writer serializes, which only such
+    a line imports.  In text mode a graph label's canonical token, the
+    writer's spelling, keys its index, where term mode keys it by the label
+    term; a term has one canonical token, so a statement repeated in any
+    spelling is kept once in either mode.
     """
     if text:
         canonical = re.compile(_CANONICAL_QUAD if quads else _CANONICAL).fullmatch
@@ -313,7 +304,7 @@ def _read(
     get = _interned.get
     checked = _checked_datatypes.get
     new = tuple.__new__
-    graphs: dict[Iri | BlankNode | None, dict[Triple, None]] = {}
+    graphs: dict[Iri | BlankNode | str | None, dict] = {}  # label term, or in text mode its token
     no = first - 1
     offset = 0
     for no, raw in enumerate(lines, first):
@@ -327,7 +318,7 @@ def _read(
         if text and (kept := canonical(line)) is not None:
             # A canonical line is its own text, in the graph of its label if any.
             statement, m = line, None
-            label = kept.lastindex and (get(kept[1]) or _node(kept[1]))
+            label = kept.lastindex and kept[1]
         elif framed and line in _DELIMITER_LINES:
             yield _element(graphs, quads, text)
             graphs = {}
@@ -363,6 +354,7 @@ def _read(
                         elif dt != XSD_STRING:
                             o += "^^" + datatype
                     statement = f"{s} {p} {o} .\n" if g is None else f"{s} {p} {o} {g} .\n"
+                    label = g
                 else:
                     if lexical is not None:
                         obj = new(Literal, (value, dt, language))
@@ -393,9 +385,11 @@ def _read(
             if quads and not flat and not text:
                 statement = new(Triple, statement[:3])
         if text and statement.__class__ is not str:
-            from .writer import serialize_statement
+            from .writer import serialize_statement, serialize_term
 
             statement = serialize_statement(statement) + "\n"
+            if label is not None:
+                label = serialize_term(label)
         if flat:
             yield statement
             continue

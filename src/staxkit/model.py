@@ -37,9 +37,12 @@ _SURROGATE = re.compile(r"[\ud800-\udfff]")
 # The RDF 1.1 N-Triples LANGTAG production, without its leading '@'.
 LANGTAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
 # The characters IRIREF ::= '<' ([^#x00-#x20<>"{}|^`\] | UCHAR)* '>' holds
-# only as escapes, which the writer writes.
-_IRI_EXCLUDED = r'\x00-\x20<>"{}|^`\\'
-# The writer's literal escapes, which the reader's text mode also writes.
+# only as escapes, which the writer writes: as a regex class, and as the
+# writer's \uXXXX escapes, which the classifier's timestamp predicate tokens
+# also hold.  The writer's literal escapes are also the reader's text mode's.
+_IRI_PUNCT = '<>"{}|^`\\'
+_IRI_EXCLUDED = r"\x00-\x20" + re.escape(_IRI_PUNCT)
+_IRI_ESC = {c: f"\\u{c:04X}" for c in (*range(0x21), *map(ord, _IRI_PUNCT))}
 _LITERAL_ESC = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"})
 _LANGTAG_RE = re.compile(LANGTAG)
 # Datatype IRIs Literal has already checked, each mapped to its value as a

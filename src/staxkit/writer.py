@@ -28,12 +28,11 @@ from typing import IO, Iterable, Iterator
 
 from .errors import MixedPayload, OutputExists
 from .framing import _INTERN_LIMIT, FRAME_DELIMITER, Framing, Payload
-from .model import _IRI_EXCLUDED, _ITEM_CLASS, _LITERAL_ESC, XSD_STRING, BlankNode, Element, Iri, Literal, Quad
-from .model import Statement, Term
+from .model import _IRI_ESC, _IRI_EXCLUDED, _ITEM_CLASS, _LITERAL_ESC, XSD_STRING, BlankNode, Element, Iri, Literal
+from .model import Quad, Statement, Term
 
 _LITERAL_SPECIAL = re.compile(r'[\\"\n\r\t]')
 _IRI_SPECIAL = re.compile(f"[{_IRI_EXCLUDED}]")
-_IRI_ESC = {c: f"\\u{c:04X}" for c in range(0x80) if _IRI_SPECIAL.match(chr(c))}
 
 
 def _escape_iri(value: str) -> str:

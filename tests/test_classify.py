@@ -29,7 +29,7 @@ from staxkit.classify import (
 from staxkit.errors import MixedPayload
 from staxkit.io import Framing, read_flat_stream, read_grouped_stream
 from staxkit.model import BlankNode, Dataset, Graph, Iri, Literal, Quad, Triple
-from staxkit.writer import write_stream
+from staxkit.writer import serialize_term, write_stream
 
 P = Iri(EX + "p")
 AT = PROV_GENERATED_AT_TIME
@@ -483,6 +483,17 @@ class TestComparableTimestamp:
                 if a[0] == b[0]:
                     assert (a[1] > b[1]) - (a[1] < b[1]) == (oa[1] > ob[1]) - (oa[1] < ob[1])
 
+    @given(st.one_of(
+        xsd_timestamps(),
+        xsd_timestamps().map(lambda stamp: Literal(f" {stamp.lexical}\t", stamp.datatype)),
+        st.builds(Literal, st.text(max_size=12),
+                  st.sampled_from([XSD_DATETIME, XSD_DATE, XSD_INTEGER, XSD_DECIMAL, "http://ex.org/at|1"])),
+        st.sampled_from([Literal("2024-01-01T00:00:00Z"), Literal("1", language="en"), iri("t"), BlankNode("t")]),
+    ))
+    def test_a_stamp_token_compares_as_its_term(self, term):
+        # A dataset index's stamp is read from the token the writer spells.
+        assert staxkit.classify._comparable_token(serialize_term(term)) == comparable_timestamp(term)
+
     @pytest.mark.parametrize(
         "first, later, ordered",
         [
@@ -766,12 +777,14 @@ class TestClassifyStream:
             classify_stream(items, framing)
 
 
-# Lines of a text-mode index (see io._read), and a graph label.
+# Lines of a text-mode index (see io._read), a graph label's token, which
+# keys its lines, and the label's terms, which must not.
 INDEX_LINE = "<http://ex.org/s> <http://ex.org/p> <http://ex.org/o> .\n"
 INDEX_LINE_2 = "<http://ex.org/s> <http://ex.org/p> <http://ex.org/o2> .\n"
 INDEX_QUAD = "<http://ex.org/s> <http://ex.org/p> <http://ex.org/o> <http://ex.org/g> .\n"
 INDEX_QUAD_2 = "<http://ex.org/s> <http://ex.org/p> <http://ex.org/o2> <http://ex.org/g> .\n"
-G = Iri("http://ex.org/g")
+G = "<http://ex.org/g>"
+G_TERMS = [Iri("http://ex.org/g"), BlankNode("g")]
 
 
 class TestClassifier:
@@ -812,18 +825,24 @@ class TestClassifier:
             (Framing.FRAMED_GRAPHS, {None: {INDEX_LINE: None}, G: {INDEX_QUAD: None}}, False),
             (Framing.FRAMED_DATASETS, {}, True),
             (Framing.FRAMED_DATASETS, {None: {INDEX_LINE: None}, G: {INDEX_QUAD: None, INDEX_QUAD_2: None}}, True),
+            *((Framing.FRAMED_DATASETS, {None: {INDEX_LINE: None}, g: {INDEX_QUAD: None}}, False) for g in G_TERMS),
+            *((Framing.DIR_DATASETS, {g: {INDEX_QUAD: None}}, False) for g in G_TERMS),
         ],
     )
     def test_an_index_that_does_not_fit_the_framing_is_mixed_payload(self, framing, index, fits):
         # A flat framing's index holds one line under one label, None for flat
-        # triples; a graph framing's holds no label but None.
+        # triples; a graph framing's holds no label but None.  A dataset's
+        # label is keyed by its token: a term key would never equal a line's
+        # subject token, so the element would read as having no timestamp triple.
         classifier = Classifier(framing)
         classifier.feed({None: {INDEX_LINE: None}})
         if fits:
             classifier.feed(index)
             assert classifier.report().element_count == 2
         else:
-            with pytest.raises(MixedPayload, match=f"^element 1: {framing.value} framing cannot classify a dict of "):
+            terms = {*map(type, index)} & {Iri, BlankNode}
+            name = "dict keyed by a label term, not its token$" if terms else "dict of "
+            with pytest.raises(MixedPayload, match=f"^element 1: {framing.value} framing cannot classify a {name}"):
                 classifier.feed(index)
             assert classifier.report().element_count == 1
 
@@ -1101,19 +1120,20 @@ def test_candidate_tokens_are_ordered_and_printed_by_iri_value(case):
 
 @pytest.mark.parametrize("stamp", [_x("t"), '"2024-01-01T00:00:00Z"@en'], ids=["IRI", "language-tagged literal"])
 def test_a_stamp_that_is_no_typed_literal_is_read_from_its_token_as_from_its_term(stamp, monkeypatch):
-    # A dataset index's first stamp is built from its object token; this one
-    # is never ordered, so the later element's stamp conforms too.
-    tokens, read = [], staxkit.classify._object
+    # A dataset index's first stamp is read from its object token, which for
+    # this one never reaches the XSD rules; it is never ordered, so the later
+    # element's stamp conforms too.
+    calls, rules = [], staxkit.classify._comparable
 
-    def recording(token):
-        tokens.append(token)
-        return read(token)
+    def recording(lexical, datatype):
+        calls.append((lexical, datatype))
+        return rules(lexical, datatype)
 
-    monkeypatch.setattr(staxkit.classify, "_object", recording)
+    monkeypatch.setattr(staxkit.classify, "_comparable", recording)
     data = "#---\n".join(_line(_x("s"), _x("p"), _x("o"), _x(g)) + _line(_x(g), f"<{AT}>", stamp)
                          for g in ("g2", "g1")).encode()
     report = classify_stream(data, Framing.FRAMED_DATASETS)
-    assert tokens == [stamp, stamp]
+    assert calls == []
     assert report == classify_stream(list(read_grouped_stream(data, Framing.FRAMED_DATASETS)), Framing.FRAMED_DATASETS)
     assert report.conforming == ("datasetStream", "namedGraphStream", "timestampedNamedGraphStream")
 

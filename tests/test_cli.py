@@ -37,6 +37,7 @@ from staxkit.io import read_flat_stream, read_grouped_stream
 from staxkit.model import BlankNode, Iri, Literal, Quad, Triple
 from staxkit.taxonomy import TypeKind, default_taxonomy, infer_closure, load_taxonomy, payload_kind, plan
 from staxkit.writer import serialize_statement, write_dir_stream, write_stream
+from test_classify import xsd_timestamps
 from test_hygiene import readme_json_example
 
 TRIPLE_LINE = b"<http://ex.org/s%d> <http://ex.org/p> <http://ex.org/o%d> .\n"
@@ -1254,25 +1255,31 @@ def test_cli_convert_groups_a_grouped_stream_as_the_library_does(from_type, to_t
 # element as its index of canonical lines, against the library's term path:
 # classify_stream over the Datasets read_grouped_stream builds.  Each element
 # holds named-graph statements, other default-graph statements and timestamp
-# triples about its labels, under two predicates, each spelled as above; the
-# IRI <http://ex.org/a> is also spelled <http://ex.org/\u0061>, and comment
-# lines come between statements.  The CLI runs with an intern table that
-# empties every two entries, so equal terms are often distinct objects.
+# triples about its labels, under three predicates, each spelled as above; the
+# IRI <http://ex.org/a> is also spelled <http://ex.org/\u0061>, the label
+# <http://ex.org/h> only ever with an escape, and comment lines come between
+# statements.  One predicate holds a '|', which the writer escapes; stamps
+# are drawn from xsd_timestamps() too, and some hold a '"' or a '\'.  The
+# CLI runs with an intern table that empties every two entries, so equal
+# terms are often distinct objects.
 _PROV_AT = "http://www.w3.org/ns/prov#generatedAtTime"
-_STAMP_PREDICATES = [Iri(_PROV_AT), Iri("http://ex.org/at")]
-_STAMP_LABELS = [Iri("http://ex.org/a"), Iri("http://ex.org/g|2"), BlankNode("b0"), Iri("http://ex.org/g1")]
+_STAMP_PREDICATES = [Iri(_PROV_AT), Iri("http://ex.org/at"), Iri("http://ex.org/at|1")]
+_STAMP_LABELS = [Iri("http://ex.org/a"), Iri("http://ex.org/g|2"), BlankNode("b0"), Iri("http://ex.org/g1"),
+                 Iri("http://ex.org/h")]
 _XSD = "http://www.w3.org/2001/XMLSchema#"
 _STAMPS = [Literal(f"2024-01-0{day}T00:00:00Z", _XSD + "dateTime") for day in (1, 2, 3)] + [
     Literal("\t2024-01-02T12:00:00Z\n", _XSD + "dateTime"),
 ]
 _OTHER_STAMPS = [Literal("2", _XSD + "integer"), Literal("1.5", _XSD + "decimal"), Literal("2024-01-02", _XSD + "date"),
-                 Literal("2024-01-02"), Literal("3", language="en"), Iri("http://ex.org/a")]
+                 Literal("2024-01-02"), Literal("3", language="en"), Iri("http://ex.org/a"),
+                 Literal('2024-01-02T00:00:00Z"', _XSD + "dateTime"), Literal("\\2024-01-02", _XSD + "date")]
 TEXT_PATH_EXAMPLES = max(60, settings().max_examples // 10)
 
 
 def _spelled(statement, r):
-    """_spelled_line, with <http://ex.org/a> often escaped and a comment line often before it."""
-    line = _spelled_line(statement, r)
+    """_spelled_line, with <http://ex.org/a> often escaped, <http://ex.org/h>
+    always, and a comment line often before it."""
+    line = _spelled_line(statement, r).replace("<http://ex.org/h>", "<http://ex.org/\\u0068>")
     if r.random() < 0.5:
         line = line.replace("<http://ex.org/a>", "<http://ex.org/\\u0061>")
     return r.choice(["", "", "# note\n", "\t# a comment\r\n"]) + line
@@ -1285,7 +1292,8 @@ def _dataset_elements(r):
     def element(label):
         named = st.builds(Quad, nodes, predicates, objects, st.just(label))
         stamp = st.builds(Quad, st.just(label), st.sampled_from(_STAMP_PREDICATES),
-                          st.sampled_from(_STAMPS) | st.sampled_from(_STAMPS + _OTHER_STAMPS), st.none())
+                          st.sampled_from(_STAMPS) | st.sampled_from(_STAMPS + _OTHER_STAMPS) | xsd_timestamps(),
+                          st.none())
         other = st.builds(Quad, nodes, predicates, objects, st.sampled_from([None] * 6 + _STAMP_LABELS))
         return st.tuples(named, stamp, st.lists(st.one_of(named, stamp, other), max_size=4)).map(
             lambda drawn: [_spelled(q, r) for q in r.sample([*drawn[:2], *drawn[2]], 2 + len(drawn[2]))])
@@ -1299,7 +1307,8 @@ def test_cli_dataset_classify_and_validate_equal_the_term_path(data):
     r = data.draw(st.randoms(use_true_random=False), label="spellings")
     elements = data.draw(st.lists(_dataset_elements(r), max_size=5), label="elements")
     layout = data.draw(st.sampled_from(["framed", "dir", "-"]), label="input")
-    predicates = data.draw(st.sampled_from([[], [_PROV_AT, "http://ex.org/at"], ["http://ex.org/at"]]),
+    predicates = data.draw(st.sampled_from([[], [_PROV_AT, "http://ex.org/at"], ["http://ex.org/at"],
+                                            ["http://ex.org/at|1"], ["http://ex.org/at|1", _PROV_AT]]),
                            label="timestamp predicates")
     order_check = data.draw(st.booleans(), label="order check")
     framing = Framing("dir-datasets" if layout == "dir" else "framed-datasets")

@@ -604,6 +604,32 @@ def test_classifying_canonical_elements_matches_no_statement_line(framing, tmp_p
         assert Counter(matched) <= Counter(stamps), argv
 
 
+@pytest.mark.parametrize("framing", ["flat-quads", "framed-datasets", "dir-datasets"])
+def test_classifying_canonical_quads_builds_no_term(framing, tmp_path, monkeypatch):
+    # A canonical line is indexed under its graph label's token, and the
+    # dataset check reads the label, the timestamp lines and the first stamp
+    # as tokens: no IRI or blank node is looked up or built, and no Literal,
+    # even with the intern table empty.
+    import staxkit.classify
+    import staxkit.io
+    from staxkit.model import Literal
+
+    built = []
+    node, literal = staxkit.io._node, Literal.__new__
+    for module in (staxkit.io, staxkit.classify):
+        monkeypatch.setattr(module, "_node", lambda token: built.append(token) or node(token))
+    monkeypatch.setattr(Literal, "__new__", lambda cls, *args: built.append(args) or literal(cls, *args))
+    monkeypatch.setattr(staxkit.io, "_interned", {})
+    data, manifest = canonical_input(framing, tmp_path)
+    for argv in (
+        ["classify", "--input", str(data), "--framing", framing, "--json"],
+        ["validate", "--manifest", str(manifest), "--data", str(data), "--framing", framing, "--json"],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+        assert built == [], argv
+
+
 def test_convert_loads_the_writer_but_not_the_locator(homes, tmp_path):
     data = tmp_path / "graphs.nt"
     data.write_bytes(TWO_GRAPHS)

@@ -1620,6 +1620,34 @@ def test_property_text_mode_is_the_term_mode_serialized(lines, framing, data):
     assert _text_or_error(encoded, framing, True) == _text_or_error(encoded, framing, False)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(spelled_statements(), st.just("#---\n")), max_size=6))
+def test_property_an_index_keys_each_graph_by_its_label_token(lines):
+    # The index mode keys a named graph by its label's canonical token, the
+    # writer's spelling, however the label is spelled; term mode keys it by
+    # the label, so the same graphs come in the same order.
+    data = "".join(lines).encode()
+
+    def read(text):
+        try:
+            return list(staxkit.io._read_stream(data, Framing.FRAMED_DATASETS, text))
+        except (ParseError, MixedPayload) as exc:
+            return str(exc)
+
+    def lines_of(graph, label=None):
+        return [serialize_statement(Quad(*t, label)) + "\n" for t in graph]
+
+    datasets, indexes = read(False), read("index")
+    if datasets.__class__ is str:
+        assert indexes == datasets
+        return
+    assert [(list(index.pop(None, {})), [(label, list(graph)) for label, graph in index.items()])
+            for index in indexes] == [
+        (lines_of(d.default_graph), [(serialize_term(g), lines_of(graph, g)) for g, graph in d.named_items()])
+        for d in datasets
+    ]
+
+
 @settings(max_examples=300)
 @given(st.one_of(spelled_statements(), spelled_statements(canonical=True), mutated_lines().map("{}\n".format)))
 def test_property_a_line_the_pattern_accepts_is_canonical(line):
