@@ -21,8 +21,8 @@ The reader has a text mode, for convert and for classify's checks: it
 yields each statement's canonical N-Triples/N-Quads line, or each element's
 lines, in place of terms (see _read).  A line already canonical is kept as
 read; any other has its terms checked as in term mode, and only a line with
-an escape outside its literal, or one the statement pattern declines, makes
-a valid classify or validate load the writer.
+an escape outside its literal makes a valid classify or validate load the
+writer.
 """
 
 from __future__ import annotations
@@ -128,6 +128,7 @@ _DELIMITER_LINES = (
 )
 
 _CR_REASON = "carriage return (U+000D) line end; lines must end in LF or CRLF"
+_COMMENT_LF_REASON = "line feed (U+000A) inside a comment"
 
 # IRIs and blank nodes interned by token: a repeated one is built and checked
 # once.  Terms are immutable, so sharing is safe; at _INTERN_LIMIT entries
@@ -172,6 +173,13 @@ def _node(token: str) -> Iri | BlankNode:
     return term
 
 
+def _check_comment(line: str, start: int, line_no: int) -> None:
+    """Raise at the comment's first CR or LF, bar the line's own last LF: comment ::= '#' [^#xD#xA]*."""
+    bad = re.compile("[\r\n]").search(line, start, len(line) - line.endswith("\n"))
+    if bad is not None:
+        raise ParseError(line_no, bad.start() + 1, _CR_REASON if bad[0] == "\r" else _COMMENT_LF_REASON)
+
+
 def _parse_line(line: str, quads: bool, line_no: int) -> Statement | LineKind:
     """The kind of a line that holds no statement, or the statement the
     locator reads from any other line: it raises the line's first error."""
@@ -181,11 +189,8 @@ def _parse_line(line: str, quads: bool, line_no: int) -> Statement | LineKind:
     if start == len(line):
         return LineKind.BLANK
     if line[start] == "#":
-        # comment ::= '#' [^#xD#xA]*
-        cr = line.find("\r", start)
-        if cr < 0:
-            return LineKind.COMMENT
-        raise ParseError(line_no, cr + 1, _CR_REASON)
+        _check_comment(line, start, line_no)
+        return LineKind.COMMENT
     from .locator import _locate
 
     return _locate(line, quads, line_no)
@@ -273,11 +278,12 @@ def _read(
     statement pattern but after the canonical one; a directory member, where
     '#---' is a comment, yields its one element.  A line the pattern
     matches has its terms built inline, and in a grouped layout its triple
-    goes straight into its graph's index; any other line takes _parse_line,
-    which gives its kind or raises the located error.  At '#---' and at the
-    end the indexes become the element, unchecked.  A size groups a flat
-    layout as convert does, under the flat error rules: every size
-    statements read, repeats counted, and the last few make an element.
+    goes straight into its graph's index.  Any other line takes _parse_line
+    once, in quads mode in a graph framing: a blank line or comment is
+    skipped, an error raised, and a labelled line there is a MixedPayload.
+    At '#---' and at the end the indexes become the element, unchecked.  A
+    size groups a flat layout as convert does, under the flat error rules:
+    every size statements read, repeats counted, the last few an element.
 
     With text, a statement is its canonical line, LF included, and an
     element the str of its lines in Dataset.quads() order, or with text
@@ -361,35 +367,20 @@ def _read(
                     # The pattern admits only the roles Triple and Quad check.
                     statement = (new(Quad, (subject, predicate, obj, label)) if flat_quads or text
                                  else new(Triple, (subject, predicate, obj)))
+                    if text:
+                        from .writer import serialize_statement, serialize_term
+
+                        statement = serialize_statement(statement) + "\n"
+                        if label is not None:
+                            label = serialize_term(label)
             except (MalformedIri, ValueError):
                 statement = None  # the locator raises the located error
         if statement is None:
-            if line.endswith("\n"):
-                line = line[:-1]
-            if line.endswith("\r"):
-                line = line[:-1]
-            try:
-                statement = _parse_line(line, quads, no)
-            except ParseError:
-                if quads or layout == "flat":
-                    raise
-                # The modes differ only in the fourth term, so a line that fails as a
-                # triple but parses as a quad carries a graph label: a payload
-                # mismatch.  Any other error is reported as in quads mode.
-                _parse_line(line, True, no)
-                raise MixedPayload(f"line {no}: named graph label inside a graph framing") from None
-            if statement.__class__ is LineKind:
-                continue
-            # A line the locator accepts where the pattern did not.
-            label = statement[3] if quads else None
-            if quads and not flat and not text:
-                statement = new(Triple, statement[:3])
-        if text and statement.__class__ is not str:
-            from .writer import serialize_statement, serialize_term
-
-            statement = serialize_statement(statement) + "\n"
-            if label is not None:
-                label = serialize_term(label)
+            line = line.removesuffix("\n").removesuffix("\r")
+            # The modes differ only in a fourth term: a valid quad in a graph framing holds a label.
+            if _parse_line(line, quads or layout != "flat", no).__class__ is not LineKind:
+                raise MixedPayload(f"line {no}: named graph label inside a graph framing")
+            continue
         if flat:
             yield statement
             continue

@@ -1,10 +1,11 @@
 """The error locator: reads a statement line that the reader's pattern
 declined term by term and raises its first error, with its column.
 
-The reader (io) imports this module only for a line that is not a frame
-delimiter, blank line or comment and that its statement pattern declines
-or whose terms fail a check, so a valid stream never loads it.  Each read
-uses the same regex fragments as the pattern.
+The reader (io) imports this module only for a statement line that its
+pattern or term checks decline, so a valid stream never loads it; a
+statement it returns serves only parse_statement_line and the reader's
+MixedPayload test of a labelled line in a graph framing.  Each read uses
+the same regex fragments as the pattern.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .io import (
     _LABEL,
     _SKIP_WS,
     _UCHAR,
+    _check_comment,
     _unescape,
     _unescape_match,
 )
@@ -73,9 +75,7 @@ def _locate(line: str, quads: bool, line_no: int) -> Statement:
         pos = _SKIP_WS.match(line, pos + 1).end()
         if line[pos : pos + 1] not in ("", "#"):
             raise ParseError(line_no, pos + 1, "unexpected content after '.'")
-        cr = line.find("\r", pos)  # in the comment: comment ::= '#' [^#xD#xA]*
-        if cr >= 0:
-            raise ParseError(line_no, cr + 1, _CR_REASON)
+        _check_comment(line, pos, line_no)
     except ParseError as exc:
         cr = line.find("\r")
         if not 0 <= cr < exc.column:

@@ -13,8 +13,10 @@ either: it joins a flat stream's lines a few hundred at a time and puts
 '#---' between framed elements.  write_stream and write_dir_stream write
 through it from _texts, and the CLI's convert from the reader's text.
 
-Only a call that writes imports this module: convert, and annotate for
-serialize_term and the byte sink.
+A call imports this module when it writes: convert, and annotate for
+serialize_term and the byte sink.  The reader's text mode, which classify
+and validate --data read too, imports it for a line with a '\\' outside
+its literal, which only the writer spells.
 """
 
 from __future__ import annotations

@@ -656,6 +656,12 @@ def oracle_scan_statement(line: str, quads: bool, line_no: int) -> Statement:
     sc.skip_ws()
     if sc.peek() and sc.peek() != "#":
         sc.fail("unexpected content after '.'")
+    # comment ::= '#' [^#xD#xA]*; a str line may keep its own LF after it
+    for at in range(sc.pos, len(line) - line.endswith("\n")):
+        if line[at] == "\r":
+            sc.fail("carriage return (U+000D) line end; lines must end in LF or CRLF", column=at)
+        if line[at] == "\n":
+            sc.fail("line feed (U+000A) inside a comment", column=at)
 
     return Quad(subject, predicate, obj, graph_label) if quads else Triple(subject, predicate, obj)
 

@@ -1419,7 +1419,8 @@ def test_cli_graph_classify_and_validate_equal_the_term_path(data):
 # A malformed line, met after canonical lines of the same element in a
 # grouped framing or after canonical statements in a flat one, fails classify
 # and validate --data as it fails the term path.  A line with a graph label
-# is a MixedPayload in a graph framing and a ParseError in flat triples.
+# is a MixedPayload in a graph framing and a ParseError in flat triples; a
+# bad label there is the quads-mode error.
 _GOOD_ELEMENT = {
     "datasets": b"<http://ex.org/s> <http://ex.org/p> <http://ex.org/o> <http://ex.org/g> .\n"
                 b'<http://ex.org/g> <http://www.w3.org/ns/prov#generatedAtTime> "1"^^<http://ex.org/n> .\n',
@@ -1443,6 +1444,7 @@ _MALFORMED_LINES = {
         "bad datatype IRI": b'<http://ex.org/o> <http://ex.org/p> "1"^^<n> .\n',
         "bad blank label": b"_:-s <http://ex.org/p> <http://ex.org/o> .\n",
         "graph label": b"<http://ex.org/s> <http://ex.org/p> <http://ex.org/o> <http://ex.org/g> .\n",
+        "bad graph label": b"<http://ex.org/s> <http://ex.org/p> <http://ex.org/o> _:-g .\n",
     },
 }
 _ELEMENT_MANIFEST = {"datasets": MANIFEST_OK, "graphs": {"usages": [{"streamType": "subjectGraphStream"}]}}

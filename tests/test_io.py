@@ -20,6 +20,7 @@ from streamgen import (
     gen_unique_statements,
 )
 import staxkit.io
+import staxkit.locator
 import staxkit.writer
 from staxkit.cli import main
 from staxkit.convert import convert
@@ -1038,28 +1039,6 @@ def test_property_one_loop_reader_equals_per_line_reference(case, seed, limit):
             assert [_classes(e) for e in got] == [_classes(e) for e in expected]
 
 
-@pytest.mark.parametrize("framing", [f for f in Framing if not f.is_dir])
-def test_statements_the_locator_accepts_are_stored_alike(framing, monkeypatch):
-    # With a pattern that matches nothing, every statement comes from the
-    # locator, and lands in the same element, or the same place in the
-    # stream, as the pattern's would.
-    r = random.Random(7)
-    if framing.quads_payload:
-        elements = gen_dataset_elements(r) + [Dataset.from_quads(gen_quad(r) for _ in range(6))]
-    else:
-        elements = gen_graph_elements(r)
-    if framing.is_flat:
-        elements = [s for e in elements for s in (e.quads() if framing.quads_payload else e)]
-        data, read = write_flat_stream(elements, framing), read_flat_stream
-    else:
-        data, read = framed_bytes(elements, framing), read_grouped_stream
-    assert list(read(data, framing)) == elements
-    monkeypatch.setattr(staxkit.io, "_STATEMENT", re.compile("(?!)"))
-    got = list(read(data, framing))
-    assert got == elements
-    assert [_classes(e) for e in got] == [_classes(e) for e in elements]
-
-
 # The reader builds a literal without Literal's surrogate check: strict UTF-8
 # decoding and the escape decoder must refuse every surrogate first.
 GOOD_LINE = b"<http://s:1> <http://p:1> <http://o:1> .\n"
@@ -1255,6 +1234,7 @@ def test_constructors_reject_fields_that_are_no_terms(build, reason):
 # line; the error names the CR.
 CR_STATEMENT = b"<http://a:1> <http://p:1> <http://o:1> ."
 CR_REASON = "carriage return (U+000D) line end; lines must end in LF or CRLF"
+COMMENT_LF_REASON = "line feed (U+000A) inside a comment"
 
 
 class TestCarriageReturnLineEnds:
@@ -1457,6 +1437,10 @@ class TestOneDecodeLoop:
             ("# c\r", (4, 4, CR_REASON)),
             ("# c\n", ParsedLine(LineKind.COMMENT, 4)),
             ("#---\n", ParsedLine(LineKind.COMMENT, 4)),
+            # comment ::= '#' [^#xD#xA]*: an LF before the line's last character is in no comment.
+            ("<http://a:1> <http://p:1> <http://o:1> . # x\n<http://b:1> <http://p:1> <http://o:1> .",
+             (4, 45, COMMENT_LF_REASON)),
+            ("# c\nx", (4, 4, COMMENT_LF_REASON)),
         ],
     )
     def test_statement_line_keeps_its_line_ends(self, line, outcome, mode):
@@ -1701,6 +1685,7 @@ def _index_text(index: dict) -> str:
     return "".join(chain(index.get(None, {}), *(lines for label, lines in index.items() if label is not None)))
 
 
+# Valid lines that the canonical patterns decline: the statement pattern reads each.
 LOCATED_LINES = [
     '<http://a:1>\t<http://p:1> "x"@en .\r\n',
     "# a comment\n",
@@ -1715,24 +1700,31 @@ LOCATED_QUAD_LINES = [
 ]
 
 
-@pytest.mark.parametrize("framing", [f for f in Framing if not f.is_dir])
-def test_the_locator_reads_every_line_alike_in_each_mode(framing, monkeypatch):
-    # With the statement pattern declining every line, each statement line is
-    # read by the locator, in term, text and index modes alike.
+def _valid_line(line: str, framing: Framing) -> bool:
+    """Whether the scanner oracle reads line, less its LF and CR, as a statement of framing's payload."""
+    line = line[: -1 - line.endswith("\r\n")]
+    return isinstance(_outcome(lambda: oracle_scan_statement(line, framing.quads_payload, 1)), (Triple, Quad))
+
+
+# The reader takes no statement from the locator: a valid line, however it is
+# spelled, is read by the statement pattern and its term checks alone, in
+# term, text and index modes alike.
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(spelled_statements(), st.just("#---\n")), max_size=6),
+       st.sampled_from([f for f in Framing if not f.is_dir]))
+def test_a_valid_line_never_reaches_the_locator(drawn, framing):
     lines = LOCATED_LINES + (LOCATED_QUAD_LINES if framing.quads_payload else [])
+    lines += [line for line in drawn if line == "#---\n" or _valid_line(line, framing)]
     data = "".join(lines).encode()
-    assert not any(re.fullmatch(staxkit.io._CANONICAL_QUAD, line) for line in lines)
-    expected = _text_or_error(data, framing, False)
+    calls = []
+    locate = staxkit.locator._locate
+    with mock.patch.object(staxkit.locator, "_locate", lambda *a: calls.append(a) or locate(*a)):
+        expected = _text_or_error(data, framing, False)
+        texts = _text_or_error(data, framing, True)
+        indexes = [_index_text(index) for index in staxkit.io._read_stream(data, framing, "index")]
+    assert calls == []
     assert expected.__class__ is list
-
-    class Declining:
-        def match(self, line):
-            return None
-
-    monkeypatch.setattr(staxkit.io, "_STATEMENT", Declining())
-    assert _text_or_error(data, framing, False) == expected
-    assert _text_or_error(data, framing, True) == expected
-    assert [_index_text(index) for index in staxkit.io._read_stream(data, framing, "index")] == expected
+    assert texts == indexes == expected
 
 
 def test_the_pattern_accepts_the_writer_escapes_only():
