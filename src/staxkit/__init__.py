@@ -32,7 +32,7 @@ _SOURCES = {
         "model": "RDF_LANGSTRING XSD_STRING BlankNode Dataset Graph Iri Literal Quad Triple",
         "taxonomy": "ConversionStep InferredTaxonomy STAX_NS StreamType Taxonomy TypeKind "
         "conversion_path default_taxonomy infer_closure load_taxonomy most_specific payload_kind relates",
-        "writer": "serialize_statement serialize_term write_dir_stream write_stream",
+        "writer": "serialize_statement serialize_term write_stream",
     }.items()
     for name in names.split()
 }

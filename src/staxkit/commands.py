@@ -12,7 +12,8 @@ each element; it imports no convert module.  The type and the path alone
 name each convert side's framing; a path ending in '/' names a directory,
 for annotate too.  classify and validate read a grouped framing's elements
 as the text mode's indexes.  One writer step frames convert's text, and
-one routine writes its and annotate's output.
+write_stream's target writer writes it, or annotate's Turtle, to standard
+output, a file or a directory; this module opens no file.
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ def _framing_for(payload: Payload, path: str) -> Framing:
 
 
 def _cmd_convert(args: argparse.Namespace, taxonomy: Taxonomy) -> int:
-    from .writer import _reframed, _write_members
+    from .writer import _reframed
 
     inferred = infer_closure(taxonomy)
     from_payload = payload_kind(inferred, args.from_type)
@@ -161,76 +162,27 @@ def _cmd_convert(args: argparse.Namespace, taxonomy: Taxonomy) -> int:
     # Extend and flatten change no line; the reader ends each group's batch.
     size = (args.batch_size or 1) if "group" in relations else 0
     texts = _reframed(_items(args.input, in_framing, True, size), to_payload if size else from_payload, out_framing)
-    if out_framing.is_dir:
-        names = _write_members(texts, out_framing, args.output)
-        print(f"stax-kit: wrote {len(names)} element file(s) to {args.output}", file=sys.stderr)
-    else:
-        _write_output(texts, args.output)
+    _write_output(texts, out_framing, args.output)
     return 0
 
 
-def _write_output(texts: Iterable[str], path: str) -> None:
-    """Write a stream's texts to standard output for '-'; else through
-    _write_file to path, and name the byte count on standard error."""
-    from .writer import _write_texts
+def _write_output(texts: Iterable[str], framing: Framing | None, path: str) -> None:
+    """Write a stream's texts through writer._write_to: to standard output
+    for '-', else to path, naming on standard error the element files or
+    bytes written.  framing is None for annotate's Turtle."""
+    from .writer import _write_to
 
-    if path == "-":
-        _write_texts(texts, sys.stdout.buffer)
-    else:
-        size = _write_file(texts, path)
-        print(f"stax-kit: wrote {size} byte(s) to {path}", file=sys.stderr)
-
-
-def _write_file(texts: Iterable[str], path: str) -> int:
-    """Write a stream's texts to path, which appears only once it is whole; the byte count.
-
-    The stream goes to a temp file beside path.  On success os.replace moves
-    it over path; any failure removes it, so path is left as it was.  The
-    new file takes the mode of the file it replaces, or the mode open()
-    gives a new file.  A symlink's target is replaced, not the link; a
-    device or pipe, which cannot be replaced, is written in place.  A path
-    ending in '/' names a directory, as for convert, and is refused at once.
-    """
-    import contextlib
-    import errno
-    import stat
-    import tempfile
-
-    from .writer import _write_texts
-
-    if path.endswith("/"):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    if not os.path.exists(path):
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = 0o666 & ~umask
-    elif os.path.isfile(path):
-        mode = stat.S_IMODE(os.stat(path).st_mode)
-    else:
-        with open(path, "wb") as f:
-            return _write_texts(texts, f)
-    target = os.path.realpath(path)
-    try:
-        fd, temp = tempfile.mkstemp(prefix=f".{os.path.basename(target)}.", dir=os.path.dirname(target))
-    except OSError as exc:  # name the target, not the temp file
-        raise OSError(exc.errno, exc.strerror, path) from None
-    try:
-        with open(fd, "wb") as f:
-            os.chmod(temp, mode)
-            size = _write_texts(texts, f)
-        os.replace(temp, target)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(temp)
-        raise
-    return size
+    written = _write_to(texts, framing, sys.stdout.buffer if path == "-" else path)
+    if path != "-":
+        what = f"{len(written)} element file(s)" if isinstance(written, list) else f"{written} byte(s)"
+        print(f"stax-kit: wrote {what} to {path}", file=sys.stderr)
 
 
 def _cmd_annotate(args: argparse.Namespace, taxonomy: Taxonomy) -> int:
     from .annotate import emit_turtle, load_manifest
 
     manifest = load_manifest(_read_text(args.manifest), taxonomy)
-    _write_output((emit_turtle(manifest, taxonomy),), args.out)
+    _write_output((emit_turtle(manifest, taxonomy),), None, args.out)
     return 0
 
 

@@ -13,9 +13,10 @@ Grouped streams come in two on-disk conventions:
 * directories: every *.nt (graphs) or *.nq (datasets) member file, in
   byte-wise lexicographic filename order, is one element.
 
-This module holds the reader only.  The writers are in writer, and the
-error locator, which reads a line the statement pattern declines term by
-term, is in locator; a call imports each only when it runs it.
+This module holds the reader, and write_flat_stream, which returns a flat
+stream's bytes through writer.write_stream.  The writers are in writer,
+and the error locator, which reads a line the statement pattern declines
+term by term, is in locator; a call imports each only when it runs it.
 
 The reader has a text mode, for convert and for classify's checks: it
 yields each statement's canonical N-Triples/N-Quads line, or each element's

@@ -402,8 +402,5 @@ class Dataset:
         return f"Dataset(default={len(self._default)} triples, named={len(self._named)})"
 
 
-Element = Graph | Dataset
-
-
 # The class of a stream's items, by payload: what the classifier and the writer accept.
 _ITEM_CLASS = {Payload.TRIPLES: Triple, Payload.QUADS: Quad, Payload.GRAPHS: Graph, Payload.DATASETS: Dataset}

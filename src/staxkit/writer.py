@@ -5,16 +5,17 @@ minimal literal escapes (\\" \\\\ \\n \\r \\t), datatype suffix omitted for
 xsd:string, UTF-8 throughout, '\\n' line endings.  read(write(s)) reproduces
 s exactly; write(read(f)) is byte-identical for files already canonical.
 
-Every output takes one path: item texts, one framing step, one sink.
+Every output takes one path: item texts, one framing step, one target writer.
 _texts turns each statement into its line and each graph or dataset into
 one string, building no Quad: the shape of the reader's text mode, in
 which the CLI's convert reads every plan's stream.  _reframed frames
 either: it joins a flat stream's lines a few hundred at a time and puts
-'#---' between framed elements.  write_stream and write_dir_stream write
-through it from _texts, and the CLI's convert from the reader's text.
+'#---' between framed elements.  write_stream frames through it from
+_texts, and the CLI's convert from the reader's text.  _write_to writes
+them, for convert and annotate --out too, to a sink, a file or a directory.
 
 A call imports this module when it writes: convert, and annotate for
-serialize_term and the byte sink.  The reader's text mode, which classify
+serialize_term and _write_to.  The reader's text mode, which classify
 and validate --data read too, imports it for a line with a '\\' outside
 its literal, which only the writer spells.
 """
@@ -30,7 +31,7 @@ from typing import IO, Iterable, Iterator
 
 from .errors import MixedPayload, OutputExists
 from .framing import _INTERN_LIMIT, FRAME_DELIMITER, Framing, Payload
-from .model import _IRI_ESC, _IRI_EXCLUDED, _ITEM_CLASS, _LITERAL_ESC, XSD_STRING, BlankNode, Element, Iri, Literal
+from .model import _IRI_ESC, _IRI_EXCLUDED, _ITEM_CLASS, _LITERAL_ESC, XSD_STRING, BlankNode, Iri, Literal
 from .model import Quad, Statement, Term
 
 _LITERAL_SPECIAL = re.compile(r'[\\"\n\r\t]')
@@ -146,6 +147,38 @@ def _texts(items: Iterable, framing: Framing) -> Iterator[str]:
             yield text
 
 
+def write_stream(items: Iterable, framing: Framing, target: "IO[bytes] | os.PathLike[str] | str") -> int | list[str]:
+    """Serialize a stream canonically to target as it is read from items: a
+    binary sink, a file path or, for a dir framing, a directory path (see
+    _write_to).  Returns the number of bytes written, or the member names.
+
+    Each element is one write, made once it is read, and a flat stream is
+    written a few hundred whole lines at a time, so memory holds one element
+    or batch, not the stream.  Item classes must match the framing's
+    payload.  A framed stream has '#---' between elements and none at its
+    edges, so a stream of exactly one empty element writes zero bytes and
+    reads back as an empty stream; every other boundary layout round-trips.
+    """
+    return _write_to(_reframed(_texts(items, framing), framing.payload, framing), framing, target)
+
+
+def _write_to(texts: Iterable[str], framing: Framing | None, target) -> int | list[str]:
+    """Write a stream's texts to target; the byte count, or the member names.
+
+    A binary sink takes each text as it comes, so a failed item leaves what
+    came before it written; a dir framing refuses a sink with ValueError.  A
+    path is a directory of member files for a dir framing (_write_members),
+    else one file written atomically (_write_file).  framing is None for
+    annotate's Turtle, which is no RDF stream.
+    """
+    is_dir = framing is not None and framing.is_dir
+    if not isinstance(target, (str, os.PathLike)):
+        if is_dir:
+            raise ValueError(f"{framing.value} framing writes member files to a directory path, not to a sink")
+        return _write_texts(texts, target)
+    return _write_members(texts, framing, os.fspath(target)) if is_dir else _write_file(texts, os.fspath(target))
+
+
 def _write_texts(texts: Iterable[str], sink: IO[bytes]) -> int:
     """Encode each text to sink in one write, skipping empty ones; the byte count."""
     written = 0
@@ -157,22 +190,48 @@ def _write_texts(texts: Iterable[str], sink: IO[bytes]) -> int:
     return written
 
 
-def write_stream(items: Iterable, framing: Framing, sink: IO[bytes]) -> int:
-    """Serialize a flat or framed stream canonically to a binary sink as it
-    is read from items; returns the number of bytes written.
+def _write_file(texts: Iterable[str], path: str) -> int:
+    """Write a stream's texts to path, which appears only once it is whole; the byte count.
 
-    Each element is one sink write, made once it is read, and a flat stream
-    is written a few hundred whole lines at a time, so memory holds one
-    element or batch, not the stream.  When an item fails, what came before
-    it has been written already.  Item classes must match the framing's
-    payload.  A framed stream has '#---' between elements and
-    none at its edges, so a stream of exactly one empty element writes zero
-    bytes and reads back as an empty stream; every other boundary layout
-    round-trips.
+    The stream goes to a temp file beside path.  On success os.replace moves
+    it over path; any failure removes it, so path is left as it was.  The
+    new file takes the mode of the file it replaces, or the mode open()
+    gives a new file.  A symlink's target is replaced, not the link; a
+    device or pipe, which cannot be replaced, is written in place.  A path
+    ending in '/' names a directory, as for convert, and is refused at once,
+    and so is the empty path, before any text is read.
     """
-    if framing.is_dir:
-        raise ValueError(f"write_stream needs a flat or framed framing, got {framing.value}")
-    return _write_texts(_reframed(_texts(items, framing), framing.payload, framing), sink)
+    import stat
+    import tempfile
+
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if path.endswith("/"):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.exists(path):
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    elif os.path.isfile(path):
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    else:
+        with open(path, "wb") as f:
+            return _write_texts(texts, f)
+    target = os.path.realpath(path)
+    try:
+        fd, temp = tempfile.mkstemp(prefix=f".{os.path.basename(target)}.", dir=os.path.dirname(target))
+    except OSError as exc:  # name the target, not the temp file
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "wb") as f:
+            os.chmod(temp, mode)
+            size = _write_texts(texts, f)
+        os.replace(temp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(temp)
+        raise
+    return size
 
 
 def _member_stem(index: int) -> str:
@@ -182,30 +241,18 @@ def _member_stem(index: int) -> str:
     return "z" * (len(digits) - 5) + digits
 
 
-def write_dir_stream(
-    elements: Iterable[Element],
-    framing: Framing,
-    directory: "os.PathLike[str] | str",
-) -> list[str]:
-    """Write one member file per element; returns the filenames created.
+def _write_members(texts: Iterable[str], framing: Framing, directory: str) -> list[str]:
+    """Write one member file per element text; returns the filenames created.
 
     A missing directory is made, but not its parents: a missing parent
     fails with FileNotFoundError before any element is read.  A path
     ending in '/' that holds a file fails with IsADirectoryError, as a
-    file target ending in '/' does in the CLI.  A directory that already
-    holds members with the framing's extension is refused with
-    OutputExists before anything is written.  When any element fails, the
-    members written so far are removed, and so is the directory if this
-    call created it, before the error propagates.
+    file target ending in '/' does.  A directory that already holds
+    members with the framing's extension is refused with OutputExists
+    before anything is written.  When any element fails, the members
+    written so far are removed, and so is the directory if this call
+    created it, before the error propagates.
     """
-    if not framing.is_dir:
-        raise ValueError(f"write_dir_stream needs a dir framing, got {framing.value}")
-    return _write_members(_reframed(_texts(elements, framing), framing.payload, framing), framing, directory)
-
-
-def _write_members(texts: Iterable[str], framing: Framing, directory: "os.PathLike[str] | str") -> list[str]:
-    """write_dir_stream's work: one member file per element text."""
-    directory = os.fspath(directory)
     ext = ".nq" if framing.quads_payload else ".nt"
     created = not os.path.isdir(directory)
     if created:

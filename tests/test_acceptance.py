@@ -50,7 +50,7 @@ from staxkit.errors import ParseError
 from staxkit.io import Framing, read_flat_stream, read_grouped_stream, write_flat_stream
 from staxkit.model import Dataset, Graph, Iri, Literal, Triple
 from staxkit.taxonomy import default_taxonomy, infer_closure
-from staxkit.writer import write_dir_stream
+from staxkit.writer import write_stream
 
 
 def report(criterion, label, ok, detail=""):
@@ -260,11 +260,11 @@ def test_criterion_6_io_exactness(tmp_path):
     for i in range(10):
         graphs = gen_graph_elements(r)
         d = tmp_path / f"g{i}"
-        write_dir_stream(graphs, Framing.DIR_GRAPHS, d)
+        write_stream(graphs, Framing.DIR_GRAPHS, d)
         ok = ok and list(read_grouped_stream(d, Framing.DIR_GRAPHS)) == graphs
         datasets = gen_dataset_elements(r)
         d = tmp_path / f"d{i}"
-        write_dir_stream(datasets, Framing.DIR_DATASETS, d)
+        write_stream(datasets, Framing.DIR_DATASETS, d)
         ok = ok and list(read_grouped_stream(d, Framing.DIR_DATASETS)) == datasets
 
     for framing, fixture in CANONICAL:

@@ -36,7 +36,7 @@ from staxkit.framing import Framing, Payload
 from staxkit.io import read_flat_stream, read_grouped_stream
 from staxkit.model import BlankNode, Iri, Literal, Quad, Triple
 from staxkit.taxonomy import TypeKind, default_taxonomy, infer_closure, load_taxonomy, payload_kind, plan
-from staxkit.writer import serialize_statement, write_dir_stream, write_stream
+from staxkit.writer import serialize_statement, write_stream
 from test_classify import xsd_timestamps
 from test_hygiene import readme_json_example
 
@@ -338,6 +338,16 @@ class TestClassify:
         f.write_bytes(flat_triples(1))
         assert main(["classify", "--input", str(f), "--framing", "flat-triples", "--max-evidence", "-1"]) == 2
         assert capsys.readouterr() == ("", "stax-kit: --max-evidence must be non-negative\n")
+
+    def test_zero_max_evidence_keeps_the_violations_and_no_evidence(self, tmp_path, capsys):
+        f = tmp_path / "data.nt"
+        f.write_bytes(b"<http://ex.org/s> <http://ex.org/p> <http://ex.org/o> .\n#---\n"
+                      b"<http://ex.org/s> <http://ex.org/p> <http://ex.org/t> .\n")
+        assert main(["classify", "--input", str(f), "--framing", "framed-graphs", "--max-evidence", "0", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["evidence"] == []
+        assert doc["firstViolation"]["subjectGraphStream"]["elementIndex"] == 1
+        assert ClassifierConfig(max_evidence=0).max_evidence == 0
 
     def test_json_report_is_schema_valid(self, tmp_path, capsys):
         f = tmp_path / "data.bin"
@@ -646,6 +656,20 @@ class TestConvert:
         argv, _ = file_target_call(command, tmp_path, dst)
         assert main(argv) == 3
         assert capsys.readouterr().err == f"stax-kit: [Errno 2] No such file or directory: '{dst}'\n"
+
+    @pytest.mark.parametrize("command", FILE_WRITERS)
+    def test_an_empty_output_path_is_refused_as_an_empty_input_path_is(self, command, tmp_path, monkeypatch, capsys):
+        # os.path.realpath('') is the working directory: a temp file beside
+        # it would take the whole output before the rename failed.
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        argv, _ = file_target_call(command, tmp_path, "")
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", "stax-kit: [Errno 2] No such file or directory: ''\n")
+        assert sorted(tmp_path.rglob("*")) == before
+        assert main(["classify", "--input", "", "--framing", "flat-triples"]) == 3
+        assert capsys.readouterr() == ("", "stax-kit: [Errno 2] No such file or directory: ''\n")
 
     def test_output_may_be_the_input(self, tmp_path, capsys):
         src = tmp_path / "in.bin"
@@ -1050,8 +1074,9 @@ def test_a_group_plan_fails_as_the_library_term_path_fails(
 
 
 # CLI convert against the library: main(['convert', ...]) must write what
-# write_stream / write_dir_stream write for convert(read(...)) of the same
-# input, for every concrete (from, to) pair under both policies.  A small
+# write_stream writes for convert(read(...)) of the same input, to a target
+# of the same kind (standard output and a sink, a file, a directory), for
+# every concrete (from, to) pair under both policies.  A small
 # term pool makes repeated statements, shared blank nodes and several named
 # graphs per element common; one literal needs every escape.  Each line is
 # its canonical form or a spelling drawn by plain string code: TABs and
@@ -1129,6 +1154,11 @@ def _members(directory: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())} if directory.exists() else {}
 
 
+def _written(path: Path) -> dict[str, bytes] | bytes:
+    """The member files of a directory, or the bytes of a file."""
+    return _members(path) if path.is_dir() else path.read_bytes()
+
+
 @pytest.mark.parametrize("policy", ["strict", "transitive"])
 @pytest.mark.parametrize("to_type", CONCRETE)
 @pytest.mark.parametrize("from_type", CONCRETE)
@@ -1181,14 +1211,14 @@ def test_cli_convert_writes_what_the_library_writes(from_type, to_type, policy, 
         assert code == 0, stderr.getvalue()
         read = read_flat_stream if in_framing.is_flat else read_grouped_stream
         items = convert(read(path, in_framing), from_type, to_type, inferred, policy, batch_size)
-        if out_framing.is_dir:
-            expected = Path(scratch) / "expected"
-            write_dir_stream(items, out_framing, expected)
-            assert _members(out) == _members(expected)
+        if output == "-":
+            sink = io.BytesIO()
+            write_stream(items, out_framing, sink)
+            assert stdout.buffer.getvalue() == sink.getvalue()
             return
-        sink = io.BytesIO()
-        write_stream(items, out_framing, sink)
-        assert (stdout.buffer.getvalue() if output == "-" else out.read_bytes()) == sink.getvalue()
+        expected = Path(scratch) / "expected"
+        write_stream(items, out_framing, expected)
+        assert _written(out) == _written(expected)
 
 
 # A taxonomy where a group edge ends at a type narrower than a grouped one:

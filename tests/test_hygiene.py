@@ -261,18 +261,25 @@ def framing_users(tree: ast.Module) -> list[str]:
 
 
 def output_writers(tree: ast.Module) -> list[str]:
-    """The function around each use of sys.stdout.buffer or _write_file."""
+    """The function around each use of sys.stdout.buffer or _write_to."""
     return enclosing_functions(tree, lambda node: (
         isinstance(node, ast.Attribute) and node.attr == "buffer"
         and isinstance(node.value, ast.Attribute) and node.value.attr == "stdout"
-        or isinstance(node, ast.Name) and node.id == "_write_file"
+        or isinstance(node, ast.Name) and node.id == "_write_to"
     ))
+
+
+def file_openers(tree: ast.Module) -> list[str]:
+    """The function around each call of open()."""
+    return enclosing_functions(tree, lambda node: (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open"))
 
 
 def test_one_function_frames_every_output_and_one_writes_it():
     # Items become texts, one writer step frames them: it alone joins flat
     # lines a chunk at a time and puts '#---' between elements.
-    framers = framing_users(ast.parse((SRC / "writer.py").read_text(encoding="utf-8")))
+    writer = ast.parse((SRC / "writer.py").read_text(encoding="utf-8"))
+    framers = framing_users(writer)
     assert len(set(framers)) == 1 and framers[0], f"the output is framed in {framers}"
     assert framing_users(ast.parse(
         "from .framing import FRAME_DELIMITER\n"
@@ -281,20 +288,24 @@ def test_one_function_frames_every_output_and_one_writes_it():
         "def b(): return '#---\\n'\n"
         "def c(): return islice(lines, _CHUNK_LINES)\n"
     )) == ["a", "b", "c"]
-    # Then one routine in commands writes standard output or a whole file,
-    # for convert and annotate alike; only _write_file opens a file.
+    # Then one target writer, _write_to, writes a sink, a whole file or a
+    # directory's members, for write_stream, convert and annotate alike: in
+    # writer only _write_file and _write_members open a file, and only
+    # write_stream calls it.  commands opens no file, and only _write_output
+    # reaches standard output or the target writer.
+    assert set(file_openers(writer)) == {"_write_file", "_write_members"}, f"files are opened in {file_openers(writer)}"
+    assert output_writers(writer) == ["write_stream"]
     commands = ast.parse((SRC / "commands.py").read_text(encoding="utf-8"))
+    assert file_openers(commands) == []
     writers = output_writers(commands)
-    assert len(set(writers)) == 1 and writers[0], f"the output is written in {writers}"
-    openers = enclosing_functions(commands, lambda node: (
-        isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open"))
-    assert set(openers) == {"_write_file"}, f"files are opened in {openers}"
+    assert set(writers) == {"_write_output"}, f"the output is written in {writers}"
     assert output_writers(ast.parse(
         "import sys\n"
         "def a(): sys.stdout.buffer.write(b'')\n"
-        "def b(): return _write_file(texts, path)\n"
+        "def b(): return _write_to(texts, framing, path)\n"
         "def c(): sys.stdout.write('')\n"
     )) == ["a", "b"]
+    assert file_openers(ast.parse("def a(): open(p)\ndef b(): os.open(p)\ndef c(): f.open()\n")) == ["a"]
 
 
 def test_dead_name_is_reported():

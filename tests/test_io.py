@@ -1,6 +1,7 @@
 import os
 import random
 import re
+import stat
 import tempfile
 from io import BytesIO
 from itertools import chain
@@ -39,7 +40,7 @@ from staxkit.io import (
 from staxkit.locator import _locate
 from staxkit.taxonomy import default_taxonomy, infer_closure
 from staxkit.model import RDF_LANGSTRING, XSD_STRING, BlankNode, Dataset, Graph, Iri, Literal, Quad, Triple
-from staxkit.writer import _member_stem, serialize_statement, serialize_term, write_dir_stream, write_stream
+from staxkit.writer import _member_stem, serialize_statement, serialize_term, write_stream
 
 EX = "http://example.org/"
 
@@ -444,6 +445,16 @@ class _Recorder:
         return len(data)
 
 
+# Items of each payload, long enough that a flat stream takes several chunks.
+_STREAM_QUADS = [Quad(Iri(f"{EX}s{i}"), Iri(EX + "p"), Literal(f"v\t{i}"), Iri(f"{EX}g{i % 3}")) for i in range(600)]
+_STREAM_ITEMS = {
+    Payload.TRIPLES: [Triple(s, p, o) for s, p, o, _ in _STREAM_QUADS],
+    Payload.QUADS: _STREAM_QUADS,
+    Payload.GRAPHS: [Graph([Triple(s, p, o) for s, p, o, _ in _STREAM_QUADS[i : i + 7]]) for i in range(0, 600, 7)],
+    Payload.DATASETS: [Dataset.from_quads(_STREAM_QUADS[i : i + 7]) for i in range(0, 600, 7)],
+}
+
+
 class TestWriteStream:
     # One-statement elements put a '#---' line between every two statement
     # lines, so chunk boundaries fall at every offset within the pattern.
@@ -468,9 +479,46 @@ class TestWriteStream:
     @pytest.mark.parametrize("framing", [Framing.DIR_GRAPHS, Framing.DIR_DATASETS])
     def test_dir_framing_is_refused(self, framing):
         sink = _Recorder()
-        with pytest.raises(ValueError, match="flat or framed"):
+        with pytest.raises(ValueError, match=f"^{framing.value} framing writes member files to a directory path"):
             write_stream([], framing, sink)
         assert sink.writes == []
+
+    @pytest.mark.parametrize("framing", [f for f in Framing if not f.is_dir])
+    def test_a_file_target_gets_the_sink_bytes(self, framing, tmp_path):
+        items = _STREAM_ITEMS[framing.payload]
+        sink = BytesIO()
+        size = write_stream(items, framing, sink)
+        target = tmp_path / "out"
+        for path in (target, str(target)):  # a new file, then one replaced
+            assert write_stream(items, framing, path) == size
+            assert target.read_bytes() == sink.getvalue()
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    @pytest.mark.parametrize("framing", [f for f in Framing if not f.is_dir])
+    def test_a_failed_file_write_leaves_the_target(self, framing, tmp_path):
+        # The bad item comes after several chunks or elements are written.
+        target = tmp_path / "out"
+        target.write_bytes(b"old\n")
+        target.chmod(0o640)
+        with pytest.raises(MixedPayload, match="cannot serialize a NoneType"):
+            write_stream([*_STREAM_ITEMS[framing.payload], None], framing, target)
+        assert target.read_bytes() == b"old\n"
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    @pytest.mark.parametrize("framing", list(Framing))
+    def test_an_empty_path_is_refused_before_any_item_is_read(self, framing, tmp_path, monkeypatch):
+        # os.path.realpath('') is the working directory: a temp file beside
+        # it would take the whole stream before the rename failed.
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        read = []
+        items = (read.append(item) or item for item in _STREAM_ITEMS[framing.payload])
+        with pytest.raises(FileNotFoundError) as info:
+            write_stream(items, framing, "")
+        assert str(info.value) == "[Errno 2] No such file or directory: ''"
+        assert read == []
+        assert [p.name for p in tmp_path.rglob("*")] == ["cwd"]
 
     def test_empty_stream_writes_nothing(self):
         sink = _Recorder()
@@ -482,14 +530,14 @@ class TestDirStreams:
     def test_roundtrip_graphs(self, tmp_path):
         r = random.Random(31)
         elements = [Graph([gen_triple(r) for _ in range(3)]) for _ in range(4)]
-        names = write_dir_stream(elements, Framing.DIR_GRAPHS, tmp_path)
+        names = write_stream(elements, Framing.DIR_GRAPHS, tmp_path)
         assert names == ["00000.nt", "00001.nt", "00002.nt", "00003.nt"]
         assert list(read_grouped_stream(tmp_path, Framing.DIR_GRAPHS)) == elements
 
     def test_roundtrip_datasets(self, tmp_path):
         r = random.Random(32)
         elements = gen_dataset_elements(r) or [Dataset(default_graph=Graph([gen_triple(r)]))]
-        write_dir_stream(elements, Framing.DIR_DATASETS, tmp_path)
+        write_stream(elements, Framing.DIR_DATASETS, tmp_path)
         assert list(read_grouped_stream(tmp_path, Framing.DIR_DATASETS)) == elements
 
     def test_member_order_is_bytewise(self, tmp_path):
@@ -508,7 +556,7 @@ class TestDirStreams:
         assert len(list(read_grouped_stream(tmp_path, Framing.DIR_GRAPHS))) == 1
 
     def test_empty_element_is_an_empty_file(self, tmp_path):
-        names = write_dir_stream([Graph()], Framing.DIR_GRAPHS, tmp_path)
+        names = write_stream([Graph()], Framing.DIR_GRAPHS, tmp_path)
         assert (tmp_path / names[0]).read_bytes() == b""
         assert list(read_grouped_stream(tmp_path, Framing.DIR_GRAPHS)) == [Graph()]
 
@@ -535,22 +583,22 @@ class TestDirStreams:
         (keep / "notes.txt").write_bytes(b"not ours")
         for target in (tmp_path / "fresh", keep):
             with pytest.raises(MixedPayload):
-                write_dir_stream(elements, Framing.DIR_GRAPHS, target)
+                write_stream(elements, Framing.DIR_GRAPHS, target)
         # the directory this call created is gone; the one it found keeps only what it held
         assert sorted(p.name for p in tmp_path.iterdir()) == ["kept"]
         assert sorted(p.name for p in keep.iterdir()) == ["notes.txt"]
 
     def test_directory_holding_members_is_refused(self, tmp_path):
         graphs = [Graph([Triple(Iri(EX + f"s{i}"), Iri(EX + "p"), Iri(EX + "o"))]) for i in range(3)]
-        write_dir_stream(graphs, Framing.DIR_GRAPHS, tmp_path)
+        write_stream(graphs, Framing.DIR_GRAPHS, tmp_path)
         with pytest.raises(OutputExists, match=r"already holds member 00000\.nt$") as info:
-            write_dir_stream(graphs[:1], Framing.DIR_GRAPHS, tmp_path)
+            write_stream(graphs[:1], Framing.DIR_GRAPHS, tmp_path)
         assert str(tmp_path) in str(info.value)
         # nothing was written: the three old members still read back as they were
         assert list(read_grouped_stream(tmp_path, Framing.DIR_GRAPHS)) == graphs
         # members of another extension do not count
         datasets = [Dataset(default_graph=graphs[0])]
-        assert write_dir_stream(datasets, Framing.DIR_DATASETS, tmp_path) == ["00000.nq"]
+        assert write_stream(datasets, Framing.DIR_DATASETS, tmp_path) == ["00000.nq"]
         assert list(read_grouped_stream(tmp_path, Framing.DIR_DATASETS)) == datasets
 
     def test_bytes_input_rejected(self):
@@ -1135,7 +1183,7 @@ def test_writers_equal_serialize_statement(limit, monkeypatch, tmp_path):
         assert framed_bytes(elements, framed) == "#---\n".join(texts).encode()
 
         directory = tmp_path / ("quads" if quads else "triples")
-        names = write_dir_stream(elements, Framing.DIR_DATASETS if quads else Framing.DIR_GRAPHS, directory)
+        names = write_stream(elements, Framing.DIR_DATASETS if quads else Framing.DIR_GRAPHS, directory)
         assert [(directory / n).read_bytes() for n in names] == [t.encode() for t in texts]
 
 
@@ -1165,7 +1213,7 @@ def test_property_dataset_writers_follow_the_quads_order(datasets):
     staxkit.writer._write_texts(staxkit.writer._reframed(elements, Payload.DATASETS, Framing.FLAT_QUADS), flat)
     assert flat.getvalue() == "".join(texts).encode()
     with tempfile.TemporaryDirectory() as directory:
-        names = write_dir_stream(datasets, Framing.DIR_DATASETS, directory)
+        names = write_stream(datasets, Framing.DIR_DATASETS, directory)
         assert [Path(directory, n).read_bytes() for n in names] == [t.encode() for t in texts]
 
 
@@ -1191,7 +1239,7 @@ def test_property_writer_texts_have_the_reader_text_shape(framing, data):
     assert len(texts) == len(items)
     if framing.is_dir:
         with tempfile.TemporaryDirectory() as directory:
-            write_dir_stream(items, framing, directory)
+            write_stream(items, framing, directory)
             assert list(staxkit.io._read_stream(directory, framing, text=True)) == texts
         return
     assume(framing.is_flat or texts != [""])
