@@ -7,7 +7,8 @@ check, no conversion path); 2 usage errors; 3 parse/data errors; 141
 stdout closed by its reader.
 
 The STAX_TAXONOMY environment variable may point to a taxonomy manifest
-that replaces the built-in taxonomy for every subcommand.
+that replaces the built-in taxonomy for every subcommand; main infers it
+once and gives every handler the InferredTaxonomy.
 
 This module holds the parser, main, run, the exit codes and the taxonomy
 subcommand.  classify, convert, annotate and validate are in commands,
@@ -37,7 +38,7 @@ from .errors import (
 from .framing import Framing
 from .taxonomy import (
     RELATION_NAMES,
-    Taxonomy,
+    InferredTaxonomy,
     _read_text,
     conversion_path,
     default_taxonomy,
@@ -112,11 +113,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _active_taxonomy() -> Taxonomy:
+def _active_taxonomy() -> InferredTaxonomy:
+    """The taxonomy STAX_TAXONOMY names, else the built-in one, inferred."""
     override = os.environ.get("STAX_TAXONOMY")
-    if not override:
-        return default_taxonomy()
-    return load_taxonomy(_read_text(override))
+    return infer_closure(load_taxonomy(_read_text(override)) if override else default_taxonomy())
 
 
 def _print_json(doc: dict) -> None:
@@ -130,8 +130,7 @@ def _print_json(doc: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_taxonomy(args: argparse.Namespace, taxonomy: Taxonomy) -> int:
-    inferred = infer_closure(taxonomy)
+def _cmd_taxonomy(args: argparse.Namespace, inferred: InferredTaxonomy) -> int:
     if args.taxonomy_command == "relate":
         try:
             relation = normalize_relation(args.relation)
@@ -207,8 +206,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # Each handler takes the parsed arguments and the active taxonomy and
-        # returns the exit code; commands is imported only to dispatch its own.
+        # Each handler takes the parsed arguments and the inferred active taxonomy
+        # and returns the exit code; commands is imported only to dispatch its own.
         if args.command == "taxonomy":
             command = _cmd_taxonomy
         else:

@@ -3,9 +3,10 @@ annotate and validate.
 
 cli imports this module only when it dispatches one of them, so a
 taxonomy query compiles none of it.  Each handler takes the parsed
-arguments and the active taxonomy and returns the exit code; each imports
-the modules only it uses.  This module never imports cli, which runs as
-__main__ under `python -m staxkit.cli`: importing it would run it again.
+arguments and the active taxonomy, which main has inferred, and returns
+the exit code; each imports the modules only it uses.  This module never
+imports cli, which runs as __main__ under `python -m staxkit.cli`:
+importing it would run it again.
 convert asks the taxonomy for the payloads and the plan, and runs every
 plan from the reader's text mode, where a group step's batch size ends
 each element; it imports no convert module.  The type and the path alone
@@ -23,9 +24,9 @@ import os
 import sys
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .errors import InvalidBatchSize, MalformedIri, MixedPayload, ParseError
+from .errors import InvalidBatchSize, MalformedIri, MixedPayload
 from .framing import Framing, Payload
-from .taxonomy import Taxonomy, _read_text, infer_closure, payload_kind, plan
+from .taxonomy import InferredTaxonomy, _read_text, payload_kind, plan
 
 if TYPE_CHECKING:
     from .classify import ClassificationReport, ClassifierConfig
@@ -45,14 +46,7 @@ def _items(path: str, framing: Framing, text: bool | str = False, size: int = 0)
         return _read_stream(path, framing, text, size)
     if framing.is_dir:
         raise MixedPayload("directory framings cannot read standard input")
-    return _named_dash(_read_stream(sys.stdin.buffer, framing, text, size))
-
-
-def _named_dash(items: Iterator) -> Iterator:
-    try:
-        yield from items
-    except ParseError as exc:
-        raise ParseError(exc.line, exc.column, exc.reason, member="-") from None
+    return _read_stream(sys.stdin.buffer, framing, text, size, "-")
 
 
 def _print_json(doc: dict) -> None:
@@ -83,16 +77,15 @@ def _classifier_config(args: argparse.Namespace, max_evidence: int = 10) -> Clas
     return ClassifierConfig(**kwargs)
 
 
-def _cmd_classify(args: argparse.Namespace, taxonomy: Taxonomy) -> int:
+def _cmd_classify(args: argparse.Namespace, inferred: InferredTaxonomy) -> int:
     from .classify import classify_stream
 
-    inferred = infer_closure(taxonomy)
     framing = Framing(args.framing)
     cfg = _classifier_config(args, args.max_evidence)
     if cfg is None:
         return 2
     if args.expect is not None:
-        taxonomy.type(args.expect)  # unknown names are usage errors
+        inferred.taxonomy.type(args.expect)  # unknown names are usage errors
     report = classify_stream(_items(args.input, framing, "index"), framing, cfg, inferred)
     if args.json:
         _print_json(report.to_dict())
@@ -145,10 +138,9 @@ def _framing_for(payload: Payload, path: str) -> Framing:
     return framing
 
 
-def _cmd_convert(args: argparse.Namespace, taxonomy: Taxonomy) -> int:
+def _cmd_convert(args: argparse.Namespace, inferred: InferredTaxonomy) -> int:
     from .writer import _reframed
 
-    inferred = infer_closure(taxonomy)
     from_payload = payload_kind(inferred, args.from_type)
     to_payload = payload_kind(inferred, args.to_type)
     in_framing = _framing_for(from_payload, args.input)
@@ -178,15 +170,15 @@ def _write_output(texts: Iterable[str], framing: Framing | None, path: str) -> N
         print(f"stax-kit: wrote {what} to {path}", file=sys.stderr)
 
 
-def _cmd_annotate(args: argparse.Namespace, taxonomy: Taxonomy) -> int:
+def _cmd_annotate(args: argparse.Namespace, inferred: InferredTaxonomy) -> int:
     from .annotate import emit_turtle, load_manifest
 
-    manifest = load_manifest(_read_text(args.manifest), taxonomy)
-    _write_output((emit_turtle(manifest, taxonomy),), None, args.out)
+    manifest = load_manifest(_read_text(args.manifest), inferred.taxonomy)
+    _write_output((emit_turtle(manifest, inferred.taxonomy),), None, args.out)
     return 0
 
 
-def _cmd_validate(args: argparse.Namespace, taxonomy: Taxonomy) -> int:
+def _cmd_validate(args: argparse.Namespace, inferred: InferredTaxonomy) -> int:
     # A usage error, reported before the manifest is read or checked.
     if args.data is not None and args.framing is None:
         print("stax-kit: --data requires --framing", file=sys.stderr)
@@ -197,8 +189,7 @@ def _cmd_validate(args: argparse.Namespace, taxonomy: Taxonomy) -> int:
     from .annotate import ValidationReport, cross_check, load_manifest, validate_usages
     from .classify import classify_stream
 
-    inferred = infer_closure(taxonomy)
-    manifest = load_manifest(_read_text(args.manifest), taxonomy)
+    manifest = load_manifest(_read_text(args.manifest), inferred.taxonomy)
     report = validate_usages(manifest, inferred, args.policy)
     if args.data is not None:
         framing = Framing(args.framing)

@@ -20,7 +20,8 @@ class ParseError(StaxError):
 
     Line and column are 1-based; column points at the offending character.
     member names the file the line belongs to: the path of a file source, or
-    the member file of a directory framing.  Bytes and streams leave it None.
+    the member file of a directory framing.  Bytes and streams leave it None,
+    unless read with a name, as the CLI reads standard input as '-'.
     """
 
     def __init__(self, line: int, column: int, reason: str, member: str | None = None):

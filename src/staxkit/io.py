@@ -31,6 +31,7 @@ from __future__ import annotations
 import enum
 import os
 import re
+from contextlib import nullcontext
 from io import BytesIO
 from itertools import chain
 from typing import IO, Iterable, Iterator, NamedTuple, Union
@@ -227,29 +228,31 @@ def parse_statement_line(line: str, mode: str, line_no: int = 1) -> ParsedLine:
 
 
 def _read_file(source: Source, quads: bool, layout: str, text: bool | str, name: str = "", size: int = 0) -> Iterator:
-    """_read over source's lines.  A ParseError names a path source, or name
-    if given; bytes and binary streams have no name to give."""
-    if not isinstance(source, (str, os.PathLike)):
-        yield from _read(BytesIO(source) if isinstance(source, bytes) else source, quads, layout, 1, text, size)
-        return
+    """_read over source's lines.  A ParseError names name if given, else a
+    path source; bytes and binary streams have no other name to give."""
+    if isinstance(source, bytes):
+        source = BytesIO(source)
+    path = isinstance(source, (str, os.PathLike))
+    name = name or (os.fspath(source) if path else None)
     try:
-        with open(source, "rb") as handle:
+        with open(source, "rb") if path else nullcontext(source) as handle:
             yield from _read(handle, quads, layout, 1, text, size)
     except ParseError as exc:
-        raise ParseError(exc.line, exc.column, exc.reason, member=name or os.fspath(source)) from None
+        raise ParseError(exc.line, exc.column, exc.reason, member=name) from None
 
 
-def _read_stream(source: Source, framing: Framing, text: bool | str = False, size: int = 0) -> Iterator:
+def _read_stream(source: Source, framing: Framing, text: bool | str = False, size: int = 0, name: str = "") -> Iterator:
     """The items of source under framing, read lazily: statements or elements,
     or with text the canonical text of each; with text 'index', the elements'
     indexes (see _read), a flat framing's statements each as a one-statement
     element.  A size batches a flat stream's statements, or a grouped
-    stream's elements' canonical lines."""
+    stream's elements' canonical lines.  A ParseError names name if given
+    (see _read_file); a directory's names its member."""
     if text == "index" and framing.is_flat:
         size = 1
     split = size and not framing.is_flat  # read its elements' canonical lines as a flat stream
     items = (_read_dir_stream(source, framing, split or text) if framing.is_dir
-             else _read_file(source, framing.quads_payload, framing.value.partition("-")[0], split or text, size=size))
+             else _read_file(source, framing.quads_payload, framing.value.partition("-")[0], split or text, name, size))
     lines = (line for element in items for line in element.encode().splitlines(True))
     return _read(lines, framing.quads_payload, "flat", 1, text, size) if split else items
 

@@ -9,9 +9,11 @@ four relations:
 * canBeTriviallyExtendedInto: embed without restructuring (triple kinds
   into quad kinds, graphs into single-graph datasets)
 
-Inference closes broader transitively (irreflexive) and then propagates
-each conversion relation down the hierarchy: whatever a broader type can
-convert into, its narrower types can convert into as well.
+Each conversion relation propagates down the hierarchy: whatever a broader
+type can convert into, its narrower types can convert into as well.  The
+load computes these conversion closures while it checks them (below), in
+time linear in their size; inference adds broader's transitive closure
+(irreflexive) from the ancestor map.
 
 Four anchor types fix what a type carries (_ANCHORS): a type that is or
 narrows one carries its payload, and may narrow no second.  Each conversion
@@ -98,7 +100,7 @@ Edge = tuple[str, str]
 class Taxonomy:
     """Validated set of stream types plus base relation edges."""
 
-    __slots__ = ("_types", "_relations", "_ancestors", "_payloads")
+    __slots__ = ("_types", "_relations", "_ancestors", "_payloads", "_closures")
 
     def __init__(
         self,
@@ -110,15 +112,12 @@ class Taxonomy:
             if t.id in by_id:
                 raise SchemaError(f"duplicate stream type id: {t.id}")
             by_id[t.id] = t
-        rels: dict[str, tuple[Edge, ...]] = {name: () for name in RELATION_NAMES}
+        # Edges given under a relation's alias and its full name merge, each once.
+        rels: dict[str, dict[Edge, None]] = {name: {} for name in RELATION_NAMES}
         for name, edges in (relations or {}).items():
-            rel = normalize_relation(name)
-            seen: dict[Edge, None] = {}
-            for a, b in edges:
-                seen[(a, b)] = None
-            rels[rel] = tuple(seen)
+            rels[normalize_relation(name)].update(((a, b), None) for a, b in edges)
         self._types = by_id
-        self._relations = rels
+        self._relations = {name: tuple(edges) for name, edges in rels.items()}
         self._validate()
 
     # -- basic access -------------------------------------------------------
@@ -180,18 +179,28 @@ class Taxonomy:
                 payloads[t] = _ANCHORS[found[0]]
         # Every closure edge (x, b) of an asserted (a, b), x being a or below
         # it, must step x's payload to b's; edges between payload-less types
-        # are not checked.
+        # are not checked.  below[a] is a, then the types under it in the
+        # ancestor map's post-order.  The load keeps the closures it checks,
+        # in _STEPS order, which is RELATION_NAMES's.
+        below: dict[str, list[str]] = {t: [t] for t in self._ancestors}
+        for t, up in self._ancestors.items():
+            for a in up:
+                below[a].append(t)
+        self._closures = []
         for short, step in _STEPS.items():
             rel, fits = normalize_relation(short), {(None, None), *step.items()}
+            closure: set[Edge] = set()
             for a, b in self._relations[rel]:
                 to = payloads.get(b)
-                for x, up in self._ancestors.items():
+                for x in below[a]:
                     held = payloads.get(x)
-                    if (x == a or a in up) and (held, to) not in fits:
+                    if (held, to) not in fits:
                         raise SchemaError(
                             f"{rel} edge ({a}, {b}) cannot take {x} ({held.value if held else 'no payload'}) "
                             f"to {b} ({to.value if to else 'no payload'})"
                         )
+                    closure.add((x, b))
+            self._closures.append(frozenset(closure))
 
     def _broader_ancestors(self) -> dict[str, frozenset[str]]:
         """Strict broader ancestors of every type, built in post-order by one
@@ -380,41 +389,23 @@ class InferredTaxonomy(NamedTuple):
     extend_closure: frozenset[Edge]
 
     def closure(self, relation: str) -> frozenset[Edge]:
-        rel = normalize_relation(relation)
-        return {
-            BROADER: self.broader_closure,
-            FLATTEN: self.flatten_closure,
-            GROUP: self.group_closure,
-            EXTEND: self.extend_closure,
-        }[rel]
+        # The closure fields follow the taxonomy field in RELATION_NAMES order.
+        return self[1 + RELATION_NAMES.index(normalize_relation(relation))]
 
 
 def infer_closure(taxonomy: Taxonomy) -> InferredTaxonomy:
-    """Compute the transitive broader closure and propagated conversion closures.
+    """The transitive broader closure and the conversion closures.
 
     broader closure: least transitive superset of the broader edges
-    (irreflexive; the hierarchy is acyclic so no reflexive pairs appear).
-    Conversion closures: least fixpoint of
+    (irreflexive; the hierarchy is acyclic so no reflexive pairs appear),
+    read from the ancestor map.  Conversion closures: least fixpoint of
         rel ∪ {(x, z) | (x, y) in broaderClosure and (y, z) in rel}
-    The ancestor map is transitive, so one pass reaches it: (x, z) whenever
-    (y, z) is asserted and y is x or an ancestor of x; linear in the closures.
+    which the load computed while checking each of their edges.
     """
-    lineage = {x: (x, *taxonomy.ancestors(x)) for x in taxonomy.type_ids()}
-
-    def propagate(relation: str) -> frozenset[Edge]:
-        targets: dict[str, list[str]] = {}
-        for y, z in taxonomy.edges(relation):
-            targets.setdefault(y, []).append(z)
-        return frozenset(
-            (x, z) for x, up in lineage.items() for y in up for z in targets.get(y, ())
-        )
-
     return InferredTaxonomy(
-        taxonomy=taxonomy,
-        broader_closure=frozenset((x, y) for x, up in lineage.items() for y in up[1:]),
-        flatten_closure=propagate(FLATTEN),
-        group_closure=propagate(GROUP),
-        extend_closure=propagate(EXTEND),
+        taxonomy,
+        frozenset((x, y) for x, up in taxonomy._ancestors.items() for y in up),
+        *taxonomy._closures,
     )
 
 

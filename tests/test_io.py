@@ -301,6 +301,17 @@ class TestInputNames:
             prefix = f"{member}: " if member else ""
             assert str(info.value) == f"{prefix}line 2, column 1: expected IRI, blank node, or literal"
 
+    @pytest.mark.parametrize("framing", [Framing.FLAT_TRIPLES, Framing.FRAMED_GRAPHS])
+    @pytest.mark.parametrize("named", [{"name": "-"}, {}], ids=["named", "unnamed"])
+    def test_a_binary_stream_carries_only_the_name_it_is_read_with(self, framing, named):
+        # the CLI reads standard input as a binary stream named '-'
+        with pytest.raises(ParseError) as info:
+            list(staxkit.io._read_stream(BytesIO(BOM_LINE[3:] + b"bad .\n"), framing, **named))
+        member = named.get("name")
+        assert (info.value.member, info.value.line, info.value.column) == (member, 2, 1)
+        prefix = f"{member}: " if member else ""
+        assert str(info.value) == f"{prefix}line 2, column 1: expected IRI, blank node, or literal"
+
     def test_invalid_utf8_in_a_path_names_the_path(self, tmp_path):
         f = tmp_path / "bad.nt"
         f.write_bytes(b"\xff\n")

@@ -15,8 +15,11 @@ from staxkit.errors import (
 )
 from staxkit.model import Dataset, Graph, Iri, Quad, Triple
 from staxkit.taxonomy import (
+    RELATION_NAMES,
     STAX_NS,
     ConversionStep,
+    InferredTaxonomy,
+    Taxonomy,
     conversion_path,
     default_taxonomy,
     infer_closure,
@@ -173,6 +176,20 @@ class TestClosure:
     def test_closure_is_idempotent(self):
         again = infer_closure(T)
         assert again == C
+
+    def test_conversion_closures_are_the_ones_the_load_checked(self):
+        # the load computes each conversion closure once; every inference shares it
+        first, second = infer_closure(T), infer_closure(T)
+        for field in ("flatten_closure", "group_closure", "extend_closure"):
+            assert getattr(first, field) is getattr(second, field), field
+
+    def test_closure_reads_its_own_fields_by_full_name_and_alias(self):
+        # built by hand, with fields that differ from its taxonomy's closures
+        fields = [frozenset({(f"a{i}", f"b{i}")}) for i in range(4)]
+        hand = InferredTaxonomy(T, *fields)
+        for field, name, alias in zip(fields, RELATION_NAMES, ("broader", "flatten", "group", "extend")):
+            assert hand.closure(name) == hand.closure(alias) == field
+        assert hand.broader_closure == fields[0] and hand.extend_closure == fields[3]
 
 
 class TestRelates:
@@ -366,6 +383,19 @@ class TestLoadTaxonomy:
         }
         tax = load_taxonomy(json.dumps(doc))
         assert tax.edges("flatten") == (("a", "b"),)
+
+    def test_a_relation_given_under_both_names_keeps_every_edge_once(self):
+        tax = Taxonomy(T.types.values(), {
+            "broader": T.edges("broader"),
+            "flatten": [("graphStream", "flatTripleStream"), ("datasetStream", "flatQuadStream")],
+            "canBeFlattenedInto": [("datasetStream", "flatQuadStream"), ("namedGraphStream", "flatQuadStream")],
+        })
+        assert tax.edges("flatten") == (
+            ("graphStream", "flatTripleStream"),
+            ("datasetStream", "flatQuadStream"),
+            ("namedGraphStream", "flatQuadStream"),
+        )
+        assert infer_closure(tax).flatten_closure == C.flatten_closure
 
     def test_missing_label_falls_back_to_id(self):
         doc = {
