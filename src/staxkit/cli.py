@@ -4,7 +4,9 @@ Subcommands: classify, convert, taxonomy (relate/closure/path), annotate,
 validate.  Exit codes: 0 success (or an answered query); 1 semantic
 nonconformance (failed --expect, inconsistent manifest, failed cross
 check, no conversion path); 2 usage errors; 3 parse/data errors; 141
-stdout closed by its reader.
+stdout closed by its reader.  A handler returns nothing and fails by
+raising; main alone turns the error into the exit code and the one
+stderr line.
 
 The STAX_TAXONOMY environment variable may point to a taxonomy manifest
 that replaces the built-in taxonomy for every subcommand; main infers it
@@ -31,9 +33,11 @@ from .errors import (
     AbstractType,
     InvalidBatchSize,
     NoConversionPath,
+    Nonconforming,
     StaxError,
     UnknownStreamType,
     UnknownType,
+    UsageError,
 )
 from .framing import Framing
 from .taxonomy import (
@@ -130,17 +134,15 @@ def _print_json(doc: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_taxonomy(args: argparse.Namespace, inferred: InferredTaxonomy) -> int:
+def _cmd_taxonomy(args: argparse.Namespace, inferred: InferredTaxonomy) -> None:
     if args.taxonomy_command == "relate":
         try:
             relation = normalize_relation(args.relation)
         except ValueError as exc:
-            print(f"stax-kit: {exc}", file=sys.stderr)
-            return 2
+            raise UsageError(str(exc)) from None
         answer = relates(inferred, relation, args.from_type, args.to_type)
         print("true" if answer else "false")
-        return 0
-    if args.taxonomy_command == "closure":
+    elif args.taxonomy_command == "closure":
         if args.json:
             _print_json(
                 {
@@ -153,38 +155,29 @@ def _cmd_taxonomy(args: argparse.Namespace, inferred: InferredTaxonomy) -> int:
                 print(f"{name}:")
                 for a, b in sorted(inferred.closure(name)):
                     print(f"  {a} -> {b}")
-        return 0
-    # path
-    steps = conversion_path(inferred, args.from_type, args.to_type, args.policy)
-    if args.json:
-        _print_json(
-            {
-                "from": args.from_type,
-                "to": args.to_type,
-                "policy": args.policy,
-                "path": None
-                if steps is None
-                else [
-                    {"relation": s.relation, "source": s.source, "target": s.target}
-                    for s in steps
-                ],
-            }
-        )
-    elif steps is None:
-        pass
-    elif not steps:
-        print("(identity)")
-    else:
-        for s in steps:
-            print(f"{s.relation}: {s.source} -> {s.target}")
-    if steps is None:
-        print(
-            f"stax-kit: no {args.policy} conversion path from {args.from_type} "
-            f"to {args.to_type}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    else:  # path
+        steps = conversion_path(inferred, args.from_type, args.to_type, args.policy)
+        if args.json:
+            _print_json(
+                {
+                    "from": args.from_type,
+                    "to": args.to_type,
+                    "policy": args.policy,
+                    "path": None
+                    if steps is None
+                    else [
+                        {"relation": s.relation, "source": s.source, "target": s.target}
+                        for s in steps
+                    ],
+                }
+            )
+        elif steps:
+            for s in steps:
+                print(f"{s.relation}: {s.source} -> {s.target}")
+        elif steps is not None:
+            print("(identity)")
+        if steps is None:
+            raise NoConversionPath(args.from_type, args.to_type, args.policy)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +187,9 @@ def _cmd_taxonomy(args: argparse.Namespace, inferred: InferredTaxonomy) -> int:
 # Exit code of each StaxError class, looked up along the class's MRO; any
 # other StaxError is a data error (3).
 _EXIT_CODES = {
+    Nonconforming: 1,
     NoConversionPath: 1,
+    UsageError: 2,
     InvalidBatchSize: 2,
     UnknownType: 2,
     AbstractType: 2,
@@ -205,25 +200,22 @@ _EXIT_CODES = {
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        # Each handler takes the parsed arguments and the inferred active taxonomy
-        # and returns the exit code; commands is imported only to dispatch its own.
-        if args.command == "taxonomy":
-            command = _cmd_taxonomy
-        else:
-            from .commands import COMMANDS
+    # Each handler takes the parsed arguments and the inferred active taxonomy
+    # and fails by raising; commands is imported only to dispatch its own.
+    if args.command == "taxonomy":
+        command = _cmd_taxonomy
+    else:
+        from .commands import COMMANDS
 
-            command = COMMANDS[args.command]
-        code = command(args, _active_taxonomy())
-        # Flushed here, a closed stdout meets the handler below and not the
-        # flush at exit, which would print its error and exit 120.
-        sys.stdout.flush()
-        return code
-    except StaxError as exc:
-        code = next((_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES), 3)
-        name = f"{type(exc).__name__}: " if code == 3 else ""
-        print(f"stax-kit: {name}{exc}", file=sys.stderr)
-        return code
+        command = COMMANDS[args.command]
+    try:
+        try:
+            command(args, _active_taxonomy())
+        finally:
+            # Flushed before any failure line, a closed stdout meets the first
+            # handler below whatever else failed, and the flush at exit, which
+            # would print its error and exit 120, finds nothing left to write.
+            sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout, as `| head` does: stop quietly with the
         # shell's code for SIGPIPE.  Pointing stdout at devnull keeps the
@@ -232,9 +224,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except OSError as exc:
-        print(f"stax-kit: {exc}", file=sys.stderr)
-        return 3
+    except (StaxError, OSError) as exc:
+        code = next((_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES), 3)
+        name = f"{type(exc).__name__}: " if code == 3 and isinstance(exc, StaxError) else ""
+        print(f"stax-kit: {name}{exc}", file=sys.stderr)
+        return code
+    return 0
 
 
 def run() -> None:

@@ -3,10 +3,11 @@ annotate and validate.
 
 cli imports this module only when it dispatches one of them, so a
 taxonomy query compiles none of it.  Each handler takes the parsed
-arguments and the active taxonomy, which main has inferred, and returns
-the exit code; each imports the modules only it uses.  This module never
-imports cli, which runs as __main__ under `python -m staxkit.cli`:
-importing it would run it again.
+arguments and the active taxonomy, which main has inferred, returns
+nothing and fails by raising, a UsageError (exit 2) or a Nonconforming
+(exit 1) for its own failures; each imports the modules only it uses.
+This module never imports cli, which runs as __main__ under `python -m
+staxkit.cli`: importing it would run it again.
 convert asks the taxonomy for the payloads and the plan, and runs every
 plan from the reader's text mode, where a group step's batch size ends
 each element; it imports no convert module.  The type and the path alone
@@ -24,7 +25,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .errors import InvalidBatchSize, MalformedIri, MixedPayload
+from .errors import InvalidBatchSize, MalformedIri, MixedPayload, Nonconforming, UsageError
 from .framing import Framing, Payload
 from .taxonomy import InferredTaxonomy, _read_text, payload_kind, plan
 
@@ -55,9 +56,9 @@ def _print_json(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
-def _classifier_config(args: argparse.Namespace, max_evidence: int = 10) -> ClassifierConfig | None:
+def _classifier_config(args: argparse.Namespace, max_evidence: int = 10) -> ClassifierConfig:
     """The ClassifierConfig of the timestamp options classify and validate
-    share, or None once a usage error is printed."""
+    share; a bad option is a UsageError."""
     from .classify import ClassifierConfig
     from .model import Iri
 
@@ -66,24 +67,20 @@ def _classifier_config(args: argparse.Namespace, max_evidence: int = 10) -> Clas
         try:
             predicates.append(Iri(value))
         except MalformedIri as exc:
-            print(f"stax-kit: bad --timestamp-predicate: {exc}", file=sys.stderr)
-            return None
+            raise UsageError(f"bad --timestamp-predicate: {exc}") from None
     if max_evidence < 0:
-        print("stax-kit: --max-evidence must be non-negative", file=sys.stderr)
-        return None
+        raise UsageError("--max-evidence must be non-negative")
     kwargs = {"check_timestamp_order": not args.no_order_check, "max_evidence": max_evidence}
     if predicates:
         kwargs["timestamp_predicates"] = frozenset(predicates)
     return ClassifierConfig(**kwargs)
 
 
-def _cmd_classify(args: argparse.Namespace, inferred: InferredTaxonomy) -> int:
+def _cmd_classify(args: argparse.Namespace, inferred: InferredTaxonomy) -> None:
     from .classify import classify_stream
 
     framing = Framing(args.framing)
     cfg = _classifier_config(args, args.max_evidence)
-    if cfg is None:
-        return 2
     if args.expect is not None:
         inferred.taxonomy.type(args.expect)  # unknown names are usage errors
     report = classify_stream(_items(args.input, framing, "index"), framing, cfg, inferred)
@@ -92,19 +89,17 @@ def _cmd_classify(args: argparse.Namespace, inferred: InferredTaxonomy) -> int:
     else:
         _print_report(report)
     if args.expect is None:
-        return 0
+        return
 
     # A type is met by itself or by any narrower type, abstract types included.
     def meets(type_id: str) -> bool:
         return type_id == args.expect or (type_id, args.expect) in inferred.broader_closure
 
     if any(map(meets, report.conforming)):
-        return 0
+        return
     if not any(map(meets, report.applicable)):
-        print(f"stax-kit: {args.expect} does not apply to {framing.value} streams", file=sys.stderr)
-    else:
-        print(f"stax-kit: stream does not conform to {args.expect}", file=sys.stderr)
-    return 1
+        raise Nonconforming(f"{args.expect} does not apply to {framing.value} streams")
+    raise Nonconforming(f"stream does not conform to {args.expect}")
 
 
 def _print_report(report: ClassificationReport) -> None:
@@ -138,7 +133,7 @@ def _framing_for(payload: Payload, path: str) -> Framing:
     return framing
 
 
-def _cmd_convert(args: argparse.Namespace, inferred: InferredTaxonomy) -> int:
+def _cmd_convert(args: argparse.Namespace, inferred: InferredTaxonomy) -> None:
     from .writer import _reframed
 
     from_payload = payload_kind(inferred, args.from_type)
@@ -155,7 +150,6 @@ def _cmd_convert(args: argparse.Namespace, inferred: InferredTaxonomy) -> int:
     size = (args.batch_size or 1) if "group" in relations else 0
     texts = _reframed(_items(args.input, in_framing, True, size), to_payload if size else from_payload, out_framing)
     _write_output(texts, out_framing, args.output)
-    return 0
 
 
 def _write_output(texts: Iterable[str], framing: Framing | None, path: str) -> None:
@@ -170,22 +164,18 @@ def _write_output(texts: Iterable[str], framing: Framing | None, path: str) -> N
         print(f"stax-kit: wrote {what} to {path}", file=sys.stderr)
 
 
-def _cmd_annotate(args: argparse.Namespace, inferred: InferredTaxonomy) -> int:
+def _cmd_annotate(args: argparse.Namespace, inferred: InferredTaxonomy) -> None:
     from .annotate import emit_turtle, load_manifest
 
     manifest = load_manifest(_read_text(args.manifest), inferred.taxonomy)
     _write_output((emit_turtle(manifest, inferred.taxonomy),), None, args.out)
-    return 0
 
 
-def _cmd_validate(args: argparse.Namespace, inferred: InferredTaxonomy) -> int:
-    # A usage error, reported before the manifest is read or checked.
+def _cmd_validate(args: argparse.Namespace, inferred: InferredTaxonomy) -> None:
+    # A usage error, raised before the manifest is read or checked.
     if args.data is not None and args.framing is None:
-        print("stax-kit: --data requires --framing", file=sys.stderr)
-        return 2
+        raise UsageError("--data requires --framing")
     cfg = _classifier_config(args)
-    if cfg is None:
-        return 2
     from .annotate import ValidationReport, cross_check, load_manifest, validate_usages
     from .classify import classify_stream
 
@@ -207,7 +197,11 @@ def _cmd_validate(args: argparse.Namespace, inferred: InferredTaxonomy) -> int:
             for e in report.cross_check:
                 status = "pass" if e.passed else "fail"
                 print(f"  {e.stream_type}: {status} ({e.message})")
-    return 0 if report.consistent and report.cross_check_passed else 1
+    if not report.consistent:
+        raise Nonconforming(f"manifest is inconsistent: {len(report.violations)} violation(s)")
+    if not report.cross_check_passed:
+        failed = ", ".join(e.stream_type for e in report.cross_check if not e.passed)
+        raise Nonconforming(f"cross check failed: {failed}")
 
 
 COMMANDS = {

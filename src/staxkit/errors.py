@@ -1,7 +1,8 @@
 """Exception types shared across the toolkit.
 
 Everything raised on purpose derives from StaxError, so callers (notably the
-CLI) can tell our failures apart from genuine bugs.
+CLI) can tell our failures apart from genuine bugs.  The CLI's handlers also
+raise UsageError and Nonconforming, which are not exported.
 """
 
 from __future__ import annotations
@@ -67,6 +68,14 @@ class UnknownStreamType(UnknownType):
 
 class EmptyUsages(StaxError):
     """An annotation manifest declares no stream type usages."""
+
+
+class UsageError(StaxError):
+    """A command's options cannot be run as given (exit 2)."""
+
+
+class Nonconforming(StaxError):
+    """A command's check failed: --expect, or a manifest's validation (exit 1)."""
 
 
 class InvalidBatchSize(StaxError):

@@ -21,9 +21,8 @@ term by term, is in locator; a call imports each only when it runs it.
 The reader has a text mode, for convert and for classify's checks: it
 yields each statement's canonical N-Triples/N-Quads line, or each element's
 lines, in place of terms (see _read).  A line already canonical is kept as
-read; any other has its terms checked as in term mode, and only a line with
-an escape outside its literal makes a valid classify or validate load the
-writer.
+read; any other has its terms checked as in term mode and is spelled from
+its tokens, so the text mode never loads the writer.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ from typing import IO, Iterable, Iterator, NamedTuple, Union
 from .errors import MalformedIri, MixedPayload, ParseError
 from .framing import _INTERN_LIMIT, FRAME_DELIMITER, Framing, Payload
 from .model import (
+    _IRI_ESC,
     _IRI_EXCLUDED,
     _LITERAL_ESC,
     _SURROGATE,
@@ -150,6 +150,11 @@ def _unescape_match(m: re.Match) -> str:
 
 def _unescape(text: str) -> str:
     return _ESCAPE.sub(_unescape_match, text) if "\\" in text else text
+
+
+def _iri_text(token: str | None, term: str | None) -> str | None:
+    """A node token as the writer spells its term: as read, but for an IRI's \\u or \\U escape."""
+    return "<" + term.translate(_IRI_ESC) + ">" if token and "\\" in token else token
 
 
 def _node(token: str) -> Iri | BlankNode:
@@ -294,15 +299,14 @@ def _read(
     'index' the indexes themselves.  A line that _CANONICAL, or in a quad
     layout _CANONICAL_QUAD, matches in full is already that line: it is
     kept as read, and no term is built.  Any other matched line has its
-    tokens checked as terms by the code that builds term mode's statements.
-    With no '\\' outside its literal it is written from its tokens: single
-    spaces, ' .', no comment, no CR, no xsd:string suffix, and the literal
-    escaped with the writer's table.  Any other line, such as one with a
-    \\u escape in an IRI, is a Quad the writer serializes, which only such
-    a line imports.  In text mode a graph label's canonical token, the
-    writer's spelling, keys its index, where term mode keys it by the label
-    term; a term has one canonical token, so a statement repeated in any
-    spelling is kept once in either mode.
+    tokens checked as terms by the code that builds term mode's statements,
+    and is written from its tokens: single spaces, ' .', no comment, no CR,
+    no xsd:string suffix, the literal escaped with the writer's table, and an
+    IRI token with a \\u or \\U escape spelled as the writer spells its IRI.
+    In text mode a graph label's canonical token, the writer's spelling, keys
+    its index, where term mode keys it by the label term; a term has one
+    canonical token, so a statement repeated in any spelling is kept once in
+    either mode.
     """
     if text:
         canonical = re.compile(_CANONICAL_QUAD if quads else _CANONICAL).fullmatch
@@ -353,30 +357,29 @@ def _read(
                     dt = RDF_LANGSTRING if language is not None else XSD_STRING
                     if datatype is not None:
                         dt = checked(iri := get(datatype) or _node(datatype)) or Literal(value, iri)[1]
-                if text and ("\\" not in line or lexical is not None and line.count("\\") == lexical.count("\\")):
-                    # Escape-free node tokens are canonical; the literal is escaped as the writer does.
-                    if lexical is not None:
+                if text:
+                    # Node tokens are canonical but for an IRI escape, spelled as the
+                    # writer spells the IRI; the literal is escaped as the writer does.
+                    if "\\" in line:
+                        s, p, g = _iri_text(s, subject), _iri_text(p, predicate), _iri_text(g, label)
+                    if lexical is None:
+                        o = _iri_text(o, obj)
+                    else:
                         if "\\" in lexical or "\t" in lexical:
                             lexical = value.translate(_LITERAL_ESC)
                         o = f'"{lexical}"'
                         if language is not None:
                             o += "@" + language
                         elif dt != XSD_STRING:
-                            o += "^^" + datatype
+                            o += "^^" + _iri_text(datatype, dt)
                     statement = f"{s} {p} {o} .\n" if g is None else f"{s} {p} {o} {g} .\n"
                     label = g
                 else:
                     if lexical is not None:
                         obj = new(Literal, (value, dt, language))
                     # The pattern admits only the roles Triple and Quad check.
-                    statement = (new(Quad, (subject, predicate, obj, label)) if flat_quads or text
+                    statement = (new(Quad, (subject, predicate, obj, label)) if flat_quads
                                  else new(Triple, (subject, predicate, obj)))
-                    if text:
-                        from .writer import serialize_statement, serialize_term
-
-                        statement = serialize_statement(statement) + "\n"
-                        if label is not None:
-                            label = serialize_term(label)
             except (MalformedIri, ValueError):
                 statement = None  # the locator raises the located error
         if statement is None:

@@ -15,9 +15,8 @@ _texts, and the CLI's convert from the reader's text.  _write_to writes
 them, for convert and annotate --out too, to a sink, a file or a directory.
 
 A call imports this module when it writes: convert, and annotate for
-serialize_term and _write_to.  The reader's text mode, which classify
-and validate --data read too, imports it for a line with a '\\' outside
-its literal, which only the writer spells.
+serialize_term and _write_to.  The reader's text mode spells every line
+itself, so classify and validate --data never import it.
 """
 
 from __future__ import annotations

@@ -26,9 +26,11 @@ from staxkit.errors import (
     AbstractType,
     InvalidBatchSize,
     NoConversionPath,
+    Nonconforming,
     ParseError,
     StaxError,
     UnknownType,
+    UsageError,
 )
 from staxkit.classify import ClassifierConfig, classify_stream
 from staxkit.convert import convert
@@ -1561,18 +1563,31 @@ def cli_env():
     return {**env, "PYTHONPATH": str(Path(staxkit.__file__).parents[1])}
 
 
-@pytest.mark.parametrize("command", ["classify", "validate", "taxonomy"])
+@pytest.mark.parametrize(
+    "command", ["classify", "validate", "taxonomy", "convert-bad-line", "classify-expect", "taxonomy-path"]
+)
 def test_closed_stdout_exits_141_quietly_when_the_output_is_buffered(command, tmp_path):
     # The output fits stdout's buffer, so it meets the closed pipe only when
-    # it is flushed; the pipe has no reader from the start.
+    # it is flushed; the pipe has no reader from the start.  A failure after
+    # some output, a bad line after the first element, an --expect not met or
+    # no plan, prints nothing either: stdout is flushed before its line.
     src = tmp_path / "in.bin"
     src.write_bytes(framed_graphs(1, 1))
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(framed_graphs(1) + b"#---\n<http://ex.org/t> <http://ex.org/p> junk .\n")
+    same = tmp_path / "same.bin"
+    same.write_bytes(framed_graphs(1) + b"#---\n" + framed_graphs(1))
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"usages": [{"streamType": "graphStream"}]}))
     argv = {
         "classify": ["classify", "--input", str(src), "--framing", "framed-graphs", "--json"],
         "validate": ["validate", "--manifest", str(manifest), "--data", str(src), "--framing", "framed-graphs", "--json"],
         "taxonomy": ["taxonomy", "closure"],
+        "convert-bad-line": ["convert", "--input", str(bad), "--from", "graphStream", "--to", "flatTripleStream",
+                             "--output", "-"],
+        "classify-expect": ["classify", "--input", str(same), "--framing", "framed-graphs",
+                            "--expect", "subjectGraphStream"],
+        "taxonomy-path": ["taxonomy", "path", "flatQuadStream", "graphStream", "--json"],
     }[command]
     read_end, write_end = os.pipe()
     os.close(read_end)
@@ -1625,7 +1640,7 @@ def _instance(cls):
     return cls("broken")
 
 
-EXIT_CODES = {NoConversionPath: 1, InvalidBatchSize: 2, UnknownType: 2, AbstractType: 2}
+EXIT_CODES = {NoConversionPath: 1, Nonconforming: 1, InvalidBatchSize: 2, UnknownType: 2, AbstractType: 2, UsageError: 2}
 
 
 @pytest.mark.parametrize("cls", list(_stax_error_classes()), ids=lambda c: c.__name__)
@@ -1641,6 +1656,71 @@ def test_every_stax_error_gives_its_exit_code_and_one_line(cls, capsys, monkeypa
     assert code == EXIT_CODES.get(cls, 3)
     name = f"{cls.__name__}: " if code == 3 else ""
     assert capsys.readouterr().err == f"stax-kit: {name}{exc}\n"
+
+
+def readme_exit_codes() -> set[int]:
+    """The codes of README's exit-code table."""
+    section = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").split("### Exit codes\n")[1]
+    table = section.strip().split("\n\n")[0].splitlines()
+    return {int(row.split("|")[1]) for row in table[2:]}
+
+
+FAILURES = {
+    "bad-timestamp-predicate": (
+        ["classify", "--input", "{same}", "--framing", "framed-graphs", "--timestamp-predicate", "bad<iri"],
+        2, "bad --timestamp-predicate: IRI has no scheme separator ':': 'bad<iri'",
+    ),
+    "negative-max-evidence": (
+        ["classify", "--input", "{same}", "--framing", "framed-graphs", "--max-evidence", "-1"],
+        2, "--max-evidence must be non-negative",
+    ),
+    "data-without-framing": (
+        ["validate", "--manifest", "{crossed}", "--data", "{same}"], 2, "--data requires --framing",
+    ),
+    "unknown-relation": (
+        ["taxonomy", "relate", "sideways", "graphStream", "flatTripleStream"], 2, "unknown relation name: 'sideways'",
+    ),
+    "expect-not-met": (
+        ["classify", "--input", "{same}", "--framing", "framed-graphs", "--expect", "subjectGraphStream"],
+        1, "stream does not conform to subjectGraphStream",
+    ),
+    "expect-not-applicable": (
+        ["classify", "--input", "{same}", "--framing", "framed-graphs", "--expect", "flatQuadStream"],
+        1, "flatQuadStream does not apply to framed-graphs streams",
+    ),
+    "no-plan": (
+        ["taxonomy", "path", "flatQuadStream", "graphStream"], 1, "no strict conversion path from flatQuadStream to graphStream",
+    ),
+    "inconsistent-manifest": (
+        ["validate", "--manifest", "{inconsistent}"], 1, "manifest is inconsistent: 1 violation(s)",
+    ),
+    "failed-cross-check": (
+        ["validate", "--manifest", "{crossed}", "--data", "{same}", "--framing", "framed-graphs"],
+        1, "cross check failed: subjectGraphStream",
+    ),
+    "bad-data-line": (
+        ["classify", "--input", "{bad}", "--framing", "framed-graphs"],
+        3, "ParseError: {bad}: line 3, column 37: expected IRI, blank node, or literal",
+    ),
+    "missing-input": (
+        ["classify", "--input", "{absent}", "--framing", "framed-graphs"],
+        3, "[Errno 2] No such file or directory: '{absent}'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FAILURES)
+def test_every_failure_gives_a_documented_exit_code_and_one_line(case, tmp_path, capsys):
+    # Each handler fails by raising, and main alone prints the one line.
+    paths = {name: tmp_path / name for name in ("same", "bad", "absent", "crossed", "inconsistent")}
+    paths["same"].write_bytes(framed_graphs(1) + b"#---\n" + framed_graphs(1))
+    paths["bad"].write_bytes(framed_graphs(1) + b"#---\n<http://ex.org/t> <http://ex.org/p> junk .\n")
+    for name, second in (("crossed", "subjectGraphStream"), ("inconsistent", "datasetStream")):
+        paths[name].write_text(json.dumps({"usages": [{"streamType": "graphStream"}, {"streamType": second}]}))
+    argv, code, line = FAILURES[case]
+    assert main([arg.format_map(paths) for arg in argv]) == code
+    assert code in readme_exit_codes()
+    assert capsys.readouterr().err == f"stax-kit: {line.format_map(paths)}\n"
 
 
 # Terms are str and tuple subclasses, which json.dumps writes without

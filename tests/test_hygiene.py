@@ -308,6 +308,44 @@ def test_one_function_frames_every_output_and_one_writes_it():
     assert file_openers(ast.parse("def a(): open(p)\ndef b(): os.open(p)\ndef c(): f.open()\n")) == ["a"]
 
 
+def stderr_writers(tree: ast.Module) -> list[str]:
+    """The function around each use of sys.stderr."""
+    return enclosing_functions(tree, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == "stderr"
+        and isinstance(node.value, ast.Name) and node.value.id == "sys"
+    ))
+
+
+def value_returners(tree: ast.Module) -> list[str]:
+    """The function around each return statement that gives a value."""
+    return enclosing_functions(tree, lambda node: isinstance(node, ast.Return) and node.value is not None)
+
+
+def test_handlers_raise_and_main_alone_prints_the_failure_line():
+    # A subcommand handler returns nothing and fails by raising; main alone
+    # turns the error into the exit code and the one stderr line, and
+    # _write_output's notice names what it wrote to a file or a directory.
+    trees = {name: ast.parse((SRC / name).read_text(encoding="utf-8")) for name in ("cli.py", "commands.py")}
+    handlers = [node.name for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")]
+    assert sorted(handlers) == ["_cmd_annotate", "_cmd_classify", "_cmd_convert", "_cmd_taxonomy", "_cmd_validate"]
+    returners = [f for tree in trees.values() for f in value_returners(tree) if f.startswith("_cmd_")]
+    assert not returners, f"handlers return a value: {returners}"
+    assert stderr_writers(trees["cli.py"]) == ["main"]
+    assert stderr_writers(trees["commands.py"]) == ["_write_output"]
+    assert stderr_writers(ast.parse(
+        "import sys\n"
+        "def a(): print('x', file=sys.stderr)\n"
+        "def b(): sys.stderr.write('x')\n"
+        "def c(): print('x', file=sys.stdout)\n"
+    )) == ["a", "b"]
+    assert value_returners(ast.parse(
+        "def a(): return\n"
+        "def b(): return 0\n"
+        "def c():\n    def d(): return None\n    return\n"
+    )) == ["b", "d"]
+
+
 def test_dead_name_is_reported():
     module = ast.parse(
         "__all__ = ['exported']\n"
@@ -534,12 +572,16 @@ CANONICAL_USAGE = {"triples": "flatTripleStream", "quads": "flatQuadStream",
 def respelled(text: str) -> str:
     """Framed text's statements as valid lines that are not canonical but that
     the reader's text mode rebuilds from their tokens: a TAB after the
-    subject, a comment and a CRLF line end, and after each element's first
-    line a statement about its subject with a \\u0041 escape in an explicit
-    xsd:string literal, which changes no type the input conforms to."""
+    subject, a comment with a '\\' and a CRLF line end, every IRI of each
+    element's first two lines spelled with a \\u0068 escape (subject,
+    predicate, object, datatype and graph label alike), and after each
+    element's first line a statement about its subject with a \\u0041 escape
+    in an explicit xsd:string literal, which changes no type the input
+    conforms to."""
     elements = []
     for element in text.split("#---\n"):
-        lines = [line.replace(" ", "\t", 1)[:-1] + " # c\r\n" for line in element.splitlines(True)]
+        lines = [line.replace(" ", "\t", 1)[:-1] + " # c\\\r\n" for line in element.splitlines(True)]
+        lines[:2] = [line.replace("<http", "<\\u0068ttp") for line in lines[:2]]
         note = (f'{element.split(" ", 1)[0]} <http://ex.org/note>'
                 ' "\\u0041"^^<http://www.w3.org/2001/XMLSchema#string> .\n')
         elements.append("".join(lines[:1] + [note] + lines[1:]))
@@ -568,8 +610,8 @@ def canonical_input(framing: str, tmp_path: Path, respell: bool = False) -> tupl
 
 
 def test_valid_classify_and_validate_load_neither_the_writer_nor_the_locator(homes, tmp_path):
-    # Every framing is read in the reader's text mode, which imports the
-    # writer only for a line it cannot keep or rebuild, canonical or not.
+    # Every framing is read in the reader's text mode, which keeps or
+    # rebuilds every line, canonical or not, and never imports the writer.
     for framing, respell in itertools.product(SIX_FRAMINGS, (False, True)):
         home = tmp_path / f"{framing}-{respell}"
         home.mkdir()
